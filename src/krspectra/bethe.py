@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
-from .gaudin import GaudinConfig
-from .scalars import Mat, QQi, RatFun, ShiftOpPoly, cdet, unit_circle_point
+from .gaudin import CommutingFamily, GaudinConfig, center_members
+from .scalars import Mat, QQi, RatFun, ShiftOpPoly, cdet, sgn, unit_circle_point
 
 
 class BetheError(ValueError):
@@ -107,9 +108,9 @@ def antisymmetrizer(n, a) -> Mat:
     m = Mat.zeros(dim)
     idx = list(product(range(n), repeat=a))
     pos = {t: i for i, t in enumerate(idx)}
-    inv_fact = QQi(Fraction(1, _factorial(a)))
+    inv_fact = QQi(Fraction(1, factorial(a)))
     for sigma in permutations(range(a)):
-        sgn = _perm_sign(sigma)
+        sign = sgn(sigma)
         for j in idx:
             i = tuple(j[sigma[m_]] for m_ in range(a))
             # sigma moves the vector in slot m to slot sigma(m):
@@ -119,31 +120,8 @@ def antisymmetrizer(n, a) -> Mat:
                 row[sigma[m_]] = j[m_]
             r = pos[tuple(row)]
             cval = m.rows[r][pos[j]]
-            m.rows[r][pos[j]] = cval + (inv_fact if sgn > 0 else -inv_fact)
+            m.rows[r][pos[j]] = cval + (inv_fact if sign > 0 else -inv_fact)
     return m
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _perm_sign(sigma):
-    sgn = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, c = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            c += 1
-        if c % 2 == 0:
-            sgn = -sgn
-    return sgn
 
 
 def ev_t_grid(cfg: GaudinConfig, shift=0):
@@ -208,11 +186,10 @@ def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
         for i in subset:
             c_i = c_i * C.entries[i]
         for sigma in permutations(range(a)):
-            sgn = _perm_sign(sigma)
             term = grids[0][subset[sigma[0]]][subset[0]]
             for m in range(1, a):
                 term = term * grids[m][subset[sigma[m]]][subset[m]]
-            term = term * (c_i if sgn > 0 else -c_i)
+            term = term * (c_i if sgn(sigma) > 0 else -c_i)
             total = term if total is None else total + term
     return total
 
@@ -232,12 +209,12 @@ def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
         tvals.append([[grid[r][c].eval(u) for c in range(n)] for r in range(n)])
     dim = cfg.rep.dim
     total = Mat.zeros(dim)
-    inv_fact = QQi(Fraction(1, _factorial(a)))
+    inv_fact = QQi(Fraction(1, factorial(a)))
     for sigma in permutations(range(a)):
         inv = [0] * a
         for m, v in enumerate(sigma):
             inv[v] = m
-        sgn = _perm_sign(sigma)
+        sign = QQi(sgn(sigma))
         for j in product(range(n), repeat=a):
             coeff = QQi(1)
             for jm in j:
@@ -245,7 +222,7 @@ def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
             term = tvals[0][j[0]][j[inv[0]]]
             for m in range(1, a):
                 term = term * tvals[m][j[m]][j[inv[m]]]
-            total = total + term * (coeff * inv_fact * QQi(sgn))
+            total = total + term * (coeff * inv_fact * sign)
     return total
 
 
@@ -309,36 +286,17 @@ def _embed_aux(entry_grid, n, a, slot, dim, constant):
 # Bethe families
 
 
-class BetheFamily:
-    """Residues and infinity values of the tau functions, exact and commuting."""
+class BetheFamily(CommutingFamily):
+    """Residues and infinity values of the tau functions at C, exact and commuting."""
+
+    error = BetheError
+    # bound in this class's own namespace too, so that per-class method
+    # patching (perfbench/tracer.py) times Bethe and Gaudin checks apart
+    verify_commuting = CommutingFamily.verify_commuting
 
     def __init__(self, members, config, C, kind="bethe"):
-        self.tags = [t for t, _ in members]
-        self.gens = [g for _, g in members]
-        self.config = config
         self.C = C
-        self.kind = kind
-        bad = self.verify_commuting()
-        if bad:
-            raise BetheError(f"Bethe family does not commute: {bad}")
-
-    def __len__(self):
-        return len(self.gens)
-
-    def members(self):
-        return list(zip(self.tags, self.gens))
-
-    def verify_commuting(self):
-        for i in range(len(self.gens)):
-            for j in range(i + 1, len(self.gens)):
-                if self.gens[i].commutator(self.gens[j]):
-                    return (self.tags[i], self.tags[j])
-        return None
-
-    def extended(self, extra, kind=None):
-        return BetheFamily(
-            self.members() + list(extra), self.config, self.C, kind or self.kind
-        )
+        super().__init__(members, config, kind)
 
     def normality_report(self):
         rep = self.config.rep
@@ -371,14 +329,7 @@ def bethe_family(C: TorusElement, cfg: GaudinConfig, taus=None) -> BetheFamily:
 
 def torus_center_members(C: TorusElement, cfg: GaudinConfig):
     """Delta of the center of z(C): one diagonal sum per coincidence class."""
-    out = []
-    for cls in C.coincidence_classes():
-        m = None
-        for a in cls:
-            d = cfg.rep.delta(a, a)
-            m = d if m is None else m + d
-        out.append((("torus", tuple(cls)), m))
-    return out
+    return center_members(cfg.rep, C.coincidence_classes())
 
 
 def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
@@ -467,7 +418,7 @@ def exp_tail_bound(x_abs2: Fraction, order=8) -> Fraction:
     # with the crude rational bound |x| <= (1 + x_abs2)/2 >= sqrt
     s = (1 + x_abs2) / 2
     num = s ** (order + 1)
-    return num / (_factorial(order + 1) * (1 - s))
+    return num / (factorial(order + 1) * (1 - s))
 
 
 def shift_operator_matrix(eps, c, cfg: GaudinConfig, exp_order=8):
@@ -508,12 +459,6 @@ def shift_operator_matrix(eps, c, cfg: GaudinConfig, exp_order=8):
     return entries
 
 
-def shift_cdet(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
-    """cdet of the shift-operator matrix; returns the ShiftOpPoly."""
-    cfg_signed = GaudinConfig(cfg.rep, chi_shift)
-    return cdet(shift_operator_matrix(eps, c, cfg_signed, exp_order))
-
-
 def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
     """r_{k, z_i, l, eps}: grouped residues of the d-basis coefficients.
 
@@ -530,7 +475,7 @@ def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
     out = {}
     for k in range(n + 1):
         bk = None
-        fact = _factorial(k)
+        fact = factorial(k)
         for a_pow, Ra in enumerate(op.coeffs):
             if Ra.is_zero():
                 continue

@@ -30,12 +30,22 @@ from .gaudin import (
     wall_family,
 )
 from .glrep import build_tensor
-from .pipeline import build_spectral_config, compare_pipeline, default_shift, kr_rep
+from .pipeline import (
+    S_GRID,
+    build_spectral_config,
+    compare_pipeline,
+    default_shift,
+    kr_rep,
+)
 from .promotion import build_kr, promote, promotion_order, verify_uniqueness
 from .scalars import QQi
 from .spectra import joint_diagonalize, scan_simple_spectrum
 from .tableaux import CrystalError, build_crystal
 from .tensorcrystal import string_statistics, tensor_many
+
+
+# the operator dimension cap; build_config_from_opts is also called without it
+DIMCAP = 512
 
 
 class UsageError(ValueError):
@@ -99,7 +109,7 @@ def build_config_from_opts(opts):
         cfg = build_spectral_config(n, factors, s)
         if opts.get("chi"):
             cfg = GaudinConfig(cfg.rep, parse_fraction_list(opts["chi"]))
-    if cfg.rep.dim > opts.get("dimcap", 512):
+    if cfg.rep.dim > opts.get("dimcap", DIMCAP):
         raise UsageError(
             f"tensor dimension {cfg.rep.dim} exceeds the cap; raise --dimcap"
         )
@@ -113,7 +123,7 @@ def build_config_from_opts(opts):
 def cmd_crystal(opts):
     action = opts["action"]
     n = opts["n"]
-    cap = opts.get("cap") or 100000
+    cap = opts["cap"]
     if action == "export" and not (opts.get("kr") or opts.get("lam")):
         raise UsageError("crystal export needs --kr or --lambda")
     if opts.get("kr"):
@@ -269,8 +279,7 @@ def cmd_spectra(opts):
         if opts.get("s_grid")
         else [Fraction(1), Fraction(2), Fraction(3)]
     )
-    tol = opts.get("tol") or 1e-8
-    seed = opts.get("seed") or 0
+    tol, seed = opts["tol"], opts["seed"]
 
     def build(s):
         cfg = build_spectral_config(n, factors, s)
@@ -297,17 +306,9 @@ def cmd_spectra(opts):
 def cmd_compare(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
-    s_grid = (
-        parse_fraction_list(opts["s_grid"])
-        if opts.get("s_grid")
-        else (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
-    )
+    s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else S_GRID
     report = compare_pipeline(
-        n,
-        factors,
-        s_grid=s_grid,
-        tol=opts.get("tol") or 1e-8,
-        seed=opts.get("seed") or 0,
+        n, factors, s_grid=s_grid, tol=opts["tol"], seed=opts["seed"]
     )
     return emit(report, opts)
 
@@ -321,7 +322,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--cap", type=int, default=100000, help="crystal element cap")
-    p.add_argument("--dimcap", type=int, default=512, help="operator dimension cap")
+    p.add_argument("--dimcap", type=int, default=DIMCAP, help="operator dimension cap")
 
 
 def make_parser():

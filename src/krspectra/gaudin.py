@@ -11,10 +11,13 @@ operator; reports name this convention where the sign matters.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 
 from .glrep import TensorRep
-from .scalars import DiffOpPoly, Mat, QQi, RatFun, cdet
+from .scalars import DiffOpPoly, Mat, QQi, RatFun, cdet, sgn, span_rank
 
 
 class GaudinError(ValueError):
@@ -52,7 +55,12 @@ class GaudinConfig:
 
 
 class CommutingFamily:
-    """Exact matrices with provenance tags, verified pairwise commuting."""
+    """Exact matrices with provenance tags, verified pairwise commuting.
+
+    The Gaudin families are instances; the Bethe families subclass it.
+    """
+
+    error = GaudinError
 
     def __init__(self, members, config, kind):
         self.tags = [t for t, _ in members]
@@ -61,12 +69,13 @@ class CommutingFamily:
         self.kind = kind
         bad = self.verify_commuting()
         if bad:
-            raise GaudinError(f"commutativity failed for pair {bad}")
+            raise self.error(f"commutativity failed for pair {bad}")
 
     def __len__(self):
         return len(self.gens)
 
     def verify_commuting(self):
+        """The first pair (i < j, in member order) that fails to commute, or None."""
         for i in range(len(self.gens)):
             for j in range(i + 1, len(self.gens)):
                 if self.gens[i].commutator(self.gens[j]):
@@ -77,9 +86,12 @@ class CommutingFamily:
         return list(zip(self.tags, self.gens))
 
     def extended(self, extra_members, kind=None):
-        return CommutingFamily(
-            self.members() + list(extra_members), self.config, kind or self.kind
+        """The same kind of family with more members, verified afresh."""
+        out = copy.copy(self)
+        CommutingFamily.__init__(
+            out, self.members() + list(extra_members), self.config, kind or self.kind
         )
+        return out
 
     def max_pole_multiplicity(self):
         """Largest witnessed pole order: a nonzero order-l residue needs l+1."""
@@ -87,8 +99,6 @@ class CommutingFamily:
 
     def span_rank(self):
         """Rank of the linear span of the generators (no minimality claimed)."""
-        from .scalars import span_rank
-
         return span_rank(self.gens)
 
     def report(self):
@@ -203,11 +213,16 @@ def wall_family(cfg: GaudinConfig, pair=None) -> CommutingFamily:
 
 def torus_center_members(cfg: GaudinConfig):
     """Delta of the center of the centralizer of chi: one sum per chi class."""
+    return center_members(cfg.rep, cfg.chi_classes())
+
+
+def center_members(rep, classes):
+    """Tagged sums Delta(sum_{a in cls} E_aa), one per index class."""
     out = []
-    for cls in cfg.chi_classes():
+    for cls in classes:
         m = None
         for a in cls:
-            d = cfg.rep.delta(a, a)
+            d = rep.delta(a, a)
             m = d if m is None else m + d
         out.append((("torus", tuple(cls)), m))
     return out
@@ -250,49 +265,21 @@ def manin_relations_check(cfg: GaudinConfig, monomial_orders=range(4)) -> dict:
 
 def antisymmetrized_trace(entries):
     """tr A_n M_1 ... M_n computed literally from the tensor-slot expansion."""
-    from itertools import permutations, product
-
     n = len(entries)
     total = None
-    count = 0
     for sigma in permutations(range(n)):
         inv = [0] * n
         for m, v in enumerate(sigma):
             inv[v] = m
-        sgn = _sign(sigma)
+        sign = sgn(sigma)
         for j in product(range(n), repeat=n):
             prod = entries[j[0]][j[inv[0]]]
             for m in range(1, n):
                 prod = prod * entries[j[m]][j[inv[m]]]
-            if sgn < 0:
+            if sign < 0:
                 prod = -prod
             total = prod if total is None else total + prod
-        count += 1
-    scale = QQi(Fraction(1, _factorial(n)))
-    return total * scale
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _sign(sigma):
-    sgn = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j, c = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            c += 1
-        if c % 2 == 0:
-            sgn = -sgn
-    return sgn
+    return total * QQi(Fraction(1, factorial(n)))
 
 
 def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:

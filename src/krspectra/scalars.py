@@ -121,9 +121,6 @@ class QQi:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
@@ -336,18 +333,31 @@ class Mat:
         return s
 
 
-def mat_rank(mat_rows) -> int:
-    """Exact rank of a list of QQi row vectors by Gaussian elimination."""
-    rows = [list(r) for r in mat_rows]
+def gauss_jordan(rows, width=None):
+    """Exact Gauss-Jordan elimination: the package's one dense elimination.
+
+    Reduces a list of QQi rows in place to reduced row echelon form, with
+    pivots sought in the first `width` columns (all columns by default), so
+    an augmented [M | I] ends as [R | E] with E M = R.  Returns the pivot
+    values met, in order, and the sign of the row swaps: the rank is the
+    number of pivots, and a square M of full rank has determinant
+    sign * (product of pivots).
+    """
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    pivots = []
+    sign = 1
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     pc = 0
-    while rank < len(rows) and pc < ncols:
+    while rank < len(rows) and pc < width:
         piv = next((r for r in range(rank, len(rows)) if rows[r][pc]), None)
         if piv is None:
             pc += 1
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        pivots.append(rows[rank][pc])
         inv = rows[rank][pc].inverse()
         rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
@@ -356,15 +366,38 @@ def mat_rank(mat_rows) -> int:
                 rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
         pc += 1
-    return rank
+    return pivots, sign
+
+
+def mat_rank(mat_rows) -> int:
+    """Exact rank of a list of QQi row vectors."""
+    return len(gauss_jordan([list(r) for r in mat_rows])[0])
+
+
+def mat_inverse(m: Mat) -> Mat:
+    """Exact inverse of a square matrix; ZeroDivisionError if singular."""
+    n = m.nr
+    aug = [list(row) + ident for row, ident in zip(m.rows, Mat.identity(n).rows)]
+    if len(gauss_jordan(aug, n)[0]) < n:
+        raise ZeroDivisionError("inverse of a singular matrix")
+    return Mat([row[n:] for row in aug])
+
+
+def determinant(m: Mat) -> QQi:
+    """Exact determinant of a square matrix."""
+    pivots, sign = gauss_jordan([list(r) for r in m.rows])
+    if len(pivots) < m.nr:
+        return QQI_ZERO
+    det = QQi(sign)
+    for p in pivots:
+        det = det * p
+    return det
 
 
 def span_rank(mats) -> int:
     """Rank of the linear span of a list of equally sized matrices."""
     vecs = [[x for row in m.rows for x in row] for m in mats]
-    if not vecs:
-        return 0
-    return mat_rank(vecs)
+    return len(gauss_jordan(vecs)[0])
 
 
 def spans_equal(mats_a, mats_b) -> bool:
@@ -543,13 +576,6 @@ class RatFun:
     def denom_degree(self):
         return sum(self.poles.values())
 
-    def _den_poly(self, poles=None):
-        den = [QQI_ONE]
-        for p, m in (poles or self.poles).items():
-            for _ in range(m):
-                den = poly_mul(den, [-p, QQI_ONE])
-        return den
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -703,38 +729,6 @@ class RatFun:
     def entry(self, i, j):
         """Scalar RatFun carved out of a matrix-valued one."""
         return RatFun([c[i, j] for c in self.num], self.poles)
-
-
-def ratfun_from_entries(entries):
-    """Assemble a matrix-valued RatFun from a square grid of scalar RatFuns."""
-    n = len(entries)
-    poles = {}
-    for row in entries:
-        for f in row:
-            for p, m in f.poles.items():
-                poles[p] = max(poles.get(p, 0), m)
-    nums = []
-    for row in entries:
-        new_row = []
-        for f in row:
-            num = f.num
-            for p, m in poles.items():
-                for _ in range(m - f.poles.get(p, 0)):
-                    num = poly_mul(num, [-p, QQI_ONE])
-            new_row.append(num)
-        nums.append(new_row)
-    deg = max((len(n_) for row in nums for n_ in row), default=0)
-    coeffs = []
-    for k in range(deg):
-        coeffs.append(
-            Mat(
-                [
-                    [row[k] if k < len(row) else QQI_ZERO for row in nr]
-                    for nr in nums
-                ]
-            )
-        )
-    return RatFun(coeffs, poles)
 
 
 # ---------------------------------------------------------------------------
@@ -907,18 +901,18 @@ def cdet(entries):
     n = len(entries)
     total = None
     for sigma in permutations(range(n)):
-        sgn = _perm_sign(sigma)
         prod = entries[sigma[0]][0]
         for col in range(1, n):
             prod = prod * entries[sigma[col]][col]
-        if sgn < 0:
+        if sgn(sigma) < 0:
             prod = -prod
         total = prod if total is None else total + prod
     return total
 
 
-def _perm_sign(sigma):
-    sgn = 1
+def sgn(sigma) -> int:
+    """Sign of a permutation of range(len(sigma)), from its cycle lengths."""
+    sign = 1
     seen = [False] * len(sigma)
     for i in range(len(sigma)):
         if seen[i]:
@@ -930,5 +924,5 @@ def _perm_sign(sigma):
             j = sigma[j]
             clen += 1
         if clen % 2 == 0:
-            sgn = -sgn
-    return sgn
+            sign = -sign
+    return sign

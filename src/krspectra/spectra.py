@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .scalars import Mat
+from .tableaux import canonical_weight
 
 
 class SpectraError(ValueError):
@@ -208,11 +209,6 @@ class SpectralStrings:
             ],
             **self.diagnostics,
         }
-
-
-def canonical_weight(w):
-    m = min(w)
-    return tuple(x - m for x in w)
 
 
 def wall_strings(family_members, h_member, rep, torus=None, tol=1e-8, seed=0):

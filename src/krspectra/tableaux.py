@@ -189,26 +189,6 @@ class CrystalGraph:
                     return ("weight", i, b)
         return None
 
-    def string_data(self, i, b):
-        """(eps, phi): how many times e_i resp. f_i apply before vanishing."""
-        eps = 0
-        cur = b
-        while True:
-            nxt = self.e(i, cur)
-            if nxt is None:
-                break
-            cur = nxt
-            eps += 1
-        phi = 0
-        cur = b
-        while True:
-            nxt = self.f(i, cur)
-            if nxt is None:
-                break
-            cur = nxt
-            phi += 1
-        return eps, phi
-
     def components(self):
         """Connected components under all e_i/f_i edges."""
         seen = {}
@@ -298,8 +278,22 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     return g
 
 
-def string_data(graph: CrystalGraph, i, b):
-    return graph.string_data(i, b)
+def string_data(graph, i, b):
+    """(eps, phi): how many times e_i resp. f_i apply to b before vanishing.
+
+    Works for any graph with e(i, b) and f(i, b), classical or affine.
+    """
+    eps = 0
+    cur = graph.e(i, b)
+    while cur is not None:
+        eps += 1
+        cur = graph.e(i, cur)
+    phi = 0
+    cur = graph.f(i, b)
+    while cur is not None:
+        phi += 1
+        cur = graph.f(i, cur)
+    return eps, phi
 
 
 def decompose_normal(graph: CrystalGraph):
@@ -370,7 +364,7 @@ def schur_polynomial(lam, xs):
     Independent character oracle: s_lam(x_1..x_n) =
     det(x_i^(lam_j + n - j)) / det(x_i^(n - j)).
     """
-    from .scalars import Mat, QQi
+    from .scalars import Mat, QQi, determinant
 
     n = len(xs)
     lam = tuple(lam) + (0,) * (n - len(lam))
@@ -378,29 +372,7 @@ def schur_polynomial(lam, xs):
         [[QQi.of(xs[i]) ** (lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
     )
     den = Mat([[QQi.of(xs[i]) ** (n - 1 - j) for j in range(n)] for i in range(n)])
-    return _det(num) / _det(den)
-
-
-def _det(m):
-    from .scalars import QQi
-
-    n = m.nr
-    rows = [list(r) for r in m.rows]
-    det = QQi(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return QQi(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                c = rows[r][col] * inv
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[col])]
-    return det
+    return determinant(num) / determinant(den)
 
 
 def character_eval(graph: CrystalGraph, elements, xs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .promotion import AffineCrystal
-from .tableaux import CrystalError, CrystalGraph, canonical_weight
+from .tableaux import CrystalError, CrystalGraph, canonical_weight, string_data
 
 
 class TensorElement:
@@ -38,12 +38,6 @@ def _pair(left_elem, right_elem):
     return TensorElement((left_elem, right_elem))
 
 
-def _affine_indices(crys):
-    if isinstance(crys, AffineCrystal):
-        return list(range(crys.n))
-    return list(crys.indices)
-
-
 def _is_affine(crys):
     return isinstance(crys, AffineCrystal)
 
@@ -66,12 +60,12 @@ def tensor(b_left, b_right):
         _pair(x, y) for x in b_left.elements for y in b_right.elements
     ]
     eps_l = {
-        (i, x): b_left.string_data(i, x)[0]
+        (i, x): string_data(b_left, i, x)[0]
         for i in indices
         for x in b_left.elements
     }
     phi_r = {
-        (i, y): b_right.string_data(i, y)[1]
+        (i, y): string_data(b_right, i, y)[1]
         for i in indices
         for y in b_right.elements
     }
@@ -126,12 +120,6 @@ def string_statistics(crys, j):
 
     The source of a string is its e_[j]-maximal element.
     """
-    if _is_affine(crys):
-        e = lambda b: crys.e(j, b)
-        f = lambda b: crys.f(j, b)
-    else:
-        e = lambda b: crys.e(j, b)
-        f = lambda b: crys.f(j, b)
     stats = Counter()
     seen = set()
     for b in crys.elements:
@@ -139,14 +127,14 @@ def string_statistics(crys, j):
             continue
         top = b
         while True:
-            up = e(top)
+            up = crys.e(j, top)
             if up is None:
                 break
             top = up
         chain = [top]
         cur = top
         while True:
-            dn = f(cur)
+            dn = crys.f(j, cur)
             if dn is None:
                 break
             cur = dn

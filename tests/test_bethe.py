@@ -4,6 +4,7 @@ import pytest
 
 from krspectra.bethe import (
     BetheError,
+    BetheFamily,
     TorusElement,
     antisymmetrizer,
     bethe_commuting_certificate,
@@ -152,6 +153,16 @@ class TestFamilies:
         cfg = config_c2_pair()
         with pytest.raises(BetheError):
             wall_bethe_family(standard_torus(2), (1, 2), cfg)
+
+    def test_extension_stays_a_bethe_family(self):
+        cfg = config_c2_pair()
+        C0 = standard_torus(2, wall=1)
+        fam = wall_bethe_family(C0, (1, 2), cfg)
+        assert isinstance(fam, BetheFamily)
+        assert fam.C is C0 and fam.kind == "bethe-wall"
+        # Delta(E_12) does not commute with h = Delta(E_11 - E_22)
+        with pytest.raises(BetheError):
+            fam.extended([(("e", 1, 2), cfg.rep.delta(1, 2))])
 
     def test_normality_at_crit_norm_parameters(self):
         # unit C, purely imaginary z scaled, d = a - b - n: normal operators

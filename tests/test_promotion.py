@@ -201,6 +201,38 @@ class TestBuildKR:
             kr = build_kr(n, l, r)
             assert kr.check_invariants() is None
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_check_invariants_rejects_corruptions(self, n):
+        kr = build_kr(n, 2, 1)
+
+        def corrupted(edit):
+            e_maps = {j: dict(m) for j, m in kr.e_maps.items()}
+            f_maps = {j: dict(m) for j, m in kr.f_maps.items()}
+            wt = dict(kr.wt)
+            edit(e_maps, f_maps, wt)
+            with pytest.raises(CrystalError):
+                AffineCrystal(n, kr.elements, e_maps, f_maps, wt)
+            return AffineCrystal(n, kr.elements, e_maps, f_maps, wt, check=False)
+
+        def drop_e0(e_maps, f_maps, wt):
+            del e_maps[0][next(iter(e_maps[0]))]
+
+        assert corrupted(drop_e0).check_invariants() is not None
+        for j in range(n):
+            b, eb = next(iter(kr.e_maps[j].items()))
+            other = next(c for c in kr.elements if c not in (b, eb))
+
+            def retarget(e_maps, f_maps, wt):
+                e_maps[j][b] = other
+
+            def bump(e_maps, f_maps, wt):
+                w = list(wt[eb])
+                w[j] += 1
+                wt[eb] = tuple(w)
+
+            assert corrupted(retarget).check_invariants() is not None
+            assert corrupted(bump).check_invariants() is not None
+
     def test_pr_intertwining(self):
         # pr e_i = e_{i+1} pr for i = 1..n-2
         n = 4

@@ -10,6 +10,9 @@ from krspectra.scalars import (
     RatFun,
     ShiftOpPoly,
     cdet,
+    determinant,
+    mat_inverse,
+    mat_rank,
     poly_eval,
     span_rank,
     spans_equal,
@@ -253,6 +256,58 @@ class TestCdetAndSpans:
         assert span_rank([a, b, c]) == 2
         assert spans_equal([a, b], [c, a])
         assert not spans_equal([a], [b])
+
+
+class TestElimination:
+    # gauss_jordan backs rank, inverse and determinant; check all three on
+    # seeded random matrices, every other one singular by construction
+    # (its last row is a combination of the others)
+
+    @staticmethod
+    def random_matrix(rng, size, singular):
+        def entry():
+            return QQi(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+            )
+
+        rows = [[entry() for _ in range(size)] for _ in range(size)]
+        if singular:
+            last = [QQi(0)] * size
+            for row in rows[:-1]:
+                c = entry()
+                last = [x + c * y for x, y in zip(last, row)]
+            rows[-1] = last
+        return Mat(rows)
+
+    def test_inverse_rank_and_det_agree_with_leibniz(self):
+        rng = random.Random(11)
+        seen_singular = seen_regular = 0
+        for size in range(1, 7):
+            for trial in range(6):
+                m = self.random_matrix(rng, size, singular=trial % 2 == 1)
+                det = determinant(m)
+                assert det == cdet(m.rows)
+                full = mat_rank(m.rows) == size
+                assert full == bool(det)
+                if full:
+                    seen_regular += 1
+                    assert mat_inverse(m) * m == Mat.identity(size)
+                    assert m * mat_inverse(m) == Mat.identity(size)
+                else:
+                    seen_singular += 1
+                    with pytest.raises(ZeroDivisionError):
+                        mat_inverse(m)
+                if trial % 2:
+                    assert not det
+        assert seen_singular >= 18 and seen_regular >= 12
+
+    def test_rank_of_rectangular_rows(self):
+        a = [QQi(1), QQi(2), QQi(0, 1)]
+        rows = [a, [QQi(2) * x for x in a], [QQi(0), QQi(0), QQi(1)]]
+        assert mat_rank(rows) == 2
+        assert mat_rank([[QQi(0)] * 3]) == 0
+        assert mat_rank([]) == 0
 
 
 class TestMat:

@@ -114,6 +114,26 @@ class TestAffineTensor:
 
 
 class TestStatisticsProperties:
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            (2, [(1, 1), (1, 1)]),
+            (2, [(1, 1), (1, 1), (1, 1)]),
+            (3, [(1, 1), (1, 2)]),
+            (3, [(2, 1), (1, 1)]),
+            (3, [(1, 1), (2, 1), (1, 2)]),
+        ],
+    )
+    def test_statistics_ignore_factor_order(self, n, factors):
+        # compare_pipeline builds the given factor order only
+        from itertools import permutations
+
+        seen = []
+        for order in sorted(set(permutations(factors))):
+            prod = tensor_many([build_kr(n, l, r) for (l, r) in order])
+            seen.append([string_statistics(prod, j) for j in range(n)])
+        assert all(stats == seen[0] for stats in seen)
+
     def test_reassociation_invariance(self):
         b = build_kr(2, 1, 1)
         s = build_kr(2, 2, 1)
