@@ -13,6 +13,7 @@ exp(-eps*chi) enters only through its exact rational Taylor truncation.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -124,15 +125,14 @@ def antisymmetrizer(n, a) -> Mat:
     return m
 
 
-def ev_t_grid(cfg: GaudinConfig, shift=0):
-    """Entries of the evaluated T-matrix at argument u - shift.
+def ev_t_grid(cfg: GaudinConfig):
+    """Entries of the evaluated T-matrix.
 
-    ev T(v) = prod_i (1 + E^{(i)}/(v - w_i)), an n x n grid of matrix-valued
-    rational functions of u with v = u - shift.
+    ev T(u) = prod_i (1 + E^{(i)}/(u - w_i)), an n x n grid of matrix-valued
+    rational functions of u.
     """
     n, rep = cfg.n, cfg.rep
     dim = rep.dim
-    shift = QQi.of(shift)
     ident = Mat.identity(dim)
     grid = [
         [RatFun.const(ident if r == c else Mat.zeros(dim)) for c in range(n)]
@@ -142,7 +142,7 @@ def ev_t_grid(cfg: GaudinConfig, shift=0):
         factor = [
             [
                 (RatFun.const(ident) if r == c else RatFun.const(Mat.zeros(dim)))
-                + RatFun.pole_term(rep.e_slot(slot, r + 1, c + 1), w + shift)
+                + RatFun.pole_term(rep.e_slot(slot, r + 1, c + 1), w)
                 for c in range(n)
             ]
             for r in range(n)
@@ -166,31 +166,47 @@ def _grid_mul(A, B, n):
 
 
 # ---------------------------------------------------------------------------
-# tau functions
+# Quantum minors and tau functions
+
+
+# config -> {I: QM_I}; an entry is dropped when its config is freed
+_MINORS = weakref.WeakKeyDictionary()
+
+
+def quantum_minors(cfg: GaudinConfig) -> dict:
+    """{I: QM_I(u)} over the nonempty index subsets I, built once per config.
+
+    QM_I is the column determinant of T(u) restricted to the rows and columns
+    in I, column m taken at u - m.  It does not depend on the torus element,
+    so every family of one configuration shares the table.
+    """
+    if cfg not in _MINORS:
+        grid = ev_t_grid(cfg)
+        _MINORS[cfg] = {
+            I: cdet([[grid[r][c].shift_arg(m) for m, c in enumerate(I)] for r in I])
+            for a in range(1, cfg.n + 1)
+            for I in combinations(range(cfg.n), a)
+        }
+    return _MINORS[cfg]
 
 
 def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     """tau_a(u, C) as one exact matrix-valued rational function of u.
 
-    Quantum-minor expansion: sum over a-subsets I of prod_{i in I} c_i times
-    the column-ordered minor with row permutation sign and arguments
-    u, u-1, ..., u-a+1 down the columns.
+    Quantum-minor expansion: the sum over a-subsets I of c_I QM_I(u), where
+    c_I is the product of the entries of C over I.
     """
     n = cfg.n
     if not (1 <= a <= n):
         raise BetheError(f"tau index a={a} out of range")
-    grids = [ev_t_grid(cfg, m) for m in range(a)]
+    minors = quantum_minors(cfg)
     total = None
     for subset in combinations(range(n), a):
         c_i = QQi(1)
         for i in subset:
             c_i = c_i * C.entries[i]
-        for sigma in permutations(range(a)):
-            term = grids[0][subset[sigma[0]]][subset[0]]
-            for m in range(1, a):
-                term = term * grids[m][subset[sigma[m]]][subset[m]]
-            term = term * (c_i if sgn(sigma) > 0 else -c_i)
-            total = term if total is None else total + term
+        term = minors[subset] * c_i
+        total = term if total is None else total + term
     return total
 
 
@@ -203,10 +219,11 @@ def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
     """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1)."""
     n = cfg.n
     u = QQi.of(u)
-    tvals = []
-    for m in range(a):
-        grid = ev_t_grid(cfg, m)
-        tvals.append([[grid[r][c].eval(u) for c in range(n)] for r in range(n)])
+    grid = ev_t_grid(cfg)
+    tvals = [
+        [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
+        for m in range(a)
+    ]
     dim = cfg.rep.dim
     total = Mat.zeros(dim)
     inv_fact = QQi(Fraction(1, factorial(a)))
@@ -238,9 +255,9 @@ def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
         cmat.rows[i][i] = C.entries[i]
     for m in range(a):
         big = big * _embed_aux(cmat, n, a, m, dim, constant=True)
+    grid = ev_t_grid(cfg)
     for m in range(a):
-        grid = ev_t_grid(cfg, m)
-        tval = [[grid[r][c].eval(u) for c in range(n)] for r in range(n)]
+        tval = [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
         big = big * _embed_aux(tval, n, a, m, dim, constant=False)
     out = Mat.zeros(dim)
     for q in range(aux):
@@ -308,15 +325,11 @@ class BetheFamily(CommutingFamily):
         return {"passed": not bad, "failures": bad}
 
 
-def bethe_family(C: TorusElement, cfg: GaudinConfig, taus=None) -> BetheFamily:
-    """Members: every residue of tau_a plus its value at infinity, a = 1..n."""
-    n = cfg.n
+def tau_members(C: TorusElement, cfg: GaudinConfig):
+    """Every residue of tau_a(u, C) plus its value at infinity, a = 1..n."""
     members = []
-    taus = taus if taus is not None else {
-        a: tau_ratfun(a, C, cfg) for a in range(1, n + 1)
-    }
-    for a in range(1, n + 1):
-        f = taus[a]
+    for a in range(1, cfg.n + 1):
+        f = tau_ratfun(a, C, cfg)
         for p in sorted(f.poles, key=lambda q: (str(q.re), str(q.im))):
             r = f.residue(p, 0)
             if r:
@@ -324,7 +337,12 @@ def bethe_family(C: TorusElement, cfg: GaudinConfig, taus=None) -> BetheFamily:
         inf = f.infinity_value()
         if isinstance(inf, Mat) and inf:
             members.append((("tau-inf", a), inf))
-    return BetheFamily(members, cfg, C)
+    return members
+
+
+def bethe_family(C: TorusElement, cfg: GaudinConfig) -> BetheFamily:
+    """The tau members at C as one verified commuting family."""
+    return BetheFamily(tau_members(C, cfg), cfg, C)
 
 
 def torus_center_members(C: TorusElement, cfg: GaudinConfig):
@@ -335,8 +353,8 @@ def torus_center_members(C: TorusElement, cfg: GaudinConfig):
 def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
     """tau-family at a wall torus element, extended by Delta(h_ij).
 
-    `pair` is the ordered wall pair (i, j): h = E_ii - E_jj; for the affine
-    wall of the base alcove this is (n, 1).
+    `pair` is the ordered wall pair (i, j): h = E_ii - E_jj, the last member;
+    for the affine wall of the base alcove this is (n, 1).
     """
     got = C0.coincident_pair()
     if got is None or set(got) != set(pair):
@@ -346,14 +364,12 @@ def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
         )
     i, j = pair
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
-    fam = bethe_family(C0, cfg)
-    return fam.extended(
-        torus_center_members(C0, cfg) + [(("h", i, j), h)], kind="bethe-wall"
-    )
+    members = tau_members(C0, cfg) + torus_center_members(C0, cfg)
+    return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
 
 
 def bethe_commuting_certificate(
-    C: TorusElement, cfg: GaudinConfig, margin=2, base=None
+    C: TorusElement, cfg: GaudinConfig, margin=2
 ) -> dict:
     """Sampling certificate that [tau_a(u1), tau_b(u2)] vanishes identically.
 
@@ -363,7 +379,7 @@ def bethe_commuting_certificate(
     """
     n, k = cfg.n, cfg.k
     taus = {a: tau_ratfun(a, C, cfg) for a in range(1, n + 1)}
-    base = QQi.of(base) if base is not None else QQi(Fraction(4001, 7))
+    base = QQi(Fraction(4001, 7))
     witnesses = []
     grids = {}
     for a in range(1, n + 1):

@@ -11,7 +11,6 @@ operator; reports name this convention where the sign matters.
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -85,14 +84,6 @@ class CommutingFamily:
     def members(self):
         return list(zip(self.tags, self.gens))
 
-    def extended(self, extra_members, kind=None):
-        """The same kind of family with more members, verified afresh."""
-        out = copy.copy(self)
-        CommutingFamily.__init__(
-            out, self.members() + list(extra_members), self.config, kind or self.kind
-        )
-        return out
-
     def max_pole_multiplicity(self):
         """Largest witnessed pole order: a nonzero order-l residue needs l+1."""
         return max((t[3] + 1 for t in self.tags if t[0] == "res"), default=0)
@@ -155,9 +146,9 @@ def gaudin_cdet(cfg: GaudinConfig, cap=4) -> DiffOpPoly:
     return cdet(gaudin_operator_matrix(cfg))
 
 
-def residue_generators(cfg: GaudinConfig, op: DiffOpPoly | None = None) -> CommutingFamily:
+def residue_members(cfg: GaudinConfig):
     """All res_{u=z_i}(u-z_i)^l b_k(u), k = 0..n, l = 0..k, as exact matrices."""
-    op = op if op is not None else gaudin_cdet(cfg)
+    op = gaudin_cdet(cfg)
     members = []
     for k in range(cfg.n + 1):
         bk = op.coeff(k)
@@ -168,7 +159,12 @@ def residue_generators(cfg: GaudinConfig, op: DiffOpPoly | None = None) -> Commu
                 r = bk.residue(z, l)
                 if r:
                     members.append((("res", k, i, l), r))
-    return CommutingFamily(members, cfg, "gaudin")
+    return members
+
+
+def residue_generators(cfg: GaudinConfig) -> CommutingFamily:
+    """The residue members as one verified commuting family."""
+    return CommutingFamily(residue_members(cfg), cfg, "gaudin")
 
 
 def invariance_check(fam: CommutingFamily) -> dict:
@@ -192,23 +188,17 @@ def invariance_check(fam: CommutingFamily) -> dict:
     }
 
 
-def wall_family(cfg: GaudinConfig, pair=None) -> CommutingFamily:
+def wall_family(cfg: GaudinConfig) -> CommutingFamily:
     """The subregular family extended by the coroot Delta(h_ij) of the wall."""
-    pairs = cfg.coincident_pairs()
-    if pair is None:
-        if not cfg.is_subregular():
-            raise GaudinError(
-                f"chi is not subregular (coincidence classes {cfg.chi_classes()})"
-            )
-        pair = pairs[0]
-    else:
-        pair = tuple(pair)
-        if tuple(sorted(pair)) not in [tuple(sorted(p)) for p in pairs]:
-            raise GaudinError(f"chi entries {pair} do not coincide")
-    i, j = pair
+    if not cfg.is_subregular():
+        raise GaudinError(
+            f"chi is not subregular (coincidence classes {cfg.chi_classes()})"
+        )
+    i, j = cfg.coincident_pairs()[0]
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
-    base = residue_generators(cfg)
-    return base.extended([(("h", i, j), h)], kind="gaudin-wall")
+    return CommutingFamily(
+        residue_members(cfg) + [(("h", i, j), h)], cfg, "gaudin-wall"
+    )
 
 
 def torus_center_members(cfg: GaudinConfig):

@@ -69,15 +69,10 @@ def wall_pair(n, j):
 def spectral_wall_statistics(cfg, j, tol=1e-8, seed=0):
     """h-string statistics at wall j, with the family verified exactly first."""
     n = cfg.n
-    pair = wall_pair(n, j)
     C0 = standard_torus(n, wall=j)
-    fam = wall_bethe_family(C0, pair, cfg)  # verifies exact commutativity
-    h = cfg.rep.delta(pair[0], pair[0]) - cfg.rep.delta(pair[1], pair[1])
-    base_members = [
-        g for t, g in fam.members() if t[0] != "h"
-    ]
-    strings = wall_strings(base_members, h, cfg.rep, tol=tol, seed=seed)
-    return strings
+    fam = wall_bethe_family(C0, wall_pair(n, j), cfg)  # verifies exact commutativity
+    *base_members, h = fam.gens
+    return wall_strings(base_members, h, cfg.rep, tol=tol, seed=seed)
 
 
 # the scales `compare` tries when none are given, in this order

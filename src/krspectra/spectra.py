@@ -51,7 +51,7 @@ def _hermitian_parts(mats, tol):
     return parts
 
 
-def _refine(vecs, ops, tol, depth=0):
+def _refine(vecs, ops, tol):
     """Recursively split a degenerate block by the remaining Hermitian ops."""
     if not ops or vecs.shape[1] == 1:
         return vecs
@@ -67,7 +67,7 @@ def _refine(vecs, ops, tol, depth=0):
             j += 1
         block = new[:, i : j + 1]
         if j > i:
-            block = _refine(block, ops[1:], tol, depth + 1)
+            block = _refine(block, ops[1:], tol)
         out.append(block)
         i = j + 1
     return np.concatenate(out, axis=1)
@@ -102,7 +102,7 @@ class JointSpectrum:
         }
 
 
-def joint_diagonalize(members, rep, torus=None, tol=1e-8, seed=0, retries=2) -> JointSpectrum:
+def joint_diagonalize(members, rep, tol=1e-8, seed=0, retries=2) -> JointSpectrum:
     """Diagonalize exact commuting matrices; torus members supply weights.
 
     members: list of Mat (verified commuting upstream).  rep provides the
@@ -113,7 +113,7 @@ def joint_diagonalize(members, rep, torus=None, tol=1e-8, seed=0, retries=2) -> 
     best = None
     for attempt in range(retries + 1):
         spec = _joint_diagonalize_once(
-            members, rep, torus=torus, tol=tol, seed=seed + attempt
+            members, rep, tol=tol, seed=seed + attempt
         )
         if best is None or spec.min_separation > best.min_separation:
             best = spec
@@ -122,7 +122,7 @@ def joint_diagonalize(members, rep, torus=None, tol=1e-8, seed=0, retries=2) -> 
     return best
 
 
-def _joint_diagonalize_once(members, rep, torus=None, tol=1e-8, seed=0) -> JointSpectrum:
+def _joint_diagonalize_once(members, rep, tol=1e-8, seed=0) -> JointSpectrum:
     if not members:
         raise SpectraError("empty family")
     T, Tinv = _orthonormalizer(rep)
@@ -149,8 +149,7 @@ def _joint_diagonalize_once(members, rep, torus=None, tol=1e-8, seed=0) -> Joint
             values[mi, j] = v.conj() @ m @ v
     # weights from the diagonal torus generators
     weights = []
-    if torus is None:
-        torus = [rep.delta(a, a) for a in range(1, rep.n + 1)]
+    torus = [rep.delta(a, a) for a in range(1, rep.n + 1)]
     torus_np = [T @ mat_to_numpy(t) @ Tinv for t in torus]
     for j in range(dim):
         v = vecs[:, j]
@@ -211,14 +210,14 @@ class SpectralStrings:
         }
 
 
-def wall_strings(family_members, h_member, rep, torus=None, tol=1e-8, seed=0):
+def wall_strings(family_members, h_member, rep, tol=1e-8, seed=0):
     """Decompose eigenspaces of the family and read off h-strings.
 
     family_members must not contain h; h refines each family eigenspace into
     a string of one-dimensional h-eigenlines with eigenvalues m, m-2, ..., -m.
     """
     spec = joint_diagonalize(
-        list(family_members) + [h_member], rep, torus=torus, tol=tol, seed=seed
+        list(family_members) + [h_member], rep, tol=tol, seed=seed
     )
     if not spec.is_simple():
         raise SpectraError(
@@ -326,12 +325,12 @@ def eigenvalues_csv(spec: JointSpectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_simple_spectrum(build_members, s_grid, rep_of=None, tol=1e-8, seed=0):
+def scan_simple_spectrum(build_members, s_grid, tol=1e-8, seed=0):
     """Simplicity verdict over a parameter grid.
 
-    build_members(s) -> (members, rep); reports per-s verdicts, the apparent
-    threshold, and a refinement pass between the first adjacent pair that
-    brackets the threshold.
+    build_members(s) -> (members, rep); reports the per-s verdicts and the
+    first s of the grid whose spectrum is simple.  A finer scan is a second
+    call with a finer grid.
     """
     rows = []
     for s in s_grid:

@@ -278,22 +278,25 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     return g
 
 
-def string_data(graph, i, b):
-    """(eps, phi): how many times e_i resp. f_i apply to b before vanishing.
+def string_positions(graph, i):
+    """{b: (eps, phi)}: how many times e_i resp. f_i apply to b before vanishing.
 
+    Walks each i-string once, down from its top (the element e_i kills).
     Works for any graph with e(i, b) and f(i, b), classical or affine.
     """
-    eps = 0
-    cur = graph.e(i, b)
-    while cur is not None:
-        eps += 1
-        cur = graph.e(i, cur)
-    phi = 0
-    cur = graph.f(i, b)
-    while cur is not None:
-        phi += 1
-        cur = graph.f(i, cur)
-    return eps, phi
+    out = {}
+    for top in graph.elements:
+        if graph.e(i, top) is not None:
+            continue
+        chain = [top]
+        cur = graph.f(i, top)
+        while cur is not None:
+            chain.append(cur)
+            cur = graph.f(i, cur)
+        last = len(chain) - 1
+        for eps, b in enumerate(chain):
+            out[b] = (eps, last - eps)
+    return out
 
 
 def decompose_normal(graph: CrystalGraph):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .promotion import AffineCrystal
-from .tableaux import CrystalError, CrystalGraph, canonical_weight, string_data
+from .tableaux import CrystalError, CrystalGraph, canonical_weight, string_positions
 
 
 class TensorElement:
@@ -59,23 +59,16 @@ def tensor(b_left, b_right):
     elements = [
         _pair(x, y) for x in b_left.elements for y in b_right.elements
     ]
-    eps_l = {
-        (i, x): string_data(b_left, i, x)[0]
-        for i in indices
-        for x in b_left.elements
-    }
-    phi_r = {
-        (i, y): string_data(b_right, i, y)[1]
-        for i in indices
-        for y in b_right.elements
-    }
+    left = {i: string_positions(b_left, i) for i in indices}
+    right = {i: string_positions(b_right, i) for i in indices}
 
     e_maps = {i: {} for i in indices}
     f_maps = {i: {} for i in indices}
     for el in elements:
         x, y = el.parts
         for i in indices:
-            if eps_l[(i, x)] > phi_r[(i, y)]:
+            eps, phi = left[i][x][0], right[i][y][1]
+            if eps > phi:
                 ex = b_left.e(i, x)
                 if ex is not None:
                     e_maps[i][el] = _pair(ex, y)
@@ -83,7 +76,7 @@ def tensor(b_left, b_right):
                 ey = b_right.e(i, y)
                 if ey is not None:
                     e_maps[i][el] = _pair(x, ey)
-            if eps_l[(i, x)] >= phi_r[(i, y)]:
+            if eps >= phi:
                 fx = b_left.f(i, x)
                 if fx is not None:
                     f_maps[i][el] = _pair(fx, y)
@@ -120,28 +113,11 @@ def string_statistics(crys, j):
 
     The source of a string is its e_[j]-maximal element.
     """
-    stats = Counter()
-    seen = set()
-    for b in crys.elements:
-        if b in seen:
-            continue
-        top = b
-        while True:
-            up = crys.e(j, top)
-            if up is None:
-                break
-            top = up
-        chain = [top]
-        cur = top
-        while True:
-            dn = crys.f(j, cur)
-            if dn is None:
-                break
-            cur = dn
-            chain.append(cur)
-        seen.update(chain)
-        stats[(len(chain), canonical_weight(crys.wt[top]))] += 1
-    return stats
+    return Counter(
+        (phi + 1, canonical_weight(crys.wt[b]))
+        for b, (eps, phi) in string_positions(crys, j).items()
+        if eps == 0
+    )
 
 
 def weight_multiset(crys):

@@ -1,7 +1,11 @@
+import gc
+import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from krspectra import bethe
 from krspectra.bethe import (
     BetheError,
     BetheFamily,
@@ -12,6 +16,7 @@ from krspectra.bethe import (
     degeneration_report,
     exp_tail_bound,
     exp_truncated,
+    quantum_minors,
     shift_residue_generators,
     standard_torus,
     tau_eval,
@@ -23,6 +28,7 @@ from krspectra.bethe import (
 )
 from krspectra.gaudin import GaudinConfig, residue_generators
 from krspectra.glrep import build_defining, build_irrep, build_tensor
+from krspectra.pipeline import build_spectral_config, wall_pair
 from krspectra.scalars import Mat, QQi, mat_rank, span_rank, spans_equal, unit_circle_point
 
 
@@ -114,6 +120,41 @@ class TestTauHandOracle:
         assert inf == Mat.identity(2) * total
 
 
+class TestQuantumMinors:
+    def test_table_holds_every_nonempty_subset(self):
+        n = 3
+        table = quantum_minors(config_single(n))
+        subsets = {s for a in range(1, n + 1) for s in combinations(range(n), a)}
+        assert set(table) == subsets and len(table) == 2**n - 1
+
+    def test_one_grid_build_serves_every_family_of_a_config(self, monkeypatch):
+        calls = []
+        build = bethe.ev_t_grid
+
+        def counting(cfg):
+            calls.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(bethe, "ev_t_grid", counting)
+        n = 3
+        cfg = build_spectral_config(n, [(1, 1), (1, 2)], 1)
+        for j in range(1, n + 1):
+            wall_bethe_family(standard_torus(n, wall=j), wall_pair(n, j), cfg)
+        bethe_family(standard_torus(n), cfg)
+        assert len(calls) == 1
+
+    def test_table_is_freed_with_its_config(self):
+        gc.collect()  # only this config may leave the map below
+        cfg = config_c2_pair()
+        quantum_minors(cfg)
+        held = len(bethe._MINORS)
+        ref = weakref.ref(cfg)
+        del cfg
+        gc.collect()
+        assert ref() is None
+        assert len(bethe._MINORS) == held - 1
+
+
 class TestTauRoutesAgree:
     @pytest.mark.parametrize("n,a", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_minor_equals_trace_equals_kron(self, n, a):
@@ -162,7 +203,9 @@ class TestFamilies:
         assert fam.C is C0 and fam.kind == "bethe-wall"
         # Delta(E_12) does not commute with h = Delta(E_11 - E_22)
         with pytest.raises(BetheError):
-            fam.extended([(("e", 1, 2), cfg.rep.delta(1, 2))])
+            BetheFamily(
+                fam.members() + [(("e", 1, 2), cfg.rep.delta(1, 2))], cfg, C0
+            )
 
     def test_normality_at_crit_norm_parameters(self):
         # unit C, purely imaginary z scaled, d = a - b - n: normal operators
@@ -209,9 +252,9 @@ class TestCertificate:
         big = antisymmetrizer(n, 2).kron(Mat.identity(dim))
         big = big * _embed_aux(cmat, n, 2, 0, dim, constant=True)
         big = big * _embed_aux(bad, n, 2, 1, dim, constant=True)
+        grid = ev_t_grid(cfg)
         for m in range(2):
-            grid = ev_t_grid(cfg, m)
-            tv = [[grid[r][c].eval(u2) for c in range(n)] for r in range(n)]
+            tv = [[grid[r][c].eval(u2 - m) for c in range(n)] for r in range(n)]
             big = big * _embed_aux(tv, n, 2, m, dim, constant=False)
         out = Mat.zeros(dim)
         for q in range(n**2):

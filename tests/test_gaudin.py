@@ -205,7 +205,9 @@ class TestWallFamily:
     def test_torus_center_members_commute(self):
         cfg = c2_pair_config(chi=(Fraction(2, 7), Fraction(2, 7)))
         fam = wall_family(cfg)
-        fam2 = fam.extended(torus_center_members(cfg))
+        fam2 = CommutingFamily(
+            fam.members() + torus_center_members(cfg), cfg, "gaudin-wall"
+        )
         assert fam2.verify_commuting() is None
 
 

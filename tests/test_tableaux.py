@@ -15,7 +15,7 @@ from krspectra.tableaux import (
     enumerate_ssyt,
     f_op,
     schur_polynomial,
-    string_data,
+    string_positions,
 )
 
 
@@ -107,13 +107,14 @@ class TestStrings:
         g = build_crystal(2, (1,))
         one = tab([[1]], 2)
         two = tab([[2]], 2)
-        assert string_data(g, 1, one) == (0, 1)
-        assert string_data(g, 1, two) == (1, 0)
+        strings = string_positions(g, 1)
+        assert strings[one] == (0, 1)
+        assert strings[two] == (1, 0)
 
     def test_2x2_f2_string(self):
         g = build_crystal(4, (2, 2))
         t = tab([[1, 1], [2, 2]], 4)
-        assert string_data(g, 2, t) == (0, 2)
+        assert string_positions(g, 2)[t] == (0, 2)
 
 
 class TestDecompose:
