@@ -39,7 +39,7 @@ from .pipeline import (
 )
 from .promotion import build_kr, promote, promotion_order, verify_uniqueness
 from .scalars import QQi
-from .spectra import joint_diagonalize, scan_simple_spectrum
+from .spectra import eigenvalues_csv, scan_simple_spectrum
 from .tableaux import CrystalError, build_crystal
 from .tensorcrystal import string_statistics, tensor_many
 
@@ -288,12 +288,9 @@ def cmd_spectra(opts):
         return fam.gens + torus, cfg.rep
 
     report = scan_simple_spectrum(build, s_grid, tol=tol, seed=seed)
-    report["passed"] = report["first_simple_s"] is not None
-    if opts.get("csv") and report["first_simple_s"] is not None:
-        from .spectra import eigenvalues_csv
-
-        members, rep = build(Fraction(report["first_simple_s"]))
-        spec = joint_diagonalize(members, rep, tol=tol, seed=seed)
+    spec = report.pop("spectrum")
+    report["passed"] = spec is not None
+    if opts.get("csv") and spec is not None:
         export.write_text(opts["csv"], eigenvalues_csv(spec))
         report["csv"] = opts["csv"]
     return emit(report, opts)

@@ -56,17 +56,31 @@ class QQi:
 
     # -- ring/field operations
 
+    # A zero operand short-cuts +, - and *: the other operand (or zero) is
+    # returned as it is, and no Fraction is built.  Most entries of the
+    # package's matrices are zero, so this is the common case.
+
     def __add__(self, other):
         other = QQi.of(other)
+        if not other:
+            return self
+        if not self:
+            return other
         return QQi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self:
+            return self
         return QQi(-self.re, -self.im)
 
     def __sub__(self, other):
         other = QQi.of(other)
+        if not other:
+            return self
+        if not self:
+            return -other
         return QQi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -74,9 +88,13 @@ class QQi:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not self or not other:
+                return QQI_ZERO
             return QQi(self.re * other, self.im * other)
         if not isinstance(other, QQi):
             return NotImplemented
+        if not self or not other:
+            return QQI_ZERO
         if not self.im and not other.im:
             return QQi(self.re * other.re)
         return QQi(
@@ -119,7 +137,9 @@ class QQi:
     # -- predicates
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        # read the numerators directly: Fraction.__bool__ is a Python-level
+        # call, and this test now guards every arithmetic operation
+        return self.re._numerator != 0 or self.im._numerator != 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,7 +218,12 @@ def unit_circle_point(t) -> QQi:
 
 
 class Mat:
-    """Dense matrix over QQi. Rows are lists; treat instances as immutable."""
+    """Dense matrix over QQi. Rows are lists; treat instances as immutable.
+
+    Entrywise operations pass zero entries through without QQi arithmetic;
+    every result has freshly built rows, which may share (immutable) entries
+    with the operands.
+    """
 
     __slots__ = ("rows", "nr", "nc")
 
@@ -237,7 +262,7 @@ class Mat:
             return NotImplemented
         return Mat(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [(a + b if b else a) if a else b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
@@ -247,13 +272,13 @@ class Mat:
             return NotImplemented
         return Mat(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [(a - b if b else a) if a else -b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ]
         )
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
+        return Mat([[-a if a else a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -273,11 +298,13 @@ class Mat:
                 out.append(acc)
             return Mat(out)
         s = QQi.of(other)
-        return Mat([[a * s for a in r] for r in self.rows])
+        if not s:
+            return Mat.zeros(self.nr, self.nc)
+        return Mat([[a * s if a else a for a in r] for r in self.rows])
 
     def __rmul__(self, other):
-        s = QQi.of(other)
-        return Mat([[s * a for a in r] for r in self.rows])
+        # only a scalar reaches here, and scalars commute with matrices
+        return self * other
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -311,10 +338,14 @@ class Mat:
         return self * other - other * self
 
     def kron(self, other):
+        zero_block = [QQI_ZERO] * other.nc
         out = []
         for ra in self.rows:
             for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
+                row = []
+                for a in ra:
+                    row.extend([a * b if b else b for b in rb] if a else zero_block)
+                out.append(row)
         return Mat(out)
 
     def max_abs(self) -> float:
@@ -470,6 +501,22 @@ def poly_eval(a, u):
     return acc
 
 
+def _vanishes_at(a, p):
+    """Whether the polynomial a is zero at p.
+
+    A Mat-valued one is tested entry by entry, skipping identically zero
+    entries and stopping at the first entry whose value is nonzero, instead
+    of evaluating the whole matrix polynomial.
+    """
+    if not isinstance(a[0], Mat):
+        return not poly_eval(a, p)
+    for i in range(a[0].nr):
+        for entry in zip(*[c.rows[i] for c in a]):
+            if any(entry) and poly_eval(entry, p):
+                return False
+    return True
+
+
 def poly_deriv(a):
     return poly_trim([a[k] * QQi(k) for k in range(1, len(a))])
 
@@ -534,7 +581,7 @@ class RatFun:
         poles = dict(poles or {})
         if normalize and num:
             for p in list(poles):
-                while poles[p] > 0 and not poly_eval(num, p):
+                while poles[p] > 0 and _vanishes_at(num, p):
                     num = poly_divide_linear(num, p)
                     poles[p] -= 1
                 if poles[p] == 0:

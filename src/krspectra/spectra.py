@@ -329,10 +329,12 @@ def scan_simple_spectrum(build_members, s_grid, tol=1e-8, seed=0):
     """Simplicity verdict over a parameter grid.
 
     build_members(s) -> (members, rep); reports the per-s verdicts and the
-    first s of the grid whose spectrum is simple.  A finer scan is a second
-    call with a finer grid.
+    first s of the grid whose spectrum is simple, and keeps that s's
+    JointSpectrum under "spectrum" (None if no s is simple; it is not JSON).
+    A finer scan is a second call with a finer grid.
     """
     rows = []
+    threshold = first_spec = None
     for s in s_grid:
         try:
             members, rep = build_members(s)
@@ -346,9 +348,6 @@ def scan_simple_spectrum(build_members, s_grid, tol=1e-8, seed=0):
             )
         except (SpectraError, ValueError) as err:
             rows.append({"s": str(s), "simple": False, "error": str(err)})
-    threshold = None
-    for row in rows:
-        if row["simple"]:
-            threshold = row["s"]
-            break
-    return {"rows": rows, "first_simple_s": threshold}
+        if threshold is None and rows[-1]["simple"]:
+            threshold, first_spec = str(s), spec
+    return {"rows": rows, "first_simple_s": threshold, "spectrum": first_spec}

@@ -150,3 +150,38 @@ class TestDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestSpectraScanCsv:
+    def test_csv_comes_from_the_scan_one_build_per_grid_value(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from fractions import Fraction
+
+        from krspectra import cli
+        from krspectra.bethe import bethe_family
+        from krspectra.pipeline import build_spectral_config, standard_torus
+        from krspectra.spectra import eigenvalues_csv, joint_diagonalize
+
+        built = []
+
+        def counting(n, factors, s):
+            built.append(s)
+            return build_spectral_config(n, factors, s)
+
+        monkeypatch.setattr(cli, "build_spectral_config", counting)
+        path = tmp_path / "eig.csv"
+        code, doc = run(
+            capsys, "spectra", "scan", "--n", "2", "--factors", "1,1;1,1",
+            "--s-grid", "1,2", "--csv", str(path),
+        )
+        assert code == 0
+        assert built == [Fraction(1), Fraction(2)]
+        assert doc["first_simple_s"] == "1"
+        assert "spectrum" not in doc
+        # the same CSV as diagonalizing the first simple s afresh
+        cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(1))
+        fam = bethe_family(standard_torus(2), cfg)
+        members = fam.gens + [cfg.rep.delta(a, a) for a in (1, 2)]
+        spec = joint_diagonalize(members, cfg.rep, tol=1e-8, seed=0)
+        assert path.read_text() == eigenvalues_csv(spec)

@@ -13,7 +13,10 @@ from krspectra.scalars import (
     determinant,
     mat_inverse,
     mat_rank,
+    poly_divide_linear,
     poly_eval,
+    poly_mul,
+    poly_trim,
     span_rank,
     spans_equal,
     unit_circle_point,
@@ -322,3 +325,216 @@ class TestMat:
         m = Mat([[z, QQi(1)], [QQi(0), z]])
         mh = m.conj_transpose()
         assert mh[0, 0] == -z and mh[1, 0] == QQi(1)
+
+
+# ---------------------------------------------------------------------------
+# The zero-aware kernel against an entrywise reference on (Fraction, Fraction)
+# pairs, on sparse matrices like the package's own
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_neg(x):
+    return (-x[0], -x[1])
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pairs_of(m):
+    return [[(x.re, x.im) for x in row] for row in m.rows]
+
+
+def pair_matmul(a, b):
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = (Fraction(0), Fraction(0))
+            for k, x in enumerate(arow):
+                acc = pair_add(acc, pair_mul(x, b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def sparse_entry(rng):
+    """Zero about 70% of the time (as a fresh QQi, never a shared one), else
+    purely real, purely imaginary or general."""
+    r = rng.random()
+    if r < 0.7:
+        return QQi(Fraction(0, rng.randint(1, 5)))
+    re = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    im = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    if r < 0.8:
+        return QQi(re)
+    if r < 0.9:
+        return QQi(0, im)
+    return QQi(re, im)
+
+
+def sparse_matrix(rng, nr, nc):
+    rows = []
+    for _ in range(nr):
+        if rng.random() < 0.2:
+            rows.append([QQi(0) for _ in range(nc)])
+        else:
+            rows.append([sparse_entry(rng) for _ in range(nc)])
+    return Mat(rows)
+
+
+def assert_fresh(out, *operands):
+    """The result is a new Mat with new rows of QQi entries."""
+    assert isinstance(out, Mat)
+    for m in operands:
+        assert out is not m
+        assert all(r is not s for r in out.rows for s in m.rows)
+    assert all(isinstance(x, QQi) for row in out.rows for x in row)
+
+
+class TestZeroAwareKernel:
+    ZERO_FORMS = [0, Fraction(0), QQi(0), QQi(Fraction(0, 3), Fraction(0))]
+    VALUES = [QQi(2, -3), QQi(Fraction(1, 2)), QQi(0, Fraction(-5, 7)), 3, Fraction(-2, 9)]
+
+    def test_qqi_ops_with_a_zero_operand_match_the_full_formula(self):
+        for z in self.ZERO_FORMS:
+            for x in self.VALUES + self.ZERO_FORMS:
+                if not isinstance(x, QQi) and not isinstance(z, QQi):
+                    continue
+                px = (Fraction(x), Fraction(0)) if not isinstance(x, QQi) else (x.re, x.im)
+                pz = (Fraction(0), Fraction(0))
+                for got, want in [
+                    (x + z, pair_add(px, pz)),
+                    (z + x, pair_add(pz, px)),
+                    (x - z, pair_add(px, pair_neg(pz))),
+                    (z - x, pair_add(pz, pair_neg(px))),
+                    (x * z, pair_mul(px, pz)),
+                    (z * x, pair_mul(pz, px)),
+                ]:
+                    assert isinstance(got, QQi), (x, z)
+                    assert (got.re, got.im) == want, (x, z)
+                if isinstance(x, QQi):
+                    assert ((-x).re, (-x).im) == pair_neg(px)
+
+    def test_zero_test_agrees_with_the_parts(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            x = sparse_entry(rng)
+            assert bool(x) == (x.re != 0 or x.im != 0)
+
+    def test_mat_ops_match_the_entrywise_reference(self):
+        rng = random.Random(2024)
+        for trial in range(60):
+            n = 1 + trial % 8
+            m = rng.randint(1, 8)
+            a, b = sparse_matrix(rng, n, m), sparse_matrix(rng, n, m)
+            c = sparse_matrix(rng, m, rng.randint(1, 8))
+            sq = sparse_matrix(rng, n, n)
+            pa, pb, pc, psq = pairs_of(a), pairs_of(b), pairs_of(c), pairs_of(sq)
+
+            out = a + b
+            assert_fresh(out, a, b)
+            assert pairs_of(out) == [
+                [pair_add(x, y) for x, y in zip(r, s)] for r, s in zip(pa, pb)
+            ]
+            out = a - b
+            assert_fresh(out, a, b)
+            assert pairs_of(out) == [
+                [pair_add(x, pair_neg(y)) for x, y in zip(r, s)] for r, s in zip(pa, pb)
+            ]
+            out = -a
+            assert_fresh(out, a)
+            assert pairs_of(out) == [[pair_neg(x) for x in r] for r in pa]
+
+            for scalar in [0, 2, Fraction(-3, 5), QQi(0), QQi(Fraction(1, 3)),
+                           QQi(0, -2), sparse_entry(rng)]:
+                ps = (Fraction(scalar), Fraction(0)) if not isinstance(scalar, QQi) \
+                    else (scalar.re, scalar.im)
+                want = [[pair_mul(x, ps) for x in r] for r in pa]
+                for out in (a * scalar, scalar * a):
+                    assert_fresh(out, a)
+                    assert pairs_of(out) == want
+
+            out = a * c
+            assert_fresh(out, a, c)
+            assert pairs_of(out) == pair_matmul(pa, pc)
+
+            out = a.kron(sq)
+            assert_fresh(out, a, sq)
+            assert pairs_of(out) == [
+                [pair_mul(x, y) for x in r for y in s] for r in pa for s in psq
+            ]
+
+            d = sparse_matrix(rng, n, n)
+            pd = pairs_of(d)
+            out = sq.commutator(d)
+            assert_fresh(out, sq, d)
+            ab, ba = pair_matmul(psq, pd), pair_matmul(pd, psq)
+            assert pairs_of(out) == [
+                [pair_add(x, pair_neg(y)) for x, y in zip(r, s)] for r, s in zip(ab, ba)
+            ]
+
+
+class TestMatNormalization:
+    """RatFun cancels a pole of a Mat-valued numerator entry by entry; it must
+    agree with evaluating the whole matrix polynomial at the pole."""
+
+    P = QQi(Fraction(2, 3))
+    OTHER = QQi(-1, 1)
+
+    @staticmethod
+    def whole_matrix(num, poles):
+        num, poles = poly_trim(list(num)), dict(poles)
+        for p in list(poles):
+            while poles[p] > 0 and not poly_eval(num, p):
+                num = poly_divide_linear(num, p)
+                poles[p] -= 1
+            if poles[p] == 0:
+                del poles[p]
+        return num, poles
+
+    def check(self, num, poles):
+        f = RatFun(num, poles)
+        want_num, want_poles = self.whole_matrix(num, poles)
+        assert f.poles == want_poles
+        assert f.num == want_num
+        return f
+
+    @staticmethod
+    def q_poly(rng):
+        """A 3x3 quadratic with a dense leading coefficient."""
+        return [sparse_matrix(rng, 3, 3) for _ in range(2)] + [
+            Mat.from_values([[1 + i + j for j in range(3)] for i in range(3)])
+        ]
+
+    def times_u_minus_p(self, q):
+        return poly_mul([-self.P, QQi(1)], q)
+
+    def test_zero_first_entry_cancels(self):
+        rng = random.Random(3)
+        q = self.q_poly(rng)
+        q = [Mat([[QQi(0)] + r[1:] if i == 0 else list(r) for i, r in enumerate(c.rows)])
+             for c in q]
+        f = self.check(self.times_u_minus_p(q), {self.P: 2, self.OTHER: 1})
+        assert f.poles == {self.P: 1, self.OTHER: 1}
+        assert f.num == q
+
+    def test_value_only_in_the_first_row_keeps_the_pole(self):
+        rng = random.Random(4)
+        num = self.times_u_minus_p(self.q_poly(rng))
+        bump = Mat.from_values([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+        num[0] = num[0] + bump
+        assert poly_eval(num, self.P) == bump
+        f = self.check(num, {self.P: 1, self.OTHER: 2})
+        assert f.poles == {self.P: 1, self.OTHER: 2}
+
+    def test_single_nonzero_last_entry_keeps_the_pole(self):
+        rng = random.Random(6)
+        num = self.times_u_minus_p(self.q_poly(rng))
+        num[0] = num[0] + Mat.unit(3, 3, 2, 2, QQi(0, Fraction(1, 5)))
+        assert poly_eval(num, self.P) == Mat.unit(3, 3, 2, 2, QQi(0, Fraction(1, 5)))
+        f = self.check(num, {self.P: 1})
+        assert f.poles == {self.P: 1}
