@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from .pipeline import (
 from .promotion import build_kr, promote, promotion_order, verify_uniqueness
 from .scalars import QQi
 from .spectra import eigenvalues_csv, scan_simple_spectrum
-from .tableaux import CrystalError, build_crystal
+from .tableaux import CrystalError, build_crystal, ssyt_count
 from .tensorcrystal import string_statistics, tensor_many
 
 
@@ -123,7 +124,6 @@ def build_config_from_opts(opts):
 def cmd_crystal(opts):
     action = opts["action"]
     n = opts["n"]
-    cap = opts["cap"]
     if action == "export" and not (opts.get("kr") or opts.get("lam")):
         raise UsageError("crystal export needs --kr or --lambda")
     if opts.get("kr"):
@@ -133,7 +133,7 @@ def cmd_crystal(opts):
         lam = (l,) * r
     elif opts.get("lam"):
         lam = tuple(int(x) for x in opts["lam"].split(","))
-        crys = build_crystal(n, lam, cap=cap)
+        crys = build_crystal(n, lam, cap=opts["cap"])
         affine = False
     else:
         raise UsageError("need --kr l,r or --lambda parts")
@@ -148,14 +148,13 @@ def cmd_crystal(opts):
         if affine:
             report["promotion_order"] = promotion_order(n, lam)
     if opts.get("dot"):
-        export.write_text(opts["dot"], export.crystal_to_dot(crys, affine=affine))
+        export.write_text(opts["dot"], export.crystal_to_dot(crys))
         report["dot"] = opts["dot"]
     if opts.get("json_graph"):
-        export.write_json(opts["json_graph"], export.crystal_to_json(crys, affine=affine))
+        export.write_json(opts["json_graph"], export.crystal_to_json(crys))
     if action == "build" and affine:
-        graph = build_crystal(n, lam, cap=cap)
         report["orbit_table"] = export.orbit_table(
-            graph.elements, {t: promote(t, n) for t in graph.elements}
+            crys.elements, {t: promote(t, n) for t in crys.elements}
         )
     return emit(report, opts)
 
@@ -167,6 +166,12 @@ def cmd_crystal(opts):
 def cmd_tensor(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
+    # reject an oversized product before building any factor
+    size = math.prod(ssyt_count((l,) * r, n) for (l, r) in factors)
+    if size > opts["cap"]:
+        raise UsageError(
+            f"tensor product would have {size} > cap {opts['cap']} elements; raise --cap"
+        )
     crystals = [build_kr(n, l, r) for (l, r) in factors]
     prod = tensor_many(crystals)
     stats = {
@@ -181,7 +186,7 @@ def cmd_tensor(opts):
         "passed": True,
     }
     if opts.get("dot"):
-        export.write_text(opts["dot"], export.crystal_to_dot(prod, affine=True))
+        export.write_text(opts["dot"], export.crystal_to_dot(prod))
     return emit(report, opts)
 
 

@@ -11,17 +11,19 @@ EDGE_COLORS = [
 
 
 def _label(element):
+    """Tableau repr; a tensor pair (left, right) reads "left (x) right"."""
+    if isinstance(element, tuple):
+        return " (x) ".join(_label(part) for part in element)
     return repr(element)
 
 
-def crystal_to_dot(crys, affine=False) -> str:
+def crystal_to_dot(crys) -> str:
     """DOT digraph; edges labeled by operator index, affine edges colored."""
-    indices = list(range(crys.n)) if affine else list(crys.indices)
     lines = ["digraph crystal {", '  rankdir="TB";']
     ids = {b: i for i, b in enumerate(crys.elements)}
     for b, i in ids.items():
         lines.append(f'  n{i} [label="{_label(b)}"];')
-    for j in indices:
+    for j in crys.indices:
         fmap = crys.f_maps.get(j, {})
         color = EDGE_COLORS[j % len(EDGE_COLORS)]
         for src, dst in fmap.items():
@@ -32,20 +34,19 @@ def crystal_to_dot(crys, affine=False) -> str:
     return "\n".join(lines)
 
 
-def crystal_to_json(crys, affine=False) -> dict:
-    indices = list(range(crys.n)) if affine else list(crys.indices)
+def crystal_to_json(crys) -> dict:
     ids = {b: i for i, b in enumerate(crys.elements)}
     return {
         "n": crys.n,
         "size": len(crys.elements),
-        "affine": affine,
+        "affine": 0 in crys.indices,
         "elements": [
             {"id": i, "label": _label(b), "weight": list(crys.wt[b])}
             for b, i in ids.items()
         ],
         "edges": [
             {"op": j, "from": ids[src], "to": ids[dst]}
-            for j in indices
+            for j in crys.indices
             for src, dst in crys.f_maps.get(j, {}).items()
         ],
     }

@@ -3,9 +3,9 @@
 The promotion operator is jeu-de-taquin on the letters n; the involution is
 computed from the crystal graph (source-to-sink propagation), which works
 uniformly for tensor-product crystals.  Tableau evacuation is kept only as an
-independent cross-check for single-tableau crystals.  Affine crystals carry
-operators e_[j], f_[j] for j in Z/nZ and expose the rotated classical views
-B^{[j]}.
+independent cross-check for single-tableau crystals.  An affine crystal is a
+CrystalGraph on the indices 0..n-1 (operators e_[j], f_[j] for j in Z/nZ);
+view(crys, j) gives its rotated classical view B^{[j]}.
 """
 
 from __future__ import annotations
@@ -233,56 +233,14 @@ def phi_operator(graph: CrystalGraph, n=None):
 # Affine crystals
 
 
-class AffineCrystal:
-    """A finite crystal with operators e_[j], f_[j] for j in Z/nZ.
-
-    Every rotated view B^{[j]} (operators e_i := e_[i-j], weights composed
-    with the cyclic coordinate rotation) must satisfy the classical axioms;
-    this is checked at construction time.
-    """
-
-    def __init__(self, n, elements, e_maps, f_maps, wt, check=True):
-        self.n = n
-        self.elements = list(elements)
-        self.e_maps = {j % n: dict(m) for j, m in e_maps.items()}
-        self.f_maps = {j % n: dict(m) for j, m in f_maps.items()}
-        for j in range(n):
-            self.e_maps.setdefault(j, {})
-            self.f_maps.setdefault(j, {})
-        self.wt = dict(wt)
-        if check:
-            bad = self.check_invariants()
-            if bad:
-                raise CrystalError(f"affine crystal invariants failed: {bad}")
-
-    def e(self, j, b):
-        return self.e_maps[j % self.n].get(b)
-
-    def f(self, j, b):
-        return self.f_maps[j % self.n].get(b)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def view(self, j) -> CrystalGraph:
-        """The classical crystal B^{[j]}: e_i := e_[i-j], rotated weights."""
-        n = self.n
-        e_maps = {i: self.e_maps[(i - j) % n] for i in range(1, n)}
-        f_maps = {i: self.f_maps[(i - j) % n] for i in range(1, n)}
-        wt = {b: _rotate(w, j) for b, w in self.wt.items()}
-        return CrystalGraph(n, self.elements, e_maps, f_maps, wt)
-
-    def check_invariants(self):
-        """None, or the first view whose classical axioms fail, with the witness.
-
-        The views together check the pairing and the weight of every edge of
-        every e_[j]: view j covers all operators but e_[-j].
-        """
-        for j in range(self.n):
-            bad = self.view(j).check_axioms()
-            if bad:
-                return ("view", j, bad)
-        return None
+def view(crys: CrystalGraph, j) -> CrystalGraph:
+    """The classical crystal B^{[j]} of an affine crystal: e_i := e_[i-j],
+    weights composed with the cyclic coordinate rotation by j."""
+    n = crys.n
+    e_maps = {i: crys.e_maps.get((i - j) % n, {}) for i in range(1, n)}
+    f_maps = {i: crys.f_maps.get((i - j) % n, {}) for i in range(1, n)}
+    wt = {b: _rotate(w, j) for b, w in crys.wt.items()}
+    return CrystalGraph(n, crys.elements, e_maps, f_maps, wt)
 
 
 def _rotate(w, j):
@@ -293,8 +251,11 @@ def _rotate(w, j):
     return tuple(out)
 
 
-def build_kr(n, l, r) -> AffineCrystal:
-    """The Kirillov-Reshetikhin crystal B_{l w_r} with pr-conjugated affine operators."""
+def build_kr(n, l, r) -> CrystalGraph:
+    """The Kirillov-Reshetikhin crystal B_{l w_r} with pr-conjugated affine operators.
+
+    Returns a CrystalGraph on the indices 0..n-1 whose axioms are checked.
+    """
     graph = build_crystal(n, (l,) * r)
     pr = {t: promote(t, n) for t in graph.elements}
     pr_inv = {v: k for k, v in pr.items()}
@@ -314,7 +275,11 @@ def build_kr(n, l, r) -> AffineCrystal:
     for i in range(1, n):
         e_maps[i] = graph.e_maps[i]
         f_maps[i] = graph.f_maps[i]
-    return AffineCrystal(n, graph.elements, e_maps, f_maps, graph.wt)
+    kr = CrystalGraph(n, graph.elements, e_maps, f_maps, graph.wt, indices=range(n))
+    bad = kr.check_axioms()
+    if bad:
+        raise CrystalError(f"affine crystal axioms failed: {bad}")
+    return kr
 
 
 def is_rectangle(lam):
@@ -346,8 +311,8 @@ def verify_uniqueness(n, lam) -> dict:
         return report
     kr = build_kr(n, l, r)
     fresh = build_crystal(n, lam)
-    ok0 = crystal_isomorphic(kr.view(0), fresh)
-    view1 = kr.view(1)
+    ok0 = crystal_isomorphic(view(kr, 0), fresh)
+    view1 = view(kr, 1)
     comps1 = decompose_normal(view1)
     ok1 = all(c["normal"] for c in comps1) and crystal_isomorphic(view1, fresh)
     # any alternative affine extension differs by a crystal automorphism of
@@ -363,7 +328,7 @@ def verify_uniqueness(n, lam) -> dict:
     report["view1_normal"] = ok1
     report["view1_automorphism_trivial"] = auto_trivial
     report["restriction_multiplicity_free"] = unique_restriction
-    report["views_pass_axioms"] = kr.check_invariants() is None
+    report["views_pass_axioms"] = kr.check_axioms() is None
     report["passed"] = all(
         [ok0, ok1, auto_trivial, unique_restriction, report["views_pass_axioms"]]
     )

@@ -773,10 +773,6 @@ class RatFun:
         lead = self.num[-1]
         return lead  # denominator is monic
 
-    def entry(self, i, j):
-        """Scalar RatFun carved out of a matrix-valued one."""
-        return RatFun([c[i, j] for c in self.num], self.poles)
-
 
 # ---------------------------------------------------------------------------
 # Differential and shift operator polynomials
@@ -805,9 +801,6 @@ class DiffOpPoly:
         one = RatFun.const(like if like is not None else QQI_ONE)
         zero = RatFun([], {})
         return DiffOpPoly([zero] * order + [one])
-
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -881,9 +874,6 @@ class ShiftOpPoly:
             coeffs.pop()
         self.coeffs = coeffs
         self.step = QQi.of(step)
-
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def coeff(self, k):
         if k < len(self.coeffs):

@@ -2,8 +2,8 @@
 
 Kashiwara operators use the signature rule on the Far-Eastern reading word
 (columns bottom to top, taken left to right).  Crystal graphs are explicit
-finite labeled graphs; the same graph container also carries tensor-product
-and affine-view crystals elsewhere in the package.
+finite labeled graphs; the same container carries the affine KR crystals
+(operator indices 0..n-1), their classical views and tensor products.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def e_op(i, t: Tableau):
 class CrystalGraph:
     """A finite crystal: elements, partial maps e_i/f_i, and a weight map.
 
-    Operator indices run over `indices` (1..n-1 for classical crystals).
-    Weights are raw integer content vectors; sl_n weight classes compare via
-    canonical_weight.
+    Operator indices run over `indices`: 1..n-1 for classical crystals,
+    0..n-1 for affine ones.  Weights are raw integer content vectors; sl_n
+    weight classes compare via canonical_weight.
     """
 
     def __init__(self, n, elements, e_maps, f_maps, wt, indices=None):
@@ -162,7 +162,6 @@ class CrystalGraph:
         self.f_maps = f_maps
         self.wt = wt
         self.indices = list(indices) if indices is not None else list(range(1, n))
-        self._elem_set = set(self.elements)
 
     def e(self, i, b):
         return self.e_maps.get(i, {}).get(b)
@@ -174,7 +173,11 @@ class CrystalGraph:
         return len(self.elements)
 
     def check_axioms(self):
-        """Pairing and weight axioms for every edge; returns None or a witness."""
+        """Pairing and weight axioms for every edge; returns None or a witness.
+
+        coroot_vector is cyclic for i=0, so on an affine crystal one pass
+        checks every edge of every e_[j] once.
+        """
         for i in self.indices:
             fmap = self.f_maps.get(i, {})
             emap = self.e_maps.get(i, {})
@@ -252,14 +255,29 @@ def shape_from_partition(lam):
     return lam
 
 
+def ssyt_count(shape, n):
+    """Number of semistandard tableaux of the shape with entries <= n.
+
+    Hook-content formula: prod over cells (n + c - r) / hook(r, c).
+    """
+    cols = [sum(1 for ln in shape if ln > c) for c in range(shape[0] if shape else 0)]
+    num = den = 1
+    for r, ln in enumerate(shape):
+        for c in range(ln):
+            num *= n + c - r
+            den *= (ln - c) + (cols[c] - r) - 1
+    return num // den
+
+
 def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     """The crystal B_lam of semistandard tableaux with the signature rule."""
     shape = shape_from_partition(lam)
     if len(shape) > n:
         raise CrystalError(f"partition {shape} has more than n={n} rows")
+    size = ssyt_count(shape, n)
+    if size > cap:
+        raise CrystalError(f"crystal would have {size} > cap {cap} elements")
     elems = enumerate_ssyt(shape, n)
-    if len(elems) > cap:
-        raise CrystalError(f"crystal would have {len(elems)} > cap {cap} elements")
     e_maps = {i: {} for i in range(1, n)}
     f_maps = {i: {} for i in range(1, n)}
     for t in elems:

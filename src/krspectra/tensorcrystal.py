@@ -3,95 +3,61 @@
 The product rule moves e_[i] to the left factor iff eps(left) > phi(right)
 and f_[i] to the left factor iff eps(left) >= phi(right); the strict/weak
 asymmetry is what makes the two maps mutually inverse partial bijections.
+A product is a CrystalGraph on the factors' indices (0..n-1 for affine
+factors) whose elements are plain (left, right) pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .promotion import AffineCrystal
 from .tableaux import CrystalError, CrystalGraph, canonical_weight, string_positions
 
 
-class TensorElement:
-    """An ordered tuple of factor elements."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return " (x) ".join(repr(p) for p in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
-def _pair(left_elem, right_elem):
-    return TensorElement((left_elem, right_elem))
-
-
-def _is_affine(crys):
-    return isinstance(crys, AffineCrystal)
-
-
 def tensor(b_left, b_right):
-    """Tensor product of two crystals over the same n.
+    """Tensor product of two crystals over the same n and operator indices.
 
-    Affine x affine gives an AffineCrystal; classical inputs give a
-    CrystalGraph.  Elements are TensorElement pairs (left, right).
+    Elements are pairs (left, right); the result's axioms are checked once.
     """
     if b_left.n != b_right.n:
         raise CrystalError("rank mismatch in tensor product")
+    if b_left.indices != b_right.indices:
+        raise CrystalError("cannot mix factors with different operator indices")
     n = b_left.n
-    affine = _is_affine(b_left) and _is_affine(b_right)
-    if _is_affine(b_left) != _is_affine(b_right):
-        raise CrystalError("cannot mix affine and classical factors")
-    indices = list(range(n)) if affine else list(range(1, n))
+    indices = b_left.indices
 
-    elements = [
-        _pair(x, y) for x in b_left.elements for y in b_right.elements
-    ]
+    elements = [(x, y) for x in b_left.elements for y in b_right.elements]
     left = {i: string_positions(b_left, i) for i in indices}
     right = {i: string_positions(b_right, i) for i in indices}
 
     e_maps = {i: {} for i in indices}
     f_maps = {i: {} for i in indices}
     for el in elements:
-        x, y = el.parts
+        x, y = el
         for i in indices:
             eps, phi = left[i][x][0], right[i][y][1]
             if eps > phi:
                 ex = b_left.e(i, x)
                 if ex is not None:
-                    e_maps[i][el] = _pair(ex, y)
+                    e_maps[i][el] = (ex, y)
             else:
                 ey = b_right.e(i, y)
                 if ey is not None:
-                    e_maps[i][el] = _pair(x, ey)
+                    e_maps[i][el] = (x, ey)
             if eps >= phi:
                 fx = b_left.f(i, x)
                 if fx is not None:
-                    f_maps[i][el] = _pair(fx, y)
+                    f_maps[i][el] = (fx, y)
             else:
                 fy = b_right.f(i, y)
                 if fy is not None:
-                    f_maps[i][el] = _pair(x, fy)
+                    f_maps[i][el] = (x, fy)
 
     wt = {
-        el: tuple(a + b for a, b in zip(b_left.wt[el.parts[0]], b_right.wt[el.parts[1]]))
+        el: tuple(a + b for a, b in zip(b_left.wt[el[0]], b_right.wt[el[1]]))
         for el in elements
     }
-    if affine:
-        return AffineCrystal(n, elements, e_maps, f_maps, wt)
-    g = CrystalGraph(n, elements, e_maps, f_maps, wt)
+    g = CrystalGraph(n, elements, e_maps, f_maps, wt, indices=indices)
     bad = g.check_axioms()
     if bad:
         raise CrystalError(f"tensor product violates crystal axioms: {bad}")

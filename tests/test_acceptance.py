@@ -52,12 +52,8 @@ from krspectra.scalars import Mat, QQi
 from krspectra.spectra import joint_diagonalize, scan_simple_spectrum
 from krspectra.tableaux import Tableau, build_crystal
 
-from test_promotion import PR_ORBITS_2W2_N4, frozen_pr_map
+from test_promotion import GRID, PR_ORBITS_2W2_N4, frozen_pr_map
 
-
-GRID = [
-    (n, l, r) for n in range(2, 6) for l in range(1, 4) for r in range(1, n + 1)
-]
 
 NON_RECTANGULAR = [(3, (2, 1)), (4, (3, 1)), (4, (2, 2, 1)), (5, (2, 1))]
 
@@ -89,7 +85,7 @@ def test_criterion_2_uniqueness_grid():
         rep = verify_uniqueness(n, (l,) * r)
         assert rep["passed"], (n, l, r, rep)
         kr = build_kr(n, l, r)
-        assert kr.check_invariants() is None
+        assert kr.check_axioms() is None
     assert len(NON_RECTANGULAR) >= 3
     for n, lam in NON_RECTANGULAR:
         rep = verify_uniqueness(n, lam)

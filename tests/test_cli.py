@@ -47,6 +47,24 @@ class TestCrystalCommand:
         assert doc["config"]["n"] == 2
 
 
+class TestTensorCommand:
+    def test_cap_is_a_usage_error_before_any_build(self, capsys, monkeypatch):
+        import krspectra.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_kr", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "tensor_many", lambda *args: built.append(args))
+        code = main(["tensor", "--n", "3", "--factors", "1,1;1,1", "--cap", "8"])
+        assert code == 2
+        assert built == []
+        assert "9 > cap 8" in capsys.readouterr().err
+
+    def test_product_at_the_cap_is_built(self, capsys):
+        code, doc = run(capsys, "tensor", "--n", "3", "--factors", "1,1;1,1", "--cap", "9")
+        assert code == 0
+        assert doc["size"] == 9
+
+
 class TestGaudinCommand:
     def test_commute_passes(self, capsys):
         code, doc = run(

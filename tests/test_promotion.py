@@ -1,7 +1,7 @@
 import pytest
 
+import krspectra.promotion as promotion
 from krspectra.promotion import (
-    AffineCrystal,
     build_kr,
     is_rectangle,
     phi_operator,
@@ -10,9 +10,11 @@ from krspectra.promotion import (
     restricted_graph,
     schutzenberger,
     verify_uniqueness,
+    view,
 )
 from krspectra.tableaux import (
     CrystalError,
+    CrystalGraph,
     Tableau,
     build_crystal,
     canonical_weight,
@@ -24,6 +26,17 @@ from krspectra.tableaux import (
 
 def tab(rows, n=4):
     return Tableau(rows, n)
+
+
+# the KR crystals B_{l w_r} of the uniqueness grid (acceptance criterion 2)
+GRID = [
+    (n, l, r) for n in range(2, 6) for l in range(1, 4) for r in range(1, n + 1)
+]
+
+
+def some_view_fails(crys):
+    """The verdict of the rotated classical views, one check per view."""
+    return any(view(crys, j).check_axioms() is not None for j in range(crys.n))
 
 
 # The full reference promotion table on the 2x2 rectangle at n=4, frozen
@@ -193,13 +206,27 @@ class TestBuildKR:
 
     def test_views_are_normal_for_2w2(self):
         kr = build_kr(4, 2, 2)
-        comps = decompose_normal(kr.view(1))
+        comps = decompose_normal(view(kr, 1))
         assert all(c["normal"] for c in comps)
 
     def test_invariants_verified_on_construction(self):
         for (n, l, r) in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 2, 2)]:
             kr = build_kr(n, l, r)
-            assert kr.check_invariants() is None
+            assert kr.indices == list(range(n))
+            assert kr.check_axioms() is None
+
+    def test_build_kr_checks_its_axioms(self, monkeypatch):
+        # with promotion replaced by the identity, e_[0] is a copy of e_1
+        # and every e_[0] edge has the wrong weight
+        monkeypatch.setattr(promotion, "promote", lambda t, n=None: t)
+        with pytest.raises(CrystalError):
+            build_kr(3, 1, 1)
+
+    def test_one_pass_agrees_with_the_views_on_the_grid(self):
+        for (n, l, r) in GRID:
+            kr = build_kr(n, l, r)
+            assert kr.check_axioms() is None, (n, l, r)
+            assert not some_view_fails(kr), (n, l, r)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_check_invariants_rejects_corruptions(self, n):
@@ -210,14 +237,15 @@ class TestBuildKR:
             f_maps = {j: dict(m) for j, m in kr.f_maps.items()}
             wt = dict(kr.wt)
             edit(e_maps, f_maps, wt)
-            with pytest.raises(CrystalError):
-                AffineCrystal(n, kr.elements, e_maps, f_maps, wt)
-            return AffineCrystal(n, kr.elements, e_maps, f_maps, wt, check=False)
+            crys = CrystalGraph(n, kr.elements, e_maps, f_maps, wt, indices=kr.indices)
+            # the one pass flags a crystal iff some rotated view does
+            assert (crys.check_axioms() is not None) == some_view_fails(crys)
+            return crys
 
         def drop_e0(e_maps, f_maps, wt):
             del e_maps[0][next(iter(e_maps[0]))]
 
-        assert corrupted(drop_e0).check_invariants() is not None
+        assert corrupted(drop_e0).check_axioms() is not None
         for j in range(n):
             b, eb = next(iter(kr.e_maps[j].items()))
             other = next(c for c in kr.elements if c not in (b, eb))
@@ -230,8 +258,8 @@ class TestBuildKR:
                 w[j] += 1
                 wt[eb] = tuple(w)
 
-            assert corrupted(retarget).check_invariants() is not None
-            assert corrupted(bump).check_invariants() is not None
+            assert corrupted(retarget).check_axioms() is not None
+            assert corrupted(bump).check_axioms() is not None
 
     def test_pr_intertwining(self):
         # pr e_i = e_{i+1} pr for i = 1..n-2

@@ -15,6 +15,7 @@ from krspectra.tableaux import (
     enumerate_ssyt,
     f_op,
     schur_polynomial,
+    ssyt_count,
     string_positions,
 )
 
@@ -80,6 +81,14 @@ class TestBuild:
     def test_cap(self):
         with pytest.raises(CrystalError):
             build_crystal(4, (2, 2), cap=5)
+        assert len(build_crystal(4, (2, 2), cap=20)) == 20
+
+    def test_ssyt_count_is_the_enumerated_count(self):
+        # the cap is checked from the hook-content count before enumerating
+        for n in range(1, 6):
+            for lam in [(), (1,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (2, 2, 1), (3, 2, 1)]:
+                if len(lam) <= n:
+                    assert ssyt_count(lam, n) == len(enumerate_ssyt(lam, n)), (n, lam)
 
     def test_axioms_hold(self):
         for (n, lam) in [(2, (2,)), (3, (2, 1)), (4, (2, 2))]:

@@ -3,21 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from krspectra.promotion import build_kr
+from krspectra.export import crystal_to_dot, crystal_to_json
+from krspectra.promotion import build_kr, view
 from krspectra.tableaux import (
     CrystalError,
+    CrystalGraph,
     Tableau,
     build_crystal,
     canonical_weight,
     decompose_normal,
 )
 from krspectra.tensorcrystal import (
-    TensorElement,
     string_statistics,
     tensor,
     tensor_many,
     weight_multiset,
 )
+
+from test_promotion import some_view_fails
 
 
 def tab(rows, n):
@@ -29,7 +32,7 @@ class TestRule:
         b = build_crystal(2, (1,))
         prod = tensor(b, b)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        el = TensorElement((two, one))
+        el = (two, one)
         assert prod.e(1, el) is None
         assert prod.f(1, el) is None
 
@@ -37,7 +40,7 @@ class TestRule:
         b = build_crystal(2, (1,))
         prod = tensor(b, b)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        assert prod.f(1, TensorElement((one, one))) == TensorElement((one, two))
+        assert prod.f(1, (one, one)) == (one, two)
 
     def test_size_multiplies(self):
         b1 = build_crystal(3, (1,))
@@ -47,6 +50,11 @@ class TestRule:
     def test_rank_mismatch(self):
         with pytest.raises(CrystalError):
             tensor(build_crystal(2, (1,)), build_crystal(3, (1,)))
+
+    def test_index_mismatch(self):
+        # an affine and a classical factor over the same n do not multiply
+        with pytest.raises(CrystalError):
+            tensor(build_kr(2, 1, 1), build_crystal(2, (1,)))
 
     def test_components_3_1(self):
         b = build_crystal(2, (1,))
@@ -86,7 +94,44 @@ class TestAffineTensor:
     def test_kr_tensor_is_affine_and_consistent(self):
         k1 = build_kr(2, 1, 1)
         prod = tensor(k1, k1)
-        assert prod.check_invariants() is None
+        assert prod.indices == [0, 1]
+        assert prod.check_axioms() is None
+
+    def test_every_view_of_a_product_passes(self):
+        prod = tensor_many([build_kr(3, 1, 1), build_kr(3, 2, 1), build_kr(3, 1, 2)])
+        assert prod.check_axioms() is None
+        for j in range(3):
+            assert view(prod, j).check_axioms() is None, j
+
+    def test_product_corruptions_flagged_by_one_pass_and_by_views(self):
+        # n=3 three-factor product: drop an edge, retarget one, bump a weight
+        prod = tensor_many([build_kr(3, 1, 1), build_kr(3, 2, 1), build_kr(3, 1, 2)])
+        for j in range(3):
+            b, eb = next(iter(prod.e_maps[j].items()))
+            other = next(c for c in prod.elements if c not in (b, eb))
+            edits = [
+                lambda e, f, wt: e[j].pop(b),
+                lambda e, f, wt: e[j].__setitem__(b, other),
+                lambda e, f, wt: wt.__setitem__(eb, (wt[eb][0] + 1,) + wt[eb][1:]),
+            ]
+            for edit in edits:
+                e_maps = {i: dict(m) for i, m in prod.e_maps.items()}
+                f_maps = {i: dict(m) for i, m in prod.f_maps.items()}
+                wt = dict(prod.wt)
+                edit(e_maps, f_maps, wt)
+                bad = CrystalGraph(3, prod.elements, e_maps, f_maps, wt, indices=prod.indices)
+                assert bad.check_axioms() is not None
+                assert some_view_fails(bad)
+
+    def test_tensor_checks_its_axioms(self):
+        # a factor with one wrong weight gives a product edge of wrong weight
+        k1 = build_kr(3, 1, 1)
+        _, eb = next(iter(k1.e_maps[0].items()))
+        wt = dict(k1.wt)
+        wt[eb] = (wt[eb][0] + 1,) + wt[eb][1:]
+        bad = CrystalGraph(3, k1.elements, k1.e_maps, k1.f_maps, wt, indices=k1.indices)
+        with pytest.raises(CrystalError):
+            tensor(bad, k1)
 
     def test_affine_strings_n2(self):
         # worked out by hand from the product rule: e_[0] strings on B x B are
@@ -94,10 +139,10 @@ class TestAffineTensor:
         k1 = build_kr(2, 1, 1)
         prod = tensor(k1, k1)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        assert prod.e(0, TensorElement((one, one))) == TensorElement((two, one))
-        assert prod.e(0, TensorElement((two, one))) == TensorElement((two, two))
-        assert prod.e(0, TensorElement((two, two))) is None
-        assert prod.e(0, TensorElement((one, two))) is None
+        assert prod.e(0, (one, one)) == (two, one)
+        assert prod.e(0, (two, one)) == (two, two)
+        assert prod.e(0, (two, two)) is None
+        assert prod.e(0, (one, two)) is None
 
     def test_string_statistics_j0_j1(self):
         k1 = build_kr(2, 1, 1)
@@ -185,3 +230,23 @@ class TestStatisticsProperties:
         assert weight_multiset(prod) == Counter(
             {(2, 0): 1, (0, 2): 1, (0, 0): 2}
         )
+
+
+class TestExport:
+    def test_three_factor_labels_and_affine_flag(self):
+        k1 = build_kr(2, 1, 1)
+        prod = tensor_many([k1, k1, k1])
+        one, two = tab([[1]], 2), tab([[2]], 2)
+        el = ((one, two), one)
+        assert el in prod.wt
+        doc = crystal_to_json(prod)
+        assert doc["affine"] is True
+        labels = [e["label"] for e in doc["elements"]]
+        assert "1 (x) 2 (x) 1" in labels and len(labels) == 8
+        assert '[label="1 (x) 2 (x) 1"]' in crystal_to_dot(prod)
+        assert {e["op"] for e in doc["edges"]} == {0, 1}
+
+    def test_classical_graph_is_not_affine(self):
+        doc = crystal_to_json(build_crystal(3, (2, 1)))
+        assert doc["affine"] is False
+        assert {e["op"] for e in doc["edges"]} == {1, 2}
