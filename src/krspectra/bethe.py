@@ -18,7 +18,13 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .gaudin import CommutingFamily, GaudinConfig, center_members
+from .gaudin import (
+    CommutingFamily,
+    GaudinConfig,
+    center_members,
+    coincidence_classes,
+    subregular_pair,
+)
 from .scalars import Mat, QQi, RatFun, ShiftOpPoly, cdet, sgn, unit_circle_point
 
 
@@ -45,26 +51,14 @@ class TorusElement:
         return len(self.entries)
 
     def is_regular(self):
-        seen = set()
-        for c in self.entries:
-            key = (c.re, c.im)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return len(self.coincidence_classes()) == self.n
 
     def coincidence_classes(self):
-        classes = {}
-        for a, c in enumerate(self.entries, start=1):
-            classes.setdefault((c.re, c.im), []).append(a)
-        return list(classes.values())
+        return coincidence_classes(self.entries)
 
     def coincident_pair(self):
         """The unique coincident pair, if the element is subregular."""
-        pairs = [cl for cl in self.coincidence_classes() if len(cl) > 1]
-        if len(pairs) != 1 or len(pairs[0]) != 2:
-            return None
-        return tuple(pairs[0])
+        return subregular_pair(self.coincidence_classes())
 
     def normalized(self):
         """Same adjoint-torus class with first entry 1."""

@@ -37,12 +37,19 @@ from .pipeline import (
     compare_pipeline,
     default_shift,
     kr_rep,
+    kr_tensor_crystal,
 )
-from .promotion import build_kr, promote, promotion_order, verify_uniqueness
+from .promotion import (
+    affine_extension,
+    cycles,
+    promotion_map,
+    promotion_order,
+    verify_uniqueness,
+)
 from .scalars import QQi
 from .spectra import eigenvalues_csv, scan_simple_spectrum
 from .tableaux import CrystalError, build_crystal, ssyt_count
-from .tensorcrystal import string_statistics, tensor_many
+from .tensorcrystal import string_statistics
 
 
 # the operator dimension cap; build_config_from_opts is also called without it
@@ -128,34 +135,32 @@ def cmd_crystal(opts):
         raise UsageError("crystal export needs --kr or --lambda")
     if opts.get("kr"):
         l, r = (int(x) for x in opts["kr"].split(","))
-        crys = build_kr(n, l, r)
-        affine = True
         lam = (l,) * r
     elif opts.get("lam"):
         lam = tuple(int(x) for x in opts["lam"].split(","))
-        crys = build_crystal(n, lam, cap=opts["cap"])
-        affine = False
     else:
         raise UsageError("need --kr l,r or --lambda parts")
+    affine = bool(opts.get("kr"))
+    graph = build_crystal(n, lam, cap=opts["cap"])
+    pr = promotion_map(graph) if affine or action == "verify" else None
+    crys = affine_extension(graph, pr) if affine else graph
 
     report = {"n": n, "lambda": list(lam), "size": len(crys.elements), "passed": True}
     if action == "verify":
-        rep = verify_uniqueness(n, lam)
+        rep = verify_uniqueness(graph, pr)
         report.update(rep)
         if opts.get("affine") and not rep.get("extendable", True):
             report["note"] = "reported non-extendable"
-    if action in ("build", "export"):
-        if affine:
-            report["promotion_order"] = promotion_order(n, lam)
+    if action in ("build", "export") and affine:
+        orbits = cycles(pr)
+        report["promotion_order"] = promotion_order(orbits)
     if opts.get("dot"):
         export.write_text(opts["dot"], export.crystal_to_dot(crys))
         report["dot"] = opts["dot"]
     if opts.get("json_graph"):
         export.write_json(opts["json_graph"], export.crystal_to_json(crys))
     if action == "build" and affine:
-        report["orbit_table"] = export.orbit_table(
-            crys.elements, {t: promote(t, n) for t in crys.elements}
-        )
+        report["orbit_table"] = export.orbit_table(orbits)
     return emit(report, opts)
 
 
@@ -172,8 +177,7 @@ def cmd_tensor(opts):
         raise UsageError(
             f"tensor product would have {size} > cap {opts['cap']} elements; raise --cap"
         )
-    crystals = [build_kr(n, l, r) for (l, r) in factors]
-    prod = tensor_many(crystals)
+    prod = kr_tensor_crystal(n, factors)
     stats = {
         j: sorted(((ln, list(w)), c) for (ln, w), c in string_statistics(prod, j).items())
         for j in range(n)

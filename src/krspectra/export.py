@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from .tableaux import Tableau
+
 
 EDGE_COLORS = [
     "red", "blue", "darkgreen", "orange", "purple", "brown", "teal", "magenta",
@@ -12,7 +14,7 @@ EDGE_COLORS = [
 
 def _label(element):
     """Tableau repr; a tensor pair (left, right) reads "left (x) right"."""
-    if isinstance(element, tuple):
+    if isinstance(element, tuple) and not isinstance(element, Tableau):  # (rows, n)
         return " (x) ".join(_label(part) for part in element)
     return repr(element)
 
@@ -52,22 +54,9 @@ def crystal_to_json(crys) -> dict:
     }
 
 
-def orbit_table(graph_elements, mapping) -> list:
-    """Cycle decomposition of a permutation map, as lists of labels."""
-    seen = set()
-    orbits = []
-    for b in graph_elements:
-        if b in seen:
-            continue
-        orbit = [b]
-        seen.add(b)
-        cur = mapping[b]
-        while cur != b:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        orbits.append([_label(x) for x in orbit])
-    return orbits
+def orbit_table(cycles) -> list:
+    """The cycles of a permutation (lists of elements) as lists of labels."""
+    return [[_label(x) for x in cycle] for cycle in cycles]
 
 
 def write_json(path, payload):

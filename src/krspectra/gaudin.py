@@ -39,18 +39,21 @@ class GaudinConfig:
         return len(self.points)
 
     def chi_classes(self):
-        """Indices of chi grouped by equal value (1-based)."""
-        classes = {}
-        for a, c in enumerate(self.chi, start=1):
-            classes.setdefault((c.re, c.im), []).append(a)
-        return list(classes.values())
+        return coincidence_classes(self.chi)
 
-    def coincident_pairs(self):
-        return [tuple(cl) for cl in self.chi_classes() if len(cl) > 1]
 
-    def is_subregular(self):
-        pairs = [cl for cl in self.chi_classes() if len(cl) > 1]
-        return len(pairs) == 1 and len(pairs[0]) == 2
+def coincidence_classes(values):
+    """Indices (1-based) of exact scalars grouped by equal value."""
+    classes = {}
+    for a, c in enumerate(values, start=1):
+        classes.setdefault((c.re, c.im), []).append(a)
+    return list(classes.values())
+
+
+def subregular_pair(classes):
+    """The one coincident pair (i, j) if exactly two indices coincide, else None."""
+    pairs = [tuple(cl) for cl in classes if len(cl) > 1]
+    return pairs[0] if len(pairs) == 1 and len(pairs[0]) == 2 else None
 
 
 class CommutingFamily:
@@ -190,11 +193,11 @@ def invariance_check(fam: CommutingFamily) -> dict:
 
 def wall_family(cfg: GaudinConfig) -> CommutingFamily:
     """The subregular family extended by the coroot Delta(h_ij) of the wall."""
-    if not cfg.is_subregular():
-        raise GaudinError(
-            f"chi is not subregular (coincidence classes {cfg.chi_classes()})"
-        )
-    i, j = cfg.coincident_pairs()[0]
+    classes = cfg.chi_classes()
+    pair = subregular_pair(classes)
+    if pair is None:
+        raise GaudinError(f"chi is not subregular (coincidence classes {classes})")
+    i, j = pair
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
     return CommutingFamily(
         residue_members(cfg) + [(("h", i, j), h)], cfg, "gaudin-wall"

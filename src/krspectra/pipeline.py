@@ -45,6 +45,12 @@ def default_shift(n, l, r):
     return Fraction(l - r - n, 2)
 
 
+def kr_tensor_crystal(n, factors):
+    """Tensor product of the KR crystals B_{l w_r}; one build per distinct factor."""
+    crystals = {f: build_kr(n, *f) for f in set(factors)}
+    return tensor_many([crystals[f] for f in factors])
+
+
 def build_spectral_config(n, factors, s, y=None):
     """Tensor rep with points d_j + i s y_j; factors are (l, r) pairs."""
     k = len(factors)
@@ -87,7 +93,7 @@ def compare_pipeline(n, factors, s_grid=S_GRID, tol=1e-8, seed=0):
     Only the given factor order is built: the string statistics of a KR
     tensor product do not depend on the order of its factors.
     """
-    comb = tensor_many([build_kr(n, l, r) for (l, r) in factors])
+    comb = kr_tensor_crystal(n, factors)
 
     last_error = None
     for s in s_grid:

@@ -8,20 +8,26 @@ finite labeled graphs; the same container carries the affine KR crystals
 
 from __future__ import annotations
 
+from operator import itemgetter
+
+
 class CrystalError(ValueError):
     pass
 
 
-class Tableau:
-    """A semistandard filling, stored as a tuple of weakly increasing rows."""
+class Tableau(tuple):
+    """A semistandard filling: the tuple (rows, n), compared and hashed as a tuple."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ()
 
-    def __init__(self, rows, n):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.n = n
+    rows = property(itemgetter(0))
+    n = property(itemgetter(1))
+
+    def __new__(cls, rows, n):
+        self = tuple.__new__(cls, (tuple(tuple(r) for r in rows), n))
         if not self.is_semistandard():
             raise CrystalError(f"not semistandard: {self.rows}")
+        return self
 
     def is_semistandard(self):
         rows = self.rows
@@ -47,12 +53,6 @@ class Tableau:
             for x in row:
                 c[x - 1] += 1
         return tuple(c)
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.rows, self.n))
 
     def __repr__(self):
         return "/".join("".join(str(x) for x in row) for row in self.rows)

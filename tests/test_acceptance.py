@@ -45,14 +45,12 @@ from krspectra.promotion import (
     build_kr,
     phi_operator,
     promote,
-    promotion_order,
-    verify_uniqueness,
 )
 from krspectra.scalars import Mat, QQi
 from krspectra.spectra import joint_diagonalize, scan_simple_spectrum
 from krspectra.tableaux import Tableau, build_crystal
 
-from test_promotion import GRID, PR_ORBITS_2W2_N4, frozen_pr_map
+from test_promotion import GRID, PR_ORBITS_2W2_N4, certificate, frozen_pr_map
 
 
 NON_RECTANGULAR = [(3, (2, 1)), (4, (3, 1)), (4, (2, 2, 1)), (5, (2, 1))]
@@ -82,13 +80,13 @@ def test_criterion_1_paper_promotion_table():
 def test_criterion_2_uniqueness_grid():
     t0 = time.time()
     for (n, l, r) in GRID:
-        rep = verify_uniqueness(n, (l,) * r)
+        rep = certificate(n, (l,) * r)
         assert rep["passed"], (n, l, r, rep)
         kr = build_kr(n, l, r)
         assert kr.check_axioms() is None
     assert len(NON_RECTANGULAR) >= 3
     for n, lam in NON_RECTANGULAR:
-        rep = verify_uniqueness(n, lam)
+        rep = certificate(n, lam)
         assert not rep["extendable"], (n, lam)
         assert rep["promotion_order"] != n
         assert rep["passed"]
@@ -108,7 +106,7 @@ def test_criterion_3_phi_equals_promotion():
         graph = build_crystal(n, (l,) * r)
         phi = phi_operator(graph, n)
         for b in graph.elements:
-            assert phi[b] == promote(b, n)
+            assert phi[b] == promote(b)
             checked += 1
     assert time.time() - t0 < 60
     _announce(3, f"phi = xi o xi = pr pointwise on {checked} elements", t0)

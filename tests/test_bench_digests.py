@@ -17,8 +17,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # (test id, workload, case kind, text the case key must contain); each pick
 # is the first such case of the workload's pools, negative controls included.
 # The n=3 compare and the dim-27 gaudin commute cases guard the exact
-# kernel's hottest paths; the verify-rectangle digest covers the affine
-# crystal fields views_pass_axioms, view1_normal and view0_isomorphic.
+# kernel's hottest paths; the verify-rectangle digests cover the affine
+# crystal fields views_pass_axioms, view1_normal and view0_isomorphic, and
+# with verify-non-rectangular they pin promotion_order.
 PICKS = [
     ("compare", "compare", "compare", "--n 2 --factors 1,1;1,1 --s-grid 3/2 "),
     ("compare-n3", "compare", "compare", "--n 3 --factors 1,1;1,2 --s-grid 1 "),
@@ -29,6 +30,13 @@ PICKS = [
     ("gaudin-perturbed", "gaudin", "gaudin-perturbed", ""),
     ("tensor", "crystal", "tensor", "--n 4 --factors 1,1;1,1;2,1;2,3"),
     ("verify-rectangle", "crystal", "verify-rectangle", "--n 2 --lambda 1 --affine"),
+    ("verify-rectangle-n5", "crystal", "verify-rectangle", "--n 5 --lambda 3,3 --affine"),
+    (
+        "verify-non-rectangular",
+        "crystal",
+        "verify-non-rectangular",
+        "--n 5 --lambda 3,1,1 --affine",
+    ),
 ]
 
 

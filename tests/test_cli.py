@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+import krspectra.promotion as promotion
+import krspectra.tableaux as tableaux
 from krspectra.cli import main
 
 
@@ -47,13 +50,60 @@ class TestCrystalCommand:
         assert doc["config"]["n"] == 2
 
 
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every krspectra module bound to it."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("krspectra") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestSingleBuild:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crystal", "verify", "--n", "4", "--lambda", "2,2", "--affine"],
+            ["crystal", "verify", "--n", "4", "--kr", "2,2"],
+            ["crystal", "build", "--n", "4", "--kr", "2,2"],
+        ],
+    )
+    def test_one_crystal_and_one_promotion_pass(self, monkeypatch, capsys, argv):
+        builds = count_calls(monkeypatch, tableaux, "build_crystal")
+        promotions = count_calls(monkeypatch, promotion, "promote")
+        code, doc = run(capsys, *argv)
+        assert code == 0 and doc["promotion_order"] == 4
+        assert len(builds) == 1
+        assert len(promotions) == 20
+
+    def test_tensor_builds_each_distinct_factor_once(self, monkeypatch, capsys):
+        builds = count_calls(monkeypatch, promotion, "build_kr")
+        code, doc = run(capsys, "tensor", "--n", "4", "--factors", "2,1;2,1;1,1")
+        assert code == 0 and doc["size"] == 10 * 10 * 4
+        assert sorted(builds) == [(4, 1, 1), (4, 2, 1)]
+
+    def test_kr_cap_is_checked_before_enumeration(self, monkeypatch, capsys):
+        enumerated = count_calls(monkeypatch, tableaux, "enumerate_ssyt")
+        code = main(["crystal", "build", "--n", "4", "--kr", "2,2", "--cap", "19"])
+        assert code == 2
+        assert enumerated == []
+        assert "20 > cap 19" in capsys.readouterr().err
+        code, doc = run(capsys, "crystal", "build", "--n", "4", "--kr", "2,2", "--cap", "20")
+        assert code == 0 and doc["size"] == 20
+
+
 class TestTensorCommand:
     def test_cap_is_a_usage_error_before_any_build(self, capsys, monkeypatch):
         import krspectra.cli as cli
 
         built = []
-        monkeypatch.setattr(cli, "build_kr", lambda *args: built.append(args))
-        monkeypatch.setattr(cli, "tensor_many", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "kr_tensor_crystal", lambda *args: built.append(args))
         code = main(["tensor", "--n", "3", "--factors", "1,1;1,1", "--cap", "8"])
         assert code == 2
         assert built == []

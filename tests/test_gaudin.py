@@ -202,6 +202,12 @@ class TestWallFamily:
         with pytest.raises(GaudinError):
             wall_family(c2_pair_config())
 
+    def test_rejects_a_triple_coincidence(self):
+        c3 = build_defining(3)
+        rep = build_tensor([(c3, QQi(0), QQi(0)), (c3, QQi(1), QQi(0))])
+        with pytest.raises(GaudinError):
+            wall_family(GaudinConfig(rep, (Fraction(1, 2),) * 3))
+
     def test_torus_center_members_commute(self):
         cfg = c2_pair_config(chi=(Fraction(2, 7), Fraction(2, 7)))
         fam = wall_family(cfg)

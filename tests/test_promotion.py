@@ -2,10 +2,13 @@ import pytest
 
 import krspectra.promotion as promotion
 from krspectra.promotion import (
+    affine_extension,
     build_kr,
+    cycles,
     is_rectangle,
     phi_operator,
     promote,
+    promotion_map,
     promotion_order,
     restricted_graph,
     schutzenberger,
@@ -32,6 +35,17 @@ def tab(rows, n=4):
 GRID = [
     (n, l, r) for n in range(2, 6) for l in range(1, 4) for r in range(1, n + 1)
 ]
+
+
+def order_of(n, lam):
+    """The promotion order of B_lam, from its one promotion map."""
+    return promotion_order(cycles(promotion_map(build_crystal(n, lam))))
+
+
+def certificate(n, lam):
+    """verify_uniqueness on B_lam and its promotion map."""
+    graph = build_crystal(n, lam)
+    return verify_uniqueness(graph, promotion_map(graph))
 
 
 def some_view_fails(crys):
@@ -83,17 +97,17 @@ class TestPromote:
 
 class TestPromotionOrder:
     def test_2w2_n4(self):
-        assert promotion_order(4, (2, 2)) == 4
+        assert order_of(4, (2, 2)) == 4
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_fundamental_orders(self, n):
         for r in range(1, n + 1):
-            assert promotion_order(n, (1,) * r) == n or (
+            assert order_of(n, (1,) * r) == n or (
                 len(build_crystal(n, (1,) * r)) == 1
             )
 
     def test_non_rectangular(self):
-        assert promotion_order(3, (2, 1)) != 3
+        assert order_of(3, (2, 1)) != 3
 
 
 class TestSchutzenberger:
@@ -209,6 +223,15 @@ class TestBuildKR:
         comps = decompose_normal(view(kr, 1))
         assert all(c["normal"] for c in comps)
 
+    def test_view0_is_the_classical_crystal_on_the_grid(self):
+        # so verify_uniqueness's view0_isomorphic compares B_lam with itself
+        for (n, l, r) in GRID:
+            graph = build_crystal(n, (l,) * r)
+            v0 = view(affine_extension(graph, promotion_map(graph)), 0)
+            assert all(v0.e_maps[i] is graph.e_maps[i] for i in graph.indices)
+            assert all(v0.f_maps[i] is graph.f_maps[i] for i in graph.indices)
+            assert v0.wt == graph.wt, (n, l, r)
+
     def test_invariants_verified_on_construction(self):
         for (n, l, r) in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 2, 2)]:
             kr = build_kr(n, l, r)
@@ -218,9 +241,16 @@ class TestBuildKR:
     def test_build_kr_checks_its_axioms(self, monkeypatch):
         # with promotion replaced by the identity, e_[0] is a copy of e_1
         # and every e_[0] edge has the wrong weight
-        monkeypatch.setattr(promotion, "promote", lambda t, n=None: t)
+        monkeypatch.setattr(promotion, "promote", lambda t: t)
         with pytest.raises(CrystalError):
             build_kr(3, 1, 1)
+
+    def test_promotion_map_must_be_a_bijection(self, monkeypatch):
+        graph = build_crystal(3, (1,))
+        first = graph.elements[0]
+        monkeypatch.setattr(promotion, "promote", lambda t: first)
+        with pytest.raises(CrystalError):
+            promotion_map(graph)
 
     def test_one_pass_agrees_with_the_views_on_the_grid(self):
         for (n, l, r) in GRID:
@@ -282,15 +312,15 @@ class TestBuildKR:
 
 class TestVerifyUniqueness:
     def test_4_2_2_passes(self):
-        rep = verify_uniqueness(4, (2, 2))
+        rep = certificate(4, (2, 2))
         assert rep["passed"] and rep["extendable"]
 
     def test_3_1_1_passes(self):
-        rep = verify_uniqueness(3, (1,))
+        rep = certificate(3, (1,))
         assert rep["passed"]
 
     def test_non_rectangular_reported(self):
-        rep = verify_uniqueness(3, (2, 1))
+        rep = certificate(3, (2, 1))
         assert not rep["extendable"]
         assert rep["passed"]
         assert rep["promotion_order"] != 3
