@@ -25,7 +25,17 @@ from .gaudin import (
     coincidence_classes,
     subregular_pair,
 )
-from .scalars import Mat, QQi, RatFun, ShiftOpPoly, cdet, sgn, unit_circle_point
+from .scalars import (
+    Mat,
+    QQi,
+    RatFun,
+    ShiftOpPoly,
+    cdet,
+    int_view,
+    sgn,
+    unit_circle_point,
+    views_commute,
+)
 
 
 class BetheError(ValueError):
@@ -313,8 +323,7 @@ class BetheFamily(CommutingFamily):
         rep = self.config.rep
         bad = []
         for tag, g in self.members():
-            adj = rep.adjoint(g)
-            if g * adj != adj * g:
+            if not g.commutes(rep.adjoint(g)):
                 bad.append(list(map(str, tag)))
         return {"passed": not bad, "failures": bad}
 
@@ -384,15 +393,15 @@ def bethe_commuting_certificate(
             u = base + QQi(off)
             off += 1
             try:
-                pts.append((u, taus[a].eval(u)))
+                pts.append((u, int_view(taus[a].eval(u))))
             except ZeroDivisionError:
                 continue
         grids[a] = pts
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            for u1, m1 in grids[a]:
-                for u2, m2 in grids[b]:
-                    if m1.commutator(m2):
+            for u1, v1 in grids[a]:
+                for u2, v2 in grids[b]:
+                    if not views_commute(v1, v2):
                         witnesses.append(
                             {"a": a, "b": b, "u1": str(u1), "u2": str(u2)}
                         )

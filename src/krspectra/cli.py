@@ -42,6 +42,7 @@ from .pipeline import (
 from .promotion import (
     affine_extension,
     cycles,
+    is_rectangle,
     promotion_map,
     promotion_order,
     verify_uniqueness,
@@ -141,13 +142,16 @@ def cmd_crystal(opts):
     else:
         raise UsageError("need --kr l,r or --lambda parts")
     affine = bool(opts.get("kr"))
+    verify = action == "verify"
     graph = build_crystal(n, lam, cap=opts["cap"])
-    pr = promotion_map(graph) if affine or action == "verify" else None
-    crys = affine_extension(graph, pr) if affine else graph
+    pr = promotion_map(graph) if affine or verify else None
+    # the one affine extension: for --kr, and for the certificate of a rectangle
+    kr = affine_extension(graph, pr) if affine or (verify and is_rectangle(lam)) else None
+    crys = kr if affine else graph
 
     report = {"n": n, "lambda": list(lam), "size": len(crys.elements), "passed": True}
-    if action == "verify":
-        rep = verify_uniqueness(graph, pr)
+    if verify:
+        rep = verify_uniqueness(graph, pr, kr)
         report.update(rep)
         if opts.get("affine") and not rep.get("extendable", True):
             report["note"] = "reported non-extendable"

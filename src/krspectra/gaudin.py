@@ -16,7 +16,17 @@ from itertools import permutations, product
 from math import factorial
 
 from .glrep import TensorRep
-from .scalars import DiffOpPoly, Mat, QQi, RatFun, cdet, sgn, span_rank
+from .scalars import (
+    DiffOpPoly,
+    Mat,
+    QQi,
+    RatFun,
+    cdet,
+    int_view,
+    sgn,
+    span_rank,
+    views_commute,
+)
 
 
 class GaudinError(ValueError):
@@ -78,9 +88,10 @@ class CommutingFamily:
 
     def verify_commuting(self):
         """The first pair (i < j, in member order) that fails to commute, or None."""
-        for i in range(len(self.gens)):
-            for j in range(i + 1, len(self.gens)):
-                if self.gens[i].commutator(self.gens[j]):
+        views = [int_view(g) for g in self.gens]
+        for i in range(len(views)):
+            for j in range(i + 1, len(views)):
+                if not views_commute(views[i], views[j]):
                     return (self.tags[i], self.tags[j])
         return None
 
@@ -176,13 +187,14 @@ def invariance_check(fam: CommutingFamily) -> dict:
     rep = cfg.rep
     failures = []
     checked = []
+    views = [int_view(g) for g in fam.gens]
     for cls in cfg.chi_classes():
         for a in cls:
             for b in cls:
-                x = rep.delta(a, b)
+                x = int_view(rep.delta(a, b))
                 checked.append((a, b))
-                for tag, g in fam.members():
-                    if g.commutator(x):
+                for tag, v in zip(fam.tags, views):
+                    if not views_commute(v, x):
                         failures.append({"generator": list(map(str, tag)), "x": (a, b)})
     return {
         "checked_centralizer_basis": checked,

@@ -296,10 +296,12 @@ def is_rectangle(lam):
     return len(set(lam)) <= 1
 
 
-def verify_uniqueness(graph: CrystalGraph, pr) -> dict:
+def verify_uniqueness(graph: CrystalGraph, pr, kr: CrystalGraph | None) -> dict:
     """Certificate for the classification of affine extensions of B_lam.
 
-    `graph` is B_lam and `pr` its promotion map.  For rectangular lam = (l^r):
+    `graph` is B_lam, `pr` its promotion map and `kr` the affine crystal
+    affine_extension(graph, pr) when lam is a rectangle (None, and unread,
+    when it is not).  For rectangular lam = (l^r):
     checks B^{[0]} isomorphic to B_lam, B^{[1]} is normal, and that the
     multiplicity-free restriction forces the extension to be unique.  For
     non-rectangular lam: reports non-extendability via the promotion order.
@@ -317,7 +319,6 @@ def verify_uniqueness(graph: CrystalGraph, pr) -> dict:
         report["passed"] = False
         report["reason"] = f"promotion order {order} != n"
         return report
-    kr = affine_extension(graph, pr)
     ok0 = crystal_isomorphic(view(kr, 0), graph)
     view1 = view(kr, 1)
     comps1 = decompose_normal(view1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,10 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        # coerces user input; arithmetic builds its results with _qqi instead
+        im = _frac(im)
         object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        object.__setattr__(self, "im", im if im._numerator else _ZERO_F)
 
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")
@@ -58,7 +60,9 @@ class QQi:
 
     # A zero operand short-cuts +, - and *: the other operand (or zero) is
     # returned as it is, and no Fraction is built.  Most entries of the
-    # package's matrices are zero, so this is the common case.
+    # package's matrices are zero, so this is the common case.  Likewise a
+    # result of real operands gets the shared zero imaginary part, with no
+    # Fraction arithmetic on the imaginary parts.
 
     def __add__(self, other):
         other = QQi.of(other)
@@ -66,14 +70,18 @@ class QQi:
             return self
         if not self:
             return other
-        return QQi(self.re + other.re, self.im + other.im)
+        if self.im._numerator or other.im._numerator:
+            return _qqi(self.re + other.re, self.im + other.im)
+        return _qqi(self.re + other.re)
 
     __radd__ = __add__
 
     def __neg__(self):
         if not self:
             return self
-        return QQi(-self.re, -self.im)
+        if self.im._numerator:
+            return _qqi(-self.re, -self.im)
+        return _qqi(-self.re)
 
     def __sub__(self, other):
         other = QQi.of(other)
@@ -81,7 +89,9 @@ class QQi:
             return self
         if not self:
             return -other
-        return QQi(self.re - other.re, self.im - other.im)
+        if self.im._numerator or other.im._numerator:
+            return _qqi(self.re - other.re, self.im - other.im)
+        return _qqi(self.re - other.re)
 
     def __rsub__(self, other):
         return QQi.of(other) - self
@@ -90,14 +100,16 @@ class QQi:
         if isinstance(other, (int, Fraction)):
             if not self or not other:
                 return QQI_ZERO
-            return QQi(self.re * other, self.im * other)
+            if self.im._numerator:
+                return _qqi(self.re * other, self.im * other)
+            return _qqi(self.re * other)
         if not isinstance(other, QQi):
             return NotImplemented
         if not self or not other:
             return QQI_ZERO
-        if not self.im and not other.im:
-            return QQi(self.re * other.re)
-        return QQi(
+        if not self.im._numerator and not other.im._numerator:
+            return _qqi(self.re * other.re)
+        return _qqi(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -108,7 +120,7 @@ class QQi:
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QQi(self.re / n, -self.im / n)
+        return _qqi(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * QQi.of(other).inverse()
@@ -129,7 +141,9 @@ class QQi:
         return out
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        if not self.im._numerator:
+            return self
+        return _qqi(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -198,6 +212,24 @@ class QQi:
         return QQi(re, im)
 
 
+_ZERO_F = Fraction(0)
+_new_object = object.__new__
+_set_re = QQi.re.__set__
+_set_im = QQi.im.__set__
+
+
+def _qqi(re: Fraction, im: Fraction = _ZERO_F) -> QQi:
+    """A QQi from Fraction parts taken as they are: how arithmetic builds results.
+
+    Skips the coercion of QQi(); a zero imaginary part may be any zero
+    Fraction, and the default is one shared zero.
+    """
+    q = _new_object(QQi)
+    _set_re(q, re)
+    _set_im(q, im)
+    return q
+
+
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
 QQI_I = QQi(0, 1)
@@ -210,7 +242,7 @@ def unit_circle_point(t) -> QQi:
     """
     t = _frac(t)
     d = 1 + t * t
-    return QQi((1 - t * t) / d, 2 * t / d)
+    return _qqi((1 - t * t) / d, 2 * t / d)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +254,8 @@ class Mat:
 
     Entrywise operations pass zero entries through without QQi arithmetic;
     every result has freshly built rows, which may share (immutable) entries
-    with the operands.
+    with the operands.  Matrix products and `commutes` run on the integer
+    view (`int_view`).
     """
 
     __slots__ = ("rows", "nr", "nc")
@@ -284,19 +317,7 @@ class Mat:
         if isinstance(other, Mat):
             if self.nc != other.nr:
                 raise ValueError(f"dimension mismatch {self.nc} vs {other.nr}")
-            brows = other.rows
-            out = []
-            for arow in self.rows:
-                acc = [QQI_ZERO] * other.nc
-                for k, a in enumerate(arow):
-                    if not a:
-                        continue
-                    brow = brows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Mat(out)
+            return _int_product(int_view(self), int_view(other), other.nc)
         s = QQi.of(other)
         if not s:
             return Mat.zeros(self.nr, self.nc)
@@ -337,6 +358,14 @@ class Mat:
     def commutator(self, other):
         return self * other - other * self
 
+    def commutes(self, other) -> bool:
+        """Whether self * other == other * self, exactly; builds neither product."""
+        if not (self.nr == self.nc == other.nr == other.nc):
+            raise ValueError(
+                f"commutes needs square matrices of one size, not {self!r} and {other!r}"
+            )
+        return views_commute(int_view(self), int_view(other))
+
     def kron(self, other):
         zero_block = [QQI_ZERO] * other.nc
         out = []
@@ -362,6 +391,81 @@ class Mat:
                 if self.rows[i][j] != want:
                     return None
         return s
+
+
+# The integer view: a matrix over QQi as D * m = N with N over the Gaussian
+# integers, so products and commutators run on Python ints.  AB and BA share
+# the denominator D_A * D_B, so comparing their numerators is an exact test.
+
+
+def int_view(m: Mat):
+    """(D, rows) for m: D > 0 a common denominator of the entries, and rows[i]
+    the sparse list of (j, re, im) with re + im*i = D * m[i, j] != 0."""
+    entries = []
+    dens = {1}
+    for r in m.rows:
+        row = []
+        for j, x in enumerate(r):
+            re, im = x.re, x.im
+            if im._numerator:
+                dens.add(im._denominator)
+            elif not re._numerator:
+                continue
+            dens.add(re._denominator)
+            row.append((j, re, im))
+        entries.append(row)
+    d = lcm(*dens)
+    scale = {q: d // q for q in dens}
+    rows = [
+        [
+            (j, re._numerator * scale[re._denominator],
+             im._numerator * scale[im._denominator])
+            for j, re, im in row
+        ]
+        for row in entries
+    ]
+    return d, rows
+
+
+def _row_numerators(arow, brows, nc):
+    """Numerators (re list, im list) of (row arow) * B over D_A * D_B."""
+    acc = [0] * nc
+    acc_im = [0] * nc
+    for k, ar, ai in arow:
+        for j, br, bi in brows[k]:
+            acc[j] += ar * br - ai * bi
+            acc_im[j] += ar * bi + ai * br
+    return acc, acc_im
+
+
+def _int_product(va, vb, nc) -> Mat:
+    """A * B from the integer views of A and B; B has nc columns."""
+    da, arows = va
+    db, brows = vb
+    d = da * db
+    out = []
+    for arow in arows:
+        re, im = _row_numerators(arow, brows, nc)
+        out.append([
+            (_qqi(Fraction(x, d) if x else _ZERO_F, Fraction(y, d) if y else _ZERO_F)
+             if x or y else QQI_ZERO)
+            for x, y in zip(re, im)
+        ])
+    return Mat(out)
+
+
+def views_commute(va, vb) -> bool:
+    """Whether the square matrices with integer views va and vb commute.
+
+    Compares the numerators of AB and BA row by row and stops at the first
+    row that differs; no Fraction is built.
+    """
+    arows, brows = va[1], vb[1]
+    n = len(arows)
+    for i in range(n):
+        if _row_numerators(arows[i], brows, n) != _row_numerators(brows[i], arows, n):
+            return False
+    return True
 
 
 def gauss_jordan(rows, width=None):
@@ -521,30 +625,37 @@ def poly_deriv(a):
     return poly_trim([a[k] * QQi(k) for k in range(1, len(a))])
 
 
-def poly_shift(a, delta):
-    """Coefficients of p(t + delta) in t, for p given by coefficients a in u."""
-    if not a:
-        return []
-    out = [_zero_like(a[0])] * len(a)
-    for k, c in enumerate(a):
-        if not c:
-            continue
-        # c*(t+delta)^k
-        pw = QQI_ONE
-        for s in range(k, -1, -1):
-            out[s] = out[s] + c * (QQi(comb(k, s)) * pw)
-            pw = pw * delta
-    return poly_trim(out)
-
-
-def poly_divide_linear(a, p):
-    """Divide the coefficient list a by (u - p); assumes remainder zero."""
-    out = [_zero_like(a[0])] * (len(a) - 1)
+def _divmod_linear(a, p):
+    """Synthetic division a = (u - p) q + r: returns (q untrimmed, r = a(p))."""
+    out = [None] * (len(a) - 1)
     carry = a[-1]
     for k in range(len(a) - 2, -1, -1):
         out[k] = carry
         carry = a[k] + carry * p
-    return poly_trim(out)
+    return out, carry
+
+
+def poly_divide_linear(a, p):
+    """Divide the coefficient list a by (u - p); assumes remainder zero."""
+    return poly_trim(_divmod_linear(a, p)[0])
+
+
+def taylor_coefficients(a, p, count):
+    """The first `count` coefficients of a(t + p) in t (fewer if a runs out).
+
+    Repeated synthetic division by (u - p): O(count * deg) operations, so a
+    residue pays only for the coefficients it reads.
+    """
+    out = []
+    while a and len(out) < count:
+        a, r = _divmod_linear(a, p)
+        out.append(r)
+    return out
+
+
+def poly_shift(a, delta):
+    """Coefficients of p(t + delta) in t, for p given by coefficients a in u."""
+    return poly_trim(taylor_coefficients(a, delta, len(a)))
 
 
 def series_inverse(a, order):
@@ -744,7 +855,7 @@ class RatFun:
                 return Mat.zeros(z.nr, z.nc)
             return QQI_ZERO
         # Taylor-expand num / prod_{q != p} (u-q)^{m_q} at p up to t^need.
-        num_t = poly_shift(self.num, p)
+        num_t = taylor_coefficients(self.num, p, need + 1)
         rest = [QQI_ONE]
         for q, mq in self.poles.items():
             if q == p:

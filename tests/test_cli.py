@@ -82,6 +82,26 @@ class TestSingleBuild:
         assert len(builds) == 1
         assert len(promotions) == 20
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crystal", "verify", "--n", "4", "--kr", "2,2"],
+            ["crystal", "verify", "--n", "4", "--lambda", "2,2", "--affine"],
+            ["crystal", "build", "--n", "4", "--kr", "2,2"],
+        ],
+    )
+    def test_one_affine_extension(self, monkeypatch, capsys, argv):
+        extensions = count_calls(monkeypatch, promotion, "affine_extension")
+        code, doc = run(capsys, *argv)
+        assert code == 0 and doc["promotion_order"] == 4
+        assert len(extensions) == 1
+
+    def test_no_affine_extension_for_a_non_rectangle(self, monkeypatch, capsys):
+        extensions = count_calls(monkeypatch, promotion, "affine_extension")
+        code, doc = run(capsys, "crystal", "verify", "--n", "4", "--lambda", "2,1", "--affine")
+        assert code == 0 and doc["extendable"] is False
+        assert extensions == []
+
     def test_tensor_builds_each_distinct_factor_once(self, monkeypatch, capsys):
         builds = count_calls(monkeypatch, promotion, "build_kr")
         code, doc = run(capsys, "tensor", "--n", "4", "--factors", "2,1;2,1;1,1")

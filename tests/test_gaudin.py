@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,28 @@ class TestResidueGenerators:
         good = cfg.rep.e_slot(0, 2, 1)
         with pytest.raises(GaudinError):
             CommutingFamily([(("x",), bad), (("y",), good)], cfg, "broken")
+
+
+    def test_first_failing_pair_is_reported_when_it_is_the_last_pair(self):
+        cfg = c2_pair_config()
+        ident = Mat.identity(cfg.rep.dim)
+        x = cfg.rep.e_slot(0, 1, 2) * QQi(0, Fraction(1, 10**20 + 39))
+        y = cfg.rep.e_slot(0, 2, 1)
+        members = [(("id",), ident), (("s",), ident * QQi(2, 1)),
+                   (("t",), ident * QQi(Fraction(-5, 7))), (("x",), x), (("y",), y)]
+        with pytest.raises(GaudinError, match=re.escape("(('x',), ('y',))")):
+            CommutingFamily(members, cfg, "broken")
+
+    @pytest.mark.parametrize("member", [0, 1, 2])
+    def test_one_perturbed_entry_is_refused(self, member):
+        # the perfbench `gaudin-perturbed` control: one exact extra entry
+        cfg = c2_pair_config(chi=(Fraction(1, 3), Fraction(-1, 4)))
+        members = residue_generators(cfg).members()
+        tag, g = members[member]
+        i, j = member % 4, (member + 1) % 4
+        members[member] = (tag, g + Mat.unit(g.nr, g.nc, i, j, QQi(Fraction(1, 7))))
+        with pytest.raises(GaudinError):
+            CommutingFamily(members, cfg, "gaudin-perturbed")
 
 
 class TestInvariance:

@@ -43,9 +43,12 @@ def order_of(n, lam):
 
 
 def certificate(n, lam):
-    """verify_uniqueness on B_lam and its promotion map."""
+    """verify_uniqueness on B_lam, its promotion map and, for a rectangle, its
+    affine extension."""
     graph = build_crystal(n, lam)
-    return verify_uniqueness(graph, promotion_map(graph))
+    pr = promotion_map(graph)
+    kr = affine_extension(graph, pr) if is_rectangle(lam) else None
+    return verify_uniqueness(graph, pr, kr)
 
 
 def some_view_fails(crys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,14 +12,17 @@ from krspectra.scalars import (
     ShiftOpPoly,
     cdet,
     determinant,
+    int_view,
     mat_inverse,
     mat_rank,
     poly_divide_linear,
     poly_eval,
     poly_mul,
+    poly_shift,
     poly_trim,
     span_rank,
     spans_equal,
+    taylor_coefficients,
     unit_circle_point,
 )
 
@@ -59,6 +63,24 @@ class TestQQi:
         z = QQi(Fraction(3, 5), Fraction(4, 5))
         assert z * z.conjugate() == QQi(z.abs2())
         assert z.abs2() == 1
+
+
+    def test_arithmetic_results_match_coerced_values(self):
+        rng = random.Random(13)
+        values = [QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                      Fraction(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(30)]
+        for a in values:
+            for b in values[:8]:
+                for got in (a + b, a - b, a * b, -a, a.conjugate(), a * 3,
+                            a * Fraction(-2, 7)):
+                    want = QQi(got.re, got.im)
+                    assert got == want and hash(got) == hash(want)
+                    assert str(got) == str(want)
+                    assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+                    with pytest.raises(AttributeError):
+                        got.re = Fraction(1)
+        assert hash(QQi(1, 1) + QQi(0, -1)) == hash(QQi(1)) == hash(Fraction(1))
+        assert QQi(2, "0").im is QQi(2).im
 
 
 class TestRatFunDerivative:
@@ -150,6 +172,55 @@ class TestResidue:
             for j in range(1, m):
                 fact *= j
             assert got == h.eval(p) * QQi(Fraction(1, fact))
+
+
+def binomial_shift(a, delta):
+    """Test oracle: the coefficients of p(t + delta) in t by expanding each
+    c_k (t + delta)^k with binomial coefficients."""
+    if not a:
+        return []
+    out = [a[0] * QQi(0)] * len(a)
+    for k, c in enumerate(a):
+        pw = QQi(1)
+        for s in range(k, -1, -1):
+            out[s] = out[s] + c * (QQi(comb(k, s)) * pw)
+            pw = pw * delta
+    return poly_trim(out)
+
+
+class TestTaylorCoefficients:
+    """Residues and shift_arg read Taylor coefficients from repeated synthetic
+    division; they must match the binomial expansion."""
+
+    @staticmethod
+    def random_poly(rng, deg, matrix):
+        if matrix:
+            return poly_trim([sparse_matrix(rng, 3, 3) for _ in range(deg)]
+                             + [Mat.identity(3) * QQi(rng.randint(1, 5))])
+        return [sparse_entry(rng) for _ in range(deg)] + [QQi(rng.randint(1, 5), 1)]
+
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_leading_coefficients_of_the_binomial_shift(self, matrix):
+        rng = random.Random(17 + matrix)
+        for trial in range(25):
+            a = self.random_poly(rng, trial % 6, matrix)
+            p = sparse_entry(rng) if trial % 3 else QQi(0)
+            shifted = binomial_shift(a, p)
+            assert poly_shift(a, p) == shifted
+            for count in range(len(a) + 2):
+                got = taylor_coefficients(a, p, count)
+                want = shifted[:count]
+                assert len(got) == min(count, len(a))
+                assert poly_trim(got) == poly_trim(want)
+
+    def test_residue_of_a_simple_pole_is_the_value_of_the_rest(self):
+        rng = random.Random(23)
+        p, q = QQi(Fraction(1, 3)), QQi(-2, 1)
+        for _ in range(10):
+            num = self.random_poly(rng, 3, True)
+            f = RatFun(num, {p: 1, q: 2})
+            if p in f.poles:
+                assert f.residue(p) == poly_eval(num, p) * ((p - q) ** -2)
 
 
 class TestDiffOp:
@@ -538,3 +609,110 @@ class TestMatNormalization:
         assert poly_eval(num, self.P) == Mat.unit(3, 3, 2, 2, QQi(0, Fraction(1, 5)))
         f = self.check(num, {self.P: 1})
         assert f.poles == {self.P: 1}
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against explicit QQi sums
+
+
+def qqi_matmul(a, b):
+    """Test-only oracle: every entry an explicit sum of QQi products."""
+    return [
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.nc)), QQi(0))
+         for j in range(b.nc)]
+        for i in range(a.nr)
+    ]
+
+
+def large_denominator_matrix(rng, nr, nc):
+    big = [10**30 + 57, 2**61 - 1, 3**40]
+    return Mat([
+        [QQi(Fraction(rng.randint(-10**20, 10**20), rng.choice(big)),
+             Fraction(rng.randint(-9, 9), rng.choice(big)))
+         if rng.random() < 0.5 else QQi(0) for _ in range(nc)]
+        for _ in range(nr)
+    ])
+
+
+def imaginary_matrix(rng, nr, nc):
+    return Mat([
+        [QQi(0, Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(nc)]
+        for _ in range(nr)
+    ])
+
+
+class TestIntegerKernel:
+    def test_view_is_a_common_denominator_of_the_nonzero_entries(self):
+        rng = random.Random(31)
+        for trial in range(30):
+            m = sparse_matrix(rng, 1 + trial % 5, 1 + trial % 7)
+            d, rows = int_view(m)
+            assert d > 0 and len(rows) == m.nr
+            for i, row in enumerate(rows):
+                assert [j for j, _, _ in row] == [j for j, x in enumerate(m.rows[i]) if x]
+                for j, re, im in row:
+                    assert QQi(Fraction(re, d), Fraction(im, d)) == m[i, j]
+
+    @pytest.mark.parametrize(
+        "shapes, build",
+        [
+            (((1, 1), (1, 1)), sparse_matrix),
+            (((3, 5), (5, 2)), sparse_matrix),
+            (((1, 4), (4, 1)), sparse_matrix),
+            (((4, 3), (3, 4)), imaginary_matrix),
+            (((3, 3), (3, 3)), large_denominator_matrix),
+            (((2, 6), (6, 3)), large_denominator_matrix),
+        ],
+    )
+    def test_products_match_explicit_qqi_sums(self, shapes, build):
+        rng = random.Random(repr(shapes) + build.__name__)
+        (n, m), (m2, k) = shapes
+        for _ in range(10):
+            a, b = build(rng, n, m), build(rng, m2, k)
+            out = a * b
+            assert_fresh(out, a, b)
+            assert (out.nr, out.nc) == (n, k)
+            assert out.rows == qqi_matmul(a, b)
+
+    def test_zero_rows_and_zero_matrices(self):
+        rng = random.Random(37)
+        a = sparse_matrix(rng, 4, 4)
+        a = Mat([list(r) if i % 2 else [QQi(0)] * 4 for i, r in enumerate(a.rows)])
+        b = sparse_matrix(rng, 4, 3)
+        out = a * b
+        assert out.rows == qqi_matmul(a, b)
+        assert not any(out.rows[0]) and not any(out.rows[2])
+        assert a * Mat.zeros(4, 2) == Mat.zeros(4, 2)
+        assert Mat.zeros(3, 4) * b == Mat.zeros(3, 3)
+
+    def test_real_products_have_zero_imaginary_parts(self):
+        rng = random.Random(41)
+        a = Mat([[QQi(x.re) for x in r] for r in sparse_matrix(rng, 5, 5).rows])
+        out = a * a
+        assert out.rows == qqi_matmul(a, a)
+        assert all(x.im == 0 for r in out.rows for x in r)
+
+    def test_commutes_agrees_with_the_commutator(self):
+        rng = random.Random(43)
+        for dim in range(1, 28):
+            a = sparse_matrix(rng, dim, dim)
+            diag = Mat([[sparse_entry(rng) if i == j else QQi(0) for j in range(dim)]
+                        for i in range(dim)])
+            poly = a * a + a * QQi(3, -1) + Mat.identity(dim)
+            bump = poly + Mat.unit(dim, dim, rng.randrange(dim), rng.randrange(dim),
+                                   QQi(Fraction(1, 7)))
+            others = [sparse_matrix(rng, dim, dim), diag, poly, bump,
+                      a * QQi(0, 2), Mat.zeros(dim)]
+            for b in others:
+                for x, y in ((a, b), (b, a)):
+                    got = x.commutes(y)
+                    assert got == (not x.commutator(y))
+                    if dim <= 6:
+                        assert got == (qqi_matmul(x, y) == qqi_matmul(y, x))
+            assert a.commutes(poly) and a.commutes(Mat.identity(dim))
+
+    def test_commutes_needs_one_square_size(self):
+        with pytest.raises(ValueError):
+            Mat.zeros(2, 3).commutes(Mat.zeros(3, 2))
+        with pytest.raises(ValueError):
+            Mat.zeros(2).commutes(Mat.zeros(3))
