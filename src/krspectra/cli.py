@@ -10,6 +10,7 @@ network access and no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,7 +150,7 @@ def cmd_crystal(opts):
     kr = affine_extension(graph, pr) if affine or (verify and is_rectangle(lam)) else None
     crys = kr if affine else graph
 
-    report = {"n": n, "lambda": list(lam), "size": len(crys.elements), "passed": True}
+    report = {"n": n, "lambda": list(lam), "size": len(crys), "passed": True}
     if verify:
         rep = verify_uniqueness(graph, pr, kr)
         report.update(rep)
@@ -164,7 +165,10 @@ def cmd_crystal(opts):
     if opts.get("json_graph"):
         export.write_json(opts["json_graph"], export.crystal_to_json(crys))
     if action == "build" and affine:
-        report["orbit_table"] = export.orbit_table(orbits)
+        labels = graph.labels
+        report["orbit_table"] = export.orbit_table(
+            [[labels[k] for k in cycle] for cycle in orbits]
+        )
     return emit(report, opts)
 
 
@@ -189,7 +193,7 @@ def cmd_tensor(opts):
     report = {
         "n": n,
         "factors": factors,
-        "size": len(prod.elements),
+        "size": len(prod),
         "string_statistics": stats,
         "passed": True,
     }
@@ -335,7 +339,9 @@ def _add_common(p):
     p.add_argument("--dimcap", type=int, default=DIMCAP, help="operator dimension cap")
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on first use and shared by every `main` call."""
     ap = argparse.ArgumentParser(prog="krspectra")
     ap.add_argument("--config", help="JSON config file with the same field names")
     sub = ap.add_subparsers(dest="command")

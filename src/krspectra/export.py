@@ -22,40 +22,41 @@ def _label(element):
 def crystal_to_dot(crys) -> str:
     """DOT digraph; edges labeled by operator index, affine edges colored."""
     lines = ["digraph crystal {", '  rankdir="TB";']
-    ids = {b: i for i, b in enumerate(crys.elements)}
-    for b, i in ids.items():
+    for i, b in enumerate(crys.labels):
         lines.append(f'  n{i} [label="{_label(b)}"];')
     for j in crys.indices:
-        fmap = crys.f_maps.get(j, {})
         color = EDGE_COLORS[j % len(EDGE_COLORS)]
-        for src, dst in fmap.items():
-            lines.append(
-                f'  n{ids[src]} -> n{ids[dst]} [label="{j}", color="{color}"];'
-            )
+        for src, dst in _edges(crys, j):
+            lines.append(f'  n{src} -> n{dst} [label="{j}", color="{color}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
+def _edges(crys, j):
+    """The f_j edges (source id, target id), in source order."""
+    return [(src, dst) for src, dst in enumerate(crys.f_maps[j]) if dst is not None]
+
+
 def crystal_to_json(crys) -> dict:
-    ids = {b: i for i, b in enumerate(crys.elements)}
     return {
         "n": crys.n,
-        "size": len(crys.elements),
+        "size": len(crys),
         "affine": 0 in crys.indices,
         "elements": [
-            {"id": i, "label": _label(b), "weight": list(crys.wt[b])}
-            for b, i in ids.items()
+            {"id": i, "label": _label(b), "weight": list(w)}
+            for i, (b, w) in enumerate(zip(crys.labels, crys.wt))
         ],
         "edges": [
-            {"op": j, "from": ids[src], "to": ids[dst]}
+            {"op": j, "from": src, "to": dst}
             for j in crys.indices
-            for src, dst in crys.f_maps.get(j, {}).items()
+            for src, dst in _edges(crys, j)
         ],
     }
 
 
 def orbit_table(cycles) -> list:
-    """The cycles of a permutation (lists of elements) as lists of labels."""
+    """The cycles of a permutation (lists of element labels) as lists of
+    label strings."""
     return [[_label(x) for x in cycle] for cycle in cycles]
 
 

@@ -54,24 +54,32 @@ def promote(t: Tableau) -> Tableau:
     return Tableau(new_rows, t.n)
 
 
-def promotion_map(graph: CrystalGraph) -> dict:
-    """{t: pr(t)} on the elements of B_lam; CrystalError unless a bijection."""
-    pr = {t: promote(t) for t in graph.elements}
-    if set(pr.values()) != pr.keys():
+def promotion_map(graph: CrystalGraph) -> list:
+    """pr as a list of ids on B_lam (pr[k] = id of pr(labels[k]));
+    CrystalError unless a bijection."""
+    try:
+        pr = [graph.id(promote(t)) for t in graph.labels]
+    except KeyError:
+        raise CrystalError("promotion leaves the crystal") from None
+    if len(set(pr)) != len(pr):
         raise CrystalError("promotion is not a bijection")
     return pr
 
 
 def cycles(perm) -> list:
-    """Cycle decomposition of a permutation {b: image}, in key order."""
-    seen = set()
+    """Cycle decomposition of a permutation of the ids 0..N-1 (a list of
+    images), in id order."""
+    seen = [False] * len(perm)
     out = []
-    for b in perm:
-        if b not in seen:
+    for b in range(len(perm)):
+        if not seen[b]:
+            seen[b] = True
             cycle = [b]
-            while perm[cycle[-1]] != b:
-                cycle.append(perm[cycle[-1]])
-            seen.update(cycle)
+            cur = perm[b]
+            while cur != b:
+                seen[cur] = True
+                cycle.append(cur)
+                cur = perm[cur]
             out.append(cycle)
     return out
 
@@ -151,7 +159,7 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
 
     `alphabet` is the number of weight coordinates moved by the longest Weyl
     element (defaults to max(indices)+1, i.e. all letters the operators touch).
-    Returns a dict element -> element.
+    Returns a list: the id of the image of each id.
     """
     indices = graph.indices
     if indices and indices != list(range(indices[0], indices[-1] + 1)):
@@ -164,7 +172,7 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
         return lo + hi - i
 
     comps = graph.components()
-    xi = {}
+    xi = [None] * len(graph)
     sinks_by_wt = {}
     for comp in comps:
         for t in graph.sinks(comp):
@@ -186,10 +194,11 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
                 placed = trial
         if placed is None:
             raise CrystalError("no valid involution image for a component")
-        xi.update(placed)
+        for b in comp:
+            xi[b] = placed[b]
 
-    for b, img in xi.items():
-        if xi[img] != b:
+    for b, img in enumerate(xi):
+        if img is None or xi[img] != b:
             raise CrystalError("computed map is not an involution")
         if graph.wt[img] != _w0_weight(graph.wt[b], alphabet):
             raise CrystalError("weight relation failed")
@@ -197,26 +206,31 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
 
 
 def _propagate(graph, source, image, mirror):
-    out = {source: image}
+    """The map source -> image extended by f_i b -> e_mirror(i) xi(b), as a
+    list over all ids (None off the component); None on a conflict."""
+    out = [None] * len(graph)
+    out[source] = image
+    used = [False] * len(graph)
+    used[image] = True
     stack = [source]
-    used = {image}
+    maps = [(graph.f_maps[i], graph.e_maps[mirror(i)]) for i in graph.indices]
     while stack:
         b = stack.pop()
-        for i in graph.indices:
-            fb = graph.f(i, b)
+        for fmap, emap in maps:
+            fb = fmap[b]
             if fb is None:
                 continue
-            want = graph.e(mirror(i), out[b])
+            want = emap[out[b]]
             if want is None:
                 return None
-            if fb in out:
+            if out[fb] is not None:
                 if out[fb] != want:
                     return None
             else:
-                if want in used:
+                if used[want]:
                     return None
                 out[fb] = want
-                used.add(want)
+                used[want] = True
                 stack.append(fb)
     return out
 
@@ -226,7 +240,7 @@ def restricted_graph(graph: CrystalGraph, drop_top=1) -> CrystalGraph:
     kept = graph.indices[: len(graph.indices) - drop_top]
     return CrystalGraph(
         graph.n,
-        graph.elements,
+        graph.labels,
         {i: graph.e_maps[i] for i in kept},
         {i: graph.f_maps[i] for i in kept},
         graph.wt,
@@ -235,11 +249,12 @@ def restricted_graph(graph: CrystalGraph, drop_top=1) -> CrystalGraph:
 
 
 def phi_operator(graph: CrystalGraph, n=None):
-    """The composition xi_B o xi_{B restricted}; equals promotion on B_lam."""
+    """The composition xi_B o xi_{B restricted} as a list of ids; equals
+    promotion on B_lam."""
     n = n if n is not None else graph.n
     xi_full = schutzenberger(graph, alphabet=n)
     xi_restr = schutzenberger(restricted_graph(graph), alphabet=n - 1)
-    return {b: xi_full[xi_restr[b]] for b in graph.elements}
+    return [xi_full[img] for img in xi_restr]
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +265,10 @@ def view(crys: CrystalGraph, j) -> CrystalGraph:
     """The classical crystal B^{[j]} of an affine crystal: e_i := e_[i-j],
     weights composed with the cyclic coordinate rotation by j."""
     n = crys.n
-    e_maps = {i: crys.e_maps.get((i - j) % n, {}) for i in range(1, n)}
-    f_maps = {i: crys.f_maps.get((i - j) % n, {}) for i in range(1, n)}
-    wt = {b: _rotate(w, j) for b, w in crys.wt.items()}
-    return CrystalGraph(n, crys.elements, e_maps, f_maps, wt)
+    e_maps = {i: crys.e_maps[(i - j) % n] for i in range(1, n)}
+    f_maps = {i: crys.f_maps[(i - j) % n] for i in range(1, n)}
+    wt = [_rotate(w, j) for w in crys.wt]
+    return CrystalGraph(n, crys.labels, e_maps, f_maps, wt)
 
 
 def _rotate(w, j):
@@ -267,18 +282,22 @@ def _rotate(w, j):
 def affine_extension(graph: CrystalGraph, pr) -> CrystalGraph:
     """B_lam with e_[0] = pr^{-1} e_1 pr and f_[0] = pr^{-1} f_1 pr added.
 
-    `pr` is the promotion map of `graph`.  Returns a CrystalGraph on the
-    indices 0..n-1; raises CrystalError if its axioms fail.
+    `pr` is the promotion map of `graph` (a list of ids).  Returns a
+    CrystalGraph on the indices 0..n-1; raises CrystalError if its axioms
+    fail.
     """
-    pr_inv = {v: k for k, v in pr.items()}
+    pr_inv = [0] * len(pr)
+    for k, image in enumerate(pr):
+        pr_inv[image] = k
 
-    def conjugated(op):  # pr^{-1} op pr, in element order
-        return {t: pr_inv[op[pr[t]]] for t in graph.elements if pr[t] in op}
+    def conjugated(op):  # pr^{-1} op pr
+        return [None if (u := op[p]) is None else pr_inv[u] for p in pr]
 
     n = graph.n
-    e_maps = {0: conjugated(graph.e_maps.get(1, {})), **graph.e_maps}
-    f_maps = {0: conjugated(graph.f_maps.get(1, {})), **graph.f_maps}
-    kr = CrystalGraph(n, graph.elements, e_maps, f_maps, graph.wt, indices=range(n))
+    none = [None] * len(pr)  # e_1 and f_1 when n = 1
+    e_maps = {0: conjugated(graph.e_maps.get(1, none)), **graph.e_maps}
+    f_maps = {0: conjugated(graph.f_maps.get(1, none)), **graph.f_maps}
+    kr = CrystalGraph(n, graph.labels, e_maps, f_maps, graph.wt, indices=range(n))
     bad = kr.check_axioms()
     if bad:
         raise CrystalError(f"affine crystal axioms failed: {bad}")
@@ -309,7 +328,7 @@ def verify_uniqueness(graph: CrystalGraph, pr, kr: CrystalGraph | None) -> dict:
     n = graph.n
     order = promotion_order(cycles(pr))
     report = {"promotion_order": order}
-    if not is_rectangle(graph.elements[0].shape):
+    if not is_rectangle(graph.labels[0].shape):
         report["extendable"] = False
         report["reason"] = f"promotion order {order} != n={n} (shape not rectangular)"
         report["passed"] = order != n

@@ -2,13 +2,15 @@
 
 Kashiwara operators use the signature rule on the Far-Eastern reading word
 (columns bottom to top, taken left to right).  Crystal graphs are explicit
-finite labeled graphs; the same container carries the affine KR crystals
-(operator indices 0..n-1), their classical views and tensor products.
+finite graphs on integer ids, each id labeled by its tableau or tensor pair;
+the same container carries the affine KR crystals (operator indices
+0..n-1), their classical views and tensor products.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, sub
 
 
 class CrystalError(ValueError):
@@ -148,56 +150,75 @@ def e_op(i, t: Tableau):
 
 
 class CrystalGraph:
-    """A finite crystal: elements, partial maps e_i/f_i, and a weight map.
+    """A finite crystal on the integer ids 0..N-1.
 
-    Operator indices run over `indices`: 1..n-1 for classical crystals,
-    0..n-1 for affine ones.  Weights are raw integer content vectors; sl_n
-    weight classes compare via canonical_weight.
+    labels[k] is the tableau or (left, right) pair that id k stands for;
+    only export, jeu de taquin and `id` read them.  e_maps[i] and f_maps[i]
+    are lists of target ids, None where the operator vanishes, for i in
+    `indices`: 1..n-1 for classical crystals, 0..n-1 for affine ones.
+    wt[k] is the raw integer content vector of id k; sl_n weight classes
+    compare via canonical_weight.
     """
 
-    def __init__(self, n, elements, e_maps, f_maps, wt, indices=None):
+    def __init__(self, n, labels, e_maps, f_maps, wt, indices=None):
         self.n = n
-        self.elements = list(elements)
+        self.labels = list(labels)
         self.e_maps = e_maps
         self.f_maps = f_maps
         self.wt = wt
         self.indices = list(indices) if indices is not None else list(range(1, n))
+        self._ids = None
+
+    @property
+    def elements(self):
+        return range(len(self.labels))
+
+    def id(self, label):
+        """The id of an element given by its label; KeyError if absent."""
+        if self._ids is None:
+            self._ids = {b: k for k, b in enumerate(self.labels)}
+        return self._ids[label]
 
     def e(self, i, b):
-        return self.e_maps.get(i, {}).get(b)
+        return self.e_maps[i][b]
 
     def f(self, i, b):
-        return self.f_maps.get(i, {}).get(b)
+        return self.f_maps[i][b]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.labels)
 
     def check_axioms(self):
-        """Pairing and weight axioms for every edge; returns None or a witness.
+        """Pairing and weight axioms for every edge; returns None or a witness
+        (kind, i, id).
 
         coroot_vector is cyclic for i=0, so on an affine crystal one pass
         checks every edge of every e_[j] once.
         """
+        wt = self.wt
         for i in self.indices:
-            fmap = self.f_maps.get(i, {})
-            emap = self.e_maps.get(i, {})
-            for b, fb in fmap.items():
-                if emap.get(fb) != b:
+            fmap = self.f_maps[i]
+            emap = self.e_maps[i]
+            alpha = coroot_vector(self.n, i)
+            for b, fb in enumerate(fmap):
+                if fb is not None and emap[fb] != b:
                     return ("pairing", i, b)
-            for b, eb in emap.items():
-                if fmap.get(eb) != b:
+            for b, eb in enumerate(emap):
+                if eb is None:
+                    continue
+                if fmap[eb] != b:
                     return ("pairing", i, b)
-                dw = weight_diff(self.wt[eb], self.wt[b])
-                if dw != coroot_vector(self.n, i):
+                if tuple(map(sub, wt[eb], wt[b])) != alpha:
                     return ("weight", i, b)
         return None
 
     def components(self):
-        """Connected components under all e_i/f_i edges."""
-        seen = {}
+        """Connected components under all e_i/f_i edges, as lists of ids."""
+        maps = [m for i in self.indices for m in (self.e_maps[i], self.f_maps[i])]
+        seen = [False] * len(self)
         comps = []
         for b in self.elements:
-            if b in seen:
+            if seen[b]:
                 continue
             comp = []
             stack = [b]
@@ -205,29 +226,24 @@ class CrystalGraph:
             while stack:
                 x = stack.pop()
                 comp.append(x)
-                for i in self.indices:
-                    for nxt in (self.e(i, x), self.f(i, x)):
-                        if nxt is not None and nxt not in seen:
-                            seen[nxt] = True
-                            stack.append(nxt)
+                for m in maps:
+                    nxt = m[x]
+                    if nxt is not None and not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append(nxt)
             comps.append(comp)
         return comps
 
     def sources(self, comp=None):
-        elems = comp if comp is not None else self.elements
-        return [
-            b
-            for b in elems
-            if all(self.e(i, b) is None for i in self.indices)
-        ]
+        return self._ends(self.e_maps, comp)
 
     def sinks(self, comp=None):
+        return self._ends(self.f_maps, comp)
+
+    def _ends(self, op_maps, comp):
+        maps = [op_maps[i] for i in self.indices]
         elems = comp if comp is not None else self.elements
-        return [
-            b
-            for b in elems
-            if all(self.f(i, b) is None for i in self.indices)
-        ]
+        return [b for b in elems if all(m[b] is None for m in maps)]
 
 
 def coroot_vector(n, i):
@@ -238,14 +254,9 @@ def coroot_vector(n, i):
     return tuple(v)
 
 
-def weight_diff(w1, w2):
-    return tuple(a - b for a, b in zip(w1, w2))
-
-
 def canonical_weight(w):
     """Representative of the sl_n weight class: subtract the minimum entry."""
-    m = min(w)
-    return tuple(x - m for x in w)
+    return tuple(map(sub, w, repeat(min(w))))
 
 
 def shape_from_partition(lam):
@@ -278,17 +289,14 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     if size > cap:
         raise CrystalError(f"crystal would have {size} > cap {cap} elements")
     elems = enumerate_ssyt(shape, n)
-    e_maps = {i: {} for i in range(1, n)}
-    f_maps = {i: {} for i in range(1, n)}
-    for t in elems:
-        for i in range(1, n):
-            ft = f_op(i, t)
-            if ft is not None:
-                f_maps[i][t] = ft
-            et = e_op(i, t)
-            if et is not None:
-                e_maps[i][t] = et
-    wt = {t: t.content() for t in elems}
+    ids = {t: k for k, t in enumerate(elems)}
+
+    def targets(op, i):
+        return [None if (u := op(i, t)) is None else ids[u] for t in elems]
+
+    e_maps = {i: targets(e_op, i) for i in range(1, n)}
+    f_maps = {i: targets(f_op, i) for i in range(1, n)}
+    wt = [t.content() for t in elems]
     g = CrystalGraph(n, elems, e_maps, f_maps, wt)
     bad = g.check_axioms()
     if bad:
@@ -297,32 +305,36 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
 
 
 def string_positions(graph, i):
-    """{b: (eps, phi)}: how many times e_i resp. f_i apply to b before vanishing.
+    """Per-id lists (eps, phi): how many times e_i resp. f_i apply to each id
+    before vanishing.
 
     Walks each i-string once, down from its top (the element e_i kills).
-    Works for any graph with e(i, b) and f(i, b), classical or affine.
+    Works for any graph with e and f maps, classical or affine.
     """
-    out = {}
-    for top in graph.elements:
-        if graph.e(i, top) is not None:
+    emap, fmap = graph.e_maps[i], graph.f_maps[i]
+    eps = [None] * len(emap)
+    phi = [None] * len(emap)
+    for top, up in enumerate(emap):
+        if up is not None:
             continue
         chain = [top]
-        cur = graph.f(i, top)
+        cur = fmap[top]
         while cur is not None:
             chain.append(cur)
-            cur = graph.f(i, cur)
+            cur = fmap[cur]
         last = len(chain) - 1
-        for eps, b in enumerate(chain):
-            out[b] = (eps, last - eps)
-    return out
+        for k, b in enumerate(chain):
+            eps[b] = k
+            phi[b] = last - k
+    return eps, phi
 
 
 def decompose_normal(graph: CrystalGraph):
     """Connected components with their highest-weight data.
 
-    Returns a list of dicts: highest element(s), size, lambda (sorted source
-    content), and a normal flag (exactly one source whose content is a
-    partition, and exactly one sink).
+    Returns a list of dicts: the ids of the highest element(s) and of all
+    elements, size, lambda (source content), and a normal flag (exactly one
+    source whose content is a partition, and exactly one sink).
     """
     lo = graph.indices[0] - 1 if graph.indices else 0
     hi = graph.indices[-1] + 1 if graph.indices else 1
@@ -360,23 +372,27 @@ def crystal_isomorphic(g1: CrystalGraph, g2: CrystalGraph) -> bool:
         return False
     if canonical_weight(g1.wt[s1[0]]) != canonical_weight(g2.wt[s2[0]]):
         return False
-    pair = {s1[0]: s2[0]}
+    pair = [None] * len(g1)
+    pair[s1[0]] = s2[0]
+    matched = 1
     stack = [s1[0]]
+    maps = [(g1.f_maps[i], g2.f_maps[i]) for i in g1.indices]
     while stack:
         x = stack.pop()
         y = pair[x]
-        for i in g1.indices:
-            fx, fy = g1.f(i, x), g2.f(i, y)
+        for f1, f2 in maps:
+            fx, fy = f1[x], f2[y]
             if (fx is None) != (fy is None):
                 return False
             if fx is not None:
-                if fx in pair:
+                if pair[fx] is not None:
                     if pair[fx] != fy:
                         return False
                 else:
                     pair[fx] = fy
+                    matched += 1
                     stack.append(fx)
-    return len(pair) == len(g1)
+    return matched == len(g1)
 
 
 def schur_polynomial(lam, xs):
@@ -397,7 +413,7 @@ def schur_polynomial(lam, xs):
 
 
 def character_eval(graph: CrystalGraph, elements, xs):
-    """sum over elements of prod x_i^(content_i), exact."""
+    """sum over the ids `elements` of prod x_i^(content_i), exact."""
     from .scalars import QQi
 
     total = QQi(0)

@@ -106,7 +106,7 @@ def test_criterion_3_phi_equals_promotion():
         graph = build_crystal(n, (l,) * r)
         phi = phi_operator(graph, n)
         for b in graph.elements:
-            assert phi[b] == promote(b)
+            assert graph.labels[phi[b]] == promote(graph.labels[b])
             checked += 1
     assert time.time() - t0 < 60
     _announce(3, f"phi = xi o xi = pr pointwise on {checked} elements", t0)

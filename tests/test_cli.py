@@ -1,11 +1,16 @@
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import krspectra
 import krspectra.promotion as promotion
 import krspectra.tableaux as tableaux
-from krspectra.cli import main
+from krspectra.cli import main, make_parser
 
 
 def run(capsys, *args):
@@ -273,3 +278,68 @@ class TestSpectraScanCsv:
         members = fam.gens + [cfg.rep.delta(a, a) for a in (1, 2)]
         spec = joint_diagonalize(members, cfg.rep, tol=1e-8, seed=0)
         assert path.read_text() == eigenvalues_csv(spec)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Export bytes pinned by sha256, recorded before crystal graphs moved to
+    integer ids, so the node and edge order cannot drift."""
+
+    def test_tensor_dot(self, tmp_path, capsys):
+        dot = tmp_path / "t.dot"
+        code, _ = run(capsys, "tensor", "--n", "3", "--factors", "1,1;2,1", "--dot", str(dot))
+        assert code == 0
+        assert sha256(dot.read_bytes()) == (
+            "4fdf49aeb885c400d1b89ff22ece90d9e98b14aa75a88f345ce28606fdb902d3"
+        )
+
+    def test_crystal_export_dot_and_json_graph(self, tmp_path, capsys):
+        dot, graph = tmp_path / "c.dot", tmp_path / "c.json"
+        code, _ = run(
+            capsys, "crystal", "export", "--n", "3", "--kr", "2,1",
+            "--dot", str(dot), "--json-graph", str(graph),
+        )
+        assert code == 0
+        assert sha256(dot.read_bytes()) == (
+            "7f415787c725c59c26c9daf0438656760cc76d94e7f14948ff6f42729baee3bb"
+        )
+        assert sha256(graph.read_bytes()) == (
+            "2605e7e80af1bd2088753383a606182d301cbd8dde8c314da5a36e9bfc0700e3"
+        )
+
+    def test_orbit_table(self, capsys):
+        code, doc = run(capsys, "crystal", "build", "--n", "4", "--kr", "2,2")
+        assert code == 0
+        assert sha256(json.dumps(doc["orbit_table"]).encode()) == (
+            "883d7be960dc6f4fa76bcd42f4990cd30686953d41dd0dddf9a75333b928a80d"
+        )
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert make_parser() is make_parser()
+
+    def test_no_default_leaks_between_calls(self, capsys):
+        # --cap in the first call must not carry over into the second
+        calls = [
+            ["tensor", "--n", "3", "--factors", "1,1;1,1", "--cap", "9"],
+            ["tensor", "--n", "3", "--factors", "1,1;1,1"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        src = str(Path(krspectra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "krspectra.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            for argv in calls
+        ]
+        assert in_process == [(p.returncode, p.stdout) for p in fresh]
+        assert json.loads(in_process[1][1])["config"]["cap"] == 100000

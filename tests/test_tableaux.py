@@ -47,7 +47,7 @@ class TestOperators:
 
     def test_e_f_inverse_exhaustive_on_2x2(self):
         g = build_crystal(4, (2, 2))
-        for t in g.elements:
+        for t in g.labels:
             for i in (1, 2, 3):
                 ft = f_op(i, t)
                 if ft is not None:
@@ -72,7 +72,7 @@ class TestBuild:
     def test_w1_n2(self):
         g = build_crystal(2, (1,))
         assert len(g) == 2
-        assert len(g.f_maps[1]) == 1
+        assert [g.labels[b] for b in g.f_maps[1] if b is not None] == [tab([[2]], 2)]
 
     def test_shape_21_n3(self):
         g = build_crystal(3, (2, 1))
@@ -116,14 +116,15 @@ class TestStrings:
         g = build_crystal(2, (1,))
         one = tab([[1]], 2)
         two = tab([[2]], 2)
-        strings = string_positions(g, 1)
-        assert strings[one] == (0, 1)
-        assert strings[two] == (1, 0)
+        eps, phi = string_positions(g, 1)
+        assert (eps[g.id(one)], phi[g.id(one)]) == (0, 1)
+        assert (eps[g.id(two)], phi[g.id(two)]) == (1, 0)
 
     def test_2x2_f2_string(self):
         g = build_crystal(4, (2, 2))
         t = tab([[1, 1], [2, 2]], 4)
-        assert string_positions(g, 2)[t] == (0, 2)
+        eps, phi = string_positions(g, 2)
+        assert (eps[g.id(t)], phi[g.id(t)]) == (0, 2)
 
 
 class TestDecompose:
@@ -133,7 +134,7 @@ class TestDecompose:
         assert len(comps) == 1
         assert comps[0]["normal"]
         assert comps[0]["lambda"] == (1, 0)
-        assert comps[0]["sources"] == [tab([[1]], 2)]
+        assert [g.labels[b] for b in comps[0]["sources"]] == [tab([[1]], 2)]
 
     def test_each_component_unique_source_sink(self):
         g = build_crystal(3, (2, 1))

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,11 +21,90 @@ from krspectra.tensorcrystal import (
     weight_multiset,
 )
 
-from test_promotion import some_view_fails
+from test_promotion import first_edge, some_view_fails
 
 
 def tab(rows, n):
     return Tableau(rows, n)
+
+
+# Reference: the pair rule on labels, as the product was computed before
+# crystals moved to integer ids.  A labelled crystal is (e, f, wt, elements)
+# with e[i] and f[i] dicts keyed by labels and wt a dict of content vectors.
+
+
+def labelled(crys):
+    """A CrystalGraph as label-keyed dicts."""
+    lab = crys.labels
+
+    def maps(op_maps):
+        return {
+            i: {lab[b]: lab[t] for b, t in enumerate(op_maps[i]) if t is not None}
+            for i in crys.indices
+        }
+
+    return maps(crys.e_maps), maps(crys.f_maps), dict(zip(lab, crys.wt)), list(lab)
+
+
+def label_strings(e, f, elements):
+    """{b: (eps, phi)}, walking each string down from its top."""
+    out = {}
+    for top in elements:
+        if top in e:
+            continue
+        chain = [top]
+        while chain[-1] in f:
+            chain.append(f[chain[-1]])
+        for k, b in enumerate(chain):
+            out[b] = (k, len(chain) - 1 - k)
+    return out
+
+
+def reference_tensor(left, right, indices):
+    """The labelled product of two labelled crystals, elements (left, right)."""
+    (el, fl, wl, xs), (er, fr, wr, ys) = left, right
+    elements = [(x, y) for x in xs for y in ys]
+    e_maps = {i: {} for i in indices}
+    f_maps = {i: {} for i in indices}
+    for i in indices:
+        sl = label_strings(el[i], fl[i], xs)
+        sr = label_strings(er[i], fr[i], ys)
+        for x, y in elements:
+            eps, phi = sl[x][0], sr[y][1]
+            if eps > phi:
+                if x in el[i]:
+                    e_maps[i][(x, y)] = (el[i][x], y)
+            elif y in er[i]:
+                e_maps[i][(x, y)] = (x, er[i][y])
+            if eps >= phi:
+                if x in fl[i]:
+                    f_maps[i][(x, y)] = (fl[i][x], y)
+            elif y in fr[i]:
+                f_maps[i][(x, y)] = (x, fr[i][y])
+    wt = {(x, y): tuple(a + b for a, b in zip(wl[x], wr[y])) for x, y in elements}
+    return e_maps, f_maps, wt, elements
+
+
+class TestLabelRuleOracle:
+    @pytest.mark.parametrize(
+        "n,factors",
+        [(3, order) for order in permutations([(1, 1), (2, 1), (1, 2)])]
+        + [(2, [(1, 1)] * 3)],
+    )
+    def test_ids_match_the_label_rule_edge_by_edge(self, n, factors):
+        krs = [build_kr(n, l, r) for (l, r) in factors]
+        prod = tensor_many(krs)
+        ref = labelled(krs[0])
+        for k in krs[1:]:
+            ref = reference_tensor(ref, labelled(k), list(range(n)))
+        e, f, wt, elements = ref
+        assert prod.indices == list(range(n))
+        assert prod.labels == elements
+        got_e, got_f, got_wt, _ = labelled(prod)
+        for i in prod.indices:
+            assert got_e[i] == e[i], i
+            assert got_f[i] == f[i], i
+        assert got_wt == wt
 
 
 class TestRule:
@@ -32,7 +112,7 @@ class TestRule:
         b = build_crystal(2, (1,))
         prod = tensor(b, b)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        el = (two, one)
+        el = prod.id((two, one))
         assert prod.e(1, el) is None
         assert prod.f(1, el) is None
 
@@ -40,7 +120,7 @@ class TestRule:
         b = build_crystal(2, (1,))
         prod = tensor(b, b)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        assert prod.f(1, (one, one)) == (one, two)
+        assert prod.f(1, prod.id((one, one))) == prod.id((one, two))
 
     def test_size_multiplies(self):
         b1 = build_crystal(3, (1,))
@@ -107,29 +187,29 @@ class TestAffineTensor:
         # n=3 three-factor product: drop an edge, retarget one, bump a weight
         prod = tensor_many([build_kr(3, 1, 1), build_kr(3, 2, 1), build_kr(3, 1, 2)])
         for j in range(3):
-            b, eb = next(iter(prod.e_maps[j].items()))
+            b, eb = first_edge(prod, j)
             other = next(c for c in prod.elements if c not in (b, eb))
             edits = [
-                lambda e, f, wt: e[j].pop(b),
+                lambda e, f, wt: e[j].__setitem__(b, None),
                 lambda e, f, wt: e[j].__setitem__(b, other),
                 lambda e, f, wt: wt.__setitem__(eb, (wt[eb][0] + 1,) + wt[eb][1:]),
             ]
             for edit in edits:
-                e_maps = {i: dict(m) for i, m in prod.e_maps.items()}
-                f_maps = {i: dict(m) for i, m in prod.f_maps.items()}
-                wt = dict(prod.wt)
+                e_maps = {i: list(m) for i, m in prod.e_maps.items()}
+                f_maps = {i: list(m) for i, m in prod.f_maps.items()}
+                wt = list(prod.wt)
                 edit(e_maps, f_maps, wt)
-                bad = CrystalGraph(3, prod.elements, e_maps, f_maps, wt, indices=prod.indices)
+                bad = CrystalGraph(3, prod.labels, e_maps, f_maps, wt, indices=prod.indices)
                 assert bad.check_axioms() is not None
                 assert some_view_fails(bad)
 
     def test_tensor_checks_its_axioms(self):
         # a factor with one wrong weight gives a product edge of wrong weight
         k1 = build_kr(3, 1, 1)
-        _, eb = next(iter(k1.e_maps[0].items()))
-        wt = dict(k1.wt)
+        _, eb = first_edge(k1, 0)
+        wt = list(k1.wt)
         wt[eb] = (wt[eb][0] + 1,) + wt[eb][1:]
-        bad = CrystalGraph(3, k1.elements, k1.e_maps, k1.f_maps, wt, indices=k1.indices)
+        bad = CrystalGraph(3, k1.labels, k1.e_maps, k1.f_maps, wt, indices=k1.indices)
         with pytest.raises(CrystalError):
             tensor(bad, k1)
 
@@ -139,10 +219,11 @@ class TestAffineTensor:
         k1 = build_kr(2, 1, 1)
         prod = tensor(k1, k1)
         one, two = tab([[1]], 2), tab([[2]], 2)
-        assert prod.e(0, (one, one)) == (two, one)
-        assert prod.e(0, (two, one)) == (two, two)
-        assert prod.e(0, (two, two)) is None
-        assert prod.e(0, (one, two)) is None
+        e0 = {x: prod.e(0, prod.id(x)) for x in prod.labels}
+        assert e0[(one, one)] == prod.id((two, one))
+        assert e0[(two, one)] == prod.id((two, two))
+        assert e0[(two, two)] is None
+        assert e0[(one, two)] is None
 
     def test_string_statistics_j0_j1(self):
         k1 = build_kr(2, 1, 1)
@@ -238,7 +319,7 @@ class TestExport:
         prod = tensor_many([k1, k1, k1])
         one, two = tab([[1]], 2), tab([[2]], 2)
         el = ((one, two), one)
-        assert el in prod.wt
+        assert prod.labels[prod.id(el)] == el
         doc = crystal_to_json(prod)
         assert doc["affine"] is True
         labels = [e["label"] for e in doc["elements"]]
