@@ -34,11 +34,13 @@ from .gaudin import (
 from .glrep import build_tensor
 from .pipeline import (
     S_GRID,
+    SCAN_S_GRID,
     build_spectral_config,
     compare_pipeline,
     default_shift,
     kr_rep,
     kr_tensor_crystal,
+    regular_family,
 )
 from .promotion import (
     affine_extension,
@@ -95,35 +97,43 @@ def emit(report, opts):
     return 0 if report.get("passed", True) else 1
 
 
+TENSOR_CAP_ERROR = "tensor product would have {size} > cap {cap} elements; raise --cap"
+DIMCAP_ERROR = "tensor dimension {size} exceeds the cap; raise --dimcap"
+
+
+def check_size(n, factors, cap, message=DIMCAP_ERROR):
+    """Refuse a product of KR factors (l, r) over `cap` before any of it is built.
+
+    The size, the crystal's element count and the rep's dimension alike, is
+    the product of the numbers of SSYT of the rectangles (l^r) with entries
+    <= n; it is returned when within the cap.
+    """
+    size = math.prod(ssyt_count((l,) * r, n) for (l, r) in factors)
+    if size > cap:
+        raise UsageError(message.format(size=size, cap=cap))
+    return size
+
+
 def build_config_from_opts(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"]) if opts.get("factors") else None
-    if opts.get("z"):
-        points = parse_scalar_list(opts["z"])
-        if opts.get("k") and opts["k"] != len(points):
-            raise UsageError(f"--k {opts['k']} does not match {len(points)} points")
-        if factors is None:
-            factors = [(1, 1)] * len(points)
-        if len(points) != len(factors):
-            raise UsageError("--z and --factors lengths differ")
-        parts = []
-        for (l, r), z in zip(factors, points):
-            parts.append((kr_rep(n, l, r), z, QQi(default_shift(n, l, r))))
-        rep = build_tensor(parts)
-        chi = parse_fraction_list(opts["chi"]) if opts.get("chi") else [0] * n
-        cfg = GaudinConfig(rep, chi)
-    else:
-        if factors is None:
-            raise UsageError("need --factors or --z")
-        s = Fraction(opts.get("s") or 1)
-        cfg = build_spectral_config(n, factors, s)
-        if opts.get("chi"):
-            cfg = GaudinConfig(cfg.rep, parse_fraction_list(opts["chi"]))
-    if cfg.rep.dim > opts.get("dimcap", DIMCAP):
-        raise UsageError(
-            f"tensor dimension {cfg.rep.dim} exceeds the cap; raise --dimcap"
-        )
-    return cfg
+    points = parse_scalar_list(opts["z"]) if opts.get("z") else None
+    if points is not None and factors is None:
+        factors = [(1, 1)] * len(points)
+    if factors is None:
+        raise UsageError("need --factors or --z")
+    if points is not None and len(points) != len(factors):
+        raise UsageError("--z and --factors lengths differ")
+    check_size(n, factors, opts.get("dimcap", DIMCAP))
+    chi = parse_fraction_list(opts["chi"]) if opts.get("chi") else None
+    if points is not None:
+        parts = [
+            (kr_rep(n, l, r), z, QQi(default_shift(n, l, r)))
+            for (l, r), z in zip(factors, points)
+        ]
+        return GaudinConfig(build_tensor(parts), chi or [0] * n)
+    cfg = build_spectral_config(n, factors, Fraction(opts.get("s") or 1))
+    return GaudinConfig(cfg.rep, chi) if chi else cfg
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +189,7 @@ def cmd_crystal(opts):
 def cmd_tensor(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
-    # reject an oversized product before building any factor
-    size = math.prod(ssyt_count((l,) * r, n) for (l, r) in factors)
-    if size > opts["cap"]:
-        raise UsageError(
-            f"tensor product would have {size} > cap {opts['cap']} elements; raise --cap"
-        )
+    check_size(n, factors, opts["cap"], TENSOR_CAP_ERROR)
     prod = kr_tensor_crystal(n, factors)
     stats = {
         j: sorted(((ln, list(w)), c) for (ln, w), c in string_statistics(prod, j).items())
@@ -291,20 +296,14 @@ def cmd_bethe(opts):
 def cmd_spectra(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
-    s_grid = (
-        parse_fraction_list(opts["s_grid"])
-        if opts.get("s_grid")
-        else [Fraction(1), Fraction(2), Fraction(3)]
-    )
-    tol, seed = opts["tol"], opts["seed"]
+    check_size(n, factors, opts["dimcap"])
+    s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else SCAN_S_GRID
 
     def build(s):
         cfg = build_spectral_config(n, factors, s)
-        fam = bethe_family(standard_torus(n), cfg)
-        torus = [cfg.rep.delta(a, a) for a in range(1, n + 1)]
-        return fam.gens + torus, cfg.rep
+        return regular_family(cfg), cfg.rep
 
-    report = scan_simple_spectrum(build, s_grid, tol=tol, seed=seed)
+    report = scan_simple_spectrum(build, s_grid, tol=opts["tol"], seed=opts["seed"])
     spec = report.pop("spectrum")
     report["passed"] = spec is not None
     if opts.get("csv") and spec is not None:
@@ -320,6 +319,7 @@ def cmd_spectra(opts):
 def cmd_compare(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
+    check_size(n, factors, opts["dimcap"])
     s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else S_GRID
     report = compare_pipeline(
         n, factors, s_grid=s_grid, tol=opts["tol"], seed=opts["seed"]
@@ -330,13 +330,21 @@ def cmd_compare(opts):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--json", help="write the JSON report to this path")
-    p.add_argument("--dot", help="write a DOT graph to this path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--cap", type=int, default=100000, help="crystal element cap")
-    p.add_argument("--dimcap", type=int, default=DIMCAP, help="operator dimension cap")
+# the flags more than one subcommand reads; each subparser takes --json and
+# those of the others its cmd_* reads
+SHARED_FLAGS = {
+    "json": dict(help="write the JSON report to this path"),
+    "dot": dict(help="write a DOT graph to this path"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-8),
+    "cap": dict(type=int, default=100000, help="crystal element cap"),
+    "dimcap": dict(type=int, default=DIMCAP, help="operator dimension cap"),
+}
+
+
+def _add_shared(p, *names):
+    for name in ("json",) + names:
+        p.add_argument("--" + name, **SHARED_FLAGS[name])
 
 
 @functools.cache
@@ -353,31 +361,29 @@ def make_parser():
     p.add_argument("--lambda", dest="lam", help="partition, e.g. 2,1")
     p.add_argument("--affine", action="store_true")
     p.add_argument("--json-graph", dest="json_graph")
-    _add_common(p)
+    _add_shared(p, "dot", "cap")
     p.set_defaults(func=cmd_crystal)
 
     p = sub.add_parser("tensor")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True, help="l,r;l,r;...")
-    _add_common(p)
+    _add_shared(p, "dot", "cap")
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("alcove")
     p.add_argument("action", choices=["classify"])
-    p.add_argument("--n", type=int)
     p.add_argument("--x", required=True, help="rational coordinates a,b,c")
-    _add_common(p)
+    _add_shared(p)
     p.set_defaults(func=cmd_alcove)
 
     p = sub.add_parser("gaudin")
     p.add_argument("action", choices=["commute", "wall", "manin"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="number of factors (validated against --z)")
     p.add_argument("--chi", help="rational entries, e.g. 1/3,-1/3")
     p.add_argument("--z", help="exact points, e.g. 0,1 or -2+3*i,-2+i")
     p.add_argument("--factors", help="l,r;l,r;... (defaults to defining reps)")
     p.add_argument("--s")
-    _add_common(p)
+    _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_gaudin)
 
     p = sub.add_parser("bethe")
@@ -391,7 +397,7 @@ def make_parser():
     p.add_argument("--grid", type=int, help="certificate grid size")
     p.add_argument("--eps", help="shift steps, e.g. 1/8,1/16,1/32")
     p.add_argument("--c", help="slope of the two-parameter slice")
-    _add_common(p)
+    _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_bethe)
 
     p = sub.add_parser("spectra")
@@ -400,14 +406,14 @@ def make_parser():
     p.add_argument("--factors", required=True)
     p.add_argument("--s-grid", dest="s_grid")
     p.add_argument("--csv", help="write eigenvalue tuples at the first simple s")
-    _add_common(p)
+    _add_shared(p, "seed", "tol", "dimcap")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("compare")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True)
     p.add_argument("--s-grid", dest="s_grid")
-    _add_common(p)
+    _add_shared(p, "seed", "tol", "dimcap")
     p.set_defaults(func=cmd_compare)
 
     return ap

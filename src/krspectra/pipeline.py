@@ -83,6 +83,15 @@ def spectral_wall_statistics(cfg, j, tol=1e-8, seed=0):
 
 # the scales `compare` tries when none are given, in this order
 S_GRID = (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
+# the scales `spectra scan` tries when none are given
+SCAN_S_GRID = (1, 2, 3)
+
+
+def regular_family(cfg):
+    """The Bethe family at the regular torus element with the n torus deltas."""
+    n = cfg.n
+    fam = bethe_family(standard_torus(n), cfg)
+    return fam.gens + [cfg.rep.delta(a, a) for a in range(1, n + 1)]
 
 
 def compare_pipeline(n, factors, s_grid=S_GRID, tol=1e-8, seed=0):
@@ -108,11 +117,8 @@ def compare_pipeline(n, factors, s_grid=S_GRID, tol=1e-8, seed=0):
                     )
                 stats[j % n] = strings.statistics()
             # global weight multiset via the regular-C family
-            C = standard_torus(n)
-            fam = bethe_family(C, cfg)
-            torus = [cfg.rep.delta(a, a) for a in range(1, n + 1)]
             regular_spec = joint_diagonalize(
-                fam.gens + torus, cfg.rep, tol=tol, seed=seed
+                regular_family(cfg), cfg.rep, tol=tol, seed=seed
             )
             report = compare_with_crystal(stats, comb)
             report["s"] = str(s)

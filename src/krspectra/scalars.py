@@ -889,10 +889,11 @@ class RatFun:
 # Differential and shift operator polynomials
 
 
-class DiffOpPoly:
-    """Normal-ordered sum_k b_k(u) d^k with RatFun coefficients.
+class _OpPoly:
+    """Normal-ordered sum_k c_k(u) X^k with RatFun coefficients.
 
-    Multiplication implements d o R = R o d + R' exactly.
+    A subclass gives the rule for moving X^i past a coefficient (`_past`) and
+    the action of X^0, X^1, ... on a function (`_powers_on`).
     """
 
     __slots__ = ("coeffs",)
@@ -902,6 +903,65 @@ class DiffOpPoly:
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = coeffs
+
+    def _like(self, other):
+        """The constructor of a result combining self and other."""
+        return type(self)
+
+    def coeff(self, k):
+        if k < len(self.coeffs):
+            return self.coeffs[k]
+        return RatFun([], {})
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return self._like(other)([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __neg__(self):
+        return self._like(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _OpPoly):
+            return self._like(self)([c * other for c in self.coeffs])
+        new = self._like(other)
+        out = {}
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b.is_zero():
+                    continue
+                for k, moved in self._past(i, b):
+                    k += j
+                    term = a * moved
+                    out[k] = out[k] + term if k in out else term
+        if not out:
+            return new([])
+        zero = RatFun([], {})
+        return new([out.get(k, zero) for k in range(max(out) + 1)])
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def apply(self, f: RatFun) -> RatFun:
+        """Act on a RatFun (scalar- or vector-valued) without using __mul__."""
+        out = RatFun([], {})
+        for c, fk in zip(self.coeffs, self._powers_on(f)):
+            if not c.is_zero():
+                out = out + c * fk
+        return out
+
+
+class DiffOpPoly(_OpPoly):
+    """Normal-ordered sum_k b_k(u) d^k; d o R = R o d + R' exactly."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_ratfun(f):
@@ -913,130 +973,43 @@ class DiffOpPoly:
         zero = RatFun([], {})
         return DiffOpPoly([zero] * order + [one])
 
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return RatFun([], {})
+    def _past(self, i, b):
+        # d^i o b = sum_s C(i,s) b^{(s)} d^{i-s}
+        for s in range(i + 1):
+            c = comb(i, s)
+            yield i - s, b if c == 1 else b * QQi(c)
+            if s < i:
+                b = b.derivative()
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOpPoly(
-            [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
-
-    def __neg__(self):
-        return DiffOpPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, DiffOpPoly):
-            return DiffOpPoly([c * other for c in self.coeffs])
-        out = {}
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                # d^i o b = sum_s C(i,s) b^{(s)} d^{i-s}
-                bs = b
-                for s in range(i + 1):
-                    k = i - s + j
-                    term = a * bs
-                    if s:
-                        term = term * QQi(comb(i, s))
-                    out[k] = out.get(k) + term if k in out else term
-                    if s < i:
-                        bs = bs.derivative()
-        if not out:
-            return DiffOpPoly([])
-        deg = max(out)
-        zero = RatFun([], {})
-        return DiffOpPoly([out.get(k, zero) for k in range(deg + 1)])
-
-    def __eq__(self, other):
-        return (self - other).is_zero()
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def apply(self, f: RatFun) -> RatFun:
-        """Act on a RatFun (scalar- or vector-valued) without using __mul__."""
-        out = RatFun([], {})
-        fk = f
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * fk
-            if k < len(self.coeffs) - 1:
-                fk = fk.derivative()
-        return out
+    def _powers_on(self, f):
+        while True:
+            yield f
+            f = f.derivative()
 
 
-class ShiftOpPoly:
+class ShiftOpPoly(_OpPoly):
     """Normal-ordered sum_a R_a(u) S^a with S f(u) = f(u - step) S."""
 
-    __slots__ = ("coeffs", "step")
+    __slots__ = ("step",)
 
     def __init__(self, coeffs, step):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = coeffs
+        super().__init__(coeffs)
         self.step = QQi.of(step)
 
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return RatFun([], {})
-
-    def __add__(self, other):
+    def _like(self, other):
         if self.coeffs and other.coeffs and self.step != other.step:
             raise ValueError("shift step mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
         step = self.step if self.coeffs else other.step
-        return ShiftOpPoly([self.coeff(k) + other.coeff(k) for k in range(n)], step)
+        return lambda coeffs: ShiftOpPoly(coeffs, step)
 
-    def __neg__(self):
-        return ShiftOpPoly([-c for c in self.coeffs], self.step)
+    def _past(self, i, b):
+        yield i, b.shift_arg(self.step * QQi(i))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ShiftOpPoly):
-            return ShiftOpPoly([c * other for c in self.coeffs], self.step)
-        if self.coeffs and other.coeffs and self.step != other.step:
-            raise ValueError("shift step mismatch")
-        out = {}
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                term = a * b.shift_arg(self.step * QQi(i))
-                k = i + j
-                out[k] = out.get(k) + term if k in out else term
-        if not out:
-            return ShiftOpPoly([], self.step)
-        deg = max(out)
-        zero = RatFun([], {})
-        return ShiftOpPoly([out.get(k, zero) for k in range(deg + 1)], self.step)
-
-    def __eq__(self, other):
-        return (self - other).is_zero()
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def apply(self, f: RatFun) -> RatFun:
-        out = RatFun([], {})
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * f.shift_arg(self.step * QQi(k))
-        return out
+    def _powers_on(self, f):
+        k = 0
+        while True:
+            yield f.shift_arg(self.step * QQi(k))
+            k += 1
 
 
 def cdet(entries):

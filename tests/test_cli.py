@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -343,3 +345,138 @@ class TestParserCache:
         ]
         assert in_process == [(p.returncode, p.stdout) for p in fresh]
         assert json.loads(in_process[1][1])["config"]["cap"] == 100000
+
+
+# what each subcommand's parse leaves in vars(), besides config, command and
+# func: exactly the options its cmd_* reads
+OPTIONS = {
+    "crystal": (
+        ["crystal", "build", "--n", "2", "--kr", "1,1"],
+        {"action", "n", "kr", "lam", "affine", "json_graph", "json", "dot", "cap"},
+    ),
+    "tensor": (
+        ["tensor", "--n", "2", "--factors", "1,1"],
+        {"n", "factors", "json", "dot", "cap"},
+    ),
+    "alcove": (["alcove", "classify", "--x", "0,0"], {"action", "x", "json"}),
+    "gaudin": (
+        ["gaudin", "commute", "--n", "2", "--z", "0,1"],
+        {"action", "n", "chi", "z", "factors", "s", "json", "dimcap"},
+    ),
+    "bethe": (
+        ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1"],
+        {"action", "n", "factors", "z", "chi", "s", "wall", "grid", "eps", "c",
+         "json", "dimcap"},
+    ),
+    "spectra": (
+        ["spectra", "scan", "--n", "2", "--factors", "1,1;1,1"],
+        {"action", "n", "factors", "s_grid", "csv", "json", "seed", "tol", "dimcap"},
+    ),
+    "compare": (
+        ["compare", "--n", "2", "--factors", "1,1;1,1"],
+        {"n", "factors", "s_grid", "json", "seed", "tol", "dimcap"},
+    ),
+}
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_subcommand_registers_only_what_it_reads(self, command):
+        argv, options = OPTIONS[command]
+        assert set(vars(make_parser().parse_args(argv))) == options | {
+            "config", "command", "func",
+        }
+
+    def test_settable_value_count(self):
+        # --config plus the per-subcommand options
+        assert 1 + sum(len(options) for _, options in OPTIONS.values()) == 54
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--n", "2", "--factors", "1,1;1,1", "--dot", "x.dot"],
+            ["alcove", "classify", "--x", "0,0,0", "--n", "3"],
+            ["gaudin", "commute", "--n", "2", "--z", "0,1", "--k", "2"],
+            ["crystal", "build", "--n", "2", "--kr", "1,1", "--seed", "1"],
+        ],
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            make_parser().parse_args(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestDimensionPreflight:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--n", "2", "--factors", "1,1;1,1", "--dimcap", "3"],
+            ["spectra", "scan", "--n", "2", "--factors", "1,1;1,1", "--dimcap", "3"],
+            ["gaudin", "commute", "--n", "2", "--z", "0,1", "--dimcap", "3"],
+            ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--dimcap", "3"],
+        ],
+    )
+    def test_over_the_cap_is_refused_before_any_build(self, monkeypatch, capsys, argv):
+        import krspectra.glrep as glrep
+
+        tensors = count_calls(monkeypatch, glrep, "build_tensor")
+        reps = count_calls(monkeypatch, glrep, "build_defining")
+        crystals = count_calls(monkeypatch, tableaux, "build_crystal")
+        assert main(argv) == 2
+        assert tensors == reps == crystals == []
+        assert "tensor dimension 4 exceeds the cap; raise --dimcap" in capsys.readouterr().err
+
+    def test_at_the_cap_runs(self, capsys):
+        code, doc = run(
+            capsys, "compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", "1",
+            "--dimcap", "4",
+        )
+        assert code == 0 and doc["all_match"]
+
+    def test_matches_the_built_rectangle_on_the_grid(self):
+        from test_promotion import GRID
+
+        from krspectra.cli import check_size
+        from krspectra.pipeline import kr_rep
+
+        for (n, l, r) in GRID:
+            assert check_size(n, [(l, r)], math.inf) == kr_rep(n, l, r).dim
+
+    def test_matches_every_benchmark_factor_list(self):
+        from test_bench_digests import load_workloads
+
+        from krspectra.cli import DIMCAP, check_size, parse_factors
+        from krspectra.pipeline import build_spectral_config, kr_tensor_crystal
+
+        wl = load_workloads()
+        lists = set()
+        for workload in wl.WORKLOADS:
+            for case in wl.all_cases(workload):
+                argv = list(case.argv)
+                if "--factors" in argv:
+                    n, text = int(argv[argv.index("--n") + 1]), argv[argv.index("--factors") + 1]
+                elif case.extra and "factors" in case.extra:
+                    n, text = case.extra["n"], case.extra["factors"]
+                else:
+                    continue
+                lists.add((n, tuple(sorted(parse_factors(text)))))
+        assert len(lists) > 10
+        for n, factors in sorted(lists):
+            size = check_size(n, factors, math.inf)
+            if size <= DIMCAP:
+                assert size == build_spectral_config(n, factors, 1).rep.dim, (n, factors)
+            else:
+                # the crystal workload's products: their reps are not built
+                assert size == len(kr_tensor_crystal(n, factors)), (n, factors)
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        lines = [line for line in block.splitlines() if line.startswith("krspectra ")]
+        assert len(lines) >= 10
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            assert make_parser().parse_args(argv).func, line

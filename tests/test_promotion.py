@@ -232,7 +232,7 @@ class TestBuildKR:
         assert all(c["normal"] for c in comps)
 
     def test_view0_is_the_classical_crystal_on_the_grid(self):
-        # so verify_uniqueness's view0_isomorphic compares B_lam with itself
+        # so verify_uniqueness reports view0_isomorphic as the literal True
         for (n, l, r) in GRID:
             graph = build_crystal(n, (l,) * r)
             v0 = view(affine_extension(graph, promotion_map(graph)), 0)

@@ -316,6 +316,17 @@ class TestShiftOp:
             a, b, c = rand_op(), rand_op(), rand_op()
             assert ((a * b) * c) == (a * (b * c))
 
+    def test_step_mismatch_is_refused(self):
+        u = RatFun.monomial(QQi(1), 1)
+        a = ShiftOpPoly([u], Fraction(1, 4))
+        b = ShiftOpPoly([u], Fraction(1, 8))
+        for combine in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match="shift step mismatch"):
+                combine()
+        # a zero operator takes the other's step
+        zero = ShiftOpPoly([], Fraction(1, 8))
+        assert (zero + a).step == a.step and (zero + a) == a
+
 
 class TestCdetAndSpans:
     def test_cdet_scalar_matrix(self):
