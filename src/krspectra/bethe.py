@@ -21,6 +21,7 @@ from math import factorial
 from .gaudin import (
     CommutingFamily,
     GaudinConfig,
+    antisymmetrized_trace,
     center_members,
     coincidence_classes,
     subregular_pair,
@@ -31,10 +32,8 @@ from .scalars import (
     RatFun,
     ShiftOpPoly,
     cdet,
-    int_view,
     sgn,
     unit_circle_point,
-    views_commute,
 )
 
 
@@ -110,23 +109,21 @@ def antisymmetrizer(n, a) -> Mat:
     if not (1 <= a <= n):
         raise BetheError(f"antisymmetrizer needs 1 <= a <= n, got a={a}")
     dim = n**a
-    m = Mat.zeros(dim)
+    rows = [[QQi(0)] * dim for _ in range(dim)]
     idx = list(product(range(n), repeat=a))
     pos = {t: i for i, t in enumerate(idx)}
     inv_fact = QQi(Fraction(1, factorial(a)))
     for sigma in permutations(range(a)):
         sign = sgn(sigma)
         for j in idx:
-            i = tuple(j[sigma[m_]] for m_ in range(a))
             # sigma moves the vector in slot m to slot sigma(m):
             # (sigma v)_{sigma(m)} = v_m, so row index i has i_{sigma(m)} = j_m
             row = [0] * a
             for m_ in range(a):
                 row[sigma[m_]] = j[m_]
             r = pos[tuple(row)]
-            cval = m.rows[r][pos[j]]
-            m.rows[r][pos[j]] = cval + (inv_fact if sign > 0 else -inv_fact)
-    return m
+            rows[r][pos[j]] = rows[r][pos[j]] + (inv_fact if sign > 0 else -inv_fact)
+    return Mat(rows)
 
 
 def ev_t_grid(cfg: GaudinConfig):
@@ -220,31 +217,17 @@ def tau_eval(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
 
 
 def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
-    """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1)."""
+    """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1).
+
+    Slot m carries the grid C_r * T(u - m)[r][c].
+    """
     n = cfg.n
     u = QQi.of(u)
     grid = ev_t_grid(cfg)
-    tvals = [
-        [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
+    return antisymmetrized_trace([
+        [[grid[r][c].eval(u - m) * C.entries[r] for c in range(n)] for r in range(n)]
         for m in range(a)
-    ]
-    dim = cfg.rep.dim
-    total = Mat.zeros(dim)
-    inv_fact = QQi(Fraction(1, factorial(a)))
-    for sigma in permutations(range(a)):
-        inv = [0] * a
-        for m, v in enumerate(sigma):
-            inv[v] = m
-        sign = QQi(sgn(sigma))
-        for j in product(range(n), repeat=a):
-            coeff = QQi(1)
-            for jm in j:
-                coeff = coeff * C.entries[jm]
-            term = tvals[0][j[0]][j[inv[0]]]
-            for m in range(1, a):
-                term = term * tvals[m][j[m]][j[inv[m]]]
-            total = total + term * (coeff * inv_fact * sign)
-    return total
+    ])
 
 
 def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
@@ -252,55 +235,31 @@ def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
     n = cfg.n
     dim = cfg.rep.dim
     u = QQi.of(u)
-    aux = n**a
-    big = antisymmetrizer(n, a).kron(Mat.identity(dim))
-    cmat = Mat([[QQi(0)] * n for _ in range(n)])
-    for i in range(n):
-        cmat.rows[i][i] = C.entries[i]
+    ident = Mat.identity(dim)
+    big = antisymmetrizer(n, a).kron(ident)
+    cmat = Mat([[C.entries[i] if i == j else QQi(0) for j in range(n)] for i in range(n)])
     for m in range(a):
         big = big * _embed_aux(cmat, n, a, m, dim, constant=True)
     grid = ev_t_grid(cfg)
     for m in range(a):
         tval = [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
         big = big * _embed_aux(tval, n, a, m, dim, constant=False)
+    # partial trace over the auxiliary space, one diagonal block at a time
     out = Mat.zeros(dim)
-    for q in range(aux):
-        block = [
-            [big.rows[q * dim + r][q * dim + c] for c in range(dim)]
-            for r in range(dim)
-        ]
-        out = out + Mat(block)
+    for q in range(n**a):
+        out = out + Mat.unit(1, n**a, 0, q).kron(ident) * big * Mat.unit(n**a, 1, q, 0).kron(ident)
     return out
 
 
 def _embed_aux(entry_grid, n, a, slot, dim, constant):
     """Aux-slot embedding of an n x n (scalar or Mat-valued) matrix."""
-    rows = []
-    idx = list(product(range(n), repeat=a))
-    pos = {t: i for i, t in enumerate(idx)}
-    big = Mat.zeros(n**a * dim)
-    for j in idx:
-        for r in range(n):
-            i = list(j)
-            i[slot] = r
-            val = (
-                entry_grid.rows[r][j[slot]]
-                if constant
-                else entry_grid[r][j[slot]]
-            )
-            if not val:
-                continue
-            rpos, cpos = pos[tuple(i)], pos[j]
-            if constant:
-                for d in range(dim):
-                    big.rows[rpos * dim + d][cpos * dim + d] = val
-            else:
-                for dr in range(dim):
-                    for dc in range(dim):
-                        v = val.rows[dr][dc]
-                        if v:
-                            big.rows[rpos * dim + dr][cpos * dim + dc] = v
-    return big
+    before, after = Mat.identity(n**slot), Mat.identity(n ** (a - slot - 1))
+    out = Mat.zeros(n**a * dim)
+    for r in range(n):
+        for c in range(n):
+            val = entry_grid[r, c] * Mat.identity(dim) if constant else entry_grid[r][c]
+            out = out + before.kron(Mat.unit(n, n, r, c)).kron(after).kron(val)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +352,7 @@ def bethe_commuting_certificate(
             u = base + QQi(off)
             off += 1
             try:
-                pts.append((u, int_view(taus[a].eval(u))))
+                pts.append((u, taus[a].eval(u)))
             except ZeroDivisionError:
                 continue
         grids[a] = pts
@@ -401,7 +360,7 @@ def bethe_commuting_certificate(
         for b in range(a, n + 1):
             for u1, v1 in grids[a]:
                 for u2, v2 in grids[b]:
-                    if not views_commute(v1, v2):
+                    if not v1.commutes(v2):
                         witnesses.append(
                             {"a": a, "b": b, "u1": str(u1), "u2": str(u2)}
                         )

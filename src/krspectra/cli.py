@@ -104,10 +104,14 @@ DIMCAP_ERROR = "tensor dimension {size} exceeds the cap; raise --dimcap"
 def check_size(n, factors, cap, message=DIMCAP_ERROR):
     """Refuse a product of KR factors (l, r) over `cap` before any of it is built.
 
-    The size, the crystal's element count and the rep's dimension alike, is
-    the product of the numbers of SSYT of the rectangles (l^r) with entries
-    <= n; it is returned when within the cap.
+    Every factor must have l >= 1 and 1 <= r <= n.  The size, the crystal's
+    element count and the rep's dimension alike, is the product of the
+    numbers of SSYT of the rectangles (l^r) with entries <= n; it is
+    returned when within the cap.
     """
+    for l, r in factors:
+        if l < 1 or not 1 <= r <= n:
+            raise UsageError(f"invalid KR factor {l},{r}: need l >= 1 and 1 <= r <= n = {n}")
     size = math.prod(ssyt_count((l,) * r, n) for (l, r) in factors)
     if size > cap:
         raise UsageError(message.format(size=size, cap=cap))

@@ -22,10 +22,8 @@ from .scalars import (
     QQi,
     RatFun,
     cdet,
-    int_view,
     sgn,
     span_rank,
-    views_commute,
 )
 
 
@@ -88,10 +86,9 @@ class CommutingFamily:
 
     def verify_commuting(self):
         """The first pair (i < j, in member order) that fails to commute, or None."""
-        views = [int_view(g) for g in self.gens]
-        for i in range(len(views)):
-            for j in range(i + 1, len(views)):
-                if not views_commute(views[i], views[j]):
+        for i, g in enumerate(self.gens):
+            for j in range(i + 1, len(self.gens)):
+                if not g.commutes(self.gens[j]):
                     return (self.tags[i], self.tags[j])
         return None
 
@@ -187,14 +184,13 @@ def invariance_check(fam: CommutingFamily) -> dict:
     rep = cfg.rep
     failures = []
     checked = []
-    views = [int_view(g) for g in fam.gens]
     for cls in cfg.chi_classes():
         for a in cls:
             for b in cls:
-                x = int_view(rep.delta(a, b))
+                x = rep.delta(a, b)
                 checked.append((a, b))
-                for tag, v in zip(fam.tags, views):
-                    if not views_commute(v, x):
+                for tag, g in zip(fam.tags, fam.gens):
+                    if not g.commutes(x):
                         failures.append({"generator": list(map(str, tag)), "x": (a, b)})
     return {
         "checked_centralizer_basis": checked,
@@ -268,29 +264,33 @@ def manin_relations_check(cfg: GaudinConfig, monomial_orders=range(4)) -> dict:
     return {"passed": not failures, "failures": failures}
 
 
-def antisymmetrized_trace(entries):
-    """tr A_n M_1 ... M_n computed literally from the tensor-slot expansion."""
-    n = len(entries)
+def antisymmetrized_trace(grids):
+    """tr A_a M_1 ... M_a computed literally from the tensor-slot expansion.
+
+    grids[m] is the n x n matrix acting in tensor slot m + 1, its entries
+    from any ring with +, - and *; there are a = len(grids) <= n slots.
+    """
+    a, n = len(grids), len(grids[0])
     total = None
-    for sigma in permutations(range(n)):
-        inv = [0] * n
+    for sigma in permutations(range(a)):
+        inv = [0] * a
         for m, v in enumerate(sigma):
             inv[v] = m
         sign = sgn(sigma)
-        for j in product(range(n), repeat=n):
-            prod = entries[j[0]][j[inv[0]]]
-            for m in range(1, n):
-                prod = prod * entries[j[m]][j[inv[m]]]
+        for j in product(range(n), repeat=a):
+            prod = grids[0][j[0]][j[inv[0]]]
+            for m in range(1, a):
+                prod = prod * grids[m][j[m]][j[inv[m]]]
             if sign < 0:
                 prod = -prod
             total = prod if total is None else total + prod
-    return total * QQi(Fraction(1, factorial(n)))
+    return total * QQi(Fraction(1, factorial(a)))
 
 
 def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:
     """tr A_n M_1...M_n = cdet M for M = L(u) - d_u - chi."""
     entries = gaudin_operator_matrix(cfg)
-    lhs = antisymmetrized_trace(entries)
+    lhs = antisymmetrized_trace([entries] * cfg.n)
     rhs = cdet(entries)
     return (lhs - rhs).is_zero()
 

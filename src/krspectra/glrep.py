@@ -186,13 +186,13 @@ def build_wedge(n, r) -> MatrixRep:
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            m = Mat.zeros(dim)
+            rows = [[QQi(0)] * dim for _ in range(dim)]
             for j, s in enumerate(basis):
                 hit = _wedge_apply(n, a, b, s)
                 if hit:
                     sign, t = hit
-                    m.rows[index[t]][j] = QQi(sign)
-            row.append(m)
+                    rows[index[t]][j] = QQi(sign)
+            row.append(Mat(rows))
         gens.append(row)
     weights = [
         tuple(1 if i in s else 0 for i in range(1, n + 1)) for s in basis
@@ -264,21 +264,21 @@ def build_irrep(n, l, r) -> MatrixRep:
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            m = Mat.zeros(dim)
+            rows = [[QQi(0)] * dim for _ in range(dim)]
             for j, vec in enumerate(basis):
                 img = apply_eab(a, b, vec)
                 for piv, c in ech.coordinates(img).items():
-                    m.rows[piv_pos[piv]][j] = QQi(c)
-            row.append(m)
+                    rows[piv_pos[piv]][j] = QQi(c)
+            row.append(Mat(rows))
         gens.append(row)
 
     reduced_basis = basis
     weights = [content(piv) for piv in pivots]
-    gram = Mat.zeros(dim)
+    gram = [[QQi(0)] * dim for _ in range(dim)]
     for i, vi in enumerate(reduced_basis):
         for j, vj in enumerate(reduced_basis):
             if j < i:
-                gram.rows[i][j] = gram.rows[j][i]
+                gram[i][j] = gram[j][i]
                 continue
             acc = Fraction(0)
             small, big = (vi, vj) if len(vi) <= len(vj) else (vj, vi)
@@ -286,8 +286,8 @@ def build_irrep(n, l, r) -> MatrixRep:
                 o = big.get(idx)
                 if o:
                     acc += c * o
-            gram.rows[i][j] = QQi(acc)
-    return MatrixRep(n, gens, weights, ("irrep", n, l, r), gram)
+            gram[i][j] = QQi(acc)
+    return MatrixRep(n, gens, weights, ("irrep", n, l, r), Mat(gram))
 
 
 class TensorRep:

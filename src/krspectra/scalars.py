@@ -1,10 +1,11 @@
 """Exact arithmetic foundation.
 
-Gaussian rationals, dense exact matrices, univariate rational functions with
+Gaussian rationals, exact matrices, univariate rational functions with
 factored pole multisets, and the normal-ordered algebras of differential and
 shift operators used for column determinants.
 
-Everything here is immutable after construction and uses no floating point.
+Everything here is immutable after construction and exact; floats appear
+only as read-outs (`Mat.max_abs`, `Mat.complex_rows`).
 Denominators of rational functions are never stored as unfactored polynomials:
 a pole multiset is part of the data, so no factorization is ever needed.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +60,9 @@ class QQi:
     # -- ring/field operations
 
     # A zero operand short-cuts +, - and *: the other operand (or zero) is
-    # returned as it is, and no Fraction is built.  Most entries of the
-    # package's matrices are zero, so this is the common case.  Likewise a
+    # returned as it is, and no Fraction is built.  Most entries of the dense
+    # rows that `gauss_jordan` reduces are zero, so this is the common case
+    # there (a Mat stores no zero entries at all).  Likewise a
     # result of real operands gets the shared zero imaginary part, with no
     # Fraction arithmetic on the imaginary parts.
 
@@ -246,24 +248,50 @@ def unit_circle_point(t) -> QQi:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices
+# Exact matrices over Gaussian-integer numerators
+
+
+def _gauss(x):
+    """(re, im, d): an exact scalar as the Gaussian integer re + im*i over its
+    least denominator d > 0."""
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x._numerator, 0, x._denominator
+    re, im = x.re, x.im
+    d = re._denominator
+    if im._numerator:
+        d = lcm(d, im._denominator)
+    return re._numerator * (d // re._denominator), im._numerator * (d // im._denominator), d
+
+
+def _entry(v, d) -> QQi:
+    """The QQi (re + im*i) / d for a stored numerator v = (re, im)."""
+    re, im = v
+    return _qqi(Fraction(re, d), Fraction(im, d) if im else _ZERO_F)
 
 
 class Mat:
-    """Dense matrix over QQi. Rows are lists; treat instances as immutable.
+    """Exact matrix over QQi; treat instances as immutable.
 
-    Entrywise operations pass zero entries through without QQi arithmetic;
-    every result has freshly built rows, which may share (immutable) entries
-    with the operands.  Matrix products and `commutes` run on the integer
-    view (`int_view`).
+    The one stored format: a denominator `den` > 0 and sparse rows `nums`,
+    where nums[i] maps a column j to the Gaussian-integer numerator (re, im)
+    of den * m[i, j], and zero entries are absent.  `den` is the lcm of the
+    reduced entry denominators, so equal matrices have equal fields.  All
+    arithmetic runs on Python ints and restores that form by one gcd pass;
+    `rows` and `m[i, j]` give QQi entries to callers that read them.
     """
 
-    __slots__ = ("rows", "nr", "nc")
+    __slots__ = ("nr", "nc", "den", "nums")
 
     def __init__(self, rows):
-        self.rows = rows
-        self.nr = len(rows)
-        self.nc = len(rows[0]) if rows else 0
+        parts = [{j: _gauss(x) for j, x in enumerate(r) if x} for r in rows]
+        d = lcm(*(e for row in parts for _, _, e in row.values()))
+        self.nr, self.nc, self.den = len(rows), len(rows[0]) if rows else 0, d
+        self.nums = [
+            {j: (re * (d // e), im * (d // e)) for j, (re, im, e) in row.items()}
+            for row in parts
+        ]
 
     @staticmethod
     def from_values(rows):
@@ -271,57 +299,92 @@ class Mat:
 
     @staticmethod
     def zeros(nr, nc=None):
-        nc = nr if nc is None else nc
-        return Mat([[QQI_ZERO] * nc for _ in range(nr)])
+        return _mat(nr, nr if nc is None else nc, 1, [{} for _ in range(nr)])
 
     @staticmethod
     def identity(n):
-        return Mat(
-            [[QQI_ONE if i == j else QQI_ZERO for j in range(n)] for i in range(n)]
-        )
+        return _mat(n, n, 1, [{i: (1, 0)} for i in range(n)])
 
     @staticmethod
     def unit(nr, nc, i, j, value=QQI_ONE):
-        rows = [[QQI_ZERO] * nc for _ in range(nr)]
-        rows[i][j] = QQi.of(value)
-        return Mat(rows)
+        rows = [[0] * nc for _ in range(nr)]
+        rows[i][j] = value
+        return Mat.from_values(rows)
+
+    def _dense(self, zero, value):
+        out = [[zero] * self.nc for _ in self.nums]
+        for row, dense in zip(self.nums, out):
+            for j, v in row.items():
+                dense[j] = value(v)
+        return out
+
+    @property
+    def rows(self):
+        """Dense rows of QQi entries, built afresh on each read."""
+        return self._dense(QQI_ZERO, lambda v: _entry(v, self.den))
+
+    def complex_rows(self):
+        """Dense rows of Python complex numbers, each part correctly rounded."""
+        return self._dense(0j, lambda v: complex(v[0] / self.den, v[1] / self.den))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        v = self.nums[i].get(j)
+        return QQI_ZERO if v is None else _entry(v, self.den)
+
+    def _plus(self, other, sign):
+        """self + sign * other, for sign = 1 or -1."""
+        if not isinstance(other, Mat):
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            sa, sb = 1, sign
+        else:
+            g = gcd(da, db)
+            sa, sb = db // g, sign * (da // g)
+        out = []
+        for ra, rb in zip(self.nums, other.nums):
+            row = dict(ra) if sa == 1 else {j: (re * sa, im * sa) for j, (re, im) in ra.items()}
+            for j, (re, im) in rb.items():
+                old_re, old_im = row.get(j, (0, 0))
+                re, im = old_re + re * sb, old_im + im * sb
+                if re or im:
+                    row[j] = (re, im)
+                else:
+                    del row[j]
+            out.append(row)
+        return _reduced(self.nr, self.nc, da * sa, out)
 
     def __add__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return Mat(
-            [
-                [(a + b if b else a) if a else b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return Mat(
-            [
-                [(a - b if b else a) if a else -b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return Mat([[-a if a else a for a in r] for r in self.rows])
+        return _mat(
+            self.nr, self.nc, self.den,
+            [{j: (-re, -im) for j, (re, im) in row.items()} for row in self.nums],
+        )
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.nc != other.nr:
                 raise ValueError(f"dimension mismatch {self.nc} vs {other.nr}")
-            return _int_product(int_view(self), int_view(other), other.nc)
-        s = QQi.of(other)
-        if not s:
+            nc, brows = other.nc, other.nums
+            out = []
+            for arow in self.nums:
+                re, im = _row_numerators(arow, brows, nc)
+                out.append({j: (x, y) for j, (x, y) in enumerate(zip(re, im)) if x or y})
+            return _reduced(self.nr, nc, self.den * other.den, out)
+        sr, si, ds = _gauss(other if isinstance(other, (int, Fraction)) else QQi.of(other))
+        if not (sr or si):
             return Mat.zeros(self.nr, self.nc)
-        return Mat([[a * s if a else a for a in r] for r in self.rows])
+        out = [
+            {j: (re * sr - im * si, re * si + im * sr) for j, (re, im) in row.items()}
+            for row in self.nums
+        ]
+        return _reduced(self.nr, self.nc, self.den * ds, out)
 
     def __rmul__(self, other):
         # only a scalar reaches here, and scalars commute with matrices
@@ -330,142 +393,120 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.nr == other.nr and self.nc == other.nc and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        # equal nums have equal lengths, so equal row counts
+        return self.nc == other.nc and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(tuple(tuple((x.re, x.im) for x in r) for r in self.rows))
+        return hash((self.nr, self.nc, self.den, tuple(frozenset(r.items()) for r in self.nums)))
 
     def __bool__(self):
-        return any(any(x for x in r) for r in self.rows)
+        return any(self.nums)
 
     def __repr__(self):
         return f"Mat({self.nr}x{self.nc})"
 
     def transpose(self):
-        return Mat([list(col) for col in zip(*self.rows)])
+        cols = [{} for _ in range(self.nc)]
+        for i, row in enumerate(self.nums):
+            for j, v in row.items():
+                cols[j][i] = v
+        return _mat(self.nc, self.nr, self.den, cols)
 
     def conj(self):
-        return Mat([[a.conjugate() for a in r] for r in self.rows])
+        return _mat(
+            self.nr, self.nc, self.den,
+            [{j: (re, -im) for j, (re, im) in row.items()} for row in self.nums],
+        )
 
     def conj_transpose(self):
         return self.conj().transpose()
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nr)), QQI_ZERO)
+        diag = [row[i] for i, row in enumerate(self.nums) if i in row]
+        return _entry((sum(v[0] for v in diag), sum(v[1] for v in diag)), self.den)
 
     def commutator(self, other):
         return self * other - other * self
 
     def commutes(self, other) -> bool:
-        """Whether self * other == other * self, exactly; builds neither product."""
+        """Whether self * other == other * self, exactly; builds neither product.
+
+        AB and BA share one denominator, so their numerators are compared row
+        by row, stopping at the first row that differs.
+        """
         if not (self.nr == self.nc == other.nr == other.nc):
             raise ValueError(
                 f"commutes needs square matrices of one size, not {self!r} and {other!r}"
             )
-        return views_commute(int_view(self), int_view(other))
+        a, b, n = self.nums, other.nums, self.nr
+        for i in range(n):
+            if _row_numerators(a[i], b, n) != _row_numerators(b[i], a, n):
+                return False
+        return True
 
     def kron(self, other):
-        zero_block = [QQI_ZERO] * other.nc
+        nc_b = other.nc
         out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                row = []
-                for a in ra:
-                    row.extend([a * b if b else b for b in rb] if a else zero_block)
+        for ra in self.nums:
+            for rb in other.nums:
+                row = {}
+                for ja, (ar, ai) in ra.items():
+                    off = ja * nc_b
+                    for jb, (br, bi) in rb.items():
+                        row[off + jb] = (ar * br - ai * bi, ar * bi + ai * br)
                 out.append(row)
-        return Mat(out)
+        return _reduced(self.nr * other.nr, self.nc * nc_b, self.den * other.den, out)
 
     def max_abs(self) -> float:
-        return max(
-            (float(x.abs2()) for r in self.rows for x in r), default=0.0
-        ) ** 0.5
+        # one correctly rounded int division, as float(QQi.abs2()) rounds
+        top = max((re * re + im * im for row in self.nums for re, im in row.values()), default=0)
+        return (top / (self.den * self.den)) ** 0.5
 
     def scalar_part(self):
         """If the matrix is an exact scalar multiple of the identity, return it."""
-        s = self.rows[0][0]
-        for i in range(self.nr):
-            for j in range(self.nc):
-                want = s if i == j else QQI_ZERO
-                if self.rows[i][j] != want:
-                    return None
-        return s
+        s = self.nums[0].get(0)
+        for i, row in enumerate(self.nums):
+            if row != ({} if s is None else {i: s}):
+                return None
+        return QQI_ZERO if s is None else _entry(s, self.den)
 
 
-# The integer view: a matrix over QQi as D * m = N with N over the Gaussian
-# integers, so products and commutators run on Python ints.  AB and BA share
-# the denominator D_A * D_B, so comparing their numerators is an exact test.
+def _mat(nr, nc, den, nums) -> Mat:
+    """A Mat from fields already in canonical form: how arithmetic builds results."""
+    m = _new_object(Mat)
+    m.nr, m.nc, m.den, m.nums = nr, nc, den, nums
+    return m
 
 
-def int_view(m: Mat):
-    """(D, rows) for m: D > 0 a common denominator of the entries, and rows[i]
-    the sparse list of (j, re, im) with re + im*i = D * m[i, j] != 0."""
-    entries = []
-    dens = {1}
-    for r in m.rows:
-        row = []
-        for j, x in enumerate(r):
-            re, im = x.re, x.im
-            if im._numerator:
-                dens.add(im._denominator)
-            elif not re._numerator:
-                continue
-            dens.add(re._denominator)
-            row.append((j, re, im))
-        entries.append(row)
-    d = lcm(*dens)
-    scale = {q: d // q for q in dens}
-    rows = [
-        [
-            (j, re._numerator * scale[re._denominator],
-             im._numerator * scale[im._denominator])
-            for j, re, im in row
-        ]
-        for row in entries
-    ]
-    return d, rows
+def _reduced(nr, nc, den, nums) -> Mat:
+    """The Mat with numerator rows `nums` over `den`, in canonical form.
+
+    Divides den and every numerator by their gcd; the scan stops as soon as
+    the gcd reaches one, which is the usual case.
+    """
+    g = den
+    for row in nums:
+        if g == 1:
+            break
+        for re, im in row.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+    if g != 1:
+        den //= g
+        nums = [{j: (re // g, im // g) for j, (re, im) in row.items()} for row in nums]
+    return _mat(nr, nc, den, nums)
 
 
 def _row_numerators(arow, brows, nc):
     """Numerators (re list, im list) of (row arow) * B over D_A * D_B."""
     acc = [0] * nc
     acc_im = [0] * nc
-    for k, ar, ai in arow:
-        for j, br, bi in brows[k]:
+    for k, (ar, ai) in arow.items():
+        for j, (br, bi) in brows[k].items():
             acc[j] += ar * br - ai * bi
             acc_im[j] += ar * bi + ai * br
     return acc, acc_im
-
-
-def _int_product(va, vb, nc) -> Mat:
-    """A * B from the integer views of A and B; B has nc columns."""
-    da, arows = va
-    db, brows = vb
-    d = da * db
-    out = []
-    for arow in arows:
-        re, im = _row_numerators(arow, brows, nc)
-        out.append([
-            (_qqi(Fraction(x, d) if x else _ZERO_F, Fraction(y, d) if y else _ZERO_F)
-             if x or y else QQI_ZERO)
-            for x, y in zip(re, im)
-        ])
-    return Mat(out)
-
-
-def views_commute(va, vb) -> bool:
-    """Whether the square matrices with integer views va and vb commute.
-
-    Compares the numerators of AB and BA row by row and stops at the first
-    row that differs; no Fraction is built.
-    """
-    arows, brows = va[1], vb[1]
-    n = len(arows)
-    for i in range(n):
-        if _row_numerators(arows[i], brows, n) != _row_numerators(brows[i], arows, n):
-            return False
-    return True
 
 
 def gauss_jordan(rows, width=None):
@@ -583,10 +624,7 @@ def poly_mul(a, b):
     """
     if not a or not b:
         return []
-    za = _zero_like(a[0])
-    zb = _zero_like(b[0])
-    zero = za * zb if isinstance(za, Mat) or isinstance(zb, Mat) else QQI_ZERO
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [_zero_like(a[0]) * _zero_like(b[0])] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -594,6 +632,13 @@ def poly_mul(a, b):
             if cb:
                 out[i + j] = out[i + j] + ca * cb
     return poly_trim(out)
+
+
+def _times_linear(a, p):
+    """Coefficients of (u - p) * a(u) for a trimmed a: c_k = a_{k-1} - p a_k."""
+    if not a:
+        return []
+    return [-(a[0] * p)] + [a[k - 1] - a[k] * p for k in range(1, len(a))] + [a[-1]]
 
 
 def poly_eval(a, u):
@@ -608,16 +653,17 @@ def poly_eval(a, u):
 def _vanishes_at(a, p):
     """Whether the polynomial a is zero at p.
 
-    A Mat-valued one is tested entry by entry, skipping identically zero
-    entries and stopping at the first entry whose value is nonzero, instead
-    of evaluating the whole matrix polynomial.
+    A Mat-valued one is evaluated row by row, each row as a one-row Mat on
+    the stored numerators, skipping identically zero rows and stopping at
+    the first row whose value is nonzero, instead of evaluating the whole
+    matrix polynomial.
     """
     if not isinstance(a[0], Mat):
         return not poly_eval(a, p)
     for i in range(a[0].nr):
-        for entry in zip(*[c.rows[i] for c in a]):
-            if any(entry) and poly_eval(entry, p):
-                return False
+        row = [_mat(1, c.nc, c.den, [c.nums[i]]) for c in a]
+        if any(row) and poly_eval(row, p):
+            return False
     return True
 
 
@@ -725,9 +771,6 @@ class RatFun:
     def is_zero(self):
         return not self.num
 
-    def is_matrix(self):
-        return bool(self.num) and isinstance(self.num[0], Mat)
-
     def num_degree(self):
         return len(self.num) - 1
 
@@ -748,14 +791,12 @@ class RatFun:
             poles[p] = max(poles.get(p, 0), m)
         na = self.num
         for p, m in poles.items():
-            need = m - self.poles.get(p, 0)
-            for _ in range(need):
-                na = poly_mul(na, [-p, QQI_ONE])
+            for _ in range(m - self.poles.get(p, 0)):
+                na = _times_linear(na, p)
         nb = other.num
         for p, m in poles.items():
-            need = m - other.poles.get(p, 0)
-            for _ in range(need):
-                nb = poly_mul(nb, [-p, QQI_ONE])
+            for _ in range(m - other.poles.get(p, 0)):
+                nb = _times_linear(nb, p)
         return RatFun(poly_add(na, nb), poles)
 
     __radd__ = __add__
@@ -807,13 +848,13 @@ class RatFun:
         plist = list(self.poles.items())
         radical = [QQI_ONE]
         for p, _ in plist:
-            radical = poly_mul(radical, [-p, QQI_ONE])
+            radical = _times_linear(radical, p)
         total = poly_mul(dnum, radical) if dnum else []
         for p, m in plist:
             partial = [QQi(-m)]
             for q, _ in plist:
                 if q != p:
-                    partial = poly_mul(partial, [-q, QQI_ONE])
+                    partial = _times_linear(partial, q)
             term = poly_mul(self.num, partial)
             total = poly_add(total, term) if total else term
         newpoles = {p: m + 1 for p, m in plist}
@@ -830,9 +871,9 @@ class RatFun:
 
     def eval(self, u):
         u = QQi.of(u)
-        val = poly_eval(self.num, u) if self.num else QQI_ZERO
         if not self.num:
             return QQI_ZERO
+        val = poly_eval(self.num, u)
         d = QQI_ONE
         for p, m in self.poles.items():
             base = u - p
@@ -850,10 +891,7 @@ class RatFun:
         m = self.poles.get(p, 0)
         need = m - order - 1
         if need < 0 or self.is_zero():
-            if self.is_matrix():
-                z = self.num[0]
-                return Mat.zeros(z.nr, z.nc)
-            return QQI_ZERO
+            return _zero_like(self.num[0]) if self.num else QQI_ZERO
         # Taylor-expand num / prod_{q != p} (u-q)^{m_q} at p up to t^need.
         num_t = taylor_coefficients(self.num, p, need + 1)
         rest = [QQI_ONE]
@@ -861,7 +899,7 @@ class RatFun:
             if q == p:
                 continue
             for _ in range(mq):
-                rest = poly_mul(rest, [p - q, QQI_ONE])
+                rest = _times_linear(rest, q - p)
         inv = series_inverse(rest, need)
         acc = None
         for j in range(need + 1):
@@ -870,9 +908,7 @@ class RatFun:
                 continue
             term = cj * inv[need - j]
             acc = term if acc is None else acc + term
-        if acc is None:
-            return Mat.zeros(self.num[0].nr, self.num[0].nc) if self.is_matrix() else QQI_ZERO
-        return acc
+        return _zero_like(self.num[0]) if acc is None else acc
 
     def infinity_value(self):
         """Limit at u -> infinity (zero if the function decays)."""

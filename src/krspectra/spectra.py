@@ -23,9 +23,7 @@ class SpectraError(ValueError):
 
 
 def mat_to_numpy(m: Mat) -> np.ndarray:
-    return np.array(
-        [[complex(x) for x in row] for row in m.rows], dtype=np.complex128
-    )
+    return np.array(m.complex_rows(), dtype=np.complex128)
 
 
 def _orthonormalizer(rep):

@@ -427,6 +427,29 @@ class TestDimensionPreflight:
         assert tensors == reps == crystals == []
         assert "tensor dimension 4 exceeds the cap; raise --dimcap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensor", "--n", "2"],
+            ["compare", "--n", "2"],
+            ["spectra", "scan", "--n", "2"],
+            ["gaudin", "commute", "--n", "2", "--z", "0,1"],
+            ["bethe", "commute", "--n", "2"],
+            ["bethe", "degenerate", "--n", "2", "--eps", "1/8,1/16"],
+        ],
+    )
+    def test_invalid_factor_is_refused_before_any_build(self, monkeypatch, capsys, argv):
+        import krspectra.glrep as glrep
+
+        tensors = count_calls(monkeypatch, glrep, "build_tensor")
+        reps = count_calls(monkeypatch, glrep, "build_defining")
+        krs = count_calls(monkeypatch, promotion, "build_kr")
+        crystals = count_calls(monkeypatch, tableaux, "build_crystal")
+        for factors, bad in [("1,3;1,1", "1,3"), ("0,1;1,1", "0,1"), ("1,1;1,0", "1,0")]:
+            assert main(argv + ["--factors", factors]) == 2
+            assert f"invalid KR factor {bad}" in capsys.readouterr().err
+        assert tensors == reps == krs == crystals == []
+
     def test_at_the_cap_runs(self, capsys):
         code, doc = run(
             capsys, "compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", "1",

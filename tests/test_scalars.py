@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -12,7 +12,6 @@ from krspectra.scalars import (
     ShiftOpPoly,
     cdet,
     determinant,
-    int_view,
     mat_inverse,
     mat_rank,
     poly_divide_linear,
@@ -468,13 +467,28 @@ def sparse_matrix(rng, nr, nc):
     return Mat(rows)
 
 
+def assert_canonical(m):
+    """The stored form: den is the lcm of the reduced entry denominators,
+    and nums holds exactly the nonzero entries, in range."""
+    rows = m.rows
+    assert len(m.nums) == len(rows) == m.nr
+    assert m.den == lcm(*(p.denominator for row in rows for x in row for p in (x.re, x.im)))
+    for i, row in enumerate(m.nums):
+        assert sorted(row) == [j for j, x in enumerate(rows[i]) if x]
+        for j, (re, im) in row.items():
+            assert QQi(Fraction(re, m.den), Fraction(im, m.den)) == rows[i][j] == m[i, j]
+
+
 def assert_fresh(out, *operands):
-    """The result is a new Mat with new rows of QQi entries."""
+    """The result is a new canonical Mat whose rows read as new QQi lists."""
     assert isinstance(out, Mat)
+    rows = out.rows
     for m in operands:
         assert out is not m
-        assert all(r is not s for r in out.rows for s in m.rows)
-    assert all(isinstance(x, QQi) for row in out.rows for x in row)
+        other = m.rows
+        assert all(r is not s for r in rows for s in other)
+    assert all(isinstance(x, QQi) for row in rows for x in row)
+    assert_canonical(out)
 
 
 class TestZeroAwareKernel:
@@ -656,13 +670,16 @@ class TestIntegerKernel:
     def test_view_is_a_common_denominator_of_the_nonzero_entries(self):
         rng = random.Random(31)
         for trial in range(30):
-            m = sparse_matrix(rng, 1 + trial % 5, 1 + trial % 7)
-            d, rows = int_view(m)
-            assert d > 0 and len(rows) == m.nr
-            for i, row in enumerate(rows):
-                assert [j for j, _, _ in row] == [j for j, x in enumerate(m.rows[i]) if x]
-                for j, re, im in row:
-                    assert QQi(Fraction(re, d), Fraction(im, d)) == m[i, j]
+            nr, nc = 1 + trial % 5, 1 + trial % 7
+            qqi_rows = [[sparse_entry(rng) for _ in range(nc)] for _ in range(nr)]
+            m = Mat(qqi_rows)
+            assert m.den > 0 and len(m.nums) == m.nr
+            assert m.rows == qqi_rows
+            for i, row in enumerate(m.nums):
+                assert sorted(row) == [j for j, x in enumerate(qqi_rows[i]) if x]
+                for j, (re, im) in row.items():
+                    assert QQi(Fraction(re, m.den), Fraction(im, m.den)) == qqi_rows[i][j]
+            assert_canonical(m)
 
     @pytest.mark.parametrize(
         "shapes, build",
@@ -727,3 +744,116 @@ class TestIntegerKernel:
             Mat.zeros(2, 3).commutes(Mat.zeros(3, 2))
         with pytest.raises(ValueError):
             Mat.zeros(2).commutes(Mat.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# The stored format: every operation against entrywise QQi arithmetic on the
+# dense rows, and every result canonical
+
+
+def dense_matrix(rng, nr, nc, real=False):
+    def part():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    return Mat([[QQi(part(), 0 if real else part()) for _ in range(nc)] for _ in range(nr)])
+
+
+def real_matrix(rng, nr, nc):
+    return dense_matrix(rng, nr, nc, real=True)
+
+
+def _primes(count):
+    out = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+PRIMES = _primes(80)
+
+
+def coprime_matrix(rng, nr, nc):
+    """Every nonzero part has its own prime denominator, pairwise coprime."""
+    dens = iter(rng.sample(PRIMES, 2 * nr * nc))
+    return Mat([
+        [QQi(Fraction(rng.randint(1, 9), next(dens)), Fraction(rng.choice([0, -1, 3]), next(dens)))
+         for _ in range(nc)]
+        for _ in range(nr)
+    ])
+
+
+STORED_BUILDERS = [
+    sparse_matrix, dense_matrix, real_matrix, coprime_matrix,
+    imaginary_matrix, large_denominator_matrix,
+]
+
+
+class TestStoredFormat:
+    @pytest.mark.parametrize("build", STORED_BUILDERS, ids=lambda b: b.__name__)
+    def test_every_operation_matches_qqi_arithmetic(self, build):
+        rng = random.Random("stored/" + build.__name__)
+        for trial in range(6):
+            n, m = 1 + trial % 4, 1 + (trial * 3) % 5
+            a, b = build(rng, n, m), build(rng, n, m)
+            c, sq, sq2 = build(rng, m, 1 + trial % 3), build(rng, n, n), build(rng, n, n)
+            ra, rb, rsq = a.rows, b.rows, sq.rows
+            checks = [
+                (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+                (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
+                (-a, [[-x for x in r] for r in ra]),
+                (a * c, qqi_matmul(a, c)),
+                (a.kron(sq), [[x * y for x in r for y in s] for r in ra for s in rsq]),
+                (a.transpose(), [list(col) for col in zip(*ra)]),
+                (a.conj(), [[x.conjugate() for x in r] for r in ra]),
+            ]
+            for s in (3, Fraction(-5, 6), QQi(0, Fraction(2, 7)), QQi(Fraction(7, 10), -2)):
+                checks.append((a * s, [[x * s for x in r] for r in ra]))
+                checks.append((s * a, [[x * s for x in r] for r in ra]))
+            for out, want in checks:
+                assert_canonical(out)
+                assert out.rows == want
+            assert sq.trace() == sum((rsq[i][i] for i in range(n)), QQi(0))
+            assert sq.commutes(sq2) == (qqi_matmul(sq, sq2) == qqi_matmul(sq2, sq))
+            assert sq.commutes(sq * sq + sq * QQi(2, 1))
+
+    @pytest.mark.parametrize("build", STORED_BUILDERS, ids=lambda b: b.__name__)
+    def test_zero_results_are_canonical(self, build):
+        rng = random.Random("zero/" + build.__name__)
+        a, b, sq = build(rng, 3, 4), build(rng, 4, 2), build(rng, 3, 3)
+        # left uses only columns 0 and 1, right has nonzero rows 2 and 3 only
+        left = Mat([list(r[:2]) + [QQi(0)] * 2 for r in a.rows])
+        right = Mat([[QQi(0)] * 2] * 2 + [list(r) for r in b.rows[2:]])
+        for out in (a - a, a + (-a), a * 0, a * QQi(0), 0 * a, left * right,
+                    a.kron(Mat.zeros(2)), Mat.zeros(3, 3) * a, sq.commutator(sq)):
+            assert not out
+            assert out.den == 1 and not any(out.nums)
+            assert_canonical(out)
+        assert a - a == Mat.zeros(3, 4) and hash(a - a) == hash(Mat.zeros(3, 4))
+
+    def test_equal_values_have_equal_fields(self):
+        rng = random.Random(59)
+        for build in STORED_BUILDERS:
+            a, b = build(rng, 3, 3), build(rng, 3, 3)
+            for x, y in [((a + b) - b, a), (a * QQi(2, -1) * QQi(2, 1), a * 5),
+                         (a.transpose().transpose(), a), (Mat(a.rows), a)]:
+                assert (x.den, x.nums) == (y.den, y.nums)
+                assert x == y and hash(x) == hash(y)
+
+    def test_floats_are_bit_identical_to_the_qqi_route(self):
+        import numpy as np
+
+        from krspectra.spectra import mat_to_numpy
+
+        rng = random.Random(61)
+        for build in STORED_BUILDERS:
+            for _ in range(4):
+                m = build(rng, 4, 5)
+                rows = m.rows
+                want = max((float(x.abs2()) for r in rows for x in r), default=0.0) ** 0.5
+                assert m.max_abs() == want
+                qqi_route = np.array([[complex(x) for x in r] for r in rows], dtype=np.complex128)
+                assert mat_to_numpy(m).tobytes() == qqi_route.tobytes()
+        assert Mat.zeros(2).max_abs() == 0.0
