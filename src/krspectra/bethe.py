@@ -3,8 +3,12 @@ the finite-step degeneration to Gaudin generators.
 
 tau_a(u, C) is the trace over (C^n)^{tensor a} of A_a C_1..C_a T_1(u)..
 T_a(u-a+1) with T evaluated on the tensor product of factors.  The production
-path expands it over quantum minors weighted by products of C entries; the
-literal trace (two independent forms) is kept for cross-checks.
+path expands it over quantum minors weighted by products of C entries.  The
+minors come from the Yangian coproduct: T(u) = T^(1)(u) ... T^(k)(u) slot by
+slot, so each minor is a sum of Kronecker products of minors of the single
+factors, which are column determinants at factor dimension.  The literal
+trace (two independent forms) and the full-dimension cdet table are kept as
+oracles for cross-checks.
 
 Everything except the final spectra step is exact: torus elements are
 unit-modulus Gaussian rationals from the Pythagorean parametrization, and
@@ -127,11 +131,107 @@ def antisymmetrizer(n, a) -> Mat:
 
 
 def ev_t_grid(cfg: GaudinConfig):
-    """Entries of the evaluated T-matrix.
+    """The evaluated T-matrix, one n x n grid per tensor slot.
 
-    ev T(u) = prod_i (1 + E^{(i)}/(u - w_i)), an n x n grid of matrix-valued
-    rational functions of u.
+    ev T(u) = T^(1)(u) ... T^(k)(u) with T^(i)(u) = 1 + E^(i)/(u - w_i).
+    Slot i's grid holds the polynomial entries (u - w_i) delta_rc + E_rc of
+    (u - w_i) T^(i)(u), as pole-free RatFuns at the dimension of the factor
+    V_i alone; `quantum_minors` chains their minors by the coproduct.
     """
+    n, grids = cfg.n, []
+    for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
+        ident = Mat.identity(rep.dim)
+        grids.append([
+            [
+                RatFun([rep.e(r + 1, c + 1) - ident * w, ident] if r == c else [rep.e(r + 1, c + 1)])
+                for c in range(n)
+            ]
+            for r in range(n)
+        ])
+    return grids
+
+
+# ---------------------------------------------------------------------------
+# Quantum minors and tau functions
+
+
+# config -> {I: QM_I}; an entry is dropped when its config is freed
+_MINORS = weakref.WeakKeyDictionary()
+
+
+def quantum_minors(cfg: GaudinConfig) -> dict:
+    """{I: QM_I(u)} over the nonempty index subsets I, built once per config.
+
+    QM_I is the column determinant of T(u) restricted to the rows and columns
+    in I, column m taken at u - m.  It does not depend on the torus element,
+    so every family of one configuration shares the table.  It is built by
+    the coproduct: the minors QM_{I,J} of each factor come from `cdet` at
+    factor dimension, and `_chain_minors` Kronecker-multiplies them.
+    """
+    if cfg not in _MINORS:
+        n = cfg.n
+        blocks = _same_size_subsets(n)
+        # one factor needs only its diagonal minors; a chain needs them all
+        if cfg.k > 1:
+            pairs = [(I, J) for I in blocks for J in blocks[I]]
+        else:
+            pairs = [(I, I) for I in blocks]
+        tables = [
+            _factor_minors(grid, w, pairs) for grid, w in zip(ev_t_grid(cfg), cfg.points)
+        ]
+        _MINORS[cfg] = _chain_minors(tables, n)
+    return _MINORS[cfg]
+
+
+def _same_size_subsets(n):
+    """{I: every subset K with |K| = |I|} over the nonempty subsets I of range(n)."""
+    out = {}
+    for a in range(1, n + 1):
+        block = list(combinations(range(n), a))
+        out.update((I, block) for I in block)
+    return out
+
+
+def _factor_minors(grid, w, pairs) -> dict:
+    """{(I, J): QM_{I,J}} of one factor T(u) = grid(u) / (u - w), over `pairs`.
+
+    The cdet runs on the pole-free polynomial entries, column m at u - m;
+    the quotient by prod_{m<a} (u - w - m) is normalized once.
+    """
+    table = {}
+    cols = {}
+    for I, J in pairs:
+        if J not in cols:
+            cols[J] = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
+        det = cdet([cols[J][r] for r in I])
+        table[I, J] = RatFun(det.num, {w + m: 1 for m in range(len(J))})
+    return table
+
+
+def _chain_minors(tables, n) -> dict:
+    """{I: QM_I} of the product of the factors whose minor tables are given.
+
+    Entries of different slots commute, so the Yangian coproduct gives
+    QM_{I,J}(T' T'') = sum over |K| = |I| of QM_{I,K}(T') (x) QM_{K,J}(T'')
+    (Molev, Yangians and Classical Lie Algebras, ch. 1).  The tables are
+    folded in the order given, the last one for the diagonal I = J only;
+    each sum is normalized once.
+    """
+    blocks = _same_size_subsets(n)
+    acc = tables[0]
+    for i, table in enumerate(tables[1:], start=2):
+        pairs = [(I, I) for I in blocks] if i == len(tables) else [
+            (I, J) for I in blocks for J in blocks[I]
+        ]
+        acc = {
+            (I, J): RatFun.sum([acc[I, K].kron(table[K, J]) for K in blocks[I]])
+            for I, J in pairs
+        }
+    return {I: acc[I, I] for I in blocks}
+
+
+def _oracle_t_grid(cfg: GaudinConfig):
+    """Oracle: ev T(u) = prod_i (1 + E^(i)/(u - w_i)) as one full-dimension grid."""
     n, rep = cfg.n, cfg.rep
     dim = rep.dim
     ident = Mat.identity(dim)
@@ -166,49 +266,33 @@ def _grid_mul(A, B, n):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Quantum minors and tau functions
-
-
-# config -> {I: QM_I}; an entry is dropped when its config is freed
-_MINORS = weakref.WeakKeyDictionary()
-
-
-def quantum_minors(cfg: GaudinConfig) -> dict:
-    """{I: QM_I(u)} over the nonempty index subsets I, built once per config.
-
-    QM_I is the column determinant of T(u) restricted to the rows and columns
-    in I, column m taken at u - m.  It does not depend on the torus element,
-    so every family of one configuration shares the table.
-    """
-    if cfg not in _MINORS:
-        grid = ev_t_grid(cfg)
-        _MINORS[cfg] = {
-            I: cdet([[grid[r][c].shift_arg(m) for m, c in enumerate(I)] for r in I])
-            for a in range(1, cfg.n + 1)
-            for I in combinations(range(cfg.n), a)
-        }
-    return _MINORS[cfg]
+def _oracle_minors(cfg: GaudinConfig) -> dict:
+    """Oracle: the `quantum_minors` table by `cdet` of the full-dimension grid."""
+    grid = _oracle_t_grid(cfg)
+    return {
+        I: cdet([[grid[r][c].shift_arg(m) for m, c in enumerate(I)] for r in I])
+        for a in range(1, cfg.n + 1)
+        for I in combinations(range(cfg.n), a)
+    }
 
 
 def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     """tau_a(u, C) as one exact matrix-valued rational function of u.
 
     Quantum-minor expansion: the sum over a-subsets I of c_I QM_I(u), where
-    c_I is the product of the entries of C over I.
+    c_I is the product of the entries of C over I, normalized once.
     """
     n = cfg.n
     if not (1 <= a <= n):
         raise BetheError(f"tau index a={a} out of range")
     minors = quantum_minors(cfg)
-    total = None
+    terms = []
     for subset in combinations(range(n), a):
         c_i = QQi(1)
         for i in subset:
             c_i = c_i * C.entries[i]
-        term = minors[subset] * c_i
-        total = term if total is None else total + term
-    return total
+        terms.append(minors[subset] * c_i)
+    return RatFun.sum(terms)
 
 
 def tau_eval(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
@@ -223,7 +307,7 @@ def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
     """
     n = cfg.n
     u = QQi.of(u)
-    grid = ev_t_grid(cfg)
+    grid = _oracle_t_grid(cfg)
     return antisymmetrized_trace([
         [[grid[r][c].eval(u - m) * C.entries[r] for c in range(n)] for r in range(n)]
         for m in range(a)
@@ -240,7 +324,7 @@ def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
     cmat = Mat([[C.entries[i] if i == j else QQi(0) for j in range(n)] for i in range(n)])
     for m in range(a):
         big = big * _embed_aux(cmat, n, a, m, dim, constant=True)
-    grid = ev_t_grid(cfg)
+    grid = _oracle_t_grid(cfg)
     for m in range(a):
         tval = [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
         big = big * _embed_aux(tval, n, a, m, dim, constant=False)

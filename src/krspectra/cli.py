@@ -101,6 +101,12 @@ TENSOR_CAP_ERROR = "tensor product would have {size} > cap {cap} elements; raise
 DIMCAP_ERROR = "tensor dimension {size} exceeds the cap; raise --dimcap"
 
 
+def check_factor(n, l, r):
+    """Refuse a KR factor (l, r) unless l >= 1 and 1 <= r <= n."""
+    if l < 1 or not 1 <= r <= n:
+        raise UsageError(f"invalid KR factor {l},{r}: need l >= 1 and 1 <= r <= n = {n}")
+
+
 def check_size(n, factors, cap, message=DIMCAP_ERROR):
     """Refuse a product of KR factors (l, r) over `cap` before any of it is built.
 
@@ -110,8 +116,7 @@ def check_size(n, factors, cap, message=DIMCAP_ERROR):
     returned when within the cap.
     """
     for l, r in factors:
-        if l < 1 or not 1 <= r <= n:
-            raise UsageError(f"invalid KR factor {l},{r}: need l >= 1 and 1 <= r <= n = {n}")
+        check_factor(n, l, r)
     size = math.prod(ssyt_count((l,) * r, n) for (l, r) in factors)
     if size > cap:
         raise UsageError(message.format(size=size, cap=cap))
@@ -151,6 +156,7 @@ def cmd_crystal(opts):
         raise UsageError("crystal export needs --kr or --lambda")
     if opts.get("kr"):
         l, r = (int(x) for x in opts["kr"].split(","))
+        check_factor(n, l, r)
         lam = (l,) * r
     elif opts.get("lam"):
         lam = tuple(int(x) for x in opts["lam"].split(","))
@@ -271,9 +277,12 @@ def cmd_gaudin(opts):
 def cmd_bethe(opts):
     action = opts["action"]
     n = opts["n"]
+    wall = opts.get("wall")
+    if wall is not None and not 1 <= wall <= n:
+        raise UsageError(f"--wall {wall} is not a wall index 1..n = {n}")
     if action == "commute":
         cfg = build_config_from_opts(opts)
-        C = standard_torus(n, wall=opts.get("wall"))
+        C = standard_torus(n, wall=wall)
         margin = max(2, (opts.get("grid") or 0) - n * cfg.k)
         report = bethe_commuting_certificate(C, cfg, margin=margin)
         fam = bethe_family(C, cfg)
@@ -322,6 +331,8 @@ def cmd_spectra(opts):
 
 def cmd_compare(opts):
     n = opts["n"]
+    if n < 2:
+        raise UsageError(f"compare needs n >= 2 for its alcove walls, got n = {n}")
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
     s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else S_GRID

@@ -155,6 +155,87 @@ class TestQuantumMinors:
         assert len(bethe._MINORS) == held - 1
 
 
+def assert_same_table(got, want):
+    assert set(got) == set(want)
+    for I in want:
+        assert got[I].num == want[I].num and got[I].poles == want[I].poles, I
+
+
+# (n, factors, s); at s = 0 the points of (1,1), (2,1) and (3,1) at n = 3 are
+# -3/2, -1 and -1/2, so the factor minors' poles w + m overlap
+COPRODUCT_CASES = [
+    (2, [(1, 1), (1, 1)], 1),
+    (2, [(1, 1), (1, 1)], Fraction(5, 2)),
+    (2, [(1, 1), (1, 1), (1, 1)], 1),
+    (2, [(2, 1), (1, 1)], Fraction(5, 2)),
+    (2, [(1, 1), (2, 1), (1, 1)], Fraction(5, 2)),
+    (3, [(1, 1), (1, 2)], 1),
+    (3, [(1, 1), (1, 2)], Fraction(5, 2)),
+    (3, [(2, 1), (1, 1)], Fraction(5, 2)),
+    (3, [(1, 1), (1, 1), (1, 1)], 1),
+    (3, [(1, 1), (3, 1)], 0),
+    (3, [(1, 1), (2, 1), (3, 1)], 0),
+]
+
+
+class TestCoproductMinors:
+    @pytest.mark.parametrize("n,factors,s", COPRODUCT_CASES)
+    def test_table_equals_the_full_dimension_cdet_oracle(self, n, factors, s):
+        cfg = build_spectral_config(n, factors, s)
+        assert_same_table(quantum_minors(cfg), bethe._oracle_minors(cfg))
+
+    def test_zero_scale_cases_overlap_their_poles(self):
+        for n, factors, s in COPRODUCT_CASES:
+            if s == 0:
+                cfg = build_spectral_config(n, factors, s)
+                poles = [w + m for w in cfg.points for m in range(n)]
+                assert len(set(poles)) < len(poles)
+
+    def test_reverse_slot_order_differs_from_the_oracle(self):
+        # negative control: the Kronecker chain must follow the slot order
+        n = 3
+        cfg = build_spectral_config(n, [(1, 1), (1, 2)], 1)
+        blocks = bethe._same_size_subsets(n)
+        pairs = [(I, J) for I in blocks for J in blocks[I]]
+        tables = [
+            bethe._factor_minors(grid, w, pairs)
+            for grid, w in zip(bethe.ev_t_grid(cfg), cfg.points)
+        ]
+        oracle = bethe._oracle_minors(cfg)
+        assert_same_table(bethe._chain_minors(tables, n), oracle)
+        reverse = bethe._chain_minors(tables[::-1], n)
+        assert any(reverse[I] != oracle[I] for I in oracle)
+
+    def test_no_full_dimension_grid_or_cdet(self, monkeypatch):
+        cfg = build_spectral_config(3, [(1, 1), (1, 1), (1, 1)], 1)
+        sizes = []
+        cdet = bethe.cdet
+
+        def recording(entries):
+            sizes.append(entries[0][0].num[0].nr)
+            return cdet(entries)
+
+        def refused(cfg):
+            raise AssertionError("full-dimension T-grid built")
+
+        monkeypatch.setattr(bethe, "cdet", recording)
+        monkeypatch.setattr(bethe, "_oracle_t_grid", refused)
+        quantum_minors(cfg)
+        assert sizes and max(sizes) == 3 < cfg.rep.dim
+
+    def test_factor_grid_is_the_polynomial_on_the_factor(self):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        grids = bethe.ev_t_grid(cfg)
+        assert len(grids) == cfg.k
+        u = QQi(Fraction(7, 3), 2)
+        for (rep, _, _), w, grid in zip(cfg.rep.factors, cfg.points, grids):
+            ident = Mat.identity(rep.dim)
+            for r in range(3):
+                for c in range(3):
+                    want = rep.e(r + 1, c + 1) + (ident * (u - w) if r == c else Mat.zeros(rep.dim))
+                    assert not grid[r][c].poles and grid[r][c].eval(u) == want
+
+
 class TestTauRoutesAgree:
     @pytest.mark.parametrize("n,a", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
     def test_minor_equals_trace_equals_kron(self, n, a):
@@ -239,7 +320,7 @@ class TestCertificate:
     def test_negative_control_nondiagonal_insert(self):
         # replacing the slot-2 torus factor by a non-diagonal matrix must
         # break commutation with tau_1 at some sample point
-        from krspectra.bethe import _embed_aux, ev_t_grid
+        from krspectra.bethe import _embed_aux, _oracle_t_grid
 
         cfg = config_c2_pair()
         C = standard_torus(2)
@@ -252,7 +333,7 @@ class TestCertificate:
         big = antisymmetrizer(n, 2).kron(Mat.identity(dim))
         big = big * _embed_aux(cmat, n, 2, 0, dim, constant=True)
         big = big * _embed_aux(bad, n, 2, 1, dim, constant=True)
-        grid = ev_t_grid(cfg)
+        grid = _oracle_t_grid(cfg)
         for m in range(2):
             tv = [[grid[r][c].eval(u2 - m) for c in range(n)] for r in range(n)]
             big = big * _embed_aux(tv, n, 2, m, dim, constant=False)

@@ -450,6 +450,29 @@ class TestDimensionPreflight:
             assert f"invalid KR factor {bad}" in capsys.readouterr().err
         assert tensors == reps == krs == crystals == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["crystal", "build", "--n", "2", "--kr", "0,1"], "invalid KR factor 0,1"),
+            (["crystal", "build", "--n", "2", "--kr", "1,0"], "invalid KR factor 1,0"),
+            (["compare", "--n", "1", "--factors", "1,1"], "compare needs n >= 2"),
+            (
+                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--wall", "3"],
+                "--wall 3 is not a wall index",
+            ),
+        ],
+    )
+    def test_input_without_meaning_is_refused_before_any_build(
+        self, monkeypatch, capsys, argv, message
+    ):
+        import krspectra.glrep as glrep
+
+        tensors = count_calls(monkeypatch, glrep, "build_tensor")
+        crystals = count_calls(monkeypatch, tableaux, "build_crystal")
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert tensors == crystals == []
+
     def test_at_the_cap_runs(self, capsys):
         code, doc = run(
             capsys, "compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", "1",

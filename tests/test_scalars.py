@@ -120,6 +120,82 @@ class TestRatFunDerivative:
             assert errs[1] * 64 < errs[0] or errs[0] == 0
 
 
+class TestRatFunKron:
+    A = RatFun(
+        [Mat.from_values([[1, 2], [0, QQi(0, 1)]]), Mat.from_values([[0, 1], [3, 0]])],
+        {QQi(1): 1, QQi(Fraction(1, 2), 1): 2},
+    )
+    B = RatFun(
+        [Mat.from_values([[2, 0, 1]]), Mat.from_values([[1, -1, 0]])],
+        {QQi(-3): 1},
+    )
+
+    @staticmethod
+    def normalized(f, g):
+        """The product built with every pole tested, as the oracle."""
+        poles = {p: f.poles.get(p, 0) + g.poles.get(p, 0) for p in set(f.poles) | set(g.poles)}
+        return RatFun(poly_mul(f.num, g.num, Mat.kron), poles)
+
+    def test_evaluation_agrees_with_kron_of_the_values(self):
+        for f, g in [(self.A, self.B), (self.B, self.A), (self.A, self.A)]:
+            h, want = f.kron(g), self.normalized(f, g)
+            assert h.num == want.num and h.poles == want.poles
+            for x in rational_points(11, 6):
+                u = QQi(x, Fraction(1, 3))
+                assert h.eval(u) == f.eval(u).kron(g.eval(u))
+
+    def test_cancels_a_pole_where_the_other_numerator_vanishes(self):
+        # the row numerator (u - 1) [1, -2] is zero at 1, a pole of A
+        vanishing = RatFun([Mat.from_values([[-1, 2]]), Mat.from_values([[1, -2]])], {QQi(5): 1})
+        for h in (self.A.kron(vanishing), vanishing.kron(self.A)):
+            assert h.poles == {QQi(Fraction(1, 2), 1): 2, QQi(5): 1}
+            assert len(h.num) == 2
+        h = self.A.kron(vanishing)
+        u = QQi(Fraction(7, 3))
+        assert h.eval(u) == self.A.eval(u).kron(vanishing.eval(u))
+
+    def test_shared_pole(self):
+        # 1/(u - 2) (x) u/(u - 2) = u/(u - 2)^2
+        f = RatFun([Mat.from_values([[1]])], {QQi(2): 1})
+        g = RatFun([Mat.zeros(2), Mat.identity(2)], {QQi(2): 1})
+        h = f.kron(g)
+        assert h.poles == {QQi(2): 2}
+        assert h.num == [Mat.zeros(2), Mat.identity(2)]
+
+    def test_zero_factor(self):
+        assert self.A.kron(RatFun([], {})).is_zero()
+        assert RatFun([], {}).kron(self.B).is_zero()
+
+
+class TestRatFunSum:
+    def test_equals_the_pairwise_sum(self):
+        terms = [
+            RatFun([QQi(1)], {QQi(1): 1}),
+            RatFun([QQi(-1), QQi(1)], {QQi(1): 2, QQi(2): 1}),
+            RatFun([QQi(3)], {}),
+            RatFun([], {}),
+        ]
+        want = terms[0] + terms[1] + terms[2]
+        got = RatFun.sum(terms)
+        assert got.num == want.num and got.poles == want.poles
+        u = QQi(Fraction(5, 7))
+        assert got.eval(u) == sum((t.eval(u) for t in terms), QQi(0))
+
+    def test_cancelling_terms_are_normalized(self):
+        f = RatFun([QQi(1)], {QQi(1): 1})
+        # 1/(u - 1) - 1/(u - 1) = 0
+        zero = RatFun.sum([f, RatFun([QQi(-1)], {QQi(1): 1})])
+        assert zero.is_zero() and zero.poles == {}
+        # 1/(u - 1) + u/((u - 1)(u - 2)) = (2u - 2)/((u - 1)(u - 2)) = 2/(u - 2)
+        h = RatFun.sum([f, RatFun([QQi(0), QQi(1)], {QQi(1): 1, QQi(2): 1})])
+        assert h.num == [QQi(2)] and h.poles == {QQi(2): 1}
+
+    def test_empty_and_single(self):
+        f = RatFun([QQi(2)], {QQi(1): 1})
+        assert RatFun.sum([]).is_zero()
+        assert RatFun.sum([f, RatFun([], {})]) is f
+
+
 class TestResidue:
     def test_simple_pole(self):
         f = RatFun.pole_term(QQi(1), QQi(0))
@@ -332,6 +408,30 @@ class TestCdetAndSpans:
         m = [[RatFun.const(QQi(1)), RatFun.const(QQi(2))],
              [RatFun.const(QQi(3)), RatFun.const(QQi(4))]]
         assert cdet(m) == RatFun.const(QQi(-2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cdet_matches_the_leibniz_sum_on_noncommuting_entries(self, n):
+        # the literal sum over permutations, products in column order
+        from itertools import permutations
+
+        from krspectra.scalars import sgn
+
+        rng = random.Random(n)
+        entries = [
+            [Mat.from_values([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        want = Mat.zeros(2)
+        for sigma in permutations(range(n)):
+            prod = Mat.identity(2)
+            for col in range(n):
+                prod = prod * entries[sigma[col]][col]
+            want = want + prod * sgn(sigma)
+        assert cdet(entries) == want
+        if n > 1:
+            # the row order matters: a transposed grid gives another value
+            assert cdet([list(col) for col in zip(*entries)]) != want
 
     def test_span_rank(self):
         a = Mat.from_values([[1, 0], [0, 0]])
