@@ -461,7 +461,11 @@ def bethe_commuting_certificate(
 # Shift-operator column determinant and the degeneration to Gaudin
 
 
-def exp_truncated(x, order=8):
+# degree of the exp(-eps chi) truncation in the shift operator
+EXP_ORDER = 8
+
+
+def exp_truncated(x, order=EXP_ORDER):
     """Exact degree-`order` Taylor truncation of exp(x)."""
     x = QQi.of(x)
     term = QQi(1)
@@ -472,7 +476,7 @@ def exp_truncated(x, order=8):
     return total
 
 
-def exp_tail_bound(x_abs2: Fraction, order=8) -> Fraction:
+def exp_tail_bound(x_abs2: Fraction, order=EXP_ORDER) -> Fraction:
     """Rational upper bound for |exp(x) - truncation| when |x|^2 <= x_abs2 < 1."""
     if x_abs2 >= 1:
         raise BetheError("tail bound assumes |x| < 1")
@@ -483,7 +487,7 @@ def exp_tail_bound(x_abs2: Fraction, order=8) -> Fraction:
     return num / (factorial(order + 1) * (1 - s))
 
 
-def shift_operator_matrix(eps, c, cfg: GaudinConfig, exp_order=8):
+def shift_operator_matrix(eps, c, cfg: GaudinConfig):
     """Entries of eps^{-1}(S_eps(1 + eps L(u)) - exp_trunc(-eps chi)).
 
     chi is taken from cfg.  L here is the Lax matrix at the rescaled points
@@ -512,7 +516,7 @@ def shift_operator_matrix(eps, c, cfg: GaudinConfig, exp_order=8):
                 )
             if a == b:
                 s0 = RatFun.const(
-                    ident * (-inv_eps * exp_truncated(-eps * cfg.chi[a], exp_order))
+                    ident * (-inv_eps * exp_truncated(-eps * cfg.chi[a], EXP_ORDER))
                 )
             else:
                 s0 = RatFun.const(Mat.zeros(dim))
@@ -521,7 +525,7 @@ def shift_operator_matrix(eps, c, cfg: GaudinConfig, exp_order=8):
     return entries
 
 
-def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
+def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
     """r_{k, z_i, l, eps}: grouped residues of the d-basis coefficients.
 
     The shift expansion sum_a R_a(u) S^a converts to the derivative basis via
@@ -531,7 +535,7 @@ def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
     """
     eps, c = QQi.of(eps), QQi.of(c)
     cfg_signed = GaudinConfig(cfg.rep, chi_shift)
-    op = cdet(shift_operator_matrix(eps, c, cfg_signed, exp_order))
+    op = cdet(shift_operator_matrix(eps, c, cfg_signed))
     n = cfg.n
     centers = [z / c for z in cfg.points]
     out = {}
@@ -578,7 +582,7 @@ def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig, exp_order=8):
     return out
 
 
-def degeneration_report(cfg, chi_shift, eps_list, c=1, exp_order=8) -> dict:
+def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
     """Max-entry distance between shift-cdet residues and Gaudin generators.
 
     The Gaudin side is cdet(L_{z/c}(u) - d_u + chi_shift), i.e. the config
@@ -601,7 +605,7 @@ def degeneration_report(cfg, chi_shift, eps_list, c=1, exp_order=8) -> dict:
                 targets[(k, i, l)] = r
     rows = []
     for eps in eps_list:
-        shifted = shift_residue_generators(eps, c, chi_shift, cfg, exp_order)
+        shifted = shift_residue_generators(eps, c, chi_shift, cfg)
         dist = 0.0
         for key, target in targets.items():
             got = shifted.get(key)
@@ -624,7 +628,7 @@ def degeneration_report(cfg, chi_shift, eps_list, c=1, exp_order=8) -> dict:
             val = (QQi.of(e) * QQi.of(v)).abs2()
             if val > max_abs2:
                 max_abs2 = val
-    tail = exp_tail_bound(max_abs2, exp_order) if max_abs2 < 1 else None
+    tail = exp_tail_bound(max_abs2, EXP_ORDER) if max_abs2 < 1 else None
     return {
         "convention": "shift side tracks cdet(L(u) - d_u + chi_shift); "
         "gaudin config uses chi = -chi_shift",

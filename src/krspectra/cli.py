@@ -58,6 +58,9 @@ from .tensorcrystal import string_statistics
 
 # the operator dimension cap; build_config_from_opts is also called without it
 DIMCAP = 512
+# the largest n whose Gaudin column determinant (every gaudin action, bethe
+# degenerate) is built: at n = 5 a case of dim 25 runs for minutes
+GAUDIN_MAX_N = 4
 
 
 class UsageError(ValueError):
@@ -91,7 +94,8 @@ def emit(report, opts):
         k: v for k, v in opts.items() if v is not None and k not in ("func",)
     }
     text = json.dumps(payload, indent=1, default=str)
-    if opts.get("json"):
+    # the report is printed in any case, so "-" (stdout) writes no file
+    if opts.get("json") not in (None, "-"):
         export.write_json(opts["json"], payload)
     print(text)
     return 0 if report.get("passed", True) else 1
@@ -247,8 +251,15 @@ def cmd_alcove(opts):
 # gaudin
 
 
+def check_gaudin_n(n):
+    """Refuse an n whose Gaudin column determinant is not built."""
+    if n > GAUDIN_MAX_N:
+        raise UsageError(f"n = {n} exceeds {GAUDIN_MAX_N}, the largest n of the Gaudin cdet")
+
+
 def cmd_gaudin(opts):
     action = opts["action"]
+    check_gaudin_n(opts["n"])
     cfg = build_config_from_opts(opts)
     if action == "commute":
         fam = residue_generators(cfg)
@@ -289,6 +300,7 @@ def cmd_bethe(opts):
         report["normality"] = fam.normality_report()
         report["passed"] = report["passed"] and report["normality"]["passed"]
     elif action == "degenerate":
+        check_gaudin_n(n)
         cfg = build_config_from_opts(opts)
         eps_list = parse_fraction_list(opts["eps"])
         chi = parse_fraction_list(opts["chi"]) if opts.get("chi") else [0] * n
@@ -348,7 +360,7 @@ def cmd_compare(opts):
 # the flags more than one subcommand reads; each subparser takes --json and
 # those of the others its cmd_* reads
 SHARED_FLAGS = {
-    "json": dict(help="write the JSON report to this path"),
+    "json": dict(help="write the JSON report to this path too; - writes no file"),
     "dot": dict(help="write a DOT graph to this path"),
     "seed": dict(type=int, default=0),
     "tol": dict(type=float, default=1e-8),

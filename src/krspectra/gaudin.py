@@ -150,10 +150,8 @@ def gaudin_operator_matrix(cfg: GaudinConfig):
     return entries
 
 
-def gaudin_cdet(cfg: GaudinConfig, cap=4) -> DiffOpPoly:
+def gaudin_cdet(cfg: GaudinConfig) -> DiffOpPoly:
     """cdet(L(u) - d_u - chi), normal ordered; top coefficient is (-1)^n."""
-    if cfg.n > cap:
-        raise GaudinError(f"n={cfg.n} exceeds the configured cap {cap}")
     return cdet(gaudin_operator_matrix(cfg))
 
 

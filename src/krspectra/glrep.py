@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .scalars import Mat, QQi, mat_inverse
+from .scalars import Echelon, Mat, QQi, mat_inverse
 
 
 class RepError(ValueError):
@@ -43,64 +43,6 @@ def _wedge_apply(n, a, b, subset):
         pos_a += 1
     sign = -1 if (pos_b - pos_a) % 2 else 1
     return sign, rest[:pos_a] + (a,) + rest[pos_a:]
-
-
-class _Echelon:
-    """Reduced row echelon basis over Fraction with sparse dict rows."""
-
-    def __init__(self):
-        self.rows = {}  # pivot index -> dict(index -> Fraction), pivot coeff 1
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        for piv, row in self.rows.items():
-            c = vec.get(piv)
-            if c:
-                for idx, val in row.items():
-                    nv = vec.get(idx, Fraction(0)) - c * val
-                    if nv:
-                        vec[idx] = nv
-                    else:
-                        vec.pop(idx, None)
-        return vec
-
-    def insert(self, vec):
-        """Reduce and insert; returns the new pivot or None if dependent."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        piv = min(vec)
-        pc = vec[piv]
-        vec = {i: v / pc for i, v in vec.items()}
-        for opiv, orow in self.rows.items():
-            c = orow.get(piv)
-            if c:
-                for idx, val in vec.items():
-                    nv = orow.get(idx, Fraction(0)) - c * val
-                    if nv:
-                        orow[idx] = nv
-                    else:
-                        orow.pop(idx, None)
-        self.rows[piv] = vec
-        return piv
-
-    def coordinates(self, vec):
-        """Coefficients of vec on the stored rows; raises if not in the span."""
-        coords = {}
-        residual = dict(vec)
-        for piv, row in self.rows.items():
-            c = residual.get(piv)
-            if c:
-                coords[piv] = c
-                for idx, val in row.items():
-                    nv = residual.get(idx, Fraction(0)) - c * val
-                    if nv:
-                        residual[idx] = nv
-                    else:
-                        residual.pop(idx, None)
-        if residual:
-            raise RepError("vector not in the cyclic span")
-        return coords
 
 
 class MatrixRep:
@@ -232,7 +174,7 @@ def build_irrep(n, l, r) -> MatrixRep:
                         out.pop(nidx, None)
         return out
 
-    ech = _Echelon()
+    ech = Echelon()
     hv = {(top,) * l: Fraction(1)}
     first_piv = ech.insert(hv)
     discovered = [first_piv]

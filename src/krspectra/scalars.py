@@ -61,11 +61,9 @@ class QQi:
     # -- ring/field operations
 
     # A zero operand short-cuts +, - and *: the other operand (or zero) is
-    # returned as it is, and no Fraction is built.  Most entries of the dense
-    # rows that `gauss_jordan` reduces are zero, so this is the common case
-    # there (a Mat stores no zero entries at all).  Likewise a
-    # result of real operands gets the shared zero imaginary part, with no
-    # Fraction arithmetic on the imaginary parts.
+    # returned as it is, and no Fraction is built.  Likewise a result of
+    # real operands gets the shared zero imaginary part, with no Fraction
+    # arithmetic on the imaginary parts.
 
     def __add__(self, other):
         other = QQi.of(other)
@@ -510,71 +508,108 @@ def _row_numerators(arow, brows, nc):
     return acc, acc_im
 
 
-def gauss_jordan(rows, width=None):
-    """Exact Gauss-Jordan elimination: the package's one dense elimination.
+def _sub_scaled(vec, c, row):
+    """vec -= c * row, in place on sparse dicts; entries that cancel are dropped."""
+    for idx, val in row.items():
+        old = vec.get(idx)
+        if old is None:
+            vec[idx] = -(c * val)
+        else:
+            new = old - c * val
+            if new:
+                vec[idx] = new
+            else:
+                del vec[idx]
 
-    Reduces a list of QQi rows in place to reduced row echelon form, with
-    pivots sought in the first `width` columns (all columns by default), so
-    an augmented [M | I] ends as [R | E] with E M = R.  Returns the pivot
-    values met, in order, and the sign of the row swaps: the rank is the
-    number of pivots, and a square M of full rank has determinant
-    sign * (product of pivots).
+
+class Echelon:
+    """Reduced row echelon basis of sparse vectors: the package's one elimination.
+
+    A vector is a dict from orderable keys to nonzero exact field values
+    (`Fraction` or `QQi`); absent keys are zero.  `rows` maps each pivot p to
+    a stored row that is 1 at p and 0 at every other pivot.  An inserted
+    vector's pivot is the least key of its reduction.
     """
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    pivots = []
-    sign = 1
-    rank = 0
-    pc = 0
-    while rank < len(rows) and pc < width:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][pc]), None)
-        if piv is None:
-            pc += 1
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        pivots.append(rows[rank][pc])
-        inv = rows[rank][pc].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][pc]:
-                c = rows[r][pc]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        pc += 1
-    return pivots, sign
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        """vec minus its part in the span; empty exactly when vec is in the span."""
+        vec = dict(vec)
+        for piv, row in self.rows.items():
+            c = vec.get(piv)
+            if c:
+                _sub_scaled(vec, c, row)
+        return vec
+
+    def insert(self, vec):
+        """Reduce and store vec; returns its pivot, or None when it is dependent."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        piv = min(vec)
+        inv = 1 / vec[piv]
+        vec = {i: v * inv for i, v in vec.items()}
+        for row in self.rows.values():
+            c = row.get(piv)
+            if c:
+                _sub_scaled(row, c, vec)
+        self.rows[piv] = vec
+        return piv
+
+    def coordinates(self, vec):
+        """The coefficients {pivot: c} of vec on the stored rows.
+
+        Row p is 1 at p and 0 at every other pivot, so the coefficient of
+        row p is vec[p].  Raises ValueError if vec is not in the span.
+        """
+        if self.reduce(vec):
+            raise ValueError("vector not in the span")
+        return {p: vec[p] for p in self.rows if p in vec}
 
 
 def mat_rank(mat_rows) -> int:
     """Exact rank of a list of QQi row vectors."""
-    return len(gauss_jordan([list(r) for r in mat_rows])[0])
+    ech = Echelon()
+    return sum(
+        ech.insert({j: QQi.of(x) for j, x in enumerate(r) if x}) is not None for r in mat_rows
+    )
 
 
 def mat_inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; ZeroDivisionError if singular."""
+    """Exact inverse of a square matrix; ZeroDivisionError if singular.
+
+    Reduces the rows of [M | I], keyed (0, j) in M and (1, j) in I.  A pivot
+    in the I half means M is singular; otherwise the stored row (0, i) is
+    [e_i | row i of the inverse].
+    """
     n = m.nr
-    aug = [list(row) + ident for row, ident in zip(m.rows, Mat.identity(n).rows)]
-    if len(gauss_jordan(aug, n)[0]) < n:
-        raise ZeroDivisionError("inverse of a singular matrix")
-    return Mat([row[n:] for row in aug])
-
-
-def determinant(m: Mat) -> QQi:
-    """Exact determinant of a square matrix."""
-    pivots, sign = gauss_jordan([list(r) for r in m.rows])
-    if len(pivots) < m.nr:
-        return QQI_ZERO
-    det = QQi(sign)
-    for p in pivots:
-        det = det * p
-    return det
+    ech = Echelon()
+    for i, row in enumerate(m.nums):
+        vec = {(0, j): _entry(v, m.den) for j, v in row.items()}
+        vec[1, i] = QQI_ONE
+        half, _ = ech.insert(vec)
+        if half:
+            raise ZeroDivisionError("inverse of a singular matrix")
+    return Mat([[ech.rows[0, i].get((1, j), QQI_ZERO) for j in range(n)] for i in range(n)])
 
 
 def span_rank(mats) -> int:
-    """Rank of the linear span of a list of equally sized matrices."""
-    vecs = [[x for row in m.rows for x in row] for m in mats]
-    return len(gauss_jordan(vecs)[0])
+    """Rank of the linear span of a list of equally sized matrices.
+
+    Each Mat enters as one sparse vector of its stored numerators, keyed
+    (i, j); its denominator is dropped, as scaling a vector leaves the rank
+    alone.
+    """
+    ech = Echelon()
+    return sum(
+        ech.insert({(i, j): _entry(v, 1) for i, row in enumerate(m.nums) for j, v in row.items()})
+        is not None
+        for m in mats
+    )
 
 
 def spans_equal(mats_a, mats_b) -> bool:

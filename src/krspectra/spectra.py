@@ -18,6 +18,10 @@ from .scalars import Mat
 from .tableaux import canonical_weight
 
 
+# re-runs with a fresh random combination after a near-threshold separation
+RETRIES = 2
+
+
 class SpectraError(ValueError):
     pass
 
@@ -100,16 +104,16 @@ class JointSpectrum:
         }
 
 
-def joint_diagonalize(members, rep, tol=1e-8, seed=0, retries=2) -> JointSpectrum:
+def joint_diagonalize(members, rep, tol=1e-8, seed=0) -> JointSpectrum:
     """Diagonalize exact commuting matrices; torus members supply weights.
 
     members: list of Mat (verified commuting upstream).  rep provides the
     Gram matrix and the diagonal torus generators for the weight readout.
     Near-threshold separations trigger an adaptive re-run with a fresh
-    random combination (at most `retries` times); the best-resolved run wins.
+    random combination (at most RETRIES times); the best-resolved run wins.
     """
     best = None
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
         spec = _joint_diagonalize_once(
             members, rep, tol=tol, seed=seed + attempt
         )

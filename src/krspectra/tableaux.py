@@ -401,15 +401,14 @@ def schur_polynomial(lam, xs):
     Independent character oracle: s_lam(x_1..x_n) =
     det(x_i^(lam_j + n - j)) / det(x_i^(n - j)).
     """
-    from .scalars import Mat, QQi, determinant
+    from .scalars import QQi, cdet
 
     n = len(xs)
     lam = tuple(lam) + (0,) * (n - len(lam))
-    num = Mat(
-        [[QQi.of(xs[i]) ** (lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
-    )
-    den = Mat([[QQi.of(xs[i]) ** (n - 1 - j) for j in range(n)] for i in range(n)])
-    return determinant(num) / determinant(den)
+    # on commuting entries the column determinant is the determinant
+    num = [[QQi.of(xs[i]) ** (lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
+    den = [[QQi.of(xs[i]) ** (n - 1 - j) for j in range(n)] for i in range(n)]
+    return cdet(num) / cdet(den)
 
 
 def character_eval(graph: CrystalGraph, elements, xs):

@@ -56,6 +56,13 @@ class TestCrystalCommand:
         assert doc["size"] == 2
         assert doc["config"]["n"] == 2
 
+    def test_json_dash_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, doc = run(capsys, "crystal", "build", "--n", "2", "--kr", "1,1", "--json", "-")
+        assert code == 0
+        assert isinstance(doc, dict) and doc["size"] == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 def count_calls(monkeypatch, module, name):
     """Count calls of module.name through every krspectra module bound to it."""
@@ -472,6 +479,27 @@ class TestDimensionPreflight:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert tensors == crystals == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaudin", "commute", "--n", "5", "--z", "0,1"],
+            ["gaudin", "wall", "--n", "5", "--factors", "1,1;1,1"],
+            ["gaudin", "manin", "--n", "5", "--z", "0"],
+            ["bethe", "degenerate", "--n", "5", "--factors", "1,1;1,1", "--eps", "1/8,1/16"],
+        ],
+        ids=["gaudin-commute", "gaudin-wall", "gaudin-manin", "bethe-degenerate"],
+    )
+    def test_gaudin_cdet_past_n_4_is_refused_before_any_build(self, monkeypatch, capsys, argv):
+        import krspectra.gaudin as gaudin
+        import krspectra.glrep as glrep
+
+        tensors = count_calls(monkeypatch, glrep, "build_tensor")
+        reps = count_calls(monkeypatch, glrep, "build_defining")
+        cdets = count_calls(monkeypatch, gaudin, "gaudin_cdet")
+        assert main(argv) == 2
+        assert "n = 5 exceeds 4, the largest n of the Gaudin cdet" in capsys.readouterr().err
+        assert tensors == reps == cdets == []
 
     def test_at_the_cap_runs(self, capsys):
         code, doc = run(

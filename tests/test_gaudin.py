@@ -85,13 +85,6 @@ class TestCdet:
         op = gaudin_cdet(cfg)
         assert op.coeff(2) == RatFun.const(Mat.identity(4))
 
-    def test_cap(self):
-        c2 = build_defining(2)
-        rep = build_tensor([(c2, QQi(0), QQi(0))])
-        cfg = GaudinConfig(rep, (0, 0))
-        with pytest.raises(GaudinError):
-            gaudin_cdet(cfg, cap=1)
-
 
 class TestQuadraticHamiltonianOracle:
     """The independent hand expansion of the four cdet terms, frozen.

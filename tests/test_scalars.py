@@ -6,12 +6,12 @@ import pytest
 
 from krspectra.scalars import (
     DiffOpPoly,
+    Echelon,
     Mat,
     QQi,
     RatFun,
     ShiftOpPoly,
     cdet,
-    determinant,
     mat_inverse,
     mat_rank,
     poly_divide_linear,
@@ -442,8 +442,23 @@ class TestCdetAndSpans:
         assert not spans_equal([a], [b])
 
 
+def leibniz(rows):
+    """The determinant as the literal sum over permutations."""
+    from itertools import permutations
+
+    from krspectra.scalars import sgn
+
+    total = QQi(0)
+    for sigma in permutations(range(len(rows))):
+        term = QQi(sgn(sigma))
+        for col, row in enumerate(sigma):
+            term = term * rows[row][col]
+        total = total + term
+    return total
+
+
 class TestElimination:
-    # gauss_jordan backs rank, inverse and determinant; check all three on
+    # Echelon backs rank and inverse; check both, with the determinant, on
     # seeded random matrices, every other one singular by construction
     # (its last row is a combination of the others)
 
@@ -470,8 +485,8 @@ class TestElimination:
         for size in range(1, 7):
             for trial in range(6):
                 m = self.random_matrix(rng, size, singular=trial % 2 == 1)
-                det = determinant(m)
-                assert det == cdet(m.rows)
+                det = cdet(m.rows)
+                assert det == leibniz(m.rows)
                 full = mat_rank(m.rows) == size
                 assert full == bool(det)
                 if full:
@@ -492,6 +507,124 @@ class TestElimination:
         assert mat_rank(rows) == 2
         assert mat_rank([[QQi(0)] * 3]) == 0
         assert mat_rank([]) == 0
+
+    @staticmethod
+    def planted(rng, rank, extra, size):
+        """`rank` independent sparse vectors over `size` keys and `extra`
+        combinations of them, shuffled.
+
+        Vector t is 1 at its own key t (no other key below `rank` is set) plus
+        sparse Gaussian-rational entries at keys >= rank, and is then mixed
+        with random multiples of the earlier ones: the mix is unitriangular,
+        so the rank is `rank` by construction.  The last key is never set.
+        """
+
+        def value():
+            return QQi(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+            )
+
+        def combine(vecs, coeffs):
+            out = [QQi(0)] * size
+            for c, v in zip(coeffs, vecs):
+                out = [x + c * y for x, y in zip(out, v)]
+            return out
+
+        base = []
+        for t in range(rank):
+            vec = [QQi(0)] * size
+            vec[t] = QQi(1)
+            for k in rng.sample(range(rank, size - 1), 3):
+                vec[k] = value()
+            mix = [value() if rng.random() < 0.5 else QQi(0) for _ in base]
+            base.append(combine(base + [vec], mix + [QQi(1)]))
+        dependent = [
+            combine(base, [value() if rng.random() < 0.4 else QQi(0) for _ in base])
+            for _ in range(extra)
+        ]
+        vecs = base + dependent
+        rng.shuffle(vecs)
+        return vecs
+
+    def test_planted_rank(self):
+        rng = random.Random(5)
+        for rank, extra in [(1, 0), (1, 3), (4, 4), (7, 5), (12, 9)]:
+            side = 5
+            vecs = self.planted(rng, rank, extra, side * side)
+            assert mat_rank(vecs) == rank
+            mats = [Mat([v[i * side : (i + 1) * side] for i in range(side)]) for v in vecs]
+            assert span_rank(mats) == rank
+            # a scalar multiple adds nothing; the unit at the unset key adds one
+            assert span_rank(mats + [mats[0] * QQi(Fraction(3, 7), 2)]) == rank
+            assert span_rank(mats + [Mat.unit(side, side, side - 1, side - 1)]) == rank + 1
+
+    def test_span_rank_ignores_the_denominator(self):
+        a = Mat.from_values([[Fraction(1, 3), 0], [0, QQi(0, Fraction(1, 5))]])
+        assert span_rank([a, a * QQi(Fraction(7, 2), -1)]) == 1
+        assert span_rank([a, Mat.from_values([[1, 0], [0, 0]])]) == 2
+        assert span_rank([]) == 0
+        assert span_rank([Mat.zeros(2)]) == 0
+
+    def test_inverse_rejects_a_pivot_in_the_identity_half(self):
+        # the second row reduces to zero in the M half, so its pivot is (1, j)
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+            m = Mat.from_values(rows)
+            assert mat_rank(m.rows) < m.nr
+            with pytest.raises(ZeroDivisionError):
+                mat_inverse(m)
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("field", ["fraction", "qqi"])
+    def test_coordinates_rebuild_the_vector(self, field):
+        rng = random.Random(3)
+
+        def value():
+            x = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 5))
+            return x if field == "fraction" else QQi(x, Fraction(rng.randint(-3, 3), 2))
+
+        keys = [(a, b) for a in range(4) for b in "xyz"]
+        ech = Echelon()
+        inserted = []
+        for _ in range(8):
+            vec = {k: value() for k in rng.sample(keys, 4)}
+            inserted.append(vec)
+            ech.insert(vec)
+        for _ in range(10):
+            target = {}
+            for vec in inserted:
+                c = value()
+                for k, v in vec.items():
+                    target[k] = target.get(k, 0) + c * v
+            target = {k: v for k, v in target.items() if v}
+            coords = ech.coordinates(target)
+            rebuilt = {}
+            for piv, c in coords.items():
+                for k, v in ech.rows[piv].items():
+                    rebuilt[k] = rebuilt.get(k, 0) + c * v
+            assert {k: v for k, v in rebuilt.items() if v} == target
+
+    def test_rows_are_reduced_at_the_least_key(self):
+        ech = Echelon()
+        assert ech.insert({2: Fraction(2), 5: Fraction(4)}) == 2
+        assert ech.insert({2: Fraction(1), 5: Fraction(2)}) is None
+        assert ech.insert({}) is None
+        assert ech.insert({5: Fraction(3), 7: Fraction(1)}) == 5
+        assert ech.rows == {
+            2: {2: 1, 7: Fraction(-2, 3)},
+            5: {5: 1, 7: Fraction(1, 3)},
+        }
+
+    def test_a_vector_outside_the_span_raises(self):
+        ech = Echelon()
+        ech.insert({"a": QQi(1), "b": QQi(0, 1)})
+        ech.insert({"b": QQi(2), "c": QQi(1)})
+        assert ech.coordinates({}) == {}
+        with pytest.raises(ValueError):
+            ech.coordinates({"c": QQi(1)})
+        with pytest.raises(ValueError):
+            ech.coordinates({"d": QQi(1)})
 
 
 class TestMat:
