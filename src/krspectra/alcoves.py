@@ -228,10 +228,6 @@ def walls_of(w: ExtAffineWeylElt):
     return [w.apply_wall(h) for h in base]
 
 
-def base_walls(n):
-    return walls_of(ExtAffineWeylElt.identity(n))
-
-
 def subregular_sample(w: ExtAffineWeylElt, j) -> AffinePoint:
     """A deterministic rational point interior to wall j of Q_w, on no other wall.
 

@@ -295,11 +295,6 @@ def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     return RatFun.sum(terms)
 
 
-def tau_eval(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
-    """tau_a(u0, C) at an exact sample point."""
-    return tau_ratfun(a, C, cfg).eval(QQi.of(u))
-
-
 def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
     """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1).
 
@@ -414,9 +409,12 @@ def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
     return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
 
 
-def bethe_commuting_certificate(
-    C: TorusElement, cfg: GaudinConfig, margin=2
-) -> dict:
+# grid points per variable past the degree bound; any margin of at least 1
+# certifies
+CERTIFICATE_MARGIN = 2
+
+
+def bethe_commuting_certificate(C: TorusElement, cfg: GaudinConfig) -> dict:
     """Sampling certificate that [tau_a(u1), tau_b(u2)] vanishes identically.
 
     The commutator times the two denominators is polynomial of degree at most
@@ -432,7 +430,7 @@ def bethe_commuting_certificate(
         bound = a * k
         pts = []
         off = 0
-        while len(pts) < bound + margin:
+        while len(pts) < bound + CERTIFICATE_MARGIN:
             u = base + QQi(off)
             off += 1
             try:
@@ -451,7 +449,7 @@ def bethe_commuting_certificate(
     return {
         "grid_sizes": {a: len(grids[a]) for a in grids},
         "degree_bounds": {a: a * k for a in range(1, n + 1)},
-        "margin": margin,
+        "margin": CERTIFICATE_MARGIN,
         "passed": not witnesses,
         "witnesses": witnesses,
     }

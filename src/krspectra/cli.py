@@ -96,7 +96,7 @@ def emit(report, opts):
     text = json.dumps(payload, indent=1, default=str)
     # the report is printed in any case, so "-" (stdout) writes no file
     if opts.get("json") not in (None, "-"):
-        export.write_json(opts["json"], payload)
+        export.write_text(opts["json"], text)
     print(text)
     return 0 if report.get("passed", True) else 1
 
@@ -294,8 +294,7 @@ def cmd_bethe(opts):
     if action == "commute":
         cfg = build_config_from_opts(opts)
         C = standard_torus(n, wall=wall)
-        margin = max(2, (opts.get("grid") or 0) - n * cfg.k)
-        report = bethe_commuting_certificate(C, cfg, margin=margin)
+        report = bethe_commuting_certificate(C, cfg)
         fam = bethe_family(C, cfg)
         report["normality"] = fam.normality_report()
         report["passed"] = report["passed"] and report["normality"]["passed"]
@@ -328,7 +327,7 @@ def cmd_spectra(opts):
         cfg = build_spectral_config(n, factors, s)
         return regular_family(cfg), cfg.rep
 
-    report = scan_simple_spectrum(build, s_grid, tol=opts["tol"], seed=opts["seed"])
+    report = scan_simple_spectrum(build, s_grid)
     spec = report.pop("spectrum")
     report["passed"] = spec is not None
     if opts.get("csv") and spec is not None:
@@ -348,9 +347,7 @@ def cmd_compare(opts):
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
     s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else S_GRID
-    report = compare_pipeline(
-        n, factors, s_grid=s_grid, tol=opts["tol"], seed=opts["seed"]
-    )
+    report = compare_pipeline(n, factors, s_grid=s_grid)
     return emit(report, opts)
 
 
@@ -362,8 +359,6 @@ def cmd_compare(opts):
 SHARED_FLAGS = {
     "json": dict(help="write the JSON report to this path too; - writes no file"),
     "dot": dict(help="write a DOT graph to this path"),
-    "seed": dict(type=int, default=0),
-    "tol": dict(type=float, default=1e-8),
     "cap": dict(type=int, default=100000, help="crystal element cap"),
     "dimcap": dict(type=int, default=DIMCAP, help="operator dimension cap"),
 }
@@ -421,7 +416,6 @@ def make_parser():
     p.add_argument("--chi")
     p.add_argument("--s")
     p.add_argument("--wall", type=int)
-    p.add_argument("--grid", type=int, help="certificate grid size")
     p.add_argument("--eps", help="shift steps, e.g. 1/8,1/16,1/32")
     p.add_argument("--c", help="slope of the two-parameter slice")
     _add_shared(p, "dimcap")
@@ -433,14 +427,14 @@ def make_parser():
     p.add_argument("--factors", required=True)
     p.add_argument("--s-grid", dest="s_grid")
     p.add_argument("--csv", help="write eigenvalue tuples at the first simple s")
-    _add_shared(p, "seed", "tol", "dimcap")
+    _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("compare")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True)
     p.add_argument("--s-grid", dest="s_grid")
-    _add_shared(p, "seed", "tol", "dimcap")
+    _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_compare)
 
     return ap

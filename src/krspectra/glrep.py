@@ -12,7 +12,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -109,9 +108,6 @@ class MatrixRep:
                 for b in range(1, self.n + 1)
             },
         }
-
-    def to_json_str(self):
-        return json.dumps(self.to_json(), indent=1)
 
 
 def build_defining(n) -> MatrixRep:
@@ -301,10 +297,3 @@ class TensorRep:
 
 def build_tensor(factors) -> TensorRep:
     return TensorRep(factors)
-
-
-def weight_multiplicities(rep):
-    counts = {}
-    for w in rep.weight_basis:
-        counts[w] = counts.get(w, 0) + 1
-    return counts

@@ -72,13 +72,13 @@ def wall_pair(n, j):
     return (j, j + 1) if j < n else (n, 1)
 
 
-def spectral_wall_statistics(cfg, j, tol=1e-8, seed=0):
+def spectral_wall_statistics(cfg, j):
     """h-string statistics at wall j, with the family verified exactly first."""
     n = cfg.n
     C0 = standard_torus(n, wall=j)
     fam = wall_bethe_family(C0, wall_pair(n, j), cfg)  # verifies exact commutativity
     *base_members, h = fam.gens
-    return wall_strings(base_members, h, cfg.rep, tol=tol, seed=seed)
+    return wall_strings(base_members, h, cfg.rep)
 
 
 # the scales `compare` tries when none are given, in this order
@@ -94,7 +94,7 @@ def regular_family(cfg):
     return fam.gens + [cfg.rep.delta(a, a) for a in range(1, n + 1)]
 
 
-def compare_pipeline(n, factors, s_grid=S_GRID, tol=1e-8, seed=0):
+def compare_pipeline(n, factors, s_grid=S_GRID):
     """Full crystal-vs-spectra comparison for KR factors (l, r).
 
     Scans s_grid for a scale where every wall family has clean strings, then
@@ -110,16 +110,14 @@ def compare_pipeline(n, factors, s_grid=S_GRID, tol=1e-8, seed=0):
             cfg = build_spectral_config(n, factors, s)
             stats = {}
             for j in range(1, n + 1):
-                strings = spectral_wall_statistics(cfg, j, tol=tol, seed=seed)
+                strings = spectral_wall_statistics(cfg, j)
                 if not strings.ok():
                     raise SpectraError(
                         f"wall {j}: {strings.diagnostics['failures']}"
                     )
                 stats[j % n] = strings.statistics()
             # global weight multiset via the regular-C family
-            regular_spec = joint_diagonalize(
-                regular_family(cfg), cfg.rep, tol=tol, seed=seed
-            )
+            regular_spec = joint_diagonalize(regular_family(cfg), cfg.rep)
             report = compare_with_crystal(stats, comb)
             report["s"] = str(s)
             report["weights_match"] = weight_multiset_matches(regular_spec, comb)

@@ -1061,10 +1061,6 @@ class DiffOpPoly(_OpPoly):
     __slots__ = ()
 
     @staticmethod
-    def from_ratfun(f):
-        return DiffOpPoly([f])
-
-    @staticmethod
     def d(order=1, like=None):
         one = RatFun.const(like if like is not None else QQI_ONE)
         zero = RatFun([], {})

@@ -5,7 +5,7 @@ established exactly upstream, so numerics do nothing but locate eigenlines.
 Operators are orthonormalized through a Cholesky factor of the exact Gram
 matrix, making each member a normal matrix in standard coordinates; the
 Hermitian and anti-Hermitian parts are then diagonalized simultaneously by
-seeded recursive refinement.
+recursive refinement.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .scalars import Mat
 from .tableaux import canonical_weight
 
 
-# re-runs with a fresh random combination after a near-threshold separation
-RETRIES = 2
+# the separation, relative to the family's scale, below which eigenvalues
+# are taken as equal
+TOL = 1e-8
 
 
 class SpectraError(ValueError):
@@ -42,13 +43,13 @@ def _orthonormalizer(rep):
     return T, Tinv
 
 
-def _hermitian_parts(mats, tol):
+def _hermitian_parts(mats):
     parts = []
     for m in mats:
         h = (m + m.conj().T) / 2
         k = (m - m.conj().T) / (2j)
         for p in (h, k):
-            if np.max(np.abs(p)) > tol:
+            if np.max(np.abs(p)) > TOL:
                 parts.append(p)
     return parts
 
@@ -75,15 +76,28 @@ def _refine(vecs, ops, tol):
     return np.concatenate(out, axis=1)
 
 
+def _line_values(mats, vecs):
+    """(members, lines) array of v^H M v over the columns v of vecs."""
+    return np.array([np.einsum("ij,ij->j", vecs.conj(), m @ vecs) for m in mats])
+
+
+def _pairwise_distance(values):
+    """(lines, lines) array of max over members of |values[:, i] - values[:, j]|."""
+    dim = values.shape[1]
+    dist = np.zeros((dim, dim))
+    for row in values:
+        np.maximum(dist, np.abs(row[:, None] - row[None, :]), out=dist)
+    return dist
+
+
 class JointSpectrum:
     """Eigenlines of a commuting family with eigenvalue tuples and weights."""
 
-    def __init__(self, vectors, values, weights, min_separation, tol, scale):
+    def __init__(self, vectors, values, weights, min_separation, scale):
         self.vectors = vectors  # columns, orthonormal in transformed coords
         self.values = values  # shape (members, dim)
         self.weights = weights  # list of integer tuples (rounded)
         self.min_separation = min_separation
-        self.tol = tol
         self.scale = scale
 
     @property
@@ -91,7 +105,7 @@ class JointSpectrum:
         return self.vectors.shape[0]
 
     def is_simple(self):
-        return self.min_separation > self.tol * max(self.scale, 1.0)
+        return self.min_separation > TOL * max(self.scale, 1.0)
 
     def report(self):
         return {
@@ -99,75 +113,52 @@ class JointSpectrum:
             "members": int(self.values.shape[0]),
             "min_separation": float(self.min_separation),
             "scale": float(self.scale),
-            "tol": float(self.tol),
+            "tol": TOL,
             "simple": bool(self.is_simple()),
         }
 
 
-def joint_diagonalize(members, rep, tol=1e-8, seed=0) -> JointSpectrum:
+def joint_diagonalize(members, rep) -> JointSpectrum:
     """Diagonalize exact commuting matrices; torus members supply weights.
 
     members: list of Mat (verified commuting upstream).  rep provides the
     Gram matrix and the diagonal torus generators for the weight readout.
-    Near-threshold separations trigger an adaptive re-run with a fresh
-    random combination (at most RETRIES times); the best-resolved run wins.
+    The members go to standard coordinates, where each must be normal, and
+    one deterministic refinement pass finds the eigenlines.
     """
-    best = None
-    for attempt in range(RETRIES + 1):
-        spec = _joint_diagonalize_once(
-            members, rep, tol=tol, seed=seed + attempt
-        )
-        if best is None or spec.min_separation > best.min_separation:
-            best = spec
-        if best.min_separation > 10 * tol * max(best.scale, 1.0):
-            break
-    return best
-
-
-def _joint_diagonalize_once(members, rep, tol=1e-8, seed=0) -> JointSpectrum:
     if not members:
         raise SpectraError("empty family")
     T, Tinv = _orthonormalizer(rep)
     mats = [T @ mat_to_numpy(m) @ Tinv for m in members]
-    dim = mats[0].shape[0]
     scale = max(np.max(np.abs(m)) for m in mats)
-    norm_tol = 1e3 * tol * max(scale, 1.0)
+    norm_tol = 1e3 * TOL * max(scale, 1.0)
     for m in mats:
         if np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) > norm_tol:
             raise SpectraError(
                 "family member is not normal within tolerance; "
                 "check the reality conditions of the configuration"
             )
-    parts = _hermitian_parts(mats, tol)
-    rng = np.random.default_rng(seed)
-    combo = sum(rng.standard_normal() * p for p in parts)
-    combo = (combo + combo.conj().T) / 2
-    _, vecs = np.linalg.eigh(combo)
-    vecs = _refine(vecs, parts, tol * max(scale, 1.0) * 10)
-    values = np.zeros((len(mats), dim), dtype=np.complex128)
-    for mi, m in enumerate(mats):
-        for j in range(dim):
-            v = vecs[:, j]
-            values[mi, j] = v.conj() @ m @ v
-    # weights from the diagonal torus generators
-    weights = []
-    torus = [rep.delta(a, a) for a in range(1, rep.n + 1)]
-    torus_np = [T @ mat_to_numpy(t) @ Tinv for t in torus]
-    for j in range(dim):
-        v = vecs[:, j]
-        w = []
-        for t in torus_np:
-            val = (v.conj() @ t @ v).real
-            w.append(int(round(val)))
-        weights.append(tuple(w))
-    min_sep = np.inf
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            d = np.max(np.abs(values[:, i] - values[:, j]))
-            min_sep = min(min_sep, d)
+    torus = [
+        T @ mat_to_numpy(rep.delta(a, a)) @ Tinv for a in range(1, rep.n + 1)
+    ]
+    return _joint_diagonalize_once(mats, torus, float(scale))
+
+
+def _joint_diagonalize_once(mats, torus, scale) -> JointSpectrum:
+    """Eigenlines of normal matrices in standard coordinates, by refinement
+    from the standard basis; torus: the diagonal generators, for weights."""
+    dim = mats[0].shape[0]
+    start = np.eye(dim, dtype=np.complex128)
+    vecs = _refine(start, _hermitian_parts(mats), 10 * TOL * max(scale, 1.0))
+    values = _line_values(mats, vecs)
+    # np.rint rounds half to even, as round() does
+    rounded = np.rint(_line_values(torus, vecs).real).astype(int)
+    weights = [tuple(w) for w in rounded.T.tolist()]
     if dim == 1:
         min_sep = np.inf
-    return JointSpectrum(vecs, values, weights, float(min_sep), tol, float(scale))
+    else:
+        min_sep = _pairwise_distance(values)[np.triu_indices(dim, 1)].min()
+    return JointSpectrum(vecs, values, weights, float(min_sep), scale)
 
 
 def reconstruction_residual(members, rep, spec: JointSpectrum) -> float:
@@ -212,38 +203,29 @@ class SpectralStrings:
         }
 
 
-def wall_strings(family_members, h_member, rep, tol=1e-8, seed=0):
+def wall_strings(family_members, h_member, rep):
     """Decompose eigenspaces of the family and read off h-strings.
 
     family_members must not contain h; h refines each family eigenspace into
     a string of one-dimensional h-eigenlines with eigenvalues m, m-2, ..., -m.
     """
-    spec = joint_diagonalize(
-        list(family_members) + [h_member], rep, tol=tol, seed=seed
-    )
+    spec = joint_diagonalize(list(family_members) + [h_member], rep)
     if not spec.is_simple():
         raise SpectraError(
             f"wall family plus h is not simple (gap {spec.min_separation:.3e})"
         )
     nfam = len(family_members)
-    dim = spec.dim
     cluster_tol = max(spec.scale, 1.0) * 1e-6
-    # group eigenlines by the family eigenvalue tuple (excluding h)
+    # group eigenlines by the family eigenvalue tuple (excluding h): each
+    # unassigned line takes every unassigned line within cluster_tol of it
+    near = _pairwise_distance(spec.values[:nfam]) < cluster_tol
     groups = []
-    assigned = [False] * dim
-    for i in range(dim):
-        if assigned[i]:
-            continue
-        block = [i]
-        assigned[i] = True
-        for j in range(i + 1, dim):
-            if assigned[j]:
-                continue
-            d = np.max(np.abs(spec.values[:nfam, i] - spec.values[:nfam, j]))
-            if d < cluster_tol:
-                block.append(j)
-                assigned[j] = True
-        groups.append(block)
+    free = np.ones(spec.dim, dtype=bool)
+    for i in range(spec.dim):
+        if free[i]:
+            block = np.flatnonzero(near[i] & free)
+            free[block] = False
+            groups.append(block.tolist())
     strings = []
     failures = []
     for block in groups:
@@ -327,7 +309,7 @@ def eigenvalues_csv(spec: JointSpectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_simple_spectrum(build_members, s_grid, tol=1e-8, seed=0):
+def scan_simple_spectrum(build_members, s_grid):
     """Simplicity verdict over a parameter grid.
 
     build_members(s) -> (members, rep); reports the per-s verdicts and the
@@ -340,7 +322,7 @@ def scan_simple_spectrum(build_members, s_grid, tol=1e-8, seed=0):
     for s in s_grid:
         try:
             members, rep = build_members(s)
-            spec = joint_diagonalize(members, rep, tol=tol, seed=seed)
+            spec = joint_diagonalize(members, rep)
             rows.append(
                 {
                     "s": str(s),

@@ -8,7 +8,6 @@ from krspectra.alcoves import (
     AlcoveError,
     ExtAffineWeylElt,
     Wall,
-    base_walls,
     classify,
     in_alcove,
     regular_sample,
@@ -74,7 +73,7 @@ class TestClassify:
 
 class TestWalls:
     def test_base_walls_n3(self):
-        assert base_walls(3) == [Wall(1, 2, 0), Wall(2, 3, 0), Wall(3, 1, -1)]
+        assert walls_of(ExtAffineWeylElt.identity(3)) == [Wall(1, 2, 0), Wall(2, 3, 0), Wall(3, 1, -1)]
 
     def test_pure_translation_shifts_levels(self):
         n = 3
@@ -87,7 +86,7 @@ class TestWalls:
     def test_action_compatibility(self):
         w = ExtAffineWeylElt((3, 1, 2), (0, 1, 0))
         lhs = walls_of(w)
-        rhs = [w.apply_wall(h) for h in base_walls(3)]
+        rhs = [w.apply_wall(h) for h in walls_of(ExtAffineWeylElt.identity(3))]
         assert lhs == rhs
 
     def test_walls_pairwise_distinct_with_real_faces(self):

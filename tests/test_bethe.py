@@ -19,7 +19,6 @@ from krspectra.bethe import (
     quantum_minors,
     shift_residue_generators,
     standard_torus,
-    tau_eval,
     tau_kron_direct,
     tau_ratfun,
     tau_trace_direct,
@@ -27,9 +26,9 @@ from krspectra.bethe import (
     wall_bethe_family,
 )
 from krspectra.gaudin import GaudinConfig, residue_generators
-from krspectra.glrep import build_defining, build_irrep, build_tensor
+from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import build_spectral_config, wall_pair
-from krspectra.scalars import Mat, QQi, mat_rank, span_rank, spans_equal, unit_circle_point
+from krspectra.scalars import Mat, QQi, mat_rank, spans_equal, unit_circle_point
 
 
 def config_c2_pair(z=(QQi(0, 3), QQi(0, 1)), d=(-2, -2)):
@@ -242,7 +241,7 @@ class TestTauRoutesAgree:
         cfg = config_single(n, QQi(Fraction(1, 5), Fraction(1, 2)))
         C = standard_torus(n)
         u = QQi(Fraction(17, 3), Fraction(-2, 7))
-        via_minor = tau_eval(a, C, cfg, u)
+        via_minor = tau_ratfun(a, C, cfg).eval(u)
         via_trace = tau_trace_direct(a, C, cfg, u)
         assert via_minor == via_trace
         via_kron = tau_kron_direct(a, C, cfg, u)
@@ -253,8 +252,8 @@ class TestTauRoutesAgree:
         C = standard_torus(2)
         u = QQi(Fraction(9, 4))
         for a in (1, 2):
-            assert tau_eval(a, C, cfg, u) == tau_trace_direct(a, C, cfg, u)
-            assert tau_eval(a, C, cfg, u) == tau_kron_direct(a, C, cfg, u)
+            assert tau_ratfun(a, C, cfg).eval(u) == tau_trace_direct(a, C, cfg, u)
+            assert tau_ratfun(a, C, cfg).eval(u) == tau_kron_direct(a, C, cfg, u)
 
 
 class TestFamilies:
@@ -326,7 +325,7 @@ class TestCertificate:
         C = standard_torus(2)
         u1 = QQi(Fraction(41, 7))
         u2 = QQi(Fraction(55, 9))
-        t1 = tau_eval(1, C, cfg, u1)
+        t1 = tau_ratfun(1, C, cfg).eval(u1)
         n, dim = cfg.n, cfg.rep.dim
         bad = Mat.from_values([[1, 1], [0, 1]])
         cmat = Mat([[C.entries[0], QQi(0)], [QQi(0), C.entries[1]]])

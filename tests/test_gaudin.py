@@ -18,7 +18,7 @@ from krspectra.gaudin import (
     torus_center_members,
     wall_family,
 )
-from krspectra.glrep import build_defining, build_irrep, build_tensor
+from krspectra.glrep import build_defining, build_tensor
 from krspectra.scalars import Mat, QQi, RatFun, spans_equal
 
 

@@ -10,7 +10,6 @@ from krspectra.promotion import (
     promote,
     promotion_map,
     promotion_order,
-    restricted_graph,
     schutzenberger,
     verify_uniqueness,
     view,
@@ -20,10 +19,8 @@ from krspectra.tableaux import (
     CrystalGraph,
     Tableau,
     build_crystal,
-    canonical_weight,
     decompose_normal,
     e_op,
-    f_op,
 )
 
 

@@ -304,7 +304,7 @@ class TestDiffOp:
         z = QQi(3)
         f = RatFun.pole_term(QQi(1), z)
         d = DiffOpPoly.d()
-        prod = d * DiffOpPoly.from_ratfun(f)
+        prod = d * DiffOpPoly([f])
         assert prod.coeff(1) == f
         assert prod.coeff(0) == RatFun.pole_term(QQi(-1), z, 2)
 

@@ -1,9 +1,9 @@
 import json
-from collections import Counter
 from fractions import Fraction
 
-import pytest
+import numpy as np
 
+from krspectra import spectra
 from krspectra.bethe import bethe_family, standard_torus
 from krspectra.gaudin import (
     GaudinConfig,
@@ -13,9 +13,8 @@ from krspectra.gaudin import (
 )
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import build_spectral_config, compare_pipeline
-from krspectra.scalars import Mat, QQi, QQI_ONE, QQI_ZERO
+from krspectra.scalars import Mat, QQi, QQI_ONE
 from krspectra.spectra import (
-    SpectraError,
     joint_diagonalize,
     reconstruction_residual,
     scan_simple_spectrum,
@@ -89,8 +88,6 @@ class TestJointDiagonalize:
         spec = joint_diagonalize([d], rep)
         assert spec.is_simple()
         # eigenlines are the coordinate axes
-        import numpy as np
-
         P = np.abs(spec.vectors)
         assert np.allclose(np.sort(P, axis=0)[:-1], 0, atol=1e-9)
 
@@ -124,9 +121,60 @@ class TestJointDiagonalize:
     def test_determinism_bit_for_bit(self):
         cfg = c2_pair_cfg()
         fam = residue_generators(cfg)
-        a = joint_diagonalize(fam.gens, cfg.rep, seed=11).report()
-        b = joint_diagonalize(fam.gens, cfg.rep, seed=11).report()
+        a = joint_diagonalize(fam.gens, cfg.rep).report()
+        b = joint_diagonalize(fam.gens, cfg.rep).report()
         assert json.dumps(a) == json.dumps(b)
+
+    def test_non_simple_wall_family_is_one_deterministic_pass(self, monkeypatch):
+        # the subregular family without h is degenerate, the case in which
+        # the eigenvector choice inside an eigenspace is left to the refinement
+        cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
+        members = residue_generators(cfg).gens
+        members += [g for _, g in torus_center_members(cfg)]
+        attempts = []
+        once = spectra._joint_diagonalize_once
+
+        def counted(*args):
+            attempts.append(args)
+            return once(*args)
+
+        monkeypatch.setattr(spectra, "_joint_diagonalize_once", counted)
+        a = joint_diagonalize(members, cfg.rep)
+        assert not a.is_simple()
+        assert len(attempts) == 1
+        b = joint_diagonalize(members, cfg.rep)
+        assert json.dumps(a.report()) == json.dumps(b.report())
+        assert a.weights == b.weights
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    def test_readout_agrees_with_the_loop_over_eigenlines(self):
+        cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
+        C0 = standard_torus(2, wall=1)
+        members = bethe_family(C0, cfg).gens
+        spec = joint_diagonalize(members, cfg.rep)
+        T, Tinv = spectra._orthonormalizer(cfg.rep)
+        mats = [T @ spectra.mat_to_numpy(m) @ Tinv for m in members]
+        torus = [T @ spectra.mat_to_numpy(cfg.rep.delta(a, a)) @ Tinv for a in (1, 2)]
+        vecs = spec.vectors
+        cols = range(spec.dim)
+        looped = np.array([[vecs[:, j].conj() @ m @ vecs[:, j] for j in cols] for m in mats])
+        # einsum sums in another order than the loop: a few ulps of the scale
+        assert np.allclose(spec.values, looped, rtol=0, atol=1e-12 * max(spec.scale, 1.0))
+        weights = [
+            tuple(int(round((vecs[:, j].conj() @ t @ vecs[:, j]).real)) for t in torus)
+            for j in cols
+        ]
+        assert spec.weights == weights
+        # the pairwise distances are the same float operations as the loop's
+        values = spec.values
+        min_sep = min(
+            np.max(np.abs(values[:, i] - values[:, j]))
+            for i in cols
+            for j in range(i + 1, spec.dim)
+        )
+        assert spec.min_separation == min_sep
+        assert not spec.is_simple()
 
 
 class TestWallStrings:

@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
