@@ -1,5 +1,5 @@
-"""Evaluated Bethe generators, the shift-operator column determinant, and
-the finite-step degeneration to Gaudin generators.
+"""Evaluated Bethe generators and their finite-step degeneration to Gaudin
+generators.
 
 tau_a(u, C) is the trace over (C^n)^{tensor a} of A_a C_1..C_a T_1(u)..
 T_a(u-a+1) with T evaluated on the tensor product of factors.  The production
@@ -9,6 +9,10 @@ slot, so each minor is a sum of Kronecker products of minors of the single
 factors, which are column determinants at factor dimension.  The literal
 trace (two independent forms) and the full-dimension cdet table are kept as
 oracles for cross-checks.
+
+The degeneration reads the same minor table: the shift operator
+eps^-1 (T(u/eps) S - C) has S^a coefficient det(C) tau_a(u/eps, C^-1) up to
+sign and eps^-n, so B(C) itself is degenerated, at rescaled points.
 
 Everything except the final spectra step is exact: torus elements are
 unit-modulus Gaussian rationals from the Pythagorean parametrization, and
@@ -20,7 +24,7 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial, prod
 
 from .gaudin import (
     CommutingFamily,
@@ -30,11 +34,11 @@ from .gaudin import (
     coincidence_classes,
     subregular_pair,
 )
+from .glrep import build_tensor
 from .scalars import (
     Mat,
     QQi,
     RatFun,
-    ShiftOpPoly,
     cdet,
     sgn,
     unit_circle_point,
@@ -456,7 +460,7 @@ def bethe_commuting_certificate(C: TorusElement, cfg: GaudinConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Shift-operator column determinant and the degeneration to Gaudin
+# Shift-operator residues and the degeneration to Gaudin
 
 
 # degree of the exp(-eps chi) truncation in the shift operator
@@ -485,103 +489,79 @@ def exp_tail_bound(x_abs2: Fraction, order=EXP_ORDER) -> Fraction:
     return num / (factorial(order + 1) * (1 - s))
 
 
-def shift_operator_matrix(eps, c, cfg: GaudinConfig):
-    """Entries of eps^{-1}(S_eps(1 + eps L(u)) - exp_trunc(-eps chi)).
+def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
+    """r_{k, z_i, l, eps}: grouped residues of the d-basis coefficients.
 
-    chi is taken from cfg.  L here is the Lax matrix at the rescaled points
-    z_i/c + eps*d_i, so the poles of the S-coefficient sit at
-    z_i/c + eps(d_i + 1).
+    The shift operator is the cdet of eps^-1 (T(u/eps) S - C), where
+    S f(u) = f(u - eps) S, C = diag(exp_trunc(-eps chi_shift)) and T is the
+    evaluation T-matrix with points w_i = z_i/(c eps) + d_i + 1.  Its S^a
+    coefficient is the quantum-minor expansion
+    R_a(u) = (-1)^(n-a) eps^-n det(C) tau_a(u/eps, C^-1),
+    read from the minor table of that rescaled configuration.  The shift
+    expansion converts to the derivative basis via S^a = exp(-a eps d_u);
+    the coefficient of d^k is b_k(u) = sum_a R_a(u) (-a eps)^k / k!, exact
+    for each k.  R_0 is constant, so only a >= 1 has residues.  Residues are
+    grouped around the centers z_i/c and weighted by (u - z_i/c)^l; in
+    v = u/eps, res_{u = eps p} (u - z/c)^l g = eps^(l+1) res_{v=p} (v - z/(c eps))^l g.
     """
     eps, c = QQi.of(eps), QQi.of(c)
     if not eps or not c:
         raise BetheError("eps and c must be nonzero")
     n, rep = cfg.n, cfg.rep
-    dim = rep.dim
-    ident = Mat.identity(dim)
-    inv_eps = eps.inverse()
-    centers = [z / c for z in cfg.points]
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            s1 = RatFun.const(ident * inv_eps) if a == b else RatFun.const(
-                Mat.zeros(dim)
+    centers = [z / (c * eps) for z in rep.points]
+    shifts = [QQi.of(d) for d in rep.shifts]
+    vcfg = GaudinConfig(
+        build_tensor([(r, w + d + 1, d) for (r, _, d), w in zip(rep.factors, centers)]),
+        chi_shift,
+    )
+    diag = [exp_truncated(-eps * QQi.of(x)) for x in chi_shift]
+    c_inv = TorusElement([x.inverse() for x in diag], require_unit=False)
+    det = prod(diag, start=QQi(1))
+    offsets = {QQi(j) for j in range(n + 2)}
+    # weighted[a][i, l] = sum over the poles p of group i of
+    # res_{v=p} (v - z_i/(c eps))^l tau_a(v, C^-1)
+    weighted = {}
+    for a in range(1, n + 1):
+        f = tau_ratfun(a, c_inv, vcfg)
+        sums = weighted[a] = {}
+        for p in f.poles:
+            hit = next(
+                (i for i, w in enumerate(centers) if p - w - shifts[i] in offsets), None
             )
-            for slot, z in enumerate(cfg.points):
-                pole = centers[slot] + eps * (QQi.of(rep.shifts[slot]) + 1)
-                s1 = s1 + RatFun.pole_term(
-                    rep.e_slot(slot, a + 1, b + 1), pole
-                )
-            if a == b:
-                s0 = RatFun.const(
-                    ident * (-inv_eps * exp_truncated(-eps * cfg.chi[a], EXP_ORDER))
-                )
-            else:
-                s0 = RatFun.const(Mat.zeros(dim))
-            row.append(ShiftOpPoly([s0, s1], eps))
-        entries.append(row)
-    return entries
-
-
-def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
-    """r_{k, z_i, l, eps}: grouped residues of the d-basis coefficients.
-
-    The shift expansion sum_a R_a(u) S^a converts to the derivative basis via
-    S^a = exp(-a eps d_u); the coefficient of d^k is
-    b_k(u) = sum_a R_a(u) (-a eps)^k / k!, exact for each k.  Residues are
-    grouped around the centers z_i/c and weighted by (u - z_i/c)^l.
-    """
-    eps, c = QQi.of(eps), QQi.of(c)
-    cfg_signed = GaudinConfig(cfg.rep, chi_shift)
-    op = cdet(shift_operator_matrix(eps, c, cfg_signed))
-    n = cfg.n
-    centers = [z / c for z in cfg.points]
-    out = {}
-    for k in range(n + 1):
-        bk = None
-        fact = factorial(k)
-        for a_pow, Ra in enumerate(op.coeffs):
-            if Ra.is_zero():
-                continue
-            coeff = (QQi(-a_pow) * eps) ** k * QQi(Fraction(1, fact))
-            term = Ra * coeff
-            bk = term if bk is None else bk + term
-        if bk is None or bk.is_zero():
-            continue
-        # group poles around the centers
-        groups = {i: [] for i in range(len(centers))}
-        for p in bk.poles:
-            hit = None
-            for i, z in enumerate(centers):
-                delta = p - z
-                # delta must be eps * (d_i + integer j), j = 0..n
-                ratio = delta * eps.inverse()
-                for j in range(n + 2):
-                    if ratio == QQi.of(cfg.rep.shifts[i]) + QQi(j):
-                        hit = i
-                        break
-                if hit is not None:
-                    break
             if hit is None:
                 raise BetheError(f"pole {p} not matched to any center (collision?)")
-            groups[hit].append(p)
-        for i, z in enumerate(centers):
+            # (v - w)^l = sum_m C(l, m) (p - w)^(l-m) (v - p)^m
+            delta = p - centers[hit]
+            res = [f.residue(p, m) for m in range(n + 1)]
+            for l in range(n + 1):
+                total = sums.get((hit, l))
+                for m in range(l + 1):
+                    if res[m]:
+                        term = res[m] * (QQi(comb(l, m)) * delta ** (l - m))
+                        total = term if total is None else total + term
+                if total is not None:
+                    sums[hit, l] = total
+    out = {}
+    for k in range(n + 1):
+        # R_a's factor (-1)^(n-a) eps^-n det(C), times (-a eps)^k / k!
+        coeff = {
+            a: QQi(Fraction((-1) ** (n - a) * (-a) ** k, factorial(k))) * det * eps ** (k - n)
+            for a in weighted
+        }
+        for i in range(len(centers)):
             for l in range(k + 1):
                 total = None
-                weight = RatFun([-z, QQi(1)], {})
-                for p in groups[i]:
-                    f = bk
-                    for _ in range(l):
-                        f = f * weight
-                    r = f.residue(p, 0)
-                    total = r if total is None else total + r
+                for a, sums in weighted.items():
+                    if (i, l) in sums:
+                        term = sums[i, l] * (coeff[a] * eps ** (l + 1))
+                        total = term if total is None else total + term
                 if total is not None and total:
                     out[(k, i + 1, l)] = total
     return out
 
 
 def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
-    """Max-entry distance between shift-cdet residues and Gaudin generators.
+    """Max-entry distance between shift-operator residues and Gaudin generators.
 
     The Gaudin side is cdet(L_{z/c}(u) - d_u + chi_shift), i.e. the config
     chi is -chi_shift under this package's sign convention.

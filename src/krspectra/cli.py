@@ -67,8 +67,15 @@ class UsageError(ValueError):
     pass
 
 
+def parse_fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational number: {text!r}") from None
+
+
 def parse_fraction_list(text):
-    return [Fraction(x) for x in text.split(",") if x != ""]
+    return [parse_fraction(x) for x in text.split(",") if x != ""]
 
 
 def parse_scalar_list(text):
@@ -137,15 +144,17 @@ def build_config_from_opts(opts):
         raise UsageError("need --factors or --z")
     if points is not None and len(points) != len(factors):
         raise UsageError("--z and --factors lengths differ")
-    check_size(n, factors, opts.get("dimcap", DIMCAP))
     chi = parse_fraction_list(opts["chi"]) if opts.get("chi") else None
+    if chi is not None and len(chi) != n:
+        raise UsageError(f"--chi has {len(chi)} entries, need n = {n}")
+    check_size(n, factors, opts.get("dimcap", DIMCAP))
     if points is not None:
         parts = [
             (kr_rep(n, l, r), z, QQi(default_shift(n, l, r)))
             for (l, r), z in zip(factors, points)
         ]
         return GaudinConfig(build_tensor(parts), chi or [0] * n)
-    cfg = build_spectral_config(n, factors, Fraction(opts.get("s") or 1))
+    cfg = build_spectral_config(n, factors, parse_fraction(opts.get("s") or 1))
     return GaudinConfig(cfg.rep, chi) if chi else cfg
 
 
@@ -300,12 +309,14 @@ def cmd_bethe(opts):
         report["passed"] = report["passed"] and report["normality"]["passed"]
     elif action == "degenerate":
         check_gaudin_n(n)
+        eps_list = parse_fraction_list(opts.get("eps") or "")
+        if len(eps_list) < 2 or not all(eps_list):
+            raise UsageError("bethe degenerate needs --eps with two or more nonzero steps")
+        c = parse_fraction(opts.get("c") or 1)
+        if not c:
+            raise UsageError("--c must be nonzero")
         cfg = build_config_from_opts(opts)
-        eps_list = parse_fraction_list(opts["eps"])
-        chi = parse_fraction_list(opts["chi"]) if opts.get("chi") else [0] * n
-        report = degeneration_report(
-            GaudinConfig(cfg.rep, chi), chi, eps_list, c=Fraction(opts.get("c") or 1)
-        )
+        report = degeneration_report(cfg, cfg.chi, eps_list, c=c)
         ratios = report["ratios"]
         report["passed"] = bool(ratios) and all(0.35 <= r <= 0.65 for r in ratios)
     else:

@@ -1,8 +1,8 @@
 """Exact arithmetic foundation.
 
 Gaussian rationals, exact matrices, univariate rational functions with
-factored pole multisets, and the normal-ordered algebras of differential and
-shift operators used for column determinants.
+factored pole multisets, the normal-ordered algebra of differential
+operators, and column determinants.
 
 Everything here is immutable after construction and exact; floats appear
 only as read-outs (`Mat.max_abs`, `Mat.complex_rows`).
@@ -983,14 +983,13 @@ class RatFun:
 
 
 # ---------------------------------------------------------------------------
-# Differential and shift operator polynomials
+# Differential operator polynomials
 
 
-class _OpPoly:
-    """Normal-ordered sum_k c_k(u) X^k with RatFun coefficients.
+class DiffOpPoly:
+    """Normal-ordered sum_k b_k(u) d^k with RatFun coefficients.
 
-    A subclass gives the rule for moving X^i past a coefficient (`_past`) and
-    the action of X^0, X^1, ... on a function (`_powers_on`).
+    d o R = R o d + R' exactly.
     """
 
     __slots__ = ("coeffs",)
@@ -1001,9 +1000,11 @@ class _OpPoly:
             coeffs.pop()
         self.coeffs = coeffs
 
-    def _like(self, other):
-        """The constructor of a result combining self and other."""
-        return type(self)
+    @staticmethod
+    def d(order=1, like=None):
+        one = RatFun.const(like if like is not None else QQI_ONE)
+        zero = RatFun([], {})
+        return DiffOpPoly([zero] * order + [one])
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -1012,18 +1013,17 @@ class _OpPoly:
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        return self._like(other)([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return DiffOpPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __neg__(self):
-        return self._like(self)([-c for c in self.coeffs])
+        return DiffOpPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, _OpPoly):
-            return self._like(self)([c * other for c in self.coeffs])
-        new = self._like(other)
+        if not isinstance(other, DiffOpPoly):
+            return DiffOpPoly([c * other for c in self.coeffs])
         out = {}
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -1031,14 +1031,18 @@ class _OpPoly:
             for j, b in enumerate(other.coeffs):
                 if b.is_zero():
                     continue
-                for k, moved in self._past(i, b):
-                    k += j
-                    term = a * moved
+                # d^i o b = sum_s C(i,s) b^{(s)} d^{i-s}
+                for s in range(i + 1):
+                    c = comb(i, s)
+                    k = i - s + j
+                    term = a * (b if c == 1 else b * QQi(c))
                     out[k] = out[k] + term if k in out else term
+                    if s < i:
+                        b = b.derivative()
         if not out:
-            return new([])
+            return DiffOpPoly([])
         zero = RatFun([], {})
-        return new([out.get(k, zero) for k in range(max(out) + 1)])
+        return DiffOpPoly([out.get(k, zero) for k in range(max(out) + 1)])
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -1049,68 +1053,20 @@ class _OpPoly:
     def apply(self, f: RatFun) -> RatFun:
         """Act on a RatFun (scalar- or vector-valued) without using __mul__."""
         out = RatFun([], {})
-        for c, fk in zip(self.coeffs, self._powers_on(f)):
+        for k, c in enumerate(self.coeffs):
+            if k:
+                f = f.derivative()
             if not c.is_zero():
-                out = out + c * fk
+                out = out + c * f
         return out
-
-
-class DiffOpPoly(_OpPoly):
-    """Normal-ordered sum_k b_k(u) d^k; d o R = R o d + R' exactly."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def d(order=1, like=None):
-        one = RatFun.const(like if like is not None else QQI_ONE)
-        zero = RatFun([], {})
-        return DiffOpPoly([zero] * order + [one])
-
-    def _past(self, i, b):
-        # d^i o b = sum_s C(i,s) b^{(s)} d^{i-s}
-        for s in range(i + 1):
-            c = comb(i, s)
-            yield i - s, b if c == 1 else b * QQi(c)
-            if s < i:
-                b = b.derivative()
-
-    def _powers_on(self, f):
-        while True:
-            yield f
-            f = f.derivative()
-
-
-class ShiftOpPoly(_OpPoly):
-    """Normal-ordered sum_a R_a(u) S^a with S f(u) = f(u - step) S."""
-
-    __slots__ = ("step",)
-
-    def __init__(self, coeffs, step):
-        super().__init__(coeffs)
-        self.step = QQi.of(step)
-
-    def _like(self, other):
-        if self.coeffs and other.coeffs and self.step != other.step:
-            raise ValueError("shift step mismatch")
-        step = self.step if self.coeffs else other.step
-        return lambda coeffs: ShiftOpPoly(coeffs, step)
-
-    def _past(self, i, b):
-        yield i, b.shift_arg(self.step * QQi(i))
-
-    def _powers_on(self, f):
-        k = 0
-        while True:
-            yield f.shift_arg(self.step * QQi(k))
-            k += 1
 
 
 def cdet(entries):
     """Column determinant sum_s sgn(s) M_{s(1)1} ... M_{s(n)n}.
 
     Entries come from any noncommutative ring with +, -, * (DiffOpPoly,
-    ShiftOpPoly, RatFun, Mat); products are taken left to right in column
-    order.  Expanded along the last column, with the column determinants of
+    RatFun, Mat); products are taken left to right in column order.
+    Expanded along the last column, with the column determinants of
     the first j columns kept per row set S:
     D(S) = sum over r in S of (-1)^{#{s in S: s > r}} D(S - r) M_{r, |S|-1},
     so an n x n cdet takes fewer than n 2^(n-1) products, not n! (n - 1).

@@ -32,15 +32,24 @@ def mat_to_numpy(m: Mat) -> np.ndarray:
 
 
 def _orthonormalizer(rep):
-    """T with M -> T M T^{-1} turning the Gram form into the standard one."""
+    """T, T^{-1} with M -> T M T^{-1} turning the Gram form into the standard
+    one, or None when the Gram matrix is the identity already."""
+    if rep.gram == Mat.identity(rep.dim):
+        return None
     g = mat_to_numpy(rep.gram)
-    if np.allclose(g, np.eye(g.shape[0])):
-        ident = np.eye(g.shape[0])
-        return ident, ident
     chol = np.linalg.cholesky(g)  # g = L L^H
     T = chol.conj().T
-    Tinv = np.linalg.inv(T)
-    return T, Tinv
+    return T, np.linalg.inv(T)
+
+
+def _standard_coordinates(mats, change):
+    """The matrices as numpy arrays in standard coordinates; `change` is what
+    `_orthonormalizer` returned."""
+    arrays = [mat_to_numpy(m) for m in mats]
+    if change is None:
+        return arrays
+    T, Tinv = change
+    return [T @ a @ Tinv for a in arrays]
 
 
 def _hermitian_parts(mats):
@@ -128,8 +137,8 @@ def joint_diagonalize(members, rep) -> JointSpectrum:
     """
     if not members:
         raise SpectraError("empty family")
-    T, Tinv = _orthonormalizer(rep)
-    mats = [T @ mat_to_numpy(m) @ Tinv for m in members]
+    change = _orthonormalizer(rep)
+    mats = _standard_coordinates(members, change)
     scale = max(np.max(np.abs(m)) for m in mats)
     norm_tol = 1e3 * TOL * max(scale, 1.0)
     for m in mats:
@@ -138,9 +147,7 @@ def joint_diagonalize(members, rep) -> JointSpectrum:
                 "family member is not normal within tolerance; "
                 "check the reality conditions of the configuration"
             )
-    torus = [
-        T @ mat_to_numpy(rep.delta(a, a)) @ Tinv for a in range(1, rep.n + 1)
-    ]
+    torus = _standard_coordinates([rep.delta(a, a) for a in range(1, rep.n + 1)], change)
     return _joint_diagonalize_once(mats, torus, float(scale))
 
 
@@ -163,11 +170,9 @@ def _joint_diagonalize_once(mats, torus, scale) -> JointSpectrum:
 
 def reconstruction_residual(members, rep, spec: JointSpectrum) -> float:
     """max over members of |M - P diag P^H| / |M| in max-entry norm."""
-    T, Tinv = _orthonormalizer(rep)
     worst = 0.0
     P = spec.vectors
-    for mi, m in enumerate(members):
-        m_np = T @ mat_to_numpy(m) @ Tinv
+    for mi, m_np in enumerate(_standard_coordinates(members, _orthonormalizer(rep))):
         rebuilt = P @ np.diag(spec.values[mi]) @ P.conj().T
         denom = max(np.max(np.abs(m_np)), 1.0)
         worst = max(worst, np.max(np.abs(m_np - rebuilt)) / denom)

@@ -237,7 +237,7 @@ def test_criterion_8_degeneration_first_order():
     assert time.time() - t0 < 300
     _announce(
         8,
-        "shift-cdet residues -> Gaudin generators with ratios "
+        "shift-operator residues (tau_a at rescaled points) -> Gaudin generators with ratios "
         + ", ".join(f"{r:.3f}" for r in report["ratios"]),
         t0,
     )

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from krspectra.bethe import (
 )
 from krspectra.gaudin import GaudinConfig, residue_generators
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.pipeline import build_spectral_config, wall_pair
+from krspectra.pipeline import build_spectral_config, default_shift, kr_rep, wall_pair
 from krspectra.scalars import Mat, QQi, mat_rank, spans_equal, unit_circle_point
 
 
@@ -415,6 +416,49 @@ class TestShiftCdet:
         assert dists[0] > dists[1] > dists[2] > 0
         for r in rep["ratios"]:
             assert 0.35 <= r <= 0.65
+
+    def test_degeneration_n3_two_factors(self):
+        # two factors: T(u/eps) is the product of the slot T-matrices, whose
+        # eps^2 cross terms a first-order Lax matrix would leave out
+        n, facs = 3, [(1, 1), (1, 2)]
+        parts = [
+            (kr_rep(n, l, r), QQi(z), QQi(default_shift(n, l, r)))
+            for (l, r), z in zip(facs, (0, 1))
+        ]
+        chi = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))
+        cfg1 = GaudinConfig(build_tensor(parts), chi)
+        eps_list = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
+        rep = degeneration_report(cfg1, chi, eps_list)
+        dists = [row["distance"] for row in rep["rows"]]
+        assert dists[0] > dists[1] > dists[2] > 0
+        for r in rep["ratios"]:
+            assert 0.35 <= r <= 0.65
+
+    # sha256 of the residues (sorted keys, `str` of each member's rows) at
+    # eps = 1/8, chi = (1/3, -1/4[, 1/5]), c = 1; one factor, where the
+    # quantum-minor route and the first-order shift-operator cdet agree exactly
+    @pytest.mark.parametrize(
+        "n,factor,count,digest",
+        [
+            (2, (1, 1), 3, "d0b3fa329becb7d7049994eb27bca05193bed09b4e013356bd3d37343a79a029"),
+            (3, (1, 1), 10, "8c81d7daa5120c4f152207361dc1bf1325432591f3479ab3bb6f9e7a31ef7f6a"),
+            (3, (2, 1), 4, "4eaf479bc4f1208fec6ceffe177d37fb237afee6e384ea72c6c45b0912633ae1"),
+            (3, (1, 2), 10, "2489d9e93e38b70552c35b6ff16193b047b1a6ba23ef6094b5f1b2d7d51708fa"),
+        ],
+    )
+    def test_single_factor_residues_are_pinned(self, n, factor, count, digest):
+        chi = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))[:n]
+        cfg = build_spectral_config(n, [factor], s=1)
+        out = shift_residue_generators(Fraction(1, 8), 1, chi, GaudinConfig(cfg.rep, chi))
+        text = repr([(key, str(out[key].rows)) for key in sorted(out)])
+        assert len(out) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("eps,c", [(0, 1), (Fraction(1, 8), 0)])
+    def test_zero_step_or_slope_is_refused(self, eps, c):
+        cfg = config_single(2)
+        with pytest.raises(BetheError, match="eps and c must be nonzero"):
+            shift_residue_generators(eps, c, (0, 0), cfg)
 
 
 class TestTorusCenter:

@@ -188,6 +188,54 @@ class TestBetheCommand:
         assert code == 0
         assert all(0.35 <= r <= 0.65 for r in doc["ratios"])
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1"], "needs --eps with two"),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8"],
+                "needs --eps with two",
+            ),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "0,1/8"],
+                "needs --eps with two or more nonzero",
+            ),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/0"],
+                "not a rational number: '1/0'",
+            ),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
+                 "--c", "0"],
+                "--c must be nonzero",
+            ),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
+                 "--chi", "1/3"],
+                "--chi has 1 entries, need n = 2",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--chi", "1,2,3"],
+                "--chi has 3 entries, need n = 2",
+            ),
+            (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "1/3"], "--chi has 1 entries"),
+            (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "a,b"], "not a rational number"),
+        ],
+        ids=[
+            "no-eps", "one-eps", "zero-eps", "eps-1/0", "zero-c", "degenerate-chi",
+            "commute-chi", "gaudin-chi", "gaudin-chi-text",
+        ],
+    )
+    def test_bad_input_is_a_usage_error_before_any_build(
+        self, monkeypatch, capsys, argv, message
+    ):
+        import krspectra.glrep as glrep
+
+        tensors = count_calls(monkeypatch, glrep, "build_tensor")
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert tensors == []
+
 
 class TestCompareCommand:
     def test_n2_match(self, capsys):
@@ -549,12 +597,25 @@ class TestDimensionPreflight:
                 assert size == len(kr_tensor_crystal(n, factors)), (n, factors)
 
 
+def readme_examples():
+    """The argv lists of the `krspectra ...` lines in the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("krspectra ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
 class TestReadme:
     def test_every_cli_example_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
-        lines = [line for line in block.splitlines() if line.startswith("krspectra ")]
-        assert len(lines) >= 10
-        for line in lines:
-            argv = shlex.split(line)[1:]
-            assert make_parser().parse_args(argv).func, line
+        examples = readme_examples()
+        assert len(examples) >= 10
+        for argv in examples:
+            assert make_parser().parse_args(argv).func, argv
+
+    def test_every_cli_example_runs(self, tmp_path, monkeypatch, capsys):
+        # examples that write files write them into tmp_path
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_examples():
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 0, (argv, captured.err)

@@ -10,7 +10,6 @@ from krspectra.scalars import (
     Mat,
     QQi,
     RatFun,
-    ShiftOpPoly,
     cdet,
     mat_inverse,
     mat_rank,
@@ -344,63 +343,6 @@ class TestDiffOp:
         for _ in range(10):
             a, b, c = rand_op(), rand_op(), rand_op()
             assert ((a * b) * c) == (a * (b * c))
-
-
-class TestShiftOp:
-    def test_shift_of_linear(self):
-        # S * u = (u - eps) S
-        eps = QQi(Fraction(1, 4))
-        s = ShiftOpPoly([RatFun([], {}), RatFun.const(QQi(1))], eps)
-        u = ShiftOpPoly([RatFun.monomial(QQi(1), 1)], eps)
-        prod = s * u
-        assert prod.coeff(1) == RatFun([-eps, QQi(1)], {})
-        assert prod.coeff(0).is_zero()
-
-    def test_shift_squared(self):
-        eps = QQi(Fraction(1, 4))
-        s = ShiftOpPoly([RatFun([], {}), RatFun.const(QQi(1))], eps)
-        assert (s * s).coeff(2) == RatFun.const(QQi(1))
-
-    def test_composition_matches_function_composition(self):
-        eps = QQi(Fraction(1, 8))
-        z = QQi(2)
-        R = RatFun([QQi(1)], {z: 1})
-        Rp = RatFun([QQi(0), QQi(1)], {z: 1})
-        a = ShiftOpPoly([RatFun([], {}), R], eps)
-        b = ShiftOpPoly([RatFun([], {}), Rp], eps)
-        ab = a * b
-        test_fun = RatFun([QQi(3), QQi(1)], {QQi(-1): 1})
-        lhs = ab.apply(test_fun)
-        rhs = a.apply(b.apply(test_fun))
-        for u0 in [QQi(Fraction(1, 3)), QQi(7), QQi(0, 1)]:
-            assert lhs.eval(u0) == rhs.eval(u0)
-
-    def test_associativity(self):
-        rng = random.Random(9)
-        eps = QQi(Fraction(1, 8))
-        z = QQi(1)
-
-        def rand_op():
-            coeffs = []
-            for _ in range(rng.randint(1, 3)):
-                num = [QQi(rng.randint(-3, 3)) for _ in range(rng.randint(1, 2))]
-                coeffs.append(RatFun(num, {z: rng.randint(0, 1)}))
-            return ShiftOpPoly(coeffs, eps)
-
-        for _ in range(10):
-            a, b, c = rand_op(), rand_op(), rand_op()
-            assert ((a * b) * c) == (a * (b * c))
-
-    def test_step_mismatch_is_refused(self):
-        u = RatFun.monomial(QQi(1), 1)
-        a = ShiftOpPoly([u], Fraction(1, 4))
-        b = ShiftOpPoly([u], Fraction(1, 8))
-        for combine in (lambda: a + b, lambda: a - b, lambda: a * b):
-            with pytest.raises(ValueError, match="shift step mismatch"):
-                combine()
-        # a zero operator takes the other's step
-        zero = ShiftOpPoly([], Fraction(1, 8))
-        assert (zero + a).step == a.step and (zero + a) == a
 
 
 class TestCdetAndSpans:
