@@ -10,6 +10,9 @@ factors, which are column determinants at factor dimension.  The literal
 trace (two independent forms) and the full-dimension cdet table are kept as
 oracles for cross-checks.
 
+A Bethe family holds every Laurent coefficient of each tau_a, so its exact
+pairwise check proves [tau_a(u, C), tau_b(v, C)] = 0 identically.
+
 The degeneration reads the same minor table: the shift operator
 eps^-1 (T(u/eps) S - C) has S^a coefficient det(C) tau_a(u/eps, C^-1) up to
 sign and eps^-n, so B(C) itself is degenerated, at rescaled points.
@@ -32,6 +35,8 @@ from .gaudin import (
     antisymmetrized_trace,
     center_members,
     coincidence_classes,
+    residue_members,
+    scaled_config,
     subregular_pair,
 )
 from .glrep import build_tensor
@@ -350,9 +355,10 @@ def _embed_aux(entry_grid, n, a, slot, dim, constant):
 
 
 class BetheFamily(CommutingFamily):
-    """Residues and infinity values of the tau functions at C, exact and commuting."""
+    """Every Laurent coefficient of the tau functions at C, exact and commuting."""
 
     error = BetheError
+    convention = "tau_a(u, C) = tr A_a C_1..C_a T_1(u)..T_a(u-a+1), T(u) = 1 + E/(u - z)"
     # bound in this class's own namespace too, so that per-class method
     # patching (perfbench/tracer.py) times Bethe and Gaudin checks apart
     verify_commuting = CommutingFamily.verify_commuting
@@ -371,14 +377,21 @@ class BetheFamily(CommutingFamily):
 
 
 def tau_members(C: TorusElement, cfg: GaudinConfig):
-    """Every residue of tau_a(u, C) plus its value at infinity, a = 1..n."""
+    """The whole partial-fraction expansion of tau_a(u, C), a = 1..n.
+
+    ("tau-res", a, p, l) is res_{u=p} (u - p)^l tau_a, the coefficient of
+    1/(u - p)^(l+1), and ("tau-inf", a) the value at infinity.  The functions
+    1 and 1/(u - p)^k are linearly independent, so a family holding every
+    coefficient commutes exactly when [tau_a(u), tau_b(v)] = 0 identically.
+    """
     members = []
     for a in range(1, cfg.n + 1):
         f = tau_ratfun(a, C, cfg)
         for p in sorted(f.poles, key=lambda q: (str(q.re), str(q.im))):
-            r = f.residue(p, 0)
-            if r:
-                members.append((("tau-res", a, str(p)), r))
+            for l in range(f.poles[p]):
+                r = f.residue(p, l)
+                if r:
+                    members.append((("tau-res", a, str(p), l), r))
         inf = f.infinity_value()
         if isinstance(inf, Mat) and inf:
             members.append((("tau-inf", a), inf))
@@ -411,52 +424,6 @@ def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
     members = tau_members(C0, cfg) + torus_center_members(C0, cfg)
     return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
-
-
-# grid points per variable past the degree bound; any margin of at least 1
-# certifies
-CERTIFICATE_MARGIN = 2
-
-
-def bethe_commuting_certificate(C: TorusElement, cfg: GaudinConfig) -> dict:
-    """Sampling certificate that [tau_a(u1), tau_b(u2)] vanishes identically.
-
-    The commutator times the two denominators is polynomial of degree at most
-    deg_a = a*k in u1 and b*k in u2; vanishing on a grid strictly larger than
-    the degree bound in each variable certifies identical vanishing.
-    """
-    n, k = cfg.n, cfg.k
-    taus = {a: tau_ratfun(a, C, cfg) for a in range(1, n + 1)}
-    base = QQi(Fraction(4001, 7))
-    witnesses = []
-    grids = {}
-    for a in range(1, n + 1):
-        bound = a * k
-        pts = []
-        off = 0
-        while len(pts) < bound + CERTIFICATE_MARGIN:
-            u = base + QQi(off)
-            off += 1
-            try:
-                pts.append((u, taus[a].eval(u)))
-            except ZeroDivisionError:
-                continue
-        grids[a] = pts
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            for u1, v1 in grids[a]:
-                for u2, v2 in grids[b]:
-                    if not v1.commutes(v2):
-                        witnesses.append(
-                            {"a": a, "b": b, "u1": str(u1), "u2": str(u2)}
-                        )
-    return {
-        "grid_sizes": {a: len(grids[a]) for a in grids},
-        "degree_bounds": {a: a * k for a in range(1, n + 1)},
-        "margin": CERTIFICATE_MARGIN,
-        "passed": not witnesses,
-        "witnesses": witnesses,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -564,36 +531,25 @@ def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
     """Max-entry distance between shift-operator residues and Gaudin generators.
 
     The Gaudin side is cdet(L_{z/c}(u) - d_u + chi_shift), i.e. the config
-    chi is -chi_shift under this package's sign convention.
+    chi is -chi_shift under this package's sign convention.  A key on one
+    side only is compared against zero.
     """
-    from .gaudin import gaudin_cdet, scaled_config
-
     c = QQi.of(c)
     base_cfg = GaudinConfig(cfg.rep, [-QQi.of(x) for x in chi_shift])
     gcfg = base_cfg if c == QQi(1) else scaled_config(base_cfg, QQi(1) / c)
-    op = gaudin_cdet(gcfg)
-    targets = {}
-    for k in range(cfg.n + 1):
-        bk = op.coeff(k)
-        if bk.is_zero():
-            continue
-        for i, z in enumerate(gcfg.points, start=1):
-            for l in range(k + 1):
-                r = bk.residue(z, l)
-                targets[(k, i, l)] = r
+    # ("res", k, i, l) -> (k, i, l), the keys of shift_residue_generators
+    targets = {tag[1:]: r for tag, r in residue_members(gcfg)}
+    zero = Mat.zeros(cfg.rep.dim)
     rows = []
     for eps in eps_list:
         shifted = shift_residue_generators(eps, c, chi_shift, cfg)
-        dist = 0.0
-        for key, target in targets.items():
-            got = shifted.get(key)
-            if got is None:
-                got = Mat.zeros(cfg.rep.dim)
-            diff = got - target
-            dist = max(dist, diff.max_abs())
-        for key, got in shifted.items():
-            if key not in targets:
-                dist = max(dist, got.max_abs())
+        dist = max(
+            (
+                (shifted.get(key, zero) - targets.get(key, zero)).max_abs()
+                for key in targets.keys() | shifted.keys()
+            ),
+            default=0.0,
+        )
         rows.append({"eps": str(QQi.of(eps)), "distance": dist})
     ratios = [
         rows[i + 1]["distance"] / rows[i]["distance"]

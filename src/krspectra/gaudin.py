@@ -71,6 +71,7 @@ class CommutingFamily:
     """
 
     error = GaudinError
+    convention = "cdet(L(u) - d_u - chi)"
 
     def __init__(self, members, config, kind):
         self.tags = [t for t, _ in members]
@@ -96,8 +97,11 @@ class CommutingFamily:
         return list(zip(self.tags, self.gens))
 
     def max_pole_multiplicity(self):
-        """Largest witnessed pole order: a nonzero order-l residue needs l+1."""
-        return max((t[3] + 1 for t in self.tags if t[0] == "res"), default=0)
+        """Largest witnessed pole order: a nonzero order-l residue needs l+1.
+
+        The order l is the last field of a "res" or "tau-res" tag.
+        """
+        return max((t[-1] + 1 for t in self.tags if t[0] in ("res", "tau-res")), default=0)
 
     def span_rank(self):
         """Rank of the linear span of the generators (no minimality claimed)."""
@@ -106,7 +110,7 @@ class CommutingFamily:
     def report(self):
         return {
             "kind": self.kind,
-            "convention": "cdet(L(u) - d_u - chi)",
+            "convention": self.convention,
             "generator_count": len(self.gens),
             "span_rank": self.span_rank(),
             "max_pole_multiplicity": self.max_pole_multiplicity(),

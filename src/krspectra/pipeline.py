@@ -51,18 +51,21 @@ def kr_tensor_crystal(n, factors):
     return tensor_many([crystals[f] for f in factors])
 
 
-def build_spectral_config(n, factors, s, y=None):
-    """Tensor rep with points d_j + i s y_j; factors are (l, r) pairs."""
-    k = len(factors)
-    if y is None:
-        y = [Fraction(4 ** (k - 1 - j)) for j in range(k)]
-    s = Fraction(s)
-    parts = []
-    for (l, r), yj in zip(factors, y):
-        d = default_shift(n, l, r)
-        parts.append((kr_rep(n, l, r), QQi(d, s * yj), QQi(d)))
-    rep = build_tensor(parts)
-    return GaudinConfig(rep, (0,) * n)
+def spectral_points(n, factors, s):
+    """(point, shift) per factor (l, r) of k: the point d_j + i s 4^(k-1-j) at the shift d_j."""
+    k, s = len(factors), Fraction(s)
+    return [
+        (QQi(d, s * 4 ** (k - 1 - j)), QQi(d))
+        for j, d in enumerate(default_shift(n, l, r) for l, r in factors)
+    ]
+
+
+def build_spectral_config(n, factors, s):
+    """Tensor rep of KR factors (l, r) at the points of `spectral_points`."""
+    parts = [
+        (kr_rep(n, l, r), z, d) for (l, r), (z, d) in zip(factors, spectral_points(n, factors, s))
+    ]
+    return GaudinConfig(build_tensor(parts), (0,) * n)
 
 
 def wall_pair(n, j):

@@ -235,9 +235,9 @@ def _propagate(graph, source, image, mirror):
     return out
 
 
-def restricted_graph(graph: CrystalGraph, drop_top=1) -> CrystalGraph:
-    """Forget the last `drop_top` operator indices (restriction of the crystal)."""
-    kept = graph.indices[: len(graph.indices) - drop_top]
+def restricted_graph(graph: CrystalGraph) -> CrystalGraph:
+    """Forget the last operator index (restriction of the crystal)."""
+    kept = graph.indices[:-1]
     return CrystalGraph(
         graph.n,
         graph.labels,

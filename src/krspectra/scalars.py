@@ -233,7 +233,6 @@ def _qqi(re: Fraction, im: Fraction = _ZERO_F) -> QQi:
 
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
-QQI_I = QQi(0, 1)
 
 
 def unit_circle_point(t) -> QQi:

@@ -16,10 +16,10 @@ from krspectra.alcoves import (
     walls_of,
 )
 from krspectra.bethe import (
-    bethe_commuting_certificate,
     bethe_family,
     degeneration_report,
     standard_torus,
+    tau_ratfun,
 )
 from krspectra.gaudin import (
     GaudinConfig,
@@ -41,6 +41,7 @@ from krspectra.scalars import Mat, QQi
 from krspectra.spectra import scan_simple_spectrum
 from krspectra.tableaux import build_crystal
 
+from test_bethe import tau_from_members
 from test_promotion import GRID, PR_ORBITS_2W2_N4, certificate, frozen_pr_map
 
 
@@ -212,14 +213,15 @@ def test_criterion_7_bethe_certificate():
         cfg = build_spectral_config(n, facs, s=1)
         for wall in [None, 1, n]:
             C = standard_torus(n, wall=wall)
-            cert = bethe_commuting_certificate(C, cfg)
-            assert cert["passed"], (n, facs, wall, cert["witnesses"][:1])
-            for a in range(1, n + 1):
-                assert cert["grid_sizes"][a] > cert["degree_bounds"][a]
+            # raises BetheError naming the first pair that fails to commute
             fam = bethe_family(C, cfg)
+            # the members are every Laurent coefficient: each tau_a rebuilds
+            # from them, so the pairwise check covers [tau_a(u), tau_b(v)]
+            for a in range(1, n + 1):
+                assert tau_from_members(fam, a) == tau_ratfun(a, C, cfg), (n, facs, wall, a)
             assert fam.normality_report()["passed"], (n, facs, wall)
     assert time.time() - t0 < 300
-    _announce(7, "sampling certificates pass beyond degree bounds; members exactly normal", t0)
+    _announce(7, "complete tau families commute exactly; members exactly normal", t0)
 
 
 def test_criterion_8_degeneration_first_order():
@@ -229,7 +231,11 @@ def test_criterion_8_degeneration_first_order():
     eps_list = [Fraction(1, 2**m) for m in range(3, 9)]
     report = degeneration_report(GaudinConfig(cfg.rep, chi), chi, eps_list, c=1)
     dists = [row["distance"] for row in report["rows"]]
-    assert all(d > 0 for d in dists)
+    # pinned bit for bit: the Gaudin targets are `gaudin.residue_members`
+    assert dists == [
+        0.19033591333332148, 0.09443022210386676, 0.04704142098576483,
+        0.02347864848073279, 0.011728979873196137, 0.00586192530302687,
+    ]
     assert len(report["ratios"]) == 5
     for r in report["ratios"]:
         assert 0.35 <= r <= 0.65, report["ratios"]

@@ -12,7 +12,6 @@ from krspectra.bethe import (
     BetheFamily,
     TorusElement,
     antisymmetrizer,
-    bethe_commuting_certificate,
     bethe_family,
     degeneration_report,
     exp_tail_bound,
@@ -21,6 +20,7 @@ from krspectra.bethe import (
     shift_residue_generators,
     standard_torus,
     tau_kron_direct,
+    tau_members,
     tau_ratfun,
     tau_trace_direct,
     torus_center_members,
@@ -29,7 +29,7 @@ from krspectra.bethe import (
 from krspectra.gaudin import GaudinConfig, residue_generators
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import build_spectral_config, default_shift, kr_rep, wall_pair
-from krspectra.scalars import Mat, QQi, mat_rank, spans_equal, unit_circle_point
+from krspectra.scalars import Mat, QQi, RatFun, mat_rank, spans_equal, unit_circle_point
 
 
 def config_c2_pair(z=(QQi(0, 3), QQi(0, 1)), d=(-2, -2)):
@@ -43,6 +43,26 @@ def config_c2_pair(z=(QQi(0, 3), QQi(0, 1)), d=(-2, -2)):
 def config_single(n, z=QQi(Fraction(1, 3))):
     cn = build_defining(n)
     return GaudinConfig(build_tensor([(cn, QQi.of(z), QQi(0))]), (0,) * n)
+
+
+def config_at(n, factors, points):
+    """KR factors (l, r) at the given points, each at its normality shift."""
+    parts = [
+        (kr_rep(n, l, r), QQi.of(z), QQi(default_shift(n, l, r)))
+        for (l, r), z in zip(factors, points)
+    ]
+    return GaudinConfig(build_tensor(parts), (0,) * n)
+
+
+def tau_from_members(fam, a):
+    """tau_a rebuilt from the family's tagged Laurent coefficients."""
+    terms = []
+    for tag, g in fam.members():
+        if tag == ("tau-inf", a):
+            terms.append(RatFun.const(g))
+        elif tag[:2] == ("tau-res", a):
+            terms.append(RatFun.pole_term(g, QQi.parse(tag[2]), tag[3] + 1))
+    return RatFun.sum(terms)
 
 
 class TestTorus:
@@ -306,16 +326,54 @@ class TestFamilies:
 
 
 class TestCertificate:
+    """The family holds every Laurent coefficient of each tau_a, so its exact
+    pairwise check certifies [tau_a(u), tau_b(v)] = 0 identically."""
+
     def test_certificate_passes_regular(self):
         cfg = config_c2_pair()
-        rep = bethe_commuting_certificate(standard_torus(2), cfg)
-        assert rep["passed"]
-        assert rep["grid_sizes"][2] > rep["degree_bounds"][2]
+        C = standard_torus(2)
+        fam = bethe_family(C, cfg)
+        for a in (1, 2):
+            assert tau_from_members(fam, a) == tau_ratfun(a, C, cfg)
 
     def test_certificate_passes_wall(self):
         cfg = config_c2_pair()
-        rep = bethe_commuting_certificate(standard_torus(2, wall=2), cfg)
-        assert rep["passed"]
+        C = standard_torus(2, wall=2)
+        fam = bethe_family(C, cfg)
+        for a in (1, 2):
+            assert tau_from_members(fam, a) == tau_ratfun(a, C, cfg)
+
+    @pytest.mark.parametrize(
+        "n,factors", [(2, [(1, 1), (1, 1)]), (3, [(1, 1), (1, 2)]), (3, [(1, 2), (1, 1)])]
+    )
+    @pytest.mark.parametrize("wall", ["regular", "1", "n"])
+    def test_members_rebuild_every_tau(self, n, factors, wall):
+        cfg = config_at(n, factors, (0, 1))
+        C = standard_torus(n, wall={"regular": None, "1": 1, "n": n}[wall])
+        fam = bethe_family(C, cfg)
+        for a in range(1, n + 1):
+            assert tau_from_members(fam, a) == tau_ratfun(a, C, cfg), a
+
+    def test_double_pole_coefficients_are_members(self):
+        # the pole groups of V_{w_2} at 0 and V_{w_1} at 1 meet: tau_2 and
+        # tau_3 have double poles, whose order-1 coefficients are members
+        cfg = config_at(3, [(1, 2), (1, 1)], (0, 1))
+        fam = bethe_family(standard_torus(3), cfg)
+        second = [tag for tag in fam.tags if tag[0] == "tau-res" and tag[3] == 1]
+        assert sorted({tag[1] for tag in second}) == [2, 3]
+        assert fam.max_pole_multiplicity() == 2
+        assert len(fam) == 8 + len(second) == 10
+
+    def test_negative_control_extra_entry(self):
+        # one extra exact entry in one member must break a pair, by name
+        cfg = config_c2_pair()
+        C = standard_torus(2)
+        members = tau_members(C, cfg)
+        tag, g = members[0]
+        members[0] = (tag, g + Mat.unit(g.nr, g.nc, 0, 1, QQi(Fraction(1, 7))))
+        with pytest.raises(BetheError, match="commutativity failed for pair") as err:
+            BetheFamily(members, cfg, C)
+        assert str(tag) in str(err.value)
 
     def test_negative_control_nondiagonal_insert(self):
         # replacing the slot-2 torus factor by a non-diagonal matrix must

@@ -178,7 +178,11 @@ class TestBetheCommand:
             capsys, "bethe", "commute", "--n", "2", "--factors", "1,1;1,1",
         )
         assert code == 0
-        assert doc["passed"]
+        assert doc["passed"] and doc["normality"] == {"passed": True, "failures": []}
+        assert doc["kind"] == "bethe" and doc["commutator_residual"] == "exact zero"
+        assert doc["convention"].startswith("tau_a(u, C)")
+        assert doc["generator_count"] == len(doc["tags"]) > 0
+        assert doc["max_pole_multiplicity"] == 1
 
     def test_degenerate_ratio_table(self, capsys):
         code, doc = run(
@@ -187,6 +191,15 @@ class TestBetheCommand:
         )
         assert code == 0
         assert all(0.35 <= r <= 0.65 for r in doc["ratios"])
+
+    def test_readme_degenerate_example_distances_are_pinned(self, capsys):
+        # bit for bit: the Gaudin targets are `gaudin.residue_members`
+        argv = next(a for a in readme_examples() if a[:2] == ["bethe", "degenerate"])
+        code, doc = run(capsys, *argv)
+        assert code == 0
+        assert [row["distance"] for row in doc["rows"]] == [
+            0.19033591333332148, 0.09443022210386676, 0.04704142098576483,
+        ]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -220,10 +233,37 @@ class TestBetheCommand:
             ),
             (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "1/3"], "--chi has 1 entries"),
             (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "a,b"], "not a rational number"),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;2,1", "--z", "0,-1/16",
+                 "--eps", "1/8,1/16"],
+                "--eps 1/8: two points z_i/(c eps) + d_i coincide",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16"],
+                "bethe commute does not read --eps",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--c", "1"],
+                "bethe commute does not read --c",
+            ),
+            (
+                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
+                 "--wall", "1"],
+                "bethe degenerate does not read --wall",
+            ),
+            (
+                ["gaudin", "commute", "--n", "2", "--z", "0,1", "--s", "2"],
+                "--s scales the default points, so it does not go with --z",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--z", "0,1", "--s", "2"],
+                "--s scales the default points, so it does not go with --z",
+            ),
         ],
         ids=[
             "no-eps", "one-eps", "zero-eps", "eps-1/0", "zero-c", "degenerate-chi",
-            "commute-chi", "gaudin-chi", "gaudin-chi-text",
+            "commute-chi", "gaudin-chi", "gaudin-chi-text", "merging-points",
+            "commute-eps", "commute-c", "degenerate-wall", "gaudin-s-with-z", "bethe-s-with-z",
         ],
     )
     def test_bad_input_is_a_usage_error_before_any_build(
@@ -235,6 +275,32 @@ class TestBetheCommand:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert tensors == []
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                {"command": "bethe", "action": "commute", "n": 2, "factors": "1,1;1,1",
+                 "c": "1"},
+                "bethe commute does not read --c",
+            ),
+            (
+                {"command": "bethe", "action": "degenerate", "n": 2, "factors": "1,1;1,1",
+                 "eps": "1/8,1/16", "wall": 1},
+                "bethe degenerate does not read --wall",
+            ),
+            (
+                {"command": "gaudin", "action": "commute", "n": 2, "z": "0,1", "s": "2"},
+                "--s scales the default points",
+            ),
+        ],
+        ids=["commute-c", "degenerate-wall", "gaudin-s-with-z"],
+    )
+    def test_unread_flag_in_a_config_file_is_a_usage_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCompareCommand:
