@@ -133,7 +133,8 @@ def check_size(n, factors, cap, message=DIMCAP_ERROR):
 def config_parts(opts):
     """The factors, their (point, shift) pairs and the chi of `gaudin` or `bethe`.
 
-    Every flag is checked here and nothing is built.
+    Every flag is checked here, the points after `--s` scales them, and
+    nothing is built.
     """
     n = opts["n"]
     factors = parse_factors(opts["factors"]) if opts.get("factors") else None
@@ -154,6 +155,9 @@ def config_parts(opts):
         located = spectral_points(n, factors, parse_fraction(opts.get("s") or 1))
     else:
         located = [(z, QQi(default_shift(n, l, r))) for (l, r), z in zip(factors, points)]
+    points = [z for z, _ in located]
+    if len(set(points)) < len(points):
+        raise UsageError(f"evaluation points must be distinct, got {', '.join(map(str, points))}")
     return factors, located, chi or [0] * n
 
 

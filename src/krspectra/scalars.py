@@ -657,9 +657,14 @@ def poly_mul(a, b, times=operator.mul):
 
     Coefficients combine by `times`, in the given order: the matrix product
     by default, `Mat.kron` for the Kronecker product of two Mat-valued ones.
+    Two Mat-valued lists under the matrix product go to `_mat_poly_mul`,
+    which sums each output coefficient on integer numerators in one pass
+    and builds it by one gcd pass, with no Mat per pair of coefficients.
     """
     if not a or not b:
         return []
+    if times is operator.mul and isinstance(a[0], Mat) and isinstance(b[0], Mat):
+        return _mat_poly_mul(a, b)
     out = [times(_zero_like(a[0]), _zero_like(b[0]))] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
@@ -678,8 +683,18 @@ def _times_linear(a, p):
 
 
 def poly_eval(a, u):
+    """a(u) for a coefficient list over QQi or Mat.
+
+    A Mat-valued a is evaluated on its stored numerators: each row of a(u)
+    is the `_value_weights` combination of that row of the coefficients,
+    summed on Python ints, and one gcd pass builds the result; no Mat, QQi
+    or Fraction is built per Horner step.
+    """
     if not a:
         return QQI_ZERO
+    if isinstance(a[0], Mat):
+        den, terms = _value_weights(a, u)
+        return _reduced(a[0].nr, a[0].nc, den, [_row_value(terms, i) for i in range(a[0].nr)])
     acc = a[-1]
     for c in reversed(a[:-1]):
         acc = acc * u + c
@@ -689,16 +704,15 @@ def poly_eval(a, u):
 def _vanishes_at(a, p):
     """Whether the polynomial a is zero at p.
 
-    A Mat-valued one is evaluated row by row, each row as a one-row Mat on
-    the stored numerators, skipping identically zero rows and stopping at
-    the first row whose value is nonzero, instead of evaluating the whole
-    matrix polynomial.
+    A Mat-valued one is tested row by row on the integer numerators that
+    `poly_eval` sums, stopping at the first row whose value is nonzero; an
+    identically zero row sums nothing, and no Mat is built.
     """
     if not isinstance(a[0], Mat):
         return not poly_eval(a, p)
+    _, terms = _value_weights(a, p)
     for i in range(a[0].nr):
-        row = [_mat(1, c.nc, c.den, [c.nums[i]]) for c in a]
-        if any(row) and poly_eval(row, p):
+        if _row_value(terms, i):
             return False
     return True
 
@@ -709,6 +723,8 @@ def poly_deriv(a):
 
 def _divmod_linear(a, p):
     """Synthetic division a = (u - p) q + r: returns (q untrimmed, r = a(p))."""
+    if isinstance(a[0], Mat):
+        return _mat_divmod_linear(a, p)
     out = [None] * (len(a) - 1)
     carry = a[-1]
     for k in range(len(a) - 2, -1, -1):
@@ -726,12 +742,16 @@ def taylor_coefficients(a, p, count):
     """The first `count` coefficients of a(t + p) in t (fewer if a runs out).
 
     Repeated synthetic division by (u - p): O(count * deg) operations, so a
-    residue pays only for the coefficients it reads.
+    residue pays only for the coefficients it reads.  The last one read is
+    the value at p of the quotient left, by `poly_eval`, so no quotient is
+    built for it.
     """
     out = []
-    while a and len(out) < count:
+    while a and len(out) < count - 1:
         a, r = _divmod_linear(a, p)
         out.append(r)
+    if a and count:
+        out.append(poly_eval(a, p))
     return out
 
 
@@ -753,6 +773,130 @@ def series_inverse(a, order):
                 s = s + aj * out[k - j]
         out.append(-inv0 * s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Mat-valued polynomials on integer numerators
+#
+# The coefficients a_k = N_k / D_k of a Mat-valued polynomial are lifted to
+# one denominator L = lcm(D_k), a point p is the Gaussian integer P over pd,
+# and each kernel sums Gaussian-integer numerators on Python ints; every
+# result coefficient is one Mat, built by one gcd pass in `_reduced`.
+
+
+def _lift(a):
+    """(L, scales): the lcm L of the coefficients' denominators and each L // D_k."""
+    big = lcm(*(c.den for c in a))
+    return big, [big // c.den for c in a]
+
+
+def _value_weights(a, p):
+    """(E, terms) with a(p) the sum over terms (wr, wi, nums) of (wr + wi*i) nums / E.
+
+    a(p) = sum_k N_k (L / D_k) P^k pd^(deg - k) / (L pd^deg), so the weight
+    of N_k is the Gaussian integer (L / D_k) P^k pd^(deg - k); zero
+    coefficients and zero weights are left out.
+    """
+    pr, pi, pd = _gauss(p)
+    big, scales = _lift(a)
+    deg = len(a) - 1
+    terms = []
+    xr, xi = 1, 0  # P^k
+    for k, c in enumerate(a):
+        if not (xr or xi):
+            break
+        if c:
+            s = scales[k] * pd ** (deg - k)
+            terms.append((xr * s, xi * s, c.nums))
+        xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
+    return big * pd**deg, terms
+
+
+def _row_value(terms, i):
+    """Row i of the sum over terms of (wr + wi*i) nums: a sparse dict of numerators."""
+    acc = {}
+    get = acc.get
+    for wr, wi, nums in terms:
+        for j, (re, im) in nums[i].items():
+            if wi:
+                x, y = re * wr - im * wi, re * wi + im * wr
+            else:
+                x, y = re * wr, im * wr
+            old = get(j)
+            acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return {j: v for j, v in acc.items() if v[0] or v[1]}
+
+
+def _mat_poly_mul(a, b):
+    """poly_mul of two Mat-valued lists under the matrix product.
+
+    Coefficient k = sum_{i+j=k} a_i b_j is summed row by row over L_a L_b,
+    the row products of each pair scaled by (L_a / D_i)(L_b / D_j).
+    """
+    la, sa = _lift(a)
+    lb, sb = _lift(b)
+    nr, nc = a[0].nr, b[0].nc
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        pairs = [
+            (a[i].nums, sa[i] * sb[k - i], b[k - i].nums)
+            for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
+            if a[i] and b[k - i]
+        ]
+        rows = []
+        for r in range(nr):
+            acc = {}
+            get = acc.get
+            for anums, s, bnums in pairs:
+                for m, (ar, ai) in anums[r].items():
+                    if s != 1:
+                        ar, ai = ar * s, ai * s
+                    for j, (br, bi) in bnums[m].items():
+                        x, y = ar * br - ai * bi, ar * bi + ai * br
+                        old = get(j)
+                        acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
+            rows.append({j: v for j, v in acc.items() if v[0] or v[1]})
+        out.append(_reduced(nr, nc, la * lb, rows))
+    return poly_trim(out)
+
+
+def _mat_divmod_linear(a, p):
+    """`_divmod_linear` of a Mat-valued list on integer carries.
+
+    q_{k-1} = a_k + p q_k has the numerators C_{k-1} = (L / D_k) pd^(deg-k)
+    N_k + P C_k over L pd^(deg-k), so each row's carry is one dict of ints;
+    every quotient coefficient and the remainder are built by one gcd pass.
+    """
+    pr, pi, pd = _gauss(p)
+    big, scales = _lift(a)
+    deg = len(a) - 1
+    nr, nc = a[0].nr, a[0].nc
+    weights = [s * pd ** (deg - k) for k, s in enumerate(scales)]
+    qrows = [[] for _ in range(deg)]
+    rem = []
+    for i in range(nr):
+        carry = {}
+        for k in range(deg, -1, -1):
+            # a new dict each step: the previous one is a quotient row
+            if pi:
+                carry = {j: (re * pr - im * pi, re * pi + im * pr) for j, (re, im) in carry.items()}
+            elif pr:
+                carry = {j: (re * pr, im * pr) for j, (re, im) in carry.items()}
+            else:
+                carry = {}
+            w = weights[k]
+            for j, (re, im) in a[k].nums[i].items():
+                re, im = re * w, im * w
+                old = carry.get(j)
+                if old is not None:
+                    re, im = re + old[0], im + old[1]
+                    if not (re or im):
+                        del carry[j]
+                        continue
+                carry[j] = (re, im)
+            (qrows[k - 1] if k else rem).append(carry)
+    quotient = [_reduced(nr, nc, big * pd ** (deg - 1 - k), rows) for k, rows in enumerate(qrows)]
+    return quotient, _reduced(nr, nc, big * pd**deg, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +1043,14 @@ class RatFun:
     # -- calculus
 
     def derivative(self):
-        """Exact d/du; pole multiplicities grow by one where present."""
+        """Exact d/du; pole multiplicities grow by one where present.
+
+        The result is built with normalize=False, as no pole of it can
+        cancel: f = N / prod_p (u - p)^{m_p} is normalized, so N(p) != 0 at
+        each pole, and the new numerator N' prod_p (u - p) - N sum_p m_p
+        prod_{q != p} (u - q) takes at p the value -m_p N(p) prod_{q != p}
+        (p - q), which is nonzero as m_p >= 1 and the poles are distinct.
+        """
         if self.is_zero():
             return self
         dnum = poly_deriv(self.num)
@@ -918,7 +1069,7 @@ class RatFun:
             term = poly_mul(self.num, partial)
             total = poly_add(total, term) if total else term
         newpoles = {p: m + 1 for p, m in plist}
-        return RatFun(total, newpoles)
+        return RatFun(total, newpoles, normalize=False)
 
     def shift_arg(self, delta):
         """The function u -> f(u - delta)."""

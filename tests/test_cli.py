@@ -259,11 +259,28 @@ class TestBetheCommand:
                 ["bethe", "commute", "--n", "2", "--z", "0,1", "--s", "2"],
                 "--s scales the default points, so it does not go with --z",
             ),
+            (
+                ["gaudin", "commute", "--n", "2", "--z", "0,0"],
+                "evaluation points must be distinct, got 0, 0",
+            ),
+            (
+                ["gaudin", "commute", "--n", "2", "--factors", "1,1;1,1", "--s", "0"],
+                "evaluation points must be distinct, got -1, -1",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--z", "1/2+i,1/2+i"],
+                "evaluation points must be distinct, got 1/2+i, 1/2+i",
+            ),
+            (
+                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--s", "0"],
+                "evaluation points must be distinct, got -1, -1",
+            ),
         ],
         ids=[
             "no-eps", "one-eps", "zero-eps", "eps-1/0", "zero-c", "degenerate-chi",
             "commute-chi", "gaudin-chi", "gaudin-chi-text", "merging-points",
             "commute-eps", "commute-c", "degenerate-wall", "gaudin-s-with-z", "bethe-s-with-z",
+            "gaudin-equal-z", "gaudin-s-zero", "bethe-equal-z", "bethe-s-zero",
         ],
     )
     def test_bad_input_is_a_usage_error_before_any_build(

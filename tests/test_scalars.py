@@ -10,6 +10,8 @@ from krspectra.scalars import (
     Mat,
     QQi,
     RatFun,
+    _divmod_linear,
+    _vanishes_at,
     cdet,
     mat_inverse,
     mat_rank,
@@ -101,6 +103,28 @@ class TestRatFunDerivative:
         assert df.eval(QQi(0)) == QQi(Fraction(1, 2))
         expected = RatFun([QQi(2), QQi(0), QQi(-1)], {QQi(1): 2, QQi(2): 2})
         assert df == expected
+
+    def test_no_pole_of_the_derivative_cancels(self):
+        # the result skips normalization; normalizing it must change nothing
+        rng = random.Random(73)
+        points = [QQi(Fraction(1, 3)), QQi(-2, 1), QQi(0, Fraction(-3, 5)), QQi(4)]
+        for trial in range(24):
+            poles = {p: rng.randint(1, 3) for p in rng.sample(points, 1 + trial % 3)}
+            if trial % 2:
+                num = [sparse_matrix(rng, 3, 3) for _ in range(trial % 5)] + [
+                    Mat.from_values([[1 + i * j for j in range(3)] for i in range(3)])
+                ]
+            else:
+                num = [sparse_entry(rng) for _ in range(trial % 5)] + [QQi(rng.randint(1, 5))]
+            # a factor (u - p) at a pole makes the construction cancel one order
+            p = next(iter(poles))
+            num = poly_mul([-p, QQi(1)], num) if trial % 3 == 0 else num
+            f = RatFun(num, poles)
+            df = f.derivative()
+            normalized = RatFun(df.num, df.poles)
+            assert df == normalized
+            assert df.poles == normalized.poles == {q: m + 1 for q, m in f.poles.items()}
+            assert df.num == normalized.num
 
     def test_finite_difference_oracle(self):
         # central differences at 10 random rational points: the error of
@@ -1032,3 +1056,168 @@ class TestStoredFormat:
                 qqi_route = np.array([[complex(x) for x in r] for r in rows], dtype=np.complex128)
                 assert mat_to_numpy(m).tobytes() == qqi_route.tobytes()
         assert Mat.zeros(2).max_abs() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Mat-valued polynomial kernels against entrywise QQi arithmetic
+
+
+KERNEL_POINTS = [
+    QQi(Fraction(2, 3), Fraction(-5, 7)),
+    QQi(0, Fraction(1, 2)),
+    QQi(Fraction(-3, 4)),
+    QQi(1, 1),
+    QQi(0),
+    QQi(2),
+]
+
+
+def coprime_coefficients(rng, count, nr, nc):
+    """Mats whose entries share one prime denominator per Mat, a different
+    prime for each, so the coefficients' denominators are pairwise coprime."""
+    return [
+        Mat([
+            [QQi(Fraction(rng.randint(-9, 9), d), Fraction(rng.choice([0, 0, 1, -4]), d))
+             for _ in range(nc)]
+            for _ in range(nr)
+        ])
+        for d in rng.sample(PRIMES[3:], count)
+    ]
+
+
+def mat_poly(rng, deg, nr, nc):
+    """A trimmed Mat-valued polynomial with zero rows and zero coefficients
+    (from `sparse_matrix`), or with pairwise coprime coefficient denominators."""
+    if rng.random() < 0.3:
+        coeffs = coprime_coefficients(rng, deg + 1, nr, nc)
+    else:
+        coeffs = [sparse_matrix(rng, nr, nc) if rng.random() < 0.8 else Mat.zeros(nr, nc)
+                  for _ in range(deg + 1)]
+    while not coeffs[-1]:
+        coeffs[-1] = sparse_matrix(rng, nr, nc)
+    return coeffs
+
+
+def entry_polys(a):
+    """The QQi coefficient list of each entry (i, j) of a Mat-valued polynomial."""
+    rows = [c.rows for c in a]
+    return [[[r[i][j] for r in rows] for j in range(a[0].nc)] for i in range(a[0].nr)]
+
+
+def qqi_value(coeffs, p):
+    acc = QQi(0)
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def qqi_divmod(coeffs, p):
+    """Synthetic division of one QQi coefficient list by (u - p)."""
+    quot = [None] * (len(coeffs) - 1)
+    carry = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        quot[k] = carry
+        carry = coeffs[k] + carry * p
+    return quot, carry
+
+
+def qqi_shift(coeffs, p):
+    """The coefficients b_j = sum_k C(k, j) a_k p^(k - j) of a(t + p), untrimmed."""
+    return [
+        sum((coeffs[k] * QQi(comb(k, j)) * p ** (k - j) for k in range(j, len(coeffs))), QQi(0))
+        for j in range(len(coeffs))
+    ]
+
+
+def from_entries(table, count):
+    """Mats [M_0 .. M_{count-1}] with M_k[i][j] = table[i][j][k]."""
+    return [Mat([[e[k] for e in row] for row in table]) for k in range(count)]
+
+
+def times_u_minus(a, p):
+    """The coefficients of (u - p) a(u), entry by entry in QQi."""
+    table = [[[QQi(0) - p * e[0]] + [e[k - 1] - p * e[k] for k in range(1, len(e))] + [e[-1]]
+              for e in row] for row in entry_polys(a)]
+    return from_entries(table, len(a) + 1)
+
+
+def assert_mat_list(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_canonical(g)
+        assert g == w and g.rows == w.rows
+
+
+class TestMatPolyKernels:
+    """Evaluation, the pole test, products, synthetic division, Taylor
+    coefficients and shifts of Mat-valued polynomials run on integer
+    numerators; each must equal the QQi computation entry by entry."""
+
+    def cases(self, seed, count=40):
+        rng = random.Random(seed)
+        for trial in range(count):
+            nr, nc = 1 + trial % 4, 1 + (trial * 3) % 5
+            yield rng, mat_poly(rng, trial % 5, nr, nc), KERNEL_POINTS[trial % len(KERNEL_POINTS)]
+
+    def test_poly_eval_and_vanishes_at(self):
+        for _, a, p in self.cases("eval"):
+            want = Mat([[qqi_value(e, p) for e in row] for row in entry_polys(a)])
+            got = poly_eval(a, p)
+            assert_canonical(got)
+            assert got == want and got.rows == want.rows
+            assert _vanishes_at(a, p) == (not want)
+
+    @staticmethod
+    def qqi_poly_mul(a, b):
+        ra, rb = [c.rows for c in a], [c.rows for c in b]
+        return poly_trim([
+            Mat([
+                [sum((ra[i][r][m] * rb[k - i][m][c]
+                      for i in range(len(a)) if 0 <= k - i < len(b)
+                      for m in range(a[0].nc)), QQi(0))
+                 for c in range(b[0].nc)]
+                for r in range(a[0].nr)
+            ])
+            for k in range(len(a) + len(b) - 1)
+        ])
+
+    def test_poly_mul(self):
+        for rng, a, _ in self.cases("mul"):
+            b = mat_poly(rng, rng.randint(0, 3), a[0].nc, rng.randint(1, 4))
+            assert_mat_list(poly_mul(a, b), self.qqi_poly_mul(a, b))
+            # (A + A u)(B - B u) = AB - AB u^2: the middle coefficient cancels
+            a2, b2 = [a[-1], a[-1]], [b[-1], -b[-1]]
+            assert_mat_list(poly_mul(a2, b2), self.qqi_poly_mul(a2, b2))
+
+    def test_divmod_linear(self):
+        for _, a, p in self.cases("divmod"):
+            table = [[qqi_divmod(e, p) for e in row] for row in entry_polys(a)]
+            quot, rem = _divmod_linear(a, p)
+            assert_mat_list(quot, from_entries([[q for q, _ in row] for row in table], len(a) - 1))
+            assert_mat_list([rem], [Mat([[r for _, r in row] for row in table])])
+            # (u - p) a(u) divides exactly: every zero of a and of the
+            # remainder is a cancellation in the carry
+            quot, rem = _divmod_linear(times_u_minus(a, p), p)
+            assert_mat_list(quot, a)
+            assert_mat_list([rem], [Mat.zeros(a[0].nr, a[0].nc)])
+
+    def test_taylor_coefficients_and_poly_shift(self):
+        for _, a, p in self.cases("taylor"):
+            want = from_entries([[qqi_shift(e, p) for e in row] for row in entry_polys(a)], len(a))
+            for count in range(len(a) + 2):
+                assert_mat_list(taylor_coefficients(a, p, count), want[:count])
+            assert_mat_list(poly_shift(a, p), poly_trim(want))
+
+    def test_the_deciding_row_comes_last(self):
+        rng = random.Random(79)
+        for p in KERNEL_POINTS:
+            # every entry of (u - p) q(u) is a nonzero polynomial that vanishes at p
+            q = mat_poly(rng, 2, 4, 3)[:-1] + [
+                Mat.from_values([[1 + i + 2 * j for j in range(3)] for i in range(4)])
+            ]
+            a = times_u_minus(q, p)
+            assert _vanishes_at(a, p) and not poly_eval(a, p)
+            bump = Mat.unit(4, 3, 3, rng.randrange(3), QQi(Fraction(1, 9), -1))
+            b = [a[0] + bump] + a[1:]
+            assert not _vanishes_at(b, p)
+            assert poly_eval(b, p) == bump
