@@ -393,7 +393,7 @@ def tau_members(C: TorusElement, cfg: GaudinConfig):
                 if r:
                     members.append((("tau-res", a, str(p), l), r))
         inf = f.infinity_value()
-        if isinstance(inf, Mat) and inf:
+        if inf:
             members.append((("tau-inf", a), inf))
     return members
 
@@ -401,11 +401,6 @@ def tau_members(C: TorusElement, cfg: GaudinConfig):
 def bethe_family(C: TorusElement, cfg: GaudinConfig) -> BetheFamily:
     """The tau members at C as one verified commuting family."""
     return BetheFamily(tau_members(C, cfg), cfg, C)
-
-
-def torus_center_members(C: TorusElement, cfg: GaudinConfig):
-    """Delta of the center of z(C): one diagonal sum per coincidence class."""
-    return center_members(cfg.rep, C.coincidence_classes())
 
 
 def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
@@ -422,7 +417,7 @@ def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
         )
     i, j = pair
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
-    members = tau_members(C0, cfg) + torus_center_members(C0, cfg)
+    members = tau_members(C0, cfg) + center_members(cfg.rep, C0.coincidence_classes())
     return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
 
 

@@ -75,17 +75,23 @@ def parse_fraction_list(text):
 
 
 def parse_scalar_list(text):
-    return [QQi.parse(x) for x in text.split(",") if x != ""]
+    try:
+        return [QQi.parse(x) for x in text.split(",") if x != ""]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a list of exact scalars: {text!r}") from None
 
 
 def parse_factors(text):
-    """Factor list "l,r;l,r;..." -> [(l, r), ...]."""
+    """Factor list "l,r;l,r;..." -> [(l, r), ...]; each part is two integers."""
     out = []
     for part in text.split(";"):
         if not part:
             continue
-        l, r = part.split(",")
-        out.append((int(l), int(r)))
+        try:
+            l, r = (int(x) for x in part.split(","))
+        except ValueError:
+            raise UsageError(f"not two integers l,r: {part!r}") from None
+        out.append((l, r))
     if not out:
         raise UsageError("empty factor list")
     return out
@@ -178,11 +184,17 @@ def cmd_crystal(opts):
     if action == "export" and not (opts.get("kr") or opts.get("lam")):
         raise UsageError("crystal export needs --kr or --lambda")
     if opts.get("kr"):
-        l, r = (int(x) for x in opts["kr"].split(","))
+        factors = parse_factors(opts["kr"])
+        if len(factors) != 1:
+            raise UsageError(f"--kr takes one factor l,r, got {opts['kr']!r}")
+        [(l, r)] = factors
         check_factor(n, l, r)
         lam = (l,) * r
     elif opts.get("lam"):
-        lam = tuple(int(x) for x in opts["lam"].split(","))
+        try:
+            lam = tuple(int(x) for x in opts["lam"].split(","))
+        except ValueError:
+            raise UsageError(f"not a partition: {opts['lam']!r}") from None
     else:
         raise UsageError("need --kr l,r or --lambda parts")
     affine = bool(opts.get("kr"))
@@ -245,7 +257,10 @@ def cmd_tensor(opts):
 
 
 def cmd_alcove(opts):
-    x = AffinePoint(parse_fraction_list(opts["x"]))
+    coords = parse_fraction_list(opts["x"])
+    if len(coords) < 2:
+        raise UsageError(f"--x needs two or more coordinates, got {opts['x']!r}")
+    x = AffinePoint(coords)
     got = classify(x)
     if isinstance(got, list):
         report = {
@@ -473,31 +488,39 @@ def make_parser():
     return ap
 
 
+def config_argv(path):
+    """The argv that the JSON object in the config file at `path` stands for."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read config {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"config {path} is not a JSON object")
+    command = doc.pop("command", None)
+    action = doc.pop("action", None)
+    args = [command] if command else []
+    if action:
+        args.append(action)
+    for key, val in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(val, bool):
+            if val:
+                args.append(flag)
+        else:
+            args.extend([flag, str(val)])
+    return args
+
+
 def main(argv=None) -> int:
     ap = make_parser()
-    ns = ap.parse_args(argv)
-    opts = vars(ns)
-    if opts.get("config"):
-        with open(opts["config"]) as fh:
-            doc = json.load(fh)
-        command = doc.pop("command", None)
-        action = doc.pop("action", None)
-        args = [command] if command else []
-        if action:
-            args.append(action)
-        for key, val in doc.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(val, bool):
-                if val:
-                    args.append(flag)
-            else:
-                args.extend([flag, str(val)])
-        ns = ap.parse_args(args)
-        opts = vars(ns)
-    if not opts.get("command"):
-        ap.print_usage()
-        return 2
+    opts = vars(ap.parse_args(argv))
     try:
+        if opts.get("config"):
+            opts = vars(ap.parse_args(config_argv(opts["config"])))
+        if not opts.get("command"):
+            ap.print_usage()
+            return 2
         return opts["func"](opts)
     except (UsageError, CrystalError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -214,11 +214,6 @@ def wall_family(cfg: GaudinConfig) -> CommutingFamily:
     )
 
 
-def torus_center_members(cfg: GaudinConfig):
-    """Delta of the center of the centralizer of chi: one sum per chi class."""
-    return center_members(cfg.rep, cfg.chi_classes())
-
-
 def center_members(rep, classes):
     """Tagged sums Delta(sum_{a in cls} E_aa), one per index class."""
     out = []
@@ -299,15 +294,6 @@ def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:
 
 # ---------------------------------------------------------------------------
 # Equivariance helpers
-
-
-def shifted_config(cfg: GaudinConfig, c) -> GaudinConfig:
-    """Same factors with all evaluation points shifted by c."""
-    c = QQi.of(c)
-    rep = TensorRep(
-        [(r, z + c, d) for (r, z, d) in cfg.rep.factors]
-    )
-    return GaudinConfig(rep, cfg.chi)
 
 
 def scaled_config(cfg: GaudinConfig, s, c=0) -> GaudinConfig:

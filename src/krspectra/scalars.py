@@ -1,8 +1,8 @@
 """Exact arithmetic foundation.
 
-Gaussian rationals, exact matrices, univariate rational functions with
-factored pole multisets, the normal-ordered algebra of differential
-operators, and column determinants.
+Gaussian rationals, exact matrices, matrix-valued univariate rational
+functions with factored pole multisets, the normal-ordered algebra of
+differential operators, and column determinants.
 
 Everything here is immutable after construction and exact; floats appear
 only as read-outs (`Mat.max_abs`, `Mat.complex_rows`).
@@ -12,7 +12,6 @@ a pole multiset is part of the data, so no factorization is ever needed.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -621,13 +620,7 @@ def spans_equal(mats_a, mats_b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials (ascending coefficient lists over QQi or Mat)
-
-
-def _zero_like(c):
-    if isinstance(c, Mat):
-        return Mat.zeros(c.nr, c.nc)
-    return QQI_ZERO
+# Polynomials (ascending coefficient lists of Mats)
 
 
 def poly_trim(p):
@@ -652,29 +645,6 @@ def poly_scale(a, s):
     return poly_trim([c * s for c in a])
 
 
-def poly_mul(a, b, times=operator.mul):
-    """Product of two coefficient lists; either may be scalar- or Mat-valued.
-
-    Coefficients combine by `times`, in the given order: the matrix product
-    by default, `Mat.kron` for the Kronecker product of two Mat-valued ones.
-    Two Mat-valued lists under the matrix product go to `_mat_poly_mul`,
-    which sums each output coefficient on integer numerators in one pass
-    and builds it by one gcd pass, with no Mat per pair of coefficients.
-    """
-    if not a or not b:
-        return []
-    if times is operator.mul and isinstance(a[0], Mat) and isinstance(b[0], Mat):
-        return _mat_poly_mul(a, b)
-    out = [times(_zero_like(a[0]), _zero_like(b[0]))] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = out[i + j] + times(ca, cb)
-    return poly_trim(out)
-
-
 def _times_linear(a, p):
     """Coefficients of (u - p) * a(u) for a trimmed a: c_k = a_{k-1} - p a_k."""
     if not a:
@@ -682,55 +652,8 @@ def _times_linear(a, p):
     return [-(a[0] * p)] + [a[k - 1] - a[k] * p for k in range(1, len(a))] + [a[-1]]
 
 
-def poly_eval(a, u):
-    """a(u) for a coefficient list over QQi or Mat.
-
-    A Mat-valued a is evaluated on its stored numerators: each row of a(u)
-    is the `_value_weights` combination of that row of the coefficients,
-    summed on Python ints, and one gcd pass builds the result; no Mat, QQi
-    or Fraction is built per Horner step.
-    """
-    if not a:
-        return QQI_ZERO
-    if isinstance(a[0], Mat):
-        den, terms = _value_weights(a, u)
-        return _reduced(a[0].nr, a[0].nc, den, [_row_value(terms, i) for i in range(a[0].nr)])
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * u + c
-    return acc
-
-
-def _vanishes_at(a, p):
-    """Whether the polynomial a is zero at p.
-
-    A Mat-valued one is tested row by row on the integer numerators that
-    `poly_eval` sums, stopping at the first row whose value is nonzero; an
-    identically zero row sums nothing, and no Mat is built.
-    """
-    if not isinstance(a[0], Mat):
-        return not poly_eval(a, p)
-    _, terms = _value_weights(a, p)
-    for i in range(a[0].nr):
-        if _row_value(terms, i):
-            return False
-    return True
-
-
 def poly_deriv(a):
     return poly_trim([a[k] * QQi(k) for k in range(1, len(a))])
-
-
-def _divmod_linear(a, p):
-    """Synthetic division a = (u - p) q + r: returns (q untrimmed, r = a(p))."""
-    if isinstance(a[0], Mat):
-        return _mat_divmod_linear(a, p)
-    out = [None] * (len(a) - 1)
-    carry = a[-1]
-    for k in range(len(a) - 2, -1, -1):
-        out[k] = carry
-        carry = a[k] + carry * p
-    return out, carry
 
 
 def poly_divide_linear(a, p):
@@ -776,10 +699,10 @@ def series_inverse(a, order):
 
 
 # ---------------------------------------------------------------------------
-# Mat-valued polynomials on integer numerators
+# Polynomial kernels on integer numerators
 #
-# The coefficients a_k = N_k / D_k of a Mat-valued polynomial are lifted to
-# one denominator L = lcm(D_k), a point p is the Gaussian integer P over pd,
+# The coefficients a_k = N_k / D_k of a polynomial are lifted to one
+# denominator L = lcm(D_k), a point p is the Gaussian integer P over pd,
 # and each kernel sums Gaussian-integer numerators on Python ints; every
 # result coefficient is one Mat, built by one gcd pass in `_reduced`.
 
@@ -827,11 +750,37 @@ def _row_value(terms, i):
     return {j: v for j, v in acc.items() if v[0] or v[1]}
 
 
-def _mat_poly_mul(a, b):
-    """poly_mul of two Mat-valued lists under the matrix product.
+def poly_eval(a, u):
+    """a(u) for a nonempty list of Mat coefficients.
+
+    Each row of a(u) is the `_value_weights` combination of that row of the
+    coefficients, summed on Python ints, and one gcd pass builds the result;
+    no Mat, QQi or Fraction is built per Horner step.
+    """
+    den, terms = _value_weights(a, u)
+    return _reduced(a[0].nr, a[0].nc, den, [_row_value(terms, i) for i in range(a[0].nr)])
+
+
+def _vanishes_at(a, p):
+    """Whether the polynomial a is zero at p.
+
+    It is tested row by row on the integer numerators that `poly_eval`
+    sums, stopping at the first row whose value is nonzero; an identically
+    zero row sums nothing, and no Mat is built.
+    """
+    _, terms = _value_weights(a, p)
+    for i in range(a[0].nr):
+        if _row_value(terms, i):
+            return False
+    return True
+
+
+def poly_mul(a, b):
+    """Product of two nonempty lists of Mat coefficients under the matrix product.
 
     Coefficient k = sum_{i+j=k} a_i b_j is summed row by row over L_a L_b,
-    the row products of each pair scaled by (L_a / D_i)(L_b / D_j).
+    the row products of each pair scaled by (L_a / D_i)(L_b / D_j), and
+    built by one gcd pass, with no Mat per pair of coefficients.
     """
     la, sa = _lift(a)
     lb, sb = _lift(b)
@@ -860,8 +809,8 @@ def _mat_poly_mul(a, b):
     return poly_trim(out)
 
 
-def _mat_divmod_linear(a, p):
-    """`_divmod_linear` of a Mat-valued list on integer carries.
+def _divmod_linear(a, p):
+    """Synthetic division a = (u - p) q + r: returns (q untrimmed, r = a(p)).
 
     q_{k-1} = a_k + p q_k has the numerators C_{k-1} = (L / D_k) pd^(deg-k)
     N_k + P C_k over L pd^(deg-k), so each row's carry is one dict of ints;
@@ -906,7 +855,7 @@ def _mat_divmod_linear(a, p):
 class RatFun:
     """num(u) / prod_p (u - p)^{m_p} with an explicit pole multiset.
 
-    Numerator coefficients are QQi scalars or Mat matrices (shared shape).
+    Numerator coefficients are Mats of one shape.
     Instances are normalized on construction: common (u - p) factors are
     cancelled and zero-multiplicity poles dropped.
     """
@@ -932,18 +881,15 @@ class RatFun:
 
     @staticmethod
     def const(c):
-        c = QQi.of(c) if not isinstance(c, Mat) else c
-        return RatFun([c] if c else [], {})
+        return RatFun([c], {})
 
     @staticmethod
     def monomial(c, k):
-        c = QQi.of(c) if not isinstance(c, Mat) else c
-        return RatFun(([_zero_like(c)] * k) + [c], {})
+        return RatFun([Mat.zeros(c.nr, c.nc)] * k + [c], {})
 
     @staticmethod
     def pole_term(c, p, mult=1):
         """c / (u - p)^mult."""
-        c = QQi.of(c) if not isinstance(c, Mat) else c
         return RatFun([c], {QQi.of(p): mult})
 
     # -- structure
@@ -979,18 +925,12 @@ class RatFun:
         return RatFun(total, poles)
 
     def __add__(self, other):
-        if not isinstance(other, RatFun):
-            other = RatFun.const(other)
         return RatFun.sum((self, other))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RatFun(poly_neg(self.num), self.poles, normalize=False)
 
     def __sub__(self, other):
-        if not isinstance(other, RatFun):
-            other = RatFun.const(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -1003,10 +943,6 @@ class RatFun:
         for p, m in other.poles.items():
             poles[p] = poles.get(p, 0) + m
         return RatFun(poly_mul(self.num, other.num), poles)
-
-    def __rmul__(self, other):
-        # left scalar/Mat multiplier
-        return RatFun([other * c for c in self.num], self.poles)
 
     def kron(self, other):
         """num(u) (x) num'(u) over the sum of the two pole multisets.
@@ -1026,11 +962,15 @@ class RatFun:
             or any(_vanishes_at(other.num, p) for p in self.poles)
             or any(_vanishes_at(self.num, p) for p in other.poles)
         )
-        return RatFun(poly_mul(self.num, other.num, Mat.kron), poles, normalize)
+        a, b = self.num, other.num
+        num = [Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                if ca and cb:
+                    num[i + j] = num[i + j] + ca.kron(cb)
+        return RatFun(num, poles, normalize)
 
     def __eq__(self, other):
-        if not isinstance(other, RatFun):
-            other = RatFun.const(other)
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -1057,17 +997,15 @@ class RatFun:
         if not self.poles:
             return RatFun(dnum, {})
         plist = list(self.poles.items())
-        radical = [QQI_ONE]
+        total = dnum
         for p, _ in plist:
-            radical = _times_linear(radical, p)
-        total = poly_mul(dnum, radical) if dnum else []
+            total = _times_linear(total, p)
         for p, m in plist:
-            partial = [QQi(-m)]
+            term = poly_scale(self.num, QQi(-m))
             for q, _ in plist:
                 if q != p:
-                    partial = _times_linear(partial, q)
-            term = poly_mul(self.num, partial)
-            total = poly_add(total, term) if total else term
+                    term = _times_linear(term, q)
+            total = poly_add(total, term)
         newpoles = {p: m + 1 for p, m in plist}
         return RatFun(total, newpoles, normalize=False)
 
@@ -1096,13 +1034,15 @@ class RatFun:
     def residue(self, pole, order=0):
         """res_{u=p} (u-p)^order * f(u) du, exact.
 
-        Returns the numerator coefficient type (QQi or Mat); absent poles give 0.
+        Returns a Mat of the numerator's shape, zero at an absent pole, or
+        QQI_ZERO for the zero function, which has no shape.
         """
+        if self.is_zero():
+            return QQI_ZERO
         p = QQi.of(pole)
-        m = self.poles.get(p, 0)
-        need = m - order - 1
-        if need < 0 or self.is_zero():
-            return _zero_like(self.num[0]) if self.num else QQI_ZERO
+        need = self.poles.get(p, 0) - order - 1
+        if need < 0:
+            return Mat.zeros(self.num[0].nr, self.num[0].nc)
         # Taylor-expand num / prod_{q != p} (u-q)^{m_q} at p up to t^need.
         num_t = taylor_coefficients(self.num, p, need + 1)
         rest = [QQI_ONE]
@@ -1119,7 +1059,7 @@ class RatFun:
                 continue
             term = cj * inv[need - j]
             acc = term if acc is None else acc + term
-        return _zero_like(self.num[0]) if acc is None else acc
+        return Mat.zeros(self.num[0].nr, self.num[0].nc) if acc is None else acc
 
     def infinity_value(self):
         """Limit at u -> infinity (zero if the function decays)."""
@@ -1149,12 +1089,6 @@ class DiffOpPoly:
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = coeffs
-
-    @staticmethod
-    def d(order=1, like=None):
-        one = RatFun.const(like if like is not None else QQI_ONE)
-        zero = RatFun([], {})
-        return DiffOpPoly([zero] * order + [one])
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -1201,7 +1135,7 @@ class DiffOpPoly:
         return all(c.is_zero() for c in self.coeffs)
 
     def apply(self, f: RatFun) -> RatFun:
-        """Act on a RatFun (scalar- or vector-valued) without using __mul__."""
+        """Act on a RatFun without using __mul__."""
         out = RatFun([], {})
         for k, c in enumerate(self.coeffs):
             if k:

@@ -23,10 +23,9 @@ from krspectra.bethe import (
     tau_members,
     tau_ratfun,
     tau_trace_direct,
-    torus_center_members,
     wall_bethe_family,
 )
-from krspectra.gaudin import GaudinConfig, residue_generators
+from krspectra.gaudin import GaudinConfig, center_members, residue_generators
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import build_spectral_config, default_shift, kr_rep, wall_pair
 from krspectra.scalars import Mat, QQi, RatFun, mat_rank, spans_equal, unit_circle_point
@@ -524,6 +523,6 @@ class TestTorusCenter:
         cfg = config_c2_pair()
         C0 = standard_torus(2, wall=1)
         fam = wall_bethe_family(C0, (1, 2), cfg)
-        for tag, g in torus_center_members(C0, cfg):
+        for tag, g in center_members(cfg.rep, C0.coincidence_classes()):
             for h in fam.gens:
                 assert not g.commutator(h)

@@ -233,6 +233,8 @@ class TestBetheCommand:
             ),
             (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "1/3"], "--chi has 1 entries"),
             (["gaudin", "commute", "--n", "2", "--z", "0,1", "--chi", "a,b"], "not a rational number"),
+            (["gaudin", "commute", "--n", "2", "--z", "0,a"], "not a list of exact scalars: '0,a'"),
+            (["bethe", "commute", "--n", "2", "--z", "0,1/0"], "not a list of exact scalars: '0,1/0'"),
             (
                 ["bethe", "degenerate", "--n", "2", "--factors", "1,1;2,1", "--z", "0,-1/16",
                  "--eps", "1/8,1/16"],
@@ -278,7 +280,8 @@ class TestBetheCommand:
         ],
         ids=[
             "no-eps", "one-eps", "zero-eps", "eps-1/0", "zero-c", "degenerate-chi",
-            "commute-chi", "gaudin-chi", "gaudin-chi-text", "merging-points",
+            "commute-chi", "gaudin-chi", "gaudin-chi-text", "gaudin-z-text", "bethe-z-1/0",
+            "merging-points",
             "commute-eps", "commute-c", "degenerate-wall", "gaudin-s-with-z", "bethe-s-with-z",
             "gaudin-equal-z", "gaudin-s-zero", "bethe-equal-z", "bethe-s-zero",
         ],
@@ -370,6 +373,22 @@ class TestConfigFile:
 
     def test_no_command_usage(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "error: cannot read config {path}"),
+            ('{"command": "crystal",', "error: cannot read config {path}"),
+            ('["crystal", "build"]', "error: config {path} is not a JSON object"),
+        ],
+        ids=["missing-file", "invalid-json", "json-array"],
+    )
+    def test_a_bad_config_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["--config", str(path)]) == 2
+        assert message.format(path=path) in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -602,6 +621,13 @@ class TestDimensionPreflight:
                 ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--wall", "3"],
                 "--wall 3 is not a wall index",
             ),
+            (["tensor", "--n", "2", "--factors", "1"], "not two integers l,r: '1'"),
+            (["tensor", "--n", "2", "--factors", "1,1;1,x"], "not two integers l,r: '1,x'"),
+            (["compare", "--n", "2", "--factors", "1,1,1"], "not two integers l,r: '1,1,1'"),
+            (["crystal", "build", "--n", "2", "--kr", "1"], "not two integers l,r: '1'"),
+            (["crystal", "build", "--n", "2", "--kr", "1,1;1,1"], "--kr takes one factor l,r"),
+            (["crystal", "build", "--n", "2", "--lambda", "a"], "not a partition: 'a'"),
+            (["alcove", "classify", "--x", "1/2"], "--x needs two or more coordinates, got '1/2'"),
         ],
     )
     def test_input_without_meaning_is_refused_before_any_build(

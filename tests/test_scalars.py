@@ -27,6 +27,16 @@ from krspectra.scalars import (
 )
 
 
+def m1(x):
+    """x as a 1x1 Mat: the coefficient of a function with one entry."""
+    return Mat.from_values([[x]])
+
+
+def linear(p, k):
+    """The coefficients of (u - p) times the k x k identity."""
+    return [Mat.identity(k) * -p, Mat.identity(k)]
+
+
 def rational_points(seed, count, den=97):
     rng = random.Random(seed)
     pts = set()
@@ -87,21 +97,21 @@ class TestRatFunDerivative:
     def test_simple_pole_derivative(self):
         # d/du 1/(u-z) = -1/(u-z)^2
         z = QQi(Fraction(2, 3))
-        f = RatFun.pole_term(QQi(1), z)
+        f = RatFun.pole_term(m1(1), z)
         df = f.derivative()
-        expected = RatFun.pole_term(QQi(-1), z, 2)
+        expected = RatFun.pole_term(m1(-1), z, 2)
         assert df == expected
 
     def test_constant_derivative(self):
-        assert RatFun.const(QQi(5)).derivative().is_zero()
+        assert RatFun.const(m1(5)).derivative().is_zero()
 
     def test_hand_oracle_value(self):
         # f = u/((u-1)(u-2)); quotient rule gives f'(u) = (2-u^2)/((u-1)^2(u-2)^2),
         # worked out by hand before the build; f'(0) = 2/4 = 1/2.
-        f = RatFun([QQi(0), QQi(1)], {QQi(1): 1, QQi(2): 1})
+        f = RatFun([m1(0), m1(1)], {QQi(1): 1, QQi(2): 1})
         df = f.derivative()
-        assert df.eval(QQi(0)) == QQi(Fraction(1, 2))
-        expected = RatFun([QQi(2), QQi(0), QQi(-1)], {QQi(1): 2, QQi(2): 2})
+        assert df.eval(QQi(0)) == m1(Fraction(1, 2))
+        expected = RatFun([m1(2), m1(0), m1(-1)], {QQi(1): 2, QQi(2): 2})
         assert df == expected
 
     def test_no_pole_of_the_derivative_cancels(self):
@@ -115,10 +125,10 @@ class TestRatFunDerivative:
                     Mat.from_values([[1 + i * j for j in range(3)] for i in range(3)])
                 ]
             else:
-                num = [sparse_entry(rng) for _ in range(trial % 5)] + [QQi(rng.randint(1, 5))]
+                num = [m1(sparse_entry(rng)) for _ in range(trial % 5)] + [m1(rng.randint(1, 5))]
             # a factor (u - p) at a pole makes the construction cancel one order
             p = next(iter(poles))
-            num = poly_mul([-p, QQi(1)], num) if trial % 3 == 0 else num
+            num = poly_mul(linear(p, num[0].nr), num) if trial % 3 == 0 else num
             f = RatFun(num, poles)
             df = f.derivative()
             normalized = RatFun(df.num, df.poles)
@@ -129,7 +139,7 @@ class TestRatFunDerivative:
     def test_finite_difference_oracle(self):
         # central differences at 10 random rational points: the error of
         # (f(x+h)-f(x-h))/2h halves at least ~4x when h quarters (O(h^2)).
-        f = RatFun([QQi(0), QQi(1)], {QQi(1): 1, QQi(2): 1})
+        f = RatFun([m1(0), m1(1)], {QQi(1): 1, QQi(2): 1})
         df = f.derivative()
         for x in rational_points(3, 10):
             x = QQi(x)
@@ -139,7 +149,7 @@ class TestRatFunDerivative:
             for h in [Fraction(1, 64), Fraction(1, 256)]:
                 h = QQi(h)
                 fd = (f.eval(x + h) - f.eval(x - h)) * (QQi(2) * h).inverse()
-                errs.append((fd - df.eval(x)).abs2())
+                errs.append((fd - df.eval(x))[0, 0].abs2())
             assert errs[1] * 64 < errs[0] or errs[0] == 0
 
 
@@ -157,7 +167,13 @@ class TestRatFunKron:
     def normalized(f, g):
         """The product built with every pole tested, as the oracle."""
         poles = {p: f.poles.get(p, 0) + g.poles.get(p, 0) for p in set(f.poles) | set(g.poles)}
-        return RatFun(poly_mul(f.num, g.num, Mat.kron), poles)
+        a, b = f.num, g.num
+        zero = Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)
+        num = [
+            sum((a[i].kron(b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b)), zero)
+            for k in range(len(a) + len(b) - 1)
+        ]
+        return RatFun(num, poles)
 
     def test_evaluation_agrees_with_kron_of_the_values(self):
         for f, g in [(self.A, self.B), (self.B, self.A), (self.A, self.A)]:
@@ -193,36 +209,38 @@ class TestRatFunKron:
 class TestRatFunSum:
     def test_equals_the_pairwise_sum(self):
         terms = [
-            RatFun([QQi(1)], {QQi(1): 1}),
-            RatFun([QQi(-1), QQi(1)], {QQi(1): 2, QQi(2): 1}),
-            RatFun([QQi(3)], {}),
+            RatFun([m1(1)], {QQi(1): 1}),
+            RatFun([m1(-1), m1(1)], {QQi(1): 2, QQi(2): 1}),
+            RatFun([m1(3)], {}),
             RatFun([], {}),
         ]
         want = terms[0] + terms[1] + terms[2]
         got = RatFun.sum(terms)
         assert got.num == want.num and got.poles == want.poles
         u = QQi(Fraction(5, 7))
-        assert got.eval(u) == sum((t.eval(u) for t in terms), QQi(0))
+        # the zero function evaluates to the scalar 0: it has no shape
+        assert got.eval(u) == sum((t.eval(u) for t in terms[:3]), Mat.zeros(1))
+        assert terms[3].eval(u) == QQi(0)
 
     def test_cancelling_terms_are_normalized(self):
-        f = RatFun([QQi(1)], {QQi(1): 1})
+        f = RatFun([m1(1)], {QQi(1): 1})
         # 1/(u - 1) - 1/(u - 1) = 0
-        zero = RatFun.sum([f, RatFun([QQi(-1)], {QQi(1): 1})])
+        zero = RatFun.sum([f, RatFun([m1(-1)], {QQi(1): 1})])
         assert zero.is_zero() and zero.poles == {}
         # 1/(u - 1) + u/((u - 1)(u - 2)) = (2u - 2)/((u - 1)(u - 2)) = 2/(u - 2)
-        h = RatFun.sum([f, RatFun([QQi(0), QQi(1)], {QQi(1): 1, QQi(2): 1})])
-        assert h.num == [QQi(2)] and h.poles == {QQi(2): 1}
+        h = RatFun.sum([f, RatFun([m1(0), m1(1)], {QQi(1): 1, QQi(2): 1})])
+        assert h.num == [m1(2)] and h.poles == {QQi(2): 1}
 
     def test_empty_and_single(self):
-        f = RatFun([QQi(2)], {QQi(1): 1})
+        f = RatFun([m1(2)], {QQi(1): 1})
         assert RatFun.sum([]).is_zero()
         assert RatFun.sum([f, RatFun([], {})]) is f
 
 
 class TestResidue:
     def test_simple_pole(self):
-        f = RatFun.pole_term(QQi(1), QQi(0))
-        assert f.residue(QQi(0), 0) == QQi(1)
+        f = RatFun.pole_term(m1(1), QQi(0))
+        assert f.residue(QQi(0), 0) == m1(1)
 
     def test_matrix_double_pole_identity_case(self):
         a = Mat.from_values([[1, 2], [3, 4]])
@@ -232,10 +250,10 @@ class TestResidue:
 
     def test_two_pole_residue(self):
         # res_{u=1} u/((u-1)(u-2)) = 1/(1-2) = -1
-        f = RatFun([QQi(0), QQi(1)], {QQi(1): 1, QQi(2): 1})
-        assert f.residue(QQi(1), 0) == QQi(-1)
-        assert f.residue(QQi(2), 0) == QQi(2)
-        assert f.residue(QQi(5), 0) == QQi(0)
+        f = RatFun([m1(0), m1(1)], {QQi(1): 1, QQi(2): 1})
+        assert f.residue(QQi(1), 0) == m1(-1)
+        assert f.residue(QQi(2), 0) == m1(2)
+        assert f.residue(QQi(5), 0) == m1(0)
 
     def test_residue_matches_series_expansion(self):
         # res_{u=p}(u-p)^l f equals the (u-p)^{-1} Laurent coefficient of
@@ -246,7 +264,7 @@ class TestResidue:
         rng = random.Random(11)
         p = QQi(Fraction(1, 3))
         q = QQi(Fraction(-2, 5))
-        num = [QQi(rng.randint(-5, 5)) for _ in range(4)]
+        num = [m1(rng.randint(-5, 5)) for _ in range(4)]
         f = RatFun(num, {p: 3, q: 1})
         for l in range(4):
             got = f.residue(p, l)
@@ -254,16 +272,16 @@ class TestResidue:
             # strip the pole at p one order at a time by residue-free division
             g = f
             for _ in range(l):
-                g = g * RatFun([-p, QQi(1)], {})
+                g = g * RatFun(linear(p, 1), {})
             m = g.poles.get(p, 0)
             if m == 0:
-                assert got == QQi(0)
+                assert got == m1(0)
                 continue
             # Laurent coefficient via limit: multiply by (u-p)^m and take the
             # (m-1)-st derivative at p over (m-1)!  (classical formula)
             h = g
             for _ in range(m):
-                h = h * RatFun([-p, QQi(1)], {})
+                h = h * RatFun(linear(p, 1), {})
             fact = 1
             for _ in range(m - 1):
                 h = h.derivative()
@@ -295,7 +313,7 @@ class TestTaylorCoefficients:
         if matrix:
             return poly_trim([sparse_matrix(rng, 3, 3) for _ in range(deg)]
                              + [Mat.identity(3) * QQi(rng.randint(1, 5))])
-        return [sparse_entry(rng) for _ in range(deg)] + [QQi(rng.randint(1, 5), 1)]
+        return [m1(sparse_entry(rng)) for _ in range(deg)] + [m1(QQi(rng.randint(1, 5), 1))]
 
     @pytest.mark.parametrize("matrix", [False, True])
     def test_leading_coefficients_of_the_binomial_shift(self, matrix):
@@ -322,18 +340,21 @@ class TestTaylorCoefficients:
 
 
 class TestDiffOp:
+    # d on functions with one entry
+    D = DiffOpPoly([RatFun([], {}), RatFun.const(m1(1))])
+
     def test_leibniz(self):
         # d * (1/(u-z)) = (1/(u-z)) d - 1/(u-z)^2
         z = QQi(3)
-        f = RatFun.pole_term(QQi(1), z)
-        d = DiffOpPoly.d()
+        f = RatFun.pole_term(m1(1), z)
+        d = self.D
         prod = d * DiffOpPoly([f])
         assert prod.coeff(1) == f
-        assert prod.coeff(0) == RatFun.pole_term(QQi(-1), z, 2)
+        assert prod.coeff(0) == RatFun.pole_term(m1(-1), z, 2)
 
     def test_d_squared(self):
-        d = DiffOpPoly.d()
-        assert (d * d).coeff(2) == RatFun.const(QQi(1))
+        d = self.D
+        assert (d * d).coeff(2) == RatFun.const(m1(1))
         assert (d * d).coeff(0).is_zero()
 
     def test_matrix_product_against_monomial_application(self):
@@ -360,7 +381,7 @@ class TestDiffOp:
         def rand_op():
             coeffs = []
             for _ in range(rng.randint(1, 3)):
-                num = [QQi(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+                num = [m1(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
                 coeffs.append(RatFun(num, {z: rng.randint(0, 2)}))
             return DiffOpPoly(coeffs)
 
@@ -371,9 +392,9 @@ class TestDiffOp:
 
 class TestCdetAndSpans:
     def test_cdet_scalar_matrix(self):
-        m = [[RatFun.const(QQi(1)), RatFun.const(QQi(2))],
-             [RatFun.const(QQi(3)), RatFun.const(QQi(4))]]
-        assert cdet(m) == RatFun.const(QQi(-2))
+        m = [[RatFun.const(m1(1)), RatFun.const(m1(2))],
+             [RatFun.const(m1(3)), RatFun.const(m1(4))]]
+        assert cdet(m) == RatFun.const(m1(-2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cdet_matches_the_leibniz_sum_on_noncommuting_entries(self, n):
@@ -806,7 +827,7 @@ class TestMatNormalization:
         ]
 
     def times_u_minus_p(self, q):
-        return poly_mul([-self.P, QQi(1)], q)
+        return poly_mul(linear(self.P, 3), q)
 
     def test_zero_first_entry_cancels(self):
         rng = random.Random(3)

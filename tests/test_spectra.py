@@ -7,8 +7,8 @@ from krspectra import spectra
 from krspectra.bethe import bethe_family, standard_torus
 from krspectra.gaudin import (
     GaudinConfig,
+    center_members,
     residue_generators,
-    torus_center_members,
     wall_family,
 )
 from krspectra.glrep import build_defining, build_tensor
@@ -130,7 +130,7 @@ class TestJointDiagonalize:
         # the eigenvector choice inside an eigenspace is left to the refinement
         cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
         members = residue_generators(cfg).gens
-        members += [g for _, g in torus_center_members(cfg)]
+        members += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
         attempts = []
         once = spectra._joint_diagonalize_once
 
@@ -183,7 +183,7 @@ class TestWallStrings:
         cfg = c2_pair_cfg(chi=(0, 0))
         fam = wall_family(cfg)
         base = [g for t, g in fam.members() if t[0] != "h"]
-        base += [g for _, g in torus_center_members(cfg)]
+        base += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
         h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
         strings = wall_strings(base, h, cfg.rep)
         assert strings.ok()
@@ -194,7 +194,7 @@ class TestWallStrings:
         cfg = c2_pair_cfg(chi=(0, 0))
         fam = wall_family(cfg)
         base = [g for t, g in fam.members() if t[0] != "h"]
-        base += [g for _, g in torus_center_members(cfg)]
+        base += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
         h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
         strings = wall_strings(base, h, cfg.rep)
         for s in strings.strings:
@@ -237,7 +237,7 @@ class TestWallRefinement:
         # C^2 x C^2; adding Delta(h) makes it simple: strict refinement
         cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
         base = residue_generators(cfg)
-        tc = [g for _, g in torus_center_members(cfg)]
+        tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
         spec_base = joint_diagonalize(base.gens + tc, cfg.rep)
         assert not spec_base.is_simple()
         h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
@@ -247,14 +247,13 @@ class TestWallRefinement:
     def test_bethe_wall_family_refines_tau_only(self):
         from krspectra.bethe import (
             standard_torus,
-            torus_center_members as bethe_tc,
             wall_bethe_family,
         )
 
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
         C0 = standard_torus(2, wall=1)
         fam = bethe_family(C0, cfg)
-        tc = [g for _, g in bethe_tc(C0, cfg)]
+        tc = [g for _, g in center_members(cfg.rep, C0.coincidence_classes())]
         spec_base = joint_diagonalize(fam.gens + tc, cfg.rep)
         assert not spec_base.is_simple()
         full = wall_bethe_family(C0, (1, 2), cfg)
@@ -273,7 +272,7 @@ class TestGaudinRouteAgreesWithCombinatorics:
 
         cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
         base = residue_generators(cfg)
-        tc = [g for _, g in torus_center_members(cfg)]
+        tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
         h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
         strings = wall_strings(base.gens + tc, h, cfg.rep)
         assert strings.ok()
@@ -294,7 +293,7 @@ class TestGaudinRouteAgreesWithCombinatorics:
             rep = build_tensor([(c3, QQi(0), QQi(0)), (w2, QQi(1), QQi(0))])
             cfg = GaudinConfig(rep, chi0)
             base = residue_generators(cfg)
-            tc = [g for _, g in torus_center_members(cfg)]
+            tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
             h = cfg.rep.delta(j, j) - cfg.rep.delta(j + 1, j + 1)
             strings = wall_strings(base.gens + tc, h, cfg.rep)
             assert strings.ok(), (j, strings.diagnostics)
