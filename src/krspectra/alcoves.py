@@ -6,13 +6,14 @@ canonicalized to mean zero.  The base alcove is
     a_n + 1 >= a_1 >= a_2 >= ... >= a_n,
 
 its walls in order are H^0_{1,2}, ..., H^0_{n-1,n}, H^{-1}_{n,1}.
-Classification folds a regular point into the base alcove by affine
-reflections; points on a wall return the list of walls through them.
+Classification maps a regular point into the base alcove by a translation
+and a sort; points on a wall return the list of walls through them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 
 class AlcoveError(ValueError):
@@ -174,50 +175,32 @@ def in_alcove(w: ExtAffineWeylElt, x: AffinePoint, strict=False):
 
 
 def classify(x: AffinePoint):
-    """Fold into the base alcove.
+    """The alcove of x, in closed form.
 
     Regular points return the unique affine Weyl element w with x in w(Q);
-    wall points return the list of walls through x.
+    wall points return the list of walls through x.  At a regular point the
+    fractional parts r_i = x_i - floor(x_i) are distinct, and sorted
+    decreasingly they satisfy r_(1) > ... > r_(n) > r_(1) - 1.  So the
+    translation by -floor(x) followed by that sort maps x into Q, and its
+    inverse w0 has x in w0(Q).  The rotation rho of Q generates the
+    stabilizer of Q in the extended group and adds 1 mod n to the
+    translation class, so one w0 rho^k with 0 <= k < n is affine Weyl.
     """
     if not x.is_regular():
         return x.walls_through()
     n = x.n
-    cur = x
-    # w with cur = w^{-1} x, maintained as an explicit element
-    w = ExtAffineWeylElt.identity(n)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise AlcoveError("reflection folding failed to terminate")
-        a = cur.coords
-        moved = False
-        for i in range(n - 1):
-            if a[i] < a[i + 1]:
-                sigma = list(range(1, n + 1))
-                sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-                s = ExtAffineWeylElt(tuple(sigma), (0,) * n)
-                cur = s.apply(cur)
-                w = s.compose(w)
-                moved = True
-                break
-        if moved:
-            continue
-        if cur.coords[0] - cur.coords[n - 1] > 1:
-            # affine reflection in a_1 - a_n = 1: swap and translate
-            sigma = list(range(1, n + 1))
-            sigma[0], sigma[n - 1] = sigma[n - 1], sigma[0]
-            m = [0] * n
-            m[0] = -1
-            m[n - 1] = 1
-            s = ExtAffineWeylElt(tuple(sigma), tuple(m))
-            cur = s.apply(cur)
-            w = s.compose(w)
-            continue
-        break
-    w = w.inverse()
+    floors = [floor(c) for c in x.coords]
+    order = sorted(range(n), key=lambda i: x.coords[i] - floors[i], reverse=True)
+    sigma = [0] * n
+    for k, i in enumerate(order):
+        sigma[i] = k + 1
+    w = ExtAffineWeylElt(sigma, [-f for f in floors]).inverse()
+    # rho: (a_1, ..., a_n) -> (a_n + 1, a_1, ..., a_{n-1})
+    rho = ExtAffineWeylElt(tuple(range(2, n + 1)) + (1,), (0,) * (n - 1) + (1,))
+    while not w.is_affine_weyl():
+        w = w.compose(rho)
     if not in_alcove(w, x):
-        raise AlcoveError("internal: folding produced a wrong alcove")
+        raise AlcoveError("internal: the closed form produced a wrong alcove")
     return w
 
 

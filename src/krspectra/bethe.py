@@ -45,6 +45,7 @@ from .scalars import (
     QQi,
     RatFun,
     cdet,
+    column_minors,
     sgn,
     unit_circle_point,
 )
@@ -174,21 +175,13 @@ def quantum_minors(cfg: GaudinConfig) -> dict:
     QM_I is the column determinant of T(u) restricted to the rows and columns
     in I, column m taken at u - m.  It does not depend on the torus element,
     so every family of one configuration shares the table.  It is built by
-    the coproduct: the minors QM_{I,J} of each factor come from `cdet` at
-    factor dimension, and `_chain_minors` Kronecker-multiplies them.
+    the coproduct: the minors QM_{I,J} of each factor come from one
+    `column_minors` sweep per column set at factor dimension, and
+    `_chain_minors` Kronecker-multiplies them.
     """
     if cfg not in _MINORS:
-        n = cfg.n
-        blocks = _same_size_subsets(n)
-        # one factor needs only its diagonal minors; a chain needs them all
-        if cfg.k > 1:
-            pairs = [(I, J) for I in blocks for J in blocks[I]]
-        else:
-            pairs = [(I, I) for I in blocks]
-        tables = [
-            _factor_minors(grid, w, pairs) for grid, w in zip(ev_t_grid(cfg), cfg.points)
-        ]
-        _MINORS[cfg] = _chain_minors(tables, n)
+        tables = [_factor_minors(grid, w) for grid, w in zip(ev_t_grid(cfg), cfg.points)]
+        _MINORS[cfg] = _chain_minors(tables, cfg.n)
     return _MINORS[cfg]
 
 
@@ -201,19 +194,22 @@ def _same_size_subsets(n):
     return out
 
 
-def _factor_minors(grid, w, pairs) -> dict:
-    """{(I, J): QM_{I,J}} of one factor T(u) = grid(u) / (u - w), over `pairs`.
+def _factor_minors(grid, w) -> dict:
+    """{(I, J): QM_{I,J}} over |I| = |J| of one factor T(u) = grid(u) / (u - w).
 
-    The cdet runs on the pole-free polynomial entries, column m at u - m;
-    the quotient by prod_{m<a} (u - w - m) is normalized once.
+    One `column_minors` sweep per column set J, on the pole-free polynomial
+    entries of those columns with column m at u - m, gives the minors of
+    every row set I; each quotient by prod_{m<|J|} (u - w - m) is
+    normalized once.
     """
+    n = len(grid)
     table = {}
-    cols = {}
-    for I, J in pairs:
-        if J not in cols:
-            cols[J] = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
-        det = cdet([cols[J][r] for r in I])
-        table[I, J] = RatFun(det.num, {w + m: 1 for m in range(len(J))})
+    for a in range(1, n + 1):
+        poles = {w + m: 1 for m in range(a)}
+        for J in combinations(range(n), a):
+            cols = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
+            for I, det in column_minors(cols).items():
+                table[I, J] = RatFun(det.num, poles)
     return table
 
 

@@ -55,7 +55,9 @@ from .tensorcrystal import string_statistics
 # the operator dimension cap; build_config_from_opts is also called without it
 DIMCAP = 512
 # the largest n whose Gaudin column determinant (every gaudin action, bethe
-# degenerate) is built: at n = 5 a case of dim 25 runs for minutes
+# degenerate) is built.  The cdet itself is cheap (0.1 s at n = 5, dim 25),
+# but the slowest case the default --dimcap admits at n = 5, `gaudin wall`
+# on dim 500, runs longer than any at n = 4, mostly in the report's span_rank
 GAUDIN_MAX_N = 4
 
 

@@ -266,6 +266,8 @@ def antisymmetrized_trace(grids):
 
     grids[m] is the n x n matrix acting in tensor slot m + 1, its entries
     from any ring with +, - and *; there are a = len(grids) <= n slots.
+    Each product is folded from the right, so a DiffOpPoly entry is always
+    a first-order left factor.
     """
     a, n = len(grids), len(grids[0])
     total = None
@@ -275,9 +277,9 @@ def antisymmetrized_trace(grids):
             inv[v] = m
         sign = sgn(sigma)
         for j in product(range(n), repeat=a):
-            prod = grids[0][j[0]][j[inv[0]]]
-            for m in range(1, a):
-                prod = prod * grids[m][j[m]][j[inv[m]]]
+            prod = grids[a - 1][j[a - 1]][j[inv[a - 1]]]
+            for m in range(a - 2, -1, -1):
+                prod = grids[m][j[m]][j[inv[m]]] * prod
             if sign < 0:
                 prod = -prod
             total = prod if total is None else total + prod

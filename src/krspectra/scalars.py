@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -1106,27 +1106,24 @@ class DiffOpPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """(b0 + b1 d) o sum_k g_k d^k = sum_k (b0 g_k + b1 g_k') d^k + b1 g_k d^(k+1).
+
+        Only a first-order left factor is supported: a column determinant
+        expanded from the left never multiplies by anything else.  A
+        non-operator `other` multiplies every coefficient on the right.
+        """
         if not isinstance(other, DiffOpPoly):
             return DiffOpPoly([c * other for c in self.coeffs])
-        out = {}
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                # d^i o b = sum_s C(i,s) b^{(s)} d^{i-s}
-                for s in range(i + 1):
-                    c = comb(i, s)
-                    k = i - s + j
-                    term = a * (b if c == 1 else b * QQi(c))
-                    out[k] = out[k] + term if k in out else term
-                    if s < i:
-                        b = b.derivative()
-        if not out:
-            return DiffOpPoly([])
+        if len(self.coeffs) > 2:
+            raise ValueError(f"left factor of order {len(self.coeffs) - 1}, not b0 + b1 d")
+        b0, b1 = self.coeff(0), self.coeff(1)
+        if b1.is_zero():
+            return DiffOpPoly([b0 * g for g in other.coeffs])
         zero = RatFun([], {})
-        return DiffOpPoly([out.get(k, zero) for k in range(max(out) + 1)])
+        return DiffOpPoly([
+            RatFun.sum([b0 * g, b1 * g.derivative(), b1 * below])
+            for g, below in zip(other.coeffs + [zero], [zero] + other.coeffs)
+        ])
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -1145,30 +1142,37 @@ class DiffOpPoly:
         return out
 
 
-def cdet(entries):
-    """Column determinant sum_s sgn(s) M_{s(1)1} ... M_{s(n)n}.
+def column_minors(grid):
+    """{rows: column determinant of `grid` on `rows`} over every m-set of rows.
 
-    Entries come from any noncommutative ring with +, -, * (DiffOpPoly,
-    RatFun, Mat); products are taken left to right in column order.
-    Expanded along the last column, with the column determinants of
-    the first j columns kept per row set S:
-    D(S) = sum over r in S of (-1)^{#{s in S: s > r}} D(S - r) M_{r, |S|-1},
-    so an n x n cdet takes fewer than n 2^(n-1) products, not n! (n - 1).
+    `grid` is n x m with m <= n, its entries from any noncommutative ring
+    with +, - and * (DiffOpPoly, RatFun, Mat, QQi); products are taken left
+    to right in column order.  The sweep expands along the first column:
+    with D_j(S) the column determinant of columns j..m-1 on the row set S,
+    D_j(S) = sum over r in S of (-1)^{#{s in S: s < r}} M_{r,j} D_{j+1}(S - r),
+    every entry multiplying from the left, and D_{m-1}, D_{m-2}, ... are
+    kept per row set, so one pass gives the minors of every m-set of rows
+    and an n x n grid takes fewer than n 2^(n-1) products, not n! (n - 1).
     """
-    n = len(entries)
-    minors = {(r,): entries[r][0] for r in range(n)}
-    for j in range(1, n):
+    n, m = len(grid), len(grid[0])
+    minors = {(r,): grid[r][m - 1] for r in range(n)}
+    for j in range(m - 2, -1, -1):
         wider = {}
-        for rows in combinations(range(n), j + 1):
+        for rows in combinations(range(n), m - j):
             total = None
             for pos, r in enumerate(rows):
-                term = minors[rows[:pos] + rows[pos + 1 :]] * entries[r][j]
-                if (j - pos) % 2:
+                term = grid[r][j] * minors[rows[:pos] + rows[pos + 1 :]]
+                if pos % 2:
                     term = -term
                 total = term if total is None else total + term
             wider[rows] = total
         minors = wider
-    return minors[tuple(range(n))]
+    return minors
+
+
+def cdet(entries):
+    """Column determinant sum_s sgn(s) M_{s(1)1} ... M_{s(n)n} of a square grid."""
+    return column_minors(entries)[tuple(range(len(entries)))]
 
 
 def sgn(sigma) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,31 @@ from krspectra.alcoves import (
 
 def random_point(rng, n, den=101):
     return AffinePoint([Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(n)])
+
+
+def fold(x):
+    """Oracle: fold a regular point into the base alcove by reflections.
+
+    Each step applies a simple reflection where a_i < a_(i+1), or else the
+    affine reflection in a_1 - a_n = 1; the steps grow with |x|.
+    """
+    n = x.n
+    cur = x
+    w = ExtAffineWeylElt.identity(n)  # cur = w x
+    while True:
+        a = cur.coords
+        sigma, m = list(range(1, n + 1)), [0] * n
+        i = next((i for i in range(n - 1) if a[i] < a[i + 1]), None)
+        if i is not None:
+            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+        elif a[0] - a[n - 1] > 1:
+            sigma[0], sigma[n - 1] = sigma[n - 1], sigma[0]
+            m[0], m[n - 1] = -1, 1
+        else:
+            return w.inverse()
+        s = ExtAffineWeylElt(tuple(sigma), tuple(m))
+        cur = s.apply(cur)
+        w = s.compose(w)
 
 
 class TestClassify:
@@ -54,6 +80,40 @@ class TestClassify:
                 assert w.is_affine_weyl()
                 assert in_alcove(w, x, strict=True)
                 checked += 1
+
+    def test_matches_the_folding_oracle(self):
+        rng = random.Random(19)
+        checked = 0
+        for _ in range(1000):
+            x = random_point(rng, rng.randint(2, 5))
+            if x.is_regular():
+                assert classify(x) == fold(x)
+                checked += 1
+        assert checked > 600
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [0, Fraction(400001, 2)],
+            [10**12 + Fraction(1, 3), -(10**12) + Fraction(2, 7), Fraction(5, 11)],
+            [Fraction(3 * 10**12 + 1, 7), 10**12 - Fraction(1, 5), 0, -(10**12) + Fraction(1, 9)],
+        ],
+        ids=["400001/2", "1e12-n3", "1e12-n4"],
+    )
+    def test_large_points_match_the_oracle_after_a_translation(self, coords):
+        # x = y + t with y near the base alcove and t a coroot translation,
+        # so the alcove of x is t times the folded alcove of y
+        x = AffinePoint(coords)
+        n = x.n
+        t = [math.floor(c) for c in x.coords]
+        t[-1] -= sum(t) % n
+        shift = ExtAffineWeylElt(tuple(range(1, n + 1)), t)
+        assert shift.is_affine_weyl()
+        y = shift.inverse().apply(x)
+        assert max(abs(c) for c in y.coords) < n
+        w = classify(x)
+        assert w == shift.compose(fold(y))
+        assert w.is_affine_weyl() and in_alcove(w, x, strict=True)
 
     def test_equivariance(self):
         rng = random.Random(7)

@@ -214,11 +214,8 @@ class TestCoproductMinors:
         # negative control: the Kronecker chain must follow the slot order
         n = 3
         cfg = build_spectral_config(n, [(1, 1), (1, 2)], 1)
-        blocks = bethe._same_size_subsets(n)
-        pairs = [(I, J) for I in blocks for J in blocks[I]]
         tables = [
-            bethe._factor_minors(grid, w, pairs)
-            for grid, w in zip(bethe.ev_t_grid(cfg), cfg.points)
+            bethe._factor_minors(grid, w) for grid, w in zip(bethe.ev_t_grid(cfg), cfg.points)
         ]
         oracle = bethe._oracle_minors(cfg)
         assert_same_table(bethe._chain_minors(tables, n), oracle)
@@ -226,21 +223,28 @@ class TestCoproductMinors:
         assert any(reverse[I] != oracle[I] for I in oracle)
 
     def test_no_full_dimension_grid_or_cdet(self, monkeypatch):
+        # one column_minors sweep per column set per slot, each at factor dimension
         cfg = build_spectral_config(3, [(1, 1), (1, 1), (1, 1)], 1)
-        sizes = []
-        cdet = bethe.cdet
+        n = cfg.n
+        grids = []
+        sweep = bethe.column_minors
 
-        def recording(entries):
-            sizes.append(entries[0][0].num[0].nr)
-            return cdet(entries)
+        def recording(grid):
+            grids.append(grid)
+            return sweep(grid)
 
-        def refused(cfg):
-            raise AssertionError("full-dimension T-grid built")
+        def refused(*args):
+            raise AssertionError("full-dimension T-grid or per-minor cdet built")
 
-        monkeypatch.setattr(bethe, "cdet", recording)
+        monkeypatch.setattr(bethe, "column_minors", recording)
+        monkeypatch.setattr(bethe, "cdet", refused)
         monkeypatch.setattr(bethe, "_oracle_t_grid", refused)
         quantum_minors(cfg)
-        assert sizes and max(sizes) == 3 < cfg.rep.dim
+        column_sets = [J for a in range(1, n + 1) for J in combinations(range(n), a)]
+        assert sorted(len(g[0]) for g in grids) == sorted(len(J) for J in column_sets * cfg.k)
+        assert all(len(g) == n for g in grids)
+        sizes = {(e.num[0].nr, e.num[0].nc) for g in grids for row in g for e in row if e.num}
+        assert sizes == {(3, 3)} and cfg.rep.dim == 27
 
     def test_factor_grid_is_the_polynomial_on_the_factor(self):
         cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)

@@ -361,6 +361,12 @@ class TestAlcoveCommand:
         assert not doc["regular"]
         assert doc["walls"]
 
+    def test_classify_a_far_point(self, capsys):
+        # far from the base alcove: x = (-400001/4, 400001/4)
+        code, doc = run(capsys, "alcove", "classify", "--x=0,400001/2")
+        assert code == 0 and doc["regular"]
+        assert doc["sigma"] == [2, 1] and doc["translation"] == [200000, 0]
+
 
 class TestConfigFile:
     def test_config_file_equivalent_to_flags(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from krspectra.gaudin import (
     GaudinError,
     center_members,
     gaudin_cdet,
+    gaudin_operator_matrix,
     invariance_check,
     lax_matrix,
     manin_cdet_trace_identity,
@@ -18,7 +20,7 @@ from krspectra.gaudin import (
     wall_family,
 )
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.scalars import Mat, QQi, RatFun, spans_equal
+from krspectra.scalars import Mat, QQi, RatFun, sgn, spans_equal
 
 
 def kron_pair(n):
@@ -83,6 +85,25 @@ class TestCdet:
         cfg = c2_pair_config()
         op = gaudin_cdet(cfg)
         assert op.coeff(2) == RatFun.const(Mat.identity(4))
+
+    def test_n5_one_point_matches_the_applied_leibniz_sum(self):
+        # the literal sum over the 120 permutations, each product applied
+        # to u^m right to left, against the normal-ordered cdet
+        n = 5
+        rep = build_tensor([(build_defining(n), QQi(Fraction(1, 2)), QQi(0))])
+        cfg = GaudinConfig(rep, (Fraction(1, 3), 0, Fraction(-1, 5), 2, Fraction(1, 7)))
+        op = gaudin_cdet(cfg)
+        entries = gaudin_operator_matrix(cfg)
+        ident = Mat.identity(n)
+        for m in range(n + 1):
+            mono = RatFun.monomial(ident, m)
+            want = []
+            for sigma in permutations(range(n)):
+                f = mono
+                for col in reversed(range(n)):
+                    f = entries[sigma[col]][col].apply(f)
+                want.append(f if sgn(sigma) > 0 else -f)
+            assert op.apply(mono) == RatFun.sum(want)
 
 
 class TestQuadraticHamiltonianOracle:

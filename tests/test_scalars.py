@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 import pytest
@@ -13,6 +14,7 @@ from krspectra.scalars import (
     _divmod_linear,
     _vanishes_at,
     cdet,
+    column_minors,
     mat_inverse,
     mat_rank,
     poly_divide_linear,
@@ -374,20 +376,31 @@ class TestDiffOp:
             via_steps = a.apply(b.apply(mono))
             assert (via_product - via_steps).is_zero()
 
-    def test_associativity_random_triples(self):
+    def test_products_with_first_order_left_factors_act_as_compositions(self):
+        # a o (b o c) on u^m, m <= 5, for random first-order a, b and c of any order
         rng = random.Random(5)
         z = QQi(Fraction(1, 2))
 
-        def rand_op():
+        def rand_op(terms):
             coeffs = []
-            for _ in range(rng.randint(1, 3)):
+            for _ in range(terms):
                 num = [m1(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
                 coeffs.append(RatFun(num, {z: rng.randint(0, 2)}))
             return DiffOpPoly(coeffs)
 
         for _ in range(10):
-            a, b, c = rand_op(), rand_op(), rand_op()
-            assert ((a * b) * c) == (a * (b * c))
+            a, b, c = rand_op(2), rand_op(rng.randint(1, 2)), rand_op(rng.randint(1, 4))
+            abc = a * (b * c)
+            for m in range(6):
+                mono = RatFun.monomial(m1(1), m)
+                assert abc.apply(mono) == a.apply(b.apply(c.apply(mono)))
+
+    def test_order_two_left_factor_raises(self):
+        d2 = DiffOpPoly([RatFun([], {}), RatFun([], {}), RatFun.const(m1(1))])
+        with pytest.raises(ValueError, match="order 2"):
+            d2 * self.D
+        # a right factor of any order is fine
+        assert (self.D * d2).coeff(3) == RatFun.const(m1(1))
 
 
 class TestCdetAndSpans:
@@ -419,6 +432,30 @@ class TestCdetAndSpans:
         if n > 1:
             # the row order matters: a transposed grid gives another value
             assert cdet([list(col) for col in zip(*entries)]) != want
+        # every m-row minor of an n x m grid of noncommuting RatFuns
+        poles = [{}, {QQi(1): 1}, {QQi(Fraction(-1, 2)): 2}]
+        grid = [
+            [
+                RatFun(
+                    [Mat.from_values([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+                     for _ in range(2)],
+                    poles[(r + 2 * c) % 3],
+                )
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+        for m in range(1, n + 1):
+            got = column_minors([row[:m] for row in grid])
+            assert sorted(got) == list(combinations(range(n), m))
+            for rows, det in got.items():
+                terms = []
+                for sigma in permutations(range(m)):
+                    prod = grid[rows[sigma[0]]][0]
+                    for col in range(1, m):
+                        prod = prod * grid[rows[sigma[col]]][col]
+                    terms.append(prod if sgn(sigma) > 0 else -prod)
+                assert det == RatFun.sum(terms)
 
     def test_span_rank(self):
         a = Mat.from_values([[1, 0], [0, 0]])
