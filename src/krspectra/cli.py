@@ -55,9 +55,12 @@ from .tensorcrystal import string_statistics
 # the operator dimension cap; build_config_from_opts is also called without it
 DIMCAP = 512
 # the largest n whose Gaudin column determinant (every gaudin action, bethe
-# degenerate) is built.  The cdet itself is cheap (0.1 s at n = 5, dim 25),
-# but the slowest case the default --dimcap admits at n = 5, `gaudin wall`
-# on dim 500, runs longer than any at n = 4, mostly in the report's span_rank
+# degenerate) is built.  At n = 5 the default --dimcap admits (1,2)(1,2)(1,1),
+# dim 500, where `gaudin wall` takes about 27 s, `gaudin commute` 30 s and
+# `bethe degenerate` 47 s (2-vCPU host), against 15.5 s for the slowest case
+# at n = 4 (`bethe degenerate` on (1,2)(1,1)^3, dim 384).  The report's
+# span_rank is 2 s of a gaudin case there; the cdet sweep over the dim-500
+# grid and the pairwise commutativity check take most of the rest
 GAUDIN_MAX_N = 4
 
 

@@ -12,9 +12,9 @@ deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .scalars import Echelon, Mat, QQi, mat_inverse
 
@@ -145,7 +145,6 @@ def build_irrep(n, l, r) -> MatrixRep:
     if l == 1:
         return build_wedge(n, r)
 
-    wedge = _wedge_basis(n, r)
     top = tuple(range(1, r + 1))
 
     def content(idx_tuple):
@@ -157,21 +156,22 @@ def build_irrep(n, l, r) -> MatrixRep:
 
     def apply_eab(a, b, vec):
         out = {}
-        for idx, coeff in vec.items():
+        for idx, (re, im) in vec.items():
             for slot in range(l):
                 hit = _wedge_apply(n, a, b, idx[slot])
                 if hit:
                     sign, t = hit
                     nidx = idx[:slot] + (t,) + idx[slot + 1 :]
-                    nv = out.get(nidx, Fraction(0)) + coeff * sign
-                    if nv:
-                        out[nidx] = nv
+                    x, y = out.get(nidx, (0, 0))
+                    x, y = x + sign * re, y + sign * im
+                    if x or y:
+                        out[nidx] = (x, y)
                     else:
                         out.pop(nidx, None)
         return out
 
     ech = Echelon()
-    hv = {(top,) * l: Fraction(1)}
+    hv = {(top,) * l: (1, 0)}
     first_piv = ech.insert(hv)
     discovered = [first_piv]
     frontier = [hv]
@@ -188,44 +188,47 @@ def build_irrep(n, l, r) -> MatrixRep:
                     new_frontier.append(img)
         frontier = new_frontier
 
-    # canonical basis = reduced echelon rows sorted by (content lex, discovery)
+    # canonical basis = reduced echelon rows sorted by (content lex, discovery),
+    # as numerators over one common denominator den
     order = sorted(
         range(len(discovered)),
         key=lambda i: (content(discovered[i]), i),
     )
     pivots = [discovered[i] for i in order]
     piv_pos = {p: i for i, p in enumerate(pivots)}
-    basis = [ech.rows[p] for p in pivots]
+    den = lcm(*(ech.rows[p][0] for p in pivots))
+    basis = []
+    for p in pivots:
+        d, nums = ech.rows[p]
+        s = den // d
+        basis.append({k: (re * s, im * s) for k, (re, im) in nums.items()})
     dim = len(basis)
 
+    # E_ab maps basis vector j to the coordinates of its image, over den
     gens = []
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            rows = [[QQi(0)] * dim for _ in range(dim)]
+            entries = [{} for _ in range(dim)]
             for j, vec in enumerate(basis):
-                img = apply_eab(a, b, vec)
-                for piv, c in ech.coordinates(img).items():
-                    rows[piv_pos[piv]][j] = QQi(c)
-            row.append(Mat(rows))
+                for piv, c in ech.coordinates(apply_eab(a, b, vec)).items():
+                    entries[piv_pos[piv]][j] = c
+            row.append(Mat.from_numerators(dim, [(den, r) for r in entries]))
         gens.append(row)
 
-    reduced_basis = basis
     weights = [content(piv) for piv in pivots]
-    gram = [[QQi(0)] * dim for _ in range(dim)]
-    for i, vi in enumerate(reduced_basis):
-        for j, vj in enumerate(reduced_basis):
-            if j < i:
-                gram[i][j] = gram[j][i]
-                continue
-            acc = Fraction(0)
+    # every image of the highest vector is real, so the Gram entries are sums
+    # of products of real parts, over den^2
+    gram = [{} for _ in range(dim)]
+    for i, vi in enumerate(basis):
+        for j in range(i, dim):
+            vj = basis[j]
             small, big = (vi, vj) if len(vi) <= len(vj) else (vj, vi)
-            for idx, c in small.items():
-                o = big.get(idx)
-                if o:
-                    acc += c * o
-            gram[i][j] = QQi(acc)
-    return MatrixRep(n, gens, weights, ("irrep", n, l, r), Mat(gram))
+            acc = sum(c * big[idx][0] for idx, (c, _) in small.items() if idx in big)
+            if acc:
+                gram[i][j] = gram[j][i] = (acc, 0)
+    gram = Mat.from_numerators(dim, [(den * den, g) for g in gram])
+    return MatrixRep(n, gens, weights, ("irrep", n, l, r), gram)
 
 
 class TensorRep:

@@ -295,6 +295,18 @@ class Mat:
         return Mat([[QQi.of(x) for x in r] for r in rows])
 
     @staticmethod
+    def from_numerators(nc, rows):
+        """The Mat whose row i is nums_i / d_i, for rows = [(d_i, nums_i)] with
+        d_i > 0 and nums_i sparse nonzero Gaussian-integer numerators
+        {j: (re, im)}; brought to the lcm of the d_i and one gcd pass."""
+        den = lcm(*(d for d, _ in rows))
+        nums = []
+        for d, row in rows:
+            s = den // d
+            nums.append({j: (re * s, im * s) for j, (re, im) in row.items()})
+        return _reduced(len(rows), nc, den, nums)
+
+    @staticmethod
     def zeros(nr, nc=None):
         return _mat(nr, nr if nc is None else nc, 1, [{} for _ in range(nr)])
 
@@ -506,27 +518,49 @@ def _row_numerators(arow, brows, nc):
     return acc, acc_im
 
 
-def _sub_scaled(vec, c, row):
-    """vec -= c * row, in place on sparse dicts; entries that cancel are dropped."""
-    for idx, val in row.items():
-        old = vec.get(idx)
-        if old is None:
-            vec[idx] = -(c * val)
-        else:
-            new = old - c * val
-            if new:
-                vec[idx] = new
+def _lowest(d, vec):
+    """(d, vec) divided by the gcd of d > 0 and every part of the sparse
+    Gaussian-integer numerators vec; the scan stops once the gcd reaches one."""
+    g = d
+    for re, im in vec.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return d, vec
+    return d // g, {k: (re // g, im // g) for k, (re, im) in vec.items()}
+
+
+def _eliminate(d, vec, hits):
+    """The vector vec / d minus the sum of (c / d) * (row / dr) over the
+    (c, dr, row) in hits, as the pair (d * L, L * vec - sum of c * (L / dr) * row)
+    with L the lcm of the dr.  Each c = (re, im) multiplies as a Gaussian
+    integer; the result is not in lowest terms."""
+    big = lcm(*(dr for _, dr, _ in hits))
+    out = {k: (re * big, im * big) for k, (re, im) in vec.items()} if big != 1 else dict(vec)
+    for (cr, ci), dr, row in hits:
+        if dr != big:
+            s = big // dr
+            cr, ci = cr * s, ci * s
+        for k, (re, im) in row.items():
+            x, y = out.get(k, (0, 0))
+            x -= cr * re - ci * im
+            y -= cr * im + ci * re
+            if x or y:
+                out[k] = (x, y)
             else:
-                del vec[idx]
+                del out[k]
+    return d * big, out
 
 
 class Echelon:
     """Reduced row echelon basis of sparse vectors: the package's one elimination.
 
-    A vector is a dict from orderable keys to nonzero exact field values
-    (`Fraction` or `QQi`); absent keys are zero.  `rows` maps each pivot p to
-    a stored row that is 1 at p and 0 at every other pivot.  An inserted
-    vector's pivot is the least key of its reduction.
+    A vector is a dict from orderable keys to nonzero Gaussian-integer
+    numerators (re, im), the stored format of `Mat` rows; absent keys are
+    zero.  `rows` maps each pivot p to a stored row (D, nums), the vector
+    nums / D, in lowest terms: D > 0, gcd(D, every part of nums) = 1 and
+    nums[p] = (D, 0), so the row is 1 at p; it is 0 at every other pivot.
+    An inserted vector's pivot is the least key of its reduction.  All work
+    runs on Python ints.
     """
 
     __slots__ = ("rows",)
@@ -535,64 +569,82 @@ class Echelon:
         self.rows = {}
 
     def reduce(self, vec):
-        """vec minus its part in the span; empty exactly when vec is in the span."""
-        vec = dict(vec)
-        for piv, row in self.rows.items():
-            c = vec.get(piv)
-            if c:
-                _sub_scaled(vec, c, row)
-        return vec
+        """(d, r): vec minus its part in the span is r / d, not in lowest
+        terms, and r is empty exactly when vec is in the span.
+
+        Row p is 1 at p and 0 at every other pivot, so the part in the span
+        is the sum of vec[p] times row p over the keys p of vec that are
+        pivots, subtracted in one pass.
+        """
+        rows = self.rows
+        hits = [(c, *rows[p]) for p, c in vec.items() if p in rows]
+        return _eliminate(1, vec, hits) if hits else (1, vec)
 
     def insert(self, vec):
-        """Reduce and store vec; returns its pivot, or None when it is dependent."""
-        vec = self.reduce(vec)
+        """Reduce and store vec; returns its pivot, or None when it is dependent.
+
+        The reduction r is scaled to 1 at its pivot p by conj(r[p]) / |r[p]|^2,
+        and the new row is subtracted from every stored row that is not 0 at p.
+        """
+        _, vec = self.reduce(vec)
         if not vec:
             return None
         piv = min(vec)
-        inv = 1 / vec[piv]
-        vec = {i: v * inv for i, v in vec.items()}
-        for row in self.rows.values():
+        a, b = vec[piv]
+        vec = {k: (re * a + im * b, im * a - re * b) for k, (re, im) in vec.items()}
+        new = _lowest(a * a + b * b, vec)
+        rows = self.rows
+        for p, (dr, row) in rows.items():
             c = row.get(piv)
             if c:
-                _sub_scaled(row, c, vec)
-        self.rows[piv] = vec
+                rows[p] = _lowest(*_eliminate(dr, row, [(c, *new)]))
+        rows[piv] = new
         return piv
 
+    def row(self, p):
+        """The stored row at pivot p as {key: QQi}."""
+        d, nums = self.rows[p]
+        return {k: _entry(v, d) for k, v in nums.items()}
+
     def coordinates(self, vec):
-        """The coefficients {pivot: c} of vec on the stored rows.
+        """The numerators {pivot: c} of vec's coefficients on the stored rows.
 
         Row p is 1 at p and 0 at every other pivot, so the coefficient of
-        row p is vec[p].  Raises ValueError if vec is not in the span.
+        row p is vec[p], over vec's own denominator.  Raises ValueError if vec
+        is not in the span.
         """
-        if self.reduce(vec):
+        if self.reduce(vec)[1]:
             raise ValueError("vector not in the span")
-        return {p: vec[p] for p in self.rows if p in vec}
+        rows = self.rows
+        return {p: c for p, c in vec.items() if p in rows}
 
 
 def mat_rank(mat_rows) -> int:
     """Exact rank of a list of QQi row vectors."""
     ech = Echelon()
-    return sum(
-        ech.insert({j: QQi.of(x) for j, x in enumerate(r) if x}) is not None for r in mat_rows
-    )
+    return sum(ech.insert(row) is not None for row in Mat(mat_rows).nums)
 
 
 def mat_inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix; ZeroDivisionError if singular.
 
-    Reduces the rows of [M | I], keyed (0, j) in M and (1, j) in I.  A pivot
-    in the I half means M is singular; otherwise the stored row (0, i) is
-    [e_i | row i of the inverse].
+    Reduces the rows of den * [M | I], keyed (0, j) in M and (1, j) in I.  A
+    pivot in the I half means M is singular; otherwise the stored row (0, i)
+    is [e_i | row i of the inverse] over its own denominator.
     """
     n = m.nr
     ech = Echelon()
     for i, row in enumerate(m.nums):
-        vec = {(0, j): _entry(v, m.den) for j, v in row.items()}
-        vec[1, i] = QQI_ONE
+        vec = {(0, j): v for j, v in row.items()}
+        vec[1, i] = (m.den, 0)
         half, _ = ech.insert(vec)
         if half:
             raise ZeroDivisionError("inverse of a singular matrix")
-    return Mat([[ech.rows[0, i].get((1, j), QQI_ZERO) for j in range(n)] for i in range(n)])
+    inverse = []
+    for i in range(n):
+        d, row = ech.rows[0, i]
+        inverse.append((d, {j: v for (half, j), v in row.items() if half}))
+    return Mat.from_numerators(n, inverse)
 
 
 def span_rank(mats) -> int:
@@ -600,11 +652,11 @@ def span_rank(mats) -> int:
 
     Each Mat enters as one sparse vector of its stored numerators, keyed
     (i, j); its denominator is dropped, as scaling a vector leaves the rank
-    alone.
+    alone.  No QQi or Fraction is built.
     """
     ech = Echelon()
     return sum(
-        ech.insert({(i, j): _entry(v, 1) for i, row in enumerate(m.nums) for j, v in row.items()})
+        ech.insert({(i, j): v for i, row in enumerate(m.nums) for j, v in row.items()})
         is not None
         for m in mats
     )

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -590,6 +590,24 @@ class TestElimination:
         assert span_rank([]) == 0
         assert span_rank([Mat.zeros(2)]) == 0
 
+    def test_span_rank_builds_no_qqi_or_fraction(self, monkeypatch):
+        # the rank path reads the stored numerators as they are: with every
+        # way to build an exact scalar refused, it still finds the rank
+        import krspectra.scalars as scalars
+
+        side = 5
+        vecs = self.planted(random.Random(7), 6, 4, side * side)
+        mats = [Mat([v[i * side : (i + 1) * side] for i in range(side)]) for v in vecs]
+        assert any(x for m in mats for row in m.nums for _, x in row.values())
+        assert any(m.den > 1 for m in mats)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("span_rank built a QQi or a Fraction")
+
+        for name in ("_qqi", "_entry", "Fraction"):
+            monkeypatch.setattr(scalars, name, refuse)
+        assert span_rank(mats) == 6
+
     def test_inverse_rejects_a_pivot_in_the_identity_half(self):
         # the second row reduces to zero in the M half, so its pivot is (1, j)
         for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
@@ -597,6 +615,51 @@ class TestElimination:
             assert mat_rank(m.rows) < m.nr
             with pytest.raises(ZeroDivisionError):
                 mat_inverse(m)
+
+
+def numerators(vec):
+    """(d, nums): a sparse vector of exact values as Gaussian-integer
+    numerators {key: (re, im)} over one denominator d, the Echelon format."""
+    vals = {k: QQi.of(v) for k, v in vec.items()}
+    d = lcm(*(x.denominator for q in vals.values() for x in (q.re, q.im)))
+    return d, {k: (int(q.re * d), int(q.im * d)) for k, q in vals.items()}
+
+
+def oracle_rref(vectors, keys):
+    """Oracle, not a production path: the reduced row echelon form of the
+    matrix whose rows are `vectors` (dicts of exact values), by textbook dense
+    Gauss-Jordan over QQi with columns in the order of `keys`.
+
+    Returns {pivot key: {key: nonzero QQi}}, one entry per nonzero row.
+    """
+    m = [[QQi.of(v.get(k, 0)) for k in keys] for v in vectors]
+    r = 0
+    for col in range(len(keys)):
+        found = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        inv = QQi(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                c = m[i][col]
+                m[i] = [x - c * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return {
+        keys[next(j for j, x in enumerate(row) if x)]: {keys[j]: x for j, x in enumerate(row) if x}
+        for row in m[:r]
+    }
+
+
+def assert_rows_in_lowest_terms(ech):
+    """Every stored row (D, nums) is in lowest terms, 1 at its pivot, has no
+    key below its pivot, and is 0 at every other pivot."""
+    for p, (d, nums) in ech.rows.items():
+        assert d > 0 and nums[p] == (d, 0)
+        assert gcd(d, *(x for v in nums.values() for x in v)) == 1
+        assert min(nums) == p
+        assert not any(q in nums for q in ech.rows if q != p)
 
 
 class TestEchelon:
@@ -614,7 +677,7 @@ class TestEchelon:
         for _ in range(8):
             vec = {k: value() for k in rng.sample(keys, 4)}
             inserted.append(vec)
-            ech.insert(vec)
+            ech.insert(numerators(vec)[1])
         for _ in range(10):
             target = {}
             for vec in inserted:
@@ -622,33 +685,152 @@ class TestEchelon:
                 for k, v in vec.items():
                     target[k] = target.get(k, 0) + c * v
             target = {k: v for k, v in target.items() if v}
-            coords = ech.coordinates(target)
+            d, nums = numerators(target)
+            coords = {
+                p: QQi(Fraction(re, d), Fraction(im, d)) for p, (re, im) in ech.coordinates(nums).items()
+            }
             rebuilt = {}
             for piv, c in coords.items():
-                for k, v in ech.rows[piv].items():
+                for k, v in ech.row(piv).items():
                     rebuilt[k] = rebuilt.get(k, 0) + c * v
             assert {k: v for k, v in rebuilt.items() if v} == target
 
     def test_rows_are_reduced_at_the_least_key(self):
         ech = Echelon()
-        assert ech.insert({2: Fraction(2), 5: Fraction(4)}) == 2
-        assert ech.insert({2: Fraction(1), 5: Fraction(2)}) is None
+        assert ech.insert({2: (2, 0), 5: (4, 0)}) == 2
+        assert ech.insert({2: (1, 0), 5: (2, 0)}) is None
         assert ech.insert({}) is None
-        assert ech.insert({5: Fraction(3), 7: Fraction(1)}) == 5
-        assert ech.rows == {
+        assert ech.insert({5: (3, 0), 7: (1, 0)}) == 5
+        assert {p: ech.row(p) for p in ech.rows} == {
             2: {2: 1, 7: Fraction(-2, 3)},
             5: {5: 1, 7: Fraction(1, 3)},
         }
 
     def test_a_vector_outside_the_span_raises(self):
         ech = Echelon()
-        ech.insert({"a": QQi(1), "b": QQi(0, 1)})
-        ech.insert({"b": QQi(2), "c": QQi(1)})
+        ech.insert({"a": (1, 0), "b": (0, 1)})
+        ech.insert({"b": (2, 0), "c": (1, 0)})
         assert ech.coordinates({}) == {}
         with pytest.raises(ValueError):
-            ech.coordinates({"c": QQi(1)})
+            ech.coordinates({"c": (1, 0)})
         with pytest.raises(ValueError):
-            ech.coordinates({"d": QQi(1)})
+            ech.coordinates({"d": (1, 0)})
+
+    @staticmethod
+    def check_against_the_oracle(vectors, keys):
+        """Insert `vectors` one by one and compare each step with the oracle
+        RREF of the prefix: None exactly when the rank stays, otherwise the
+        one new pivot, and the stored rows equal in value to the oracle's."""
+        ech = Echelon()
+        before = {}
+        for t, vec in enumerate(vectors):
+            piv = ech.insert(numerators(vec)[1])
+            after = oracle_rref(vectors[: t + 1], keys)
+            new = set(after) - set(before)
+            assert piv == (new.pop() if new else None)
+            assert {p: ech.row(p) for p in ech.rows} == after
+            assert_rows_in_lowest_terms(ech)
+            before = after
+        return ech
+
+    @staticmethod
+    def sparse(rng, keys, size, value):
+        return {k: value() for k in rng.sample(keys, size)}
+
+    def test_matches_the_oracle_on_seeded_sparse_vectors(self):
+        rng = random.Random(17)
+        keys = list(range(14))
+
+        def value():
+            return QQi(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            ) or QQi(0, 1)
+
+        for _ in range(6):
+            vectors = []
+            for _ in range(12):
+                pick = rng.random()
+                if pick < 0.1:
+                    vectors.append({})
+                elif pick < 0.35 and vectors:
+                    # a combination of earlier vectors: dependent
+                    mix = {}
+                    for v in rng.sample(vectors, min(3, len(vectors))):
+                        c = value()
+                        for k, x in v.items():
+                            mix[k] = mix.get(k, 0) + c * x
+                    vectors.append({k: x for k, x in mix.items() if x})
+                else:
+                    vectors.append(self.sparse(rng, keys, rng.randint(1, 5), value))
+            self.check_against_the_oracle(vectors, keys)
+
+    def test_zero_and_empty_vectors_are_dependent(self):
+        ech = Echelon()
+        assert ech.insert({}) is None
+        assert ech.reduce({}) == (1, {})
+        assert ech.insert({3: (0, 2)}) == 3
+        assert ech.insert({3: (5, 0)}) is None
+        assert ech.insert({}) is None
+        assert ech.row(3) == {3: 1}
+
+    def test_long_dependent_chain(self):
+        # five independent vectors, then thirty more, each a combination of
+        # the two before it: every one of the thirty is dependent, and their
+        # coefficients compound
+        rng = random.Random(23)
+        keys = list(range(9))
+
+        def value():
+            return QQi(Fraction(rng.randint(1, 7), rng.randint(1, 6)), Fraction(rng.randint(-4, 4), 5))
+
+        vectors = [self.sparse(rng, keys, 4, value) for _ in range(5)]
+        for _ in range(30):
+            a, b = value(), value()
+            x, y = vectors[-2], vectors[-1]
+            mix = {k: a * x.get(k, 0) + b * y.get(k, 0) for k in set(x) | set(y)}
+            vectors.append({k: v for k, v in mix.items() if v})
+        ech = self.check_against_the_oracle(vectors, keys)
+        assert len(ech.rows) == 5
+
+    def test_pairwise_coprime_denominators(self):
+        # every entry has its own prime denominator, so a common denominator
+        # of a vector is the product of its primes; the stored rows must still
+        # be the oracle's, in lowest terms
+        rng = random.Random(29)
+        primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+        rng.shuffle(primes)
+        it = iter(primes)
+        keys = list(range(10))
+
+        def value():
+            q = next(it)
+            return QQi(Fraction(rng.randint(1, 50), q), Fraction(rng.randint(-50, 50), q))
+
+        vectors = [self.sparse(rng, keys, 6, value) for _ in range(7)]
+        vectors.append({k: v * QQi(3, -2) for k, v in vectors[0].items()})
+        ech = self.check_against_the_oracle(vectors, keys)
+        assert len(ech.rows) == 7
+
+    def test_reduce_gives_the_value_of_the_remainder(self):
+        rng = random.Random(31)
+        keys = list(range(8))
+
+        def value():
+            return QQi(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-2, 2), 3))
+
+        ech = Echelon()
+        inserted = [self.sparse(rng, keys, 3, value) for _ in range(4)]
+        for v in inserted:
+            ech.insert(numerators(v)[1])
+        vec = self.sparse(rng, keys, 5, value)
+        d_in, nums = numerators(vec)
+        d, rest = ech.reduce(nums)
+        rest = {k: QQi(Fraction(re, d * d_in), Fraction(im, d * d_in)) for k, (re, im) in rest.items()}
+        # rest is 0 at every pivot, and vec - rest lies in the span
+        assert not set(rest) & set(ech.rows)
+        diff = {k: vec.get(k, 0) - rest.get(k, 0) for k in set(vec) | set(rest)}
+        assert not ech.reduce(numerators({k: v for k, v in diff.items() if v})[1])[1]
 
 
 class TestMat:
