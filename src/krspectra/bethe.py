@@ -6,9 +6,12 @@ T_a(u-a+1) with T evaluated on the tensor product of factors.  The production
 path expands it over quantum minors weighted by products of C entries.  The
 minors come from the Yangian coproduct: T(u) = T^(1)(u) ... T^(k)(u) slot by
 slot, so each minor is a sum of Kronecker products of minors of the single
-factors, which are column determinants at factor dimension.  The literal
-trace (two independent forms) and the full-dimension cdet table are kept as
-oracles for cross-checks.
+factors, which are column determinants at factor dimension (in closed form
+for the defining rep C^n).  A factor's grid is (u - w) + E, so its minors
+at w are those at any other point w0 shifted by w - w0: one table per
+distinct factor rep, without its zero minors, serves every slot and every
+configuration built on that rep.  The literal trace (two independent forms)
+and the full-dimension cdet table are kept as oracles for cross-checks.
 
 A Bethe family holds every Laurent coefficient of each tau_a, so its exact
 pairwise check proves [tau_a(u, C), tau_b(v, C)] = 0 identically.
@@ -167,6 +170,8 @@ def ev_t_grid(cfg: GaudinConfig):
 
 # config -> {I: QM_I}; an entry is dropped when its config is freed
 _MINORS = weakref.WeakKeyDictionary()
+# factor rep -> (w0, its minor table at w0); dropped when the rep is freed
+_FACTOR_MINORS = weakref.WeakKeyDictionary()
 
 
 def quantum_minors(cfg: GaudinConfig) -> dict:
@@ -175,12 +180,18 @@ def quantum_minors(cfg: GaudinConfig) -> dict:
     QM_I is the column determinant of T(u) restricted to the rows and columns
     in I, column m taken at u - m.  It does not depend on the torus element,
     so every family of one configuration shares the table.  It is built by
-    the coproduct: the minors QM_{I,J} of each factor come from one
-    `column_minors` sweep per column set at factor dimension, and
-    `_chain_minors` Kronecker-multiplies them.
+    the coproduct from the minors QM_{I,J} of each factor (`_slot_minors`):
+    one table per distinct factor rep, which each slot reaches by a shift.
+    The table of C^n is written down in closed form, every other one comes
+    from one `column_minors` sweep per column set at factor dimension.
+    `_chain_minors` Kronecker-multiplies the slots' tables, skipping the
+    zero minors.
     """
     if cfg not in _MINORS:
-        tables = [_factor_minors(grid, w) for grid, w in zip(ev_t_grid(cfg), cfg.points)]
+        tables = [
+            _slot_minors(rep, grid, w)
+            for (rep, _, _), grid, w in zip(cfg.rep.factors, ev_t_grid(cfg), cfg.points)
+        ]
         _MINORS[cfg] = _chain_minors(tables, cfg.n)
     return _MINORS[cfg]
 
@@ -194,13 +205,75 @@ def _same_size_subsets(n):
     return out
 
 
+def _slot_minors(rep, grid, w) -> dict:
+    """The minor table of the factor `rep` at the point w of its slot.
+
+    A factor's grid is (u - w) + E, so QM_{I,J}(u; w) = QM_{I,J}(u - w; 0):
+    the table depends on the rep and the point only through u - w.  It is
+    built once per rep, from `grid` at the point w0 of the first slot that
+    meets the rep, and kept beside the rep for as long as the rep lives;
+    every other slot, of this configuration or of another built on the same
+    rep, shifts it by w - w0 at factor dimension.  So the first slot pays
+    for one table and no shift: `_defining_minors` for C^n, the
+    `_factor_minors` sweep for any other rep.
+    """
+    if rep not in _FACTOR_MINORS:
+        table = _defining_minors(rep, w) if _is_defining(rep) else _factor_minors(grid, w)
+        _FACTOR_MINORS[rep] = (w, table)
+    w0, table = _FACTOR_MINORS[rep]
+    if w == w0:
+        return table
+    return {key: qm.shift_arg(w - w0) for key, qm in table.items()}
+
+
+def _is_defining(rep) -> bool:
+    """Whether `rep` is C^n with E_ab the matrix unit e_ab, exactly."""
+    n = rep.n
+    return rep.dim == n and all(
+        rep.e(a + 1, b + 1) == Mat.unit(n, n, a, b) for a in range(n) for b in range(n)
+    )
+
+
+def _defining_minors(rep, w) -> dict:
+    """The `_factor_minors` table of the defining rep C^n at w, in closed form.
+
+    On C^n the Lax matrix is 1 + P/(u - w), P the flip of the auxiliary and
+    the quantum copy of C^n, and on the image of the antisymmetrizer the
+    fused product collapses (Molev, Yangians and Classical Lie Algebras,
+    ch. 1): A_a T_1(u) ... T_a(u - a + 1) = A_a (1 + (P_1 + ... + P_a)/(u - w)).
+    So QM_{I,I} = 1 + (sum_{i in I} E_ii)/(u - w); QM_{I,J} = (-1)^(p + q)
+    E_ij/(u - w) when I - {i} = J - {j}, with i at position p of I and j at
+    position q of J; and QM_{I,J} = 0 when I and J differ in two or more
+    places, so those are left out.  Each numerator is a nonzero matrix at
+    u = w, so no pole cancels.  The `column_minors` sweep is its oracle.
+    """
+    n = rep.n
+    ident = Mat.identity(n)
+    shift = ident * w
+    pole = {w: 1}
+    table = {}
+    for a in range(1, n + 1):
+        for I in combinations(range(n), a):
+            diag = sum((rep.e(i + 1, i + 1) for i in I[1:]), rep.e(I[0] + 1, I[0] + 1))
+            table[I, I] = RatFun([diag - shift, ident], pole, normalize=False)
+            for p, i in enumerate(I):
+                rest = I[:p] + I[p + 1 :]
+                for j in range(n):
+                    if j not in I:
+                        J = tuple(sorted(rest + (j,)))
+                        unit = rep.e(i + 1, j + 1)
+                        num = unit if (p + J.index(j)) % 2 == 0 else -unit
+                        table[I, J] = RatFun([num], pole, normalize=False)
+    return table
+
+
 def _factor_minors(grid, w) -> dict:
     """{(I, J): QM_{I,J}} over |I| = |J| of one factor T(u) = grid(u) / (u - w).
 
     One `column_minors` sweep per column set J, on the pole-free polynomial
     entries of those columns with column m at u - m, gives the minors of
     every row set I; each quotient by prod_{m<|J|} (u - w - m) is
-    normalized once.
+    normalized once.  Zero minors are left out.
     """
     n = len(grid)
     table = {}
@@ -209,7 +282,8 @@ def _factor_minors(grid, w) -> dict:
         for J in combinations(range(n), a):
             cols = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
             for I, det in column_minors(cols).items():
-                table[I, J] = RatFun(det.num, poles)
+                if det.num:
+                    table[I, J] = RatFun(det.num, poles)
     return table
 
 
@@ -219,8 +293,10 @@ def _chain_minors(tables, n) -> dict:
     Entries of different slots commute, so the Yangian coproduct gives
     QM_{I,J}(T' T'') = sum over |K| = |I| of QM_{I,K}(T') (x) QM_{K,J}(T'')
     (Molev, Yangians and Classical Lie Algebras, ch. 1).  The tables are
-    folded in the order given, the last one for the diagonal I = J only;
-    each sum is normalized once.
+    folded in the order given, the last one for the diagonal I = J only; a
+    table holds no zero minor, so the sum runs over the K where both
+    factors are present, and each sum is normalized once.  A diagonal minor
+    tends to the identity at infinity, so it is never zero.
     """
     blocks = _same_size_subsets(n)
     acc = tables[0]
@@ -228,10 +304,16 @@ def _chain_minors(tables, n) -> dict:
         pairs = [(I, I) for I in blocks] if i == len(tables) else [
             (I, J) for I in blocks for J in blocks[I]
         ]
-        acc = {
-            (I, J): RatFun.sum([acc[I, K].kron(table[K, J]) for K in blocks[I]])
-            for I, J in pairs
-        }
+        folded = {}
+        for I, J in pairs:
+            total = RatFun.sum([
+                acc[I, K].kron(table[K, J])
+                for K in blocks[I]
+                if (I, K) in acc and (K, J) in table
+            ])
+            if total.num:
+                folded[I, J] = total
+        acc = folded
     return {I: acc[I, I] for I in blocks}
 
 

@@ -33,7 +33,7 @@ from .pipeline import (
     build_spectral_config,
     compare_pipeline,
     default_shift,
-    kr_rep,
+    kr_reps,
     kr_tensor_crystal,
     regular_family,
     spectral_points,
@@ -173,9 +173,10 @@ def config_parts(opts):
 
 
 def build_config_from_opts(opts):
+    """The configuration of the flags; equal factors share one rep (`kr_reps`)."""
     factors, located, chi = config_parts(opts)
-    n = opts["n"]
-    parts = [(kr_rep(n, l, r), z, d) for (l, r), (z, d) in zip(factors, located)]
+    reps = kr_reps(opts["n"], factors)
+    parts = [(reps[f], z, d) for f, (z, d) in zip(factors, located)]
     return GaudinConfig(build_tensor(parts), chi)
 
 
@@ -375,9 +376,11 @@ def cmd_spectra(opts):
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
     s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else SCAN_S_GRID
+    # every s of the scan shares one rep, and so one minor table, per factor
+    reps = kr_reps(n, factors)
 
     def build(s):
-        cfg = build_spectral_config(n, factors, s)
+        cfg = build_spectral_config(n, factors, s, reps)
         return regular_family(cfg), cfg.rep
 
     report = scan_simple_spectrum(build, s_grid)

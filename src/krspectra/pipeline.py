@@ -60,11 +60,23 @@ def spectral_points(n, factors, s):
     ]
 
 
-def build_spectral_config(n, factors, s):
-    """Tensor rep of KR factors (l, r) at the points of `spectral_points`."""
-    parts = [
-        (kr_rep(n, l, r), z, d) for (l, r), (z, d) in zip(factors, spectral_points(n, factors, s))
-    ]
+def kr_reps(n, factors):
+    """{(l, r): V_{l w_r}}, one rep per distinct factor.
+
+    Equal slots share the rep, and so do the configurations of one run built
+    from the map, so each distinct factor's quantum-minor table is built
+    once (`bethe.quantum_minors`) and freed with the map.
+    """
+    return {f: kr_rep(n, *f) for f in set(factors)}
+
+
+def build_spectral_config(n, factors, s, reps=None):
+    """Tensor rep of KR factors (l, r) at the points of `spectral_points`.
+
+    `reps` is the `kr_reps` map of the run; without it the reps are built.
+    """
+    reps = reps or kr_reps(n, factors)
+    parts = [(reps[f], z, d) for f, (z, d) in zip(factors, spectral_points(n, factors, s))]
     return GaudinConfig(build_tensor(parts), (0,) * n)
 
 
@@ -103,14 +115,17 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
     Scans s_grid for a scale where every wall family has clean strings, then
     compares the per-wall statistics with the combinatorial tensor crystal.
     Only the given factor order is built: the string statistics of a KR
-    tensor product do not depend on the order of its factors.
+    tensor product do not depend on the order of its factors.  Every s of
+    the scan shares one rep per distinct factor; each s given up is reported
+    under "rejected_s" with its `SpectraError` text.
     """
     comb = kr_tensor_crystal(n, factors)
+    reps = kr_reps(n, factors)
 
-    last_error = None
+    rejected = {}
     for s in s_grid:
         try:
-            cfg = build_spectral_config(n, factors, s)
+            cfg = build_spectral_config(n, factors, s, reps)
             stats = {}
             for j in range(1, n + 1):
                 strings = spectral_wall_statistics(cfg, j)
@@ -128,12 +143,14 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
             report["passed"] = bool(
                 report["all_match"] and report["weights_match"] and report["simple"]
             )
+            report["rejected_s"] = rejected
             return report
         except SpectraError as err:
-            last_error = str(err)
-            continue
+            rejected[str(s)] = str(err)
+    last_error = next(reversed(rejected.values()), None)
     return {
         "passed": False,
         "all_match": False,
         "error": f"no s in the grid gave clean spectra: {last_error}",
+        "rejected_s": rejected,
     }

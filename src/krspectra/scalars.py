@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +730,6 @@ def taylor_coefficients(a, p, count):
     return out
 
 
-def poly_shift(a, delta):
-    """Coefficients of p(t + delta) in t, for p given by coefficients a in u."""
-    return poly_trim(taylor_coefficients(a, delta, len(a)))
-
-
 def series_inverse(a, order):
     """First order+1 coefficients of 1/f for a scalar series f with f(0) != 0."""
     c0 = a[0]
@@ -800,6 +795,37 @@ def _row_value(terms, i):
             old = get(j)
             acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
     return {j: v for j, v in acc.items() if v[0] or v[1]}
+
+
+def poly_shift(a, delta):
+    """Coefficients of p(t + delta) in t, for p given by coefficients a in u.
+
+    Coefficient k is sum_{j >= k} C(j, k) delta^(j - k) a_j.  For delta =
+    P / pd it is the sum of the numerators N_j weighted by the Gaussian
+    integers C(j, k) P^(j - k) pd^(deg - j) (L / D_j), over L pd^(deg - k),
+    summed row by row as in `poly_eval`, with one gcd pass per coefficient
+    and no Mat per division step; a constant is returned as it is.
+    """
+    if len(a) < 2:
+        return list(a)
+    pr, pi, pd = _gauss(delta)
+    big, scales = _lift(a)
+    deg = len(a) - 1
+    powers = [(1, 0)]  # P^m
+    for _ in range(deg):
+        xr, xi = powers[-1]
+        powers.append((xr * pr - xi * pi, xr * pi + xi * pr))
+    out = []
+    for k in range(deg + 1):
+        terms = []
+        for j in range(k, deg + 1):
+            xr, xi = powers[j - k]
+            if a[j] and (xr or xi):
+                s = comb(j, k) * pd ** (deg - j) * scales[j]
+                terms.append((xr * s, xi * s, a[j].nums))
+        rows = [_row_value(terms, i) for i in range(a[0].nr)]
+        out.append(_reduced(a[0].nr, a[0].nc, big * pd ** (deg - k), rows))
+    return poly_trim(out)
 
 
 def poly_eval(a, u):
@@ -1015,12 +1041,14 @@ class RatFun:
             or any(_vanishes_at(self.num, p) for p in other.poles)
         )
         a, b = self.num, other.num
-        num = [Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)] * (len(a) + len(b) - 1)
+        num = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 if ca and cb:
-                    num[i + j] = num[i + j] + ca.kron(cb)
-        return RatFun(num, poles, normalize)
+                    term = ca.kron(cb)
+                    num[i + j] = term if num[i + j] is None else num[i + j] + term
+        zero = Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)
+        return RatFun([zero if c is None else c for c in num], poles, normalize)
 
     def __eq__(self, other):
         return (self - other).is_zero()

@@ -3,6 +3,7 @@ import hashlib
 import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -27,7 +28,13 @@ from krspectra.bethe import (
 )
 from krspectra.gaudin import GaudinConfig, center_members, residue_generators
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.pipeline import build_spectral_config, default_shift, kr_rep, wall_pair
+from krspectra.pipeline import (
+    build_spectral_config,
+    default_shift,
+    kr_rep,
+    kr_reps,
+    wall_pair,
+)
 from krspectra.scalars import Mat, QQi, RatFun, mat_rank, spans_equal, unit_circle_point
 
 
@@ -194,6 +201,8 @@ COPRODUCT_CASES = [
     (3, [(1, 1), (1, 1), (1, 1)], 1),
     (3, [(1, 1), (3, 1)], 0),
     (3, [(1, 1), (2, 1), (3, 1)], 0),
+    # 6 of the 69 minors of V_{w_1} at n = 4 are zero, so the chain skips terms
+    (4, [(1, 1), (1, 1)], 1),
 ]
 
 
@@ -223,8 +232,10 @@ class TestCoproductMinors:
         assert any(reverse[I] != oracle[I] for I in oracle)
 
     def test_no_full_dimension_grid_or_cdet(self, monkeypatch):
-        # one column_minors sweep per column set per slot, each at factor dimension
-        cfg = build_spectral_config(3, [(1, 1), (1, 1), (1, 1)], 1)
+        # one column_minors sweep per column set per distinct factor, each at
+        # factor dimension: the three equal slots share one rep and one table.
+        # Wedge^2 C^3, not C^3 itself, whose table is built in closed form
+        cfg = build_spectral_config(3, [(1, 2), (1, 2), (1, 2)], 1)
         n = cfg.n
         grids = []
         sweep = bethe.column_minors
@@ -241,7 +252,9 @@ class TestCoproductMinors:
         monkeypatch.setattr(bethe, "_oracle_t_grid", refused)
         quantum_minors(cfg)
         column_sets = [J for a in range(1, n + 1) for J in combinations(range(n), a)]
-        assert sorted(len(g[0]) for g in grids) == sorted(len(J) for J in column_sets * cfg.k)
+        distinct = {id(rep) for rep, _, _ in cfg.rep.factors}
+        assert cfg.k == 3 and len(distinct) == 1
+        assert sorted(len(g[0]) for g in grids) == sorted(len(J) for J in column_sets)
         assert all(len(g) == n for g in grids)
         sizes = {(e.num[0].nr, e.num[0].nc) for g in grids for row in g for e in row if e.num}
         assert sizes == {(3, 3)} and cfg.rep.dim == 27
@@ -257,6 +270,103 @@ class TestCoproductMinors:
                 for c in range(3):
                     want = rep.e(r + 1, c + 1) + (ident * (u - w) if r == c else Mat.zeros(rep.dim))
                     assert not grid[r][c].poles and grid[r][c].eval(u) == want
+
+
+class TestSharedFactorMinors:
+    # the points d_j + i s 4^(k-1-j) have nonzero imaginary parts for s > 0,
+    # and the s = 0 cases overlap their poles
+    @pytest.mark.parametrize("n,factors,s", COPRODUCT_CASES)
+    def test_shifted_tables_equal_the_per_slot_route_and_the_oracle(self, n, factors, s):
+        reps = kr_reps(n, factors)
+        # a configuration at another scale builds each rep's table first, so
+        # every slot below reaches it by a shift
+        quantum_minors(build_spectral_config(n, factors, s + 1, reps))
+        cfg = build_spectral_config(n, factors, s, reps)
+        for (rep, _, _), grid, w in zip(cfg.rep.factors, bethe.ev_t_grid(cfg), cfg.points):
+            w0, _ = bethe._FACTOR_MINORS[rep]
+            assert w0 != w
+            assert_same_table(bethe._slot_minors(rep, grid, w), bethe._factor_minors(grid, w))
+        assert_same_table(quantum_minors(cfg), bethe._oracle_minors(cfg))
+
+    def test_equal_and_unequal_factors_share_by_rep(self):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2), (1, 1)], Fraction(5, 2))
+        quantum_minors(cfg)
+        (a, _, _), (b, _, _), (c, _, _) = cfg.rep.factors
+        assert a is c and a is not b
+        assert bethe._FACTOR_MINORS[a] is not bethe._FACTOR_MINORS[b]
+        assert_same_table(quantum_minors(cfg), bethe._oracle_minors(cfg))
+
+    def test_configs_built_on_one_rep_map_share_the_table(self, monkeypatch):
+        reps = kr_reps(3, [(1, 1), (1, 2)])
+        sweeps = []
+        sweep = bethe.column_minors
+
+        def recording(grid):
+            sweeps.append(grid)
+            return sweep(grid)
+
+        monkeypatch.setattr(bethe, "column_minors", recording)
+        tables = []
+        for s in (1, 2, Fraction(5, 2)):
+            cfg = build_spectral_config(3, [(1, 1), (1, 2)], s, reps)
+            tables.append(quantum_minors(cfg))
+            assert_same_table(tables[-1], bethe._oracle_minors(cfg))
+        # 7 column sets at n = 3, for V_{w_2} once; V_{w_1} takes no sweep
+        assert len(sweeps) == 7
+        assert tables[0][(0,)].poles != tables[1][(0,)].poles
+
+    @pytest.mark.parametrize("n,zeros", [(4, 6), (5, 60)])
+    def test_shared_table_keeps_no_zero_minor(self, n, zeros):
+        cfg = config_single(n)
+        quantum_minors(cfg)
+        _, table = bethe._FACTOR_MINORS[cfg.rep.factors[0][0]]
+        pairs = [
+            (I, J)
+            for a in range(1, n + 1)
+            for I in combinations(range(n), a)
+            for J in combinations(range(n), a)
+        ]
+        assert len(pairs) == comb(2 * n, n) - 1
+        assert all(table[key].num for key in table)
+        missing = [key for key in pairs if key not in table]
+        assert len(missing) == zeros and len(table) == len(pairs) - zeros
+        # each left-out minor is zero by a cdet of its own block
+        grid = bethe.ev_t_grid(config_single(n, z=0))[0]
+        for I, J in missing:
+            block = [[grid[r][c].shift_arg(m) for m, c in enumerate(J)] for r in I]
+            assert not bethe.cdet(block).num
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_defining_closed_form_equals_the_sweep(self, n):
+        rep = kr_rep(n, 1, 1)
+        assert bethe._is_defining(rep)
+        for w in (QQi(0), QQi(Fraction(-3, 2), Fraction(5, 3))):
+            grid = bethe.ev_t_grid(config_at(n, [(1, 1)], [w]))[0]
+            sweep = bethe._factor_minors(grid, w)
+            assert_same_table(bethe._defining_minors(rep, w), sweep)
+
+    def test_only_the_defining_rep_takes_the_closed_form(self, monkeypatch):
+        assert not bethe._is_defining(kr_rep(3, 1, 2))
+        assert not bethe._is_defining(kr_rep(2, 2, 1))
+        # the same rep with one generator scaled is not the defining rep
+        rep = kr_rep(3, 1, 1)
+        rep.gens[0][1] = rep.gens[0][1] * 2
+        assert not bethe._is_defining(rep)
+        closed = []
+        monkeypatch.setattr(bethe, "_defining_minors", lambda *args: closed.append(args))
+        quantum_minors(build_spectral_config(2, [(2, 1), (3, 1)], 1))
+        assert closed == []
+
+    def test_table_is_freed_with_its_rep(self):
+        gc.collect()  # only this rep may leave the map below
+        cfg = build_spectral_config(2, [(1, 1), (1, 1)], 1)
+        quantum_minors(cfg)
+        held = len(bethe._FACTOR_MINORS)
+        ref = weakref.ref(cfg.rep.factors[0][0])
+        del cfg
+        gc.collect()
+        assert ref() is None
+        assert len(bethe._FACTOR_MINORS) == held - 1
 
 
 class TestTauRoutesAgree:

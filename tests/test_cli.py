@@ -349,6 +349,71 @@ class TestCompareCommand:
         assert not report["all_match"]
 
 
+class TestOneMinorTablePerFactor:
+    """Every s or eps of one run shares one rep and one minor table per factor."""
+
+    def count(self, monkeypatch):
+        from krspectra import bethe, glrep
+
+        # the sweeps of the minor tables only, not those of a Gaudin cdet
+        sweeps = []
+        sweep = bethe.column_minors
+
+        def recording(grid):
+            sweeps.append(grid)
+            return sweep(grid)
+
+        monkeypatch.setattr(bethe, "column_minors", recording)
+        reps = [
+            count_calls(monkeypatch, glrep, name) for name in ("build_defining", "build_irrep")
+        ]
+        return sweeps, reps
+
+    def test_spectra_scan_over_three_s(self, monkeypatch, capsys):
+        sweeps, (defining, irrep) = self.count(monkeypatch)
+        code, doc = run(
+            capsys, "spectra", "scan", "--n", "3", "--factors", "1,1;1,2", "--s-grid", "1,2,3",
+        )
+        assert code == 0 and [row["s"] for row in doc["rows"]] == ["1", "2", "3"]
+        # 7 column sets at n = 3 for V_{w_2}, once; V_{w_1} takes its closed
+        # form and no sweep; 42 with a swept table per slot and s
+        assert len(sweeps) == 7
+        assert defining == [(3,)] and irrep == [(3, 1, 2)]
+
+    def test_compare_over_three_s(self, monkeypatch, capsys):
+        from krspectra import pipeline
+        from krspectra.spectra import SpectraError
+
+        sweeps, (defining, irrep) = self.count(monkeypatch)
+        walls = pipeline.spectral_wall_statistics
+
+        def rejected_below_3(cfg, j):
+            strings = walls(cfg, j)
+            if cfg.points[-1].im < 3:
+                raise SpectraError(f"scale below 3 at wall {j}")
+            return strings
+
+        monkeypatch.setattr(pipeline, "spectral_wall_statistics", rejected_below_3)
+        code, doc = run(
+            capsys, "compare", "--n", "3", "--factors", "1,1;1,2", "--s-grid", "1,2,3",
+        )
+        assert code == 0 and doc["s"] == "3"
+        assert doc["rejected_s"] == {"1": "scale below 3 at wall 1", "2": "scale below 3 at wall 1"}
+        assert len(sweeps) == 7
+        assert defining == [(3,)] and irrep == [(3, 1, 2)]
+
+    def test_bethe_degenerate_over_three_eps(self, monkeypatch, capsys):
+        sweeps, (defining, irrep) = self.count(monkeypatch)
+        code, doc = run(
+            capsys, "bethe", "degenerate", "--n", "2", "--factors", "1,1;2,1;1,1",
+            "--eps", "1/8,1/16,1/32", "--chi", "1/3,-1/4",
+        )
+        assert code == 0 and len(doc["rows"]) == 3
+        # 3 column sets at n = 2 for V_{2 w_1}, once; V_{w_1} takes no sweep
+        assert len(sweeps) == 3
+        assert defining == [(2,)] and irrep == [(2, 2, 1)]
+
+
 class TestAlcoveCommand:
     def test_classify_regular(self, capsys):
         code, doc = run(capsys, "alcove", "classify", "--x", "1/2,1/5,0")
@@ -422,9 +487,9 @@ class TestSpectraScanCsv:
 
         built = []
 
-        def counting(n, factors, s):
+        def counting(n, factors, s, reps=None):
             built.append(s)
-            return build_spectral_config(n, factors, s)
+            return build_spectral_config(n, factors, s, reps)
 
         monkeypatch.setattr(cli, "build_spectral_config", counting)
         path = tmp_path / "eig.csv"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from krspectra import spectra
+from krspectra import pipeline, spectra
 from krspectra.bethe import bethe_family, standard_torus
 from krspectra.gaudin import (
     GaudinConfig,
@@ -229,6 +229,41 @@ class TestComparePipeline:
         spec = joint_diagonalize(fam.gens + torus, cfg.rep)
         comb = tensor(build_kr(2, 1, 1), build_kr(2, 1, 1))
         assert weight_multiset_matches(spec, comb)
+
+
+class TestRejectedScales:
+    DIGEST_FIELDS = ("all_match", "weights_match", "simple", "per_wall")
+
+    def patch_first_s(self, monkeypatch, below):
+        """Make every s whose last point has imaginary part below `below` fail."""
+        walls = pipeline.spectral_wall_statistics
+
+        def failing(cfg, j):
+            if cfg.points[-1].im < below:
+                raise spectra.SpectraError(f"patched failure at {cfg.points[-1]}")
+            return walls(cfg, j)
+
+        monkeypatch.setattr(pipeline, "spectral_wall_statistics", failing)
+
+    def test_each_rejected_s_is_reported(self, monkeypatch):
+        plain = compare_pipeline(2, [(1, 1), (1, 1)], s_grid=(2,))
+        self.patch_first_s(monkeypatch, 2)
+        report = compare_pipeline(2, [(1, 1), (1, 1)], s_grid=(1, 2))
+        assert report["passed"] and report["s"] == "2"
+        assert report["rejected_s"] == {"1": "patched failure at -1+i"}
+        assert plain["rejected_s"] == {}
+        for field in self.DIGEST_FIELDS:
+            assert report[field] == plain[field], field
+
+    def test_a_grid_with_no_clean_s_reports_every_error(self, monkeypatch):
+        self.patch_first_s(monkeypatch, 3)
+        report = compare_pipeline(2, [(1, 1), (1, 1)], s_grid=(1, 2))
+        assert not report["passed"] and not report["all_match"]
+        assert report["rejected_s"] == {
+            "1": "patched failure at -1+i",
+            "2": "patched failure at -1+2*i",
+        }
+        assert report["error"] == "no s in the grid gave clean spectra: patched failure at -1+2*i"
 
 
 class TestWallRefinement:
