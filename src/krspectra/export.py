@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-from .tableaux import Tableau
-
 
 EDGE_COLORS = [
     "red", "blue", "darkgreen", "orange", "purple", "brown", "teal", "magenta",
@@ -13,8 +11,12 @@ EDGE_COLORS = [
 
 
 def _label(element):
-    """Tableau repr; a tensor pair (left, right) reads "left (x) right"."""
-    if isinstance(element, tuple) and not isinstance(element, Tableau):  # (rows, n)
+    """Tableau repr; a tensor pair (left, right) reads "left (x) right".
+
+    A Tableau is a tuple subclass, so only a pair is a plain tuple; the test
+    keeps `tableaux`, and numpy with it, out of this module's imports, which
+    `cli` runs before it compiles the rest of the package."""
+    if type(element) is tuple:
         return " (x) ".join(_label(part) for part in element)
     return repr(element)
 
@@ -34,7 +36,7 @@ def crystal_to_dot(crys) -> str:
 
 def _edges(crys, j):
     """The f_j edges (source id, target id), in source order."""
-    return [(src, dst) for src, dst in enumerate(crys.f_maps[j]) if dst is not None]
+    return [(src, dst) for src, dst in enumerate(crys.F[crys.row(j)].tolist()) if dst >= 0]
 
 
 def crystal_to_json(crys) -> dict:
@@ -43,8 +45,8 @@ def crystal_to_json(crys) -> dict:
         "size": len(crys),
         "affine": 0 in crys.indices,
         "elements": [
-            {"id": i, "label": _label(b), "weight": list(w)}
-            for i, (b, w) in enumerate(zip(crys.labels, crys.wt))
+            {"id": i, "label": _label(b), "weight": w}
+            for i, (b, w) in enumerate(zip(crys.labels, crys.wt.tolist()))
         ],
         "edges": [
             {"op": j, "from": src, "to": dst}

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import lcm
 
+import numpy as np
+
 from .tableaux import (
     CrystalError,
     CrystalGraph,
@@ -172,22 +174,25 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
         return lo + hi - i
 
     comps = graph.components()
+    wt = list(map(tuple, graph.wt.tolist()))
+    E, F = graph.E.tolist(), graph.F.tolist()
+    maps = [(F[r], E[graph.row(mirror(i))]) for r, i in enumerate(indices)]
     xi = [None] * len(graph)
     sinks_by_wt = {}
     for comp in comps:
         for t in graph.sinks(comp):
-            sinks_by_wt.setdefault(graph.wt[t], []).append(t)
+            sinks_by_wt.setdefault(wt[t], []).append(t)
 
     for comp in comps:
         srcs = graph.sources(comp)
         if len(srcs) != 1:
             raise CrystalError("graph is not normal: component without unique source")
         s = srcs[0]
-        target_wt = _w0_weight(graph.wt[s], alphabet)
+        target_wt = _w0_weight(wt[s], alphabet)
         candidates = sinks_by_wt.get(target_wt, [])
         placed = None
         for cand in candidates:
-            trial = _propagate(graph, s, cand, mirror)
+            trial = _propagate(maps, len(graph), s, cand)
             if trial is not None:
                 if placed is not None:
                     raise CrystalError("ambiguous involution: non multiplicity-free")
@@ -200,28 +205,30 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
     for b, img in enumerate(xi):
         if img is None or xi[img] != b:
             raise CrystalError("computed map is not an involution")
-        if graph.wt[img] != _w0_weight(graph.wt[b], alphabet):
+        if wt[img] != _w0_weight(wt[b], alphabet):
             raise CrystalError("weight relation failed")
     return xi
 
 
-def _propagate(graph, source, image, mirror):
+def _propagate(maps, size, source, image):
     """The map source -> image extended by f_i b -> e_mirror(i) xi(b), as a
-    list over all ids (None off the component); None on a conflict."""
-    out = [None] * len(graph)
+    list over all `size` ids (None off the component); None on a conflict.
+
+    `maps` pairs the f_i row with the e_mirror(i) row, as lists (-1 where the
+    operator vanishes)."""
+    out = [None] * size
     out[source] = image
-    used = [False] * len(graph)
+    used = [False] * size
     used[image] = True
     stack = [source]
-    maps = [(graph.f_maps[i], graph.e_maps[mirror(i)]) for i in graph.indices]
     while stack:
         b = stack.pop()
         for fmap, emap in maps:
             fb = fmap[b]
-            if fb is None:
+            if fb < 0:
                 continue
             want = emap[out[b]]
-            if want is None:
+            if want < 0:
                 return None
             if out[fb] is not None:
                 if out[fb] != want:
@@ -237,14 +244,8 @@ def _propagate(graph, source, image, mirror):
 
 def restricted_graph(graph: CrystalGraph) -> CrystalGraph:
     """Forget the last operator index (restriction of the crystal)."""
-    kept = graph.indices[:-1]
     return CrystalGraph(
-        graph.n,
-        graph.labels,
-        {i: graph.e_maps[i] for i in kept},
-        {i: graph.f_maps[i] for i in kept},
-        graph.wt,
-        indices=kept,
+        graph.n, graph.labels, graph.E[:-1], graph.F[:-1], graph.wt, indices=graph.indices[:-1]
     )
 
 
@@ -265,40 +266,32 @@ def view(crys: CrystalGraph, j) -> CrystalGraph:
     """The classical crystal B^{[j]} of an affine crystal: e_i := e_[i-j],
     weights composed with the cyclic coordinate rotation by j."""
     n = crys.n
-    e_maps = {i: crys.e_maps[(i - j) % n] for i in range(1, n)}
-    f_maps = {i: crys.f_maps[(i - j) % n] for i in range(1, n)}
-    wt = [_rotate(w, j) for w in crys.wt]
-    return CrystalGraph(n, crys.labels, e_maps, f_maps, wt)
-
-
-def _rotate(w, j):
-    n = len(w)
-    out = [0] * n
-    for i in range(n):
-        out[(i + j) % n] = w[i]
-    return tuple(out)
+    rows = [crys.row((i - j) % n) for i in range(1, n)]
+    # coordinate i of a weight moves to (i + j) mod n
+    wt = np.roll(crys.wt, j, axis=1)
+    return CrystalGraph(n, crys.labels, crys.E[rows], crys.F[rows], wt)
 
 
 def affine_extension(graph: CrystalGraph, pr) -> CrystalGraph:
     """B_lam with e_[0] = pr^{-1} e_1 pr and f_[0] = pr^{-1} f_1 pr added.
 
     `pr` is the promotion map of `graph` (a list of ids).  Returns a
-    CrystalGraph on the indices 0..n-1; raises CrystalError if its axioms
-    fail.
+    CrystalGraph on the indices 0..n-1; raises CrystalError if the axioms of
+    the new index 0 fail (indices 1..n-1 are B_lam's own, which
+    `build_crystal` checked).
     """
-    pr_inv = [0] * len(pr)
-    for k, image in enumerate(pr):
-        pr_inv[image] = k
+    pr = np.asarray(pr)
+    pr_inv = np.empty_like(pr)
+    pr_inv[pr] = np.arange(len(pr))
 
-    def conjugated(op):  # pr^{-1} op pr
-        return [None if (u := op[p]) is None else pr_inv[u] for p in pr]
+    def conjugated(maps):  # pr^{-1} op pr for op = e_1 or f_1, which vanish when n = 1
+        op = maps[graph.row(1), pr] if graph.n > 1 else np.full(len(pr), -1)
+        return np.where(op < 0, -1, pr_inv[op]).reshape(1, -1)
 
-    n = graph.n
-    none = [None] * len(pr)  # e_1 and f_1 when n = 1
-    e_maps = {0: conjugated(graph.e_maps.get(1, none)), **graph.e_maps}
-    f_maps = {0: conjugated(graph.f_maps.get(1, none)), **graph.f_maps}
-    kr = CrystalGraph(n, graph.labels, e_maps, f_maps, graph.wt, indices=range(n))
-    bad = kr.check_axioms()
+    E = np.concatenate([conjugated(graph.E), graph.E])
+    F = np.concatenate([conjugated(graph.F), graph.F])
+    kr = CrystalGraph(graph.n, graph.labels, E, F, graph.wt, indices=range(graph.n))
+    bad = kr.check_axioms(indices=[0])
     if bad:
         raise CrystalError(f"affine crystal axioms failed: {bad}")
     return kr
@@ -348,12 +341,14 @@ def verify_uniqueness(graph: CrystalGraph, pr, kr: CrystalGraph | None) -> dict:
     auto_trivial = len(comps1) == 1 and len(view1.sources()) == 1
     src_classes = [tuple(c["lambda"]) for c in decompose_normal(restricted_graph(graph))]
     unique_restriction = len(src_classes) == len(set(src_classes))
-    # view(kr, 0) is B_lam itself: affine_extension reuses its maps
+    # view(kr, 0) has B_lam's rows and weights, checked by
+    # test_view0_is_the_classical_crystal_on_the_grid
     report["view0_isomorphic"] = True
     report["view1_normal"] = ok1
     report["view1_automorphism_trivial"] = auto_trivial
     report["restriction_multiplicity_free"] = unique_restriction
-    # affine_extension has raised on any axiom failure of any view
+    # build_crystal and affine_extension have raised on any axiom failure of
+    # any index, hence of any view
     report["views_pass_axioms"] = True
     report["passed"] = all([ok1, auto_trivial, unique_restriction])
     return report

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .scalars import Mat
-from .tableaux import canonical_weight
+from .tableaux import canonical_weight, row_counts
 
 
 # the separation, relative to the family's scale, below which eigenvalues
@@ -233,6 +233,7 @@ def wall_strings(family_members, h_member, rep):
             groups.append(block.tolist())
     strings = []
     failures = []
+    tops = []
     for block in groups:
         hvals = [spec.values[nfam, j].real for j in block]
         order = np.argsort(hvals)[::-1]
@@ -247,13 +248,11 @@ def wall_strings(family_members, h_member, rep):
             failures.append(
                 {"kind": "broken string", "values": ints, "expected": expected}
             )
-        strings.append(
-            {
-                "length": len(block),
-                "h_values": ints,
-                "source_weight": canonical_weight(spec.weights[block[0]]),
-            }
-        )
+        tops.append(spec.weights[block[0]])
+        strings.append({"length": len(block), "h_values": ints})
+    # the source of a string is its top line
+    for string, w in zip(strings, canonical_weight(tops).tolist()):
+        string["source_weight"] = tuple(w)
     diagnostics = {
         "passed": not failures,
         "failures": failures,
@@ -289,8 +288,7 @@ def compare_with_crystal(spectral_stats_by_j, crystal) -> dict:
 def weight_multiset_matches(spec: JointSpectrum, crystal) -> bool:
     from .tensorcrystal import weight_multiset
 
-    got = Counter(canonical_weight(w) for w in spec.weights)
-    return got == weight_multiset(crystal)
+    return row_counts(canonical_weight(spec.weights)) == weight_multiset(crystal)
 
 
 def eigenvalues_csv(spec: JointSpectrum) -> str:

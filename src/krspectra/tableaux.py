@@ -2,15 +2,18 @@
 
 Kashiwara operators use the signature rule on the Far-Eastern reading word
 (columns bottom to top, taken left to right).  Crystal graphs are explicit
-finite graphs on integer ids, each id labeled by its tableau or tensor pair;
-the same container carries the affine KR crystals (operator indices
-0..n-1), their classical views and tensor products.
+finite graphs on integer ids, stored as read-only numpy int arrays, each id
+labeled by its tableau or tensor pair; the same container carries the affine
+KR crystals (operator indices 0..n-1), their classical views and tensor
+products.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter, sub
+from collections import Counter
+from operator import itemgetter
+
+import numpy as np
 
 
 class CrystalError(ValueError):
@@ -149,29 +152,51 @@ def e_op(i, t: Tableau):
 # Crystal graphs
 
 
-class CrystalGraph:
-    """A finite crystal on the integer ids 0..N-1.
+def _frozen(a, shape, what):
+    """`a` as a read-only int array of the given shape.
 
-    labels[k] is the tableau or (left, right) pair that id k stands for;
-    only export, jeu de taquin and `id` read them.  e_maps[i] and f_maps[i]
-    are lists of target ids, None where the operator vanishes, for i in
-    `indices`: 1..n-1 for classical crystals, 0..n-1 for affine ones.
-    wt[k] is the raw integer content vector of id k; sl_n weight classes
-    compare via canonical_weight.
+    Only a view is frozen, so a caller's own array keeps its flags; the graph
+    shares the arrays it is given, so the caller must not write to them
+    afterwards."""
+    a = np.asarray(a, dtype=np.intp).view()
+    if a.size == 0:
+        a = a.reshape(shape)  # no rows at all, e.g. the maps of an n = 1 crystal
+    if a.shape != shape:
+        raise CrystalError(f"{what} has shape {a.shape}, expected {shape}")
+    a.setflags(write=False)
+    return a
+
+
+class CrystalGraph:
+    """A finite crystal on the integer ids 0..N-1, stored as read-only int arrays.
+
+    E and F are (k, N): row r holds the targets of e_i and f_i for
+    i = indices[r], -1 where the operator vanishes; `indices` is 1..n-1 for
+    classical crystals and 0..n-1 for affine ones.  wt is (N, n): wt[k] is the
+    raw integer content vector of id k; sl_n weight classes compare via
+    canonical_weight.  labels[k] is the tableau or (left, right) pair that id
+    k stands for.
     """
 
-    def __init__(self, n, labels, e_maps, f_maps, wt, indices=None):
+    def __init__(self, n, labels, E, F, wt, indices=None):
         self.n = n
-        self.labels = list(labels)
-        self.e_maps = e_maps
-        self.f_maps = f_maps
-        self.wt = wt
         self.indices = list(indices) if indices is not None else list(range(1, n))
+        self.wt = _frozen(wt, (len(wt), n), "wt")
+        size = (len(self.indices), len(self.wt))
+        self.E = _frozen(E, size, "E")
+        self.F = _frozen(F, size, "F")
+        if self.E.size and (
+            min(self.E.min(), self.F.min()) < -1 or max(self.E.max(), self.F.max()) >= size[1]
+        ):
+            raise CrystalError("an operator target is not an id")
+        self.labels = list(labels)
+        self._rows = {i: r for r, i in enumerate(self.indices)}
         self._ids = None
+        self._positions = None
 
     @property
     def elements(self):
-        return range(len(self.labels))
+        return range(len(self.wt))
 
     def id(self, label):
         """The id of an element given by its label; KeyError if absent."""
@@ -179,42 +204,85 @@ class CrystalGraph:
             self._ids = {b: k for k, b in enumerate(self.labels)}
         return self._ids[label]
 
+    def row(self, i):
+        """The row of E and F that holds operator index i."""
+        return self._rows[i]
+
     def e(self, i, b):
-        return self.e_maps[i][b]
+        t = int(self.E[self._rows[i], b])
+        return None if t < 0 else t
 
     def f(self, i, b):
-        return self.f_maps[i][b]
+        t = int(self.F[self._rows[i], b])
+        return None if t < 0 else t
 
     def __len__(self):
-        return len(self.labels)
+        return len(self.wt)
 
-    def check_axioms(self):
-        """Pairing and weight axioms for every edge; returns None or a witness
-        (kind, i, id).
+    def check_axioms(self, indices=None):
+        """Pairing and weight axioms for every edge of the operator indices
+        `indices` (all of them by default); returns None or the first witness
+        (kind, i, id): index by index, the f-pairing of every id before the
+        e-pairing and weight of every id.
 
         coroot_vector is cyclic for i=0, so on an affine crystal one pass
         checks every edge of every e_[j] once.
         """
+        if indices is None:
+            indices = self.indices
+            E, F = self.E, self.F
+        else:
+            picked = [self._rows[i] for i in indices]
+            E, F = self.E[picked], self.F[picked]
         wt = self.wt
-        for i in self.indices:
-            fmap = self.f_maps[i]
-            emap = self.e_maps[i]
-            alpha = coroot_vector(self.n, i)
-            for b, fb in enumerate(fmap):
-                if fb is not None and emap[fb] != b:
-                    return ("pairing", i, b)
-            for b, eb in enumerate(emap):
-                if eb is None:
-                    continue
-                if fmap[eb] != b:
-                    return ("pairing", i, b)
-                if tuple(map(sub, wt[eb], wt[b])) != alpha:
-                    return ("weight", i, b)
-        return None
+        k, size = E.shape
+        rows = np.arange(k).reshape(k, 1)
+        ids = np.arange(size)
+        alpha = np.array([coroot_vector(self.n, i) for i in indices], dtype=np.intp)
+        # a vanishing operator (-1) reads the last id, and the mask drops it
+        has_e = E >= 0
+        f_unpaired = (F >= 0) & (E[rows, F] != ids)
+        e_unpaired = has_e & (F[rows, E] != ids)
+        e_bad = e_unpaired | (has_e & (wt[E] - wt != alpha.reshape(k, 1, self.n)).any(axis=2))
+        bad = f_unpaired | e_bad
+        if not bad.any():
+            return None
+        r = int(bad.any(axis=1).argmax())
+        i = indices[r]
+        if f_unpaired[r].any():
+            return ("pairing", i, int(f_unpaired[r].argmax()))
+        b = int(e_bad[r].argmax())
+        return ("pairing" if e_unpaired[r, b] else "weight", i, b)
+
+    def positions(self):
+        """(eps, phi), (k, N) arrays like E and F: how many times e_i resp.
+        f_i apply to each id before vanishing.
+
+        Computed once per graph, the maps being read-only, by one walk over
+        all strings of all indices at once: eps counts the steps down each
+        i-string from its top, phi the steps up from its bottom.
+        CrystalError names (i, id) of an id on no i-string (an f_i cycle).
+        """
+        if self._positions is None:
+            k, size = self.E.shape
+            # rows 0..k-1 walk down from the tops, rows k..2k-1 up from the bottoms
+            step = np.concatenate([self.F, self.E])
+            offset = np.arange(0, 2 * k * size, size).reshape(2 * k, 1)
+            step = np.where(step < 0, -1, step + offset).ravel()
+            starts = np.flatnonzero(np.concatenate([self.E, self.F]) < 0)
+            dist = _string_walk(starts, step, size)
+            if dist.size and dist.min() < 0:
+                r, b = divmod(int(dist.argmin()), size)
+                i = self.indices[r % k]
+                raise CrystalError(f"(i, id) = {(i, b)}: id {b} lies on no {i}-string")
+            dist = dist.reshape(2, k, size)
+            dist.setflags(write=False)
+            self._positions = (dist[0], dist[1])
+        return self._positions
 
     def components(self):
         """Connected components under all e_i/f_i edges, as lists of ids."""
-        maps = [m for i in self.indices for m in (self.e_maps[i], self.f_maps[i])]
+        maps = self.E.tolist() + self.F.tolist()
         seen = [False] * len(self)
         comps = []
         for b in self.elements:
@@ -228,22 +296,40 @@ class CrystalGraph:
                 comp.append(x)
                 for m in maps:
                     nxt = m[x]
-                    if nxt is not None and not seen[nxt]:
+                    if nxt >= 0 and not seen[nxt]:
                         seen[nxt] = True
                         stack.append(nxt)
             comps.append(comp)
         return comps
 
     def sources(self, comp=None):
-        return self._ends(self.e_maps, comp)
+        return self._ends(self.E, comp)
 
     def sinks(self, comp=None):
-        return self._ends(self.f_maps, comp)
+        return self._ends(self.F, comp)
 
-    def _ends(self, op_maps, comp):
-        maps = [op_maps[i] for i in self.indices]
-        elems = comp if comp is not None else self.elements
-        return [b for b in elems if all(m[b] is None for m in maps)]
+    def _ends(self, maps, comp):
+        end = (maps < 0).all(axis=0).tolist()
+        return [b for b in (comp if comp is not None else self.elements) if end[b]]
+
+
+def _string_walk(starts, step, size):
+    """For each flat position, the number of `step`s (-1 where the map ends)
+    from the start of its walk, all walks from `starts` at once; -1 where no
+    walk arrives.
+
+    A string has at most `size` elements, so a longer walk is a cycle
+    entered from outside (a map that is not injective).
+    """
+    out = np.full(step.size, -1, dtype=np.intp)
+    cur = starts
+    for d in range(size + 1):
+        if not cur.size:
+            return out
+        out[cur] = d
+        cur = step[cur]
+        cur = cur[cur >= 0]
+    raise CrystalError("an operator map revisits an id: not a crystal")
 
 
 def coroot_vector(n, i):
@@ -255,8 +341,41 @@ def coroot_vector(n, i):
 
 
 def canonical_weight(w):
-    """Representative of the sl_n weight class: subtract the minimum entry."""
-    return tuple(map(sub, w, repeat(min(w))))
+    """Representatives of sl_n weight classes, as an array: each weight (a
+    row of `w`, or `w` itself when it is one weight) minus its minimum entry."""
+    w = np.asarray(w)
+    return w - w.min(axis=-1, keepdims=True)
+
+
+def row_counts(rows) -> Counter:
+    """Counter of the rows of a nonnegative (m, c) int array, keyed by tuples
+    of Python ints, in lexicographic order.
+
+    The columns are packed, left to right, into one int64 key per row, each
+    column a digit in base (its max + 1); before a digit would overflow the
+    keys, they are replaced by their ranks, which keep their order and are
+    below m.  Equal rows are runs of the sorted keys.
+    """
+    m = len(rows)
+    if not m:
+        return Counter()
+    key = np.zeros(m, dtype=np.int64)
+    span = 1  # every key is below span
+    for col in rows.T:
+        base = int(col.max()) + 1
+        if span * base >= 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * base + col
+        span *= base
+    order = key.argsort()
+    key = key[order]
+    edge = np.empty(m + 1, dtype=bool)
+    edge[0] = edge[m] = True
+    np.not_equal(key[1:], key[:-1], out=edge[1:m])
+    bounds = np.flatnonzero(edge)
+    runs = bounds[1:] - bounds[:-1]
+    return Counter(dict(zip(map(tuple, rows[order[bounds[:-1]]].tolist()), runs.tolist())))
 
 
 def shape_from_partition(lam):
@@ -292,12 +411,11 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     ids = {t: k for k, t in enumerate(elems)}
 
     def targets(op, i):
-        return [None if (u := op(i, t)) is None else ids[u] for t in elems]
+        return [-1 if (u := op(i, t)) is None else ids[u] for t in elems]
 
-    e_maps = {i: targets(e_op, i) for i in range(1, n)}
-    f_maps = {i: targets(f_op, i) for i in range(1, n)}
-    wt = [t.content() for t in elems]
-    g = CrystalGraph(n, elems, e_maps, f_maps, wt)
+    E = [targets(e_op, i) for i in range(1, n)]
+    F = [targets(f_op, i) for i in range(1, n)]
+    g = CrystalGraph(n, elems, E, F, [t.content() for t in elems])
     bad = g.check_axioms()
     if bad:
         raise CrystalError(f"crystal axioms failed: {bad}")
@@ -305,28 +423,11 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
 
 
 def string_positions(graph, i):
-    """Per-id lists (eps, phi): how many times e_i resp. f_i apply to each id
-    before vanishing.
-
-    Walks each i-string once, down from its top (the element e_i kills).
-    Works for any graph with e and f maps, classical or affine.
-    """
-    emap, fmap = graph.e_maps[i], graph.f_maps[i]
-    eps = [None] * len(emap)
-    phi = [None] * len(emap)
-    for top, up in enumerate(emap):
-        if up is not None:
-            continue
-        chain = [top]
-        cur = fmap[top]
-        while cur is not None:
-            chain.append(cur)
-            cur = fmap[cur]
-        last = len(chain) - 1
-        for k, b in enumerate(chain):
-            eps[b] = k
-            phi[b] = last - k
-    return eps, phi
+    """(eps, phi) of index i as arrays over the ids: how many times e_i resp.
+    f_i apply to each id before vanishing (rows of `CrystalGraph.positions`)."""
+    eps, phi = graph.positions()
+    r = graph.row(i)
+    return eps[r], phi[r]
 
 
 def decompose_normal(graph: CrystalGraph):
@@ -345,7 +446,7 @@ def decompose_normal(graph: CrystalGraph):
         lam = None
         normal = len(srcs) == 1 and len(snks) == 1
         if len(srcs) == 1:
-            c = graph.wt[srcs[0]]
+            c = graph.wt[srcs[0]].tolist()
             lam = tuple(c)
             # dominance only on the coordinates the operators touch
             if any(c[i] < c[i + 1] for i in range(lo, hi - 1)):
@@ -370,21 +471,21 @@ def crystal_isomorphic(g1: CrystalGraph, g2: CrystalGraph) -> bool:
         return False
     if g1.indices != g2.indices:
         return False
-    if canonical_weight(g1.wt[s1[0]]) != canonical_weight(g2.wt[s2[0]]):
+    if canonical_weight(g1.wt[s1[0]]).tolist() != canonical_weight(g2.wt[s2[0]]).tolist():
         return False
     pair = [None] * len(g1)
     pair[s1[0]] = s2[0]
     matched = 1
     stack = [s1[0]]
-    maps = [(g1.f_maps[i], g2.f_maps[i]) for i in g1.indices]
+    maps = list(zip(g1.F.tolist(), g2.F.tolist()))
     while stack:
         x = stack.pop()
         y = pair[x]
         for f1, f2 in maps:
             fx, fy = f1[x], f2[y]
-            if (fx is None) != (fy is None):
+            if (fx < 0) != (fy < 0):
                 return False
-            if fx is not None:
+            if fx >= 0:
                 if pair[fx] is not None:
                     if pair[fx] != fy:
                         return False
@@ -418,7 +519,7 @@ def character_eval(graph: CrystalGraph, elements, xs):
     total = QQi(0)
     for b in elements:
         term = QQi(1)
-        for i, c in enumerate(graph.wt[b]):
+        for i, c in enumerate(graph.wt[b].tolist()):
             term = term * QQi.of(xs[i]) ** c
         total = total + term
     return total

@@ -11,58 +11,51 @@ the pair of the factors' labels.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add
 
-from .tableaux import CrystalError, CrystalGraph, canonical_weight, string_positions
+import numpy as np
+
+from .tableaux import (
+    CrystalError,
+    CrystalGraph,
+    canonical_weight,
+    row_counts,
+    string_positions,
+)
 
 
 def tensor(b_left, b_right):
     """Tensor product of two crystals over the same n and operator indices.
 
-    Id x * len(b_right) + y is the pair (x, y) of factor ids; the result's
-    axioms are checked once.
+    Id x * len(b_right) + y is the pair (x, y) of factor ids.  The rule is
+    one comparison of the left factor's eps with the right factor's phi over
+    a (k, L, R) array, from the factors' cached string positions, and the
+    result's axioms are checked once.
     """
     if b_left.n != b_right.n:
         raise CrystalError("rank mismatch in tensor product")
     if b_left.indices != b_right.indices:
         raise CrystalError("cannot mix factors with different operator indices")
-    n = b_left.n
-    indices = b_left.indices
-    size = len(b_right)
-    right_ids = range(size)
+    size_l, size_r = len(b_left), len(b_right)
+    eps = b_left.positions()[0][:, :, None]
+    phi = b_right.positions()[1][:, None, :]
+    x = np.arange(0, size_l * size_r, size_r).reshape(-1, 1)
+    y = np.arange(size_r)
 
-    e_maps = {}
-    f_maps = {}
-    for i in indices:
-        eps_left = string_positions(b_left, i)[0]
-        phi_right = string_positions(b_right, i)[1]
-        e_left, f_left = b_left.e_maps[i], b_left.f_maps[i]
-        e_right, f_right = b_right.e_maps[i], b_right.f_maps[i]
-        e_out = []
-        f_out = []
-        for x, eps in enumerate(eps_left):
-            base = x * size
-            ex, fx = e_left[x], f_left[x]
-            ex = None if ex is None else ex * size
-            fx = None if fx is None else fx * size
-            for y in right_ids:
-                phi = phi_right[y]
-                if eps > phi:
-                    e_out.append(None if ex is None else ex + y)
-                else:
-                    ey = e_right[y]
-                    e_out.append(None if ey is None else base + ey)
-                if eps >= phi:
-                    f_out.append(None if fx is None else fx + y)
-                else:
-                    fy = f_right[y]
-                    f_out.append(None if fy is None else base + fy)
-        e_maps[i] = e_out
-        f_maps[i] = f_out
+    def rule(on_left, left, right):
+        # a vanishing factor operator gives a negative id, clipped to -1
+        moved_left = np.where(left < 0, -size_r, left * size_r)[:, :, None] + y
+        moved_right = np.where(right < 0, -size_l * size_r, right)[:, None, :] + x
+        out = np.where(on_left, moved_left, moved_right).reshape(len(left), size_l * size_r)
+        return np.maximum(out, -1, out=out)
 
-    labels = [(x, y) for x in b_left.labels for y in b_right.labels]
-    wt = [tuple(map(add, wx, wy)) for wx in b_left.wt for wy in b_right.wt]
-    g = CrystalGraph(n, labels, e_maps, f_maps, wt, indices=indices)
+    g = CrystalGraph(
+        b_left.n,
+        [(a, b) for a in b_left.labels for b in b_right.labels],
+        rule(eps > phi, b_left.E, b_right.E),
+        rule(eps >= phi, b_left.F, b_right.F),
+        (b_left.wt[:, None, :] + b_right.wt[None, :, :]).reshape(size_l * size_r, b_left.n),
+        indices=b_left.indices,
+    )
     bad = g.check_axioms()
     if bad:
         raise CrystalError(f"tensor product violates crystal axioms: {bad}")
@@ -85,13 +78,10 @@ def string_statistics(crys, j):
     The source of a string is its e_[j]-maximal element.
     """
     eps, phi = string_positions(crys, j)
-    wt = crys.wt
-    return Counter(
-        (phi[b] + 1, canonical_weight(wt[b]))
-        for b, e in enumerate(eps)
-        if e == 0
-    )
+    tops = np.flatnonzero(eps == 0)
+    rows = np.concatenate([(phi[tops] + 1).reshape(-1, 1), canonical_weight(crys.wt[tops])], axis=1)
+    return Counter({(key[0], key[1:]): c for key, c in row_counts(rows).items()})
 
 
 def weight_multiset(crys):
-    return Counter(canonical_weight(w) for w in crys.wt)
+    return row_counts(canonical_weight(crys.wt))

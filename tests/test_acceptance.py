@@ -110,7 +110,7 @@ def test_criterion_4_character_match():
         rep = build_irrep(n, l, r)
         graph = build_crystal(n, (l,) * r)
         assert rep.dim == len(graph)
-        counts = Counter(graph.wt[t] for t in graph.elements)
+        counts = Counter(tuple(graph.wt[t]) for t in graph.elements)
         assert counts == Counter(rep.weight_basis), (n, l, r)
         if (n, l, r) == (4, 2, 2):
             assert rep.dim == 20

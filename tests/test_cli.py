@@ -547,6 +547,62 @@ class TestGoldenOutputs:
         )
 
 
+def quoted_numbers(doc):
+    """Every string value of a parsed report (not a key) that spells an integer."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in quoted_numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in quoted_numbers(v)]
+    return [doc] if isinstance(doc, str) and doc.lstrip("-").isdigit() else []
+
+
+class TestReportsHoldPlainInts:
+    """`emit` prints what `json` cannot encode with `str`, so a numpy integer
+    in a report would print as a quoted number; the stdout hashes were
+    recorded while crystal graphs were lists of Python ints."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["tensor", "--n", "3", "--factors", "1,1;2,1;1,2"],
+                "fd765c222a2e7f03fc3ed818b1253dee5f52481c81c8e900692eac7c54d9c064",
+            ),
+            (
+                ["tensor", "--n", "4", "--factors", "2,1;1,1;2,1;1,1"],
+                "bb929c54cfe2a6dd1b6ed14ddd456a03339029f9b5585bb2b26f7c7d7e7b8f70",
+            ),
+            (
+                # a 41-entry (length, weight) row, too wide to pack into one int64
+                ["tensor", "--n", "40", "--factors", "1,1"],
+                "db07b03501943d84ad13149293641a8de49caf77c0891387dec81083eb5ac410",
+            ),
+            (
+                ["crystal", "verify", "--n", "4", "--lambda", "2,2", "--affine"],
+                "25ce25f627fbae0db0aec1f06bda5d5590e445a18e498df826654ef313c9732e",
+            ),
+            (
+                ["crystal", "verify", "--n", "3", "--lambda", "2,1", "--affine"],
+                "34903cd63cc133a8832e070fbed2fc2a123a4978046838afcec88f28ab17abf5",
+            ),
+        ],
+        ids=["tensor-n3", "tensor-1600", "tensor-n40", "verify-2,2", "verify-2,1"],
+    )
+    def test_no_quoted_numbers_and_the_same_bytes(self, capsys, argv, digest):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert quoted_numbers(json.loads(out)) == []
+        assert sha256(out.encode()) == digest
+
+    def test_the_guard_sees_a_numpy_integer(self, capsys):
+        import numpy as np
+
+        from krspectra.cli import emit
+
+        emit({"size": np.int64(3), "stats": [[np.int64(1), 2]]}, {"json": None})
+        assert quoted_numbers(json.loads(capsys.readouterr().out)) == ["3", "1"]
+
+
 class TestParserCache:
     def test_one_parser_per_process(self):
         assert make_parser() is make_parser()

@@ -1,3 +1,6 @@
+from operator import sub
+
+import numpy as np
 import pytest
 
 import krspectra.promotion as promotion
@@ -19,6 +22,7 @@ from krspectra.tableaux import (
     CrystalGraph,
     Tableau,
     build_crystal,
+    coroot_vector,
     decompose_normal,
     e_op,
 )
@@ -50,7 +54,28 @@ def certificate(n, lam):
 
 def first_edge(crys, j):
     """The e_[j] edge (b, e_[j] b) of the smallest id b that has one."""
-    return next((b, eb) for b, eb in enumerate(crys.e_maps[j]) if eb is not None)
+    return next((b, eb) for b, eb in enumerate(crys.E[crys.row(j)].tolist()) if eb >= 0)
+
+
+def axiom_oracle(crys):
+    """The per-edge loop that `check_axioms` replaced: the first witness
+    (kind, i, id), index by index, f-pairing of every id before the
+    e-pairing and weight of every id."""
+    wt = crys.wt.tolist()
+    for r, i in enumerate(crys.indices):
+        fmap, emap = crys.F[r].tolist(), crys.E[r].tolist()
+        alpha = list(coroot_vector(crys.n, i))
+        for b, fb in enumerate(fmap):
+            if fb >= 0 and emap[fb] != b:
+                return ("pairing", i, b)
+        for b, eb in enumerate(emap):
+            if eb < 0:
+                continue
+            if fmap[eb] != b:
+                return ("pairing", i, b)
+            if list(map(sub, wt[eb], wt[b])) != alpha:
+                return ("weight", i, b)
+    return None
 
 
 def some_view_fails(crys):
@@ -146,8 +171,8 @@ class TestSchutzenberger:
         broken = CrystalGraph(
             3,
             ["a", "b"],
-            {1: [b, None], 2: [None, a]},
-            {1: [None, a], 2: [b, None]},
+            [[b, -1], [-1, a]],
+            [[-1, a], [b, -1]],
             [(1, 0, 0), (0, 1, 0)],
         )
         with pytest.raises(CrystalError):
@@ -233,9 +258,9 @@ class TestBuildKR:
         for (n, l, r) in GRID:
             graph = build_crystal(n, (l,) * r)
             v0 = view(affine_extension(graph, promotion_map(graph)), 0)
-            assert all(v0.e_maps[i] is graph.e_maps[i] for i in graph.indices)
-            assert all(v0.f_maps[i] is graph.f_maps[i] for i in graph.indices)
-            assert v0.wt == graph.wt, (n, l, r)
+            assert v0.indices == graph.indices
+            assert np.array_equal(v0.E, graph.E) and np.array_equal(v0.F, graph.F)
+            assert np.array_equal(v0.wt, graph.wt), (n, l, r)
 
     def test_invariants_verified_on_construction(self):
         for (n, l, r) in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 2, 2)]:
@@ -268,33 +293,35 @@ class TestBuildKR:
         kr = build_kr(n, 2, 1)
 
         def corrupted(edit):
-            e_maps = {j: list(m) for j, m in kr.e_maps.items()}
-            f_maps = {j: list(m) for j, m in kr.f_maps.items()}
-            wt = list(kr.wt)
-            edit(e_maps, f_maps, wt)
-            crys = CrystalGraph(n, kr.labels, e_maps, f_maps, wt, indices=kr.indices)
+            E, F, wt = kr.E.copy(), kr.F.copy(), kr.wt.copy()
+            edit(E, F, wt)
+            crys = CrystalGraph(n, kr.labels, E, F, wt, indices=kr.indices)
             # the one pass flags a crystal iff some rotated view does
             assert (crys.check_axioms() is not None) == some_view_fails(crys)
+            assert crys.check_axioms() == axiom_oracle(crys)
             return crys
 
-        def drop_e0(e_maps, f_maps, wt):
-            e_maps[0][first_edge(kr, 0)[0]] = None
+        def drop_e0(E, F, wt):
+            E[kr.row(0), first_edge(kr, 0)[0]] = -1
 
         assert corrupted(drop_e0).check_axioms() is not None
         for j in range(n):
             b, eb = first_edge(kr, j)
             other = next(c for c in kr.elements if c not in (b, eb))
 
-            def retarget(e_maps, f_maps, wt):
-                e_maps[j][b] = other
+            def retarget(E, F, wt):
+                E[kr.row(j), b] = other
 
-            def bump(e_maps, f_maps, wt):
-                w = list(wt[eb])
-                w[j] += 1
-                wt[eb] = tuple(w)
+            def bump(E, F, wt):
+                wt[eb, j] += 1
 
             assert corrupted(retarget).check_axioms() is not None
             assert corrupted(bump).check_axioms() is not None
+            # a retargeted e_j breaks index j alone
+            crys = corrupted(retarget)
+            for i in kr.indices:
+                witness = crys.check_axioms(indices=[i])
+                assert witness == (crys.check_axioms() if i == j else None), (i, j)
 
     def test_pr_intertwining(self):
         # pr e_i = e_{i+1} pr for i = 1..n-2

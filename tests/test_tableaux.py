@@ -1,11 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from krspectra.glrep import build_irrep
 from krspectra.tableaux import (
     CrystalError,
+    CrystalGraph,
     Tableau,
     build_crystal,
     canonical_weight,
@@ -14,6 +16,7 @@ from krspectra.tableaux import (
     e_op,
     enumerate_ssyt,
     f_op,
+    row_counts,
     schur_polynomial,
     ssyt_count,
     string_positions,
@@ -72,7 +75,7 @@ class TestBuild:
     def test_w1_n2(self):
         g = build_crystal(2, (1,))
         assert len(g) == 2
-        assert [g.labels[b] for b in g.f_maps[1] if b is not None] == [tab([[2]], 2)]
+        assert [g.labels[b] for b in g.F[g.row(1)].tolist() if b >= 0] == [tab([[2]], 2)]
 
     def test_shape_21_n3(self):
         g = build_crystal(3, (2, 1))
@@ -105,7 +108,7 @@ class TestBuild:
             g = build_crystal(n, (l,) * r)
             counts = {}
             for t in g.elements:
-                counts[g.wt[t]] = counts.get(g.wt[t], 0) + 1
+                counts[tuple(g.wt[t])] = counts.get(tuple(g.wt[t]), 0) + 1
             assert counts == Counter(build_irrep(n, l, r).weight_basis)
 
 
@@ -123,6 +126,34 @@ class TestStrings:
         t = tab([[1, 1], [2, 2]], 4)
         eps, phi = string_positions(g, 2)
         assert (eps[g.id(t)], phi[g.id(t)]) == (0, 2)
+
+    def test_an_id_on_no_string_is_an_error(self):
+        # f_1 swaps a and b, a 2-cycle with no top and no bottom; id 2 is a
+        # string of its own
+        g = CrystalGraph(2, ["a", "b", "c"], [[1, 0, -1]], [[1, 0, -1]], [(1, 0), (0, 1), (0, 0)])
+        with pytest.raises(CrystalError, match=r"\(i, id\) = \(1, 0\)"):
+            string_positions(g, 1)
+
+    def test_positions_are_walked_once(self):
+        g = build_crystal(3, (2, 1))
+        assert g.positions() is g.positions()
+        eps, phi = string_positions(g, 2)
+        assert np.array_equal(eps, g.positions()[0][g.row(2)])
+        assert np.array_equal(phi, g.positions()[1][g.row(2)])
+
+
+class TestReadOnly:
+    def test_in_place_writes_raise(self):
+        # cached string positions cannot go stale
+        g = build_crystal(3, (2, 1))
+        for a in (g.E, g.F, g.wt, *g.positions()):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
+    def test_a_callers_array_keeps_its_flags(self):
+        wt = np.array([[1, 0], [0, 1]])
+        g = CrystalGraph(2, ["1", "2"], [[-1, 0]], [[1, -1]], wt)
+        assert wt.flags.writeable and not g.wt.flags.writeable
 
 
 class TestDecompose:
@@ -150,7 +181,20 @@ class TestDecompose:
             )
 
 
+class TestRowCounts:
+    def test_rows_of_any_width_and_size(self):
+        # neither 41 entries below 3 nor an entry of 10**12 fits a base-(max+1)
+        # int64 key
+        rng = np.random.default_rng(5)
+        for rows in (rng.integers(0, 3, size=(60, 41)), rng.integers(0, 2, size=(50, 3)) * 10**12):
+            assert row_counts(rows) == Counter(map(tuple, rows.tolist()))
+            assert list(row_counts(rows)) == sorted(set(map(tuple, rows.tolist())))
+
+    def test_no_rows(self):
+        assert row_counts(np.zeros((0, 4), dtype=int)) == Counter()
+
+
 class TestCanonicalWeight:
     def test_subtract_min(self):
-        assert canonical_weight((3, 1, 2)) == (2, 0, 1)
-        assert canonical_weight((0, 0)) == (0, 0)
+        assert canonical_weight((3, 1, 2)).tolist() == [2, 0, 1]
+        assert canonical_weight((0, 0)).tolist() == [0, 0]

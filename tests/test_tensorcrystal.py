@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -20,7 +21,7 @@ from krspectra.tensorcrystal import (
     weight_multiset,
 )
 
-from test_promotion import first_edge, some_view_fails
+from test_promotion import axiom_oracle, first_edge, some_view_fails
 
 
 def tab(rows, n):
@@ -36,13 +37,25 @@ def labelled(crys):
     """A CrystalGraph as label-keyed dicts."""
     lab = crys.labels
 
-    def maps(op_maps):
+    def maps(rows):
         return {
-            i: {lab[b]: lab[t] for b, t in enumerate(op_maps[i]) if t is not None}
-            for i in crys.indices
+            i: {lab[b]: lab[t] for b, t in enumerate(row) if t >= 0}
+            for i, row in zip(crys.indices, rows.tolist())
         }
 
-    return maps(crys.e_maps), maps(crys.f_maps), dict(zip(lab, crys.wt)), list(lab)
+    wt = dict(zip(lab, map(tuple, crys.wt.tolist())))
+    return maps(crys.E), maps(crys.F), wt, list(lab)
+
+
+def unlabelled(n, labelled_crystal, indices):
+    """The CrystalGraph of a labelled crystal, ids in element order."""
+    e, f, wt, elements = labelled_crystal
+    ids = {x: k for k, x in enumerate(elements)}
+
+    def rows(maps):
+        return [[ids[maps[i][x]] if x in maps[i] else -1 for x in elements] for i in indices]
+
+    return CrystalGraph(n, elements, rows(e), rows(f), [wt[x] for x in elements], indices)
 
 
 def label_strings(e, f, elements):
@@ -59,8 +72,10 @@ def label_strings(e, f, elements):
     return out
 
 
-def reference_tensor(left, right, indices):
-    """The labelled product of two labelled crystals, elements (left, right)."""
+def reference_tensor(left, right, indices, swapped=False):
+    """The labelled product of two labelled crystals, elements (left, right).
+
+    `swapped` exchanges the strict and the weak inequality of the rule."""
     (el, fl, wl, xs), (er, fr, wr, ys) = left, right
     elements = [(x, y) for x in xs for y in ys]
     e_maps = {i: {} for i in indices}
@@ -70,12 +85,13 @@ def reference_tensor(left, right, indices):
         sr = label_strings(er[i], fr[i], ys)
         for x, y in elements:
             eps, phi = sl[x][0], sr[y][1]
-            if eps > phi:
+            e_left, f_left = (eps >= phi, eps > phi) if swapped else (eps > phi, eps >= phi)
+            if e_left:
                 if x in el[i]:
                     e_maps[i][(x, y)] = (el[i][x], y)
             elif y in er[i]:
                 e_maps[i][(x, y)] = (x, er[i][y])
-            if eps >= phi:
+            if f_left:
                 if x in fl[i]:
                     f_maps[i][(x, y)] = (fl[i][x], y)
             elif y in fr[i]:
@@ -88,7 +104,8 @@ class TestLabelRuleOracle:
     @pytest.mark.parametrize(
         "n,factors",
         [(3, order) for order in permutations([(1, 1), (2, 1), (1, 2)])]
-        + [(2, [(1, 1)] * 3)],
+        # the last product has 10 * 4 * 10 * 4 = 1,600 elements
+        + [(2, [(1, 1)] * 3), (4, [(2, 1), (1, 1), (2, 1), (1, 1)])],
     )
     def test_ids_match_the_label_rule_edge_by_edge(self, n, factors):
         krs = [build_kr(n, l, r) for (l, r) in factors]
@@ -104,6 +121,21 @@ class TestLabelRuleOracle:
             assert got_e[i] == e[i], i
             assert got_f[i] == f[i], i
         assert got_wt == wt
+
+    def test_a_rule_with_swapped_inequalities_fails(self):
+        # n=3 three-factor product whose last step takes the strict and the
+        # weak inequality the wrong way round
+        n, indices = 3, [0, 1, 2]
+        krs = [build_kr(n, l, r) for (l, r) in [(1, 1), (2, 1), (1, 2)]]
+        pair = reference_tensor(labelled(krs[0]), labelled(krs[1]), indices)
+        right = unlabelled(n, reference_tensor(pair, labelled(krs[2]), indices), indices)
+        wrong = unlabelled(
+            n, reference_tensor(pair, labelled(krs[2]), indices, swapped=True), indices
+        )
+        assert right.check_axioms() is None
+        assert wrong.check_axioms() is not None or any(
+            string_statistics(wrong, j) != string_statistics(right, j) for j in indices
+        )
 
 
 class TestRule:
@@ -165,7 +197,7 @@ class TestTensorMany:
                 conv[
                     tuple(a + b for a, b in zip(b1.wt[x], b2.wt[y]))
                 ] += 1
-        got = Counter(prod.wt[el] for el in prod.elements)
+        got = Counter(tuple(prod.wt[el]) for el in prod.elements)
         assert got == conv
 
 
@@ -188,27 +220,47 @@ class TestAffineTensor:
         for j in range(3):
             b, eb = first_edge(prod, j)
             other = next(c for c in prod.elements if c not in (b, eb))
+            r = prod.row(j)
             edits = [
-                lambda e, f, wt: e[j].__setitem__(b, None),
-                lambda e, f, wt: e[j].__setitem__(b, other),
-                lambda e, f, wt: wt.__setitem__(eb, (wt[eb][0] + 1,) + wt[eb][1:]),
+                lambda E, F, wt: E.__setitem__((r, b), -1),
+                lambda E, F, wt: E.__setitem__((r, b), other),
+                lambda E, F, wt: wt.__setitem__((eb, 0), wt[eb, 0] + 1),
             ]
             for edit in edits:
-                e_maps = {i: list(m) for i, m in prod.e_maps.items()}
-                f_maps = {i: list(m) for i, m in prod.f_maps.items()}
-                wt = list(prod.wt)
-                edit(e_maps, f_maps, wt)
-                bad = CrystalGraph(3, prod.labels, e_maps, f_maps, wt, indices=prod.indices)
+                E, F, wt = prod.E.copy(), prod.F.copy(), prod.wt.copy()
+                edit(E, F, wt)
+                bad = CrystalGraph(3, prod.labels, E, F, wt, indices=prod.indices)
                 assert bad.check_axioms() is not None
+                assert bad.check_axioms() == axiom_oracle(bad)
                 assert some_view_fails(bad)
+
+    def test_seeded_single_entry_corruptions_give_the_oracle_witness(self):
+        # one entry of E, F or wt of a product changed: to -1, to another id,
+        # or a weight coordinate moved by one
+        prod = tensor_many([build_kr(3, 1, 1), build_kr(3, 2, 1), build_kr(3, 1, 2)])
+        size = len(prod)
+        flagged = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            E, F, wt = prod.E.copy(), prod.F.copy(), prod.wt.copy()
+            target = rng.choice([E, F, wt])
+            if target is wt:
+                wt[rng.randrange(size), rng.randrange(3)] += rng.choice([-1, 1])
+            else:
+                target[rng.randrange(3), rng.randrange(size)] = rng.randrange(-1, size)
+            bad = CrystalGraph(3, prod.labels, E, F, wt, indices=prod.indices)
+            witness = bad.check_axioms()
+            assert witness == axiom_oracle(bad), seed
+            flagged += witness is not None
+        assert flagged > 200
 
     def test_tensor_checks_its_axioms(self):
         # a factor with one wrong weight gives a product edge of wrong weight
         k1 = build_kr(3, 1, 1)
         _, eb = first_edge(k1, 0)
-        wt = list(k1.wt)
-        wt[eb] = (wt[eb][0] + 1,) + wt[eb][1:]
-        bad = CrystalGraph(3, k1.labels, k1.e_maps, k1.f_maps, wt, indices=k1.indices)
+        wt = k1.wt.copy()
+        wt[eb, 0] += 1
+        bad = CrystalGraph(3, k1.labels, k1.E, k1.F, wt, indices=k1.indices)
         with pytest.raises(CrystalError):
             tensor(bad, k1)
 
@@ -277,7 +329,7 @@ class TestStatisticsProperties:
             out = Counter()
             for (ln, w), c in stats.items():
                 rw = tuple(w[(i - 2) % 4] for i in range(4))
-                out[(ln, canonical_weight(rw))] += c
+                out[(ln, tuple(canonical_weight(rw).tolist()))] += c
             return out
 
         assert s0 == rot2(s2)
@@ -310,6 +362,22 @@ class TestStatisticsProperties:
         assert weight_multiset(prod) == Counter(
             {(2, 0): 1, (0, 2): 1, (0, 0): 2}
         )
+
+
+class TestWideWeights:
+    def test_statistics_and_weights_at_n64(self):
+        # 64 weight coordinates: rows too wide for one int64 key per row
+        crys = build_kr(64, 1, 1)
+
+        def weight(b):
+            return tuple(canonical_weight(crys.wt[b]).tolist())
+
+        # the 1-strings of the defining crystal have one or two elements
+        tops = [b for b in crys.elements if crys.e(1, b) is None]
+        got = Counter((1 + (crys.f(1, b) is not None), weight(b)) for b in tops)
+        assert string_statistics(crys, 1) == got
+        assert weight_multiset(crys) == Counter(weight(b) for b in crys.elements)
+        assert len(weight_multiset(crys)) == 64
 
 
 class TestExport:
