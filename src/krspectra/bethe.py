@@ -49,6 +49,7 @@ from .scalars import (
     RatFun,
     cdet,
     column_minors,
+    commutator_certificate,
     sgn,
     unit_circle_point,
 )
@@ -446,11 +447,17 @@ class BetheFamily(CommutingFamily):
         super().__init__(members, config, kind)
 
     def normality_report(self):
+        """Each member against its adjoint under the rep's invariant form, by
+        the block certificate: the Gram matrix keeps each weight space, so an
+        adjoint that moves a weight raises the family's error by tag."""
         rep = self.config.rep
-        bad = []
-        for tag, g in self.members():
-            if not g.commutes(rep.adjoint(g)):
-                bad.append(list(map(str, tag)))
+        adjoints = [rep.adjoint(g) for g in self.gens]
+        self.require_blocks(adjoints, what="the adjoint of member")
+        m = len(self.gens)
+        cert = commutator_certificate(
+            self.gens + adjoints, rep.weight_blocks, [(k, m + k) for k in range(m)]
+        )
+        bad = [list(map(str, tag)) for tag, ok in zip(self.tags, cert.commute) if not ok]
         return {"passed": not bad, "failures": bad}
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .scalars import Echelon, Mat, QQi, mat_inverse
+from .scalars import Blocks, Echelon, Mat, QQi, mat_inverse
 
 
 class RepError(ValueError):
@@ -89,6 +89,15 @@ class MatrixRep:
         if self.gram == Mat.identity(self.dim):
             return None
         return mat_inverse(self.gram)
+
+    @cached_property
+    def weight_blocks(self) -> Blocks:
+        """The weight spaces of the basis: index blocks labelled by weight,
+        in order of first appearance in `weight_basis`."""
+        parts = {}
+        for i, w in enumerate(self.weight_basis):
+            parts.setdefault(w, []).append(i)
+        return Blocks(parts.values(), parts)
 
     def adjoint(self, m: Mat) -> Mat:
         """Adjoint with respect to the invariant Hermitian form (Gram matrix)."""
@@ -295,6 +304,7 @@ class TensorRep:
     # MatrixRep's bodies, bound in this class's own namespace too, so that
     # per-class method patching (perfbench/tracer.py) reaches both
     gram_inverse = MatrixRep.gram_inverse
+    weight_blocks = MatrixRep.weight_blocks
     adjoint = MatrixRep.adjoint
 
 

@@ -5,7 +5,9 @@ functions with factored pole multisets, the normal-ordered algebra of
 differential operators, and column determinants.
 
 Everything here is immutable after construction and exact; floats appear
-only as read-outs (`Mat.max_abs`, `Mat.complex_rows`).
+as read-outs (`Mat.max_abs`, `Mat.complex_rows`, `block_views`) and, in
+`commutator_certificate`, as integers of magnitude at most 2^53, where
+float64 arithmetic is exact.
 Denominators of rational functions are never stored as unfactored polynomials:
 a pole multiset is part of the data, so no factorization is ever needed.
 """
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log2
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +673,238 @@ def spans_equal(mats_a, mats_b) -> bool:
     if ra != rb:
         return False
     return span_rank(list(mats_a) + list(mats_b)) == ra
+
+
+# ---------------------------------------------------------------------------
+# Weight blocks: float views and the exact commutator certificate of
+# matrices that map each block of a basis partition to itself
+
+
+class Blocks:
+    """A partition of the basis indices range(dim) into labelled blocks.
+
+    `parts[k]` lists the indices of block k in increasing order, `labels[k]`
+    names it (its weight, for `MatrixRep.weight_blocks`), and `groups` maps
+    each block size to its blocks in order.  Per index i, `of[i]` is its
+    block, `size[i]` that block's size, `pos[i]` its place in that block and
+    `slot[i]` the place of that block among the blocks of its size: the
+    layout of `block_views`.
+    """
+
+    __slots__ = ("parts", "labels", "groups", "of", "size", "pos", "slot")
+
+    def __init__(self, parts, labels):
+        self.parts = [list(p) for p in parts]
+        self.labels = list(labels)
+        dim = sum(map(len, self.parts))
+        self.groups = {}
+        self.of, self.size, self.pos, self.slot = [0] * dim, [0] * dim, [0] * dim, [0] * dim
+        for k, part in enumerate(self.parts):
+            same = self.groups.setdefault(len(part), [])
+            for p, i in enumerate(part):
+                self.of[i], self.size[i], self.pos[i], self.slot[i] = k, len(part), p, len(same)
+            same.append(k)
+
+    def leak(self, m: Mat):
+        """The first entry (i, j) of m, in row order, whose row and column lie
+        in different blocks, or None when m maps each block to itself."""
+        of = self.of
+        for i, row in enumerate(m.nums):
+            k = of[i]
+            for j in row:
+                if of[j] != k:
+                    return i, j
+        return None
+
+
+def _block_entries(mats, blocks, least, exact):
+    """{b: (positions, re parts, im parts)} for each block size b >= least.
+
+    The entries of the mats inside the blocks of size b, each at its flat
+    position in a (blocks of size b, len(mats), b, b) array; exact: their
+    numerators, else their values as floats, rounded as `complex_rows`
+    rounds them.  Every mat must map each block to itself.
+    """
+    count = len(mats)
+    size, pos, slot = blocks.size, blocks.pos, blocks.slot
+    out = {b: ([], [], []) for b in blocks.groups if b >= least}
+    for t, m in enumerate(mats):
+        d = m.den
+        for i, row in enumerate(m.nums):
+            b = size[i]
+            if not row or b < least:
+                continue
+            at, xs, ys = out[b]
+            base = ((slot[i] * count + t) * b + pos[i]) * b
+            if exact:
+                for j, (re, im) in row.items():
+                    at.append(base + pos[j])
+                    xs.append(re)
+                    ys.append(im)
+            else:
+                for j, (re, im) in row.items():
+                    at.append(base + pos[j])
+                    xs.append(re / d)
+                    ys.append(im / d)
+    return out
+
+
+def block_views(mats, blocks: Blocks):
+    """{b: complex128 array of shape (blocks of size b, len(mats), b, b)}:
+    each mat restricted to each block of size b, entries rounded as
+    `complex_rows` rounds them; reads only the stored entries.  Every mat
+    must map each block to itself (`Blocks.leak`)."""
+    out = {}
+    for b, (at, xs, ys) in _block_entries(mats, blocks, 1, False).items():
+        flat = np.zeros(len(blocks.groups[b]) * len(mats) * b * b, dtype=np.complex128)
+        flat.real[at] = xs
+        flat.imag[at] = ys
+        out[b] = flat.reshape(len(blocks.groups[b]), len(mats), b, b)
+    return out
+
+
+# every integer of magnitude at most 2^53 is a float64, and so is every sum
+# of such integers that stays at most 2^53
+EXACT_FLOAT_BITS = 53
+
+
+def balanced_limbs(values, bits, count):
+    """(count, len(values)) int64 array: value = sum_l limb_l 2^(l bits), each
+    limb in [-2^(bits-1), 2^(bits-1)); every |value| must be below
+    2^(count bits - 2), which `limb_plan` guarantees."""
+    big = np.array(values, dtype=object)
+    mask = (1 << bits) - 1
+    out = np.empty((count, len(values)), dtype=np.int64)
+    for l in range(count):
+        # the two's complement digits of each value
+        out[l] = (big >> (l * bits)) & mask
+    carry = np.zeros(len(values), dtype=np.int64)
+    for l in range(count):
+        digit = out[l] + carry
+        carry = (digit >= 1 << (bits - 1)).astype(np.int64)
+        out[l] = digit - (carry << bits)
+    return out
+
+
+def limb_plan(widest, block):
+    """(L, nl, bound) for numerators of at most `widest` bits in blocks of
+    at most `block` rows: the fewest limbs nl whose limb width L keeps every
+    partial sum of a limb product of the 2*block-wide real embedding, at most
+    2 block (2^(L-1))^2 = bound, within 2^53; L is then spread evenly."""
+    top = (EXACT_FLOAT_BITS + 1 - (block - 1).bit_length()) // 2
+    count = -(-(widest + 2) // top)
+    bits = max(2, -(-(widest + 2) // count))
+    return bits, count, block << (2 * bits - 1)
+
+
+class BlockCertificate:
+    """Exact verdicts on pairs of block-preserving matrices, with the bound
+    that makes their float64 limb products exact."""
+
+    def __init__(self, commute, limb_bits, limbs, bound):
+        self.commute = commute  # one bool per pair, in the order given
+        self.limb_bits = limb_bits
+        self.limbs = limbs
+        self.bound = bound
+
+    def first_failure(self):
+        return next((k for k, ok in enumerate(self.commute) if not ok), None)
+
+    def report(self):
+        return {
+            "route": "float64 limb products on weight blocks, int64 carries",
+            "limb_bits": self.limb_bits,
+            "limbs": self.limbs,
+            "bound_bits": round(log2(self.bound), 3),
+            "exact_below_bits": EXACT_FLOAT_BITS,
+            "pairs": len(self.commute),
+        }
+
+
+# float64 entries of one chunk of pair products, which caps the memory of a
+# certificate whatever the family size
+_CHUNK_FLOATS = 1 << 20
+
+
+def limb_embeddings(mats, blocks: Blocks):
+    """The limb plan (L, nl, bound) of the mats' numerators on the blocks
+    larger than 1x1, and {b: (emb, col)} per such block size b.
+
+    emb[g, t] stacks the real embeddings [[R, -I], [I, R]] of the nl limbs
+    of mats[t] on block g, shape (nl 2b, 2b); col[g, t] sets their [R; I]
+    side by side, shape (2b, nl b).  So emb[g, s] @ col[g, t] holds, in row
+    block p and column block q, limb p of mats[s] times limb q of mats[t] on
+    block g, as [re; im].  Every mat must map each block to itself.
+    """
+    count = len(mats)
+    entries = {b: e for b, e in _block_entries(mats, blocks, 2, True).items() if e[0]}
+    widest = max(
+        (max(max(v), -min(v)) for _, xs, ys in entries.values() for v in (xs, ys)),
+        default=0,
+    ).bit_length()
+    plan = bits, nl, _ = limb_plan(widest, max(entries, default=1))
+    out = {}
+    for b, (at, xs, ys) in entries.items():
+        nb = len(blocks.groups[b])
+        parts = np.zeros((2, nl, nb * count * b * b))
+        parts[:, :, at] = balanced_limbs(xs + ys, bits, nl).reshape(nl, 2, -1).swapaxes(0, 1)
+        re, im = parts.reshape(2, nl, nb, count, b, b).transpose(0, 2, 3, 1, 4, 5)
+        emb = np.empty((nb, count, nl, 2 * b, 2 * b))
+        emb[..., :b, :b] = emb[..., b:, b:] = re
+        emb[..., b:, :b] = im
+        emb[..., :b, b:] = -im
+        emb = emb.reshape(nb, count, nl * 2 * b, 2 * b)
+        col = emb[:, :, :, :b].reshape(nb, count, nl, 2 * b, b).transpose(0, 1, 3, 2, 4)
+        out[b] = emb, col.reshape(nb, count, 2 * b, nl * b)
+    return plan, out
+
+
+def limb_products(emb, col, left, right):
+    """int64 array (blocks, pairs, nl, 2b, nl, b) whose [g, k, p, :, q, :] is
+    limb p of mats[left[k]] times limb q of mats[right[k]] on block g, as
+    [re; im], for one block size of `limb_embeddings`: one float64 matmul,
+    exact under the bound of `limb_plan`."""
+    nb, _, rows, width = emb.shape
+    nl, b = rows // width, width // 2
+    prod = np.matmul(emb[:, left], col[:, right]).astype(np.int64)
+    return prod.reshape(nb, len(left), nl, width, nl, b)
+
+
+def commutator_certificate(mats, blocks: Blocks, pairs) -> BlockCertificate:
+    """Whether mats[i] * mats[j] == mats[j] * mats[i], exactly, for each pair
+    (i, j) of `pairs`.
+
+    Every mat must map each block to itself (`Blocks.leak`), so a commutator
+    is zero exactly when each block's is; 1x1 blocks commute and are
+    skipped.  AB and BA share the denominator, so their numerators are
+    compared.  Each numerator part splits into nl balanced limbs of L bits
+    (`limb_plan`), and per block size one batched float64 matmul of the real
+    embeddings gives every limb-pair product of a chunk of pairs
+    (`limb_products`).  Every operand and partial sum is an integer of
+    magnitude at most the bound <= 2^53, so each product is exact in any
+    summation order; AB - BA is then summed per limb weight and carried limb
+    by limb in int64.
+    """
+    (bits, nl, bound), layouts = limb_embeddings(mats, blocks)
+    mask = (1 << bits) - 1
+    commute = np.ones(len(pairs), dtype=bool)
+    left = np.array([i for i, _ in pairs], dtype=np.intp)
+    right = np.array([j for _, j in pairs], dtype=np.intp)
+    for b, (emb, col) in layouts.items():
+        step = max(1, _CHUNK_FLOATS // (len(emb) * nl * nl * 2 * b * b))
+        for s0 in range(0, len(pairs), step):
+            a, c = left[s0 : s0 + step], right[s0 : s0 + step]
+            diff = limb_products(emb, col, a, c) - limb_products(emb, col, c, a)
+            carry = np.zeros((len(emb), len(a), 2 * b, b), dtype=np.int64)
+            bad = np.zeros(carry.shape, dtype=bool)
+            for w in range(2 * nl - 1):
+                for p in range(max(0, w - nl + 1), min(w, nl - 1) + 1):
+                    carry += diff[:, :, p, :, w - p, :]
+                bad |= (carry & mask) != 0
+                carry >>= bits
+            bad |= carry != 0
+            commute[s0 : s0 + step] &= ~bad.any(axis=(0, 2, 3))
+    return BlockCertificate(commute.tolist(), bits, nl, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""Numerical joint diagonalization of the exact commuting families.
+"""Numerical joint diagonalization of the exact commuting families, one
+weight block at a time.
 
-Floating point lives only in this module: commutativity of every family is
-established exactly upstream, so numerics do nothing but locate eigenlines.
-Operators are orthonormalized through a Cholesky factor of the exact Gram
-matrix, making each member a normal matrix in standard coordinates; the
-Hermitian and anti-Hermitian parts are then diagonalized simultaneously by
-recursive refinement.
+Rounded floating point lives only in this module: commutativity of every
+family is established exactly upstream, so numerics do nothing but locate
+eigenlines.
+Every member commutes with the torus, so it maps each weight space of
+`rep.weight_blocks` to itself; a member that does not is refused.  Each block
+is read straight from the exact numerators (`scalars.block_views`) and
+orthonormalized through a Cholesky factor of its exact Gram block, making
+each member a normal matrix in standard coordinates; normality is checked
+for all blocks of one size in one batched product.  In a block larger than
+1x1 the Hermitian and anti-Hermitian parts are diagonalized simultaneously
+by recursive refinement; a 1x1 block's line is its basis vector, and its
+values are the members' exact diagonal entries.  A line's weight is its
+block's weight, so no weight is rounded.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from .scalars import Mat
+from .scalars import Mat, block_views
 from .tableaux import canonical_weight, row_counts
 
 
@@ -27,40 +35,23 @@ class SpectraError(ValueError):
     pass
 
 
-def mat_to_numpy(m: Mat) -> np.ndarray:
-    return np.array(m.complex_rows(), dtype=np.complex128)
-
-
-def _orthonormalizer(rep):
-    """T, T^{-1} with M -> T M T^{-1} turning the Gram form into the standard
-    one, or None when the Gram matrix is the identity already."""
+def _standard_blocks(members, rep):
+    """{b: array (blocks of size b, members, b, b)}: the members on each weight
+    block in standard coordinates, T M T^{-1} with T = L^H for the Cholesky
+    factor G = L L^H of the block's Gram matrix.  A 1x1 block is left as it
+    is: there T M T^{-1} = M."""
+    blocks = rep.weight_blocks
+    views = block_views(members, blocks)
     if rep.gram == Mat.identity(rep.dim):
-        return None
-    g = mat_to_numpy(rep.gram)
-    chol = np.linalg.cholesky(g)  # g = L L^H
-    T = chol.conj().T
-    return T, np.linalg.inv(T)
-
-
-def _standard_coordinates(mats, change):
-    """The matrices as numpy arrays in standard coordinates; `change` is what
-    `_orthonormalizer` returned."""
-    arrays = [mat_to_numpy(m) for m in mats]
-    if change is None:
-        return arrays
-    T, Tinv = change
-    return [T @ a @ Tinv for a in arrays]
-
-
-def _hermitian_parts(mats):
-    parts = []
-    for m in mats:
-        h = (m + m.conj().T) / 2
-        k = (m - m.conj().T) / (2j)
-        for p in (h, k):
-            if np.max(np.abs(p)) > TOL:
-                parts.append(p)
-    return parts
+        return views
+    if blocks.leak(rep.gram) is not None:
+        raise SpectraError("the Gram matrix joins two weight spaces")
+    grams = block_views([rep.gram], blocks)
+    for b, arr in views.items():
+        if b > 1:
+            T = np.linalg.cholesky(grams[b][:, 0]).conj().swapaxes(-1, -2)
+            views[b] = T[:, None] @ arr @ np.linalg.inv(T)[:, None]
+    return views
 
 
 def _refine(vecs, ops, tol):
@@ -85,11 +76,6 @@ def _refine(vecs, ops, tol):
     return np.concatenate(out, axis=1)
 
 
-def _line_values(mats, vecs):
-    """(members, lines) array of v^H M v over the columns v of vecs."""
-    return np.array([np.einsum("ij,ij->j", vecs.conj(), m @ vecs) for m in mats])
-
-
 def _pairwise_distance(values):
     """(lines, lines) array of max over members of |values[:, i] - values[:, j]|."""
     dim = values.shape[1]
@@ -100,18 +86,24 @@ def _pairwise_distance(values):
 
 
 class JointSpectrum:
-    """Eigenlines of a commuting family with eigenvalue tuples and weights."""
+    """Eigenlines of a commuting family with eigenvalue tuples and weights.
 
-    def __init__(self, vectors, values, weights, min_separation, scale):
-        self.vectors = vectors  # columns, orthonormal in transformed coords
+    The lines come block by block: `blocks[k]` lists the basis indices of
+    weight block k, and the columns of `vectors[k]` (in those coordinates,
+    orthonormal in standard coordinates) are its lines, in order.
+    """
+
+    def __init__(self, blocks, vectors, values, weights, min_separation, scale):
+        self.blocks = blocks
+        self.vectors = vectors
         self.values = values  # shape (members, dim)
-        self.weights = weights  # list of integer tuples (rounded)
+        self.weights = weights  # one exact weight tuple per line
         self.min_separation = min_separation
         self.scale = scale
 
     @property
     def dim(self):
-        return self.vectors.shape[0]
+        return self.values.shape[1]
 
     def is_simple(self):
         return self.min_separation > TOL * max(self.scale, 1.0)
@@ -120,6 +112,8 @@ class JointSpectrum:
         return {
             "dim": int(self.dim),
             "members": int(self.values.shape[0]),
+            "blocks": len(self.blocks),
+            "largest_block": max(map(len, self.blocks)),
             "min_separation": float(self.min_separation),
             "scale": float(self.scale),
             "tol": TOL,
@@ -128,55 +122,67 @@ class JointSpectrum:
 
 
 def joint_diagonalize(members, rep) -> JointSpectrum:
-    """Diagonalize exact commuting matrices; torus members supply weights.
+    """Diagonalize exact commuting matrices block by block.
 
-    members: list of Mat (verified commuting upstream).  rep provides the
-    Gram matrix and the diagonal torus generators for the weight readout.
-    The members go to standard coordinates, where each must be normal, and
-    one deterministic refinement pass finds the eigenlines.
+    members: list of Mat (verified commuting upstream), each mapping every
+    weight space of rep to itself; rep gives the weight blocks, their
+    weights and the Gram matrix.  The members go to standard coordinates,
+    where each must be normal, and one deterministic pass finds the lines.
     """
     if not members:
         raise SpectraError("empty family")
-    change = _orthonormalizer(rep)
-    mats = _standard_coordinates(members, change)
-    scale = max(np.max(np.abs(m)) for m in mats)
+    for k, m in enumerate(members):
+        leak = rep.weight_blocks.leak(m)
+        if leak is not None:
+            raise SpectraError(f"family member {k} moves a weight (entry {leak})")
+    views = _standard_blocks(members, rep)
+    scale = max(np.max(np.abs(a)) for a in views.values())
     norm_tol = 1e3 * TOL * max(scale, 1.0)
-    for m in mats:
-        if np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) > norm_tol:
-            raise SpectraError(
-                "family member is not normal within tolerance; "
-                "check the reality conditions of the configuration"
-            )
-    torus = _standard_coordinates([rep.delta(a, a) for a in range(1, rep.n + 1)], change)
-    return _joint_diagonalize_once(mats, torus, float(scale))
+    for b, a in views.items():
+        if b > 1:
+            ah = a.conj().swapaxes(-1, -2)
+            if np.max(np.abs(a @ ah - ah @ a)) > norm_tol:
+                raise SpectraError(
+                    "family member is not normal within tolerance; "
+                    "check the reality conditions of the configuration"
+                )
+    return _joint_diagonalize_once(views, rep.weight_blocks, float(scale))
 
 
-def _joint_diagonalize_once(mats, torus, scale) -> JointSpectrum:
-    """Eigenlines of normal matrices in standard coordinates, by refinement
-    from the standard basis; torus: the diagonal generators, for weights."""
-    dim = mats[0].shape[0]
-    start = np.eye(dim, dtype=np.complex128)
-    vecs = _refine(start, _hermitian_parts(mats), 10 * TOL * max(scale, 1.0))
-    values = _line_values(mats, vecs)
-    # np.rint rounds half to even, as round() does
-    rounded = np.rint(_line_values(torus, vecs).real).astype(int)
-    weights = [tuple(w) for w in rounded.T.tolist()]
-    if dim == 1:
-        min_sep = np.inf
-    else:
-        min_sep = _pairwise_distance(values)[np.triu_indices(dim, 1)].min()
-    return JointSpectrum(vecs, values, weights, float(min_sep), scale)
-
-
-def reconstruction_residual(members, rep, spec: JointSpectrum) -> float:
-    """max over members of |M - P diag P^H| / |M| in max-entry norm."""
-    worst = 0.0
-    P = spec.vectors
-    for mi, m_np in enumerate(_standard_coordinates(members, _orthonormalizer(rep))):
-        rebuilt = P @ np.diag(spec.values[mi]) @ P.conj().T
-        denom = max(np.max(np.abs(m_np)), 1.0)
-        worst = max(worst, np.max(np.abs(m_np - rebuilt)) / denom)
-    return worst
+def _joint_diagonalize_once(views, blocks, scale) -> JointSpectrum:
+    """Eigenlines of the members' blocks in standard coordinates (`views`, as
+    `_standard_blocks` gives them), by refinement from each block's basis."""
+    count = next(iter(views.values())).shape[1]
+    # a Hermitian or anti-Hermitian part refines if it is nonzero in any
+    # block; the parts refine in member order, the Hermitian one first
+    herm, keep = {}, np.zeros((count, 2), dtype=bool)
+    for b, a in views.items():
+        ah = a.conj().swapaxes(-1, -2)
+        herm[b] = np.stack([(a + ah) / 2, (a - ah) / (2j)], axis=2)
+        keep |= np.max(np.abs(herm[b]), axis=(0, 3, 4)) > TOL
+    tol = 10 * TOL * max(scale, 1.0)
+    first = np.cumsum([0] + [len(p) for p in blocks.parts])
+    values = np.empty((count, len(blocks.of)), dtype=np.complex128)
+    vectors = [None] * len(blocks.parts)
+    for b, a in views.items():
+        if b == 1:
+            vecs = np.ones((len(a), 1, 1), dtype=np.complex128)
+            vals = a[:, :, :, 0]
+        else:
+            start = np.eye(b, dtype=np.complex128)
+            vecs = np.stack([_refine(start, list(h[keep]), tol) for h in herm[b]])
+            vals = np.einsum("gil,gtil->gtl", vecs.conj(), a @ vecs[:, None])
+        group = blocks.groups[b]
+        values[:, first[group][:, None] + np.arange(b)] = vals.transpose(1, 0, 2)
+        for k, v in zip(group, vecs):
+            vectors[k] = v
+    weights = [w for w, part in zip(blocks.labels, blocks.parts) for _ in part]
+    # the distances are symmetric, so the least off the diagonal is the
+    # least over the pairs of lines
+    dist = _pairwise_distance(values)
+    np.fill_diagonal(dist, np.inf)
+    min_sep = dist.min()
+    return JointSpectrum(blocks.parts, vectors, values, weights, float(min_sep), scale)
 
 
 class SpectralStrings:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,7 @@ from krspectra.bethe import (
     tau_trace_direct,
     wall_bethe_family,
 )
-from krspectra.gaudin import GaudinConfig, center_members, residue_generators
+from krspectra.gaudin import GaudinConfig, center_members, residue_generators, wall_family
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import (
     build_spectral_config,
@@ -478,15 +479,40 @@ class TestCertificate:
         assert len(fam) == 8 + len(second) == 10
 
     def test_negative_control_extra_entry(self):
-        # one extra exact entry in one member must break a pair, by name
+        # one extra exact entry in one member must break a pair, by name;
+        # basis vectors 1 and 2 share the weight (1, 1), so the entry keeps
+        # every weight and reaches the commutator check
         cfg = config_c2_pair()
         C = standard_torus(2)
         members = tau_members(C, cfg)
         tag, g = members[0]
-        members[0] = (tag, g + Mat.unit(g.nr, g.nc, 0, 1, QQi(Fraction(1, 7))))
+        members[0] = (tag, g + Mat.unit(g.nr, g.nc, 1, 2, QQi(Fraction(1, 7))))
         with pytest.raises(BetheError, match="commutativity failed for pair") as err:
             BetheFamily(members, cfg, C)
         assert str(tag) in str(err.value)
+
+    def test_a_member_that_moves_a_weight_is_refused_by_tag(self):
+        # basis vectors 0 and 1 of C^2 x C^2 carry the weights (2, 0) and (1, 1)
+        cfg = config_c2_pair()
+        C = standard_torus(2)
+        members = tau_members(C, cfg)
+        tag, g = members[-1]
+        members[-1] = (tag, g + Mat.unit(g.nr, g.nc, 1, 0, QQi(Fraction(1, 7))))
+        with pytest.raises(BetheError, match=re.escape(f"member {tag} moves a weight")):
+            BetheFamily(members, cfg, C)
+
+    def test_families_never_reach_mat_commutes(self, monkeypatch):
+        # every family certificate goes through the weight blocks
+        def refuse(self, other):
+            raise AssertionError("Mat.commutes reached")
+
+        monkeypatch.setattr(Mat, "commutes", refuse)
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], s=1)
+        fam = wall_bethe_family(standard_torus(3, wall=1), wall_pair(3, 1), cfg)
+        assert fam.normality_report()["passed"]
+        gcfg = GaudinConfig(cfg.rep, (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 5)))
+        assert residue_generators(gcfg).verify_commuting() is None
+        assert wall_family(gcfg).verify_commuting() is None
 
     def test_negative_control_nondiagonal_insert(self):
         # replacing the slot-2 torus factor by a non-diagonal matrix must

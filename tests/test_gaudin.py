@@ -183,8 +183,9 @@ class TestResidueGenerators:
     def test_first_failing_pair_is_reported_when_it_is_the_last_pair(self):
         cfg = c2_pair_config()
         ident = Mat.identity(cfg.rep.dim)
-        x = cfg.rep.e_slot(0, 1, 2) * QQi(0, Fraction(1, 10**20 + 39))
-        y = cfg.rep.e_slot(0, 2, 1)
+        # E_12 x E_21 and E_21 x E_12 keep every weight, and do not commute
+        x = cfg.rep.e_slot(0, 1, 2) * cfg.rep.e_slot(1, 2, 1) * QQi(0, Fraction(1, 10**20 + 39))
+        y = cfg.rep.e_slot(0, 2, 1) * cfg.rep.e_slot(1, 1, 2)
         members = [(("id",), ident), (("s",), ident * QQi(2, 1)),
                    (("t",), ident * QQi(Fraction(-5, 7))), (("x",), x), (("y",), y)]
         with pytest.raises(GaudinError, match=re.escape("(('x',), ('y',))")):
@@ -200,6 +201,25 @@ class TestResidueGenerators:
         members[member] = (tag, g + Mat.unit(g.nr, g.nc, i, j, QQi(Fraction(1, 7))))
         with pytest.raises(GaudinError):
             CommutingFamily(members, cfg, "gaudin-perturbed")
+
+
+    def test_a_member_that_moves_a_weight_is_refused_by_tag(self):
+        # basis vectors 0 and 1 of C^2 x C^2 carry the weights (2, 0) and (1, 1)
+        cfg = c2_pair_config()
+        members = residue_generators(cfg).members()
+        tag, g = members[1]
+        members[1] = (tag, g + Mat.unit(g.nr, g.nc, 0, 1, QQi(Fraction(1, 7))))
+        with pytest.raises(GaudinError, match=re.escape(f"member {tag} moves a weight")):
+            CommutingFamily(members, cfg, "gaudin-moved")
+
+    def test_report_states_the_certificate(self):
+        cfg = c2_pair_config()
+        fam = residue_generators(cfg)
+        m = len(fam)
+        cert = fam.report()["commutator_certificate"]
+        assert cert["pairs"] == m * (m - 1) // 2
+        assert cert["limbs"] >= 1 and cert["limb_bits"] >= 2
+        assert cert["bound_bits"] <= cert["exact_below_bits"] == 53
 
 
 class TestInvariance:

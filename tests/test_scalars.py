@@ -6,6 +6,8 @@ from math import comb, gcd, lcm
 import pytest
 
 from krspectra.scalars import (
+    EXACT_FLOAT_BITS,
+    Blocks,
     DiffOpPoly,
     Echelon,
     Mat,
@@ -13,8 +15,13 @@ from krspectra.scalars import (
     RatFun,
     _divmod_linear,
     _vanishes_at,
+    block_views,
     cdet,
     column_minors,
+    commutator_certificate,
+    limb_embeddings,
+    limb_plan,
+    limb_products,
     mat_inverse,
     mat_rank,
     poly_divide_linear,
@@ -1284,7 +1291,7 @@ class TestStoredFormat:
     def test_floats_are_bit_identical_to_the_qqi_route(self):
         import numpy as np
 
-        from krspectra.spectra import mat_to_numpy
+        from oracles import mat_to_numpy
 
         rng = random.Random(61)
         for build in STORED_BUILDERS:
@@ -1461,3 +1468,212 @@ class TestMatPolyKernels:
             b = [a[0] + bump] + a[1:]
             assert not _vanishes_at(b, p)
             assert poly_eval(b, p) == bump
+
+
+# ---------------------------------------------------------------------------
+# Weight blocks: the block views and the exact commutator certificate
+
+
+def block_partition(rng, dim):
+    """Blocks of sizes 1 to 4 over a shuffled range(dim)."""
+    idx = list(range(dim))
+    rng.shuffle(idx)
+    parts, k = [], 0
+    while k < dim:
+        b = rng.randint(1, 4)
+        parts.append(sorted(idx[k : k + b]))
+        k += b
+    return Blocks(parts, range(len(parts)))
+
+
+def gaussian_block_matrix(rng, blocks, bits, density=0.7):
+    """A Mat that maps each block to itself, with Gaussian-integer entries
+    whose parts stay at least 8 below 2^bits."""
+    dim = len(blocks.of)
+    top = (1 << bits) - 8
+    rows = [[0] * dim for _ in range(dim)]
+    for part in blocks.parts:
+        for i in part:
+            for j in part:
+                if rng.random() < density:
+                    im = rng.randint(-top, top) if rng.random() < 0.5 else 0
+                    rows[i][j] = QQi(rng.randint(-top, top), im)
+    return Mat(rows)
+
+
+def python_limbs(x, bits, count):
+    """The balanced limbs of x in [-2^(bits-1), 2^(bits-1)), by Python ints."""
+    half, out = 1 << (bits - 1), []
+    for _ in range(count):
+        r = (x + half) % (1 << bits) - half
+        out.append(r)
+        x = (x - r) >> bits
+    assert x == 0
+    return out
+
+
+def numerator_block(m, part):
+    """The stored numerators (re, im) of m on the rows and columns of `part`."""
+    return [[m.nums[i].get(j, (0, 0)) for j in part] for i in part]
+
+
+def limb_block(cells, p, bits, count):
+    """Limb p of each numerator (re, im) of a block, by `python_limbs`."""
+    return [
+        [(python_limbs(re, bits, count)[p], python_limbs(im, bits, count)[p]) for re, im in row]
+        for row in cells
+    ]
+
+
+def gaussian_matmul(a, b):
+    """Product of square matrices of Gaussian integers (re, im), by Python ints."""
+    n = len(a)
+    return [
+        [
+            (
+                sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
+                sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+class TestBlockCertificate:
+    def test_leak_names_the_first_entry_between_blocks(self):
+        blocks = Blocks([[0, 2], [1]], ["a", "b"])
+        keeps = Mat.from_values([[1, 0, 2], [0, 3, 0], [4, 0, 5]])
+        assert blocks.leak(keeps) is None
+        assert blocks.leak(keeps + Mat.unit(3, 3, 2, 1)) == (2, 1)
+        assert blocks.leak(keeps + Mat.unit(3, 3, 2, 1) + Mat.unit(3, 3, 1, 0)) == (1, 0)
+
+    def test_block_views_are_the_complex_rows_of_each_block(self):
+        import numpy as np
+
+        rng = random.Random(67)
+        for _ in range(6):
+            blocks = block_partition(rng, rng.randint(2, 9))
+            mats = [
+                gaussian_block_matrix(rng, blocks, 70) * QQi(Fraction(1, 3), Fraction(2, 7))
+                for _ in range(3)
+            ]
+            views = block_views(mats, blocks)
+            assert sorted(views) == sorted(blocks.groups)
+            for b, arr in views.items():
+                for g, k in enumerate(blocks.groups[b]):
+                    part = blocks.parts[k]
+                    for t, m in enumerate(mats):
+                        dense = np.array(m.complex_rows(), dtype=np.complex128)
+                        assert arr[g, t].tobytes() == dense[np.ix_(part, part)].tobytes()
+
+    def test_verdicts_equal_mat_commutes_up_to_120_bits(self):
+        rng = random.Random(71)
+        seen = set()
+        for trial in range(20):
+            blocks = block_partition(rng, rng.randint(3, 12))
+            dim = len(blocks.of)
+            bits = (3, 30, 60, 90, 120)[trial % 5]
+            mats = [gaussian_block_matrix(rng, blocks, bits) for _ in range(3)]
+            # commuting partners that keep the numerators below 2^bits
+            mats += [mats[0] + Mat.identity(dim) * 7, mats[1] * QQi(0, 1), Mat.identity(dim)]
+            pairs = list(combinations(range(len(mats)), 2))
+            cert = commutator_certificate(mats, blocks, pairs)
+            want = [mats[i].commutes(mats[j]) for i, j in pairs]
+            assert cert.commute == want, trial
+            assert cert.bound <= 1 << EXACT_FLOAT_BITS
+            seen.update(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("bits", [20, 64, 120])
+    def test_limb_pair_products_equal_python_int_products(self, bits):
+        import numpy as np
+
+        rng = random.Random(73 + bits)
+        blocks = Blocks([[0, 2, 3], [1], [4, 5]], range(3))
+        mats = [gaussian_block_matrix(rng, blocks, bits, density=1.0) for _ in range(3)]
+        (L, nl, bound), layouts = limb_embeddings(mats, blocks)
+        assert nl * L >= bits + 2 and bound <= 1 << EXACT_FLOAT_BITS
+        assert sorted(layouts) == [2, 3]
+        left, right = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 0])
+        for b, (emb, col) in layouts.items():
+            got = limb_products(emb, col, left, right)
+            for g, k in enumerate(blocks.groups[b]):
+                part = blocks.parts[k]
+                for pair, (s, t) in enumerate(zip(left, right)):
+                    a, c = numerator_block(mats[s], part), numerator_block(mats[t], part)
+                    whole = [[(0, 0)] * b for _ in range(b)]
+                    for p in range(nl):
+                        for q in range(nl):
+                            prod = gaussian_matmul(limb_block(a, p, L, nl), limb_block(c, q, L, nl))
+                            block = got[g, pair, p, :, q, :].tolist()
+                            assert block[:b] == [[re for re, _ in row] for row in prod]
+                            assert block[b:] == [[im for _, im in row] for row in prod]
+                            shift = 1 << ((p + q) * L)
+                            whole = [
+                                [(x + re * shift, y + im * shift) for (x, y), (re, im) in zip(w, r)]
+                                for w, r in zip(whole, prod)
+                            ]
+                    # the limb products recombine to the numerator product
+                    assert whole == gaussian_matmul(a, c)
+
+    def test_a_pair_past_one_limb_gets_the_exact_verdict(self):
+        import numpy as np
+
+        # diag(a1, a2) against the swap: the commutator is (a1 - a2) times
+        # [[0, 1], [-1, 0]], and float64 cannot tell a1 = 2^60 + 1 from 2^60
+        big = 1 << 60
+        blocks = Blocks([[0, 1]], [(1, 1)])
+        near = Mat.from_values([[big + 1, 0], [0, big]])
+        swap = Mat.from_values([[0, 1], [1, 0]])
+        circulant = Mat.from_values([[big, big + 1], [big + 1, big]])
+        floats = [np.array(m.complex_rows()) for m in (near, swap)]
+        assert not (floats[0] @ floats[1] - floats[1] @ floats[0]).any()
+        # one limb would need products of 2 * 62 bits
+        L, nl, bound = limb_plan(big.bit_length(), 2)
+        assert nl > 1 and bound <= 1 << EXACT_FLOAT_BITS
+        mats = [near, swap, circulant]
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        cert = commutator_certificate(mats, blocks, pairs)
+        assert (cert.limb_bits, cert.limbs) == (L, nl)
+        assert cert.commute == [mats[i].commutes(mats[j]) for i, j in pairs] == [False, True, False]
+
+    @pytest.mark.parametrize("low", [False, True])
+    @pytest.mark.parametrize("power", [10, 40])
+    def test_the_carries_catch_a_commutator_at_either_end(self, power, low):
+        # [diag(p + 1, p), E_12] = E_12 has only a lowest limb, and
+        # [diag(p, 0), p E_12] = p^2 E_12 vanishes in every limb sum but the
+        # carry out of the top one
+        p = 1 << power
+        blocks = Blocks([[0, 1]], [(1, 1)])
+        if low:
+            pair = [Mat.from_values([[p + 1, 0], [0, p]]), Mat.from_values([[0, 1], [0, 0]])]
+        else:
+            pair = [Mat.from_values([[p, 0], [0, 0]]), Mat.from_values([[0, p], [0, 0]])]
+        cert = commutator_certificate(pair, blocks, [(0, 1)])
+        assert not pair[0].commutes(pair[1])
+        assert cert.commute == [False]
+        if not low:
+            # p^2 is a multiple of the weight of the top limb sum
+            assert 2 * power >= (2 * cert.limbs - 1) * cert.limb_bits
+
+    def test_one_perturbed_in_block_entry_breaks_its_pairs(self):
+        rng = random.Random(79)
+        blocks = Blocks([[0, 3], [1], [2, 4, 5]], range(3))
+        a = gaussian_block_matrix(rng, blocks, 90, density=1.0)
+        family = [a, a * QQi(0, 1), a + Mat.identity(6) * 7]
+        pairs = list(combinations(range(3), 2))
+        assert commutator_certificate(family, blocks, pairs).commute == [True] * 3
+        family[1] = family[1] + Mat.unit(6, 6, 2, 5, QQi(1))
+        cert = commutator_certificate(family, blocks, pairs)
+        assert cert.commute == [family[i].commutes(family[j]) for i, j in pairs]
+        assert cert.commute == [False, True, False]
+        assert cert.first_failure() == 0
+
+    def test_report_states_the_limb_plan(self):
+        blocks = Blocks([[0, 1]], [(1, 1)])
+        m = Mat.from_values([[1, 2], [3, 4]])
+        report = commutator_certificate([m, m], blocks, [(0, 1)]).report()
+        assert report["pairs"] == 1
+        assert report["limbs"] == 1 and report["limb_bits"] >= 2
+        assert report["bound_bits"] <= report["exact_below_bits"] == EXACT_FLOAT_BITS

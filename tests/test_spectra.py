@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from krspectra import pipeline, spectra
 from krspectra.bethe import bethe_family, standard_torus
@@ -12,15 +13,20 @@ from krspectra.gaudin import (
     wall_family,
 )
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.pipeline import build_spectral_config, compare_pipeline
+from krspectra.pipeline import (
+    build_spectral_config,
+    compare_pipeline,
+    regular_family,
+    wall_pair,
+)
 from krspectra.scalars import Mat, QQi, QQI_ONE
 from krspectra.spectra import (
     joint_diagonalize,
-    reconstruction_residual,
     scan_simple_spectrum,
     wall_strings,
     weight_multiset_matches,
 )
+from oracles import dense_spectrum, eigenvector_matrix, mat_to_numpy, reconstruction_residual
 
 
 def char_poly(m: Mat):
@@ -87,9 +93,10 @@ class TestJointDiagonalize:
         )
         spec = joint_diagonalize([d], rep)
         assert spec.is_simple()
-        # eigenlines are the coordinate axes
-        P = np.abs(spec.vectors)
-        assert np.allclose(np.sort(P, axis=0)[:-1], 0, atol=1e-9)
+        # eigenlines are the coordinate axes, in every weight block
+        for vecs in spec.vectors:
+            P = np.abs(vecs)
+            assert np.allclose(np.sort(P, axis=0)[:-1], 0, atol=1e-9)
 
     def test_gaudin_n2_k2_simple_with_exact_crosscheck(self):
         cfg = c2_pair_cfg()
@@ -146,7 +153,7 @@ class TestJointDiagonalize:
         assert json.dumps(a.report()) == json.dumps(b.report())
         assert a.weights == b.weights
         assert a.values.tobytes() == b.values.tobytes()
-        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert [v.tobytes() for v in a.vectors] == [v.tobytes() for v in b.vectors]
 
     def test_readout_agrees_with_the_loop_over_eigenlines(self):
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
@@ -154,10 +161,11 @@ class TestJointDiagonalize:
         members = bethe_family(C0, cfg).gens
         spec = joint_diagonalize(members, cfg.rep)
         # tensor products of defining reps carry the standard form
-        assert spectra._orthonormalizer(cfg.rep) is None
-        mats = [spectra.mat_to_numpy(m) for m in members]
-        torus = [spectra.mat_to_numpy(cfg.rep.delta(a, a)) for a in (1, 2)]
-        vecs = spec.vectors
+        assert cfg.rep.gram == Mat.identity(cfg.rep.dim)
+        mats = [mat_to_numpy(m) for m in members]
+        torus = [mat_to_numpy(cfg.rep.delta(a, a)) for a in (1, 2)]
+        # the per-block vectors, placed as the columns of one dense matrix
+        vecs = eigenvector_matrix(spec)
         cols = range(spec.dim)
         looped = np.array([[vecs[:, j].conj() @ m @ vecs[:, j] for j in cols] for m in mats])
         # einsum sums in another order than the loop: a few ulps of the scale
@@ -176,6 +184,63 @@ class TestJointDiagonalize:
         )
         assert spec.min_separation == min_sep
         assert not spec.is_simple()
+
+
+class TestWeightBlocks:
+    def wall_families(self, n, factors, s=1):
+        from krspectra.bethe import wall_bethe_family
+
+        cfg = build_spectral_config(n, factors, s=s)
+        fams = [
+            wall_bethe_family(standard_torus(n, wall=j), wall_pair(n, j), cfg).gens
+            for j in range(1, n + 1)
+        ]
+        return cfg, fams + [regular_family(cfg)]
+
+    def test_weights_are_the_weight_basis_multiset(self):
+        from collections import Counter
+
+        cfg, families = self.wall_families(3, [(1, 1), (1, 2)])
+        for members in families:
+            spec = joint_diagonalize(members, cfg.rep)
+            assert Counter(spec.weights) == Counter(cfg.rep.weight_basis)
+            report = spec.report()
+            assert report["blocks"] == len(spec.vectors) == len(set(cfg.rep.weight_basis))
+            assert report["largest_block"] == max(len(v) for v in spec.vectors)
+
+    def test_a_member_that_moves_a_weight_is_refused(self):
+        cfg = c2_pair_cfg()
+        members = residue_generators(cfg).gens + [cfg.rep.delta(1, 2)]
+        with pytest.raises(spectra.SpectraError, match="moves a weight"):
+            joint_diagonalize(members, cfg.rep)
+
+    def test_no_dense_rows_are_read(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Mat.complex_rows reached")
+
+        cfg, families = self.wall_families(3, [(1, 1), (1, 2)])
+        monkeypatch.setattr(Mat, "complex_rows", refuse)
+        for members in families:
+            assert joint_diagonalize(members, cfg.rep).is_simple()
+
+    def test_non_identity_gram_agrees_with_the_dense_route(self):
+        # V_{2 w_1} carries a Gram matrix other than the identity, so every
+        # block goes through its Cholesky factor
+        cfg, families = self.wall_families(2, [(2, 1), (1, 1)])
+        assert cfg.rep.gram != Mat.identity(cfg.rep.dim)
+        for members in families:
+            spec = joint_diagonalize(members, cfg.rep)
+            values, weights = dense_spectrum(members, cfg.rep)
+            assert spec.is_simple()
+            assert sorted(spec.weights) == sorted(weights)
+            # match each line with the dense line of nearest values
+            for line in range(spec.dim):
+                gap = np.max(np.abs(values - spec.values[:, [line]]), axis=0)
+                near = int(np.argmin(gap))
+                assert gap[near] <= 1e-9 * max(spec.scale, 1.0)
+                assert weights[near] == spec.weights[line]
+        report = compare_pipeline(2, [(2, 1), (1, 1)], s_grid=(1,))
+        assert report["passed"] and report["simple"] and report["all_match"]
 
 
 class TestWallStrings:
