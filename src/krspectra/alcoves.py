@@ -75,9 +75,6 @@ class Wall:
             i, j, k = j, i, -k
         self.i, self.j, self.k = i, j, int(k)
 
-    def contains(self, x: AffinePoint):
-        return x.coords[self.i - 1] - x.coords[self.j - 1] == self.k
-
     def key(self):
         return (self.i, self.j, self.k)
 
@@ -209,35 +206,3 @@ def walls_of(w: ExtAffineWeylElt):
     n = w.n
     base = [Wall(i, i + 1, 0) for i in range(1, n)] + [Wall(n, 1, -1)]
     return [w.apply_wall(h) for h in base]
-
-
-def subregular_sample(w: ExtAffineWeylElt, j) -> AffinePoint:
-    """A deterministic rational point interior to wall j of Q_w, on no other wall.
-
-    Gap recipe in the base alcove: gap j is zero, the others are distinct
-    positive rationals summing to 1.
-    """
-    n = w.n
-    if not (1 <= j <= n):
-        raise AlcoveError(f"wall index {j} out of range")
-    weights = [0 if (m + 1) == j else m + 2 for m in range(n)]
-    total = sum(weights)
-    gaps = [Fraction(wt, total) for wt in weights]
-    coords = [Fraction(0)] * n
-    for i in range(n - 1, 0, -1):
-        coords[i - 1] = coords[i] + gaps[i - 1]
-    x = AffinePoint(coords)
-    return w.apply(x)
-
-
-def regular_sample(w: ExtAffineWeylElt, seed=0) -> AffinePoint:
-    """A deterministic interior point of Q_w."""
-    n = w.n
-    weights = [m + 2 + (seed % 7) for m in range(n)]
-    weights[seed % n] += 1
-    total = sum(weights)
-    gaps = [Fraction(wt, total) for wt in weights]
-    coords = [Fraction(0)] * n
-    for i in range(n - 1, 0, -1):
-        coords[i - 1] = coords[i] + gaps[i - 1]
-    return w.apply(AffinePoint(coords))

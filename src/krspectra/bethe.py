@@ -10,8 +10,8 @@ factors, which are column determinants at factor dimension (in closed form
 for the defining rep C^n).  A factor's grid is (u - w) + E, so its minors
 at w are those at any other point w0 shifted by w - w0: one table per
 distinct factor rep, without its zero minors, serves every slot and every
-configuration built on that rep.  The literal trace (two independent forms)
-and the full-dimension cdet table are kept as oracles for cross-checks.
+configuration built on that rep.  The literal trace (in two forms) and the
+full-dimension cdet table are the tests' oracles (`tests/oracles.py`).
 
 A Bethe family holds every Laurent coefficient of each tau_a, so its exact
 pairwise check proves [tau_a(u, C), tau_b(v, C)] = 0 identically.
@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import comb, factorial, prod
 
 from .gaudin import (
     CommutingFamily,
     GaudinConfig,
-    antisymmetrized_trace,
     center_members,
     coincidence_classes,
     residue_members,
@@ -47,10 +46,8 @@ from .scalars import (
     Mat,
     QQi,
     RatFun,
-    cdet,
     column_minors,
     commutator_certificate,
-    sgn,
     unit_circle_point,
 )
 
@@ -87,14 +84,6 @@ class TorusElement:
         """The unique coincident pair, if the element is subregular."""
         return subregular_pair(self.coincidence_classes())
 
-    def normalized(self):
-        """Same adjoint-torus class with first entry 1."""
-        c0 = self.entries[0]
-        return TorusElement([c / c0 for c in self.entries], require_unit=False)
-
-    def scaled(self, a):
-        return TorusElement([c * QQi.of(a) for c in self.entries], require_unit=False)
-
     def __repr__(self):
         return f"TorusElement({', '.join(str(c) for c in self.entries)})"
 
@@ -119,29 +108,7 @@ def standard_torus(n, wall=None) -> TorusElement:
 
 
 # ---------------------------------------------------------------------------
-# Antisymmetrizer and evaluated T-matrices
-
-
-def antisymmetrizer(n, a) -> Mat:
-    """A_a on (C^n)^{tensor a}, normalized idempotent, rank C(n,a)."""
-    if not (1 <= a <= n):
-        raise BetheError(f"antisymmetrizer needs 1 <= a <= n, got a={a}")
-    dim = n**a
-    rows = [[QQi(0)] * dim for _ in range(dim)]
-    idx = list(product(range(n), repeat=a))
-    pos = {t: i for i, t in enumerate(idx)}
-    inv_fact = QQi(Fraction(1, factorial(a)))
-    for sigma in permutations(range(a)):
-        sign = sgn(sigma)
-        for j in idx:
-            # sigma moves the vector in slot m to slot sigma(m):
-            # (sigma v)_{sigma(m)} = v_m, so row index i has i_{sigma(m)} = j_m
-            row = [0] * a
-            for m_ in range(a):
-                row[sigma[m_]] = j[m_]
-            r = pos[tuple(row)]
-            rows[r][pos[j]] = rows[r][pos[j]] + (inv_fact if sign > 0 else -inv_fact)
-    return Mat(rows)
+# Evaluated T-matrices
 
 
 def ev_t_grid(cfg: GaudinConfig):
@@ -318,52 +285,6 @@ def _chain_minors(tables, n) -> dict:
     return {I: acc[I, I] for I in blocks}
 
 
-def _oracle_t_grid(cfg: GaudinConfig):
-    """Oracle: ev T(u) = prod_i (1 + E^(i)/(u - w_i)) as one full-dimension grid."""
-    n, rep = cfg.n, cfg.rep
-    dim = rep.dim
-    ident = Mat.identity(dim)
-    grid = [
-        [RatFun.const(ident if r == c else Mat.zeros(dim)) for c in range(n)]
-        for r in range(n)
-    ]
-    for slot, w in enumerate(cfg.points):
-        factor = [
-            [
-                (RatFun.const(ident) if r == c else RatFun.const(Mat.zeros(dim)))
-                + RatFun.pole_term(rep.e_slot(slot, r + 1, c + 1), w)
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        grid = _grid_mul(grid, factor, n)
-    return grid
-
-
-def _grid_mul(A, B, n):
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = None
-            for m in range(n):
-                term = A[r][m] * B[m][c]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _oracle_minors(cfg: GaudinConfig) -> dict:
-    """Oracle: the `quantum_minors` table by `cdet` of the full-dimension grid."""
-    grid = _oracle_t_grid(cfg)
-    return {
-        I: cdet([[grid[r][c].shift_arg(m) for m, c in enumerate(I)] for r in I])
-        for a in range(1, cfg.n + 1)
-        for I in combinations(range(cfg.n), a)
-    }
-
-
 def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     """tau_a(u, C) as one exact matrix-valued rational function of u.
 
@@ -381,52 +302,6 @@ def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
             c_i = c_i * C.entries[i]
         terms.append(minors[subset] * c_i)
     return RatFun.sum(terms)
-
-
-def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
-    """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1).
-
-    Slot m carries the grid C_r * T(u - m)[r][c].
-    """
-    n = cfg.n
-    u = QQi.of(u)
-    grid = _oracle_t_grid(cfg)
-    return antisymmetrized_trace([
-        [[grid[r][c].eval(u - m) * C.entries[r] for c in range(n)] for r in range(n)]
-        for m in range(a)
-    ])
-
-
-def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
-    """Fully literal route: build A_a C_1..C_a T_1..T_a on (C^n)^a x V and trace."""
-    n = cfg.n
-    dim = cfg.rep.dim
-    u = QQi.of(u)
-    ident = Mat.identity(dim)
-    big = antisymmetrizer(n, a).kron(ident)
-    cmat = Mat([[C.entries[i] if i == j else QQi(0) for j in range(n)] for i in range(n)])
-    for m in range(a):
-        big = big * _embed_aux(cmat, n, a, m, dim, constant=True)
-    grid = _oracle_t_grid(cfg)
-    for m in range(a):
-        tval = [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
-        big = big * _embed_aux(tval, n, a, m, dim, constant=False)
-    # partial trace over the auxiliary space, one diagonal block at a time
-    out = Mat.zeros(dim)
-    for q in range(n**a):
-        out = out + Mat.unit(1, n**a, 0, q).kron(ident) * big * Mat.unit(n**a, 1, q, 0).kron(ident)
-    return out
-
-
-def _embed_aux(entry_grid, n, a, slot, dim, constant):
-    """Aux-slot embedding of an n x n (scalar or Mat-valued) matrix."""
-    before, after = Mat.identity(n**slot), Mat.identity(n ** (a - slot - 1))
-    out = Mat.zeros(n**a * dim)
-    for r in range(n):
-        for c in range(n):
-            val = entry_grid[r, c] * Mat.identity(dim) if constant else entry_grid[r][c]
-            out = out + before.kron(Mat.unit(n, n, r, c)).kron(after).kron(val)
-    return out
 
 
 # ---------------------------------------------------------------------------

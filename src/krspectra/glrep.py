@@ -59,30 +59,6 @@ class MatrixRep:
         """Matrix of E_ab (1-based indices)."""
         return self.gens[a - 1][b - 1]
 
-    def check_commutation(self):
-        """[E_ab, E_cd] = d_bc E_ad - d_da E_cb for all index quadruples."""
-        n = self.n
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                for c in range(1, n + 1):
-                    for d in range(1, n + 1):
-                        lhs = self.e(a, b).commutator(self.e(c, d))
-                        rhs = Mat.zeros(self.dim)
-                        if b == c:
-                            rhs = rhs + self.e(a, d)
-                        if d == a:
-                            rhs = rhs - self.e(c, b)
-                        if lhs != rhs:
-                            return (a, b, c, d)
-        return None
-
-    def casimir(self) -> Mat:
-        total = Mat.zeros(self.dim)
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                total = total + self.e(a, b) * self.e(b, a)
-        return total
-
     @cached_property
     def gram_inverse(self):
         """Inverse of the Gram matrix, or None when the form is the standard one."""
@@ -104,19 +80,6 @@ class MatrixRep:
         if self.gram_inverse is None:
             return m.conj_transpose()
         return self.gram_inverse * m.conj_transpose() * self.gram
-
-    def to_json(self):
-        return {
-            "label": list(self.label),
-            "n": self.n,
-            "dim": self.dim,
-            "weight_basis": [list(w) for w in self.weight_basis],
-            "generators": {
-                f"E[{a},{b}]": [[str(x) for x in row] for row in self.e(a, b).rows]
-                for a in range(1, self.n + 1)
-                for b in range(1, self.n + 1)
-            },
-        }
 
 
 def build_defining(n) -> MatrixRep:

@@ -1,11 +1,11 @@
-"""Promotion, Schutzenberger involution, and affine Kirillov-Reshetikhin crystals.
+"""Promotion and affine Kirillov-Reshetikhin crystals.
 
-The promotion operator is jeu-de-taquin on the letters n; the involution is
-computed from the crystal graph (source-to-sink propagation), which works
-uniformly for tensor-product crystals.  Tableau evacuation is kept only as an
-independent cross-check for single-tableau crystals.  An affine crystal is a
-CrystalGraph on the indices 0..n-1 (operators e_[j], f_[j] for j in Z/nZ);
-view(crys, j) gives its rotated classical view B^{[j]}.
+The promotion operator is jeu-de-taquin on the letters n, and its map on a
+crystal is a list of ids.  An affine crystal is a CrystalGraph on the indices
+0..n-1 (operators e_[j], f_[j] for j in Z/nZ); view(crys, j) gives its
+rotated classical view B^{[j]}.  Schutzenberger's involution (propagated on
+the crystal graph, and by tableau evacuation) and phi = xi o xi' are the
+tests' oracles for promotion (`tests/oracles.py`), not production paths.
 """
 
 from __future__ import annotations
@@ -91,171 +91,11 @@ def promotion_order(orbits) -> int:
     return lcm(*map(len, orbits))
 
 
-def evacuation(t: Tableau) -> Tableau:
-    """Tableau evacuation: complement entries, rotate 180, rectify.
-
-    Optional cross-check for the graph-based involution on single-tableau
-    crystals; the graph route is the one used everywhere else because it
-    also covers tensor products.
-    """
-    n = t.n
-    shape = t.shape
-    nrows = len(shape)
-    ncols = shape[0] if shape else 0
-    filled = {}
-    inner = set()
-    for r in range(nrows):
-        # row r of the rotated diagram comes from row nrows-1-r
-        src = nrows - 1 - r
-        for c in range(ncols):
-            cs = ncols - 1 - c
-            if cs < shape[src]:
-                filled[(r, c)] = n + 1 - t.rows[src][cs]
-            else:
-                inner.add((r, c))
-
-    def is_inner_corner(cell):
-        r, c = cell
-        return (r + 1, c) not in inner and (r, c + 1) not in inner
-
-    while inner:
-        start = max(c for c in inner if is_inner_corner(c))
-        inner.discard(start)
-        r, c = start
-        while True:
-            a = filled.get((r, c + 1))
-            b = filled.get((r + 1, c))
-            if a is None and b is None:
-                break
-            if a is None or (b is not None and b <= a):
-                filled[(r, c)] = b
-                del filled[(r + 1, c)]
-                r += 1
-            else:
-                filled[(r, c)] = a
-                del filled[(r, c + 1)]
-                c += 1
-    rows = []
-    r = 0
-    while (r, 0) in filled:
-        row = []
-        c = 0
-        while (r, c) in filled:
-            row.append(filled[(r, c)])
-            c += 1
-        rows.append(row)
-        r += 1
-    out = Tableau(rows, n)
-    if sum(out.shape) != sum(shape):
-        raise CrystalError("rectification lost cells")
-    return out
-
-
-def _w0_weight(w, upto):
-    """Longest-element action: reverse the first `upto` coordinates."""
-    return tuple(reversed(w[:upto])) + tuple(w[upto:])
-
-
-def schutzenberger(graph: CrystalGraph, alphabet=None):
-    """The involution determined by e_i <-> f_{m-i} intertwining on a normal graph.
-
-    `alphabet` is the number of weight coordinates moved by the longest Weyl
-    element (defaults to max(indices)+1, i.e. all letters the operators touch).
-    Returns a list: the id of the image of each id.
-    """
-    indices = graph.indices
-    if indices and indices != list(range(indices[0], indices[-1] + 1)):
-        raise CrystalError("operator indices must be contiguous")
-    lo = indices[0] if indices else 1
-    hi = indices[-1] if indices else 0
-    alphabet = alphabet if alphabet is not None else hi + 1
-
-    def mirror(i):
-        return lo + hi - i
-
-    comps = graph.components()
-    wt = list(map(tuple, graph.wt.tolist()))
-    E, F = graph.E.tolist(), graph.F.tolist()
-    maps = [(F[r], E[graph.row(mirror(i))]) for r, i in enumerate(indices)]
-    xi = [None] * len(graph)
-    sinks_by_wt = {}
-    for comp in comps:
-        for t in graph.sinks(comp):
-            sinks_by_wt.setdefault(wt[t], []).append(t)
-
-    for comp in comps:
-        srcs = graph.sources(comp)
-        if len(srcs) != 1:
-            raise CrystalError("graph is not normal: component without unique source")
-        s = srcs[0]
-        target_wt = _w0_weight(wt[s], alphabet)
-        candidates = sinks_by_wt.get(target_wt, [])
-        placed = None
-        for cand in candidates:
-            trial = _propagate(maps, len(graph), s, cand)
-            if trial is not None:
-                if placed is not None:
-                    raise CrystalError("ambiguous involution: non multiplicity-free")
-                placed = trial
-        if placed is None:
-            raise CrystalError("no valid involution image for a component")
-        for b in comp:
-            xi[b] = placed[b]
-
-    for b, img in enumerate(xi):
-        if img is None or xi[img] != b:
-            raise CrystalError("computed map is not an involution")
-        if wt[img] != _w0_weight(wt[b], alphabet):
-            raise CrystalError("weight relation failed")
-    return xi
-
-
-def _propagate(maps, size, source, image):
-    """The map source -> image extended by f_i b -> e_mirror(i) xi(b), as a
-    list over all `size` ids (None off the component); None on a conflict.
-
-    `maps` pairs the f_i row with the e_mirror(i) row, as lists (-1 where the
-    operator vanishes)."""
-    out = [None] * size
-    out[source] = image
-    used = [False] * size
-    used[image] = True
-    stack = [source]
-    while stack:
-        b = stack.pop()
-        for fmap, emap in maps:
-            fb = fmap[b]
-            if fb < 0:
-                continue
-            want = emap[out[b]]
-            if want < 0:
-                return None
-            if out[fb] is not None:
-                if out[fb] != want:
-                    return None
-            else:
-                if used[want]:
-                    return None
-                out[fb] = want
-                used[want] = True
-                stack.append(fb)
-    return out
-
-
 def restricted_graph(graph: CrystalGraph) -> CrystalGraph:
     """Forget the last operator index (restriction of the crystal)."""
     return CrystalGraph(
         graph.n, graph.labels, graph.E[:-1], graph.F[:-1], graph.wt, indices=graph.indices[:-1]
     )
-
-
-def phi_operator(graph: CrystalGraph, n=None):
-    """The composition xi_B o xi_{B restricted} as a list of ids; equals
-    promotion on B_lam."""
-    n = n if n is not None else graph.n
-    xi_full = schutzenberger(graph, alphabet=n)
-    xi_restr = schutzenberger(restricted_graph(graph), alphabet=n - 1)
-    return [xi_full[img] for img in xi_restr]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ functions with factored pole multisets, the normal-ordered algebra of
 differential operators, and column determinants.
 
 Everything here is immutable after construction and exact; floats appear
-as read-outs (`Mat.max_abs`, `Mat.complex_rows`, `block_views`) and, in
+as read-outs (`Mat.max_abs`, `block_views`) and, in
 `commutator_certificate`, as integers of magnitude at most 2^53, where
 float64 arithmetic is exact.
 Denominators of rational functions are never stored as unfactored polynomials:
@@ -143,11 +143,6 @@ class QQi:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "QQi":
-        if not self.im._numerator:
-            return self
-        return _qqi(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -324,21 +319,14 @@ class Mat:
         rows[i][j] = value
         return Mat.from_values(rows)
 
-    def _dense(self, zero, value):
-        out = [[zero] * self.nc for _ in self.nums]
-        for row, dense in zip(self.nums, out):
-            for j, v in row.items():
-                dense[j] = value(v)
-        return out
-
     @property
     def rows(self):
         """Dense rows of QQi entries, built afresh on each read."""
-        return self._dense(QQI_ZERO, lambda v: _entry(v, self.den))
-
-    def complex_rows(self):
-        """Dense rows of Python complex numbers, each part correctly rounded."""
-        return self._dense(0j, lambda v: complex(v[0] / self.den, v[1] / self.den))
+        out = [[QQI_ZERO] * self.nc for _ in self.nums]
+        for row, dense in zip(self.nums, out):
+            for j, v in row.items():
+                dense[j] = _entry(v, self.den)
+        return out
 
     def __getitem__(self, ij):
         i, j = ij
@@ -434,29 +422,6 @@ class Mat:
     def conj_transpose(self):
         return self.conj().transpose()
 
-    def trace(self):
-        diag = [row[i] for i, row in enumerate(self.nums) if i in row]
-        return _entry((sum(v[0] for v in diag), sum(v[1] for v in diag)), self.den)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def commutes(self, other) -> bool:
-        """Whether self * other == other * self, exactly; builds neither product.
-
-        AB and BA share one denominator, so their numerators are compared row
-        by row, stopping at the first row that differs.
-        """
-        if not (self.nr == self.nc == other.nr == other.nc):
-            raise ValueError(
-                f"commutes needs square matrices of one size, not {self!r} and {other!r}"
-            )
-        a, b, n = self.nums, other.nums, self.nr
-        for i in range(n):
-            if _row_numerators(a[i], b, n) != _row_numerators(b[i], a, n):
-                return False
-        return True
-
     def kron(self, other):
         nc_b = other.nc
         out = []
@@ -474,14 +439,6 @@ class Mat:
         # one correctly rounded int division, as float(QQi.abs2()) rounds
         top = max((re * re + im * im for row in self.nums for re, im in row.values()), default=0)
         return (top / (self.den * self.den)) ** 0.5
-
-    def scalar_part(self):
-        """If the matrix is an exact scalar multiple of the identity, return it."""
-        s = self.nums[0].get(0)
-        for i, row in enumerate(self.nums):
-            if row != ({} if s is None else {i: s}):
-                return None
-        return QQI_ZERO if s is None else _entry(s, self.den)
 
 
 def _mat(nr, nc, den, nums) -> Mat:
@@ -623,12 +580,6 @@ class Echelon:
         return {p: c for p, c in vec.items() if p in rows}
 
 
-def mat_rank(mat_rows) -> int:
-    """Exact rank of a list of QQi row vectors."""
-    ech = Echelon()
-    return sum(ech.insert(row) is not None for row in Mat(mat_rows).nums)
-
-
 def mat_inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix; ZeroDivisionError if singular.
 
@@ -664,15 +615,6 @@ def span_rank(mats) -> int:
         is not None
         for m in mats
     )
-
-
-def spans_equal(mats_a, mats_b) -> bool:
-    """Exact equality of the linear spans of two matrix lists."""
-    ra = span_rank(mats_a)
-    rb = span_rank(mats_b)
-    if ra != rb:
-        return False
-    return span_rank(list(mats_a) + list(mats_b)) == ra
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +664,8 @@ def _block_entries(mats, blocks, least, exact):
 
     The entries of the mats inside the blocks of size b, each at its flat
     position in a (blocks of size b, len(mats), b, b) array; exact: their
-    numerators, else their values as floats, rounded as `complex_rows`
-    rounds them.  Every mat must map each block to itself.
+    numerators, else their values as floats, each part correctly rounded.
+    Every mat must map each block to itself.
     """
     count = len(mats)
     size, pos, slot = blocks.size, blocks.pos, blocks.slot
@@ -751,8 +693,8 @@ def _block_entries(mats, blocks, least, exact):
 
 def block_views(mats, blocks: Blocks):
     """{b: complex128 array of shape (blocks of size b, len(mats), b, b)}:
-    each mat restricted to each block of size b, entries rounded as
-    `complex_rows` rounds them; reads only the stored entries.  Every mat
+    each mat restricted to each block of size b, each part of an entry
+    correctly rounded; reads only the stored entries.  Every mat
     must map each block to itself (`Blocks.leak`)."""
     out = {}
     for b, (at, xs, ys) in _block_entries(mats, blocks, 1, False).items():
@@ -1198,10 +1140,6 @@ class RatFun:
         return RatFun([c], {})
 
     @staticmethod
-    def monomial(c, k):
-        return RatFun([Mat.zeros(c.nr, c.nc)] * k + [c], {})
-
-    @staticmethod
     def pole_term(c, p, mult=1):
         """c / (u - p)^mult."""
         return RatFun([c], {QQi.of(p): mult})
@@ -1446,16 +1384,6 @@ class DiffOpPoly:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
-
-    def apply(self, f: RatFun) -> RatFun:
-        """Act on a RatFun without using __mul__."""
-        out = RatFun([], {})
-        for k, c in enumerate(self.coeffs):
-            if k:
-                f = f.derivative()
-            if not c.is_zero():
-                out = out + c * f
-        return out
 
 
 def column_minors(grid):

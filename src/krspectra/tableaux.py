@@ -494,32 +494,3 @@ def crystal_isomorphic(g1: CrystalGraph, g2: CrystalGraph) -> bool:
                     matched += 1
                     stack.append(fx)
     return matched == len(g1)
-
-
-def schur_polynomial(lam, xs):
-    """Schur polynomial via the bialternant determinant formula, exact.
-
-    Independent character oracle: s_lam(x_1..x_n) =
-    det(x_i^(lam_j + n - j)) / det(x_i^(n - j)).
-    """
-    from .scalars import QQi, cdet
-
-    n = len(xs)
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    # on commuting entries the column determinant is the determinant
-    num = [[QQi.of(xs[i]) ** (lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
-    den = [[QQi.of(xs[i]) ** (n - 1 - j) for j in range(n)] for i in range(n)]
-    return cdet(num) / cdet(den)
-
-
-def character_eval(graph: CrystalGraph, elements, xs):
-    """sum over the ids `elements` of prod x_i^(content_i), exact."""
-    from .scalars import QQi
-
-    total = QQi(0)
-    for b in elements:
-        term = QQi(1)
-        for i, c in enumerate(graph.wt[b].tolist()):
-            term = term * QQi.of(xs[i]) ** c
-        total = total + term
-    return total

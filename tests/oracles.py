@@ -1,17 +1,540 @@
-"""Dense oracles that only tests read.
+"""Oracles that only tests read.
 
-They rebuild on whole dim x dim arrays what the package computes block by
-block, so a test can check the block route against an independent one.
+Each is an independent cross-check of a production path of the package, or
+a plain reading of an exact object that a test compares against one.  None
+of them is a production path, so none lives in `src/krspectra`; they read
+`Mat` only through its public API (`m[i, j]`, `rows`, products, sums and
+`span_rank`).
+
+- exact matrices: conjugation, traces, commutators, ranks and span
+  equality, scalar parts, and the complex rows that the dense float routes
+  start from;
+- Bethe: the literal trace of tau_a in two forms (index sum and Kronecker
+  product over (C^n)^a x V), both on the full-dimension T-grid, and the
+  quantum-minor table by `cdet` of that grid;
+- Gaudin: the Manin relations of L(u) - d_u - chi, as operator identities
+  and applied to monomials;
+- reps: the gl_n commutation relations, the Casimir and a JSON dump;
+- crystals: Schutzenberger's involution by propagation on the graph,
+  tableau evacuation, phi = xi o xi', and characters against the
+  bialternant Schur polynomial;
+- alcoves: a regular sample point and wall membership;
+- spectra: the dense routes that rebuild on whole dim x dim arrays what the
+  package computes one weight block at a time.
 """
+
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 
-from krspectra.scalars import Mat
+from krspectra.alcoves import AffinePoint, AlcoveError, ExtAffineWeylElt, Wall
+from krspectra.bethe import BetheError, TorusElement
+from krspectra.gaudin import GaudinConfig, antisymmetrized_trace, gaudin_operator_matrix
+from krspectra.promotion import restricted_graph
+from krspectra.scalars import DiffOpPoly, Mat, QQi, RatFun, cdet, sgn, span_rank
 from krspectra.spectra import TOL, _refine
+from krspectra.tableaux import CrystalError, CrystalGraph, Tableau
+
+# ---------------------------------------------------------------------------
+# Exact scalars and matrices
+
+
+def conjugate(z: QQi) -> QQi:
+    return QQi(z.re, -z.im)
+
+
+def complex_rows(m: Mat):
+    """Dense rows of Python complex numbers, each part correctly rounded."""
+    return [[complex(float(x.re), float(x.im)) for x in row] for row in m.rows]
+
+
+def trace(m: Mat) -> QQi:
+    return sum((m[i, i] for i in range(m.nr)), QQi(0))
+
+
+def commutator(a: Mat, b: Mat) -> Mat:
+    return a * b - b * a
+
+
+def commutes(a: Mat, b: Mat) -> bool:
+    """Whether a * b == b * a, exactly, for square matrices of one size."""
+    if not (a.nr == a.nc == b.nr == b.nc):
+        raise ValueError(f"commutes needs square matrices of one size, not {a!r} and {b!r}")
+    return a * b == b * a
+
+
+def scalar_part(m: Mat):
+    """The scalar s with m == s * identity, or None."""
+    s = m[0, 0]
+    return s if m == Mat.identity(m.nr) * s else None
+
+
+def mat_rank(mat_rows) -> int:
+    """Exact rank of a list of QQi row vectors: the span rank of 1-row Mats."""
+    return span_rank([Mat([list(row)]) for row in mat_rows])
+
+
+def spans_equal(mats_a, mats_b) -> bool:
+    """Exact equality of the linear spans of two matrix lists."""
+    ra = span_rank(mats_a)
+    return ra == span_rank(mats_b) == span_rank(list(mats_a) + list(mats_b))
+
+
+def monomial(c: Mat, k) -> RatFun:
+    """c u^k."""
+    return RatFun([Mat.zeros(c.nr, c.nc)] * k + [c], {})
+
+
+def apply(op: DiffOpPoly, f: RatFun) -> RatFun:
+    """op acting on f, sum_k b_k f^(k), without `DiffOpPoly.__mul__`."""
+    out = RatFun([], {})
+    for k, c in enumerate(op.coeffs):
+        if k:
+            f = f.derivative()
+        if not c.is_zero():
+            out = out + c * f
+    return out
 
 
 def mat_to_numpy(m: Mat) -> np.ndarray:
-    return np.array(m.complex_rows(), dtype=np.complex128)
+    return np.array(complex_rows(m), dtype=np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# Bethe: torus elements, the antisymmetrizer and the literal traces
+
+
+def normalized(C: TorusElement) -> TorusElement:
+    """Same adjoint-torus class with first entry 1."""
+    c0 = C.entries[0]
+    return TorusElement([c / c0 for c in C.entries], require_unit=False)
+
+
+def scaled(C: TorusElement, a) -> TorusElement:
+    return TorusElement([c * QQi.of(a) for c in C.entries], require_unit=False)
+
+
+def antisymmetrizer(n, a) -> Mat:
+    """A_a on (C^n)^{tensor a}, normalized idempotent, rank C(n,a)."""
+    if not (1 <= a <= n):
+        raise BetheError(f"antisymmetrizer needs 1 <= a <= n, got a={a}")
+    dim = n**a
+    rows = [[QQi(0)] * dim for _ in range(dim)]
+    idx = list(product(range(n), repeat=a))
+    pos = {t: i for i, t in enumerate(idx)}
+    inv_fact = QQi(Fraction(1, factorial(a)))
+    for sigma in permutations(range(a)):
+        sign = sgn(sigma)
+        for j in idx:
+            # sigma moves the vector in slot m to slot sigma(m):
+            # (sigma v)_{sigma(m)} = v_m, so row index i has i_{sigma(m)} = j_m
+            row = [0] * a
+            for m_ in range(a):
+                row[sigma[m_]] = j[m_]
+            r = pos[tuple(row)]
+            rows[r][pos[j]] = rows[r][pos[j]] + (inv_fact if sign > 0 else -inv_fact)
+    return Mat(rows)
+
+
+def oracle_t_grid(cfg: GaudinConfig):
+    """ev T(u) = prod_i (1 + E^(i)/(u - w_i)) as one full-dimension grid."""
+    n, rep = cfg.n, cfg.rep
+    dim = rep.dim
+    ident = Mat.identity(dim)
+    grid = [
+        [RatFun.const(ident if r == c else Mat.zeros(dim)) for c in range(n)]
+        for r in range(n)
+    ]
+    for slot, w in enumerate(cfg.points):
+        factor = [
+            [
+                (RatFun.const(ident) if r == c else RatFun.const(Mat.zeros(dim)))
+                + RatFun.pole_term(rep.e_slot(slot, r + 1, c + 1), w)
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+        grid = grid_mul(grid, factor, n)
+    return grid
+
+
+def grid_mul(A, B, n):
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = None
+            for m in range(n):
+                term = A[r][m] * B[m][c]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def oracle_minors(cfg: GaudinConfig) -> dict:
+    """The `bethe.quantum_minors` table by `cdet` of the full-dimension grid."""
+    grid = oracle_t_grid(cfg)
+    return {
+        I: cdet([[grid[r][c].shift_arg(m) for m, c in enumerate(I)] for r in I])
+        for a in range(1, cfg.n + 1)
+        for I in combinations(range(cfg.n), a)
+    }
+
+
+def tau_trace_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
+    """Literal index-sum form of tr A_a C_1..C_a T_1(u)..T_a(u-a+1).
+
+    Slot m carries the grid C_r * T(u - m)[r][c].
+    """
+    n = cfg.n
+    u = QQi.of(u)
+    grid = oracle_t_grid(cfg)
+    return antisymmetrized_trace([
+        [[grid[r][c].eval(u - m) * C.entries[r] for c in range(n)] for r in range(n)]
+        for m in range(a)
+    ])
+
+
+def tau_kron_direct(a, C: TorusElement, cfg: GaudinConfig, u) -> Mat:
+    """Fully literal route: build A_a C_1..C_a T_1..T_a on (C^n)^a x V and trace."""
+    n = cfg.n
+    dim = cfg.rep.dim
+    u = QQi.of(u)
+    ident = Mat.identity(dim)
+    big = antisymmetrizer(n, a).kron(ident)
+    cmat = Mat([[C.entries[i] if i == j else QQi(0) for j in range(n)] for i in range(n)])
+    for m in range(a):
+        big = big * embed_aux(cmat, n, a, m, dim, constant=True)
+    grid = oracle_t_grid(cfg)
+    for m in range(a):
+        tval = [[grid[r][c].eval(u - m) for c in range(n)] for r in range(n)]
+        big = big * embed_aux(tval, n, a, m, dim, constant=False)
+    # partial trace over the auxiliary space, one diagonal block at a time
+    out = Mat.zeros(dim)
+    for q in range(n**a):
+        out = out + Mat.unit(1, n**a, 0, q).kron(ident) * big * Mat.unit(n**a, 1, q, 0).kron(ident)
+    return out
+
+
+def embed_aux(entry_grid, n, a, slot, dim, constant):
+    """Aux-slot embedding of an n x n (scalar or Mat-valued) matrix."""
+    before, after = Mat.identity(n**slot), Mat.identity(n ** (a - slot - 1))
+    out = Mat.zeros(n**a * dim)
+    for r in range(n):
+        for c in range(n):
+            val = entry_grid[r, c] * Mat.identity(dim) if constant else entry_grid[r][c]
+            out = out + before.kron(Mat.unit(n, n, r, c)).kron(after).kron(val)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gaudin: the Manin relations
+
+
+def manin_relations_check(cfg: GaudinConfig, monomial_orders=range(4)) -> dict:
+    """[M_pl, M_rs] = [M_rl, M_ps] for all quadruples, two ways.
+
+    Checked once as normal-ordered operator identities and once by applying
+    both sides to monomials u^m (times the identity), which exercises only
+    the action of operators on functions.
+    """
+    entries = gaudin_operator_matrix(cfg)
+    n = cfg.n
+    ident = Mat.identity(cfg.rep.dim)
+    failures = []
+    for p in range(n):
+        for l in range(n):
+            for r in range(n):
+                for s in range(n):
+                    lhs = entries[p][l] * entries[r][s] - entries[r][s] * entries[p][l]
+                    rhs = entries[r][l] * entries[p][s] - entries[p][s] * entries[r][l]
+                    if not (lhs - rhs).is_zero():
+                        failures.append(("operator", p + 1, l + 1, r + 1, s + 1))
+                        continue
+                    for m in monomial_orders:
+                        mono = monomial(ident, m)
+                        a1 = apply(entries[p][l], apply(entries[r][s], mono))
+                        a2 = apply(entries[r][s], apply(entries[p][l], mono))
+                        b1 = apply(entries[r][l], apply(entries[p][s], mono))
+                        b2 = apply(entries[p][s], apply(entries[r][l], mono))
+                        if not ((a1 - a2) - (b1 - b2)).is_zero():
+                            failures.append(("applied", p + 1, l + 1, r + 1, s + 1, m))
+    return {"passed": not failures, "failures": failures}
+
+
+# ---------------------------------------------------------------------------
+# Representations
+
+
+def check_commutation(rep):
+    """The first (a, b, c, d) with [E_ab, E_cd] != d_bc E_ad - d_da E_cb, or None."""
+    n = rep.n
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                for d in range(1, n + 1):
+                    lhs = commutator(rep.e(a, b), rep.e(c, d))
+                    rhs = Mat.zeros(rep.dim)
+                    if b == c:
+                        rhs = rhs + rep.e(a, d)
+                    if d == a:
+                        rhs = rhs - rep.e(c, b)
+                    if lhs != rhs:
+                        return (a, b, c, d)
+    return None
+
+
+def casimir(rep) -> Mat:
+    total = Mat.zeros(rep.dim)
+    for a in range(1, rep.n + 1):
+        for b in range(1, rep.n + 1):
+            total = total + rep.e(a, b) * rep.e(b, a)
+    return total
+
+
+def rep_to_json(rep):
+    return {
+        "label": list(rep.label),
+        "n": rep.n,
+        "dim": rep.dim,
+        "weight_basis": [list(w) for w in rep.weight_basis],
+        "generators": {
+            f"E[{a},{b}]": [[str(x) for x in row] for row in rep.e(a, b).rows]
+            for a in range(1, rep.n + 1)
+            for b in range(1, rep.n + 1)
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# Crystals: Schutzenberger's involution, evacuation, phi and characters
+
+
+def w0_weight(w, upto):
+    """Longest-element action: reverse the first `upto` coordinates."""
+    return tuple(reversed(w[:upto])) + tuple(w[upto:])
+
+
+def schutzenberger(graph: CrystalGraph, alphabet=None):
+    """The involution determined by e_i <-> f_{m-i} intertwining on a normal graph.
+
+    `alphabet` is the number of weight coordinates moved by the longest Weyl
+    element (defaults to max(indices)+1, i.e. all letters the operators touch).
+    Returns a list: the id of the image of each id.
+    """
+    indices = graph.indices
+    if indices and indices != list(range(indices[0], indices[-1] + 1)):
+        raise CrystalError("operator indices must be contiguous")
+    lo = indices[0] if indices else 1
+    hi = indices[-1] if indices else 0
+    alphabet = alphabet if alphabet is not None else hi + 1
+
+    def mirror(i):
+        return lo + hi - i
+
+    comps = graph.components()
+    wt = list(map(tuple, graph.wt.tolist()))
+    E, F = graph.E.tolist(), graph.F.tolist()
+    maps = [(F[r], E[graph.row(mirror(i))]) for r, i in enumerate(indices)]
+    xi = [None] * len(graph)
+    sinks_by_wt = {}
+    for comp in comps:
+        for t in graph.sinks(comp):
+            sinks_by_wt.setdefault(wt[t], []).append(t)
+
+    for comp in comps:
+        srcs = graph.sources(comp)
+        if len(srcs) != 1:
+            raise CrystalError("graph is not normal: component without unique source")
+        s = srcs[0]
+        target_wt = w0_weight(wt[s], alphabet)
+        candidates = sinks_by_wt.get(target_wt, [])
+        placed = None
+        for cand in candidates:
+            trial = propagate(maps, len(graph), s, cand)
+            if trial is not None:
+                if placed is not None:
+                    raise CrystalError("ambiguous involution: non multiplicity-free")
+                placed = trial
+        if placed is None:
+            raise CrystalError("no valid involution image for a component")
+        for b in comp:
+            xi[b] = placed[b]
+
+    for b, img in enumerate(xi):
+        if img is None or xi[img] != b:
+            raise CrystalError("computed map is not an involution")
+        if wt[img] != w0_weight(wt[b], alphabet):
+            raise CrystalError("weight relation failed")
+    return xi
+
+
+def propagate(maps, size, source, image):
+    """The map source -> image extended by f_i b -> e_mirror(i) xi(b), as a
+    list over all `size` ids (None off the component); None on a conflict.
+
+    `maps` pairs the f_i row with the e_mirror(i) row, as lists (-1 where the
+    operator vanishes)."""
+    out = [None] * size
+    out[source] = image
+    used = [False] * size
+    used[image] = True
+    stack = [source]
+    while stack:
+        b = stack.pop()
+        for fmap, emap in maps:
+            fb = fmap[b]
+            if fb < 0:
+                continue
+            want = emap[out[b]]
+            if want < 0:
+                return None
+            if out[fb] is not None:
+                if out[fb] != want:
+                    return None
+            else:
+                if used[want]:
+                    return None
+                out[fb] = want
+                used[want] = True
+                stack.append(fb)
+    return out
+
+
+def phi_operator(graph: CrystalGraph, n=None):
+    """The composition xi_B o xi_{B restricted} as a list of ids; equals
+    promotion on B_lam."""
+    n = n if n is not None else graph.n
+    xi_full = schutzenberger(graph, alphabet=n)
+    xi_restr = schutzenberger(restricted_graph(graph), alphabet=n - 1)
+    return [xi_full[img] for img in xi_restr]
+
+
+def evacuation(t: Tableau) -> Tableau:
+    """Tableau evacuation: complement entries, rotate 180, rectify.
+
+    The cross-check of the graph-based involution on single-tableau
+    crystals.
+    """
+    n = t.n
+    shape = t.shape
+    nrows = len(shape)
+    ncols = shape[0] if shape else 0
+    filled = {}
+    inner = set()
+    for r in range(nrows):
+        # row r of the rotated diagram comes from row nrows-1-r
+        src = nrows - 1 - r
+        for c in range(ncols):
+            cs = ncols - 1 - c
+            if cs < shape[src]:
+                filled[(r, c)] = n + 1 - t.rows[src][cs]
+            else:
+                inner.add((r, c))
+
+    def is_inner_corner(cell):
+        r, c = cell
+        return (r + 1, c) not in inner and (r, c + 1) not in inner
+
+    while inner:
+        start = max(c for c in inner if is_inner_corner(c))
+        inner.discard(start)
+        r, c = start
+        while True:
+            a = filled.get((r, c + 1))
+            b = filled.get((r + 1, c))
+            if a is None and b is None:
+                break
+            if a is None or (b is not None and b <= a):
+                filled[(r, c)] = b
+                del filled[(r + 1, c)]
+                r += 1
+            else:
+                filled[(r, c)] = a
+                del filled[(r, c + 1)]
+                c += 1
+    rows = []
+    r = 0
+    while (r, 0) in filled:
+        row = []
+        c = 0
+        while (r, c) in filled:
+            row.append(filled[(r, c)])
+            c += 1
+        rows.append(row)
+        r += 1
+    out = Tableau(rows, n)
+    if sum(out.shape) != sum(shape):
+        raise CrystalError("rectification lost cells")
+    return out
+
+
+def schur_polynomial(lam, xs):
+    """Schur polynomial via the bialternant determinant formula, exact:
+    s_lam(x_1..x_n) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j))."""
+    n = len(xs)
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    # on commuting entries the column determinant is the determinant
+    num = [[QQi.of(xs[i]) ** (lam[j] + n - 1 - j) for j in range(n)] for i in range(n)]
+    den = [[QQi.of(xs[i]) ** (n - 1 - j) for j in range(n)] for i in range(n)]
+    return cdet(num) / cdet(den)
+
+
+def character_eval(graph: CrystalGraph, elements, xs):
+    """sum over the ids `elements` of prod x_i^(content_i), exact."""
+    total = QQi(0)
+    for b in elements:
+        term = QQi(1)
+        for i, c in enumerate(graph.wt[b].tolist()):
+            term = term * QQi.of(xs[i]) ** c
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Alcoves
+
+
+def regular_sample(w: ExtAffineWeylElt, seed=0) -> AffinePoint:
+    """A deterministic interior point of Q_w."""
+    n = w.n
+    weights = [m + 2 + (seed % 7) for m in range(n)]
+    weights[seed % n] += 1
+    total = sum(weights)
+    gaps = [Fraction(wt, total) for wt in weights]
+    coords = [Fraction(0)] * n
+    for i in range(n - 1, 0, -1):
+        coords[i - 1] = coords[i] + gaps[i - 1]
+    return w.apply(AffinePoint(coords))
+
+
+def subregular_sample(w: ExtAffineWeylElt, j) -> AffinePoint:
+    """A deterministic rational point interior to wall j of Q_w, on no other wall.
+
+    Gap recipe in the base alcove: gap j is zero, the others are distinct
+    positive rationals summing to 1.
+    """
+    n = w.n
+    if not (1 <= j <= n):
+        raise AlcoveError(f"wall index {j} out of range")
+    weights = [0 if (m + 1) == j else m + 2 for m in range(n)]
+    total = sum(weights)
+    gaps = [Fraction(wt, total) for wt in weights]
+    coords = [Fraction(0)] * n
+    for i in range(n - 1, 0, -1):
+        coords[i - 1] = coords[i] + gaps[i - 1]
+    return w.apply(AffinePoint(coords))
+
+
+def wall_contains(h: Wall, x: AffinePoint) -> bool:
+    return x.coords[h.i - 1] - x.coords[h.j - 1] == h.k
+
+
+# ---------------------------------------------------------------------------
+# Spectra: the dense routes
 
 
 def standard_coordinates(mats, rep):

@@ -26,21 +26,17 @@ from krspectra.gaudin import (
     gaudin_cdet,
     invariance_check,
     manin_cdet_trace_identity,
-    manin_relations_check,
     residue_generators,
     wall_family,
 )
 from krspectra.glrep import build_defining, build_irrep, build_tensor
 from krspectra.pipeline import build_spectral_config, compare_pipeline
-from krspectra.promotion import (
-    build_kr,
-    phi_operator,
-    promote,
-)
+from krspectra.promotion import build_kr, promote
 from krspectra.scalars import Mat, QQi
 from krspectra.spectra import scan_simple_spectrum
 from krspectra.tableaux import build_crystal
 
+from oracles import manin_relations_check, phi_operator
 from test_bethe import tau_from_members
 from test_promotion import GRID, PR_ORBITS_2W2_N4, certificate, frozen_pr_map
 

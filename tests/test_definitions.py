@@ -1,11 +1,15 @@
-"""Every definition of the package is named somewhere outside its own definition.
+"""Every definition of the package is named somewhere outside its own
+definition, and somewhere outside the tests.
 
 A top-level function, class or constant of `src/krspectra`, or a method that
 is not a dunder, is dead when no module of the package, the tests or the
 benchmark harness names it.  A name counts when it is loaded, read as an
 attribute, imported, or written in a string other than a docstring: the
 benchmark tracer names the spans it times by strings such as
-"BetheFamily.verify_commuting".
+"BetheFamily.verify_commuting".  A definition that only the tests name is an
+oracle, and oracles live in `tests/oracles.py`, not in the package.  The scan
+goes by name, so a definition that shares its name with one the package
+reads (a method `apply` or `trace`, say) escapes it.
 """
 
 import ast
@@ -14,10 +18,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "krspectra").glob("*.py"))
-READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py")
-)
-
+PRODUCTION = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+READERS = PRODUCTION + sorted((ROOT / "tests").glob("*.py"))
 
 def definitions(tree):
     """(line, name) of each top-level function, class and constant, and of
@@ -108,3 +110,24 @@ def test_the_guard_sees_a_dead_definition():
         ("mod", 11, "read"),
         ("mod", 15, "stale"),
     ]
+
+
+def test_no_definition_only_tests_reach():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    found = dead_definitions(defining, [p.read_text() for p in PRODUCTION])
+    assert found == []
+
+
+def test_the_guard_sees_a_definition_only_tests_reach():
+    package = (
+        "def production():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def oracle():\n"
+        "    return 2\n"
+    )
+    tracer = 'SPANS = [("mod.production", "mod", "production")]\n'
+    test = "from mod import oracle\nassert oracle() == 2\n"
+    assert dead_definitions({"mod": package}, [package, tracer]) == [("mod", 5, "oracle")]
+    assert dead_definitions({"mod": package}, [package, tracer, test]) == []

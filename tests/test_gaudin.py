@@ -14,13 +14,16 @@ from krspectra.gaudin import (
     invariance_check,
     lax_matrix,
     manin_cdet_trace_identity,
-    manin_relations_check,
     residue_generators,
+    residue_members,
     scaled_config,
+    _string_blocks,
     wall_family,
 )
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.scalars import Mat, QQi, RatFun, sgn, spans_equal
+from krspectra.scalars import Mat, QQi, RatFun, sgn
+
+from oracles import apply, commutator, commutes, manin_relations_check, monomial, spans_equal
 
 
 def kron_pair(n):
@@ -64,7 +67,7 @@ class TestLax:
         lax = lax_matrix(cfg)
         for a in range(2):
             for b in range(2):
-                f = lax[a][b] * RatFun.monomial(Mat.identity(cfg.rep.dim), 1)
+                f = lax[a][b] * monomial(Mat.identity(cfg.rep.dim), 1)
                 assert f.infinity_value() == cfg.rep.delta(a + 1, b + 1)
 
 
@@ -96,14 +99,14 @@ class TestCdet:
         entries = gaudin_operator_matrix(cfg)
         ident = Mat.identity(n)
         for m in range(n + 1):
-            mono = RatFun.monomial(ident, m)
+            mono = monomial(ident, m)
             want = []
             for sigma in permutations(range(n)):
                 f = mono
                 for col in reversed(range(n)):
-                    f = entries[sigma[col]][col].apply(f)
+                    f = apply(entries[sigma[col]][col], f)
                 want.append(f if sgn(sigma) > 0 else -f)
-            assert op.apply(mono) == RatFun.sum(want)
+            assert apply(op, mono) == RatFun.sum(want)
 
 
 class TestQuadraticHamiltonianOracle:
@@ -169,7 +172,7 @@ class TestResidueGenerators:
         bad = cfg.rep.e_slot(0, 1, 2)
         broken = [g + bad for g in fam.gens[:1]] + fam.gens[1:]
         assert any(
-            broken[0].commutator(g) for g in broken[1:]
+            commutator(broken[0], g) for g in broken[1:]
         )
 
     def test_constructor_rejects_noncommuting(self):
@@ -240,6 +243,93 @@ class TestInvariance:
         cfg = c2_pair_config(chi=(0, 0))
         fam = residue_generators(cfg)
         assert invariance_check(fam)["passed"]
+
+    def test_generators_of_a_regular_chi_fail_a_subregular_centralizer(self):
+        # the residue generators of chi = (1/3, -1/4, 1/5) on n=3 (1,1)(1,1),
+        # checked against the centralizer of chi = (1/3, 1/3, 1/5): Delta(E_12)
+        # and Delta(E_21) join the check, and the certificate must refuse them
+        # exactly where the literal commutator does
+        c3 = build_defining(3)
+        rep = build_tensor([(c3, QQi(0), QQi(0)), (c3, QQi(1), QQi(0))])
+        regular = GaudinConfig(rep, (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)))
+        sub = GaudinConfig(rep, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 5)))
+        fam = CommutingFamily(residue_members(regular), sub, "gaudin")
+        inv = invariance_check(fam)
+        assert inv["checked_centralizer_basis"] == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+        want = [
+            {"generator": list(map(str, tag)), "x": x}
+            for x in inv["checked_centralizer_basis"]
+            for tag, g in zip(fam.tags, fam.gens)
+            if not commutes(g, rep.delta(*x))
+        ]
+        assert not inv["passed"] and len(inv["failures"]) == 8
+        assert inv["failures"] == want
+        assert {f["x"] for f in want} == {(1, 2), (2, 1)}
+        # the Delta(E_aa) are checked on the weight spaces, Delta(E_12) and
+        # Delta(E_21) on the strings along e_1 - e_2
+        certs = inv["certificates"]
+        assert [c["route"] for c in certs] == [
+            "float64 limb products on weight spaces, int64 carries",
+            "float64 limb products on strings along e_1 - e_2, int64 carries",
+        ]
+        assert [c["pairs"] for c in certs] == [len(fam) * 3, len(fam) * 2]
+        assert all(c["bound_bits"] <= c["exact_below_bits"] == 53 for c in certs)
+        # the family's own chi passes
+        assert invariance_check(residue_generators(regular))["passed"]
+
+
+    def test_strings_are_unions_of_weight_spaces_smaller_than_the_class(self):
+        # chi = 0 puts 1, 2, 3 in one class, whose sum is the same on every
+        # weight of C^3 x C^3; the strings along e_1 - e_2 are keyed by
+        # (w_1 + w_2, w_3) and hold 4, 4 and 1 basis vectors
+        c3 = build_defining(3)
+        rep = build_tensor([(c3, QQi(0), QQi(0)), (c3, QQi(1), QQi(0))])
+        blocks = _string_blocks(rep, 1, 2)
+        assert sorted(map(len, blocks.parts)) == [1, 4, 4]
+        for part in rep.weight_blocks.parts:
+            assert len({blocks.of[i] for i in part}) == 1
+        for a, b in [(1, 2), (2, 1), (1, 1), (3, 3)]:
+            assert blocks.leak(rep.delta(a, b)) is None
+        assert blocks.leak(rep.delta(1, 3)) is not None
+        fam = residue_generators(GaudinConfig(rep, (0, 0, 0)))
+        inv = invariance_check(fam)
+        assert inv["passed"] and len(inv["checked_centralizer_basis"]) == 9
+        assert [c["route"].split(" on ")[1] for c in inv["certificates"]] == [
+            "weight spaces, int64 carries",
+            "strings along e_1 - e_2, int64 carries",
+            "strings along e_1 - e_3, int64 carries",
+            "strings along e_2 - e_3, int64 carries",
+        ]
+
+    def test_a_delta_that_leaves_its_blocks_is_refused(self, monkeypatch):
+        # basis vectors 0 and 2 of C^3 x C^3 carry the weights (2, 0, 0) and
+        # (1, 0, 1), on different strings along e_1 - e_2; a Delta(E_12) or
+        # Delta(E_21) with an entry between them would be read wrongly by
+        # the certificate, so the check raises before it runs
+        c3 = build_defining(3)
+        rep = build_tensor([(c3, QQi(0), QQi(0)), (c3, QQi(1), QQi(0))])
+        chi = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 5))
+        fam = residue_generators(GaudinConfig(rep, chi))
+        delta = rep.delta
+
+        def broken(a, b):
+            d = delta(a, b)
+            return d + Mat.unit(rep.dim, rep.dim, 0, 2, QQi(1)) if a != b else d
+
+        monkeypatch.setattr(rep, "delta", broken)
+        want = "(1, 2), leaves the strings along e_1 - e_2: entry (0, 2)"
+        with pytest.raises(GaudinError, match=re.escape(want)):
+            invariance_check(fam)
+
+    def test_a_diagonal_delta_that_moves_a_weight_is_refused(self, monkeypatch):
+        # basis vectors 0 and 1 of C^2 x C^2 carry the weights (2, 0) and (1, 1)
+        cfg = c2_pair_config()
+        fam = residue_generators(cfg)
+        rep = cfg.rep
+        delta = rep.delta
+        monkeypatch.setattr(rep, "delta", lambda a, b: delta(a, b) + Mat.unit(4, 4, 0, 1, QQi(1)))
+        with pytest.raises(GaudinError, match="leaves the weight spaces: entry \\(0, 1\\)"):
+            invariance_check(fam)
 
 
 class TestWallFamily:

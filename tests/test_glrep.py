@@ -12,6 +12,8 @@ from krspectra.glrep import (
 )
 from krspectra.scalars import Mat, QQi
 
+from oracles import casimir, check_commutation, commutator, rep_to_json, scalar_part
+
 
 class TestDims:
     def test_4_2_2_has_dim_20(self):
@@ -42,13 +44,13 @@ class TestStructure:
     )
     def test_commutation_relations(self, n, l, r):
         rep = build_irrep(n, l, r)
-        assert rep.check_commutation() is None
+        assert check_commutation(rep) is None
 
     @pytest.mark.parametrize("n,l,r", [(2, 2, 1), (3, 2, 2), (4, 2, 2)])
     def test_casimir_is_scalar(self, n, l, r):
         rep = build_irrep(n, l, r)
-        cas = rep.casimir()
-        assert cas.scalar_part() is not None
+        cas = casimir(rep)
+        assert scalar_part(cas) is not None
 
     @pytest.mark.parametrize(
         "n,l,r", [(2, 1, 1), (2, 2, 1), (3, 2, 2), (4, 2, 2), (4, 1, 3), (5, 3, 2)]
@@ -57,7 +59,7 @@ class TestStructure:
         # closed form for the rectangle (l^r): sum_i l*(l + n + 1 - 2i)
         # over i = 1..r collapses to r*l*(l + n - r)
         rep = build_irrep(n, l, r)
-        assert rep.casimir().scalar_part() == QQi(r * l * (l + n - r))
+        assert scalar_part(casimir(rep)) == QQi(r * l * (l + n - r))
 
     def test_diagonal_generators_match_weights(self):
         rep = build_irrep(4, 2, 2)
@@ -119,7 +121,7 @@ class TestTensor:
         t = build_tensor([(c2, QQi(0), QQi(0)), (c2, QQi(1), QQi(0))])
         a = t.e_slot(0, 1, 2)
         b = t.e_slot(1, 2, 1)
-        assert a.commutator(b) == Mat.zeros(4)
+        assert commutator(a, b) == Mat.zeros(4)
 
     def test_delta_action(self):
         c2 = build_defining(2)
@@ -155,7 +157,7 @@ class TestGram:
 class TestSerialization:
     def test_json_round_trip_values(self):
         rep = build_irrep(3, 2, 1)
-        doc = json.loads(json.dumps(rep.to_json(), indent=1))
+        doc = json.loads(json.dumps(rep_to_json(rep), indent=1))
         assert doc["dim"] == 6
         m = doc["generators"]["E[1,1]"]
         assert QQi.parse(m[0][0]) == rep.e(1, 1)[0, 0]

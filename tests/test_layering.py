@@ -1,8 +1,8 @@
 """The stored format of `Mat` is known to one module: `krspectra.scalars`.
 
-Every other module reads matrices through `Mat`'s operations, `m[i, j]`,
-`rows` and `complex_rows`; none names the numerator fields or a helper of
-the integer view that the stored format replaced.
+Every other module reads matrices through `Mat`'s operations, `m[i, j]`
+and `rows`; none names the numerator fields or a helper of the integer view
+that the stored format replaced.
 """
 
 import re

