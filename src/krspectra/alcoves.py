@@ -102,10 +102,6 @@ class ExtAffineWeylElt:
         shift = m[-1]
         self.m = tuple(int(x - shift) for x in m)
 
-    @staticmethod
-    def identity(n):
-        return ExtAffineWeylElt(tuple(range(1, n + 1)), (0,) * n)
-
     @property
     def n(self):
         return len(self.sigma)

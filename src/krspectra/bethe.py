@@ -47,7 +47,6 @@ from .scalars import (
     QQi,
     RatFun,
     column_minors,
-    commutator_certificate,
     unit_circle_point,
 )
 
@@ -69,13 +68,6 @@ class TorusElement:
             raise BetheError("torus entries must have |c|^2 = 1 exactly")
         if any(not c for c in self.entries):
             raise BetheError("torus entries must be invertible")
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def is_regular(self):
-        return len(self.coincidence_classes()) == self.n
 
     def coincidence_classes(self):
         return coincidence_classes(self.entries)
@@ -325,13 +317,9 @@ class BetheFamily(CommutingFamily):
         """Each member against its adjoint under the rep's invariant form, by
         the block certificate: the Gram matrix keeps each weight space, so an
         adjoint that moves a weight raises the family's error by tag."""
-        rep = self.config.rep
-        adjoints = [rep.adjoint(g) for g in self.gens]
-        self.require_blocks(adjoints, what="the adjoint of member")
+        adjoints = [self.config.rep.adjoint(g) for g in self.gens]
         m = len(self.gens)
-        cert = commutator_certificate(
-            self.gens + adjoints, rep.weight_blocks, [(k, m + k) for k in range(m)]
-        )
+        cert = self.weight_certificate(self.gens + adjoints, [(k, m + k) for k in range(m)])
         bad = [list(map(str, tag)) for tag, ok in zip(self.tags, cert.commute) if not ok]
         return {"passed": not bad, "failures": bad}
 

@@ -17,6 +17,7 @@ from math import factorial
 
 from .glrep import TensorRep
 from .scalars import (
+    BlockLeak,
     Blocks,
     DiffOpPoly,
     Mat,
@@ -71,13 +72,14 @@ class CommutingFamily:
 
     The Gaudin families are instances; the Bethe families subclass it.  Every
     member commutes with the torus (chi and C are diagonal), so it maps each
-    weight space of `rep.weight_blocks` to itself, and a member that does
-    not is refused by tag.  A commutator of such matrices is zero exactly
-    when each weight block's is, and `scalars.commutator_certificate` checks
-    all pairs of one block size at once: numerators split into balanced
-    limbs whose float64 products are integers of magnitude at most 2^53, so
-    exact, and whose sums are carried in int64.  The report states the limb width, the
-    limb count, the bound and the pairs checked.
+    weight space of `rep.weight_blocks` to itself.  A commutator of such
+    matrices is zero exactly when each weight block's is, and
+    `scalars.commutator_certificate` checks all pairs of one block size at
+    once: numerators split into balanced limbs whose float64 products are
+    integers of magnitude at most 2^53, so exact, and whose sums are carried
+    in int64.  Its layout pass refuses a matrix that moves a weight, and the
+    family raises its error naming that member's tag.  The report states the
+    limb width, the limb count, the bound and the pairs checked.
     """
 
     error = GaudinError
@@ -95,28 +97,29 @@ class CommutingFamily:
     def __len__(self):
         return len(self.gens)
 
-    def require_blocks(self, mats, what="member"):
-        """Raise the family's error naming the first tag whose matrix in `mats`
-        (one per member) moves a weight of the rep."""
+    def weight_certificate(self, mats, pairs):
+        """`commutator_certificate` of `mats`, the members and then any adjoints,
+        on the weight spaces; a matrix that moves a weight raises by tag."""
         rep = self.config.rep
-        for tag, m in zip(self.tags, mats):
-            leak = rep.weight_blocks.leak(m)
-            if leak is not None:
-                i, j = leak
-                raise self.error(
-                    f"{what} {tag} moves a weight: its entry ({i}, {j}) maps weight "
-                    f"{rep.weight_basis[j]} to {rep.weight_basis[i]}"
-                )
+        try:
+            return commutator_certificate(mats, rep.weight_blocks, pairs)
+        except BlockLeak as leak:
+            adjoint, k = divmod(leak.matrix, len(self.gens))
+            i, j = leak.entry
+            what = "the adjoint of member" if adjoint else "member"
+            raise self.error(
+                f"{what} {self.tags[k]} moves a weight: its entry ({i}, {j}) maps weight "
+                f"{rep.weight_basis[j]} to {rep.weight_basis[i]}"
+            ) from leak
 
     def verify_commuting(self):
         """The first pair (i < j, in member order) that fails to commute, or None.
 
         Raises the family's error, by tag, for a member that moves a weight.
         """
-        self.require_blocks(self.gens)
         m = len(self.gens)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        cert = commutator_certificate(self.gens, self.config.rep.weight_blocks, pairs)
+        cert = self.weight_certificate(self.gens, pairs)
         self.certificate = cert.report()
         k = cert.first_failure()
         return None if k is None else (self.tags[pairs[k][0]], self.tags[pairs[k][1]])
@@ -231,9 +234,10 @@ def invariance_check(fam: CommutingFamily) -> dict:
     along e_a - e_b.  So `commutator_certificate` checks the generators
     against all Delta(E_aa) in one call on the weight spaces, and against
     the two x of each {a, b} in one call on the strings along e_a - e_b
-    (`_string_blocks`), never on blocks larger than those strings.  Each
-    Delta must keep its blocks (`Blocks.leak`), or the check raises.
-    Failures come x by x, generators in family order within each x.
+    (`_string_blocks`), never on blocks larger than those strings.  The
+    certificate refuses a Delta that leaves its blocks, and the check
+    raises naming it.  Failures come x by x, generators in family order
+    within each x.
     """
     cfg = fam.config
     rep = cfg.rep
@@ -250,15 +254,15 @@ def invariance_check(fam: CommutingFamily) -> dict:
         else:
             blocks, kind = _string_blocks(rep, *pair), "strings along e_%d - e_%d" % pair
         deltas = [rep.delta(*checked[x]) for x in xs]
-        for x, d in zip(xs, deltas):
-            leak = blocks.leak(d)
-            if leak is not None:
-                raise GaudinError(
-                    f"Delta(E_ab), (a, b) = {checked[x]}, leaves the {kind}: entry {leak}"
-                )
-        cert = commutator_certificate(
-            fam.gens + deltas, blocks, [(g, m + k) for k in range(len(xs)) for g in range(m)]
-        )
+        pairs = [(g, m + k) for k in range(len(xs)) for g in range(m)]
+        try:
+            cert = commutator_certificate(fam.gens + deltas, blocks, pairs)
+        except BlockLeak as leak:
+            # the generators keep the weight spaces, so the strings too
+            raise GaudinError(
+                f"Delta(E_ab), (a, b) = {checked[xs[leak.matrix - m]]}, leaves the {kind}: "
+                f"entry {leak.entry}"
+            ) from leak
         for k, x in enumerate(xs):
             commute[x] = cert.commute[k * m : (k + 1) * m]
         route = f"float64 limb products on {kind}, int64 carries"

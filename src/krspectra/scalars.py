@@ -562,11 +562,6 @@ class Echelon:
         rows[piv] = new
         return piv
 
-    def row(self, p):
-        """The stored row at pivot p as {key: QQi}."""
-        d, nums = self.rows[p]
-        return {k: _entry(v, d) for k, v in nums.items()}
-
     def coordinates(self, vec):
         """The numerators {pivot: c} of vec's coefficients on the stored rows.
 
@@ -628,35 +623,36 @@ class Blocks:
     `parts[k]` lists the indices of block k in increasing order, `labels[k]`
     names it (its weight, for `MatrixRep.weight_blocks`), and `groups` maps
     each block size to its blocks in order.  Per index i, `of[i]` is its
-    block, `size[i]` that block's size, `pos[i]` its place in that block and
-    `slot[i]` the place of that block among the blocks of its size: the
-    layout of `block_views`.
+    block, `size[i]` its block's size, `slot[i]` the place of that block among
+    the blocks of its size, `rank[i]` the place of i in the parts laid end to
+    end and `start[i]` the rank its block starts at (the layout of
+    `block_views`): j is in i's block iff 0 <= rank[j] - start[i] < size[i].
     """
 
-    __slots__ = ("parts", "labels", "groups", "of", "size", "pos", "slot")
+    __slots__ = ("parts", "labels", "groups", "of", "size", "slot", "rank", "start")
 
     def __init__(self, parts, labels):
         self.parts = [list(p) for p in parts]
         self.labels = list(labels)
         dim = sum(map(len, self.parts))
         self.groups = {}
-        self.of, self.size, self.pos, self.slot = [0] * dim, [0] * dim, [0] * dim, [0] * dim
+        self.of, self.size, self.slot, self.rank, self.start = ([0] * dim for _ in range(5))
+        first = 0
         for k, part in enumerate(self.parts):
             same = self.groups.setdefault(len(part), [])
             for p, i in enumerate(part):
-                self.of[i], self.size[i], self.pos[i], self.slot[i] = k, len(part), p, len(same)
+                self.of[i], self.size[i], self.slot[i] = k, len(part), len(same)
+                self.rank[i], self.start[i] = first + p, first
             same.append(k)
+            first += len(part)
 
-    def leak(self, m: Mat):
-        """The first entry (i, j) of m, in row order, whose row and column lie
-        in different blocks, or None when m maps each block to itself."""
-        of = self.of
-        for i, row in enumerate(m.nums):
-            k = of[i]
-            for j in row:
-                if of[j] != k:
-                    return i, j
-        return None
+
+class BlockLeak(ValueError):
+    """Matrix `matrix` of a list has an entry `entry` = (i, j) between two blocks."""
+
+    def __init__(self, matrix, entry):
+        super().__init__(f"matrix {matrix} has entry {entry} between two blocks")
+        self.matrix, self.entry = matrix, entry
 
 
 def _block_entries(mats, blocks, least, exact):
@@ -665,27 +661,40 @@ def _block_entries(mats, blocks, least, exact):
     The entries of the mats inside the blocks of size b, each at its flat
     position in a (blocks of size b, len(mats), b, b) array; exact: their
     numerators, else their values as floats, each part correctly rounded.
-    Every mat must map each block to itself.
+    Every stored entry is checked, in smaller blocks too: the first, mat by
+    mat in row order, whose column leaves its row's block raises `BlockLeak`.
     """
     count = len(mats)
-    size, pos, slot = blocks.size, blocks.pos, blocks.slot
+    size, slot, rank, start = blocks.size, blocks.slot, blocks.rank, blocks.start
     out = {b: ([], [], []) for b in blocks.groups if b >= least}
     for t, m in enumerate(mats):
         d = m.den
         for i, row in enumerate(m.nums):
-            b = size[i]
-            if not row or b < least:
+            if not row:
+                continue
+            b, lo = size[i], start[i]
+            if b < least:
+                for j in row:
+                    if not 0 <= rank[j] - lo < b:
+                        raise BlockLeak(t, (i, j))
                 continue
             at, xs, ys = out[b]
-            base = ((slot[i] * count + t) * b + pos[i]) * b
+            # entry (i, j) sits at base + q, q = rank[j] - lo its place in the block
+            base = ((slot[i] * count + t) * b + rank[i] - lo) * b
             if exact:
                 for j, (re, im) in row.items():
-                    at.append(base + pos[j])
+                    q = rank[j] - lo
+                    if not 0 <= q < b:
+                        raise BlockLeak(t, (i, j))
+                    at.append(base + q)
                     xs.append(re)
                     ys.append(im)
             else:
                 for j, (re, im) in row.items():
-                    at.append(base + pos[j])
+                    q = rank[j] - lo
+                    if not 0 <= q < b:
+                        raise BlockLeak(t, (i, j))
+                    at.append(base + q)
                     xs.append(re / d)
                     ys.append(im / d)
     return out
@@ -694,8 +703,8 @@ def _block_entries(mats, blocks, least, exact):
 def block_views(mats, blocks: Blocks):
     """{b: complex128 array of shape (blocks of size b, len(mats), b, b)}:
     each mat restricted to each block of size b, each part of an entry
-    correctly rounded; reads only the stored entries.  Every mat
-    must map each block to itself (`Blocks.leak`)."""
+    correctly rounded; reads only the stored entries, and raises `BlockLeak`
+    for a mat that does not map each block to itself."""
     out = {}
     for b, (at, xs, ys) in _block_entries(mats, blocks, 1, False).items():
         flat = np.zeros(len(blocks.groups[b]) * len(mats) * b * b, dtype=np.complex128)
@@ -776,7 +785,8 @@ def limb_embeddings(mats, blocks: Blocks):
     of mats[t] on block g, shape (nl 2b, 2b); col[g, t] sets their [R; I]
     side by side, shape (2b, nl b).  So emb[g, s] @ col[g, t] holds, in row
     block p and column block q, limb p of mats[s] times limb q of mats[t] on
-    block g, as [re; im].  Every mat must map each block to itself.
+    block g, as [re; im].  A mat that does not map each block to itself
+    raises `BlockLeak`.
     """
     count = len(mats)
     entries = {b: e for b, e in _block_entries(mats, blocks, 2, True).items() if e[0]}
@@ -816,8 +826,9 @@ def commutator_certificate(mats, blocks: Blocks, pairs) -> BlockCertificate:
     """Whether mats[i] * mats[j] == mats[j] * mats[i], exactly, for each pair
     (i, j) of `pairs`.
 
-    Every mat must map each block to itself (`Blocks.leak`), so a commutator
-    is zero exactly when each block's is; 1x1 blocks commute and are
+    The layout pass (`_block_entries`) refuses, by `BlockLeak`, a mat that
+    does not map each block to itself, before any product; so a commutator
+    is zero exactly when each block's is, and 1x1 blocks commute and are
     skipped.  AB and BA share the denominator, so their numerators are
     compared.  Each numerator part splits into nl balanced limbs of L bits
     (`limb_plan`), and per block size one batched float64 matmul of the real
@@ -886,28 +897,6 @@ def poly_deriv(a):
     return poly_trim([a[k] * QQi(k) for k in range(1, len(a))])
 
 
-def poly_divide_linear(a, p):
-    """Divide the coefficient list a by (u - p); assumes remainder zero."""
-    return poly_trim(_divmod_linear(a, p)[0])
-
-
-def taylor_coefficients(a, p, count):
-    """The first `count` coefficients of a(t + p) in t (fewer if a runs out).
-
-    Repeated synthetic division by (u - p): O(count * deg) operations, so a
-    residue pays only for the coefficients it reads.  The last one read is
-    the value at p of the quotient left, by `poly_eval`, so no quotient is
-    built for it.
-    """
-    out = []
-    while a and len(out) < count - 1:
-        a, r = _divmod_linear(a, p)
-        out.append(r)
-    if a and count:
-        out.append(poly_eval(a, p))
-    return out
-
-
 def series_inverse(a, order):
     """First order+1 coefficients of 1/f for a scalar series f with f(0) != 0."""
     c0 = a[0]
@@ -938,26 +927,36 @@ def _lift(a):
     return big, [big // c.den for c in a]
 
 
-def _value_weights(a, p):
-    """(E, terms) with a(p) the sum over terms (wr, wi, nums) of (wr + wi*i) nums / E.
+def _taylor_terms(a, p, ks, binomial=True):
+    """[(E, terms)] for each k in ks: coefficient k of a(t + p) in t is the
+    sum over terms (wr, wi, nums) of (wr + wi*i) nums / E.
 
-    a(p) = sum_k N_k (L / D_k) P^k pd^(deg - k) / (L pd^deg), so the weight
-    of N_k is the Gaussian integer (L / D_k) P^k pd^(deg - k); zero
-    coefficients and zero weights are left out.
+    Coefficient k is sum_{j >= k} C(j, k) p^(j - k) a_j.  For p = P / pd the
+    weight of N_j is the Gaussian integer C(j, k) P^(j - k) pd^(deg - j)
+    (L / D_j), over E = L pd^(deg - k); zero coefficients and zero weights
+    are left out.  The lift to L is taken once for every k, and P^(j - k)
+    one multiplication per j.  With binomial=False each C(j, k) is 1, which
+    gives coefficient k - 1 of the quotient of a by (u - p).
     """
     pr, pi, pd = _gauss(p)
     big, scales = _lift(a)
     deg = len(a) - 1
-    terms = []
-    xr, xi = 1, 0  # P^k
-    for k, c in enumerate(a):
-        if not (xr or xi):
-            break
-        if c:
-            s = scales[k] * pd ** (deg - k)
-            terms.append((xr * s, xi * s, c.nums))
-        xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
-    return big * pd**deg, terms
+    out = []
+    for k in ks:
+        terms = []
+        xr, xi = 1, 0  # P^(j - k)
+        for j in range(k, deg + 1):
+            c = a[j]
+            if any(c.nums):
+                w = scales[j] * pd ** (deg - j)
+                if k and binomial:
+                    w *= comb(j, k)
+                terms.append((xr * w, xi * w, c.nums))
+            if not (pr or pi):
+                break
+            xr, xi = xr * pr - xi * pi, xr * pi + xi * pr
+        out.append((big * pd ** (deg - k), terms))
+    return out
 
 
 def _row_value(terms, i):
@@ -975,46 +974,20 @@ def _row_value(terms, i):
     return {j: v for j, v in acc.items() if v[0] or v[1]}
 
 
-def poly_shift(a, delta):
-    """Coefficients of p(t + delta) in t, for p given by coefficients a in u.
-
-    Coefficient k is sum_{j >= k} C(j, k) delta^(j - k) a_j.  For delta =
-    P / pd it is the sum of the numerators N_j weighted by the Gaussian
-    integers C(j, k) P^(j - k) pd^(deg - j) (L / D_j), over L pd^(deg - k),
-    summed row by row as in `poly_eval`, with one gcd pass per coefficient
-    and no Mat per division step; a constant is returned as it is.
-    """
-    if len(a) < 2:
-        return list(a)
-    pr, pi, pd = _gauss(delta)
-    big, scales = _lift(a)
-    deg = len(a) - 1
-    powers = [(1, 0)]  # P^m
-    for _ in range(deg):
-        xr, xi = powers[-1]
-        powers.append((xr * pr - xi * pi, xr * pi + xi * pr))
-    out = []
-    for k in range(deg + 1):
-        terms = []
-        for j in range(k, deg + 1):
-            xr, xi = powers[j - k]
-            if a[j] and (xr or xi):
-                s = comb(j, k) * pd ** (deg - j) * scales[j]
-                terms.append((xr * s, xi * s, a[j].nums))
-        rows = [_row_value(terms, i) for i in range(a[0].nr)]
-        out.append(_reduced(a[0].nr, a[0].nc, big * pd ** (deg - k), rows))
-    return poly_trim(out)
+def _taylor(a, p, ks, binomial=True):
+    """The Mats of `_taylor_terms`: each row summed on Python ints
+    (`_row_value`), each coefficient built by one gcd pass."""
+    nr, nc = a[0].nr, a[0].nc
+    return [
+        _reduced(nr, nc, den, [_row_value(terms, i) for i in range(nr)])
+        for den, terms in _taylor_terms(a, p, ks, binomial)
+    ]
 
 
 def poly_eval(a, u):
-    """a(u) for a nonempty list of Mat coefficients.
-
-    Each row of a(u) is the `_value_weights` combination of that row of the
-    coefficients, summed on Python ints, and one gcd pass builds the result;
-    no Mat, QQi or Fraction is built per Horner step.
-    """
-    den, terms = _value_weights(a, u)
-    return _reduced(a[0].nr, a[0].nc, den, [_row_value(terms, i) for i in range(a[0].nr)])
+    """a(u) for a nonempty list of Mat coefficients: coefficient 0 of a(t + u),
+    with no Mat, QQi or Fraction built per Horner step."""
+    return _taylor(a, u, (0,))[0]
 
 
 def _vanishes_at(a, p):
@@ -1024,11 +997,39 @@ def _vanishes_at(a, p):
     sums, stopping at the first row whose value is nonzero; an identically
     zero row sums nothing, and no Mat is built.
     """
-    _, terms = _value_weights(a, p)
+    ((_, terms),) = _taylor_terms(a, p, (0,))
     for i in range(a[0].nr):
         if _row_value(terms, i):
             return False
     return True
+
+
+def poly_shift(a, delta):
+    """Coefficients of a(t + delta) in t, trimmed; a constant is returned as it is."""
+    if len(a) < 2:
+        return list(a)
+    return poly_trim(_taylor(a, delta, range(len(a))))
+
+
+def taylor_coefficients(a, p, count):
+    """The first `count` coefficients of a(t + p) in t (fewer if a runs out).
+
+    Each is read in closed form, so a residue pays only for the
+    coefficients it reads; coefficient 0 is the value a(p), by `poly_eval`.
+    """
+    if not (a and count):
+        return []
+    rest = range(1, min(count, len(a)))
+    return [poly_eval(a, p)] + (_taylor(a, p, rest) if rest else [])
+
+
+def poly_divide_linear(a, p):
+    """The quotient q of a = (u - p) q + a(p); a(p) is not computed.
+
+    Coefficient m of q is sum_{j > m} p^(j - m - 1) a_j, which is
+    `_taylor_terms` at k = m + 1 without the binomial weights.
+    """
+    return poly_trim(_taylor(a, p, range(1, len(a)), binomial=False))
 
 
 def poly_mul(a, b):
@@ -1063,45 +1064,6 @@ def poly_mul(a, b):
             rows.append({j: v for j, v in acc.items() if v[0] or v[1]})
         out.append(_reduced(nr, nc, la * lb, rows))
     return poly_trim(out)
-
-
-def _divmod_linear(a, p):
-    """Synthetic division a = (u - p) q + r: returns (q untrimmed, r = a(p)).
-
-    q_{k-1} = a_k + p q_k has the numerators C_{k-1} = (L / D_k) pd^(deg-k)
-    N_k + P C_k over L pd^(deg-k), so each row's carry is one dict of ints;
-    every quotient coefficient and the remainder are built by one gcd pass.
-    """
-    pr, pi, pd = _gauss(p)
-    big, scales = _lift(a)
-    deg = len(a) - 1
-    nr, nc = a[0].nr, a[0].nc
-    weights = [s * pd ** (deg - k) for k, s in enumerate(scales)]
-    qrows = [[] for _ in range(deg)]
-    rem = []
-    for i in range(nr):
-        carry = {}
-        for k in range(deg, -1, -1):
-            # a new dict each step: the previous one is a quotient row
-            if pi:
-                carry = {j: (re * pr - im * pi, re * pi + im * pr) for j, (re, im) in carry.items()}
-            elif pr:
-                carry = {j: (re * pr, im * pr) for j, (re, im) in carry.items()}
-            else:
-                carry = {}
-            w = weights[k]
-            for j, (re, im) in a[k].nums[i].items():
-                re, im = re * w, im * w
-                old = carry.get(j)
-                if old is not None:
-                    re, im = re + old[0], im + old[1]
-                    if not (re or im):
-                        del carry[j]
-                        continue
-                carry[j] = (re, im)
-            (qrows[k - 1] if k else rem).append(carry)
-    quotient = [_reduced(nr, nc, big * pd ** (deg - 1 - k), rows) for k, rows in enumerate(qrows)]
-    return quotient, _reduced(nr, nc, big * pd**deg, rem)
 
 
 # ---------------------------------------------------------------------------

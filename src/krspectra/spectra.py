@@ -5,11 +5,12 @@ Rounded floating point lives only in this module: commutativity of every
 family is established exactly upstream, so numerics do nothing but locate
 eigenlines.
 Every member commutes with the torus, so it maps each weight space of
-`rep.weight_blocks` to itself; a member that does not is refused.  Each block
-is read straight from the exact numerators (`scalars.block_views`) and
-orthonormalized through a Cholesky factor of its exact Gram block, making
-each member a normal matrix in standard coordinates; normality is checked
-for all blocks of one size in one batched product.  In a block larger than
+`rep.weight_blocks` to itself; the pass that reads the blocks refuses a
+member, or a Gram matrix, that does not.  Each block is read straight from
+the exact numerators (`scalars.block_views`) and orthonormalized through a
+Cholesky factor of its exact Gram block, making each member a normal matrix
+in standard coordinates; normality is checked for all blocks of one size in
+one batched product.  In a block larger than
 1x1 the Hermitian and anti-Hermitian parts are diagonalized simultaneously
 by recursive refinement; a 1x1 block's line is its basis vector, and its
 values are the members' exact diagonal entries.  A line's weight is its
@@ -22,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .scalars import Mat, block_views
+from .scalars import BlockLeak, Mat, block_views
 from .tableaux import canonical_weight, row_counts
 
 
@@ -41,12 +42,17 @@ def _standard_blocks(members, rep):
     factor G = L L^H of the block's Gram matrix.  A 1x1 block is left as it
     is: there T M T^{-1} = M."""
     blocks = rep.weight_blocks
-    views = block_views(members, blocks)
+    try:
+        views = block_views(members, blocks)
+    except BlockLeak as leak:
+        text = f"family member {leak.matrix} moves a weight (entry {leak.entry})"
+        raise SpectraError(text) from leak
     if rep.gram == Mat.identity(rep.dim):
         return views
-    if blocks.leak(rep.gram) is not None:
-        raise SpectraError("the Gram matrix joins two weight spaces")
-    grams = block_views([rep.gram], blocks)
+    try:
+        grams = block_views([rep.gram], blocks)
+    except BlockLeak as leak:
+        raise SpectraError("the Gram matrix joins two weight spaces") from leak
     for b, arr in views.items():
         if b > 1:
             T = np.linalg.cholesky(grams[b][:, 0]).conj().swapaxes(-1, -2)
@@ -108,33 +114,18 @@ class JointSpectrum:
     def is_simple(self):
         return self.min_separation > TOL * max(self.scale, 1.0)
 
-    def report(self):
-        return {
-            "dim": int(self.dim),
-            "members": int(self.values.shape[0]),
-            "blocks": len(self.blocks),
-            "largest_block": max(map(len, self.blocks)),
-            "min_separation": float(self.min_separation),
-            "scale": float(self.scale),
-            "tol": TOL,
-            "simple": bool(self.is_simple()),
-        }
-
 
 def joint_diagonalize(members, rep) -> JointSpectrum:
     """Diagonalize exact commuting matrices block by block.
 
     members: list of Mat (verified commuting upstream), each mapping every
-    weight space of rep to itself; rep gives the weight blocks, their
-    weights and the Gram matrix.  The members go to standard coordinates,
-    where each must be normal, and one deterministic pass finds the lines.
+    weight space of rep to itself, or SpectraError names it; rep gives the
+    weight blocks, their weights and the Gram matrix.  The members go to
+    standard coordinates, where each must be normal, and one deterministic
+    pass finds the lines.
     """
     if not members:
         raise SpectraError("empty family")
-    for k, m in enumerate(members):
-        leak = rep.weight_blocks.leak(m)
-        if leak is not None:
-            raise SpectraError(f"family member {k} moves a weight (entry {leak})")
     views = _standard_blocks(members, rep)
     scale = max(np.max(np.abs(a)) for a in views.values())
     norm_tol = 1e3 * TOL * max(scale, 1.0)
@@ -199,19 +190,6 @@ class SpectralStrings:
 
     def ok(self):
         return self.diagnostics["passed"]
-
-    def report(self):
-        return {
-            "strings": [
-                {
-                    "length": s["length"],
-                    "h_values": s["h_values"],
-                    "source_weight": list(s["source_weight"]),
-                }
-                for s in self.strings
-            ],
-            **self.diagnostics,
-        }
 
 
 def wall_strings(family_members, h_member, rep):

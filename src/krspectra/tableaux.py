@@ -208,14 +208,6 @@ class CrystalGraph:
         """The row of E and F that holds operator index i."""
         return self._rows[i]
 
-    def e(self, i, b):
-        t = int(self.E[self._rows[i], b])
-        return None if t < 0 else t
-
-    def f(self, i, b):
-        t = int(self.F[self._rows[i], b])
-        return None if t < 0 else t
-
     def __len__(self):
         return len(self.wt)
 

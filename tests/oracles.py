@@ -4,23 +4,27 @@ Each is an independent cross-check of a production path of the package, or
 a plain reading of an exact object that a test compares against one.  None
 of them is a production path, so none lives in `src/krspectra`; they read
 `Mat` only through its public API (`m[i, j]`, `rows`, products, sums and
-`span_rank`).
+`span_rank`), except `leak`, whose witness is the first in the order of the
+stored entries.
 
 - exact matrices: conjugation, traces, commutators, ranks and span
-  equality, scalar parts, and the complex rows that the dense float routes
-  start from;
-- Bethe: the literal trace of tau_a in two forms (index sum and Kronecker
-  product over (C^n)^a x V), both on the full-dimension T-grid, and the
-  quantum-minor table by `cdet` of that grid;
+  equality, scalar parts, the complex rows that the dense float routes
+  start from, the first entry of a matrix between two blocks, and the rows
+  of an echelon basis;
+- Bethe: regularity of a torus element, the literal trace of tau_a in two
+  forms (index sum and Kronecker product over (C^n)^a x V), both on the
+  full-dimension T-grid, and the quantum-minor table by `cdet` of that grid;
 - Gaudin: the Manin relations of L(u) - d_u - chi, as operator identities
   and applied to monomials;
 - reps: the gl_n commutation relations, the Casimir and a JSON dump;
-- crystals: Schutzenberger's involution by propagation on the graph,
-  tableau evacuation, phi = xi o xi', and characters against the
-  bialternant Schur polynomial;
-- alcoves: a regular sample point and wall membership;
-- spectra: the dense routes that rebuild on whole dim x dim arrays what the
-  package computes one weight block at a time.
+- crystals: the operators e_i and f_i on element ids, Schutzenberger's
+  involution by propagation on the graph, tableau evacuation, phi = xi o
+  xi', and characters against the bialternant Schur polynomial;
+- alcoves: the identity of the extended affine Weyl group, a regular
+  sample point and wall membership;
+- spectra: a joint spectrum's report, and the dense routes that rebuild on
+  whole dim x dim arrays what the package computes one weight block at a
+  time.
 """
 
 from fractions import Fraction
@@ -33,7 +37,17 @@ from krspectra.alcoves import AffinePoint, AlcoveError, ExtAffineWeylElt, Wall
 from krspectra.bethe import BetheError, TorusElement
 from krspectra.gaudin import GaudinConfig, antisymmetrized_trace, gaudin_operator_matrix
 from krspectra.promotion import restricted_graph
-from krspectra.scalars import DiffOpPoly, Mat, QQi, RatFun, cdet, sgn, span_rank
+from krspectra.scalars import (
+    Blocks,
+    DiffOpPoly,
+    Echelon,
+    Mat,
+    QQi,
+    RatFun,
+    cdet,
+    sgn,
+    span_rank,
+)
 from krspectra.spectra import TOL, _refine
 from krspectra.tableaux import CrystalError, CrystalGraph, Tableau
 
@@ -102,8 +116,30 @@ def mat_to_numpy(m: Mat) -> np.ndarray:
     return np.array(complex_rows(m), dtype=np.complex128)
 
 
+def leak(blocks: Blocks, m: Mat):
+    """The first entry (i, j) of m, in row order, whose row and column lie
+    in different blocks, or None when m maps each block to itself."""
+    of = blocks.of
+    for i, row in enumerate(m.nums):
+        for j in row:
+            if of[j] != of[i]:
+                return i, j
+    return None
+
+
+def echelon_row(ech: Echelon, p):
+    """The stored row of `ech` at pivot p as {key: QQi}."""
+    d, nums = ech.rows[p]
+    return {k: QQi(Fraction(re, d), Fraction(im, d)) for k, (re, im) in nums.items()}
+
+
 # ---------------------------------------------------------------------------
 # Bethe: torus elements, the antisymmetrizer and the literal traces
+
+
+def is_regular(C: TorusElement) -> bool:
+    """Whether the entries of C are pairwise distinct."""
+    return len(C.coincidence_classes()) == len(C.entries)
 
 
 def normalized(C: TorusElement) -> TorusElement:
@@ -313,6 +349,18 @@ def rep_to_json(rep):
 # Crystals: Schutzenberger's involution, evacuation, phi and characters
 
 
+def graph_e(graph: CrystalGraph, i, b):
+    """e_i of element id b, or None where it vanishes."""
+    t = int(graph.E[graph.row(i), b])
+    return None if t < 0 else t
+
+
+def graph_f(graph: CrystalGraph, i, b):
+    """f_i of element id b, or None where it vanishes."""
+    t = int(graph.F[graph.row(i), b])
+    return None if t < 0 else t
+
+
 def w0_weight(w, upto):
     """Longest-element action: reverse the first `upto` coordinates."""
     return tuple(reversed(w[:upto])) + tuple(w[upto:])
@@ -498,6 +546,10 @@ def character_eval(graph: CrystalGraph, elements, xs):
 # Alcoves
 
 
+def weyl_identity(n) -> ExtAffineWeylElt:
+    return ExtAffineWeylElt(tuple(range(1, n + 1)), (0,) * n)
+
+
 def regular_sample(w: ExtAffineWeylElt, seed=0) -> AffinePoint:
     """A deterministic interior point of Q_w."""
     n = w.n
@@ -546,6 +598,21 @@ def standard_coordinates(mats, rep):
     T = np.linalg.cholesky(mat_to_numpy(rep.gram)).conj().T
     Tinv = np.linalg.inv(T)
     return [T @ a @ Tinv for a in arrays]
+
+
+def spectrum_report(spec) -> dict:
+    """What a joint spectrum found: its size, block count and largest block,
+    minimum separation, scale, tolerance and simplicity."""
+    return {
+        "dim": int(spec.dim),
+        "members": int(spec.values.shape[0]),
+        "blocks": len(spec.blocks),
+        "largest_block": max(map(len, spec.blocks)),
+        "min_separation": float(spec.min_separation),
+        "scale": float(spec.scale),
+        "tol": TOL,
+        "simple": bool(spec.is_simple()),
+    }
 
 
 def eigenvector_matrix(spec) -> np.ndarray:

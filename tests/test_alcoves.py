@@ -14,7 +14,7 @@ from krspectra.alcoves import (
     walls_of,
 )
 
-from oracles import regular_sample, subregular_sample, wall_contains
+from oracles import regular_sample, subregular_sample, wall_contains, weyl_identity
 
 
 def random_point(rng, n, den=101):
@@ -29,7 +29,7 @@ def fold(x):
     """
     n = x.n
     cur = x
-    w = ExtAffineWeylElt.identity(n)  # cur = w x
+    w = weyl_identity(n)  # cur = w x
     while True:
         a = cur.coords
         sigma, m = list(range(1, n + 1)), [0] * n
@@ -50,7 +50,7 @@ class TestClassify:
     def test_base_alcove_identity(self):
         x = AffinePoint([Fraction(1, 2), Fraction(1, 5), 0])
         w = classify(x)
-        assert w == ExtAffineWeylElt.identity(3)
+        assert w == weyl_identity(3)
 
     def test_single_swap(self):
         x = AffinePoint([Fraction(1, 5), Fraction(1, 2), 0])
@@ -133,7 +133,7 @@ class TestClassify:
 
 class TestWalls:
     def test_base_walls_n3(self):
-        assert walls_of(ExtAffineWeylElt.identity(3)) == [Wall(1, 2, 0), Wall(2, 3, 0), Wall(3, 1, -1)]
+        assert walls_of(weyl_identity(3)) == [Wall(1, 2, 0), Wall(2, 3, 0), Wall(3, 1, -1)]
 
     def test_pure_translation_shifts_levels(self):
         n = 3
@@ -146,12 +146,12 @@ class TestWalls:
     def test_action_compatibility(self):
         w = ExtAffineWeylElt((3, 1, 2), (0, 1, 0))
         lhs = walls_of(w)
-        rhs = [w.apply_wall(h) for h in walls_of(ExtAffineWeylElt.identity(3))]
+        rhs = [w.apply_wall(h) for h in walls_of(weyl_identity(3))]
         assert lhs == rhs
 
     def test_walls_pairwise_distinct_with_real_faces(self):
         for w in [
-            ExtAffineWeylElt.identity(4),
+            weyl_identity(4),
             ExtAffineWeylElt((2, 1, 4, 3), (1, 0, 0, 0)),
         ]:
             walls = walls_of(w)
@@ -185,31 +185,31 @@ class TestGroup:
 
 class TestSubregular:
     def test_finite_wall_sample(self):
-        w = ExtAffineWeylElt.identity(3)
+        w = weyl_identity(3)
         p = subregular_sample(w, 1)
         assert p.coords[0] == p.coords[1]
         assert classify(p) == [Wall(1, 2, 0)]
 
     def test_affine_wall_sample(self):
-        w = ExtAffineWeylElt.identity(3)
+        w = weyl_identity(3)
         p = subregular_sample(w, 3)
         assert p.coords[0] - p.coords[2] == 1
         assert classify(p) == [Wall(1, 3, 1)]
 
     def test_exactly_one_wall_for_all_j(self):
         for n in (2, 3, 4):
-            w = ExtAffineWeylElt.identity(n)
+            w = weyl_identity(n)
             for j in range(1, n + 1):
                 p = subregular_sample(w, j)
                 assert len(classify(p)) == 1
 
     def test_regular_sample_is_regular(self):
         for n in (2, 3, 4):
-            w = ExtAffineWeylElt.identity(n)
+            w = weyl_identity(n)
             p = regular_sample(w)
             assert p.is_regular()
             assert in_alcove(w, p, strict=True)
 
     def test_bad_index(self):
         with pytest.raises(AlcoveError):
-            subregular_sample(ExtAffineWeylElt.identity(3), 5)
+            subregular_sample(weyl_identity(3), 5)

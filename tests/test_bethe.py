@@ -39,6 +39,7 @@ from oracles import (
     antisymmetrizer,
     commutator,
     embed_aux,
+    is_regular,
     mat_rank,
     normalized,
     oracle_minors,
@@ -87,7 +88,7 @@ def tau_from_members(fam, a):
 class TestTorus:
     def test_standard_regular(self):
         C = standard_torus(3)
-        assert C.is_regular()
+        assert is_regular(C)
         for c in C.entries:
             assert c.abs2() == 1
 
@@ -515,6 +516,18 @@ class TestCertificate:
         members[-1] = (tag, g + Mat.unit(g.nr, g.nc, 1, 0, QQi(Fraction(1, 7))))
         with pytest.raises(BetheError, match=re.escape(f"member {tag} moves a weight")):
             BetheFamily(members, cfg, C)
+
+    def test_an_adjoint_that_moves_a_weight_is_refused_by_tag(self, monkeypatch):
+        # basis vectors 1 and 0 of C^2 x C^2 carry the weights (1, 1) and (2, 0)
+        cfg = config_c2_pair()
+        fam = bethe_family(standard_torus(2), cfg)
+        adjoint = cfg.rep.adjoint
+        monkeypatch.setattr(
+            cfg.rep, "adjoint", lambda m: adjoint(m) + Mat.unit(4, 4, 1, 0, QQi(1))
+        )
+        want = f"the adjoint of member {fam.tags[0]} moves a weight: its entry (1, 0)"
+        with pytest.raises(BetheError, match=re.escape(want)):
+            fam.normality_report()
 
     def test_families_never_reach_mat_commutes(self):
         # every family certificate goes through the weight blocks, and the

@@ -2,7 +2,10 @@
 
 Every other module reads matrices through `Mat`'s operations, `m[i, j]`
 and `rows`; none names the numerator fields or a helper of the integer view
-that the stored format replaced.
+that the stored format replaced.  No module names a second body of the
+Taylor kernel (`_value_weights`, `_divmod_linear`) or a caller-side block
+check (`require_blocks`, `.leak(`): the layout pass of `scalars` alone
+checks that a matrix maps each block to itself.
 """
 
 import re
@@ -11,7 +14,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "krspectra"
 
 FIELDS = re.compile(r"[.\"'](den|nums)\b")
-REMOVED = re.compile(r"\b(int_view|views_commute|_int_product)\b")
+REMOVED = re.compile(
+    r"\b(int_view|views_commute|_int_product|_value_weights|_divmod_linear|require_blocks)\b"
+    r"|\.leak\("
+)
 
 
 def offending_lines(path):
@@ -34,3 +40,15 @@ def test_the_guard_sees_the_fields_where_they_live():
     text = (SRC / "scalars.py").read_text()
     assert {m.group(1) for m in FIELDS.finditer(text)} == {"den", "nums"}
     assert not REMOVED.search(text)
+
+
+def test_the_guard_sees_a_second_taylor_body_or_a_caller_side_block_check():
+    for line in (
+        "_, terms = _value_weights(a, p)",
+        "quot, rem = _divmod_linear(a, p)",
+        "self.require_blocks(adjoints)",
+        "leak = rep.weight_blocks.leak(m)",
+    ):
+        assert REMOVED.search(line), line
+    # catching the layout pass's refusal is how callers name it
+    assert not REMOVED.search("except BlockLeak as leak: raise Error(leak.entry)")

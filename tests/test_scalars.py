@@ -7,13 +7,13 @@ import pytest
 
 from krspectra.scalars import (
     EXACT_FLOAT_BITS,
+    BlockLeak,
     Blocks,
     DiffOpPoly,
     Echelon,
     Mat,
     QQi,
     RatFun,
-    _divmod_linear,
     _vanishes_at,
     block_views,
     cdet,
@@ -39,6 +39,8 @@ from oracles import (
     commutes,
     complex_rows,
     conjugate,
+    echelon_row,
+    leak,
     mat_rank,
     monomial,
     spans_equal,
@@ -324,8 +326,8 @@ def binomial_shift(a, delta):
 
 
 class TestTaylorCoefficients:
-    """Residues and shift_arg read Taylor coefficients from repeated synthetic
-    division; they must match the binomial expansion."""
+    """Residues and shift_arg read Taylor coefficients in closed form; they
+    must match the binomial expansion."""
 
     @staticmethod
     def random_poly(rng, deg, matrix):
@@ -708,7 +710,7 @@ class TestEchelon:
             }
             rebuilt = {}
             for piv, c in coords.items():
-                for k, v in ech.row(piv).items():
+                for k, v in echelon_row(ech, piv).items():
                     rebuilt[k] = rebuilt.get(k, 0) + c * v
             assert {k: v for k, v in rebuilt.items() if v} == target
 
@@ -718,7 +720,7 @@ class TestEchelon:
         assert ech.insert({2: (1, 0), 5: (2, 0)}) is None
         assert ech.insert({}) is None
         assert ech.insert({5: (3, 0), 7: (1, 0)}) == 5
-        assert {p: ech.row(p) for p in ech.rows} == {
+        assert {p: echelon_row(ech, p) for p in ech.rows} == {
             2: {2: 1, 7: Fraction(-2, 3)},
             5: {5: 1, 7: Fraction(1, 3)},
         }
@@ -745,7 +747,7 @@ class TestEchelon:
             after = oracle_rref(vectors[: t + 1], keys)
             new = set(after) - set(before)
             assert piv == (new.pop() if new else None)
-            assert {p: ech.row(p) for p in ech.rows} == after
+            assert {p: echelon_row(ech, p) for p in ech.rows} == after
             assert_rows_in_lowest_terms(ech)
             before = after
         return ech
@@ -789,7 +791,7 @@ class TestEchelon:
         assert ech.insert({3: (0, 2)}) == 3
         assert ech.insert({3: (5, 0)}) is None
         assert ech.insert({}) is None
-        assert ech.row(3) == {3: 1}
+        assert echelon_row(ech, 3) == {3: 1}
 
     def test_long_dependent_chain(self):
         # five independent vectors, then thirty more, each a combination of
@@ -1449,14 +1451,14 @@ class TestMatPolyKernels:
     def test_divmod_linear(self):
         for _, a, p in self.cases("divmod"):
             table = [[qqi_divmod(e, p) for e in row] for row in entry_polys(a)]
-            quot, rem = _divmod_linear(a, p)
+            quot = poly_divide_linear(a, p)
             assert_mat_list(quot, from_entries([[q for q, _ in row] for row in table], len(a) - 1))
-            assert_mat_list([rem], [Mat([[r for _, r in row] for row in table])])
-            # (u - p) a(u) divides exactly: every zero of a and of the
-            # remainder is a cancellation in the carry
-            quot, rem = _divmod_linear(times_u_minus(a, p), p)
-            assert_mat_list(quot, a)
-            assert_mat_list([rem], [Mat.zeros(a[0].nr, a[0].nc)])
+            # (u - p) q = a - a(p): the remainder is left out, not assumed zero
+            rest = poly_trim([a[0] - poly_eval(a, p)] + a[1:])
+            assert_mat_list(times_u_minus(quot, p) if quot else [], rest)
+            # (u - p) a(u) divides exactly: every zero of a is a
+            # cancellation in the carry
+            assert_mat_list(poly_divide_linear(times_u_minus(a, p), p), a)
 
     def test_taylor_coefficients_and_poly_shift(self):
         for _, a, p in self.cases("taylor"):
@@ -1552,11 +1554,70 @@ def gaussian_matmul(a, b):
 
 class TestBlockCertificate:
     def test_leak_names_the_first_entry_between_blocks(self):
+        # the layout pass refuses a matrix at the entry the `leak` oracle names
         blocks = Blocks([[0, 2], [1]], ["a", "b"])
         keeps = Mat.from_values([[1, 0, 2], [0, 3, 0], [4, 0, 5]])
-        assert blocks.leak(keeps) is None
-        assert blocks.leak(keeps + Mat.unit(3, 3, 2, 1)) == (2, 1)
-        assert blocks.leak(keeps + Mat.unit(3, 3, 2, 1) + Mat.unit(3, 3, 1, 0)) == (1, 0)
+        assert leak(blocks, keeps) is None
+        block_views([keeps], blocks)
+        for m in (
+            keeps + Mat.unit(3, 3, 2, 1),
+            keeps + Mat.unit(3, 3, 2, 1) + Mat.unit(3, 3, 1, 0),
+            keeps + Mat.unit(3, 3, 0, 1) + Mat.unit(3, 3, 1, 2),
+        ):
+            with pytest.raises(BlockLeak) as info:
+                block_views([keeps, keeps, m], blocks)
+            assert (info.value.matrix, info.value.entry) == (2, leak(blocks, m))
+        assert leak(blocks, keeps + Mat.unit(3, 3, 2, 1)) == (2, 1)
+        assert leak(blocks, keeps + Mat.unit(3, 3, 2, 1) + Mat.unit(3, 3, 1, 0)) == (1, 0)
+
+    def test_the_first_witness_agrees_with_the_oracle_on_random_leaks(self):
+        rng = random.Random(61)
+        refused = 0
+        for _ in range(30):
+            blocks = block_partition(rng, rng.randint(2, 9))
+            dim = len(blocks.of)
+            mats = [gaussian_block_matrix(rng, blocks, 20) for _ in range(3)]
+            t = rng.randrange(3)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                if blocks.of[i] != blocks.of[j]:
+                    mats[t] = mats[t] + Mat.unit(dim, dim, i, j, QQi(1, -2))
+            want = leak(blocks, mats[t])
+            if want is None:
+                assert block_views(mats, blocks).keys() == blocks.groups.keys()
+                continue
+            for call in (
+                lambda: block_views(mats, blocks),
+                lambda: commutator_certificate(mats, blocks, [(0, 1), (1, 2)]),
+            ):
+                with pytest.raises(BlockLeak) as info:
+                    call()
+                assert (info.value.matrix, info.value.entry) == (t, want)
+            refused += 1
+        assert refused >= 15
+
+    def test_a_leaking_matrix_is_refused_not_certified(self):
+        # A maps block [1, 2] into block [0]: AB != BA, though on the blocks
+        # alone both would read as commuting
+        blocks = Blocks([[0], [1, 2]], ["x", "y"])
+        a, b = Mat.unit(3, 3, 0, 1), Mat.unit(3, 3, 1, 1)
+        assert not commutes(a, b)
+        with pytest.raises(BlockLeak) as info:
+            commutator_certificate([a, b], blocks, [(0, 1)])
+        assert (info.value.matrix, info.value.entry) == (0, (0, 1))
+        with pytest.raises(BlockLeak) as info:
+            block_views([a], blocks)
+        assert (info.value.matrix, info.value.entry) == (0, (0, 1))
+        # a leak from a row of the 2x2 block, in the second matrix
+        c = Mat.unit(3, 3, 1, 2) + Mat.unit(3, 3, 2, 0, QQi(0, 1))
+        for call in (
+            lambda: commutator_certificate([b, c], blocks, [(0, 1)]),
+            lambda: block_views([b, c], blocks),
+        ):
+            with pytest.raises(BlockLeak) as info:
+                call()
+            assert (info.value.matrix, info.value.entry) == (1, (2, 0))
+            assert isinstance(info.value, ValueError)
 
     def test_block_views_are_the_complex_rows_of_each_block(self):
         import numpy as np

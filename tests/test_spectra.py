@@ -31,6 +31,7 @@ from oracles import (
     eigenvector_matrix,
     mat_to_numpy,
     reconstruction_residual,
+    spectrum_report,
     trace,
 )
 
@@ -134,8 +135,8 @@ class TestJointDiagonalize:
     def test_determinism_bit_for_bit(self):
         cfg = c2_pair_cfg()
         fam = residue_generators(cfg)
-        a = joint_diagonalize(fam.gens, cfg.rep).report()
-        b = joint_diagonalize(fam.gens, cfg.rep).report()
+        a = spectrum_report(joint_diagonalize(fam.gens, cfg.rep))
+        b = spectrum_report(joint_diagonalize(fam.gens, cfg.rep))
         assert json.dumps(a) == json.dumps(b)
 
     def test_non_simple_wall_family_is_one_deterministic_pass(self, monkeypatch):
@@ -156,7 +157,7 @@ class TestJointDiagonalize:
         assert not a.is_simple()
         assert len(attempts) == 1
         b = joint_diagonalize(members, cfg.rep)
-        assert json.dumps(a.report()) == json.dumps(b.report())
+        assert json.dumps(spectrum_report(a)) == json.dumps(spectrum_report(b))
         assert a.weights == b.weights
         assert a.values.tobytes() == b.values.tobytes()
         assert [v.tobytes() for v in a.vectors] == [v.tobytes() for v in b.vectors]
@@ -210,7 +211,7 @@ class TestWeightBlocks:
         for members in families:
             spec = joint_diagonalize(members, cfg.rep)
             assert Counter(spec.weights) == Counter(cfg.rep.weight_basis)
-            report = spec.report()
+            report = spectrum_report(spec)
             assert report["blocks"] == len(spec.vectors) == len(set(cfg.rep.weight_basis))
             assert report["largest_block"] == max(len(v) for v in spec.vectors)
 
@@ -218,6 +219,13 @@ class TestWeightBlocks:
         cfg = c2_pair_cfg()
         members = residue_generators(cfg).gens + [cfg.rep.delta(1, 2)]
         with pytest.raises(spectra.SpectraError, match="moves a weight"):
+            joint_diagonalize(members, cfg.rep)
+
+    def test_a_gram_matrix_that_joins_two_weight_spaces_is_refused(self, monkeypatch):
+        cfg = c2_pair_cfg()
+        members = residue_generators(cfg).gens
+        monkeypatch.setattr(cfg.rep, "gram", Mat.identity(4) + Mat.unit(4, 4, 0, 1, QQi(1)))
+        with pytest.raises(spectra.SpectraError, match="the Gram matrix joins two weight spaces"):
             joint_diagonalize(members, cfg.rep)
 
     def test_no_dense_rows_are_read(self):
