@@ -103,25 +103,34 @@ def standard_torus(n, wall=None) -> TorusElement:
 # Evaluated T-matrices
 
 
-def ev_t_grid(cfg: GaudinConfig):
-    """The evaluated T-matrix, one n x n grid per tensor slot.
+def ev_t_grid(cfg: GaudinConfig) -> dict:
+    """{rep: grid} of the evaluated T-matrix, for the factor reps whose
+    minors `_factor_minors` sweeps.
 
     ev T(u) = T^(1)(u) ... T^(k)(u) with T^(i)(u) = 1 + E^(i)/(u - w_i).
-    Slot i's grid holds the polynomial entries (u - w_i) delta_rc + E_rc of
-    (u - w_i) T^(i)(u), as pole-free RatFuns at the dimension of the factor
-    V_i alone; `quantum_minors` chains their minors by the coproduct.
+    A sweep reads the grid of a factor rep at the first slot that meets it,
+    when the rep has no minor table yet and is not C^n, whose table is
+    written in closed form; no other grid is built.
     """
-    n, grids = cfg.n, []
+    grids = {}
     for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
-        ident = Mat.identity(rep.dim)
-        grids.append([
-            [
-                RatFun([rep.e(r + 1, c + 1) - ident * w, ident] if r == c else [rep.e(r + 1, c + 1)])
-                for c in range(n)
-            ]
-            for r in range(n)
-        ])
+        if rep not in grids and rep not in _FACTOR_MINORS and not _is_defining(rep):
+            grids[rep] = _factor_grid(rep, w)
     return grids
+
+
+def _factor_grid(rep, w):
+    """The n x n grid of the polynomial entries (u - w) delta_rc + E_rc of
+    (u - w) T(u) on the factor `rep` at w, as pole-free RatFuns at the
+    dimension of the factor alone."""
+    n, ident = rep.n, Mat.identity(rep.dim)
+    return [
+        [
+            RatFun([rep.e(r + 1, c + 1) - ident * w, ident] if r == c else [rep.e(r + 1, c + 1)])
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +157,10 @@ def quantum_minors(cfg: GaudinConfig) -> dict:
     zero minors.
     """
     if cfg not in _MINORS:
+        grids = ev_t_grid(cfg)
         tables = [
-            _slot_minors(rep, grid, w)
-            for (rep, _, _), grid, w in zip(cfg.rep.factors, ev_t_grid(cfg), cfg.points)
+            _slot_minors(rep, grids.get(rep), w)
+            for (rep, _, _), w in zip(cfg.rep.factors, cfg.points)
         ]
         _MINORS[cfg] = _chain_minors(tables, cfg.n)
     return _MINORS[cfg]
@@ -174,11 +184,11 @@ def _slot_minors(rep, grid, w) -> dict:
     meets the rep, and kept beside the rep for as long as the rep lives;
     every other slot, of this configuration or of another built on the same
     rep, shifts it by w - w0 at factor dimension.  So the first slot pays
-    for one table and no shift: `_defining_minors` for C^n, the
-    `_factor_minors` sweep for any other rep.
+    for one table and no shift: the `_factor_minors` sweep of its `grid`,
+    or `_defining_minors` for C^n, which `ev_t_grid` gives no grid.
     """
     if rep not in _FACTOR_MINORS:
-        table = _defining_minors(rep, w) if _is_defining(rep) else _factor_minors(grid, w)
+        table = _defining_minors(rep, w) if grid is None else _factor_minors(grid, w)
         _FACTOR_MINORS[rep] = (w, table)
     w0, table = _FACTOR_MINORS[rep]
     if w == w0:
@@ -204,8 +214,8 @@ def _defining_minors(rep, w) -> dict:
     So QM_{I,I} = 1 + (sum_{i in I} E_ii)/(u - w); QM_{I,J} = (-1)^(p + q)
     E_ij/(u - w) when I - {i} = J - {j}, with i at position p of I and j at
     position q of J; and QM_{I,J} = 0 when I and J differ in two or more
-    places, so those are left out.  Each numerator is a nonzero matrix at
-    u = w, so no pole cancels.  The `column_minors` sweep is its oracle.
+    places, so those are left out.  The `column_minors` sweep is its
+    oracle.
     """
     n = rep.n
     ident = Mat.identity(n)
@@ -215,7 +225,7 @@ def _defining_minors(rep, w) -> dict:
     for a in range(1, n + 1):
         for I in combinations(range(n), a):
             diag = sum((rep.e(i + 1, i + 1) for i in I[1:]), rep.e(I[0] + 1, I[0] + 1))
-            table[I, I] = RatFun([diag - shift, ident], pole, normalize=False)
+            table[I, I] = RatFun([diag - shift, ident], pole)
             for p, i in enumerate(I):
                 rest = I[:p] + I[p + 1 :]
                 for j in range(n):
@@ -223,7 +233,7 @@ def _defining_minors(rep, w) -> dict:
                         J = tuple(sorted(rest + (j,)))
                         unit = rep.e(i + 1, j + 1)
                         num = unit if (p + J.index(j)) % 2 == 0 else -unit
-                        table[I, J] = RatFun([num], pole, normalize=False)
+                        table[I, J] = RatFun([num], pole)
     return table
 
 
@@ -232,8 +242,9 @@ def _factor_minors(grid, w) -> dict:
 
     One `column_minors` sweep per column set J, on the pole-free polynomial
     entries of those columns with column m at u - m, gives the minors of
-    every row set I; each quotient by prod_{m<|J|} (u - w - m) is
-    normalized once.  Zero minors are left out.
+    every row set I.  Each quotient by prod_{m<|J|} (u - w - m) is
+    cancelled here, once per rep, and nowhere else: the removable poles of
+    the minors are born in it.  Zero minors are left out.
     """
     n = len(grid)
     table = {}
@@ -243,7 +254,7 @@ def _factor_minors(grid, w) -> dict:
             cols = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
             for I, det in column_minors(cols).items():
                 if det.num:
-                    table[I, J] = RatFun(det.num, poles)
+                    table[I, J] = RatFun(det.num, poles).cancel()
     return table
 
 
@@ -255,8 +266,8 @@ def _chain_minors(tables, n) -> dict:
     (Molev, Yangians and Classical Lie Algebras, ch. 1).  The tables are
     folded in the order given, the last one for the diagonal I = J only; a
     table holds no zero minor, so the sum runs over the K where both
-    factors are present, and each sum is normalized once.  A diagonal minor
-    tends to the identity at infinity, so it is never zero.
+    factors are present.  A diagonal minor tends to the identity at
+    infinity, so it is never zero.
     """
     blocks = _same_size_subsets(n)
     acc = tables[0]
@@ -281,7 +292,7 @@ def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     """tau_a(u, C) as one exact matrix-valued rational function of u.
 
     Quantum-minor expansion: the sum over a-subsets I of c_I QM_I(u), where
-    c_I is the product of the entries of C over I, normalized once.
+    c_I is the product of the entries of C over I.
     """
     n = cfg.n
     if not (1 <= a <= n):

@@ -48,7 +48,7 @@ from .promotion import (
 )
 from .scalars import QQi
 from .spectra import eigenvalues_csv, scan_simple_spectrum
-from .tableaux import CrystalError, build_crystal, ssyt_count
+from .tableaux import CrystalError, build_crystal, shape_from_partition, ssyt_count
 from .tensorcrystal import string_statistics
 
 
@@ -56,11 +56,12 @@ from .tensorcrystal import string_statistics
 DIMCAP = 512
 # the largest n whose Gaudin column determinant (every gaudin action, bethe
 # degenerate) is built.  At n = 5 the default --dimcap admits (1,2)(1,2)(1,1),
-# dim 500, where `gaudin wall` takes about 27 s, `gaudin commute` 30 s and
-# `bethe degenerate` 47 s (2-vCPU host), against 15.5 s for the slowest case
-# at n = 4 (`bethe degenerate` on (1,2)(1,1)^3, dim 384).  The report's
-# span_rank is 2 s of a gaudin case there; the cdet sweep over the dim-500
-# grid and the pairwise commutativity check take most of the rest
+# dim 500, where `gaudin wall` takes about 20 s, `gaudin commute` 17 s (both
+# at chi = 1/3,1/3,1/5,1/7,-1/4) and `bethe degenerate --eps 1/8,1/16` 18-24 s
+# (2-vCPU host), against 13 s for the slowest case at n = 4 (`bethe
+# degenerate` on (1,2)(1,1)^3, dim 384).  The cdet sweep over the dim-500
+# operator grid is 15 of the 20 s of `gaudin wall` and 13 of the 17 s of
+# `gaudin commute`; span_rank takes 1.5-2 s and the pairwise certificate 0.3 s
 GAUDIN_MAX_N = 4
 
 
@@ -77,6 +78,15 @@ def parse_fraction(text):
 
 def parse_fraction_list(text):
     return [parse_fraction(x) for x in text.split(",") if x != ""]
+
+
+def parse_s_grid(opts, default):
+    """The --s-grid scales, or `default` without the flag; a given grid that
+    holds no scale is refused."""
+    grid = default if opts.get("s_grid") is None else parse_fraction_list(opts["s_grid"])
+    if not grid:
+        raise UsageError(f"--s-grid holds no scale: {opts['s_grid']!r}")
+    return grid
 
 
 def parse_scalar_list(text):
@@ -201,6 +211,7 @@ def cmd_crystal(opts):
             lam = tuple(int(x) for x in opts["lam"].split(","))
         except ValueError:
             raise UsageError(f"not a partition: {opts['lam']!r}") from None
+        shape_from_partition(lam)  # refused before any build
     else:
         raise UsageError("need --kr l,r or --lambda parts")
     affine = bool(opts.get("kr"))
@@ -375,7 +386,7 @@ def cmd_spectra(opts):
     n = opts["n"]
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
-    s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else SCAN_S_GRID
+    s_grid = parse_s_grid(opts, SCAN_S_GRID)
     # every s of the scan shares one rep, and so one minor table, per factor
     reps = kr_reps(n, factors)
 
@@ -402,7 +413,7 @@ def cmd_compare(opts):
         raise UsageError(f"compare needs n >= 2 for its alcove walls, got n = {n}")
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
-    s_grid = parse_fraction_list(opts["s_grid"]) if opts.get("s_grid") else S_GRID
+    s_grid = parse_s_grid(opts, S_GRID)
     report = compare_pipeline(n, factors, s_grid=s_grid)
     return emit(report, opts)
 

@@ -275,7 +275,7 @@ class Mat:
     of den * m[i, j], and zero entries are absent.  `den` is the lcm of the
     reduced entry denominators, so equal matrices have equal fields.  All
     arithmetic runs on Python ints and restores that form by one gcd pass;
-    `rows` and `m[i, j]` give QQi entries to callers that read them.
+    `m[i, j]` gives a QQi entry to callers that read one.
     """
 
     __slots__ = ("nr", "nc", "den", "nums")
@@ -318,15 +318,6 @@ class Mat:
         rows = [[0] * nc for _ in range(nr)]
         rows[i][j] = value
         return Mat.from_values(rows)
-
-    @property
-    def rows(self):
-        """Dense rows of QQi entries, built afresh on each read."""
-        out = [[QQI_ZERO] * self.nc for _ in self.nums]
-        for row, dense in zip(self.nums, out):
-            for j, v in row.items():
-                dense[j] = _entry(v, self.den)
-        return out
 
     def __getitem__(self, ij):
         i, j = ij
@@ -927,7 +918,7 @@ def _lift(a):
     return big, [big // c.den for c in a]
 
 
-def _taylor_terms(a, p, ks, binomial=True):
+def _taylor_terms(a, p, ks):
     """[(E, terms)] for each k in ks: coefficient k of a(t + p) in t is the
     sum over terms (wr, wi, nums) of (wr + wi*i) nums / E.
 
@@ -935,8 +926,7 @@ def _taylor_terms(a, p, ks, binomial=True):
     weight of N_j is the Gaussian integer C(j, k) P^(j - k) pd^(deg - j)
     (L / D_j), over E = L pd^(deg - k); zero coefficients and zero weights
     are left out.  The lift to L is taken once for every k, and P^(j - k)
-    one multiplication per j.  With binomial=False each C(j, k) is 1, which
-    gives coefficient k - 1 of the quotient of a by (u - p).
+    one multiplication per j.
     """
     pr, pi, pd = _gauss(p)
     big, scales = _lift(a)
@@ -948,9 +938,7 @@ def _taylor_terms(a, p, ks, binomial=True):
         for j in range(k, deg + 1):
             c = a[j]
             if any(c.nums):
-                w = scales[j] * pd ** (deg - j)
-                if k and binomial:
-                    w *= comb(j, k)
+                w = scales[j] * pd ** (deg - j) * comb(j, k)
                 terms.append((xr * w, xi * w, c.nums))
             if not (pr or pi):
                 break
@@ -974,13 +962,13 @@ def _row_value(terms, i):
     return {j: v for j, v in acc.items() if v[0] or v[1]}
 
 
-def _taylor(a, p, ks, binomial=True):
+def _taylor(a, p, ks):
     """The Mats of `_taylor_terms`: each row summed on Python ints
     (`_row_value`), each coefficient built by one gcd pass."""
     nr, nc = a[0].nr, a[0].nc
     return [
         _reduced(nr, nc, den, [_row_value(terms, i) for i in range(nr)])
-        for den, terms in _taylor_terms(a, p, ks, binomial)
+        for den, terms in _taylor_terms(a, p, ks)
     ]
 
 
@@ -988,20 +976,6 @@ def poly_eval(a, u):
     """a(u) for a nonempty list of Mat coefficients: coefficient 0 of a(t + u),
     with no Mat, QQi or Fraction built per Horner step."""
     return _taylor(a, u, (0,))[0]
-
-
-def _vanishes_at(a, p):
-    """Whether the polynomial a is zero at p.
-
-    It is tested row by row on the integer numerators that `poly_eval`
-    sums, stopping at the first row whose value is nonzero; an identically
-    zero row sums nothing, and no Mat is built.
-    """
-    ((_, terms),) = _taylor_terms(a, p, (0,))
-    for i in range(a[0].nr):
-        if _row_value(terms, i):
-            return False
-    return True
 
 
 def poly_shift(a, delta):
@@ -1021,15 +995,6 @@ def taylor_coefficients(a, p, count):
         return []
     rest = range(1, min(count, len(a)))
     return [poly_eval(a, p)] + (_taylor(a, p, rest) if rest else [])
-
-
-def poly_divide_linear(a, p):
-    """The quotient q of a = (u - p) q + a(p); a(p) is not computed.
-
-    Coefficient m of q is sum_{j > m} p^(j - m - 1) a_j, which is
-    `_taylor_terms` at k = m + 1 without the binomial weights.
-    """
-    return poly_trim(_taylor(a, p, range(1, len(a)), binomial=False))
 
 
 def poly_mul(a, b):
@@ -1073,27 +1038,18 @@ def poly_mul(a, b):
 class RatFun:
     """num(u) / prod_p (u - p)^{m_p} with an explicit pole multiset.
 
-    Numerator coefficients are Mats of one shape.
-    Instances are normalized on construction: common (u - p) factors are
-    cancelled and zero-multiplicity poles dropped.
+    Numerator coefficients are Mats of one shape.  The trimmed numerator and
+    the pole multiset are kept as given, so a pole may be removable; the
+    zero function has no poles.  Laurent coefficients, the value at
+    infinity, `is_zero` and `==` do not depend on it (`eval` refuses every
+    pole it holds), and `cancel` removes the common (u - p) factors.
     """
 
     __slots__ = ("num", "poles")
 
-    def __init__(self, num, poles=None, normalize=True):
-        num = poly_trim(list(num))
-        poles = dict(poles or {})
-        if normalize and num:
-            for p in list(poles):
-                while poles[p] > 0 and _vanishes_at(num, p):
-                    num = poly_divide_linear(num, p)
-                    poles[p] -= 1
-                if poles[p] == 0:
-                    del poles[p]
-        if not num:
-            poles = {}
-        self.num = num
-        self.poles = poles
+    def __init__(self, num, poles=None):
+        self.num = poly_trim(list(num))
+        self.poles = dict(poles or {}) if self.num else {}
 
     # -- constructors
 
@@ -1121,7 +1077,7 @@ class RatFun:
 
     @staticmethod
     def sum(terms):
-        """The sum of RatFuns over their common pole multiset, normalized once."""
+        """The sum of RatFuns over their common pole multiset."""
         terms = [t for t in terms if t.num]
         if len(terms) < 2:
             return terms[0] if terms else RatFun([], {})
@@ -1142,15 +1098,15 @@ class RatFun:
         return RatFun.sum((self, other))
 
     def __neg__(self):
-        return RatFun(poly_neg(self.num), self.poles, normalize=False)
+        return RatFun(poly_neg(self.num), self.poles)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, RatFun):
-            # scalar or Mat multiplier on the right; a scalar cancels no pole
-            return RatFun(poly_scale(self.num, other), self.poles, isinstance(other, Mat))
+            # scalar or Mat multiplier on the right
+            return RatFun(poly_scale(self.num, other), self.poles)
         if self.is_zero() or other.is_zero():
             return RatFun([], {})
         poles = dict(self.poles)
@@ -1159,23 +1115,12 @@ class RatFun:
         return RatFun(poly_mul(self.num, other.num), poles)
 
     def kron(self, other):
-        """num(u) (x) num'(u) over the sum of the two pole multisets.
-
-        A Kronecker product of matrices is zero only when a factor is, so the
-        result is already normalized when the pole sets are disjoint and
-        neither numerator vanishes at the other's poles; those tests run on
-        the factors, and only a product that fails them is normalized.
-        """
+        """num(u) (x) num'(u) over the sum of the two pole multisets."""
         if self.is_zero() or other.is_zero():
             return RatFun([], {})
         poles = dict(self.poles)
         for p, m in other.poles.items():
             poles[p] = poles.get(p, 0) + m
-        normalize = (
-            len(poles) < len(self.poles) + len(other.poles)
-            or any(_vanishes_at(other.num, p) for p in self.poles)
-            or any(_vanishes_at(self.num, p) for p in other.poles)
-        )
         a, b = self.num, other.num
         num = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -1184,7 +1129,7 @@ class RatFun:
                     term = ca.kron(cb)
                     num[i + j] = term if num[i + j] is None else num[i + j] + term
         zero = Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)
-        return RatFun([zero if c is None else c for c in num], poles, normalize)
+        return RatFun([zero if c is None else c for c in num], poles)
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -1199,14 +1144,7 @@ class RatFun:
     # -- calculus
 
     def derivative(self):
-        """Exact d/du; pole multiplicities grow by one where present.
-
-        The result is built with normalize=False, as no pole of it can
-        cancel: f = N / prod_p (u - p)^{m_p} is normalized, so N(p) != 0 at
-        each pole, and the new numerator N' prod_p (u - p) - N sum_p m_p
-        prod_{q != p} (u - q) takes at p the value -m_p N(p) prod_{q != p}
-        (p - q), which is nonzero as m_p >= 1 and the poles are distinct.
-        """
+        """Exact d/du; pole multiplicities grow by one where present."""
         if self.is_zero():
             return self
         dnum = poly_deriv(self.num)
@@ -1223,7 +1161,7 @@ class RatFun:
                     term = _times_linear(term, q)
             total = poly_add(total, term)
         newpoles = {p: m + 1 for p, m in plist}
-        return RatFun(total, newpoles, normalize=False)
+        return RatFun(total, newpoles)
 
     def shift_arg(self, delta):
         """The function u -> f(u - delta)."""
@@ -1232,7 +1170,26 @@ class RatFun:
             return self
         num = poly_shift(self.num, -delta)
         poles = {p + delta: m for p, m in self.poles.items()}
-        return RatFun(num, poles, normalize=False)
+        return RatFun(num, poles)
+
+    def cancel(self):
+        """The same function with every common (u - p) factor cancelled.
+
+        The order of vanishing of num at a pole p is the number of leading
+        zeros among the coefficients of num(t + p) in t; the rest, shifted
+        back, is the quotient.  A pole whose order reaches zero is dropped.
+        """
+        num, poles = self.num, {}
+        for p, m in self.poles.items():
+            taylor = poly_shift(num, p)
+            k = 0
+            while k < m and not taylor[k]:
+                k += 1
+            if k:
+                num = poly_shift(taylor[k:], -p)
+            if m > k:
+                poles[p] = m - k
+        return RatFun(num, poles)
 
     def eval(self, u):
         u = QQi.of(u)

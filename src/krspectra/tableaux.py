@@ -371,10 +371,12 @@ def row_counts(rows) -> Counter:
 
 
 def shape_from_partition(lam):
-    lam = tuple(x for x in lam if x > 0)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    """The nonzero parts of a partition given as a non-increasing tuple of
+    nonnegative parts; trailing zeros are allowed."""
+    lam = tuple(lam)
+    if any(x < 0 for x in lam) or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise CrystalError(f"not a partition: {lam}")
-    return lam
+    return tuple(x for x in lam if x > 0)
 
 
 def ssyt_count(shape, n):

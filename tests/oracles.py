@@ -3,12 +3,12 @@
 Each is an independent cross-check of a production path of the package, or
 a plain reading of an exact object that a test compares against one.  None
 of them is a production path, so none lives in `src/krspectra`; they read
-`Mat` only through its public API (`m[i, j]`, `rows`, products, sums and
+`Mat` only through its public API (`m[i, j]`, products, sums and
 `span_rank`), except `leak`, whose witness is the first in the order of the
 stored entries.
 
-- exact matrices: conjugation, traces, commutators, ranks and span
-  equality, scalar parts, the complex rows that the dense float routes
+- exact matrices: dense rows, conjugation, traces, commutators, ranks and
+  span equality, scalar parts, the complex rows that the dense float routes
   start from, the first entry of a matrix between two blocks, and the rows
   of an echelon basis;
 - Bethe: regularity of a torus element, the literal trace of tau_a in two
@@ -59,9 +59,14 @@ def conjugate(z: QQi) -> QQi:
     return QQi(z.re, -z.im)
 
 
+def mat_rows(m: Mat):
+    """Dense rows of QQi entries, read one entry at a time."""
+    return [[m[i, j] for j in range(m.nc)] for i in range(m.nr)]
+
+
 def complex_rows(m: Mat):
     """Dense rows of Python complex numbers, each part correctly rounded."""
-    return [[complex(float(x.re), float(x.im)) for x in row] for row in m.rows]
+    return [[complex(float(x.re), float(x.im)) for x in row] for row in mat_rows(m)]
 
 
 def trace(m: Mat) -> QQi:
@@ -338,7 +343,7 @@ def rep_to_json(rep):
         "dim": rep.dim,
         "weight_basis": [list(w) for w in rep.weight_basis],
         "generators": {
-            f"E[{a},{b}]": [[str(x) for x in row] for row in rep.e(a, b).rows]
+            f"E[{a},{b}]": [[str(x) for x in row] for row in mat_rows(rep.e(a, b))]
             for a in range(1, rep.n + 1)
             for b in range(1, rep.n + 1)
         },

@@ -42,6 +42,11 @@ class TestCrystalCommand:
         assert doc["extendable"] is False
         assert doc["promotion_order"] != 3
 
+    def test_lambda_with_trailing_zeros_builds_the_partition(self, capsys):
+        code, doc = run(capsys, "crystal", "build", "--n", "3", "--lambda", "2,1,0")
+        assert code == 0
+        assert doc["lambda"] == [2, 1, 0] and doc["size"] == 8
+
     def test_export_without_shape_is_usage_error(self, capsys):
         code = main(["crystal", "export", "--n", "3"])
         assert code == 2
@@ -755,6 +760,16 @@ class TestDimensionPreflight:
             (["crystal", "build", "--n", "2", "--kr", "1,1;1,1"], "--kr takes one factor l,r"),
             (["crystal", "build", "--n", "2", "--lambda", "a"], "not a partition: 'a'"),
             (["alcove", "classify", "--x", "1/2"], "--x needs two or more coordinates, got '1/2'"),
+            (["crystal", "build", "--n", "3", "--lambda", "2,-1"], "not a partition: (2, -1)"),
+            (["crystal", "build", "--n", "3", "--lambda", "0,1"], "not a partition: (0, 1)"),
+            (
+                ["compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", ","],
+                "--s-grid holds no scale: ','",
+            ),
+            (
+                ["spectra", "scan", "--n", "2", "--factors", "1,1;1,1", "--s-grid", ","],
+                "--s-grid holds no scale: ','",
+            ),
         ],
     )
     def test_input_without_meaning_is_refused_before_any_build(

@@ -12,7 +12,14 @@ from krspectra.glrep import (
 )
 from krspectra.scalars import Mat, QQi
 
-from oracles import casimir, check_commutation, commutator, rep_to_json, scalar_part
+from oracles import (
+    casimir,
+    check_commutation,
+    commutator,
+    mat_rows,
+    rep_to_json,
+    scalar_part,
+)
 
 
 class TestDims:
@@ -166,11 +173,11 @@ class TestSerialization:
 def _digests(rep):
     """sha256 of the JSON text of the generators, the weight basis and the Gram form."""
     gens = [
-        [[[str(x) for x in row] for row in rep.e(a, b).rows] for b in range(1, rep.n + 1)]
+        [[[str(x) for x in row] for row in mat_rows(rep.e(a, b))] for b in range(1, rep.n + 1)]
         for a in range(1, rep.n + 1)
     ]
     weights = [list(w) for w in rep.weight_basis]
-    gram = [[str(x) for x in row] for row in rep.gram.rows]
+    gram = [[str(x) for x in row] for row in mat_rows(rep.gram)]
     return tuple(hashlib.sha256(json.dumps(part).encode()).hexdigest() for part in (gens, weights, gram))
 
 

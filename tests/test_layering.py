@@ -1,11 +1,13 @@
 """The stored format of `Mat` is known to one module: `krspectra.scalars`.
 
-Every other module reads matrices through `Mat`'s operations, `m[i, j]`
-and `rows`; none names the numerator fields or a helper of the integer view
+Every other module reads matrices through `Mat`'s operations and
+`m[i, j]`; none names the numerator fields or a helper of the integer view
 that the stored format replaced.  No module names a second body of the
 Taylor kernel (`_value_weights`, `_divmod_linear`) or a caller-side block
 check (`require_blocks`, `.leak(`): the layout pass of `scalars` alone
-checks that a matrix maps each block to itself.
+checks that a matrix maps each block to itself.  No module, `scalars`
+included, names a cancellation pass outside `RatFun.cancel`: a
+`normalize=` or `binomial=` switch, `_vanishes_at` or `poly_divide_linear`.
 """
 
 import re
@@ -18,6 +20,7 @@ REMOVED = re.compile(
     r"\b(int_view|views_commute|_int_product|_value_weights|_divmod_linear|require_blocks)\b"
     r"|\.leak\("
 )
+CANCELLATION = re.compile(r"\b(normalize|binomial)=(?!=)|\b(_vanishes_at|poly_divide_linear)\b")
 
 
 def offending_lines(path):
@@ -52,3 +55,34 @@ def test_the_guard_sees_a_second_taylor_body_or_a_caller_side_block_check():
         assert REMOVED.search(line), line
     # catching the layout pass's refusal is how callers name it
     assert not REMOVED.search("except BlockLeak as leak: raise Error(leak.entry)")
+
+
+def test_no_module_cancels_poles_outside_cancel():
+    modules = sorted(SRC.glob("*.py"))
+    assert any(path.name == "scalars.py" for path in modules)
+    lines = [
+        (path.name, k, line.strip())
+        for path in modules
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+    ]
+    assert [hit for hit in lines if CANCELLATION.search(hit[2])] == []
+    # the one call of `cancel`: where the factor minors are born
+    calls = [hit for hit in lines if ".cancel(" in hit[2]]
+    assert [(name, text) for name, _, text in calls] == [
+        ("bethe.py", "table[I, J] = RatFun(det.num, poles).cancel()")
+    ]
+
+
+def test_the_guard_sees_a_cancellation_switch():
+    for line in (
+        "def __init__(self, num, poles=None, normalize=True):",
+        "return RatFun(num, poles, normalize=False)",
+        "while poles[p] > 0 and _vanishes_at(num, p):",
+        "num = poly_divide_linear(num, p)",
+        "for den, terms in _taylor_terms(a, p, ks, binomial=False)",
+    ):
+        assert CANCELLATION.search(line), line
+    # the one cancellation, a binomial coefficient and a comparison are not
+    for line in ("table[I, J] = RatFun(det.num, poles).cancel()", "w *= comb(j, k)",
+                 "binomial = comb(n, k)", "if normalize==other:"):
+        assert not CANCELLATION.search(line), line

@@ -14,7 +14,6 @@ from krspectra.scalars import (
     Mat,
     QQi,
     RatFun,
-    _vanishes_at,
     block_views,
     cdet,
     column_minors,
@@ -23,7 +22,6 @@ from krspectra.scalars import (
     limb_plan,
     limb_products,
     mat_inverse,
-    poly_divide_linear,
     poly_eval,
     poly_mul,
     poly_shift,
@@ -42,6 +40,7 @@ from oracles import (
     echelon_row,
     leak,
     mat_rank,
+    mat_rows,
     monomial,
     spans_equal,
     trace,
@@ -136,7 +135,9 @@ class TestRatFunDerivative:
         assert df == expected
 
     def test_no_pole_of_the_derivative_cancels(self):
-        # the result skips normalization; normalizing it must change nothing
+        # at a pole p of a cancelled f = N / prod (u - q)^m, N(p) != 0 and the
+        # derivative's numerator takes the value -m N(p) prod_{q != p} (p - q)
+        # there: cancelling the derivative changes nothing
         rng = random.Random(73)
         points = [QQi(Fraction(1, 3)), QQi(-2, 1), QQi(0, Fraction(-3, 5)), QQi(4)]
         for trial in range(24):
@@ -147,15 +148,15 @@ class TestRatFunDerivative:
                 ]
             else:
                 num = [m1(sparse_entry(rng)) for _ in range(trial % 5)] + [m1(rng.randint(1, 5))]
-            # a factor (u - p) at a pole makes the construction cancel one order
+            # a factor (u - p) at a pole makes `cancel` remove one order
             p = next(iter(poles))
             num = poly_mul(linear(p, num[0].nr), num) if trial % 3 == 0 else num
             f = RatFun(num, poles)
-            df = f.derivative()
-            normalized = RatFun(df.num, df.poles)
-            assert df == normalized
-            assert df.poles == normalized.poles == {q: m + 1 for q, m in f.poles.items()}
-            assert df.num == normalized.num
+            df = f.cancel().derivative()
+            assert df == f.derivative()
+            assert df.poles == {q: m + 1 for q, m in f.cancel().poles.items()}
+            cancelled = df.cancel()
+            assert cancelled.poles == df.poles and cancelled.num == df.num
 
     def test_finite_difference_oracle(self):
         # central differences at 10 random rational points: the error of
@@ -185,8 +186,8 @@ class TestRatFunKron:
     )
 
     @staticmethod
-    def normalized(f, g):
-        """The product built with every pole tested, as the oracle."""
+    def coefficientwise(f, g):
+        """The product summed coefficient by coefficient, as the oracle."""
         poles = {p: f.poles.get(p, 0) + g.poles.get(p, 0) for p in set(f.poles) | set(g.poles)}
         a, b = f.num, g.num
         zero = Mat.zeros(a[0].nr * b[0].nr, a[0].nc * b[0].nc)
@@ -198,18 +199,23 @@ class TestRatFunKron:
 
     def test_evaluation_agrees_with_kron_of_the_values(self):
         for f, g in [(self.A, self.B), (self.B, self.A), (self.A, self.A)]:
-            h, want = f.kron(g), self.normalized(f, g)
+            h, want = f.kron(g), self.coefficientwise(f, g)
             assert h.num == want.num and h.poles == want.poles
             for x in rational_points(11, 6):
                 u = QQi(x, Fraction(1, 3))
                 assert h.eval(u) == f.eval(u).kron(g.eval(u))
 
     def test_cancels_a_pole_where_the_other_numerator_vanishes(self):
-        # the row numerator (u - 1) [1, -2] is zero at 1, a pole of A
+        # the row numerator (u - 1) [1, -2] is zero at 1, a pole of A: the
+        # product keeps it, and `cancel` removes it
         vanishing = RatFun([Mat.from_values([[-1, 2]]), Mat.from_values([[1, -2]])], {QQi(5): 1})
         for h in (self.A.kron(vanishing), vanishing.kron(self.A)):
-            assert h.poles == {QQi(Fraction(1, 2), 1): 2, QQi(5): 1}
-            assert len(h.num) == 2
+            assert h.poles == {QQi(1): 1, QQi(Fraction(1, 2), 1): 2, QQi(5): 1}
+            assert len(h.num) == 3
+            c = h.cancel()
+            assert c == h
+            assert c.poles == {QQi(Fraction(1, 2), 1): 2, QQi(5): 1}
+            assert len(c.num) == 2
         h = self.A.kron(vanishing)
         u = QQi(Fraction(7, 3))
         assert h.eval(u) == self.A.eval(u).kron(vanishing.eval(u))
@@ -243,14 +249,17 @@ class TestRatFunSum:
         assert got.eval(u) == sum((t.eval(u) for t in terms[:3]), Mat.zeros(1))
         assert terms[3].eval(u) == QQi(0)
 
-    def test_cancelling_terms_are_normalized(self):
+    def test_cancelling_terms_cancel(self):
         f = RatFun([m1(1)], {QQi(1): 1})
-        # 1/(u - 1) - 1/(u - 1) = 0
+        # 1/(u - 1) - 1/(u - 1) = 0, and the zero function has no poles
         zero = RatFun.sum([f, RatFun([m1(-1)], {QQi(1): 1})])
         assert zero.is_zero() and zero.poles == {}
-        # 1/(u - 1) + u/((u - 1)(u - 2)) = (2u - 2)/((u - 1)(u - 2)) = 2/(u - 2)
+        # 1/(u - 1) + u/((u - 1)(u - 2)) = (2u - 2)/((u - 1)(u - 2)) = 2/(u - 2):
+        # the sum keeps the common pole multiset, `cancel` removes (u - 1)
         h = RatFun.sum([f, RatFun([m1(0), m1(1)], {QQi(1): 1, QQi(2): 1})])
-        assert h.num == [m1(2)] and h.poles == {QQi(2): 1}
+        assert h.num == [m1(-2), m1(2)] and h.poles == {QQi(1): 1, QQi(2): 1}
+        c = h.cancel()
+        assert c.num == [m1(2)] and c.poles == {QQi(2): 1} and c == h
 
     def test_empty_and_single(self):
         f = RatFun([m1(2)], {QQi(1): 1})
@@ -290,19 +299,22 @@ class TestResidue:
         for l in range(4):
             got = f.residue(p, l)
             # independent route: multiply by (u-p)^l as a RatFun product, then
-            # strip the pole at p one order at a time by residue-free division
+            # cancel the common factors to read the order of the pole at p
             g = f
             for _ in range(l):
                 g = g * RatFun(linear(p, 1), {})
+            g = g.cancel()
             m = g.poles.get(p, 0)
             if m == 0:
                 assert got == m1(0)
                 continue
-            # Laurent coefficient via limit: multiply by (u-p)^m and take the
-            # (m-1)-st derivative at p over (m-1)!  (classical formula)
+            # Laurent coefficient via limit: multiply by (u-p)^m, cancel, and
+            # take the (m-1)-st derivative at p over (m-1)!  (classical formula)
             h = g
             for _ in range(m):
                 h = h * RatFun(linear(p, 1), {})
+            h = h.cancel()
+            assert p not in h.poles
             fact = 1
             for _ in range(m - 1):
                 h = h.derivative()
@@ -528,9 +540,9 @@ class TestElimination:
         for size in range(1, 7):
             for trial in range(6):
                 m = self.random_matrix(rng, size, singular=trial % 2 == 1)
-                det = cdet(m.rows)
-                assert det == leibniz(m.rows)
-                full = mat_rank(m.rows) == size
+                det = cdet(mat_rows(m))
+                assert det == leibniz(mat_rows(m))
+                full = mat_rank(mat_rows(m)) == size
                 assert full == bool(det)
                 if full:
                     seen_regular += 1
@@ -631,7 +643,7 @@ class TestElimination:
         # the second row reduces to zero in the M half, so its pivot is (1, j)
         for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
             m = Mat.from_values(rows)
-            assert mat_rank(m.rows) < m.nr
+            assert mat_rank(mat_rows(m)) < m.nr
             with pytest.raises(ZeroDivisionError):
                 mat_inverse(m)
 
@@ -884,7 +896,7 @@ def pair_mul(x, y):
 
 
 def pairs_of(m):
-    return [[(x.re, x.im) for x in row] for row in m.rows]
+    return [[(x.re, x.im) for x in row] for row in mat_rows(m)]
 
 
 def pair_matmul(a, b):
@@ -928,7 +940,7 @@ def sparse_matrix(rng, nr, nc):
 def assert_canonical(m):
     """The stored form: den is the lcm of the reduced entry denominators,
     and nums holds exactly the nonzero entries, in range."""
-    rows = m.rows
+    rows = mat_rows(m)
     assert len(m.nums) == len(rows) == m.nr
     assert m.den == lcm(*(p.denominator for row in rows for x in row for p in (x.re, x.im)))
     for i, row in enumerate(m.nums):
@@ -938,14 +950,11 @@ def assert_canonical(m):
 
 
 def assert_fresh(out, *operands):
-    """The result is a new canonical Mat whose rows read as new QQi lists."""
+    """The result is a new canonical Mat, none of its operands, whose entries
+    read as QQi."""
     assert isinstance(out, Mat)
-    rows = out.rows
-    for m in operands:
-        assert out is not m
-        other = m.rows
-        assert all(r is not s for r in rows for s in other)
-    assert all(isinstance(x, QQi) for row in rows for x in row)
+    assert all(out is not m for m in operands)
+    assert all(isinstance(x, QQi) for row in mat_rows(out) for x in row)
     assert_canonical(out)
 
 
@@ -1033,28 +1042,34 @@ class TestZeroAwareKernel:
 
 
 class TestMatNormalization:
-    """RatFun cancels a pole of a Mat-valued numerator entry by entry; it must
-    agree with evaluating the whole matrix polynomial at the pole."""
+    """`RatFun.cancel` on a Mat-valued numerator must agree with evaluating
+    the whole matrix polynomial at the pole and dividing entry by entry."""
 
     P = QQi(Fraction(2, 3))
     OTHER = QQi(-1, 1)
 
     @staticmethod
     def whole_matrix(num, poles):
+        """The canonical form: while num(p) is the zero matrix and p is still
+        a pole, divide every entry by (u - p) in QQi; drop order-zero poles."""
         num, poles = poly_trim(list(num)), dict(poles)
         for p in list(poles):
             while poles[p] > 0 and not poly_eval(num, p):
-                num = poly_divide_linear(num, p)
+                table = [[qqi_divmod(e, p)[0] for e in row] for row in entry_polys(num)]
+                num = poly_trim(from_entries(table, len(num) - 1))
                 poles[p] -= 1
             if poles[p] == 0:
                 del poles[p]
         return num, poles
 
     def check(self, num, poles):
-        f = RatFun(num, poles)
+        raw = RatFun(num, poles)
+        assert raw.num == poly_trim(list(num)) and raw.poles == poles
+        f = raw.cancel()
         want_num, want_poles = self.whole_matrix(num, poles)
         assert f.poles == want_poles
         assert f.num == want_num
+        assert f == raw
         return f
 
     @staticmethod
@@ -1070,7 +1085,7 @@ class TestMatNormalization:
     def test_zero_first_entry_cancels(self):
         rng = random.Random(3)
         q = self.q_poly(rng)
-        q = [Mat([[QQi(0)] + r[1:] if i == 0 else list(r) for i, r in enumerate(c.rows)])
+        q = [Mat([[QQi(0)] + r[1:] if i == 0 else list(r) for i, r in enumerate(mat_rows(c))])
              for c in q]
         f = self.check(self.times_u_minus_p(q), {self.P: 2, self.OTHER: 1})
         assert f.poles == {self.P: 1, self.OTHER: 1}
@@ -1094,14 +1109,101 @@ class TestMatNormalization:
         assert f.poles == {self.P: 1}
 
 
+class TestCancel:
+    """A RatFun keeps the poles it is given.  `cancel` removes the common
+    (u - p) factors, and no Laurent coefficient, value at infinity, zero test
+    or equality may tell the two apart."""
+
+    POINTS = [QQi(Fraction(2, 3)), QQi(-1, 1), QQi(0, Fraction(1, 2)), QQi(3), QQi(0)]
+
+    def planted(self, rng, nr, nc):
+        """(f, want_num, want_poles): f = q prod_p (u - p)^k_p / prod_p (u - p)^m_p
+        with q(p) != 0 at every point, so its canonical form is known."""
+        while True:
+            q = mat_poly(rng, rng.randint(0, 3), nr, nc)
+            if nr * nc > 1:
+                # entry (0, 0) identically zero, beside the zero rows and
+                # zero coefficients of `mat_poly`
+                q = poly_trim([
+                    Mat([[QQi(0) if (i, j) == (0, 0) else c[i, j] for j in range(nc)]
+                         for i in range(nr)])
+                    for c in q
+                ])
+            if q and all(poly_eval(q, p) for p in self.POINTS):
+                break
+        points = rng.sample(self.POINTS, rng.randint(1, 4))
+        poles = {p: rng.randint(1, 3) for p in points[1:]}
+        # the first point is a planted root with no pole; every other one is
+        # a pole with a planted root of order 0 to its multiplicity + 1
+        planted = {points[0]: rng.randint(1, 2)}
+        planted.update((p, rng.randint(0, m + 1)) for p, m in poles.items())
+        num, want_num = q, q
+        for p, k in planted.items():
+            for _ in range(k):
+                num = times_u_minus(num, p)
+            for _ in range(k - poles.get(p, 0)):
+                want_num = times_u_minus(want_num, p)
+        want_poles = {p: m - planted[p] for p, m in poles.items() if m > planted[p]}
+        return RatFun(num, poles), want_num, want_poles
+
+    @staticmethod
+    def infinity_or_growth(f):
+        try:
+            return f.infinity_value()
+        except ValueError:
+            return "grows"
+
+    @pytest.mark.parametrize("nr,nc", [(1, 1), (3, 2)])
+    def test_cancel_keeps_every_laurent_coefficient(self, nr, nc):
+        rng = random.Random(101 + nr)
+        previous = None
+        for _ in range(30):
+            f, want_num, want_poles = self.planted(rng, nr, nc)
+            c = f.cancel()
+            assert c.num == want_num
+            assert c.poles == want_poles and list(c.poles) == list(want_poles)
+            for p, m in f.poles.items():
+                for l in range(m):
+                    assert f.residue(p, l) == c.residue(p, l), (p, l)
+            assert self.infinity_or_growth(f) == self.infinity_or_growth(c)
+            assert not f.is_zero() and not c.is_zero()
+            assert f == c and c == f
+            zero = f - c
+            assert zero.is_zero() and zero.poles == {}
+            if previous is not None:
+                assert (f == previous) == (c == previous.cancel())
+                assert not f == previous
+            previous = f
+            # cancelling twice changes nothing
+            again = c.cancel()
+            assert again.num == c.num and again.poles == c.poles
+
+    def test_a_planted_point_that_is_no_root_stays_a_pole(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            f, _, want_poles = self.planted(rng, 2, 2)
+            c = f.cancel()
+            for p, m in f.poles.items():
+                value = poly_eval(f.num, p)
+                assert (p in c.poles and c.poles[p] == m) == bool(value)
+            assert set(c.poles) <= set(f.poles)
+
+    def test_zero_function(self):
+        zero = RatFun([Mat.zeros(2), Mat.zeros(2)], {QQi(1): 2})
+        assert zero.num == [] and zero.poles == {}
+        c = zero.cancel()
+        assert c.is_zero() and c.poles == {} and c == zero
+
+
 # ---------------------------------------------------------------------------
 # The integer kernel against explicit QQi sums
 
 
 def qqi_matmul(a, b):
     """Test-only oracle: every entry an explicit sum of QQi products."""
+    ra, rb = mat_rows(a), mat_rows(b)
     return [
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.nc)), QQi(0))
+        [sum((ra[i][k] * rb[k][j] for k in range(a.nc)), QQi(0))
          for j in range(b.nc)]
         for i in range(a.nr)
     ]
@@ -1132,7 +1234,7 @@ class TestIntegerKernel:
             qqi_rows = [[sparse_entry(rng) for _ in range(nc)] for _ in range(nr)]
             m = Mat(qqi_rows)
             assert m.den > 0 and len(m.nums) == m.nr
-            assert m.rows == qqi_rows
+            assert mat_rows(m) == qqi_rows
             for i, row in enumerate(m.nums):
                 assert sorted(row) == [j for j, x in enumerate(qqi_rows[i]) if x]
                 for j, (re, im) in row.items():
@@ -1158,25 +1260,25 @@ class TestIntegerKernel:
             out = a * b
             assert_fresh(out, a, b)
             assert (out.nr, out.nc) == (n, k)
-            assert out.rows == qqi_matmul(a, b)
+            assert mat_rows(out) == qqi_matmul(a, b)
 
     def test_zero_rows_and_zero_matrices(self):
         rng = random.Random(37)
         a = sparse_matrix(rng, 4, 4)
-        a = Mat([list(r) if i % 2 else [QQi(0)] * 4 for i, r in enumerate(a.rows)])
+        a = Mat([list(r) if i % 2 else [QQi(0)] * 4 for i, r in enumerate(mat_rows(a))])
         b = sparse_matrix(rng, 4, 3)
         out = a * b
-        assert out.rows == qqi_matmul(a, b)
-        assert not any(out.rows[0]) and not any(out.rows[2])
+        assert mat_rows(out) == qqi_matmul(a, b)
+        assert not any(mat_rows(out)[0]) and not any(mat_rows(out)[2])
         assert a * Mat.zeros(4, 2) == Mat.zeros(4, 2)
         assert Mat.zeros(3, 4) * b == Mat.zeros(3, 3)
 
     def test_real_products_have_zero_imaginary_parts(self):
         rng = random.Random(41)
-        a = Mat([[QQi(x.re) for x in r] for r in sparse_matrix(rng, 5, 5).rows])
+        a = Mat([[QQi(x.re) for x in r] for r in mat_rows(sparse_matrix(rng, 5, 5))])
         out = a * a
-        assert out.rows == qqi_matmul(a, a)
-        assert all(x.im == 0 for r in out.rows for x in r)
+        assert mat_rows(out) == qqi_matmul(a, a)
+        assert all(x.im == 0 for r in mat_rows(out) for x in r)
 
     def test_commutes_agrees_with_the_commutator(self):
         rng = random.Random(43)
@@ -1257,7 +1359,7 @@ class TestStoredFormat:
             n, m = 1 + trial % 4, 1 + (trial * 3) % 5
             a, b = build(rng, n, m), build(rng, n, m)
             c, sq, sq2 = build(rng, m, 1 + trial % 3), build(rng, n, n), build(rng, n, n)
-            ra, rb, rsq = a.rows, b.rows, sq.rows
+            ra, rb, rsq = mat_rows(a), mat_rows(b), mat_rows(sq)
             checks = [
                 (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
                 (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)]),
@@ -1272,7 +1374,7 @@ class TestStoredFormat:
                 checks.append((s * a, [[x * s for x in r] for r in ra]))
             for out, want in checks:
                 assert_canonical(out)
-                assert out.rows == want
+                assert mat_rows(out) == want
             assert trace(sq) == sum((rsq[i][i] for i in range(n)), QQi(0))
             assert commutes(sq, sq2) == (qqi_matmul(sq, sq2) == qqi_matmul(sq2, sq))
             assert commutes(sq, sq * sq + sq * QQi(2, 1))
@@ -1282,8 +1384,8 @@ class TestStoredFormat:
         rng = random.Random("zero/" + build.__name__)
         a, b, sq = build(rng, 3, 4), build(rng, 4, 2), build(rng, 3, 3)
         # left uses only columns 0 and 1, right has nonzero rows 2 and 3 only
-        left = Mat([list(r[:2]) + [QQi(0)] * 2 for r in a.rows])
-        right = Mat([[QQi(0)] * 2] * 2 + [list(r) for r in b.rows[2:]])
+        left = Mat([list(r[:2]) + [QQi(0)] * 2 for r in mat_rows(a)])
+        right = Mat([[QQi(0)] * 2] * 2 + [list(r) for r in mat_rows(b)[2:]])
         for out in (a - a, a + (-a), a * 0, a * QQi(0), 0 * a, left * right,
                     a.kron(Mat.zeros(2)), Mat.zeros(3, 3) * a, commutator(sq, sq)):
             assert not out
@@ -1296,7 +1398,7 @@ class TestStoredFormat:
         for build in STORED_BUILDERS:
             a, b = build(rng, 3, 3), build(rng, 3, 3)
             for x, y in [((a + b) - b, a), (a * QQi(2, -1) * QQi(2, 1), a * 5),
-                         (a.transpose().transpose(), a), (Mat(a.rows), a)]:
+                         (a.transpose().transpose(), a), (Mat(mat_rows(a)), a)]:
                 assert (x.den, x.nums) == (y.den, y.nums)
                 assert x == y and hash(x) == hash(y)
 
@@ -1309,7 +1411,7 @@ class TestStoredFormat:
         for build in STORED_BUILDERS:
             for _ in range(4):
                 m = build(rng, 4, 5)
-                rows = m.rows
+                rows = mat_rows(m)
                 want = max((float(x.abs2()) for r in rows for x in r), default=0.0) ** 0.5
                 assert m.max_abs() == want
                 qqi_route = np.array([[complex(x) for x in r] for r in rows], dtype=np.complex128)
@@ -1359,7 +1461,7 @@ def mat_poly(rng, deg, nr, nc):
 
 def entry_polys(a):
     """The QQi coefficient list of each entry (i, j) of a Mat-valued polynomial."""
-    rows = [c.rows for c in a]
+    rows = [mat_rows(c) for c in a]
     return [[[r[i][j] for r in rows] for j in range(a[0].nc)] for i in range(a[0].nr)]
 
 
@@ -1404,13 +1506,13 @@ def assert_mat_list(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_canonical(g)
-        assert g == w and g.rows == w.rows
+        assert g == w and mat_rows(g) == mat_rows(w)
 
 
 class TestMatPolyKernels:
-    """Evaluation, the pole test, products, synthetic division, Taylor
-    coefficients and shifts of Mat-valued polynomials run on integer
-    numerators; each must equal the QQi computation entry by entry."""
+    """Evaluation, products, Taylor coefficients, shifts and `RatFun.cancel`
+    of Mat-valued polynomials run on integer numerators; each must equal the
+    QQi computation entry by entry."""
 
     def cases(self, seed, count=40):
         rng = random.Random(seed)
@@ -1418,17 +1520,16 @@ class TestMatPolyKernels:
             nr, nc = 1 + trial % 4, 1 + (trial * 3) % 5
             yield rng, mat_poly(rng, trial % 5, nr, nc), KERNEL_POINTS[trial % len(KERNEL_POINTS)]
 
-    def test_poly_eval_and_vanishes_at(self):
+    def test_poly_eval(self):
         for _, a, p in self.cases("eval"):
             want = Mat([[qqi_value(e, p) for e in row] for row in entry_polys(a)])
             got = poly_eval(a, p)
             assert_canonical(got)
-            assert got == want and got.rows == want.rows
-            assert _vanishes_at(a, p) == (not want)
+            assert got == want and mat_rows(got) == mat_rows(want)
 
     @staticmethod
     def qqi_poly_mul(a, b):
-        ra, rb = [c.rows for c in a], [c.rows for c in b]
+        ra, rb = [mat_rows(c) for c in a], [mat_rows(c) for c in b]
         return poly_trim([
             Mat([
                 [sum((ra[i][r][m] * rb[k - i][m][c]
@@ -1448,17 +1549,22 @@ class TestMatPolyKernels:
             a2, b2 = [a[-1], a[-1]], [b[-1], -b[-1]]
             assert_mat_list(poly_mul(a2, b2), self.qqi_poly_mul(a2, b2))
 
-    def test_divmod_linear(self):
+    def test_cancel_divides_by_u_minus_p(self):
         for _, a, p in self.cases("divmod"):
+            # (u - p) a(u) / (u - p) cancels to a, with no pole left
+            f = RatFun(times_u_minus(a, p), {p: 1}).cancel()
+            assert_mat_list(f.num, a)
+            assert f.poles == {}
+            # a / (u - p) cancels exactly when a(p) = 0, to the QQi quotient
             table = [[qqi_divmod(e, p) for e in row] for row in entry_polys(a)]
-            quot = poly_divide_linear(a, p)
-            assert_mat_list(quot, from_entries([[q for q, _ in row] for row in table], len(a) - 1))
-            # (u - p) q = a - a(p): the remainder is left out, not assumed zero
-            rest = poly_trim([a[0] - poly_eval(a, p)] + a[1:])
-            assert_mat_list(times_u_minus(quot, p) if quot else [], rest)
-            # (u - p) a(u) divides exactly: every zero of a is a
-            # cancellation in the carry
-            assert_mat_list(poly_divide_linear(times_u_minus(a, p), p), a)
+            g = RatFun(a, {p: 1}).cancel()
+            if poly_eval(a, p):
+                assert g.poles == {p: 1}
+                assert_mat_list(g.num, a)
+            else:
+                assert g.poles == {}
+                quot = from_entries([[q for q, _ in row] for row in table], len(a) - 1)
+                assert_mat_list(g.num, poly_trim(quot))
 
     def test_taylor_coefficients_and_poly_shift(self):
         for _, a, p in self.cases("taylor"):
@@ -1475,11 +1581,14 @@ class TestMatPolyKernels:
                 Mat.from_values([[1 + i + 2 * j for j in range(3)] for i in range(4)])
             ]
             a = times_u_minus(q, p)
-            assert _vanishes_at(a, p) and not poly_eval(a, p)
+            assert not poly_eval(a, p)
+            f = RatFun(a, {p: 1}).cancel()
+            assert f.poles == {} and f.num == q
             bump = Mat.unit(4, 3, 3, rng.randrange(3), QQi(Fraction(1, 9), -1))
             b = [a[0] + bump] + a[1:]
-            assert not _vanishes_at(b, p)
             assert poly_eval(b, p) == bump
+            g = RatFun(b, {p: 1}).cancel()
+            assert g.poles == {p: 1} and g.num == b
 
 
 # ---------------------------------------------------------------------------
