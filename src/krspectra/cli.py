@@ -117,7 +117,7 @@ def emit(report, opts):
     payload["config"] = {
         k: v for k, v in opts.items() if v is not None and k not in ("func",)
     }
-    text = json.dumps(payload, indent=1, default=str)
+    text = json.dumps(payload, default=str)
     # the report is printed in any case, so "-" (stdout) writes no file
     if opts.get("json") not in (None, "-"):
         export.write_text(opts["json"], text)

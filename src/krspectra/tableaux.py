@@ -1,11 +1,15 @@
 """Semistandard Young tableaux and the classical sl_n crystal structure.
 
 Kashiwara operators use the signature rule on the Far-Eastern reading word
-(columns bottom to top, taken left to right).  Crystal graphs are explicit
-finite graphs on integer ids, stored as read-only numpy int arrays, each id
-labeled by its tableau or tensor pair; the same container carries the affine
-KR crystals (operator indices 0..n-1), their classical views and tensor
-products.
+(columns bottom to top, taken left to right).  `build_crystal` applies it to
+all tableaux of a shape at once: their reading words are the rows of one
+(N, L) int array, each e_i and f_i is read off the prefix sums of one array
+pass per index, and targets are matched to ids by a sorted search over
+packed word keys (`row_keys`); the rule on one tableau is the tests' oracle.
+Crystal graphs are explicit finite graphs on integer ids, stored as
+read-only numpy int arrays, each id labeled by its tableau or tensor pair;
+the same container carries the affine KR crystals (operator indices
+0..n-1), their classical views and tensor products.
 """
 
 from __future__ import annotations
@@ -52,23 +56,28 @@ class Tableau(tuple):
     def shape(self):
         return tuple(len(r) for r in self.rows)
 
-    def content(self):
-        c = [0] * self.n
-        for row in self.rows:
-            for x in row:
-                c[x - 1] += 1
-        return tuple(c)
-
     def __repr__(self):
         return "/".join("".join(str(x) for x in row) for row in self.rows)
 
 
+def column_heights(shape):
+    """The height of each column of a partition shape, left to right."""
+    return [sum(1 for ln in shape if ln > c) for c in range(shape[0] if shape else 0)]
+
+
 def enumerate_ssyt(shape, n):
-    """All semistandard tableaux of the given shape with entries <= n."""
+    """All semistandard tableaux of the given shape with entries <= n, in
+    lexicographic order of their rows read one after another.
+
+    Cell (r, c) holds at most n - (height of column c - 1 - r), since the
+    entries below it in its column strictly increase up to n; without that
+    bound the search would explore branches with no tableau in them.
+    """
     shape = tuple(shape)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise CrystalError(f"shape must weakly decrease: {shape}")
     cells = [(r, c) for r, ln in enumerate(shape) for c in range(ln)]
+    height = column_heights(shape)
     results = []
     grid = [[0] * ln for ln in shape]
 
@@ -82,7 +91,7 @@ def enumerate_ssyt(shape, n):
             lo = max(lo, grid[r][c - 1])
         if r > 0:
             lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, n + 1):
+        for v in range(lo, n - height[c] + r + 2):
             grid[r][c] = v
             fill(k + 1)
         grid[r][c] = 0
@@ -93,59 +102,7 @@ def enumerate_ssyt(shape, n):
 
 def reading_order(shape):
     """Cell positions in Far-Eastern reading order."""
-    ncols = shape[0] if shape else 0
-    out = []
-    for c in range(ncols):
-        col_height = sum(1 for ln in shape if ln > c)
-        for r in range(col_height - 1, -1, -1):
-            out.append((r, c))
-    return out
-
-
-def _signature_positions(t: Tableau, i):
-    """Unmatched positions for the letters i (close) and i+1 (open).
-
-    Returns (unmatched_closes, unmatched_opens), each a list of cell
-    positions in reading order; an i+1 earlier in the word matches an i later.
-    """
-    closes = []
-    opens = []
-    for pos in reading_order(t.shape):
-        x = t.rows[pos[0]][pos[1]]
-        if x == i + 1:
-            opens.append(pos)
-        elif x == i:
-            if opens:
-                opens.pop()
-            else:
-                closes.append(pos)
-    return closes, opens
-
-
-def _replace(t: Tableau, pos, value):
-    rows = [list(r) for r in t.rows]
-    rows[pos[0]][pos[1]] = value
-    return Tableau(rows, t.n)
-
-
-def f_op(i, t: Tableau):
-    """Lowering operator: turn the rightmost unmatched i into i+1."""
-    if not (1 <= i <= t.n - 1):
-        raise CrystalError(f"index {i} out of range for n={t.n}")
-    closes, _ = _signature_positions(t, i)
-    if not closes:
-        return None
-    return _replace(t, closes[-1], i + 1)
-
-
-def e_op(i, t: Tableau):
-    """Raising operator: turn the leftmost unmatched i+1 into i."""
-    if not (1 <= i <= t.n - 1):
-        raise CrystalError(f"index {i} out of range for n={t.n}")
-    _, opens = _signature_positions(t, i)
-    if not opens:
-        return None
-    return _replace(t, opens[0], i)
+    return [(r, c) for c, h in enumerate(column_heights(shape)) for r in range(h - 1, -1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +296,36 @@ def canonical_weight(w):
     return w - w.min(axis=-1, keepdims=True)
 
 
-def row_counts(rows) -> Counter:
-    """Counter of the rows of a nonnegative (m, c) int array, keyed by tuples
-    of Python ints, in lexicographic order.
+def row_keys(rows):
+    """One int64 key per row of a nonnegative (m, c) int array with m >= 1:
+    equal rows have equal keys, and keys order as the rows do
+    lexicographically.
 
-    The columns are packed, left to right, into one int64 key per row, each
-    column a digit in base (its max + 1); before a digit would overflow the
-    keys, they are replaced by their ranks, which keep their order and are
-    below m.  Equal rows are runs of the sorted keys.
+    The columns are packed, left to right, each column a digit in base (its
+    max + 1); before a digit would overflow the keys, they are replaced by
+    their ranks, which keep their order and are below m.  So keys compare
+    only within one call: rows to be matched are packed together.
     """
-    m = len(rows)
-    if not m:
-        return Counter()
-    key = np.zeros(m, dtype=np.int64)
+    key = np.zeros(len(rows), dtype=np.int64)
     span = 1  # every key is below span
-    for col in rows.T:
-        base = int(col.max()) + 1
+    for col, base in zip(rows.T, (rows.max(axis=0) + 1).tolist()):
         if span * base >= 2**63:
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
         key = key * base + col
         span *= base
+    return key
+
+
+def row_counts(rows) -> Counter:
+    """Counter of the rows of a nonnegative (m, c) int array, keyed by tuples
+    of Python ints, in lexicographic order: equal rows are runs of the sorted
+    `row_keys`.
+    """
+    m = len(rows)
+    if not m:
+        return Counter()
+    key = row_keys(rows)
     order = key.argsort()
     key = key[order]
     edge = np.empty(m + 1, dtype=bool)
@@ -384,7 +350,7 @@ def ssyt_count(shape, n):
 
     Hook-content formula: prod over cells (n + c - r) / hook(r, c).
     """
-    cols = [sum(1 for ln in shape if ln > c) for c in range(shape[0] if shape else 0)]
+    cols = column_heights(shape)
     num = den = 1
     for r, ln in enumerate(shape):
         for c in range(ln):
@@ -402,18 +368,83 @@ def build_crystal(n, lam, cap=100000) -> CrystalGraph:
     if size > cap:
         raise CrystalError(f"crystal would have {size} > cap {cap} elements")
     elems = enumerate_ssyt(shape, n)
-    ids = {t: k for k, t in enumerate(elems)}
-
-    def targets(op, i):
-        return [-1 if (u := op(i, t)) is None else ids[u] for t in elems]
-
-    E = [targets(e_op, i) for i in range(1, n)]
-    F = [targets(f_op, i) for i in range(1, n)]
-    g = CrystalGraph(n, elems, E, F, [t.content() for t in elems])
+    words = reading_words(shape, elems)
+    E, F = signature_rule(words, n)
+    g = CrystalGraph(n, elems, E, F, letter_counts(words, n))
     bad = g.check_axioms()
     if bad:
         raise CrystalError(f"crystal axioms failed: {bad}")
     return g
+
+
+def reading_words(shape, tableaux):
+    """(N, L) int array: row k is the Far-Eastern reading word of tableaux[k],
+    each of the given shape with L cells."""
+    start = [sum(shape[:r]) for r in range(len(shape))]
+    flat = np.array([x for t in tableaux for row in t.rows for x in row], dtype=np.intp)
+    words = flat.reshape(len(tableaux), sum(shape))
+    return words[:, [start[r] + c for r, c in reading_order(shape)]]
+
+
+def signature_rule(words, n):
+    """(E, F), (n-1, N) id arrays: Kashiwara's signature rule on the rows of
+    `words`, an (N, L) int array of Far-Eastern reading words in the letters
+    1..n, one array pass per index i.
+
+    Count letter i+1 as +1 and letter i as -1, and let m be the least prefix
+    sum, the empty prefix counting 0.  f_i turns into i+1 the letter where
+    the prefix sums first reach m, if m < 0: the rightmost i that no earlier
+    i+1 brackets.  e_i turns into i the letter right after the last prefix
+    that sums to m, if the word ends above m: the leftmost unbracketed i+1.
+    The targets of all indices are found by one sorted search over the
+    `row_keys` of the words and the targets; a target that is not a row
+    raises CrystalError.
+    """
+    size, length = words.shape
+    indices = range(1, n)
+    sums = np.zeros((size, length + 1), dtype=np.intp)
+    found = []  # (0 for f_i or 1 for e_i, row, sources, cells, new letter)
+    for r, i in enumerate(indices):
+        np.cumsum((words == i + 1).view(np.int8) - (words == i), axis=1, out=sums[:, 1:])
+        low = sums.min(axis=1)
+        at_low = sums == low[:, None]
+        f_src = np.flatnonzero(low < 0)
+        e_src = np.flatnonzero(sums[:, length] > low)
+        found += [
+            (0, r, f_src, at_low[f_src].argmax(axis=1) - 1, i + 1),
+            (1, r, e_src, length - at_low[e_src, ::-1].argmax(axis=1), i),
+        ]
+    maps = np.full((2, len(indices), size), -1, dtype=np.intp)
+    if found:
+        which, rows, sources, cells, letters = zip(*found)
+        counts = [len(src) for src in sources]
+        sources = np.concatenate(sources)
+        targets = words[sources]
+        targets[np.arange(len(sources)), np.concatenate(cells)] = np.repeat(letters, counts)
+        maps[np.repeat(which, counts), np.repeat(rows, counts), sources] = _row_ids(words, targets)
+    F, E = maps
+    return E, F
+
+
+def _row_ids(rows, targets):
+    """The row index of each target row; CrystalError names one that is no row."""
+    keys = row_keys(np.concatenate([rows, targets]))
+    own, wanted = keys[: len(rows)], keys[len(rows) :]
+    order = own.argsort()
+    own = own[order]
+    at = np.searchsorted(own, wanted).clip(max=len(own) - 1)
+    missing = own[at] != wanted
+    if missing.any():
+        word = targets[missing.argmax()].tolist()
+        raise CrystalError(f"an operator target is not an element: {word}")
+    return order[at]
+
+
+def letter_counts(words, n):
+    """(N, n) array: how often each letter 1..n occurs in each row of `words`."""
+    size = len(words)
+    flat = (words - 1 + n * np.arange(size).reshape(size, 1)).ravel()
+    return np.bincount(flat, minlength=size * n).reshape(size, n)
 
 
 def string_positions(graph, i):

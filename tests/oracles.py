@@ -17,9 +17,10 @@ stored entries.
 - Gaudin: the Manin relations of L(u) - d_u - chi, as operator identities
   and applied to monomials;
 - reps: the gl_n commutation relations, the Casimir and a JSON dump;
-- crystals: the operators e_i and f_i on element ids, Schutzenberger's
-  involution by propagation on the graph, tableau evacuation, phi = xi o
-  xi', and characters against the bialternant Schur polynomial;
+- crystals: the operators e_i and f_i on one tableau and on element ids,
+  Schutzenberger's involution by propagation on the graph, tableau
+  evacuation, phi = xi o xi', and characters against the bialternant Schur
+  polynomial;
 - alcoves: the identity of the extended affine Weyl group, a regular
   sample point and wall membership;
 - spectra: a joint spectrum's report, and the dense routes that rebuild on
@@ -49,7 +50,7 @@ from krspectra.scalars import (
     span_rank,
 )
 from krspectra.spectra import TOL, _refine
-from krspectra.tableaux import CrystalError, CrystalGraph, Tableau
+from krspectra.tableaux import CrystalError, CrystalGraph, Tableau, reading_order
 
 # ---------------------------------------------------------------------------
 # Exact scalars and matrices
@@ -351,7 +352,101 @@ def rep_to_json(rep):
 
 
 # ---------------------------------------------------------------------------
-# Crystals: Schutzenberger's involution, evacuation, phi and characters
+# Crystals: the per-tableau signature rule, Schutzenberger's involution,
+# evacuation, phi and characters
+
+
+def ssyt_unbounded(shape, n):
+    """Semistandard tableaux of the shape with entries <= n, by a search that
+    bounds each cell only from its left and upper neighbours, in the order of
+    `enumerate_ssyt`: the cross-check of that search's upper bound."""
+    cells = [(r, c) for r, ln in enumerate(shape) for c in range(ln)]
+    grid = [[0] * ln for ln in shape]
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            out.append(Tableau(grid, n))
+            return
+        r, c = cells[k]
+        lo = max(grid[r][c - 1] if c else 1, grid[r - 1][c] + 1 if r else 1)
+        for v in range(lo, n + 1):
+            grid[r][c] = v
+            fill(k + 1)
+
+    fill(0)
+    return out
+
+
+def crystal_by_tableaux(n, shape):
+    """(labels, E, F, wt) of B_shape by `e_op` and `f_op` on each tableau, as
+    lists: ids in the order of `ssyt_unbounded`, -1 where an operator
+    vanishes, wt the content of each tableau."""
+    labels = ssyt_unbounded(shape, n)
+    ids = {t: k for k, t in enumerate(labels)}
+
+    def targets(op, i):
+        return [-1 if (u := op(i, t)) is None else ids[u] for t in labels]
+
+    E = [targets(e_op, i) for i in range(1, n)]
+    F = [targets(f_op, i) for i in range(1, n)]
+    return labels, E, F, [list(content(t)) for t in labels]
+
+
+def content(t: Tableau):
+    """How often each letter 1..n occurs in the tableau, as a tuple."""
+    c = [0] * t.n
+    for row in t.rows:
+        for x in row:
+            c[x - 1] += 1
+    return tuple(c)
+
+
+def _signature_positions(t: Tableau, i):
+    """Unmatched positions for the letters i (close) and i+1 (open).
+
+    Returns (unmatched_closes, unmatched_opens), each a list of cell
+    positions in reading order; an i+1 earlier in the word matches an i later.
+    """
+    closes = []
+    opens = []
+    for pos in reading_order(t.shape):
+        x = t.rows[pos[0]][pos[1]]
+        if x == i + 1:
+            opens.append(pos)
+        elif x == i:
+            if opens:
+                opens.pop()
+            else:
+                closes.append(pos)
+    return closes, opens
+
+
+def _replace(t: Tableau, pos, value):
+    rows = [list(r) for r in t.rows]
+    rows[pos[0]][pos[1]] = value
+    return Tableau(rows, t.n)
+
+
+def f_op(i, t: Tableau):
+    """Lowering operator on one tableau: turn the rightmost unmatched i into
+    i+1; the cross-check of `signature_rule`."""
+    if not (1 <= i <= t.n - 1):
+        raise CrystalError(f"index {i} out of range for n={t.n}")
+    closes, _ = _signature_positions(t, i)
+    if not closes:
+        return None
+    return _replace(t, closes[-1], i + 1)
+
+
+def e_op(i, t: Tableau):
+    """Raising operator on one tableau: turn the leftmost unmatched i+1 into i."""
+    if not (1 <= i <= t.n - 1):
+        raise CrystalError(f"index {i} out of range for n={t.n}")
+    _, opens = _signature_positions(t, i)
+    if not opens:
+        return None
+    return _replace(t, opens[0], i)
 
 
 def graph_e(graph: CrystalGraph, i, b):

@@ -563,32 +563,33 @@ def quoted_numbers(doc):
 
 class TestReportsHoldPlainInts:
     """`emit` prints what `json` cannot encode with `str`, so a numpy integer
-    in a report would print as a quoted number; the stdout hashes were
-    recorded while crystal graphs were lists of Python ints."""
+    in a report would print as a quoted number.  The stdout hashes are of
+    one line of JSON: the reports recorded while crystal graphs were lists
+    of Python ints, parsed and encoded again without `indent`."""
 
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (
                 ["tensor", "--n", "3", "--factors", "1,1;2,1;1,2"],
-                "fd765c222a2e7f03fc3ed818b1253dee5f52481c81c8e900692eac7c54d9c064",
+                "e44b12de74a30144781122679831d92641724631c5f82aea0fb4ba08b694abce",
             ),
             (
                 ["tensor", "--n", "4", "--factors", "2,1;1,1;2,1;1,1"],
-                "bb929c54cfe2a6dd1b6ed14ddd456a03339029f9b5585bb2b26f7c7d7e7b8f70",
+                "1f10b3bb4aa502cde9938891b4d269dd1422f78a6e887e42c39451a735b50b75",
             ),
             (
                 # a 41-entry (length, weight) row, too wide to pack into one int64
                 ["tensor", "--n", "40", "--factors", "1,1"],
-                "db07b03501943d84ad13149293641a8de49caf77c0891387dec81083eb5ac410",
+                "6e8e8779eb2839409cdd561bacc18eec4bede6cda23d6461f5344ac95c2bcdd7",
             ),
             (
                 ["crystal", "verify", "--n", "4", "--lambda", "2,2", "--affine"],
-                "25ce25f627fbae0db0aec1f06bda5d5590e445a18e498df826654ef313c9732e",
+                "6652309fedc3849a188cefa46251bb0607a85e62c908cccb7be1224939782dec",
             ),
             (
                 ["crystal", "verify", "--n", "3", "--lambda", "2,1", "--affine"],
-                "34903cd63cc133a8832e070fbed2fc2a123a4978046838afcec88f28ab17abf5",
+                "2294399464f323444f839a3e89ed2daa2fec0714b0fe17449511043332903e85",
             ),
         ],
         ids=["tensor-n3", "tensor-1600", "tensor-n40", "verify-2,2", "verify-2,1"],

@@ -16,6 +16,7 @@ from oracles import (
     casimir,
     check_commutation,
     commutator,
+    content,
     mat_rows,
     rep_to_json,
     scalar_part,
@@ -100,7 +101,7 @@ class TestWeights:
             shape = [l] * r
             counts = {}
             for t in enumerate_ssyt(shape, n):
-                c = t.content()
+                c = content(t)
                 counts[c] = counts.get(c, 0) + 1
             assert Counter(rep.weight_basis) == counts
 

@@ -8,6 +8,9 @@ check (`require_blocks`, `.leak(`): the layout pass of `scalars` alone
 checks that a matrix maps each block to itself.  No module, `scalars`
 included, names a cancellation pass outside `RatFun.cancel`: a
 `normalize=` or `binomial=` switch, `_vanishes_at` or `poly_divide_linear`.
+No module names a per-tableau crystal operator (`e_op`, `f_op`,
+`_signature_positions`): `tableaux.signature_rule` reads them all off arrays
+of reading words, and the per-tableau rule is the tests' oracle.
 """
 
 import re
@@ -20,6 +23,7 @@ REMOVED = re.compile(
     r"\b(int_view|views_commute|_int_product|_value_weights|_divmod_linear|require_blocks)\b"
     r"|\.leak\("
 )
+PER_TABLEAU = re.compile(r"\b(e_op|f_op|_signature_positions)\b")
 CANCELLATION = re.compile(r"\b(normalize|binomial)=(?!=)|\b(_vanishes_at|poly_divide_linear)\b")
 
 
@@ -86,3 +90,21 @@ def test_the_guard_sees_a_cancellation_switch():
     for line in ("table[I, J] = RatFun(det.num, poles).cancel()", "w *= comb(j, k)",
                  "binomial = comb(n, k)", "if normalize==other:"):
         assert not CANCELLATION.search(line), line
+
+
+def test_no_module_applies_an_operator_to_one_tableau():
+    modules = sorted(SRC.glob("*.py"))
+    assert any(path.name == "tableaux.py" for path in modules)
+    bad = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in modules
+        for k, line in enumerate(path.read_text().splitlines(), start=1)
+        if PER_TABLEAU.search(line)
+    ]
+    assert bad == []
+
+
+def test_the_guard_sees_a_per_tableau_operator():
+    for line in ("u = f_op(i, t)", "closes, _ = _signature_positions(t, i)", "return e_op(i, t)"):
+        assert PER_TABLEAU.search(line), line
+    assert not PER_TABLEAU.search("E, F = signature_rule(words, n)")

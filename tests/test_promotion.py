@@ -22,10 +22,9 @@ from krspectra.tableaux import (
     build_crystal,
     coroot_vector,
     decompose_normal,
-    e_op,
 )
 
-from oracles import evacuation, graph_e, graph_f, phi_operator, schutzenberger
+from oracles import content, e_op, evacuation, graph_e, graph_f, phi_operator, schutzenberger
 
 
 def tab(rows, n=4):
@@ -332,7 +331,7 @@ class TestBuildKR:
         g = build_crystal(4, (2, 2))
         for b in g.elements:
             w = g.wt[b]
-            pw = promote(g.labels[b]).content()
+            pw = content(promote(g.labels[b]))
             assert pw == tuple(w[(i - 1) % 4] for i in range(4))
 
 

@@ -12,15 +12,22 @@ from krspectra.tableaux import (
     build_crystal,
     canonical_weight,
     decompose_normal,
-    e_op,
     enumerate_ssyt,
-    f_op,
+    reading_words,
     row_counts,
+    signature_rule,
     ssyt_count,
     string_positions,
 )
 
-from oracles import character_eval, schur_polynomial
+from oracles import (
+    character_eval,
+    content,
+    crystal_by_tableaux,
+    e_op,
+    f_op,
+    schur_polynomial,
+)
 
 
 def tab(rows, n):
@@ -65,6 +72,74 @@ class TestOperators:
                 for im in (f_op(i, t), e_op(i, t)):
                     if im is not None:
                         assert im.is_semistandard()
+
+
+def partitions(cells, parts):
+    """Every partition of at most `cells` cells into at most `parts` parts,
+    the empty one included."""
+    out = [()]
+    for lam in out:
+        top = lam[-1] if lam else cells
+        if len(lam) < parts:
+            out += [lam + (x,) for x in range(1, min(top, cells - sum(lam)) + 1)]
+    return out
+
+
+class TestSignatureRule:
+    """`build_crystal` reads e_i and f_i off arrays of reading words; the
+    per-tableau rule of `tests/oracles.py` is its oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_shape_of_at_most_six_cells(self, n):
+        shapes = partitions(6, n)
+        assert () in shapes and len(shapes) == {1: 7, 2: 16, 3: 23, 4: 27, 5: 29, 6: 30}[n]
+        for lam in shapes:
+            g = build_crystal(n, lam)
+            labels, E, F, wt = crystal_by_tableaux(n, lam)
+            assert g.labels == labels, (n, lam)
+            assert g.E.tolist() == E and g.F.tolist() == F, (n, lam)
+            assert g.wt.tolist() == wt, (n, lam)
+
+    def test_a_column_of_62_cells_in_64_letters(self):
+        # a word of 62 letters from 1..64 is no digit string of one int64
+        # key, so the targets are matched on ranks
+        n = 64
+        assert (n + 1) ** 62 > 2**63
+        g = build_crystal(n, (1,) * 62)
+        assert len(g) == 2016
+        column = [frozenset(t.rows[r][0] for r in range(62)) for t in g.labels]
+        ids = {s: k for k, s in enumerate(column)}
+        assert len(ids) == 2016
+        for r, i in enumerate(g.indices):
+            # the reading word runs down the letters, so an i+1 brackets an i
+            F = [ids[s - {i} | {i + 1}] if i in s and i + 1 not in s else -1 for s in column]
+            E = [ids[s - {i + 1} | {i}] if i + 1 in s and i not in s else -1 for s in column]
+            assert g.F[r].tolist() == F and g.E[r].tolist() == E, i
+        assert g.wt.tolist() == [list(content(t)) for t in g.labels]
+        for b in range(0, 2016, 97):
+            t = g.labels[b]
+            for i in g.indices:
+                for op, maps in ((e_op, g.E), (f_op, g.F)):
+                    image = op(i, t)
+                    got = int(maps[g.row(i), b])
+                    assert got == (-1 if image is None else g.id(image)), (b, i)
+
+    def test_a_missing_element_is_refused(self):
+        # negative control: without one tableau some target is no row, and
+        # the rule must say so rather than return another id
+        for n, lam in [(2, (1,)), (3, (2, 1)), (4, (2, 2)), (5, (3, 1, 1))]:
+            words = reading_words(lam, enumerate_ssyt(lam, n))
+            E, F = signature_rule(words, n)
+            assert (E >= 0).any()
+            for b in range(len(words)):
+                with pytest.raises(CrystalError, match="not an element"):
+                    signature_rule(np.delete(words, b, axis=0), n)
+
+    def test_reading_words(self):
+        # columns bottom to top, left to right
+        t = tab([[1, 1, 3], [2, 3]], 4)
+        assert reading_words((3, 2), [t]).tolist() == [[2, 1, 3, 1, 3]]
+        assert reading_words((), [tab([], 3)]).shape == (1, 0)
 
 
 class TestBuild:
