@@ -56,12 +56,13 @@ from .tensorcrystal import string_statistics
 DIMCAP = 512
 # the largest n whose Gaudin column determinant (every gaudin action, bethe
 # degenerate) is built.  At n = 5 the default --dimcap admits (1,2)(1,2)(1,1),
-# dim 500, where `gaudin wall` takes about 20 s, `gaudin commute` 17 s (both
-# at chi = 1/3,1/3,1/5,1/7,-1/4) and `bethe degenerate --eps 1/8,1/16` 18-24 s
-# (2-vCPU host), against 13 s for the slowest case at n = 4 (`bethe
-# degenerate` on (1,2)(1,1)^3, dim 384).  The cdet sweep over the dim-500
-# operator grid is 15 of the 20 s of `gaudin wall` and 13 of the 17 s of
-# `gaudin commute`; span_rank takes 1.5-2 s and the pairwise certificate 0.3 s
+# dim 500, where `gaudin wall` takes 12.3 s and 194 MB peak RSS, `gaudin
+# commute` 13.0 s and 198 MB (both at chi = 1/3,1/3,1/5,1/7,-1/4) and
+# `bethe degenerate --eps 1/8,1/16` 33 s and 314 MB (2-vCPU host), against
+# 16.5 s for the slowest case at n = 4 (`bethe degenerate` on (1,2)(1,1)^3,
+# dim 384).  Profiled, the cdet sweep over the dim-500 operator grid is 16 of
+# the 25 s of `gaudin commute` (its Mat-polynomial products 9.8 s), the
+# residues' Taylor expansions 3.4 s and span_rank 3.3 s
 GAUDIN_MAX_N = 4
 
 

@@ -25,6 +25,8 @@ from .scalars import (
     RatFun,
     cdet,
     commutator_certificate,
+    linear_combination,
+    poly_from_roots,
     sgn,
     span_rank,
 )
@@ -57,7 +59,7 @@ def coincidence_classes(values):
     """Indices (1-based) of exact scalars grouped by equal value."""
     classes = {}
     for a, c in enumerate(values, start=1):
-        classes.setdefault((c.re, c.im), []).append(a)
+        classes.setdefault(c, []).append(a)
     return list(classes.values())
 
 
@@ -151,17 +153,58 @@ class CommutingFamily:
         }
 
 
-def lax_matrix(cfg: GaudinConfig):
-    """n x n grid of matrix-valued rational functions sum_i E_ab^(i)/(u-z_i)."""
+def _pole_products(points):
+    """(cols, full): the coefficients of P_i = prod_{j != i} (u - z_j), padded
+    to the length of P, for each i, and of P = prod_j (u - z_j)."""
+    cols = [
+        poly_from_roots(points[:i] + points[i + 1 :]) + [QQi(0)] for i in range(len(points))
+    ]
+    return cols, poly_from_roots(points)
+
+
+def _lax_entry(terms, shift, ident, products) -> RatFun:
+    """sum_i m_i/(u - z_i) - shift, over the pairs (z_i, m_i) of `terms`, as one
+    RatFun over prod_i (u - z_i); `products` is `_pole_products` of the z_i.
+
+    Numerator coefficient k is sum_i c_k(P_i) m_i - shift c_k(P) I, with
+    c_k the coefficient of u^k: one `linear_combination` per coefficient,
+    with no lift.
+    """
+    cols, full = products
+    num = []
+    for k in range(len(full)):
+        pairs = [(col[k], m) for col, (_, m) in zip(cols, terms)]
+        if shift:
+            pairs.append((-shift * full[k], ident))
+        num.append(linear_combination(pairs, ident.nr, ident.nc))
+    return RatFun(num, {z: 1 for z, _ in terms})
+
+
+def lax_matrix(cfg: GaudinConfig, chi=None):
+    """n x n grid of matrix-valued rational functions sum_i E_ab^(i)/(u-z_i),
+    minus chi_a on the diagonal when a diagonal chi is given.
+
+    Entry (a, b) is one `_lax_entry` over the points whose slot has
+    E_ab != 0, so a factor whose E_ab vanishes adds no pole; the pole
+    products are formed once per set of points.
+    """
     n, rep = cfg.n, cfg.rep
+    ident = Mat.identity(rep.dim)
+    products = {}
     out = []
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            f = RatFun([], {})
-            for slot, z in enumerate(cfg.points):
-                f = f + RatFun.pole_term(rep.e_slot(slot, a, b), z)
-            row.append(f)
+            terms = [
+                (z, m)
+                for slot, z in enumerate(cfg.points)
+                if (m := rep.e_slot(slot, a, b))
+            ]
+            points = tuple(z for z, _ in terms)
+            if points not in products:
+                products[points] = _pole_products(list(points))
+            shift = chi[a - 1] if chi is not None and a == b else 0
+            row.append(_lax_entry(terms, shift, ident, products[points]))
         out.append(row)
     return out
 
@@ -169,21 +212,12 @@ def lax_matrix(cfg: GaudinConfig):
 def gaudin_operator_matrix(cfg: GaudinConfig):
     """Entries of L(u) - d_u - chi as differential-operator polynomials."""
     n = cfg.n
-    dim = cfg.rep.dim
-    lax = lax_matrix(cfg)
-    ident = Mat.identity(dim)
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            b0 = lax[a][b]
-            if a == b:
-                b0 = b0 + RatFun.const(ident * (-cfg.chi[a]))
-                row.append(DiffOpPoly([b0, -RatFun.const(ident)]))
-            else:
-                row.append(DiffOpPoly([b0]))
-        entries.append(row)
-    return entries
+    lax = lax_matrix(cfg, cfg.chi)
+    minus_d = -RatFun.const(Mat.identity(cfg.rep.dim))
+    return [
+        [DiffOpPoly([lax[a][b], minus_d] if a == b else [lax[a][b]]) for b in range(n)]
+        for a in range(n)
+    ]
 
 
 def gaudin_cdet(cfg: GaudinConfig) -> DiffOpPoly:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
-from .scalars import Blocks, Echelon, Mat, QQi, mat_inverse
+from .scalars import Blocks, Echelon, Mat, kron_identities, mat_inverse
 
 
 class RepError(ValueError):
@@ -96,12 +96,12 @@ def build_wedge(n, r) -> MatrixRep:
     for a in range(1, n + 1):
         row = []
         for b in range(1, n + 1):
-            rows = [[QQi(0)] * dim for _ in range(dim)]
+            rows = [[0] * dim for _ in range(dim)]
             for j, s in enumerate(basis):
                 hit = _wedge_apply(n, a, b, s)
                 if hit:
                     sign, t = hit
-                    rows[index[t]][j] = QQi(sign)
+                    rows[index[t]][j] = sign
             row.append(Mat(rows))
         gens.append(row)
     weights = [
@@ -208,7 +208,7 @@ class TensorRep:
 
     def __init__(self, factors):
         pts = [z for (_, z, _) in factors]
-        if len({(p.re, p.im) for p in pts}) != len(pts):
+        if len(set(pts)) != len(pts):
             raise RepError("evaluation points must be distinct")
         ns = {rep.n for (rep, _, _) in factors}
         if len(ns) != 1:
@@ -244,11 +244,8 @@ class TensorRep:
         return [d for (_, _, d) in self.factors]
 
     def embed(self, slot, m: Mat) -> Mat:
-        out = None
-        for i, (rep, _, _) in enumerate(self.factors):
-            piece = m if i == slot else Mat.identity(rep.dim)
-            out = piece if out is None else out.kron(piece)
-        return out
+        """m acting in tensor slot `slot`: the identity on every other factor."""
+        return kron_identities(prod(self.dims[:slot]), m, prod(self.dims[slot + 1 :]))
 
     def e_slot(self, slot, a, b) -> Mat:
         key = (slot, a, b)

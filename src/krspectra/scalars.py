@@ -14,6 +14,7 @@ a pole multiset is part of the data, so no factorization is ever needed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm, log2
@@ -35,96 +36,155 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
-class QQi:
-    """A Gaussian rational a + b*i with exact Fraction parts.
+_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
-    Canonical form is inherited from Fraction (reduced, positive
-    denominator), so equality and hashing are exact.
+
+def _fraction_hash(n, d) -> int:
+    """hash(Fraction(n, d)) for d > 0, with no Fraction built: Python's hash
+    of a rational, n/d reduced modulo the prime `sys.hash_info.modulus`."""
+    if d == 1:
+        return hash(n)
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+        if d == 1:
+            return hash(n)
+    try:
+        dinv = pow(d, -1, _MODULUS)
+    except ValueError:
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+class QQi:
+    """A Gaussian rational (r + s*i) / d, in the format of a `Mat` entry.
+
+    Held as Python ints: the Gaussian-integer numerator r + s*i over its
+    least denominator d > 0, so gcd(r, s, d) = 1 and zero is (0, 0, 1).
+    Equal values have equal fields, and arithmetic runs on the ints with
+    one gcd where a denominator can shrink; no `Fraction` is built.  The
+    hash is Python's hash of the value: hash(re) for a real value, so it
+    equals the hash of the equal int or `Fraction`, and hash((re, im))
+    otherwise.  `re` and `im` read the parts as `Fraction`s.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_r", "_s", "_d", "_h")
 
     def __init__(self, re=0, im=0):
         # coerces user input; arithmetic builds its results with _qqi instead
-        im = _frac(im)
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", im if im._numerator else _ZERO_F)
+        re, im = _frac(re), _frac(im)
+        a, b = re._denominator, im._denominator
+        d = a if b == 1 or b == a else lcm(a, b)
+        _set_r(self, re._numerator * (d // a))
+        _set_s(self, im._numerator * (d // b))
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._r, self._d) if self._r else _ZERO_F
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._s, self._d) if self._s else _ZERO_F
 
     # -- coercion
 
     @staticmethod
     def of(x) -> "QQi":
-        if isinstance(x, QQi):
+        if x.__class__ is QQi:
             return x
+        if isinstance(x, (int, Fraction)):
+            return _qqi(*_gauss(x))
         return QQi(x)
 
     # -- ring/field operations
 
     # A zero operand short-cuts +, - and *: the other operand (or zero) is
-    # returned as it is, and no Fraction is built.  Likewise a result of
-    # real operands gets the shared zero imaginary part, with no Fraction
-    # arithmetic on the imaginary parts.
+    # returned as it is.  An int operand adds or multiplies on the fields
+    # directly, and sums over one denominator skip the gcd when it is 1.
 
     def __add__(self, other):
-        other = QQi.of(other)
-        if not other:
+        if other.__class__ is not QQi:
+            if other.__class__ is int:
+                if not other:
+                    return self
+                return _qqi(self._r + other * self._d, self._s, self._d)
+            other = QQi.of(other)
+        br, bs, bd = other._r, other._s, other._d
+        if not (br or bs):
             return self
-        if not self:
+        ar, as_, ad = self._r, self._s, self._d
+        if not (ar or as_):
             return other
-        if self.im._numerator or other.im._numerator:
-            return _qqi(self.re + other.re, self.im + other.im)
-        return _qqi(self.re + other.re)
+        if ad == bd:
+            if ad == 1:
+                return _qqi(ar + br, as_ + bs, 1)
+            return _qqi_lowest(ar + br, as_ + bs, ad)
+        return _qqi_lowest(ar * bd + br * ad, as_ * bd + bs * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self:
+        if not (self._r or self._s):
             return self
-        if self.im._numerator:
-            return _qqi(-self.re, -self.im)
-        return _qqi(-self.re)
+        return _qqi(-self._r, -self._s, self._d)
 
     def __sub__(self, other):
-        other = QQi.of(other)
-        if not other:
+        if other.__class__ is not QQi:
+            if other.__class__ is int:
+                if not other:
+                    return self
+                return _qqi(self._r - other * self._d, self._s, self._d)
+            other = QQi.of(other)
+        br, bs, bd = other._r, other._s, other._d
+        if not (br or bs):
             return self
-        if not self:
-            return -other
-        if self.im._numerator or other.im._numerator:
-            return _qqi(self.re - other.re, self.im - other.im)
-        return _qqi(self.re - other.re)
+        ar, as_, ad = self._r, self._s, self._d
+        if not (ar or as_):
+            return _qqi(-br, -bs, bd)
+        if ad == bd:
+            if ad == 1:
+                return _qqi(ar - br, as_ - bs, 1)
+            return _qqi_lowest(ar - br, as_ - bs, ad)
+        return _qqi_lowest(ar * bd - br * ad, as_ * bd - bs * ad, ad * bd)
 
     def __rsub__(self, other):
         return QQi.of(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not self or not other:
-                return QQI_ZERO
-            if self.im._numerator:
-                return _qqi(self.re * other, self.im * other)
-            return _qqi(self.re * other)
-        if not isinstance(other, QQi):
+        if other.__class__ is QQi:
+            br, bs, bd = other._r, other._s, other._d
+        elif isinstance(other, int):
+            br, bs, bd = other, 0, 1
+        elif isinstance(other, Fraction):
+            br, bs, bd = other._numerator, 0, other._denominator
+        else:
             return NotImplemented
-        if not self or not other:
+        ar, as_, ad = self._r, self._s, self._d
+        if not (ar or as_) or not (br or bs):
             return QQI_ZERO
-        if not self.im._numerator and not other.im._numerator:
-            return _qqi(self.re * other.re)
-        return _qqi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        d = ad * bd
+        if as_ or bs:
+            r, s = ar * br - as_ * bs, ar * bs + as_ * br
+        else:
+            r, s = ar * br, 0
+        return _qqi(r, s, 1) if d == 1 else _qqi_lowest(r, s, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QQi":
-        n = self.re * self.re + self.im * self.im
+        r, s, d = self._r, self._s, self._d
+        n = r * r + s * s
         if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return _qqi(self.re / n, -self.im / n)
+        return _qqi_lowest(d * r, -d * s, n)
 
     def __truediv__(self, other):
         return self * QQi.of(other).inverse()
@@ -145,40 +205,46 @@ class QQi:
         return out
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._r * self._r + self._s * self._s, self._d * self._d)
 
     # -- predicates
 
     def __bool__(self):
-        # read the numerators directly: Fraction.__bool__ is a Python-level
-        # call, and this test now guards every arithmetic operation
-        return self.re._numerator != 0 or self.im._numerator != 0
+        return self._r != 0 or self._s != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, QQi):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is QQi:
+            return self._r == other._r and self._s == other._s and self._d == other._d
+        if isinstance(other, int):
+            return not self._s and self._d == 1 and self._r == other
+        if isinstance(other, Fraction):
+            return not self._s and self._r == other._numerator and self._d == other._denominator
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        try:
+            return self._h
+        except AttributeError:
+            h = _fraction_hash(self._r, self._d)
+            if self._s:
+                h = hash((h, _fraction_hash(self._s, self._d)))
+            _set_h(self, h)
+            return h
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._r / self._d, self._s / self._d)
 
     # -- text form: "a/b", "c/d*i", "a/b+c/d*i", "a/b-c/d*i"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        ipart = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        sign = "-" if self.im < 0 else "+"
-        if not self.re:
-            return ipart if self.im > 0 else "-" + ipart
-        return f"{self.re}{sign}{ipart}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        ipart = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        sign = "-" if im < 0 else "+"
+        if not re:
+            return ipart if im > 0 else "-" + ipart
+        return f"{re}{sign}{ipart}"
 
     def __repr__(self):
         return f"QQi({self})"
@@ -213,20 +279,28 @@ class QQi:
 
 _ZERO_F = Fraction(0)
 _new_object = object.__new__
-_set_re = QQi.re.__set__
-_set_im = QQi.im.__set__
+_set_r = QQi._r.__set__
+_set_s = QQi._s.__set__
+_set_d = QQi._d.__set__
+_set_h = QQi._h.__set__
 
 
-def _qqi(re: Fraction, im: Fraction = _ZERO_F) -> QQi:
-    """A QQi from Fraction parts taken as they are: how arithmetic builds results.
-
-    Skips the coercion of QQi(); a zero imaginary part may be any zero
-    Fraction, and the default is one shared zero.
-    """
+def _qqi(r, s, d) -> QQi:
+    """The QQi (r + s*i) / d from fields already in lowest terms: how
+    arithmetic builds results."""
     q = _new_object(QQi)
-    _set_re(q, re)
-    _set_im(q, im)
+    _set_r(q, r)
+    _set_s(q, s)
+    _set_d(q, d)
     return q
+
+
+def _qqi_lowest(r, s, d) -> QQi:
+    """The QQi (r + s*i) / d for d > 0, brought to lowest terms by one gcd."""
+    g = gcd(r, s, d)
+    if g != 1:
+        return _qqi(r // g, s // g, d // g)
+    return _qqi(r, s, d)
 
 
 QQI_ZERO = QQi(0)
@@ -240,7 +314,7 @@ def unit_circle_point(t) -> QQi:
     """
     t = _frac(t)
     d = 1 + t * t
-    return _qqi((1 - t * t) / d, 2 * t / d)
+    return QQi((1 - t * t) / d, 2 * t / d)
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +323,19 @@ def unit_circle_point(t) -> QQi:
 
 def _gauss(x):
     """(re, im, d): an exact scalar as the Gaussian integer re + im*i over its
-    least denominator d > 0."""
+    least denominator d > 0; a QQi holds them as its fields."""
+    if x.__class__ is QQi:
+        return x._r, x._s, x._d
     if isinstance(x, int):
         return x, 0, 1
     if isinstance(x, Fraction):
         return x._numerator, 0, x._denominator
-    re, im = x.re, x.im
-    d = re._denominator
-    if im._numerator:
-        d = lcm(d, im._denominator)
-    return re._numerator * (d // re._denominator), im._numerator * (d // im._denominator), d
+    return _gauss(QQi.of(x))
 
 
 def _entry(v, d) -> QQi:
     """The QQi (re + im*i) / d for a stored numerator v = (re, im)."""
-    re, im = v
-    return _qqi(Fraction(re, d), Fraction(im, d) if im else _ZERO_F)
+    return _qqi_lowest(v[0], v[1], d)
 
 
 class Mat:
@@ -281,17 +352,15 @@ class Mat:
     __slots__ = ("nr", "nc", "den", "nums")
 
     def __init__(self, rows):
-        parts = [{j: _gauss(x) for j, x in enumerate(r) if x} for r in rows]
+        """The matrix of rows of exact values: ints, Fractions, QQi or their
+        text forms."""
+        parts = [{j: g for j, x in enumerate(r) if (g := _gauss(x))[0] or g[1]} for r in rows]
         d = lcm(*(e for row in parts for _, _, e in row.values()))
         self.nr, self.nc, self.den = len(rows), len(rows[0]) if rows else 0, d
         self.nums = [
             {j: (re * (d // e), im * (d // e)) for j, (re, im, e) in row.items()}
             for row in parts
         ]
-
-    @staticmethod
-    def from_values(rows):
-        return Mat([[QQi.of(x) for x in r] for r in rows])
 
     @staticmethod
     def from_numerators(nc, rows):
@@ -315,9 +384,14 @@ class Mat:
 
     @staticmethod
     def unit(nr, nc, i, j, value=QQI_ONE):
-        rows = [[0] * nc for _ in range(nr)]
-        rows[i][j] = value
-        return Mat.from_values(rows)
+        """The matrix with `value` at (i, j) and zeros elsewhere."""
+        re, im, d = _gauss(value)
+        nums = [{} for _ in range(nr)]
+        if re or im:
+            nums[i][j] = (re, im)
+        else:
+            d = 1
+        return _mat(nr, nc, d, nums)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -369,7 +443,7 @@ class Mat:
                 re, im = _row_numerators(arow, brows, nc)
                 out.append({j: (x, y) for j, (x, y) in enumerate(zip(re, im)) if x or y})
             return _reduced(self.nr, nc, self.den * other.den, out)
-        sr, si, ds = _gauss(other if isinstance(other, (int, Fraction)) else QQi.of(other))
+        sr, si, ds = _gauss(other)
         if not (sr or si):
             return Mat.zeros(self.nr, self.nc)
         out = [
@@ -437,6 +511,23 @@ def _mat(nr, nc, den, nums) -> Mat:
     m = _new_object(Mat)
     m.nr, m.nc, m.den, m.nums = nr, nc, den, nums
     return m
+
+
+def kron_identities(before, m: Mat, after) -> Mat:
+    """I_before (x) m (x) I_after, by index arithmetic.
+
+    Entry (i, j) of m lands at ((a nr + i) after + b, (a nc + j) after + b)
+    for every a < before and b < after, with m's own denominator and
+    numerators: no product is formed and no gcd pass is needed.
+    """
+    nc = m.nc
+    nums = [
+        {(a * nc + j) * after + b: v for j, v in row.items()}
+        for a in range(before)
+        for row in m.nums
+        for b in range(after)
+    ]
+    return _mat(before * m.nr * after, before * nc * after, m.den, nums)
 
 
 def _reduced(nr, nc, den, nums) -> Mat:
@@ -870,6 +961,13 @@ def poly_add(a, b):
     return poly_trim(out)
 
 
+def poly_sub(a, b):
+    """a - b, trimmed; Mat differences need no negated copy of b."""
+    out = [x - y for x, y in zip(a, b)]
+    out += a[len(b) :] if len(a) > len(b) else [-y for y in b[len(a) :]]
+    return poly_trim(out)
+
+
 def poly_neg(a):
     return [-c for c in a]
 
@@ -882,10 +980,6 @@ def _times_linear(a, p):
     if not a:
         return []
     return [-(a[0] * p)] + [a[k - 1] - a[k] * p for k in range(1, len(a))] + [a[-1]]
-
-
-def poly_deriv(a):
-    return poly_trim([a[k] * QQi(k) for k in range(1, len(a))])
 
 
 def series_inverse(a, order):
@@ -947,28 +1041,77 @@ def _taylor_terms(a, p, ks):
     return out
 
 
-def _row_value(terms, i):
-    """Row i of the sum over terms of (wr + wi*i) nums: a sparse dict of numerators."""
-    acc = {}
-    get = acc.get
+def _weighted_rows(terms, nr):
+    """The nr rows of the sum over terms (wr, wi, nums) of (wr + wi*i) nums:
+    sparse dicts of numerators, summed term by term over the stored rows;
+    zero sums are dropped only when two terms met in one entry."""
+    out = [{} for _ in range(nr)]
+    merged = False
     for wr, wi, nums in terms:
-        for j, (re, im) in nums[i].items():
-            if wi:
-                x, y = re * wr - im * wi, re * wi + im * wr
-            else:
-                x, y = re * wr, im * wr
-            old = get(j)
-            acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
-    return {j: v for j, v in acc.items() if v[0] or v[1]}
+        for acc, row in zip(out, nums):
+            for j, (re, im) in row.items():
+                if wi:
+                    x, y = re * wr - im * wi, re * wi + im * wr
+                else:
+                    x, y = re * wr, im * wr
+                old = acc.get(j)
+                if old is None:
+                    acc[j] = (x, y)
+                else:
+                    acc[j] = (old[0] + x, old[1] + y)
+                    merged = True
+    if merged:
+        return [{j: v for j, v in acc.items() if v[0] or v[1]} for acc in out]
+    return out
+
+
+def linear_combination(terms, nr, nc) -> Mat:
+    """The nr x nc Mat sum of w * m over `terms`, pairs (w, m) of an exact
+    scalar w and an nr x nc Mat m.
+
+    The terms are lifted to one denominator, the lcm of the products of the
+    weights' and the Mats' denominators, every row is summed on Python ints
+    in one pass (`_weighted_rows`) and the result is built by one gcd pass.
+    """
+    parts = []
+    big = 1
+    for w, m in terms:
+        wr, wi, wd = _gauss(w)
+        if wr or wi:
+            d = wd * m.den
+            parts.append((wr, wi, d, m.nums))
+            if big % d:
+                big = lcm(big, d)
+    weighted = [(wr * (big // d), wi * (big // d), nums) for wr, wi, d, nums in parts]
+    return _reduced(nr, nc, big, _weighted_rows(weighted, nr))
+
+
+def poly_from_roots(points):
+    """Ascending QQi coefficients of prod_p (u - p) over the points given."""
+    out = [QQI_ONE]
+    for p in points:
+        out = _times_linear(out, p)
+    return out
+
+
+def _identity_multiple(m: Mat):
+    """The numerator (re, im) of the scalar c with m == c * identity, over
+    m.den, or None when m is no such multiple or is zero."""
+    v = m.nums[0].get(0) if m.nr == m.nc and m.nr else None
+    if v is None:
+        return None
+    for i, row in enumerate(m.nums):
+        if len(row) != 1 or row.get(i) != v:
+            return None
+    return v
 
 
 def _taylor(a, p, ks):
-    """The Mats of `_taylor_terms`: each row summed on Python ints
-    (`_row_value`), each coefficient built by one gcd pass."""
+    """The Mats of `_taylor_terms`: each summed on Python ints
+    (`_weighted_rows`), each coefficient built by one gcd pass."""
     nr, nc = a[0].nr, a[0].nc
     return [
-        _reduced(nr, nc, den, [_row_value(terms, i) for i in range(nr)])
-        for den, terms in _taylor_terms(a, p, ks)
+        _reduced(nr, nc, den, _weighted_rows(terms, nr)) for den, terms in _taylor_terms(a, p, ks)
     ]
 
 
@@ -1001,34 +1144,50 @@ def poly_mul(a, b):
     """Product of two nonempty lists of Mat coefficients under the matrix product.
 
     Coefficient k = sum_{i+j=k} a_i b_j is summed row by row over L_a L_b,
-    the row products of each pair scaled by (L_a / D_i)(L_b / D_j), and
-    built by one gcd pass, with no Mat per pair of coefficients.
+    the row products of each pair scaled by (L_a / D_i)(L_b / D_j), into
+    one dict per row of each coefficient; zero sums are dropped only when
+    two products met in one entry.  Each coefficient is built by one gcd
+    pass, with no Mat per pair of coefficients.  A constant
+    factor c * identity scales the other factor instead, and c = -1 negates it.
     """
+    for const, other in ((a, b), (b, a)):
+        if len(const) == 1:
+            c = _identity_multiple(const[0])
+            if c is not None:
+                d = const[0].den
+                if c == (-d, 0):
+                    return poly_neg(other)
+                return poly_scale(other, _entry(c, d))
     la, sa = _lift(a)
     lb, sb = _lift(b)
     nr, nc = a[0].nr, b[0].nc
-    out = []
-    for k in range(len(a) + len(b) - 1):
-        pairs = [
-            (a[i].nums, sa[i] * sb[k - i], b[k - i].nums)
-            for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)
-            if a[i] and b[k - i]
-        ]
-        rows = []
-        for r in range(nr):
-            acc = {}
-            get = acc.get
-            for anums, s, bnums in pairs:
-                for m, (ar, ai) in anums[r].items():
+    out = [[{} for _ in range(nr)] for _ in range(len(a) + len(b) - 1)]
+    merged = False  # whether two products met in one entry, which may cancel
+    for i, (ca, s_a) in enumerate(zip(a, sa)):
+        for j, (cb, s_b) in enumerate(zip(b, sb)):
+            bnums = cb.nums
+            s = s_a * s_b
+            for acc, arow in zip(out[i + j], ca.nums):
+                for m, (ar, ai) in arow.items():
+                    brow = bnums[m]
+                    if not brow:
+                        continue
                     if s != 1:
                         ar, ai = ar * s, ai * s
-                    for j, (br, bi) in bnums[m].items():
-                        x, y = ar * br - ai * bi, ar * bi + ai * br
-                        old = get(j)
-                        acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
-            rows.append({j: v for j, v in acc.items() if v[0] or v[1]})
-        out.append(_reduced(nr, nc, la * lb, rows))
-    return poly_trim(out)
+                    for col, (br, bi) in brow.items():
+                        if ai:
+                            x, y = ar * br - ai * bi, ar * bi + ai * br
+                        else:
+                            x, y = ar * br, ar * bi
+                        old = acc.get(col)
+                        if old is None:
+                            acc[col] = (x, y)
+                        else:
+                            acc[col] = (old[0] + x, old[1] + y)
+                            merged = True
+    if merged:
+        out = [[{col: v for col, v in acc.items() if v[0] or v[1]} for acc in rows] for rows in out]
+    return poly_trim([_reduced(nr, nc, la * lb, rows) for rows in out])
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +1204,7 @@ class RatFun:
     pole it holds), and `cancel` removes the common (u - p) factors.
     """
 
-    __slots__ = ("num", "poles")
+    __slots__ = ("num", "poles", "_kept")
 
     def __init__(self, num, poles=None):
         self.num = poly_trim(list(num))
@@ -1056,11 +1215,6 @@ class RatFun:
     @staticmethod
     def const(c):
         return RatFun([c], {})
-
-    @staticmethod
-    def pole_term(c, p, mult=1):
-        """c / (u - p)^mult."""
-        return RatFun([c], {QQi.of(p): mult})
 
     # -- structure
 
@@ -1081,18 +1235,19 @@ class RatFun:
         terms = [t for t in terms if t.num]
         if len(terms) < 2:
             return terms[0] if terms else RatFun([], {})
-        poles = {}
-        for t in terms:
-            for p, m in t.poles.items():
-                poles[p] = max(poles.get(p, 0), m)
+        poles = _common_poles(terms)
         total = []
         for t in terms:
-            num = t.num
-            for p, m in poles.items():
-                for _ in range(m - t.poles.get(p, 0)):
-                    num = _times_linear(num, p)
-            total = poly_add(total, num)
+            total = poly_add(total, t._lifted(poles))
         return RatFun(total, poles)
+
+    def _lifted(self, poles):
+        """The numerator over the pole multiset `poles`, which holds this one's."""
+        num = self.num
+        for p, m in poles.items():
+            for _ in range(m - self.poles.get(p, 0)):
+                num = _times_linear(num, p)
+        return num
 
     def __add__(self, other):
         return RatFun.sum((self, other))
@@ -1101,7 +1256,13 @@ class RatFun:
         return RatFun(poly_neg(self.num), self.poles)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self - other over the common pole multiset, with no negated copy."""
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        poles = _common_poles((self, other))
+        return RatFun(poly_sub(self._lifted(poles), other._lifted(poles)), poles)
 
     def __mul__(self, other):
         if not isinstance(other, RatFun):
@@ -1144,24 +1305,37 @@ class RatFun:
     # -- calculus
 
     def derivative(self):
-        """Exact d/du; pole multiplicities grow by one where present."""
+        """Exact d/du; pole multiplicities grow by one where present.
+
+        For f = N / prod_p (u - p)^(m_p), f' = (N' P - N R) / (P prod_p (u - p)^(m_p))
+        with P = prod_p (u - p) and R = sum_p m_p prod_(q != p) (u - q), so
+        numerator coefficient k is sum_j (j P[k-j+1] - R[k-j]) N_j: one
+        `linear_combination` per coefficient, with no lift of N.
+        """
         if self.is_zero():
             return self
-        dnum = poly_deriv(self.num)
+        num = self.num
+        nr, nc = num[0].nr, num[0].nc
         if not self.poles:
-            return RatFun(dnum, {})
-        plist = list(self.poles.items())
-        total = dnum
-        for p, _ in plist:
-            total = _times_linear(total, p)
-        for p, m in plist:
-            term = poly_scale(self.num, QQi(-m))
-            for q, _ in plist:
-                if q != p:
-                    term = _times_linear(term, q)
-            total = poly_add(total, term)
-        newpoles = {p: m + 1 for p, m in plist}
-        return RatFun(total, newpoles)
+            return RatFun(
+                [linear_combination([(k, num[k])], nr, nc) for k in range(1, len(num))], {}
+            )
+        roots = list(self.poles)
+        p_coeffs = poly_from_roots(roots)
+        r_coeffs = [QQI_ZERO] * len(roots)
+        for p, m in self.poles.items():
+            for k, c in enumerate(poly_from_roots([q for q in roots if q != p])):
+                r_coeffs[k] = r_coeffs[k] + c * m
+        out = []
+        for k in range(len(num) + len(roots) - 1):
+            terms = []
+            for j in range(max(0, k - len(roots) + 1), min(k + 2, len(num))):
+                w = -r_coeffs[k - j] if j <= k else QQI_ZERO
+                if j:
+                    w = w + p_coeffs[k - j + 1] * j
+                terms.append((w, num[j]))
+            out.append(linear_combination(terms, nr, nc))
+        return RatFun(out, {p: m + 1 for p, m in self.poles.items()})
 
     def shift_arg(self, delta):
         """The function u -> f(u - delta)."""
@@ -1208,31 +1382,39 @@ class RatFun:
         """res_{u=p} (u-p)^order * f(u) du, exact.
 
         Returns a Mat of the numerator's shape, zero at an absent pole, or
-        QQI_ZERO for the zero function, which has no shape.
+        QQI_ZERO for the zero function, which has no shape.  With m the
+        order of p, it is the coefficient of t^(m - 1 - order) in the
+        expansion of num / prod_{q != p} (u - q)^{m_q} at u = p + t: the
+        sum over j of the Taylor coefficient j of num times the series
+        coefficient m - 1 - order - j of 1 / prod_{q != p}.  Both are taken
+        to order m - 1 (`_expansion`), and every order at p reads them.
         """
         if self.is_zero():
             return QQI_ZERO
         p = QQi.of(pole)
+        nr, nc = self.num[0].nr, self.num[0].nc
         need = self.poles.get(p, 0) - order - 1
         if need < 0:
-            return Mat.zeros(self.num[0].nr, self.num[0].nc)
-        # Taylor-expand num / prod_{q != p} (u-q)^{m_q} at p up to t^need.
-        num_t = taylor_coefficients(self.num, p, need + 1)
-        rest = [QQI_ONE]
-        for q, mq in self.poles.items():
-            if q == p:
-                continue
-            for _ in range(mq):
-                rest = _times_linear(rest, q - p)
-        inv = series_inverse(rest, need)
-        acc = None
-        for j in range(need + 1):
-            cj = num_t[j] if j < len(num_t) else None
-            if cj is None or not cj:
-                continue
-            term = cj * inv[need - j]
-            acc = term if acc is None else acc + term
-        return Mat.zeros(self.num[0].nr, self.num[0].nc) if acc is None else acc
+            return Mat.zeros(nr, nc)
+        num_t, inv = self._expansion(p)
+        return linear_combination(
+            [(inv[need - j], num_t[j]) for j in range(min(need + 1, len(num_t)))], nr, nc
+        )
+
+    def _expansion(self, p):
+        """(Taylor coefficients of num at p, series of 1 / prod_{q != p} (u - q)^{m_q}
+        at p), both to order m_p - 1.  The expansion at the last pole asked
+        for is kept on the function, so the orders at one pole share it."""
+        kept = getattr(self, "_kept", None)
+        if kept is None or kept[0] != p:
+            m = self.poles[p]
+            rest = [QQI_ONE]
+            for q, mq in self.poles.items():
+                if q != p:
+                    for _ in range(mq):
+                        rest = _times_linear(rest, q - p)
+            kept = self._kept = (p, taylor_coefficients(self.num, p, m), series_inverse(rest, m - 1))
+        return kept[1:]
 
     def infinity_value(self):
         """Limit at u -> infinity (zero if the function decays)."""
@@ -1243,6 +1425,16 @@ class RatFun:
             raise ValueError("function grows at infinity")
         lead = self.num[-1]
         return lead  # denominator is monic
+
+
+def _common_poles(terms):
+    """The least pole multiset that holds the poles of every RatFun in terms."""
+    poles = {}
+    for t in terms:
+        for p, m in t.poles.items():
+            if poles.get(p, 0) < m:
+                poles[p] = m
+    return poles
 
 
 # ---------------------------------------------------------------------------
@@ -1276,10 +1468,11 @@ class DiffOpPoly:
         return DiffOpPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return DiffOpPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __mul__(self, other):
-        """(b0 + b1 d) o sum_k g_k d^k = sum_k (b0 g_k + b1 g_k') d^k + b1 g_k d^(k+1).
+        """(b0 + b1 d) o sum_k g_k d^k = sum_k (b0 g_k + b1 (g_k' + g_(k-1))) d^k.
 
         Only a first-order left factor is supported: a column determinant
         expanded from the left never multiplies by anything else.  A
@@ -1294,7 +1487,7 @@ class DiffOpPoly:
             return DiffOpPoly([b0 * g for g in other.coeffs])
         zero = RatFun([], {})
         return DiffOpPoly([
-            RatFun.sum([b0 * g, b1 * g.derivative(), b1 * below])
+            RatFun.sum([b0 * g, b1 * RatFun.sum([g.derivative(), below])])
             for g, below in zip(other.coeffs + [zero], [zero] + other.coeffs)
         ])
 
@@ -1322,12 +1515,10 @@ def column_minors(grid):
     for j in range(m - 2, -1, -1):
         wider = {}
         for rows in combinations(range(n), m - j):
-            total = None
-            for pos, r in enumerate(rows):
-                term = grid[r][j] * minors[rows[:pos] + rows[pos + 1 :]]
-                if pos % 2:
-                    term = -term
-                total = term if total is None else total + term
+            total = grid[rows[0]][j] * minors[rows[1:]]
+            for pos in range(1, len(rows)):
+                term = grid[rows[pos]][j] * minors[rows[:pos] + rows[pos + 1 :]]
+                total = total - term if pos % 2 else total + term
             wider[rows] = total
         minors = wider
     return minors

@@ -14,8 +14,9 @@ stored entries.
 - Bethe: regularity of a torus element, the literal trace of tau_a in two
   forms (index sum and Kronecker product over (C^n)^a x V), both on the
   full-dimension T-grid, and the quantum-minor table by `cdet` of that grid;
-- Gaudin: the Manin relations of L(u) - d_u - chi, as operator identities
-  and applied to monomials;
+- exact functions: a pole term and the lift-based derivative;
+- Gaudin: the Lax matrix as a sum of pole terms, and the Manin relations of
+  L(u) - d_u - chi, as operator identities and applied to monomials;
 - reps: the gl_n commutation relations, the Casimir and a JSON dump;
 - crystals: the operators e_i and f_i on one tableau and on element ids,
   Schutzenberger's involution by propagation on the graph, tableau
@@ -107,6 +108,42 @@ def monomial(c: Mat, k) -> RatFun:
     return RatFun([Mat.zeros(c.nr, c.nc)] * k + [c], {})
 
 
+def pole_term(c: Mat, p, mult=1) -> RatFun:
+    """c / (u - p)^mult."""
+    return RatFun([c], {QQi.of(p): mult})
+
+
+def _times_linear(a, p):
+    """Coefficients of (u - p) * a(u) for a list of Mats a."""
+    if not a:
+        return []
+    return [-(a[0] * p)] + [a[k - 1] - a[k] * p for k in range(1, len(a))] + [a[-1]]
+
+
+def lift_derivative(f: RatFun) -> RatFun:
+    """d/du f by the quotient rule on lifted numerators: N' times each
+    (u - p) plus, per pole p, -m_p N times each (u - q), q != p, over the
+    poles raised by one; the closed form of `RatFun.derivative` replaced it."""
+    if f.is_zero():
+        return f
+    dnum = [f.num[k] * QQi(k) for k in range(1, len(f.num))]
+    while dnum and not dnum[-1]:
+        dnum.pop()
+    if not f.poles:
+        return RatFun(dnum, {})
+    total = dnum
+    for p in f.poles:
+        total = _times_linear(total, p)
+    out = RatFun(total, {})
+    for p, m in f.poles.items():
+        term = [c * QQi(-m) for c in f.num]
+        for q in f.poles:
+            if q != p:
+                term = _times_linear(term, q)
+        out = out + RatFun(term, {})
+    return RatFun(out.num, {p: m + 1 for p, m in f.poles.items()})
+
+
 def apply(op: DiffOpPoly, f: RatFun) -> RatFun:
     """op acting on f, sum_k b_k f^(k), without `DiffOpPoly.__mul__`."""
     out = RatFun([], {})
@@ -193,7 +230,7 @@ def oracle_t_grid(cfg: GaudinConfig):
         factor = [
             [
                 (RatFun.const(ident) if r == c else RatFun.const(Mat.zeros(dim)))
-                + RatFun.pole_term(rep.e_slot(slot, r + 1, c + 1), w)
+                + pole_term(rep.e_slot(slot, r + 1, c + 1), w)
                 for c in range(n)
             ]
             for r in range(n)
@@ -273,7 +310,26 @@ def embed_aux(entry_grid, n, a, slot, dim, constant):
 
 
 # ---------------------------------------------------------------------------
-# Gaudin: the Manin relations
+# Gaudin: the Lax matrix as a sum of pole terms, and the Manin relations
+
+
+def lax_oracle(cfg: GaudinConfig, chi=None):
+    """The grid of sum_i E_ab^(i)/(u - z_i), minus chi_a on the diagonal, as
+    a sum of pole terms, one `RatFun` sum per term."""
+    n, rep = cfg.n, cfg.rep
+    grid = []
+    for a in range(1, n + 1):
+        row = []
+        for b in range(1, n + 1):
+            f = RatFun([], {})
+            for slot, z in enumerate(cfg.points):
+                f = f + pole_term(rep.e_slot(slot, a, b), z)
+            if chi is not None and a == b:
+                f = f - RatFun.const(Mat.identity(rep.dim) * chi[a - 1])
+            row.append(f)
+        grid.append(row)
+    return grid
+
 
 
 def manin_relations_check(cfg: GaudinConfig, monomial_orders=range(4)) -> dict:

@@ -45,6 +45,7 @@ from oracles import (
     normalized,
     oracle_minors,
     oracle_t_grid,
+    pole_term,
     scalar_part,
     scaled,
     spans_equal,
@@ -82,7 +83,7 @@ def tau_from_members(fam, a):
         if tag == ("tau-inf", a):
             terms.append(RatFun.const(g))
         elif tag[:2] == ("tau-res", a):
-            terms.append(RatFun.pole_term(g, QQi.parse(tag[2]), tag[3] + 1))
+            terms.append(pole_term(g, QQi.parse(tag[2]), tag[3] + 1))
     return RatFun.sum(terms)
 
 
@@ -571,7 +572,7 @@ class TestCertificate:
         u2 = QQi(Fraction(55, 9))
         t1 = tau_ratfun(1, C, cfg).eval(u1)
         n, dim = cfg.n, cfg.rep.dim
-        bad = Mat.from_values([[1, 1], [0, 1]])
+        bad = Mat([[1, 1], [0, 1]])
         cmat = Mat([[C.entries[0], QQi(0)], [QQi(0), C.entries[1]]])
         big = antisymmetrizer(n, 2).kron(Mat.identity(dim))
         big = big * embed_aux(cmat, n, 2, 0, dim, constant=True)

@@ -20,16 +20,18 @@ from krspectra.gaudin import (
     _string_blocks,
     wall_family,
 )
-from krspectra.glrep import build_defining, build_tensor
+from krspectra.glrep import build_defining, build_irrep, build_tensor
 from krspectra.scalars import Mat, QQi, RatFun, sgn
 
 from oracles import (
     apply,
     commutator,
     commutes,
+    lax_oracle,
     leak,
     manin_relations_check,
     monomial,
+    pole_term,
     spans_equal,
 )
 
@@ -60,7 +62,7 @@ class TestLax:
         cfg = GaudinConfig(rep, (0, 0))
         lax = lax_matrix(cfg)
         e11 = rep.e_slot(0, 1, 1)
-        assert lax[0][0] == RatFun.pole_term(e11, QQi(5))
+        assert lax[0][0] == pole_term(e11, QQi(5))
 
     def test_residue_is_slot_generator(self):
         cfg = c2_pair_config()
@@ -79,6 +81,27 @@ class TestLax:
                 assert f.infinity_value() == cfg.rep.delta(a + 1, b + 1)
 
 
+    def test_closed_form_equals_the_sum_of_pole_terms(self):
+        # the wedge ^3 C^3 is one-dimensional, and its E_ab vanish for a != b,
+        # so the off-diagonal entries have no pole at its point
+        c3, top = build_defining(3), build_irrep(3, 1, 3)
+        sym = build_irrep(3, 2, 1)
+        chi = (Fraction(1, 3), 0, Fraction(-2, 7))
+        for factors in (
+            [(c3, QQi(0), QQi(0)), (top, QQi(Fraction(1, 2)), QQi(0))],
+            [(top, QQi(-1), QQi(0)), (c3, QQi(0, 2), QQi(0)), (sym, QQi(3), QQi(0))],
+            [(top, QQi(2), QQi(0))],
+        ):
+            cfg = GaudinConfig(build_tensor(factors), chi)
+            for shift in (None, cfg.chi):
+                got, want = lax_matrix(cfg, shift), lax_oracle(cfg, shift)
+                for a in range(3):
+                    for b in range(3):
+                        assert got[a][b] == want[a][b], (a, b)
+                        assert got[a][b].poles == want[a][b].poles, (a, b)
+            assert [e.coeff(0) for e in gaudin_operator_matrix(cfg)[1]] == lax_oracle(cfg, chi)[1]
+
+
 class TestCdet:
     def test_n1_coefficients(self):
         c1 = build_defining(1)
@@ -87,7 +110,7 @@ class TestCdet:
         op = gaudin_cdet(cfg)
         ident = Mat.identity(1)
         assert op.coeff(1) == RatFun.const(-ident)
-        expected = RatFun.pole_term(ident, QQi(0)) + RatFun.const(
+        expected = pole_term(ident, QQi(0)) + RatFun.const(
             ident * QQi(Fraction(-1, 7))
         )
         assert op.coeff(0) == expected

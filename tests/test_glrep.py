@@ -131,6 +131,15 @@ class TestTensor:
         b = t.e_slot(1, 2, 1)
         assert commutator(a, b) == Mat.zeros(4)
 
+    def test_embed_is_the_kron_chain_with_identities(self):
+        reps = [build_defining(2), build_irrep(2, 2, 1), build_defining(2)]
+        t = build_tensor([(rep, QQi(k), QQi(0)) for k, rep in enumerate(reps)])
+        for slot, rep in enumerate(reps):
+            for a, b in [(1, 1), (1, 2), (2, 1)]:
+                pieces = [rep.e(a, b) if k == slot else Mat.identity(r.dim) for k, r in enumerate(reps)]
+                want = pieces[0].kron(pieces[1]).kron(pieces[2])
+                assert t.embed(slot, rep.e(a, b)) == want == t.e_slot(slot, a, b)
+
     def test_delta_action(self):
         c2 = build_defining(2)
         t = build_tensor([(c2, QQi(0), QQi(0)), (c2, QQi(1), QQi(0))])

@@ -1,8 +1,9 @@
-"""The stored format of `Mat` is known to one module: `krspectra.scalars`.
+"""The stored format of `Mat` and `QQi` is known to one module: `krspectra.scalars`.
 
 Every other module reads matrices through `Mat`'s operations and
-`m[i, j]`; none names the numerator fields or a helper of the integer view
-that the stored format replaced.  No module names a second body of the
+`m[i, j]`, and scalars through `QQi`'s operations and its `re` and `im`;
+none names the numerator fields or a helper of the integer view that the
+stored format replaced.  No module names a second body of the
 Taylor kernel (`_value_weights`, `_divmod_linear`) or a caller-side block
 check (`require_blocks`, `.leak(`): the layout pass of `scalars` alone
 checks that a matrix maps each block to itself.  No module, `scalars`
@@ -18,7 +19,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "krspectra"
 
-FIELDS = re.compile(r"[.\"'](den|nums)\b")
+FIELDS = re.compile(r"[.\"'](den|nums|_r|_s|_d)\b")
 REMOVED = re.compile(
     r"\b(int_view|views_commute|_int_product|_value_weights|_divmod_linear|require_blocks)\b"
     r"|\.leak\("
@@ -43,9 +44,9 @@ def test_only_scalars_knows_the_stored_format():
 
 
 def test_the_guard_sees_the_fields_where_they_live():
-    # the patterns are not vacuous: scalars itself names both fields
+    # the patterns are not vacuous: scalars itself names every field
     text = (SRC / "scalars.py").read_text()
-    assert {m.group(1) for m in FIELDS.finditer(text)} == {"den", "nums"}
+    assert {m.group(1) for m in FIELDS.finditer(text)} == {"den", "nums", "_r", "_s", "_d"}
     assert not REMOVED.search(text)
 
 

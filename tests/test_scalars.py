@@ -20,7 +20,9 @@ from krspectra.scalars import (
     commutator_certificate,
     limb_embeddings,
     limb_plan,
+    kron_identities,
     limb_products,
+    linear_combination,
     mat_inverse,
     poly_eval,
     poly_mul,
@@ -39,9 +41,11 @@ from oracles import (
     conjugate,
     echelon_row,
     leak,
+    lift_derivative,
     mat_rank,
     mat_rows,
     monomial,
+    pole_term,
     spans_equal,
     trace,
 )
@@ -49,7 +53,7 @@ from oracles import (
 
 def m1(x):
     """x as a 1x1 Mat: the coefficient of a function with one entry."""
-    return Mat.from_values([[x]])
+    return Mat([[x]])
 
 
 def linear(p, k):
@@ -113,13 +117,116 @@ class TestQQi:
         assert QQi(2, "0").im is QQi(2).im
 
 
+def random_qqi(rng, big=False):
+    """A Gaussian rational with small or (big) 70-bit parts, either part
+    possibly zero."""
+    top = 2**70 if big else 9
+    parts = [
+        Fraction(rng.randint(-top, top), rng.randint(1, top)) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(2)
+    ]
+    return QQi(*parts)
+
+
+class TestQQiStoredFormat:
+    """QQi against a pair of Fractions (re, im), the representation it replaced."""
+
+    OPERANDS = [0, 3, -2, Fraction(5, 6), Fraction(-7, 4)]
+
+    def values(self):
+        rng = random.Random(29)
+        return [random_qqi(rng, big=k % 5 == 0) for k in range(40)] + [
+            QQi(0), QQi(1), QQi(0, 1), QQi(Fraction(1, 2**61 - 1)), QQi(0, Fraction(-3, 2**61 - 1))
+        ]
+
+    def test_every_operator_matches_the_fraction_pair_oracle(self):
+        values = self.values()
+        for a in values:
+            pa = (a.re, a.im)
+            for b in values[:12] + self.OPERANDS:
+                pb = (b.re, b.im) if isinstance(b, QQi) else (Fraction(b), Fraction(0))
+                for got, want in [
+                    (a + b, pair_add(pa, pb)),
+                    (b + a, pair_add(pb, pa)),
+                    (a - b, pair_add(pa, pair_neg(pb))),
+                    (b - a, pair_add(pb, pair_neg(pa))),
+                    (a * b, pair_mul(pa, pb)),
+                    (b * a, pair_mul(pb, pa)),
+                ]:
+                    assert isinstance(got, QQi)
+                    assert (got.re, got.im) == want, (a, b)
+                    assert got == QQi(*want) and hash(got) == hash(QQi(*want))
+                if any(pb):
+                    n = pb[0] ** 2 + pb[1] ** 2
+                    inv = (pb[0] / n, -pb[1] / n)
+                    q = a / b
+                    assert (q.re, q.im) == pair_mul(pa, inv)
+                assert (a == b) == (pa == pb)
+            assert ((-a).re, (-a).im) == pair_neg(pa)
+            assert bool(a) == any(pa)
+            assert a.abs2() == pa[0] ** 2 + pa[1] ** 2
+            assert complex(a) == complex(float(pa[0]), float(pa[1]))
+            if a:
+                n = pa[0] ** 2 + pa[1] ** 2
+                inv = a.inverse()
+                assert (inv.re, inv.im) == (pa[0] / n, -pa[1] / n)
+                want = (Fraction(1), Fraction(0))
+                for k in range(4):
+                    got = a**k
+                    assert (got.re, got.im) == want
+                    want = pair_mul(want, pa)
+                assert a**-2 == inv * inv
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+
+    def test_hash_is_that_of_the_int_the_fraction_or_the_pair(self):
+        for a in self.values():
+            if a.im:
+                assert hash(a) == hash((a.re, a.im))
+            else:
+                assert hash(a) == hash(a.re)
+                if a.re.denominator == 1:
+                    assert hash(a) == hash(int(a.re))
+        for x in [0, 1, -1, 2, -2, 10**30, -(10**30), 2**61 - 1, 2**61, -(2**61) + 1]:
+            assert hash(QQi(x)) == hash(x) == hash(Fraction(x))
+            assert QQi(x) == x and QQi(x) == Fraction(x)
+        # equal values made by different routes are equal keys of one dict
+        keys = {QQi(Fraction(1, 3)): "a", QQi(0, 2): "b"}
+        assert keys[QQi(1) - QQi(Fraction(2, 3))] == "a"
+        assert keys[QQi(0, 1) * 2] == "b"
+        assert keys[Fraction(1, 3)] == "a"
+
+    def test_parts_are_fractions_and_text_round_trips(self):
+        for a in self.values():
+            assert isinstance(a.re, Fraction) and isinstance(a.im, Fraction)
+            assert QQi.parse(str(a)) == a
+            assert str(QQi(a.re, a.im)) == str(a)
+        assert QQi(5).im is QQi(0, 0).re is QQi(Fraction(2, 3)).im
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        values = [v for v in self.values() if v][:20]
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for a in values:
+            for b in values[:6] + [0, 3, -2]:
+                a + b, b + a, a - b, b - a, a * b, b * a, -a
+            a.inverse(), a**3, a**-2, a / values[0]
+        # not vacuous: reading a part as a Fraction is refused
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            values[0].re
+
+
 class TestRatFunDerivative:
     def test_simple_pole_derivative(self):
         # d/du 1/(u-z) = -1/(u-z)^2
         z = QQi(Fraction(2, 3))
-        f = RatFun.pole_term(m1(1), z)
+        f = pole_term(m1(1), z)
         df = f.derivative()
-        expected = RatFun.pole_term(m1(-1), z, 2)
+        expected = pole_term(m1(-1), z, 2)
         assert df == expected
 
     def test_constant_derivative(self):
@@ -144,7 +251,7 @@ class TestRatFunDerivative:
             poles = {p: rng.randint(1, 3) for p in rng.sample(points, 1 + trial % 3)}
             if trial % 2:
                 num = [sparse_matrix(rng, 3, 3) for _ in range(trial % 5)] + [
-                    Mat.from_values([[1 + i * j for j in range(3)] for i in range(3)])
+                    Mat([[1 + i * j for j in range(3)] for i in range(3)])
                 ]
             else:
                 num = [m1(sparse_entry(rng)) for _ in range(trial % 5)] + [m1(rng.randint(1, 5))]
@@ -157,6 +264,25 @@ class TestRatFunDerivative:
             assert df.poles == {q: m + 1 for q, m in f.cancel().poles.items()}
             cancelled = df.cancel()
             assert cancelled.poles == df.poles and cancelled.num == df.num
+
+    def test_closed_form_equals_the_lift_oracle(self):
+        # random functions with 1-4 poles of orders up to 3, real and complex
+        # poles, matrix and scalar numerators, a zero numerator and no pole
+        rng = random.Random(2029)
+        points = [QQi(Fraction(1, 3)), QQi(-2), QQi(0, Fraction(-3, 5)), QQi(4, 1),
+                  QQi(Fraction(7, 2), Fraction(-1, 9))]
+        for trial in range(60):
+            poles = {p: rng.randint(1, 3) for p in rng.sample(points, 1 + trial % 4)}
+            side = 1 + trial % 3
+            num = [sparse_matrix(rng, side, side) for _ in range(rng.randint(1, 5))]
+            for f in (RatFun(num, poles), RatFun(num, {})):
+                want = lift_derivative(f)
+                got = f.derivative()
+                assert got == want
+                assert got.poles == want.poles
+                assert got.num == want.num
+        zero = RatFun([Mat.zeros(2)], {QQi(1): 2})
+        assert zero.derivative().is_zero() and lift_derivative(zero).is_zero()
 
     def test_finite_difference_oracle(self):
         # central differences at 10 random rational points: the error of
@@ -177,11 +303,11 @@ class TestRatFunDerivative:
 
 class TestRatFunKron:
     A = RatFun(
-        [Mat.from_values([[1, 2], [0, QQi(0, 1)]]), Mat.from_values([[0, 1], [3, 0]])],
+        [Mat([[1, 2], [0, QQi(0, 1)]]), Mat([[0, 1], [3, 0]])],
         {QQi(1): 1, QQi(Fraction(1, 2), 1): 2},
     )
     B = RatFun(
-        [Mat.from_values([[2, 0, 1]]), Mat.from_values([[1, -1, 0]])],
+        [Mat([[2, 0, 1]]), Mat([[1, -1, 0]])],
         {QQi(-3): 1},
     )
 
@@ -208,7 +334,7 @@ class TestRatFunKron:
     def test_cancels_a_pole_where_the_other_numerator_vanishes(self):
         # the row numerator (u - 1) [1, -2] is zero at 1, a pole of A: the
         # product keeps it, and `cancel` removes it
-        vanishing = RatFun([Mat.from_values([[-1, 2]]), Mat.from_values([[1, -2]])], {QQi(5): 1})
+        vanishing = RatFun([Mat([[-1, 2]]), Mat([[1, -2]])], {QQi(5): 1})
         for h in (self.A.kron(vanishing), vanishing.kron(self.A)):
             assert h.poles == {QQi(1): 1, QQi(Fraction(1, 2), 1): 2, QQi(5): 1}
             assert len(h.num) == 3
@@ -222,7 +348,7 @@ class TestRatFunKron:
 
     def test_shared_pole(self):
         # 1/(u - 2) (x) u/(u - 2) = u/(u - 2)^2
-        f = RatFun([Mat.from_values([[1]])], {QQi(2): 1})
+        f = RatFun([Mat([[1]])], {QQi(2): 1})
         g = RatFun([Mat.zeros(2), Mat.identity(2)], {QQi(2): 1})
         h = f.kron(g)
         assert h.poles == {QQi(2): 2}
@@ -269,11 +395,11 @@ class TestRatFunSum:
 
 class TestResidue:
     def test_simple_pole(self):
-        f = RatFun.pole_term(m1(1), QQi(0))
+        f = pole_term(m1(1), QQi(0))
         assert f.residue(QQi(0), 0) == m1(1)
 
     def test_matrix_double_pole_identity_case(self):
-        a = Mat.from_values([[1, 2], [3, 4]])
+        a = Mat([[1, 2], [3, 4]])
         f = RatFun([a], {QQi(1): 2})
         assert f.residue(QQi(1), 1) == a
         assert not f.residue(QQi(1), 0)
@@ -321,6 +447,24 @@ class TestResidue:
             for j in range(1, m):
                 fact *= j
             assert got == h.eval(p) * QQi(Fraction(1, fact))
+
+
+    def test_every_order_equals_the_residue_of_a_fresh_copy(self):
+        # the expansion kept on a function for its first residue at a pole
+        # serves every later order, in any order of the calls
+        rng = random.Random(31)
+        points = [QQi(Fraction(1, 3)), QQi(-2), QQi(0, Fraction(-3, 5)), QQi(4, 1)]
+        for trial in range(30):
+            poles = {p: rng.randint(1, 4) for p in rng.sample(points, 1 + trial % 4)}
+            side = 1 + trial % 2
+            num = [sparse_matrix(rng, side, side) for _ in range(rng.randint(0, 5))]
+            f = RatFun(num + [Mat.identity(side) * QQi(1, trial)], poles)
+            calls = [(p, l) for p in points for l in range(6)]
+            rng.shuffle(calls)
+            for p, l in calls:
+                got = f.residue(p, l)
+                assert got == RatFun(f.num, f.poles).residue(p, l)
+                assert (got.nr, got.nc) == (side, side)
 
 
 def binomial_shift(a, delta):
@@ -379,11 +523,11 @@ class TestDiffOp:
     def test_leibniz(self):
         # d * (1/(u-z)) = (1/(u-z)) d - 1/(u-z)^2
         z = QQi(3)
-        f = RatFun.pole_term(m1(1), z)
+        f = pole_term(m1(1), z)
         d = self.D
         prod = d * DiffOpPoly([f])
         assert prod.coeff(1) == f
-        assert prod.coeff(0) == RatFun.pole_term(m1(-1), z, 2)
+        assert prod.coeff(0) == pole_term(m1(-1), z, 2)
 
     def test_d_squared(self):
         d = self.D
@@ -392,8 +536,8 @@ class TestDiffOp:
 
     def test_matrix_product_against_monomial_application(self):
         # (R d)(R' d) checked by applying both sides to u^m, m <= 6.
-        r = Mat.from_values([[1, 2], [0, 1]])
-        rp = Mat.from_values([[0, 1], [1, 1]])
+        r = Mat([[1, 2], [0, 1]])
+        rp = Mat([[0, 1], [1, 1]])
         z = QQi(5)
         R = RatFun([r], {z: 1})
         Rp = RatFun([rp, rp], {z: 1})
@@ -449,7 +593,7 @@ class TestCdetAndSpans:
 
         rng = random.Random(n)
         entries = [
-            [Mat.from_values([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+            [Mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
              for _ in range(n)]
             for _ in range(n)
         ]
@@ -468,7 +612,7 @@ class TestCdetAndSpans:
         grid = [
             [
                 RatFun(
-                    [Mat.from_values([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+                    [Mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
                      for _ in range(2)],
                     poles[(r + 2 * c) % 3],
                 )
@@ -489,9 +633,9 @@ class TestCdetAndSpans:
                 assert det == RatFun.sum(terms)
 
     def test_span_rank(self):
-        a = Mat.from_values([[1, 0], [0, 0]])
-        b = Mat.from_values([[0, 1], [0, 0]])
-        c = Mat.from_values([[1, 1], [0, 0]])
+        a = Mat([[1, 0], [0, 0]])
+        b = Mat([[0, 1], [0, 0]])
+        c = Mat([[1, 1], [0, 0]])
         assert span_rank([a, b, c]) == 2
         assert spans_equal([a, b], [c, a])
         assert not spans_equal([a], [b])
@@ -615,9 +759,9 @@ class TestElimination:
             assert span_rank(mats + [Mat.unit(side, side, side - 1, side - 1)]) == rank + 1
 
     def test_span_rank_ignores_the_denominator(self):
-        a = Mat.from_values([[Fraction(1, 3), 0], [0, QQi(0, Fraction(1, 5))]])
+        a = Mat([[Fraction(1, 3), 0], [0, QQi(0, Fraction(1, 5))]])
         assert span_rank([a, a * QQi(Fraction(7, 2), -1)]) == 1
-        assert span_rank([a, Mat.from_values([[1, 0], [0, 0]])]) == 2
+        assert span_rank([a, Mat([[1, 0], [0, 0]])]) == 2
         assert span_rank([]) == 0
         assert span_rank([Mat.zeros(2)]) == 0
 
@@ -642,7 +786,7 @@ class TestElimination:
     def test_inverse_rejects_a_pivot_in_the_identity_half(self):
         # the second row reduces to zero in the M half, so its pivot is (1, j)
         for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
-            m = Mat.from_values(rows)
+            m = Mat(rows)
             assert mat_rank(mat_rows(m)) < m.nr
             with pytest.raises(ZeroDivisionError):
                 mat_inverse(m)
@@ -866,10 +1010,46 @@ class TestEchelon:
 
 class TestMat:
     def test_kron_and_trace(self):
-        a = Mat.from_values([[1, 2], [3, 4]])
+        a = Mat([[1, 2], [3, 4]])
         b = Mat.identity(2)
         k = a.kron(b)
         assert k.nr == 4 and trace(k) == QQi(5) * QQi(2)
+
+    def test_unit_is_the_dense_matrix_with_one_entry(self):
+        rng = random.Random(41)
+        for value in [QQi(1), QQi(Fraction(-3, 4), 2), QQi(0), 5, Fraction(2, 9), "-1/2"]:
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            i, j = rng.randrange(nr), rng.randrange(nc)
+            dense = [[QQi.of(value) if (r, c) == (i, j) else 0 for c in range(nc)] for r in range(nr)]
+            got = Mat.unit(nr, nc, i, j, value)
+            assert got == Mat(dense)
+            assert_canonical(got)
+        assert Mat.unit(2, 3, 1, 2) == Mat([[0, 0, 0], [0, 0, 1]])
+
+    def test_kron_identities_is_the_kron_chain(self):
+        rng = random.Random(43)
+        for before, after in [(1, 1), (2, 1), (1, 3), (3, 2)]:
+            for _ in range(4):
+                m = sparse_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+                got = kron_identities(before, m, after)
+                assert got == Mat.identity(before).kron(m).kron(Mat.identity(after))
+                assert_canonical(got)
+
+    def test_linear_combination_is_the_sum_of_scaled_matrices(self):
+        rng = random.Random(47)
+        for trial in range(30):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            terms = [(sparse_entry(rng) if k % 3 else rng.randint(-3, 3), sparse_matrix(rng, nr, nc))
+                     for k in range(trial % 5)]
+            want = Mat.zeros(nr, nc)
+            for w, m in terms:
+                want = want + m * w
+            got = linear_combination(terms, nr, nc)
+            assert got == want
+            assert_canonical(got)
+        # terms that cancel leave the canonical zero
+        m = sparse_matrix(rng, 3, 3)
+        assert linear_combination([(2, m), (QQi(-2), m)], 3, 3) == Mat.zeros(3)
 
     def test_conj_transpose(self):
         z = QQi(0, 1)
@@ -1076,7 +1256,7 @@ class TestMatNormalization:
     def q_poly(rng):
         """A 3x3 quadratic with a dense leading coefficient."""
         return [sparse_matrix(rng, 3, 3) for _ in range(2)] + [
-            Mat.from_values([[1 + i + j for j in range(3)] for i in range(3)])
+            Mat([[1 + i + j for j in range(3)] for i in range(3)])
         ]
 
     def times_u_minus_p(self, q):
@@ -1094,7 +1274,7 @@ class TestMatNormalization:
     def test_value_only_in_the_first_row_keeps_the_pole(self):
         rng = random.Random(4)
         num = self.times_u_minus_p(self.q_poly(rng))
-        bump = Mat.from_values([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+        bump = Mat([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
         num[0] = num[0] + bump
         assert poly_eval(num, self.P) == bump
         f = self.check(num, {self.P: 1, self.OTHER: 2})
@@ -1541,6 +1721,19 @@ class TestMatPolyKernels:
             for k in range(len(a) + len(b) - 1)
         ])
 
+    def test_a_constant_multiple_of_the_identity_scales_the_other_factor(self):
+        rng = random.Random(53)
+        other = [sparse_matrix(rng, 3, 3) for _ in range(3)] + [Mat.identity(3)]
+        for c in [QQi(-1), QQi(1), QQi(Fraction(3, 2), -1), QQi(0, Fraction(1, 7))]:
+            const = [Mat.identity(3) * c]
+            want = [x * c for x in other]
+            assert poly_mul(const, other) == want == poly_mul(other, const)
+            # the general kernel agrees: a constant that is not c * identity
+            bumped = [const[0] + Mat.unit(3, 3, 0, 1, QQi(0, 1))]
+            assert poly_mul(bumped, other) == [
+                bumped[0] * x for x in other
+            ]
+
     def test_poly_mul(self):
         for rng, a, _ in self.cases("mul"):
             b = mat_poly(rng, rng.randint(0, 3), a[0].nc, rng.randint(1, 4))
@@ -1578,7 +1771,7 @@ class TestMatPolyKernels:
         for p in KERNEL_POINTS:
             # every entry of (u - p) q(u) is a nonzero polynomial that vanishes at p
             q = mat_poly(rng, 2, 4, 3)[:-1] + [
-                Mat.from_values([[1 + i + 2 * j for j in range(3)] for i in range(4)])
+                Mat([[1 + i + 2 * j for j in range(3)] for i in range(4)])
             ]
             a = times_u_minus(q, p)
             assert not poly_eval(a, p)
@@ -1665,7 +1858,7 @@ class TestBlockCertificate:
     def test_leak_names_the_first_entry_between_blocks(self):
         # the layout pass refuses a matrix at the entry the `leak` oracle names
         blocks = Blocks([[0, 2], [1]], ["a", "b"])
-        keeps = Mat.from_values([[1, 0, 2], [0, 3, 0], [4, 0, 5]])
+        keeps = Mat([[1, 0, 2], [0, 3, 0], [4, 0, 5]])
         assert leak(blocks, keeps) is None
         block_views([keeps], blocks)
         for m in (
@@ -1804,9 +1997,9 @@ class TestBlockCertificate:
         # [[0, 1], [-1, 0]], and float64 cannot tell a1 = 2^60 + 1 from 2^60
         big = 1 << 60
         blocks = Blocks([[0, 1]], [(1, 1)])
-        near = Mat.from_values([[big + 1, 0], [0, big]])
-        swap = Mat.from_values([[0, 1], [1, 0]])
-        circulant = Mat.from_values([[big, big + 1], [big + 1, big]])
+        near = Mat([[big + 1, 0], [0, big]])
+        swap = Mat([[0, 1], [1, 0]])
+        circulant = Mat([[big, big + 1], [big + 1, big]])
         floats = [np.array(complex_rows(m)) for m in (near, swap)]
         assert not (floats[0] @ floats[1] - floats[1] @ floats[0]).any()
         # one limb would need products of 2 * 62 bits
@@ -1827,9 +2020,9 @@ class TestBlockCertificate:
         p = 1 << power
         blocks = Blocks([[0, 1]], [(1, 1)])
         if low:
-            pair = [Mat.from_values([[p + 1, 0], [0, p]]), Mat.from_values([[0, 1], [0, 0]])]
+            pair = [Mat([[p + 1, 0], [0, p]]), Mat([[0, 1], [0, 0]])]
         else:
-            pair = [Mat.from_values([[p, 0], [0, 0]]), Mat.from_values([[0, p], [0, 0]])]
+            pair = [Mat([[p, 0], [0, 0]]), Mat([[0, p], [0, 0]])]
         cert = commutator_certificate(pair, blocks, [(0, 1)])
         assert not commutes(pair[0], pair[1])
         assert cert.commute == [False]
@@ -1852,7 +2045,7 @@ class TestBlockCertificate:
 
     def test_report_states_the_limb_plan(self):
         blocks = Blocks([[0, 1]], [(1, 1)])
-        m = Mat.from_values([[1, 2], [3, 4]])
+        m = Mat([[1, 2], [3, 4]])
         report = commutator_certificate([m, m], blocks, [(0, 1)]).report()
         assert report["pairs"] == 1
         assert report["limbs"] == 1 and report["limb_bits"] >= 2

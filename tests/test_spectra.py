@@ -95,7 +95,7 @@ class TestJointDiagonalize:
     def test_distinct_diagonal_family_simple(self):
         c2 = build_defining(2)
         rep = build_tensor([(c2, QQi(0), QQi(0)), (c2, QQi(1), QQi(0))])
-        d = Mat.from_values(
+        d = Mat(
             [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]
         )
         spec = joint_diagonalize([d], rep)
