@@ -46,9 +46,9 @@ def default_shift(n, l, r):
 
 
 def kr_tensor_crystal(n, factors):
-    """Tensor product of the KR crystals B_{l w_r}; one build per distinct factor."""
-    crystals = {f: build_kr(n, *f) for f in set(factors)}
-    return tensor_many([crystals[f] for f in factors])
+    """Tensor product of the KR crystals B_{l w_r}; `build_kr` builds each
+    distinct factor once per process."""
+    return tensor_many([build_kr(n, *f) for f in factors])
 
 
 def spectral_points(n, factors, s):

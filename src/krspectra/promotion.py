@@ -10,6 +10,7 @@ tests' oracles for promotion (`tests/oracles.py`), not production paths.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -137,8 +138,12 @@ def affine_extension(graph: CrystalGraph, pr) -> CrystalGraph:
     return kr
 
 
+@cache
 def build_kr(n, l, r) -> CrystalGraph:
-    """The Kirillov-Reshetikhin crystal B_{l w_r} with pr-conjugated affine operators."""
+    """The Kirillov-Reshetikhin crystal B_{l w_r} with pr-conjugated affine operators.
+
+    Built once per process for each (n, l, r) and shared: a CrystalGraph's
+    arrays and labels are read-only."""
     graph = build_crystal(n, (l,) * r)
     return affine_extension(graph, promotion_map(graph))
 

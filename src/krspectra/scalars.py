@@ -1106,6 +1106,14 @@ def _identity_multiple(m: Mat):
     return v
 
 
+def _is_minus_identity(f):
+    """Whether the RatFun f is the constant -identity."""
+    if f.poles or len(f.num) != 1:
+        return False
+    m = f.num[0]
+    return _identity_multiple(m) == (-m.den, 0)
+
+
 def _taylor(a, p, ks):
     """The Mats of `_taylor_terms`: each summed on Python ints
     (`_weighted_rows`), each coefficient built by one gcd pass."""
@@ -1486,9 +1494,12 @@ class DiffOpPoly:
         if b1.is_zero():
             return DiffOpPoly([b0 * g for g in other.coeffs])
         zero = RatFun([], {})
+        pairs = zip(other.coeffs + [zero], [zero] + other.coeffs)
+        if _is_minus_identity(b1):
+            # the -1 of -d_u: subtract b1's partner, with no negated copy
+            return DiffOpPoly([b0 * g - RatFun.sum([g.derivative(), below]) for g, below in pairs])
         return DiffOpPoly([
-            RatFun.sum([b0 * g, b1 * RatFun.sum([g.derivative(), below])])
-            for g, below in zip(other.coeffs + [zero], [zero] + other.coeffs)
+            RatFun.sum([b0 * g, b1 * RatFun.sum([g.derivative(), below])]) for g, below in pairs
         ])
 
     def __eq__(self, other):

@@ -15,6 +15,7 @@ the same container carries the affine KR crystals (operator indices
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import MutableSequence, Sequence
 from operator import itemgetter
 
 import numpy as np
@@ -83,7 +84,8 @@ def enumerate_ssyt(shape, n):
 
     def fill(k):
         if k == len(cells):
-            results.append(Tableau([row[:] for row in grid], n))
+            # semistandard by construction, so Tableau's check is skipped
+            results.append(tuple.__new__(Tableau, (tuple(map(tuple, grid)), n)))
             return
         r, c = cells[k]
         lo = 1
@@ -132,12 +134,13 @@ class CrystalGraph:
     classical crystals and 0..n-1 for affine ones.  wt is (N, n): wt[k] is the
     raw integer content vector of id k; sl_n weight classes compare via
     canonical_weight.  labels[k] is the tableau or (left, right) pair that id
-    k stands for.
+    k stands for; labels is a tuple or another read-only sequence, so a
+    graph can be shared (`promotion.build_kr` builds each once per process).
     """
 
     def __init__(self, n, labels, E, F, wt, indices=None):
         self.n = n
-        self.indices = list(indices) if indices is not None else list(range(1, n))
+        self.indices = tuple(indices) if indices is not None else tuple(range(1, n))
         self.wt = _frozen(wt, (len(wt), n), "wt")
         size = (len(self.indices), len(self.wt))
         self.E = _frozen(E, size, "E")
@@ -146,7 +149,8 @@ class CrystalGraph:
             min(self.E.min(), self.F.min()) < -1 or max(self.E.max(), self.F.max()) >= size[1]
         ):
             raise CrystalError("an operator target is not an id")
-        self.labels = list(labels)
+        read_only = isinstance(labels, Sequence) and not isinstance(labels, MutableSequence)
+        self.labels = labels if read_only else tuple(labels)
         self._rows = {i: r for r, i in enumerate(self.indices)}
         self._ids = None
         self._positions = None
@@ -183,16 +187,20 @@ class CrystalGraph:
         else:
             picked = [self._rows[i] for i in indices]
             E, F = self.E[picked], self.F[picked]
-        wt = self.wt
         k, size = E.shape
         rows = np.arange(k).reshape(k, 1)
         ids = np.arange(size)
         alpha = np.array([coroot_vector(self.n, i) for i in indices], dtype=np.intp)
+        alpha = alpha.reshape(k, self.n)  # also when k = 0 or n = 1
         # a vanishing operator (-1) reads the last id, and the mask drops it
         has_e = E >= 0
         f_unpaired = (F >= 0) & (E[rows, F] != ids)
         e_unpaired = has_e & (F[rows, E] != ids)
-        e_bad = e_unpaired | (has_e & (wt[E] - wt != alpha.reshape(k, 1, self.n)).any(axis=2))
+        # the weight axiom one coordinate at a time, on (k, N) arrays
+        wrong_wt = np.zeros((k, size), dtype=bool)
+        for j, col in enumerate(np.ascontiguousarray(self.wt.T)):
+            wrong_wt |= col[E] - col != alpha[:, j : j + 1]
+        e_bad = e_unpaired | (has_e & wrong_wt)
         bad = f_unpaired | e_bad
         if not bad.any():
             return None

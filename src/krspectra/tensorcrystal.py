@@ -5,12 +5,14 @@ and f_[i] to the left factor iff eps(left) >= phi(right); the strict/weak
 asymmetry is what makes the two maps mutually inverse partial bijections.
 A product is a CrystalGraph on the factors' indices (0..n-1 for affine
 factors): the pair of ids (x, y) is the id x * len(right) + y, labeled by
-the pair of the factors' labels.
+the pair of the factors' labels, which `PairLabels` indexes rather than
+stores.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -21,6 +23,39 @@ from .tableaux import (
     row_counts,
     string_positions,
 )
+
+
+class PairLabels(Sequence):
+    """The labels of a product, read-only: item x * len(right) + y is the
+    pair (left[x], right[y]).  It equals any sequence of the same pairs, a
+    list of tuples included; a slice is a tuple."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        size = len(self)
+        if not -size <= k < size:
+            raise IndexError(f"label index {k} out of range for {size} labels")
+        x, y = divmod(k % size, len(self.right))
+        return (self.left[x], self.right[y])
+
+    def __iter__(self):
+        return ((a, b) for a in self.left for b in self.right)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 def tensor(b_left, b_right):
@@ -50,7 +85,7 @@ def tensor(b_left, b_right):
 
     g = CrystalGraph(
         b_left.n,
-        [(a, b) for a in b_left.labels for b in b_right.labels],
+        PairLabels(b_left.labels, b_right.labels),
         rule(eps > phi, b_left.E, b_right.E),
         rule(eps >= phi, b_left.F, b_right.F),
         (b_left.wt[:, None, :] + b_right.wt[None, :, :]).reshape(size_l * size_r, b_left.n),

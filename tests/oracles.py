@@ -530,7 +530,7 @@ def schutzenberger(graph: CrystalGraph, alphabet=None):
     Returns a list: the id of the image of each id.
     """
     indices = graph.indices
-    if indices and indices != list(range(indices[0], indices[-1] + 1)):
+    if indices and list(indices) != list(range(indices[0], indices[-1] + 1)):
         raise CrystalError("operator indices must be contiguous")
     lo = indices[0] if indices else 1
     hi = indices[-1] if indices else 0

@@ -122,10 +122,14 @@ class TestSingleBuild:
         assert extensions == []
 
     def test_tensor_builds_each_distinct_factor_once(self, monkeypatch, capsys):
-        builds = count_calls(monkeypatch, promotion, "build_kr")
+        # build_kr keeps its crystals, so the real builds are build_crystal's
+        builds = count_calls(monkeypatch, tableaux, "build_crystal")
         code, doc = run(capsys, "tensor", "--n", "4", "--factors", "2,1;2,1;1,1")
         assert code == 0 and doc["size"] == 10 * 10 * 4
-        assert sorted(builds) == [(4, 1, 1), (4, 2, 1)]
+        assert sorted(builds) == [(4, (1,)), (4, (2,))]
+        code, doc = run(capsys, "tensor", "--n", "4", "--factors", "1,1;2,1")
+        assert code == 0 and doc["size"] == 4 * 10
+        assert len(builds) == 2
 
     def test_kr_cap_is_checked_before_enumeration(self, monkeypatch, capsys):
         enumerated = count_calls(monkeypatch, tableaux, "enumerate_ssyt")

@@ -258,7 +258,7 @@ class TestBuildKR:
     def test_invariants_verified_on_construction(self):
         for (n, l, r) in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 2, 2)]:
             kr = build_kr(n, l, r)
-            assert kr.indices == list(range(n))
+            assert kr.indices == tuple(range(n))
             assert kr.check_axioms() is None
 
     def test_build_kr_checks_its_axioms(self, monkeypatch):
@@ -316,6 +316,19 @@ class TestBuildKR:
                 witness = crys.check_axioms(indices=[i])
                 assert witness == (crys.check_axioms() if i == j else None), (i, j)
 
+    def test_cached_crystal_is_shared_and_read_only(self):
+        kr = build_kr(3, 2, 1)
+        assert build_kr(3, 2, 1) is kr
+        assert build_kr(3, 1, 2) is not kr
+        for a in (kr.E, kr.F, kr.wt):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        with pytest.raises(TypeError):
+            kr.labels[0] = kr.labels[1]
+        with pytest.raises(AttributeError):
+            kr.labels.append(kr.labels[0])
+        assert type(kr.labels) is tuple and type(kr.indices) is tuple
+
     def test_pr_intertwining(self):
         # pr e_i = e_{i+1} pr for i = 1..n-2
         n = 4
@@ -333,6 +346,75 @@ class TestBuildKR:
             w = g.wt[b]
             pw = content(promote(g.labels[b]))
             assert pw == tuple(w[(i - 1) % 4] for i in range(4))
+
+
+def axiom_cases():
+    """Crystals for the weight axiom: KR crystals, a classical crystal, a
+    product, a two-element n = 1 crystal (alpha_0 = 0) and an empty one."""
+    from krspectra.tensorcrystal import tensor
+
+    yield from (build_kr(n, l, r) for n, l, r in [(1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 1, 2), (5, 2, 2)])
+    yield build_crystal(4, (2, 1))
+    yield tensor(build_kr(3, 1, 1), build_kr(3, 1, 2))
+    yield CrystalGraph(1, ("a", "b"), [[-1, 0]], [[1, -1]], [[0], [0]], indices=[0])
+    yield CrystalGraph(3, [], np.empty((2, 0)), np.empty((2, 0)), np.empty((0, 3)))
+
+
+def only_index(crys, i):
+    """The crystal with the operators of index i alone."""
+    r = crys.row(i)
+    return CrystalGraph(crys.n, crys.labels, crys.E[[r]], crys.F[[r]], crys.wt, indices=[i])
+
+
+class TestWeightAxiomByColumns:
+    """check_axioms runs the weight axiom one coordinate at a time; the
+    per-edge loop `axiom_oracle` gives the same first witness."""
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_seeded_corruptions_give_the_oracles_witness(self, case):
+        rng = np.random.default_rng(case)
+        witnesses = set()
+        for crys in axiom_cases():
+            assert crys.check_axioms() is None is axiom_oracle(crys)
+            k, size = crys.E.shape
+            if not (k and size):
+                continue
+            for _ in range(12):
+                E, F, wt = crys.E.copy(), crys.F.copy(), crys.wt.copy()
+                where = (rng.integers(k), rng.integers(size))
+                what = rng.integers(3)
+                if what == 0:
+                    E[where] = rng.integers(-1, size)
+                elif what == 1:
+                    F[where] = rng.integers(-1, size)
+                else:
+                    wt[where[1], rng.integers(crys.n)] += rng.choice([-1, 1])
+                bad = CrystalGraph(crys.n, crys.labels, E, F, wt, indices=crys.indices)
+                witness = bad.check_axioms()
+                assert witness == axiom_oracle(bad), (crys.n, len(crys), what)
+                witnesses.add(witness and witness[0])
+        assert "weight" in witnesses
+
+    def test_affine_index_0_alone(self):
+        for n, l, r in [(1, 1, 1), (2, 1, 1), (3, 1, 2), (4, 2, 2)]:
+            kr = build_kr(n, l, r)
+            wt = kr.wt.copy()
+            # the target of the first e_[0] edge; n = 1 has no edge at all
+            wt[first_edge(kr, 0)[1] if n > 1 else 0, 0] += 1
+            bad = CrystalGraph(n, kr.labels, kr.E, kr.F, wt, indices=kr.indices)
+            witness = bad.check_axioms(indices=[0])
+            assert witness == axiom_oracle(only_index(bad, 0)), (n, l, r)
+            assert (witness is None) == (n == 1), (n, l, r)
+
+    def test_n1_and_the_empty_crystal(self):
+        *_, one, empty = axiom_cases()
+        assert one.check_axioms() is None and empty.check_axioms() is None
+        assert empty.check_axioms(indices=[1]) is None
+        wt = one.wt.copy()
+        wt[1, 0] = 1
+        bad = CrystalGraph(1, one.labels, one.E, one.F, wt, indices=[0])
+        assert bad.check_axioms() == ("weight", 0, 1) == axiom_oracle(bad)
+        assert CrystalGraph(1, ("a",), [], [], [[0]]).check_axioms() is None
 
 
 class TestVerifyUniqueness:

@@ -570,6 +570,31 @@ class TestDiffOp:
                 mono = monomial(m1(1), m)
                 assert apply(abc, mono) == apply(a, apply(b, apply(c, mono)))
 
+    def test_minus_d_left_factor_equals_the_added_route(self):
+        # b0 - d, as in the diagonal of L(u) - d_u - chi: b1 = -I subtracts
+        # its partner; the result equals b0 o c minus d o c (b1 = +I) and
+        # acts as the composition
+        rng = random.Random(11)
+        z, w = QQi(Fraction(1, 2)), QQi(-1, 3)
+        i2 = Mat.identity(2)
+
+        def rand_fun():
+            num = [Mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+                   for _ in range(rng.randint(1, 3))]
+            return RatFun(num, {z: rng.randint(0, 2), w: rng.randint(0, 1)})
+
+        zero = RatFun([], {})
+        d = DiffOpPoly([zero, RatFun.const(i2)])
+        for _ in range(8):
+            b0 = rand_fun() if rng.random() < 0.8 else zero
+            c = DiffOpPoly([rand_fun() for _ in range(rng.randint(1, 3))])
+            a = DiffOpPoly([b0, RatFun.const(-i2)])
+            ac = a * c
+            assert ac == DiffOpPoly([b0]) * c - d * c
+            for m in range(4):
+                mono = monomial(i2, m)
+                assert apply(ac, mono) == apply(a, apply(c, mono))
+
     def test_order_two_left_factor_raises(self):
         d2 = DiffOpPoly([RatFun([], {}), RatFun([], {}), RatFun.const(m1(1))])
         with pytest.raises(ValueError, match="order 2"):

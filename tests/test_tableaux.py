@@ -85,6 +85,23 @@ def partitions(cells, parts):
     return out
 
 
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_enumerated_tableau_is_semistandard(self, n):
+        # enumerate_ssyt skips Tableau's check: its search bounds every cell
+        for lam in partitions(6, n):
+            for t in enumerate_ssyt(lam, n):
+                assert type(t) is Tableau and t.shape == lam and t.n == n
+                assert t.is_semistandard(), (n, lam, t)
+                assert Tableau(t.rows, n) == t
+
+    def test_tableau_still_checks_its_input(self):
+        with pytest.raises(CrystalError):
+            Tableau([[2, 1]], 2)
+        with pytest.raises(CrystalError):
+            Tableau([[1], [1]], 2)
+
+
 class TestSignatureRule:
     """`build_crystal` reads e_i and f_i off arrays of reading words; the
     per-tableau rule of `tests/oracles.py` is its oracle."""
@@ -96,7 +113,7 @@ class TestSignatureRule:
         for lam in shapes:
             g = build_crystal(n, lam)
             labels, E, F, wt = crystal_by_tableaux(n, lam)
-            assert g.labels == labels, (n, lam)
+            assert g.labels == tuple(labels), (n, lam)
             assert g.E.tolist() == E and g.F.tolist() == F, (n, lam)
             assert g.wt.tolist() == wt, (n, lam)
 

@@ -115,7 +115,7 @@ class TestLabelRuleOracle:
         for k in krs[1:]:
             ref = reference_tensor(ref, labelled(k), list(range(n)))
         e, f, wt, elements = ref
-        assert prod.indices == list(range(n))
+        assert prod.indices == tuple(range(n))
         assert prod.labels == elements
         got_e, got_f, got_wt, _ = labelled(prod)
         for i in prod.indices:
@@ -206,7 +206,7 @@ class TestAffineTensor:
     def test_kr_tensor_is_affine_and_consistent(self):
         k1 = build_kr(2, 1, 1)
         prod = tensor(k1, k1)
-        assert prod.indices == [0, 1]
+        assert prod.indices == (0, 1)
         assert prod.check_axioms() is None
 
     def test_every_view_of_a_product_passes(self):
@@ -379,6 +379,46 @@ class TestWideWeights:
         assert string_statistics(crys, 1) == got
         assert weight_multiset(crys) == Counter(weight(b) for b in crys.elements)
         assert len(weight_multiset(crys)) == 64
+
+
+class TestPairLabels:
+    """A product's labels are indexed, not stored: they equal the nested list
+    of pairs in every way the package reads them."""
+
+    def factors(self):
+        return [build_kr(3, 1, 1), build_kr(3, 2, 1), build_kr(3, 1, 2)]
+
+    def test_equals_the_nested_list_of_pairs(self):
+        krs = self.factors()
+        prod = tensor_many(krs)
+        pairs = [((a, b), c) for a in krs[0].labels for b in krs[1].labels for c in krs[2].labels]
+        assert len(prod.labels) == len(pairs) == 3 * 3 * 6
+        assert prod.labels == pairs and pairs == prod.labels
+        assert list(prod.labels) == pairs
+        assert prod.labels != pairs[:-1] and prod.labels != pairs[::-1]
+        for k in [0, 1, 5, len(pairs) - 1, -1, -7, -len(pairs)]:
+            assert prod.labels[k] == pairs[k], k
+        for bad in [len(pairs), -len(pairs) - 1]:
+            with pytest.raises(IndexError):
+                prod.labels[bad]
+        for part in [slice(2, 9), slice(None, None, -5), slice(-4, None), slice(7, 3)]:
+            assert prod.labels[part] == tuple(pairs[part]), part
+        assert all(prod.id(el) == k for k, el in enumerate(pairs))
+        assert pairs[13] in prod.labels and prod.labels.index(pairs[13]) == 13
+
+    def test_read_only(self):
+        prod = tensor(*self.factors()[:2])
+        with pytest.raises(TypeError):
+            prod.labels[0] = prod.labels[1]
+        with pytest.raises(TypeError):
+            hash(prod.labels)
+
+    def test_dot_and_json_match_a_graph_on_the_list(self):
+        prod = tensor_many(self.factors())
+        listed = CrystalGraph(prod.n, list(prod.labels), prod.E, prod.F, prod.wt, prod.indices)
+        assert type(listed.labels) is tuple
+        assert crystal_to_dot(prod) == crystal_to_dot(listed)
+        assert crystal_to_json(prod) == crystal_to_json(listed)
 
 
 class TestExport:
