@@ -43,6 +43,7 @@ from .gaudin import (
 )
 from .glrep import build_tensor
 from .scalars import (
+    QQI_ONE,
     Mat,
     QQi,
     RatFun,
@@ -300,7 +301,7 @@ def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     minors = quantum_minors(cfg)
     terms = []
     for subset in combinations(range(n), a):
-        c_i = QQi(1)
+        c_i = QQI_ONE
         for i in subset:
             c_i = c_i * C.entries[i]
         terms.append(minors[subset] * c_i)
@@ -346,7 +347,7 @@ def tau_members(C: TorusElement, cfg: GaudinConfig):
     members = []
     for a in range(1, cfg.n + 1):
         f = tau_ratfun(a, C, cfg)
-        for p in sorted(f.poles, key=lambda q: (str(q.re), str(q.im))):
+        for p in sorted(f.poles, key=QQi.parts_text):
             for l in range(f.poles[p]):
                 r = f.residue(p, l)
                 if r:

@@ -5,6 +5,13 @@ Reports are JSON, graphs are DOT, exact scalars serialize as fraction
 strings.  Exit codes: 0 pass, 1 fail, 2 usage error.  Configuration comes
 from flags or from a single JSON file with the same field names; there is no
 network access and no environment-variable configuration.
+
+Importing this module loads the crystal layer only (`tableaux`, `promotion`,
+`tensorcrystal`, `alcoves`, `export`), which is all that `crystal`, `tensor`
+and `alcove` run; `tensor` builds its product with
+`promotion.kr_tensor_crystal`.  The exact layer (`scalars`, `glrep`,
+`gaudin`, `bethe`, `spectra`, `pipeline`) is imported inside the handlers of
+`gaudin`, `bethe`, `spectra` and `compare`, and their helpers, when they run.
 """
 
 from __future__ import annotations
@@ -18,36 +25,15 @@ from fractions import Fraction
 
 from . import export
 from .alcoves import AffinePoint, classify, walls_of
-from .bethe import bethe_family, degeneration_report, standard_torus
-from .gaudin import (
-    GaudinConfig,
-    invariance_check,
-    manin_cdet_trace_identity,
-    residue_generators,
-    wall_family,
-)
-from .glrep import build_tensor
-from .pipeline import (
-    S_GRID,
-    SCAN_S_GRID,
-    build_spectral_config,
-    compare_pipeline,
-    default_shift,
-    kr_reps,
-    kr_tensor_crystal,
-    regular_family,
-    spectral_points,
-)
 from .promotion import (
     affine_extension,
     cycles,
     is_rectangle,
+    kr_tensor_crystal,
     promotion_map,
     promotion_order,
     verify_uniqueness,
 )
-from .scalars import QQi
-from .spectra import eigenvalues_csv, scan_simple_spectrum
 from .tableaux import CrystalError, build_crystal, shape_from_partition, ssyt_count
 from .tensorcrystal import string_statistics
 
@@ -91,6 +77,8 @@ def parse_s_grid(opts, default):
 
 
 def parse_scalar_list(text):
+    from .scalars import QQi
+
     try:
         return [QQi.parse(x) for x in text.split(",") if x != ""]
     except (ValueError, ZeroDivisionError):
@@ -158,6 +146,9 @@ def config_parts(opts):
     Every flag is checked here, the points after `--s` scales them, and
     nothing is built.
     """
+    from .pipeline import default_shift, spectral_points
+    from .scalars import QQi
+
     n = opts["n"]
     factors = parse_factors(opts["factors"]) if opts.get("factors") else None
     points = parse_scalar_list(opts["z"]) if opts.get("z") else None
@@ -185,6 +176,10 @@ def config_parts(opts):
 
 def build_config_from_opts(opts):
     """The configuration of the flags; equal factors share one rep (`kr_reps`)."""
+    from .gaudin import GaudinConfig
+    from .glrep import build_tensor
+    from .pipeline import kr_reps
+
     factors, located, chi = config_parts(opts)
     reps = kr_reps(opts["n"], factors)
     parts = [(reps[f], z, d) for f, (z, d) in zip(factors, located)]
@@ -310,6 +305,13 @@ def check_gaudin_n(n):
 
 
 def cmd_gaudin(opts):
+    from .gaudin import (
+        invariance_check,
+        manin_cdet_trace_identity,
+        residue_generators,
+        wall_family,
+    )
+
     action = opts["action"]
     check_gaudin_n(opts["n"])
     cfg = build_config_from_opts(opts)
@@ -338,6 +340,9 @@ def cmd_gaudin(opts):
 
 
 def cmd_bethe(opts):
+    from .bethe import bethe_family, degeneration_report, standard_torus
+    from .scalars import QQi
+
     action = opts["action"]
     n = opts["n"]
     for name in ("eps", "c") if action == "commute" else ("wall",):
@@ -384,6 +389,9 @@ def cmd_bethe(opts):
 
 
 def cmd_spectra(opts):
+    from .pipeline import SCAN_S_GRID, build_spectral_config, kr_reps, regular_family
+    from .spectra import eigenvalues_csv, scan_simple_spectrum
+
     n = opts["n"]
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
@@ -409,6 +417,8 @@ def cmd_spectra(opts):
 
 
 def cmd_compare(opts):
+    from .pipeline import S_GRID, compare_pipeline
+
     n = opts["n"]
     if n < 2:
         raise UsageError(f"compare needs n >= 2 for its alcove walls, got n = {n}")

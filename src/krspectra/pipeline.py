@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bethe import bethe_family, standard_torus, wall_bethe_family
 from .gaudin import GaudinConfig
 from .glrep import build_defining, build_irrep, build_tensor
-from .promotion import build_kr
+from .promotion import kr_tensor_crystal
 from .scalars import QQi
 from .spectra import (
     SpectraError,
@@ -24,7 +24,6 @@ from .spectra import (
     wall_strings,
     weight_multiset_matches,
 )
-from .tensorcrystal import tensor_many
 
 
 def kr_rep(n, l, r):
@@ -43,12 +42,6 @@ def default_shift(n, l, r):
     the exact normality checks in the test suite.
     """
     return Fraction(l - r - n, 2)
-
-
-def kr_tensor_crystal(n, factors):
-    """Tensor product of the KR crystals B_{l w_r}; `build_kr` builds each
-    distinct factor once per process."""
-    return tensor_many([build_kr(n, *f) for f in factors])
 
 
 def spectral_points(n, factors, s):

@@ -23,6 +23,7 @@ from .tableaux import (
     crystal_isomorphic,
     decompose_normal,
 )
+from .tensorcrystal import tensor_many
 
 
 def promote(t: Tableau) -> Tableau:
@@ -146,6 +147,12 @@ def build_kr(n, l, r) -> CrystalGraph:
     arrays and labels are read-only."""
     graph = build_crystal(n, (l,) * r)
     return affine_extension(graph, promotion_map(graph))
+
+
+def kr_tensor_crystal(n, factors):
+    """Tensor product of the KR crystals B_{l w_r}; `build_kr` builds each
+    distinct factor once per process."""
+    return tensor_many([build_kr(n, *f) for f in factors])
 
 
 def is_rectangle(lam):

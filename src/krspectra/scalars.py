@@ -40,6 +40,13 @@ _MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
+def _fraction_text(n, d) -> str:
+    """str(Fraction(n, d)) for d > 0, with no Fraction built."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _fraction_hash(n, d) -> int:
     """hash(Fraction(n, d)) for d > 0, with no Fraction built: Python's hash
     of a rational, n/d reduced modulo the prime `sys.hash_info.modulus`."""
@@ -203,6 +210,10 @@ class QQi:
             base = base * base
             k >>= 1
         return out
+
+    def parts_text(self) -> tuple:
+        """(str(self.re), str(self.im)), formatted from the integers."""
+        return _fraction_text(self._r, self._d), _fraction_text(self._s, self._d)
 
     def abs2(self) -> Fraction:
         return Fraction(self._r * self._r + self._s * self._s, self._d * self._d)

@@ -430,6 +430,27 @@ class TestTauRoutesAgree:
             assert tau_ratfun(a, C, cfg).eval(u) == tau_kron_direct(a, C, cfg, u)
 
 
+class TestPoleOrder:
+    def test_parts_text_is_the_text_of_every_pole_of_the_compare_shapes(self):
+        # tau_members sorts poles by QQi.parts_text; (str(re), str(im)) is its reference
+        from test_bench_digests import load_workloads
+
+        wl = load_workloads()
+        poles = set()
+        for n, text, _ in wl.COMPARE_SHAPES:
+            factors = [tuple(map(int, f.split(","))) for f in text.split(";")]
+            reps = kr_reps(n, factors)
+            tori = [standard_torus(n)] + [standard_torus(n, wall=j) for j in range(1, n + 1)]
+            for s in wl.COMPARE_S:
+                cfg = build_spectral_config(n, factors, Fraction(s), reps)
+                for C in tori:
+                    for a in range(1, n + 1):
+                        poles.update(tau_ratfun(a, C, cfg).poles)
+        assert len(poles) > 30 and any(p.re.denominator > 1 for p in poles)
+        for p in poles:
+            assert p.parts_text() == (str(p.re), str(p.im)), p
+
+
 class TestFamilies:
     def test_family_commutes_n2_k2(self):
         cfg = config_c2_pair()

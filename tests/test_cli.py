@@ -489,7 +489,7 @@ class TestSpectraScanCsv:
     ):
         from fractions import Fraction
 
-        from krspectra import cli
+        from krspectra import pipeline
         from krspectra.bethe import bethe_family
         from krspectra.pipeline import build_spectral_config, standard_torus
         from krspectra.spectra import eigenvalues_csv, joint_diagonalize
@@ -500,7 +500,8 @@ class TestSpectraScanCsv:
             built.append(s)
             return build_spectral_config(n, factors, s, reps)
 
-        monkeypatch.setattr(cli, "build_spectral_config", counting)
+        # cmd_spectra looks the function up in pipeline when it runs
+        monkeypatch.setattr(pipeline, "build_spectral_config", counting)
         path = tmp_path / "eig.csv"
         code, doc = run(
             capsys, "spectra", "scan", "--n", "2", "--factors", "1,1;1,1",

@@ -12,12 +12,27 @@ included, names a cancellation pass outside `RatFun.cancel`: a
 No module names a per-tableau crystal operator (`e_op`, `f_op`,
 `_signature_positions`): `tableaux.signature_rule` reads them all off arrays
 of reading words, and the per-tableau rule is the tests' oracle.
+
+The crystal layer (`tableaux`, `promotion`, `tensorcrystal`, `alcoves`,
+`export`) imports nothing of the exact layer (`scalars`, `glrep`, `gaudin`,
+`bethe`, `spectra`, `pipeline`), and `cli` imports the exact layer only in
+the handlers that run it, so `crystal`, `tensor` and `alcove` never load it.
 """
 
+import ast
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "krspectra"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "krspectra"
+
+CRYSTAL_LAYER = ("tableaux", "promotion", "tensorcrystal", "alcoves", "export")
+EXACT_LAYER = ("scalars", "glrep", "gaudin", "bethe", "spectra", "pipeline")
 
 FIELDS = re.compile(r"[.\"'](den|nums|_r|_s|_d)\b")
 REMOVED = re.compile(
@@ -109,3 +124,103 @@ def test_the_guard_sees_a_per_tableau_operator():
     for line in ("u = f_op(i, t)", "closes, _ = _signature_positions(t, i)", "return e_op(i, t)"):
         assert PER_TABLEAU.search(line), line
     assert not PER_TABLEAU.search("E, F = signature_rule(words, n)")
+
+
+def imported_modules(source):
+    """(line, module) of each `krspectra` module a source imports, at any
+    depth of the code, by its last dotted part."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [
+                (node.lineno, a.name.split(".")[-1])
+                for a in node.names
+                if a.name.startswith("krspectra.")
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("krspectra"):
+                continue
+            if node.module in (None, "krspectra"):  # from . import x
+                out += [(node.lineno, a.name) for a in node.names]
+            else:
+                out.append((node.lineno, node.module.split(".")[-1]))
+    return out
+
+
+def exact_imports(source):
+    return [(line, name) for line, name in imported_modules(source) if name in EXACT_LAYER]
+
+
+def test_no_crystal_module_imports_the_exact_layer():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert set(CRYSTAL_LAYER) | set(EXACT_LAYER) <= modules
+    bad = [
+        f"{name}.py:{line}: {target}"
+        for name in CRYSTAL_LAYER
+        for line, target in exact_imports((SRC / f"{name}.py").read_text())
+    ]
+    assert bad == []
+
+
+def test_the_import_guard_sees_every_form_of_import():
+    for source in (
+        "from .scalars import QQi",
+        "from . import pipeline",
+        "from krspectra.bethe import bethe_family",
+        "from krspectra import glrep",
+        "import krspectra.spectra",
+        "def f():\n    from .gaudin import GaudinConfig",
+    ):
+        assert exact_imports(source), source
+    for source in (
+        "from .tableaux import CrystalError",
+        "from . import export",
+        "import numpy as np",
+        "from fractions import Fraction",
+    ):
+        assert not exact_imports(source), source
+
+
+# Runs in a fresh interpreter: which modules a command loads depends on what
+# the process imported before it.
+LOADED_BY_COMMANDS = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from krspectra.cli import main
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.startswith("krspectra."))
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(list(argv))
+
+    dot, graph = sys.argv[1:3]
+    codes = [
+        run("crystal", "build", "--n", "3", "--kr", "2,1"),
+        run("crystal", "verify", "--n", "3", "--kr", "1,2", "--affine"),
+        run("crystal", "export", "--n", "2", "--kr", "1,1", "--dot", dot, "--json-graph", graph),
+        run("tensor", "--n", "2", "--factors", "1,1;1,1;2,1"),
+        run("alcove", "classify", "--x", "1/2,1/5,0"),
+    ]
+    crystal_side = loaded()
+    codes.append(run("compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", "1"))
+    print(json.dumps({"codes": codes, "crystal_side": crystal_side, "after_compare": loaded()}))
+    """
+)
+
+
+def test_crystal_commands_load_no_exact_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_COMMANDS, str(tmp_path / "g.dot"), str(tmp_path / "g.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * 6
+    exact = {f"krspectra.{name}" for name in EXACT_LAYER}
+    assert exact.isdisjoint(got["crystal_side"])
+    assert {f"krspectra.{name}" for name in CRYSTAL_LAYER} <= set(got["crystal_side"])
+    # compare loads every exact module, so the first assertion can fail
+    assert exact <= set(got["after_compare"])

@@ -204,6 +204,23 @@ class TestQQiStoredFormat:
             assert str(QQi(a.re, a.im)) == str(a)
         assert QQi(5).im is QQi(0, 0).re is QQi(Fraction(2, 3)).im
 
+    def test_parts_text_is_the_text_of_the_parts(self, monkeypatch):
+        rng = random.Random(31)
+        # integer, non-integer, zero and negative parts, and parts whose
+        # least denominator is not the shared one
+        values = self.values() + [
+            QQi(Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 6, 35])),
+                Fraction(rng.randint(-40, 40), rng.choice([1, 2, 5, 7, 12])))
+            for _ in range(200)
+        ] + [QQi(-3), QQi(0, -4), QQi(Fraction(-1, 2), 5), QQi(Fraction(1, 6), Fraction(-1, 4))]
+        want = [(str(a.re), str(a.im)) for a in values]
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert [a.parts_text() for a in values] == want
+
     def test_arithmetic_builds_no_fraction(self, monkeypatch):
         values = [v for v in self.values() if v][:20]
 
