@@ -156,15 +156,13 @@ class ExtAffineWeylElt:
         return f"w(sigma={self.sigma}, m={self.m})"
 
 
-def in_alcove(w: ExtAffineWeylElt, x: AffinePoint, strict=False):
-    """Membership in Q_w via the defining chain of inequalities."""
+def in_alcove(w: ExtAffineWeylElt, x: AffinePoint):
+    """Membership in the open alcove Q_w via its chain of strict inequalities."""
     q = w.inverse().apply(x)
     a = q.coords
     n = len(a)
     chain = [a[i] - a[i + 1] for i in range(n - 1)] + [a[n - 1] + 1 - a[0]]
-    if strict:
-        return all(c > 0 for c in chain)
-    return all(c >= 0 for c in chain)
+    return all(c > 0 for c in chain)
 
 
 def classify(x: AffinePoint):

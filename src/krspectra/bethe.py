@@ -10,8 +10,15 @@ factors, which are column determinants at factor dimension (in closed form
 for the defining rep C^n).  A factor's grid is (u - w) + E, so its minors
 at w are those at any other point w0 shifted by w - w0: one table per
 distinct factor rep, without its zero minors, serves every slot and every
-configuration built on that rep.  The literal trace (in two forms) and the
-full-dimension cdet table are the tests' oracles (`tests/oracles.py`).
+configuration built on that rep.  `pipeline.kr_rep` builds each KR factor
+rep once per process, so its table lives for the process.  The literal
+trace (in two forms) and the full-dimension cdet table are the tests'
+oracles (`tests/oracles.py`).
+
+The walls of the base alcove are decided here: `wall_pair` gives the
+ordered index pair of wall j, (j, j + 1) for j < n and (n, 1) for the affine
+wall, `standard_torus` merges the entries of that pair, and
+`wall_bethe_family` builds the element and ends with Delta(h) of the pair.
 
 A Bethe family holds every Laurent coefficient of each tau_a, so its exact
 pairwise check proves [tau_a(u, C), tau_b(v, C)] = 0 identically.
@@ -39,7 +46,6 @@ from .gaudin import (
     coincidence_classes,
     residue_members,
     scaled_config,
-    subregular_pair,
 )
 from .glrep import build_tensor
 from .scalars import (
@@ -73,30 +79,32 @@ class TorusElement:
     def coincidence_classes(self):
         return coincidence_classes(self.entries)
 
-    def coincident_pair(self):
-        """The unique coincident pair, if the element is subregular."""
-        return subregular_pair(self.coincidence_classes())
-
     def __repr__(self):
         return f"TorusElement({', '.join(str(c) for c in self.entries)})"
+
+
+def wall_pair(n, j):
+    """The ordered index pair of wall j of the base alcove: (j, j + 1) for
+    j < n, and (n, 1) for the affine wall j = n.  gl_1 has no walls."""
+    if n < 2:
+        raise BetheError(f"gl_{n} has no alcove walls")
+    if not (1 <= j <= n):
+        raise BetheError(f"wall index {j} out of range")
+    return (j, j + 1) if j < n else (n, 1)
 
 
 def standard_torus(n, wall=None) -> TorusElement:
     """Deterministic unit entries with decreasing angles in (0, pi/2).
 
-    wall = j in 1..n-1 merges entries j and j+1; wall = n merges entry n
-    with entry 1 (the affine coincidence); wall = None gives a regular
-    element.  Merged entries are cyclically adjacent on the circle.
+    wall = None gives a regular element; at wall j the larger index of
+    `wall_pair(n, j)` takes the entry of the smaller, so wall n sets entry n
+    to entry 1 (the affine coincidence).  Merged entries are cyclically
+    adjacent on the circle.
     """
-    ts = [Fraction(n - m, n + 1) for m in range(n)]
-    entries = [unit_circle_point(t) for t in ts]
+    entries = [unit_circle_point(Fraction(n - m, n + 1)) for m in range(n)]
     if wall is not None:
-        if not (1 <= wall <= n):
-            raise BetheError(f"wall index {wall} out of range")
-        if wall < n:
-            entries[wall] = entries[wall - 1]
-        else:
-            entries[n - 1] = entries[0]
+        i, j = sorted(wall_pair(n, wall))
+        entries[j - 1] = entries[i - 1]
     return TorusElement(entries)
 
 
@@ -363,19 +371,15 @@ def bethe_family(C: TorusElement, cfg: GaudinConfig) -> BetheFamily:
     return BetheFamily(tau_members(C, cfg), cfg, C)
 
 
-def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
-    """tau-family at a wall torus element, extended by Delta(h_ij).
+def wall_bethe_family(cfg: GaudinConfig, wall) -> BetheFamily:
+    """tau-family at the torus element of wall `wall` (`standard_torus`),
+    extended by the torus center of its coincidence and by Delta(h_ij).
 
-    `pair` is the ordered wall pair (i, j): h = E_ii - E_jj, the last member;
-    for the affine wall of the base alcove this is (n, 1).
+    (i, j) = `wall_pair(n, wall)`, so h = E_ii - E_jj, the last member, is
+    tagged ("h", i, j); for the affine wall of the base alcove (i, j) = (n, 1).
     """
-    got = C0.coincident_pair()
-    if got is None or set(got) != set(pair):
-        raise BetheError(
-            f"torus element coincidences {C0.coincidence_classes()} do not "
-            f"match the wall pair {pair}"
-        )
-    i, j = pair
+    C0 = standard_torus(cfg.n, wall)
+    i, j = wall_pair(cfg.n, wall)
     h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
     members = tau_members(C0, cfg) + center_members(cfg.rep, C0.coincidence_classes())
     return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
@@ -389,26 +393,26 @@ def wall_bethe_family(C0: TorusElement, pair, cfg: GaudinConfig) -> BetheFamily:
 EXP_ORDER = 8
 
 
-def exp_truncated(x, order=EXP_ORDER):
-    """Exact degree-`order` Taylor truncation of exp(x)."""
+def exp_truncated(x):
+    """Exact degree-`EXP_ORDER` Taylor truncation of exp(x)."""
     x = QQi.of(x)
     term = QQi(1)
     total = QQi(1)
-    for j in range(1, order + 1):
+    for j in range(1, EXP_ORDER + 1):
         term = term * x * QQi(Fraction(1, j))
         total = total + term
     return total
 
 
-def exp_tail_bound(x_abs2: Fraction, order=EXP_ORDER) -> Fraction:
-    """Rational upper bound for |exp(x) - truncation| when |x|^2 <= x_abs2 < 1."""
+def exp_tail_bound(x_abs2: Fraction) -> Fraction:
+    """Rational upper bound for |exp(x) - exp_truncated(x)| when |x|^2 <= x_abs2 < 1."""
     if x_abs2 >= 1:
         raise BetheError("tail bound assumes |x| < 1")
     # |x| <= s where s^2 = x_abs2; use |x|^{N+1}/(N+1)! * 1/(1-|x|)
     # with the crude rational bound |x| <= (1 + x_abs2)/2 >= sqrt
     s = (1 + x_abs2) / 2
-    num = s ** (order + 1)
-    return num / (factorial(order + 1) * (1 - s))
+    num = s ** (EXP_ORDER + 1)
+    return num / (factorial(EXP_ORDER + 1) * (1 - s))
 
 
 def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
@@ -517,7 +521,7 @@ def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
             val = (QQi.of(e) * QQi.of(v)).abs2()
             if val > max_abs2:
                 max_abs2 = val
-    tail = exp_tail_bound(max_abs2, EXP_ORDER) if max_abs2 < 1 else None
+    tail = exp_tail_bound(max_abs2) if max_abs2 < 1 else None
     return {
         "convention": "shift side tracks cdet(L(u) - d_u + chi_shift); "
         "gaudin config uses chi = -chi_shift",

@@ -106,7 +106,8 @@ def emit(report, opts):
     payload["config"] = {
         k: v for k, v in opts.items() if v is not None and k not in ("func",)
     }
-    text = json.dumps(payload, default=str)
+    # a non-finite float is not JSON: it raises here instead of printing
+    text = json.dumps(payload, default=str, allow_nan=False)
     # the report is printed in any case, so "-" (stdout) writes no file
     if opts.get("json") not in (None, "-"):
         export.write_text(opts["json"], text)
@@ -175,15 +176,10 @@ def config_parts(opts):
 
 
 def build_config_from_opts(opts):
-    """The configuration of the flags; equal factors share one rep (`kr_reps`)."""
-    from .gaudin import GaudinConfig
-    from .glrep import build_tensor
-    from .pipeline import kr_reps
+    """The configuration of the flags (`pipeline.located_config`)."""
+    from .pipeline import located_config
 
-    factors, located, chi = config_parts(opts)
-    reps = kr_reps(opts["n"], factors)
-    parts = [(reps[f], z, d) for f, (z, d) in zip(factors, located)]
-    return GaudinConfig(build_tensor(parts), chi)
+    return located_config(opts["n"], *config_parts(opts))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +337,7 @@ def cmd_gaudin(opts):
 
 def cmd_bethe(opts):
     from .bethe import bethe_family, degeneration_report, standard_torus
+    from .pipeline import located_config
     from .scalars import QQi
 
     action = opts["action"]
@@ -350,8 +347,11 @@ def cmd_bethe(opts):
             raise UsageError(f"bethe {action} does not read --{name}")
     if action == "commute":
         wall = opts.get("wall")
-        if wall is not None and not 1 <= wall <= n:
-            raise UsageError(f"--wall {wall} is not a wall index 1..n = {n}")
+        if wall is not None:
+            if n < 2:
+                raise UsageError(f"--wall needs n >= 2 for its alcove walls, got n = {n}")
+            if not 1 <= wall <= n:
+                raise UsageError(f"--wall {wall} is not a wall index 1..n = {n}")
         cfg = build_config_from_opts(opts)
         # the family holds every Laurent coefficient of each tau_a, so building
         # it proves [tau_a(u), tau_b(v)] = 0 identically or raises on a pair
@@ -367,7 +367,7 @@ def cmd_bethe(opts):
         c = parse_fraction(opts.get("c") or 1)
         if not c:
             raise UsageError("--c must be nonzero")
-        _, located, _ = config_parts(opts)
+        factors, located, chi = config_parts(opts)
         for eps in eps_list:
             # the evaluation points of the rescaled configuration, less 1
             moved = [z / QQi.of(c * eps) + d for z, d in located]
@@ -375,7 +375,7 @@ def cmd_bethe(opts):
                 raise UsageError(
                     f"--eps {eps}: two points z_i/(c eps) + d_i coincide, so their pole groups merge"
                 )
-        cfg = build_config_from_opts(opts)
+        cfg = located_config(n, factors, located, chi)
         report = degeneration_report(cfg, cfg.chi, eps_list, c=c)
         ratios = report["ratios"]
         report["passed"] = bool(ratios) and all(0.35 <= r <= 0.65 for r in ratios)
@@ -389,21 +389,13 @@ def cmd_bethe(opts):
 
 
 def cmd_spectra(opts):
-    from .pipeline import SCAN_S_GRID, build_spectral_config, kr_reps, regular_family
-    from .spectra import eigenvalues_csv, scan_simple_spectrum
+    from .pipeline import SCAN_S_GRID, scan_simple_spectrum
+    from .spectra import eigenvalues_csv
 
     n = opts["n"]
     factors = parse_factors(opts["factors"])
     check_size(n, factors, opts["dimcap"])
-    s_grid = parse_s_grid(opts, SCAN_S_GRID)
-    # every s of the scan shares one rep, and so one minor table, per factor
-    reps = kr_reps(n, factors)
-
-    def build(s):
-        cfg = build_spectral_config(n, factors, s, reps)
-        return regular_family(cfg), cfg.rep
-
-    report = scan_simple_spectrum(build, s_grid)
+    report = scan_simple_spectrum(n, factors, parse_s_grid(opts, SCAN_S_GRID))
     spec = report.pop("spectrum")
     report["passed"] = spec is not None
     if opts.get("csv") and spec is not None:

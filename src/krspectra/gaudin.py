@@ -180,9 +180,9 @@ def _lax_entry(terms, shift, ident, products) -> RatFun:
     return RatFun(num, {z: 1 for z, _ in terms})
 
 
-def lax_matrix(cfg: GaudinConfig, chi=None):
+def lax_matrix(cfg: GaudinConfig):
     """n x n grid of matrix-valued rational functions sum_i E_ab^(i)/(u-z_i),
-    minus chi_a on the diagonal when a diagonal chi is given.
+    minus chi_a, of the config's chi, on the diagonal.
 
     Entry (a, b) is one `_lax_entry` over the points whose slot has
     E_ab != 0, so a factor whose E_ab vanishes adds no pole; the pole
@@ -203,7 +203,7 @@ def lax_matrix(cfg: GaudinConfig, chi=None):
             points = tuple(z for z, _ in terms)
             if points not in products:
                 products[points] = _pole_products(list(points))
-            shift = chi[a - 1] if chi is not None and a == b else 0
+            shift = cfg.chi[a - 1] if a == b else 0
             row.append(_lax_entry(terms, shift, ident, products[points]))
         out.append(row)
     return out
@@ -212,7 +212,7 @@ def lax_matrix(cfg: GaudinConfig, chi=None):
 def gaudin_operator_matrix(cfg: GaudinConfig):
     """Entries of L(u) - d_u - chi as differential-operator polynomials."""
     n = cfg.n
-    lax = lax_matrix(cfg, cfg.chi)
+    lax = lax_matrix(cfg)
     minus_d = -RatFun.const(Mat.identity(cfg.rep.dim))
     return [
         [DiffOpPoly([lax[a][b], minus_d] if a == b else [lax[a][b]]) for b in range(n)]
@@ -381,10 +381,8 @@ def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:
 # Equivariance helpers
 
 
-def scaled_config(cfg: GaudinConfig, s, c=0) -> GaudinConfig:
-    """Points sz + c with the same chi (pairs with chi -> s*chi on the other side)."""
-    s, c = QQi.of(s), QQi.of(c)
-    rep = TensorRep(
-        [(r, s * z + c, d) for (r, z, d) in cfg.rep.factors]
-    )
+def scaled_config(cfg: GaudinConfig, s) -> GaudinConfig:
+    """Points sz with the same chi (pairs with chi -> s*chi on the other side)."""
+    s = QQi.of(s)
+    rep = TensorRep([(r, s * z, d) for (r, z, d) in cfg.rep.factors])
     return GaudinConfig(rep, cfg.chi)

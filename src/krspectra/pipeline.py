@@ -1,16 +1,21 @@
 """End-to-end comparison: KR tensor crystals against wall-family spectra.
 
-For each of the n walls of the base alcove a wall torus element is sampled
-(one cyclically adjacent coincidence), the evaluated Bethe family at that
-element is extended by the wall coroot, and the h-strings inside its
-eigenspaces are compared with the combinatorial string statistics of the
-matching residue class.  Evaluation points are d_j + i s y_j with the real
-shifts d_j = (l_j - r_j - n)/2 the normality condition demands.
+For each of the n walls of the base alcove, the evaluated Bethe family at
+that wall's torus element (`bethe.wall_bethe_family`) is extended by the
+wall coroot, and the h-strings inside its eigenspaces are compared with the
+combinatorial string statistics of the matching residue class.  Evaluation
+points are d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the
+normality condition demands.  Every configuration, of `compare`, of the
+simplicity scan and of the CLI's other commands, is built by
+`located_config` on the reps of `kr_rep`, which are built once per process:
+every slot and configuration on one factor shares one read-only rep, and so
+one quantum-minor table (`bethe.quantum_minors`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .bethe import bethe_family, standard_torus, wall_bethe_family
 from .gaudin import GaudinConfig
@@ -26,7 +31,9 @@ from .spectra import (
 )
 
 
+@cache
 def kr_rep(n, l, r):
+    """V_{l w_r}, built once per process; callers must not change it."""
     if l == 1 and r == 1:
         return build_defining(n)
     return build_irrep(n, l, r)
@@ -53,39 +60,21 @@ def spectral_points(n, factors, s):
     ]
 
 
-def kr_reps(n, factors):
-    """{(l, r): V_{l w_r}}, one rep per distinct factor.
-
-    Equal slots share the rep, and so do the configurations of one run built
-    from the map, so each distinct factor's quantum-minor table is built
-    once (`bethe.quantum_minors`) and freed with the map.
-    """
-    return {f: kr_rep(n, *f) for f in set(factors)}
+def located_config(n, factors, located, chi):
+    """The tensor rep of KR factors (l, r) at their (point, shift) pairs
+    `located`, with the diagonal chi."""
+    parts = [(kr_rep(n, l, r), z, d) for (l, r), (z, d) in zip(factors, located)]
+    return GaudinConfig(build_tensor(parts), chi)
 
 
-def build_spectral_config(n, factors, s, reps=None):
-    """Tensor rep of KR factors (l, r) at the points of `spectral_points`.
-
-    `reps` is the `kr_reps` map of the run; without it the reps are built.
-    """
-    reps = reps or kr_reps(n, factors)
-    parts = [(reps[f], z, d) for f, (z, d) in zip(factors, spectral_points(n, factors, s))]
-    return GaudinConfig(build_tensor(parts), (0,) * n)
-
-
-def wall_pair(n, j):
-    """The ordered index pair of wall j of the base alcove."""
-    if not (1 <= j <= n):
-        raise ValueError(f"wall index {j} out of range")
-    return (j, j + 1) if j < n else (n, 1)
+def build_spectral_config(n, factors, s):
+    """KR factors (l, r) at the points of `spectral_points` at scale s, chi = 0."""
+    return located_config(n, factors, spectral_points(n, factors, s), (0,) * n)
 
 
 def spectral_wall_statistics(cfg, j):
     """h-string statistics at wall j, with the family verified exactly first."""
-    n = cfg.n
-    C0 = standard_torus(n, wall=j)
-    fam = wall_bethe_family(C0, wall_pair(n, j), cfg)  # verifies exact commutativity
-    *base_members, h = fam.gens
+    *base_members, h = wall_bethe_family(cfg, j).gens
     return wall_strings(base_members, h, cfg.rep)
 
 
@@ -102,23 +91,45 @@ def regular_family(cfg):
     return fam.gens + [cfg.rep.delta(a, a) for a in range(1, n + 1)]
 
 
+def scan_simple_spectrum(n, factors, s_grid):
+    """Simplicity verdict of the regular family over the scales of s_grid.
+
+    Reports the per-s verdicts and the first s of the grid whose spectrum is
+    simple, and keeps that s's JointSpectrum under "spectrum" (None if no s
+    is simple; it is not JSON).  "min_gap" is None for a spectrum of fewer
+    than two lines, which has no gap.  A finer scan is a second call with a
+    finer grid.
+    """
+    rows = []
+    threshold = first_spec = None
+    for s in s_grid:
+        try:
+            cfg = build_spectral_config(n, factors, s)
+            spec = joint_diagonalize(regular_family(cfg), cfg.rep)
+            gap = float(spec.min_separation) if spec.dim > 1 else None
+            rows.append({"s": str(s), "simple": bool(spec.is_simple()), "min_gap": gap})
+        except ValueError as err:  # a SpectraError, or a refused configuration
+            rows.append({"s": str(s), "simple": False, "error": str(err)})
+        if threshold is None and rows[-1]["simple"]:
+            threshold, first_spec = str(s), spec
+    return {"rows": rows, "first_simple_s": threshold, "spectrum": first_spec}
+
+
 def compare_pipeline(n, factors, s_grid=S_GRID):
     """Full crystal-vs-spectra comparison for KR factors (l, r).
 
     Scans s_grid for a scale where every wall family has clean strings, then
     compares the per-wall statistics with the combinatorial tensor crystal.
     Only the given factor order is built: the string statistics of a KR
-    tensor product do not depend on the order of its factors.  Every s of
-    the scan shares one rep per distinct factor; each s given up is reported
-    under "rejected_s" with its `SpectraError` text.
+    tensor product do not depend on the order of its factors.  Each s given
+    up is reported under "rejected_s" with its `SpectraError` text.
     """
     comb = kr_tensor_crystal(n, factors)
-    reps = kr_reps(n, factors)
 
     rejected = {}
     for s in s_grid:
         try:
-            cfg = build_spectral_config(n, factors, s, reps)
+            cfg = build_spectral_config(n, factors, s)
             stats = {}
             for j in range(1, n + 1):
                 strings = spectral_wall_statistics(cfg, j)

@@ -248,14 +248,14 @@ class QQi:
     # -- text form: "a/b", "c/d*i", "a/b+c/d*i", "a/b-c/d*i"
 
     def __str__(self):
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        ipart = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        sign = "-" if im < 0 else "+"
-        if not re:
-            return ipart if im > 0 else "-" + ipart
-        return f"{re}{sign}{ipart}"
+        # formatted from the integers, as `parts_text`, with no Fraction built
+        r, s, d = self._r, self._s, self._d
+        if not s:
+            return _fraction_text(r, d)
+        ipart = "i" if abs(s) == d else f"{_fraction_text(abs(s), d)}*i"
+        if not r:
+            return ipart if s > 0 else "-" + ipart
+        return f"{_fraction_text(r, d)}{'-' if s < 0 else '+'}{ipart}"
 
     def __repr__(self):
         return f"QQi({self})"

@@ -295,30 +295,3 @@ def eigenvalues_csv(spec: JointSpectrum) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def scan_simple_spectrum(build_members, s_grid):
-    """Simplicity verdict over a parameter grid.
-
-    build_members(s) -> (members, rep); reports the per-s verdicts and the
-    first s of the grid whose spectrum is simple, and keeps that s's
-    JointSpectrum under "spectrum" (None if no s is simple; it is not JSON).
-    A finer scan is a second call with a finer grid.
-    """
-    rows = []
-    threshold = first_spec = None
-    for s in s_grid:
-        try:
-            members, rep = build_members(s)
-            spec = joint_diagonalize(members, rep)
-            rows.append(
-                {
-                    "s": str(s),
-                    "simple": bool(spec.is_simple()),
-                    "min_gap": float(spec.min_separation),
-                }
-            )
-        except (SpectraError, ValueError) as err:
-            rows.append({"s": str(s), "simple": False, "error": str(err)})
-        if threshold is None and rows[-1]["simple"]:
-            threshold, first_spec = str(s), spec
-    return {"rows": rows, "first_simple_s": threshold, "spectrum": first_spec}

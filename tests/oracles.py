@@ -7,6 +7,7 @@ of them is a production path, so none lives in `src/krspectra`; they read
 `span_rank`), except `leak`, whose witness is the first in the order of the
 stored entries.
 
+- exact scalars: the text form from the `Fraction` parts;
 - exact matrices: dense rows, conjugation, traces, commutators, ranks and
   span equality, scalar parts, the complex rows that the dense float routes
   start from, the first entry of a matrix between two blocks, and the rows
@@ -59,6 +60,19 @@ from krspectra.tableaux import CrystalError, CrystalGraph, Tableau, reading_orde
 
 def conjugate(z: QQi) -> QQi:
     return QQi(z.re, -z.im)
+
+
+def qqi_text(z: QQi) -> str:
+    """The text form "a/b", "c/d*i", "a/b+c/d*i" or "a/b-c/d*i", formatted
+    from the `Fraction` parts: the reference for `QQi.__str__`."""
+    re, im = z.re, z.im
+    if not im:
+        return str(re)
+    ipart = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    sign = "-" if im < 0 else "+"
+    if not re:
+        return ipart if im > 0 else "-" + ipart
+    return f"{re}{sign}{ipart}"
 
 
 def mat_rows(m: Mat):

@@ -1,10 +1,11 @@
 import gc
 import hashlib
+import math
 import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -23,16 +24,11 @@ from krspectra.bethe import (
     tau_members,
     tau_ratfun,
     wall_bethe_family,
+    wall_pair,
 )
 from krspectra.gaudin import GaudinConfig, center_members, residue_generators, wall_family
 from krspectra.glrep import build_defining, build_tensor
-from krspectra.pipeline import (
-    build_spectral_config,
-    default_shift,
-    kr_rep,
-    kr_reps,
-    wall_pair,
-)
+from krspectra.pipeline import build_spectral_config, default_shift, kr_rep
 from krspectra.scalars import Mat, QQi, RatFun, unit_circle_point
 
 from oracles import (
@@ -96,9 +92,50 @@ class TestTorus:
 
     def test_wall_merges_adjacent(self):
         C = standard_torus(3, wall=1)
-        assert C.coincident_pair() == (1, 2)
+        assert C.coincidence_classes() == [[1, 2], [3]]
         C = standard_torus(3, wall=3)
-        assert C.coincident_pair() == (1, 3)
+        assert C.coincidence_classes() == [[1, 3], [2]]
+
+    # the regular entries of standard_torus(n), and at wall j the index of
+    # the regular entry that each slot holds
+    PINNED = {
+        2: (["5/13+12/13*i", "4/5+3/5*i"], {1: (0, 0), 2: (0, 0)}),
+        3: (
+            ["7/25+24/25*i", "3/5+4/5*i", "15/17+8/17*i"],
+            {1: (0, 0, 2), 2: (0, 1, 1), 3: (0, 1, 0)},
+        ),
+        4: (
+            ["9/41+40/41*i", "8/17+15/17*i", "21/29+20/29*i", "12/13+5/13*i"],
+            {1: (0, 0, 2, 3), 2: (0, 1, 1, 3), 3: (0, 1, 2, 2), 4: (0, 1, 2, 0)},
+        ),
+        5: (
+            ["11/61+60/61*i", "5/13+12/13*i", "3/5+4/5*i", "4/5+3/5*i", "35/37+12/37*i"],
+            {
+                1: (0, 0, 2, 3, 4),
+                2: (0, 1, 1, 3, 4),
+                3: (0, 1, 2, 2, 4),
+                4: (0, 1, 2, 3, 3),
+                5: (0, 1, 2, 3, 0),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_entries_are_pinned(self, n):
+        regular, walls = self.PINNED[n]
+        assert [str(c) for c in standard_torus(n).entries] == regular
+        for j in range(1, n + 1):
+            want = [regular[k] for k in walls[j]]
+            assert [str(c) for c in standard_torus(n, wall=j).entries] == want, j
+
+    def test_wall_pair_is_the_ordered_pair_of_each_wall(self):
+        assert [wall_pair(4, j) for j in range(1, 5)] == [(1, 2), (2, 3), (3, 4), (4, 1)]
+        assert wall_pair(2, 2) == (2, 1)
+        for n, j in [(1, 1), (0, 1), (3, 0), (3, 4)]:
+            with pytest.raises(BetheError):
+                wall_pair(n, j)
+        with pytest.raises(BetheError, match="gl_1 has no alcove walls"):
+            standard_torus(1, wall=1)
 
     def test_normalized_class(self):
         C = standard_torus(3)
@@ -184,15 +221,14 @@ class TestQuantumMinors:
         monkeypatch.setattr(bethe, "ev_t_grid", counting)
         monkeypatch.setattr(bethe, "_factor_grid", recording)
         n = 3
-        reps = kr_reps(n, [(1, 1), (1, 2), (1, 2)])
-        cfg = build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 1, reps)
+        cfg = build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 1)
         for j in range(1, n + 1):
-            wall_bethe_family(standard_torus(n, wall=j), wall_pair(n, j), cfg)
+            wall_bethe_family(cfg, j)
         bethe_family(standard_torus(n), cfg)
         # one grid for the two slots of Wedge^2 C^3, none for C^3
-        assert len(calls) == 1 and built == [reps[1, 2]]
+        assert len(calls) == 1 and built == [kr_rep(n, 1, 2)]
         # a configuration on the same reps finds both tables built
-        bethe_family(standard_torus(n), build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 2, reps))
+        bethe_family(standard_torus(n), build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 2))
         assert len(calls) == 2 and len(built) == 1
 
     def test_table_is_freed_with_its_config(self):
@@ -315,11 +351,10 @@ class TestSharedFactorMinors:
     # and the s = 0 cases overlap their poles
     @pytest.mark.parametrize("n,factors,s", COPRODUCT_CASES)
     def test_shifted_tables_equal_the_per_slot_route_and_the_oracle(self, n, factors, s):
-        reps = kr_reps(n, factors)
         # a configuration at another scale builds each rep's table first, so
         # every slot below reaches it by a shift
-        quantum_minors(build_spectral_config(n, factors, s + 1, reps))
-        cfg = build_spectral_config(n, factors, s, reps)
+        quantum_minors(build_spectral_config(n, factors, s + 1))
+        cfg = build_spectral_config(n, factors, s)
         assert bethe.ev_t_grid(cfg) == {}
         for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
             grid = bethe._factor_grid(rep, w)
@@ -336,8 +371,7 @@ class TestSharedFactorMinors:
         assert bethe._FACTOR_MINORS[a] is not bethe._FACTOR_MINORS[b]
         assert_same_table(quantum_minors(cfg), oracle_minors(cfg))
 
-    def test_configs_built_on_one_rep_map_share_the_table(self, monkeypatch):
-        reps = kr_reps(3, [(1, 1), (1, 2)])
+    def test_configs_of_one_process_share_the_table(self, monkeypatch):
         sweeps = []
         sweep = bethe.column_minors
 
@@ -348,7 +382,7 @@ class TestSharedFactorMinors:
         monkeypatch.setattr(bethe, "column_minors", recording)
         tables = []
         for s in (1, 2, Fraction(5, 2)):
-            cfg = build_spectral_config(3, [(1, 1), (1, 2)], s, reps)
+            cfg = build_spectral_config(3, [(1, 1), (1, 2)], s)
             tables.append(quantum_minors(cfg))
             assert_same_table(tables[-1], oracle_minors(cfg))
         # 7 column sets at n = 3, for V_{w_2} once; V_{w_1} takes no sweep
@@ -388,8 +422,9 @@ class TestSharedFactorMinors:
     def test_only_the_defining_rep_takes_the_closed_form(self, monkeypatch):
         assert not bethe._is_defining(kr_rep(3, 1, 2))
         assert not bethe._is_defining(kr_rep(2, 2, 1))
-        # the same rep with one generator scaled is not the defining rep
-        rep = kr_rep(3, 1, 1)
+        # the same rep with one generator scaled is not the defining rep; it
+        # is built here, since the rep of kr_rep is shared and read-only
+        rep = build_defining(3)
         rep.gens[0][1] = rep.gens[0][1] * 2
         assert not bethe._is_defining(rep)
         closed = []
@@ -399,7 +434,8 @@ class TestSharedFactorMinors:
 
     def test_table_is_freed_with_its_rep(self):
         gc.collect()  # only this rep may leave the map below
-        cfg = build_spectral_config(2, [(1, 1), (1, 1)], 1)
+        # built outside kr_rep, whose reps live for the process
+        cfg = config_c2_pair()
         quantum_minors(cfg)
         held = len(bethe._FACTOR_MINORS)
         ref = weakref.ref(cfg.rep.factors[0][0])
@@ -439,10 +475,9 @@ class TestPoleOrder:
         poles = set()
         for n, text, _ in wl.COMPARE_SHAPES:
             factors = [tuple(map(int, f.split(","))) for f in text.split(";")]
-            reps = kr_reps(n, factors)
             tori = [standard_torus(n)] + [standard_torus(n, wall=j) for j in range(1, n + 1)]
             for s in wl.COMPARE_S:
-                cfg = build_spectral_config(n, factors, Fraction(s), reps)
+                cfg = build_spectral_config(n, factors, Fraction(s))
                 for C in tori:
                     for a in range(1, n + 1):
                         poles.update(tau_ratfun(a, C, cfg).poles)
@@ -460,22 +495,28 @@ class TestFamilies:
 
     def test_wall_family_contains_h_and_commutes(self):
         cfg = config_c2_pair()
-        C0 = standard_torus(2, wall=1)
-        fam = wall_bethe_family(C0, (1, 2), cfg)
+        fam = wall_bethe_family(cfg, 1)
         assert ("h", 1, 2) in fam.tags
         assert fam.verify_commuting() is None
 
-    def test_wall_family_rejects_wrong_pair(self):
-        cfg = config_c2_pair()
-        with pytest.raises(BetheError):
-            wall_bethe_family(standard_torus(2), (1, 2), cfg)
+    @pytest.mark.parametrize("n,factors", [(2, [(1, 1), (1, 1)]), (3, [(1, 1), (1, 2)])])
+    def test_wall_family_ends_with_h_of_the_wall_pair(self, n, factors):
+        cfg = build_spectral_config(n, factors, 1)
+        for j in range(1, n + 1):
+            fam = wall_bethe_family(cfg, j)
+            i, k = wall_pair(n, j)
+            assert fam.tags[-1] == ("h", i, k), j
+            assert fam.gens[-1] == cfg.rep.delta(i, i) - cfg.rep.delta(k, k)
+            assert fam.C.entries == standard_torus(n, wall=j).entries
+        # the affine wall's pair is (n, 1), in that order
+        assert fam.tags[-1] == ("h", n, 1)
 
     def test_extension_stays_a_bethe_family(self):
         cfg = config_c2_pair()
-        C0 = standard_torus(2, wall=1)
-        fam = wall_bethe_family(C0, (1, 2), cfg)
+        fam = wall_bethe_family(cfg, 1)
+        C0 = fam.C
         assert isinstance(fam, BetheFamily)
-        assert fam.C is C0 and fam.kind == "bethe-wall"
+        assert C0.entries == standard_torus(2, wall=1).entries and fam.kind == "bethe-wall"
         # Delta(E_12) does not commute with h = Delta(E_11 - E_22)
         with pytest.raises(BetheError):
             BetheFamily(
@@ -578,7 +619,7 @@ class TestCertificate:
         # package has no other commutativity route
         assert not hasattr(Mat, "commutes")
         cfg = build_spectral_config(3, [(1, 1), (1, 2)], s=1)
-        fam = wall_bethe_family(standard_torus(3, wall=1), wall_pair(3, 1), cfg)
+        fam = wall_bethe_family(cfg, 1)
         assert fam.normality_report()["passed"]
         gcfg = GaudinConfig(cfg.rep, (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 5)))
         assert residue_generators(gcfg).verify_commuting() is None
@@ -649,15 +690,23 @@ class TestShiftCdet:
         assert out[(1, 1, 0)] == e11 * (-eps)
 
     def test_exp_truncation_exact(self):
-        x = QQi(Fraction(1, 4))
-        t = exp_truncated(x, 3)
-        assert t == QQi(1) + x + x * x * QQi(Fraction(1, 2)) + x * x * x * QQi(
-            Fraction(1, 6)
+        x = QQi(Fraction(1, 4), Fraction(-1, 3))
+        want = sum(
+            (x ** j * QQi(Fraction(1, factorial(j))) for j in range(1, bethe.EXP_ORDER + 1)),
+            QQi(1),
         )
+        assert exp_truncated(x) == want
 
     def test_tail_bound_small(self):
-        assert exp_tail_bound(Fraction(1, 64), 8) < Fraction(1, 10**7)
-        assert exp_tail_bound(Fraction(1, 64), 2) < Fraction(1, 10)
+        # s = (1 + 1/64)/2 bounds |x| = 1/8, and the tail is s^9 / (9! (1 - s))
+        s = Fraction(65, 128)
+        assert bethe.EXP_ORDER == 8
+        assert exp_tail_bound(Fraction(1, 64)) == s**9 / (factorial(9) * (1 - s))
+        assert exp_tail_bound(Fraction(1, 64)) < Fraction(1, 10**7)
+        # it bounds the true tail: exp(1/8) - its truncation, to float accuracy
+        assert 0 < math.exp(1 / 8) - float(exp_truncated(Fraction(1, 8)).re) < float(
+            exp_tail_bound(Fraction(1, 64))
+        )
 
     def test_degeneration_first_order(self):
         cfg = config_c2_pair(z=(QQi(0, 1), QQi(0, 2)), d=(-2, -2))
@@ -729,8 +778,7 @@ class TestShiftCdet:
 class TestTorusCenter:
     def test_center_members_commute_with_wall_family(self):
         cfg = config_c2_pair()
-        C0 = standard_torus(2, wall=1)
-        fam = wall_bethe_family(C0, (1, 2), cfg)
-        for tag, g in center_members(cfg.rep, C0.coincidence_classes()):
+        fam = wall_bethe_family(cfg, 1)
+        for tag, g in center_members(cfg.rep, fam.C.coincidence_classes()):
             for h in fam.gens:
                 assert not commutator(g, h)

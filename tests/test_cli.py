@@ -496,11 +496,11 @@ class TestSpectraScanCsv:
 
         built = []
 
-        def counting(n, factors, s, reps=None):
+        def counting(n, factors, s):
             built.append(s)
-            return build_spectral_config(n, factors, s, reps)
+            return build_spectral_config(n, factors, s)
 
-        # cmd_spectra looks the function up in pipeline when it runs
+        # the scan looks the function up in pipeline when it runs
         monkeypatch.setattr(pipeline, "build_spectral_config", counting)
         path = tmp_path / "eig.csv"
         code, doc = run(
@@ -517,6 +517,26 @@ class TestSpectraScanCsv:
         members = fam.gens + [cfg.rep.delta(a, a) for a in (1, 2)]
         spec = joint_diagonalize(members, cfg.rep)
         assert path.read_text() == eigenvalues_csv(spec)
+
+
+class TestReportsAreJson:
+    @pytest.mark.parametrize("n,factors", [("2", "1,2"), ("3", "1,3;1,3"), ("1", "1,1")])
+    def test_a_scan_of_a_one_line_spectrum_reports_no_gap(self, capsys, n, factors):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(["spectra", "scan", "--n", n, "--factors", factors]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert [row["min_gap"] for row in doc["rows"]] == [None, None, None]
+        assert doc["first_simple_s"] == "1"
+
+    def test_a_non_finite_float_is_refused_not_printed(self, capsys):
+        from krspectra.cli import emit
+
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                emit({"gap": value}, {})
+        assert capsys.readouterr().out == ""
 
 
 def sha256(data):
@@ -775,6 +795,10 @@ class TestDimensionPreflight:
             (
                 ["spectra", "scan", "--n", "2", "--factors", "1,1;1,1", "--s-grid", ","],
                 "--s-grid holds no scale: ','",
+            ),
+            (
+                ["bethe", "commute", "--n", "1", "--factors", "1,1", "--wall", "1"],
+                "--wall needs n >= 2 for its alcove walls, got n = 1",
             ),
         ],
     )

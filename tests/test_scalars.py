@@ -46,6 +46,7 @@ from oracles import (
     mat_rows,
     monomial,
     pole_term,
+    qqi_text,
     spans_equal,
     trace,
 )
@@ -220,6 +221,27 @@ class TestQQiStoredFormat:
 
         monkeypatch.setattr(Fraction, "__new__", refuse)
         assert [a.parts_text() for a in values] == want
+
+    def test_text_is_the_fraction_formula_and_parses_back(self, monkeypatch):
+        rng = random.Random(37)
+        # signs, zero parts, unit imaginary parts (alone and beside a real
+        # part) and non-trivial, shared and unshared denominators
+        parts = [0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(-12, 35)]
+        values = self.values() + [QQi(a, b) for a in parts for b in parts] + [
+            QQi(Fraction(rng.randint(-60, 60), rng.randint(1, 30)),
+                Fraction(rng.randint(-60, 60), rng.randint(1, 30)))
+            for _ in range(300)
+        ]
+        want = [qqi_text(a) for a in values]
+        assert {"i", "-i", "1/2+i", "-3/4-i", "-12/35*i"} <= set(want)
+        for a, text in zip(values, want):
+            assert QQi.parse(text) == a, text
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert [str(a) for a in values] == want
 
     def test_arithmetic_builds_no_fraction(self, monkeypatch):
         values = [v for v in self.values() if v][:20]

@@ -17,12 +17,11 @@ from krspectra.pipeline import (
     build_spectral_config,
     compare_pipeline,
     regular_family,
-    wall_pair,
+    scan_simple_spectrum,
 )
 from krspectra.scalars import Mat, QQi, QQI_ONE
 from krspectra.spectra import (
     joint_diagonalize,
-    scan_simple_spectrum,
     wall_strings,
     weight_multiset_matches,
 )
@@ -198,10 +197,7 @@ class TestWeightBlocks:
         from krspectra.bethe import wall_bethe_family
 
         cfg = build_spectral_config(n, factors, s=s)
-        fams = [
-            wall_bethe_family(standard_torus(n, wall=j), wall_pair(n, j), cfg).gens
-            for j in range(1, n + 1)
-        ]
+        fams = [wall_bethe_family(cfg, j).gens for j in range(1, n + 1)]
         return cfg, fams + [regular_family(cfg)]
 
     def test_weights_are_the_weight_basis_multiset(self):
@@ -297,6 +293,35 @@ class TestComparePipeline:
         report = compare_pipeline(2, [(1, 1), (1, 1)])
         assert report["passed"], report
 
+    def test_kr_rep_is_built_once_per_process(self):
+        assert pipeline.kr_rep(3, 1, 2) is pipeline.kr_rep(3, 1, 2)
+        assert pipeline.kr_rep(3, 1, 1) is not pipeline.kr_rep(4, 1, 1)
+        cfg = build_spectral_config(3, [(1, 1), (1, 2), (1, 1)], 1)
+        assert [rep for rep, _, _ in cfg.rep.factors] == [
+            pipeline.kr_rep(3, 1, 1), pipeline.kr_rep(3, 1, 2), pipeline.kr_rep(3, 1, 1)
+        ]
+
+    def test_two_runs_build_each_distinct_factor_rep_once(self, monkeypatch):
+        from krspectra import glrep
+
+        builds = []
+        for name in ("build_defining", "build_wedge", "build_irrep"):
+            orig = getattr(glrep, name)
+
+            def counted(*args, orig=orig, name=name):
+                builds.append((name, args))
+                return orig(*args)
+
+            for mod in (glrep, pipeline):
+                if vars(mod).get(name) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+        for _ in range(2):
+            assert compare_pipeline(3, [(1, 1), (1, 2), (1, 1)], s_grid=(1, 2))["passed"]
+        # V_{w_2} is the wedge Wedge^2 C^3, which build_irrep hands to build_wedge
+        assert builds == [
+            ("build_defining", (3,)), ("build_irrep", (3, 1, 2)), ("build_wedge", (3, 2))
+        ]
+
     def test_weight_multiset_match(self):
         from krspectra.promotion import build_kr
         from krspectra.tensorcrystal import tensor
@@ -369,7 +394,7 @@ class TestWallRefinement:
         tc = [g for _, g in center_members(cfg.rep, C0.coincidence_classes())]
         spec_base = joint_diagonalize(fam.gens + tc, cfg.rep)
         assert not spec_base.is_simple()
-        full = wall_bethe_family(C0, (1, 2), cfg)
+        full = wall_bethe_family(cfg, 1)
         spec_full = joint_diagonalize(full.gens, cfg.rep)
         assert spec_full.is_simple()
 
@@ -415,22 +440,16 @@ class TestGaudinRouteAgreesWithCombinatorics:
 
 class TestScan:
     def test_scan_reports_simple_region(self):
-        def build(s):
-            cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=s)
-            fam = bethe_family(standard_torus(2), cfg)
-            torus = [cfg.rep.delta(a, a) for a in (1, 2)]
-            return fam.gens + torus, cfg.rep
-
-        report = scan_simple_spectrum(build, [Fraction(1), Fraction(2)])
+        report = scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(1), Fraction(2)])
         assert report["first_simple_s"] is not None
         assert all(r["simple"] for r in report["rows"])
+        # the kept spectrum is that of the regular family at the first simple s
+        cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(report["first_simple_s"]))
+        spec = joint_diagonalize(regular_family(cfg), cfg.rep)
+        assert report["spectrum"].values.tobytes() == spec.values.tobytes()
 
     def test_scan_coincident_points_reported_not_simple(self):
-        def build(s):
-            cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=s)
-            fam = bethe_family(standard_torus(2), cfg)
-            return fam.gens, cfg.rep
-
-        report = scan_simple_spectrum(build, [Fraction(0)])
+        report = scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(0)])
         assert not report["rows"][0]["simple"]
         assert "error" in report["rows"][0]
+        assert report["spectrum"] is None
