@@ -17,11 +17,13 @@ oracles (`tests/oracles.py`).
 
 The walls of the base alcove are decided here: `wall_pair` gives the
 ordered index pair of wall j, (j, j + 1) for j < n and (n, 1) for the affine
-wall, `standard_torus` merges the entries of that pair, and
-`wall_bethe_family` builds the element and ends with Delta(h) of the pair.
+wall, and `standard_torus(n, j)` merges the entries of that pair.
 
-A Bethe family holds every Laurent coefficient of each tau_a, so its exact
-pairwise check proves [tau_a(u, C), tau_b(v, C)] = 0 identically.
+A Bethe family is B(C) and nothing else: it holds every Laurent coefficient
+of each tau_a, so its exact pairwise check proves
+[tau_a(u, C), tau_b(v, C)] = 0 identically.  Every member keeps each weight
+space, so a line's weight, its h at a wall and its coset chain are read
+from the weight block it lies in (`spectra`), not from torus members.
 
 The degeneration reads the same minor table: the shift operator
 eps^-1 (T(u/eps) S - C) has S^a coefficient det(C) tau_a(u/eps, C^-1) up to
@@ -39,14 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .gaudin import (
-    CommutingFamily,
-    GaudinConfig,
-    center_members,
-    coincidence_classes,
-    residue_members,
-    scaled_config,
-)
+from .gaudin import CommutingFamily, GaudinConfig, residue_members
 from .glrep import build_tensor
 from .scalars import (
     QQI_ONE,
@@ -75,9 +70,6 @@ class TorusElement:
             raise BetheError("torus entries must have |c|^2 = 1 exactly")
         if any(not c for c in self.entries):
             raise BetheError("torus entries must be invertible")
-
-    def coincidence_classes(self):
-        return coincidence_classes(self.entries)
 
     def __repr__(self):
         return f"TorusElement({', '.join(str(c) for c in self.entries)})"
@@ -329,9 +321,9 @@ class BetheFamily(CommutingFamily):
     # patching (perfbench/tracer.py) times Bethe and Gaudin checks apart
     verify_commuting = CommutingFamily.verify_commuting
 
-    def __init__(self, members, config, C, kind="bethe"):
+    def __init__(self, members, config, C):
         self.C = C
-        super().__init__(members, config, kind)
+        super().__init__(members, config, "bethe")
 
     def normality_report(self):
         """Each member against its adjoint under the rep's invariant form, by
@@ -371,20 +363,6 @@ def bethe_family(C: TorusElement, cfg: GaudinConfig) -> BetheFamily:
     return BetheFamily(tau_members(C, cfg), cfg, C)
 
 
-def wall_bethe_family(cfg: GaudinConfig, wall) -> BetheFamily:
-    """tau-family at the torus element of wall `wall` (`standard_torus`),
-    extended by the torus center of its coincidence and by Delta(h_ij).
-
-    (i, j) = `wall_pair(n, wall)`, so h = E_ii - E_jj, the last member, is
-    tagged ("h", i, j); for the affine wall of the base alcove (i, j) = (n, 1).
-    """
-    C0 = standard_torus(cfg.n, wall)
-    i, j = wall_pair(cfg.n, wall)
-    h = cfg.rep.delta(i, i) - cfg.rep.delta(j, j)
-    members = tau_members(C0, cfg) + center_members(cfg.rep, C0.coincidence_classes())
-    return BetheFamily(members + [(("h", i, j), h)], cfg, C0, kind="bethe-wall")
-
-
 # ---------------------------------------------------------------------------
 # Shift-operator residues and the degeneration to Gaudin
 
@@ -415,37 +393,37 @@ def exp_tail_bound(x_abs2: Fraction) -> Fraction:
     return num / (factorial(EXP_ORDER + 1) * (1 - s))
 
 
-def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
+def shift_residue_generators(eps, cfg: GaudinConfig):
     """r_{k, z_i, l, eps}: grouped residues of the d-basis coefficients.
 
     The shift operator is the cdet of eps^-1 (T(u/eps) S - C), where
-    S f(u) = f(u - eps) S, C = diag(exp_trunc(-eps chi_shift)) and T is the
-    evaluation T-matrix with points w_i = z_i/(c eps) + d_i + 1.  Its S^a
-    coefficient is the quantum-minor expansion
-    R_a(u) = (-1)^(n-a) eps^-n det(C) tau_a(u/eps, C^-1),
+    S f(u) = f(u - eps) S, C = diag(exp_trunc(-eps chi_shift)) with
+    chi_shift = cfg.chi, and T is the evaluation T-matrix with points
+    w_i = z_i/eps + d_i + 1.  Its S^a coefficient is the quantum-minor
+    expansion R_a(u) = (-1)^(n-a) eps^-n det(C) tau_a(u/eps, C^-1),
     read from the minor table of that rescaled configuration.  The shift
     expansion converts to the derivative basis via S^a = exp(-a eps d_u);
     the coefficient of d^k is b_k(u) = sum_a R_a(u) (-a eps)^k / k!, exact
     for each k.  R_0 is constant, so only a >= 1 has residues.  Residues are
-    grouped around the centers z_i/c and weighted by (u - z_i/c)^l; in
-    v = u/eps, res_{u = eps p} (u - z/c)^l g = eps^(l+1) res_{v=p} (v - z/(c eps))^l g.
+    grouped around the points z_i and weighted by (u - z_i)^l; in v = u/eps,
+    res_{u = eps p} (u - z)^l g = eps^(l+1) res_{v=p} (v - z/eps)^l g.
     """
-    eps, c = QQi.of(eps), QQi.of(c)
-    if not eps or not c:
-        raise BetheError("eps and c must be nonzero")
-    n, rep = cfg.n, cfg.rep
-    centers = [z / (c * eps) for z in rep.points]
+    eps = QQi.of(eps)
+    if not eps:
+        raise BetheError("eps must be nonzero")
+    n, rep, chi_shift = cfg.n, cfg.rep, cfg.chi
+    centers = [z / eps for z in rep.points]
     shifts = [QQi.of(d) for d in rep.shifts]
     vcfg = GaudinConfig(
         build_tensor([(r, w + d + 1, d) for (r, _, d), w in zip(rep.factors, centers)]),
         chi_shift,
     )
-    diag = [exp_truncated(-eps * QQi.of(x)) for x in chi_shift]
+    diag = [exp_truncated(-eps * x) for x in chi_shift]
     c_inv = TorusElement([x.inverse() for x in diag], require_unit=False)
     det = prod(diag, start=QQi(1))
     offsets = {QQi(j) for j in range(n + 2)}
     # weighted[a][i, l] = sum over the poles p of group i of
-    # res_{v=p} (v - z_i/(c eps))^l tau_a(v, C^-1)
+    # res_{v=p} (v - z_i/eps)^l tau_a(v, C^-1)
     weighted = {}
     for a in range(1, n + 1):
         f = tau_ratfun(a, c_inv, vcfg)
@@ -486,22 +464,21 @@ def shift_residue_generators(eps, c, chi_shift, cfg: GaudinConfig):
     return out
 
 
-def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
+def degeneration_report(cfg, eps_list) -> dict:
     """Max-entry distance between shift-operator residues and Gaudin generators.
 
-    The Gaudin side is cdet(L_{z/c}(u) - d_u + chi_shift), i.e. the config
-    chi is -chi_shift under this package's sign convention.  A key on one
-    side only is compared against zero.
+    chi_shift is cfg.chi.  The Gaudin side is cdet(L_z(u) - d_u + chi_shift),
+    i.e. the config chi is -chi_shift under this package's sign convention.
+    A key on one side only is compared against zero.
     """
-    c = QQi.of(c)
-    base_cfg = GaudinConfig(cfg.rep, [-QQi.of(x) for x in chi_shift])
-    gcfg = base_cfg if c == QQi(1) else scaled_config(base_cfg, QQi(1) / c)
+    chi_shift = cfg.chi
+    gcfg = GaudinConfig(cfg.rep, [-x for x in chi_shift])
     # ("res", k, i, l) -> (k, i, l), the keys of shift_residue_generators
     targets = {tag[1:]: r for tag, r in residue_members(gcfg)}
     zero = Mat.zeros(cfg.rep.dim)
     rows = []
     for eps in eps_list:
-        shifted = shift_residue_generators(eps, c, chi_shift, cfg)
+        shifted = shift_residue_generators(eps, cfg)
         dist = max(
             (
                 (shifted.get(key, zero) - targets.get(key, zero)).max_abs()
@@ -518,7 +495,7 @@ def degeneration_report(cfg, chi_shift, eps_list, c=1) -> dict:
     max_abs2 = Fraction(0)
     for e in eps_list:
         for v in chi_shift:
-            val = (QQi.of(e) * QQi.of(v)).abs2()
+            val = (QQi.of(e) * v).abs2()
             if val > max_abs2:
                 max_abs2 = val
     tail = exp_tail_bound(max_abs2) if max_abs2 < 1 else None

@@ -301,12 +301,7 @@ def check_gaudin_n(n):
 
 
 def cmd_gaudin(opts):
-    from .gaudin import (
-        invariance_check,
-        manin_cdet_trace_identity,
-        residue_generators,
-        wall_family,
-    )
+    from .gaudin import invariance_check, residue_generators, wall_family
 
     action = opts["action"]
     check_gaudin_n(opts["n"])
@@ -321,11 +316,6 @@ def cmd_gaudin(opts):
         fam = wall_family(cfg)
         report = fam.report()
         report["passed"] = True
-    elif action == "manin":
-        report = {
-            "trace_identity": manin_cdet_trace_identity(cfg),
-        }
-        report["passed"] = report["trace_identity"]
     else:
         raise UsageError(f"unknown gaudin action {action}")
     return emit(report, opts)
@@ -342,9 +332,9 @@ def cmd_bethe(opts):
 
     action = opts["action"]
     n = opts["n"]
-    for name in ("eps", "c") if action == "commute" else ("wall",):
-        if opts.get(name) is not None:
-            raise UsageError(f"bethe {action} does not read --{name}")
+    name = "eps" if action == "commute" else "wall"
+    if opts.get(name) is not None:
+        raise UsageError(f"bethe {action} does not read --{name}")
     if action == "commute":
         wall = opts.get("wall")
         if wall is not None:
@@ -364,19 +354,16 @@ def cmd_bethe(opts):
         eps_list = parse_fraction_list(opts.get("eps") or "")
         if len(eps_list) < 2 or not all(eps_list):
             raise UsageError("bethe degenerate needs --eps with two or more nonzero steps")
-        c = parse_fraction(opts.get("c") or 1)
-        if not c:
-            raise UsageError("--c must be nonzero")
         factors, located, chi = config_parts(opts)
         for eps in eps_list:
             # the evaluation points of the rescaled configuration, less 1
-            moved = [z / QQi.of(c * eps) + d for z, d in located]
+            moved = [z / QQi.of(eps) + d for z, d in located]
             if len(set(moved)) < len(moved):
                 raise UsageError(
-                    f"--eps {eps}: two points z_i/(c eps) + d_i coincide, so their pole groups merge"
+                    f"--eps {eps}: two points z_i/eps + d_i coincide, so their pole groups merge"
                 )
         cfg = located_config(n, factors, located, chi)
-        report = degeneration_report(cfg, cfg.chi, eps_list, c=c)
+        report = degeneration_report(cfg, eps_list)
         ratios = report["ratios"]
         report["passed"] = bool(ratios) and all(0.35 <= r <= 0.65 for r in ratios)
     else:
@@ -442,11 +429,13 @@ def _add_shared(p, *names):
 @functools.cache
 def make_parser():
     """The argument parser, built on first use and shared by every `main` call."""
-    ap = argparse.ArgumentParser(prog="krspectra")
+    ap = argparse.ArgumentParser(prog="krspectra", allow_abbrev=False)
     ap.add_argument("--config", help="JSON config file with the same field names")
     sub = ap.add_subparsers(dest="command")
+    # no prefix of a flag stands for it: a retired --c is not read as --chi
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("crystal")
+    p = add_parser("crystal")
     p.add_argument("action", choices=["build", "verify", "export"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kr", help="l,r for the KR crystal B_{l w_r}")
@@ -456,20 +445,20 @@ def make_parser():
     _add_shared(p, "dot", "cap")
     p.set_defaults(func=cmd_crystal)
 
-    p = sub.add_parser("tensor")
+    p = add_parser("tensor")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True, help="l,r;l,r;...")
     _add_shared(p, "dot", "cap")
     p.set_defaults(func=cmd_tensor)
 
-    p = sub.add_parser("alcove")
+    p = add_parser("alcove")
     p.add_argument("action", choices=["classify"])
     p.add_argument("--x", required=True, help="rational coordinates a,b,c")
     _add_shared(p)
     p.set_defaults(func=cmd_alcove)
 
-    p = sub.add_parser("gaudin")
-    p.add_argument("action", choices=["commute", "wall", "manin"])
+    p = add_parser("gaudin")
+    p.add_argument("action", choices=["commute", "wall"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--chi", help="rational entries, e.g. 1/3,-1/3")
     p.add_argument("--z", help="exact points, e.g. 0,1 or -2+3*i,-2+i")
@@ -478,7 +467,7 @@ def make_parser():
     _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_gaudin)
 
-    p = sub.add_parser("bethe")
+    p = add_parser("bethe")
     p.add_argument("action", choices=["commute", "degenerate"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors")
@@ -487,11 +476,10 @@ def make_parser():
     p.add_argument("--s")
     p.add_argument("--wall", type=int)
     p.add_argument("--eps", help="shift steps, e.g. 1/8,1/16,1/32")
-    p.add_argument("--c", help="slope of the two-parameter slice")
     _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_bethe)
 
-    p = sub.add_parser("spectra")
+    p = add_parser("spectra")
     p.add_argument("action", choices=["scan"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True)
@@ -500,7 +488,7 @@ def make_parser():
     _add_shared(p, "dimcap")
     p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("compare")
+    p = add_parser("compare")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--factors", required=True)
     p.add_argument("--s-grid", dest="s_grid")

@@ -11,14 +11,9 @@ operator; reports name this convention where the sign matters.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations, product
-from math import factorial
-
 from .glrep import TensorRep
 from .scalars import (
     BlockLeak,
-    Blocks,
     DiffOpPoly,
     Mat,
     QQi,
@@ -27,7 +22,6 @@ from .scalars import (
     commutator_certificate,
     linear_combination,
     poly_from_roots,
-    sgn,
     span_rank,
 )
 
@@ -246,19 +240,6 @@ def residue_generators(cfg: GaudinConfig) -> CommutingFamily:
     return CommutingFamily(residue_members(cfg), cfg, "gaudin")
 
 
-def _string_blocks(rep, a, b) -> Blocks:
-    """The basis grouped by weight up to multiples of e_a - e_b, a != b: each
-    block is a string of weight spaces that Delta(E_ab), Delta(E_ba) and
-    every weight-keeping matrix map to itself."""
-    parts = {}
-    for i, w in enumerate(rep.weight_basis):
-        key = list(w)
-        key[a - 1] += key[b - 1]
-        key[b - 1] = 0
-        parts.setdefault(tuple(key), []).append(i)
-    return Blocks(parts.values(), parts)
-
-
 def invariance_check(fam: CommutingFamily) -> dict:
     """Every generator must commute with the centralizer of chi, diagonally.
 
@@ -268,7 +249,7 @@ def invariance_check(fam: CommutingFamily) -> dict:
     along e_a - e_b.  So `commutator_certificate` checks the generators
     against all Delta(E_aa) in one call on the weight spaces, and against
     the two x of each {a, b} in one call on the strings along e_a - e_b
-    (`_string_blocks`), never on blocks larger than those strings.  The
+    (`rep.coset_chains`), never on blocks larger than those strings.  The
     certificate refuses a Delta that leaves its blocks, and the check
     raises naming it.  Failures come x by x, generators in family order
     within each x.
@@ -286,7 +267,7 @@ def invariance_check(fam: CommutingFamily) -> dict:
         if pair is None:
             blocks, kind = rep.weight_blocks, "weight spaces"
         else:
-            blocks, kind = _string_blocks(rep, *pair), "strings along e_%d - e_%d" % pair
+            blocks, kind = rep.coset_chains(*pair), "strings along e_%d - e_%d" % pair
         deltas = [rep.delta(*checked[x]) for x in xs]
         pairs = [(g, m + k) for k in range(len(xs)) for g in range(m)]
         try:
@@ -326,63 +307,3 @@ def wall_family(cfg: GaudinConfig) -> CommutingFamily:
     return CommutingFamily(
         residue_members(cfg) + [(("h", i, j), h)], cfg, "gaudin-wall"
     )
-
-
-def center_members(rep, classes):
-    """Tagged sums Delta(sum_{a in cls} E_aa), one per index class."""
-    out = []
-    for cls in classes:
-        m = None
-        for a in cls:
-            d = rep.delta(a, a)
-            m = d if m is None else m + d
-        out.append((("torus", tuple(cls)), m))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The antisymmetrized-trace identity
-
-
-def antisymmetrized_trace(grids):
-    """tr A_a M_1 ... M_a computed literally from the tensor-slot expansion.
-
-    grids[m] is the n x n matrix acting in tensor slot m + 1, its entries
-    from any ring with +, - and *; there are a = len(grids) <= n slots.
-    Each product is folded from the right, so a DiffOpPoly entry is always
-    a first-order left factor.
-    """
-    a, n = len(grids), len(grids[0])
-    total = None
-    for sigma in permutations(range(a)):
-        inv = [0] * a
-        for m, v in enumerate(sigma):
-            inv[v] = m
-        sign = sgn(sigma)
-        for j in product(range(n), repeat=a):
-            prod = grids[a - 1][j[a - 1]][j[inv[a - 1]]]
-            for m in range(a - 2, -1, -1):
-                prod = grids[m][j[m]][j[inv[m]]] * prod
-            if sign < 0:
-                prod = -prod
-            total = prod if total is None else total + prod
-    return total * QQi(Fraction(1, factorial(a)))
-
-
-def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:
-    """tr A_n M_1...M_n = cdet M for M = L(u) - d_u - chi."""
-    entries = gaudin_operator_matrix(cfg)
-    lhs = antisymmetrized_trace([entries] * cfg.n)
-    rhs = cdet(entries)
-    return (lhs - rhs).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Equivariance helpers
-
-
-def scaled_config(cfg: GaudinConfig, s) -> GaudinConfig:
-    """Points sz with the same chi (pairs with chi -> s*chi on the other side)."""
-    s = QQi.of(s)
-    rep = TensorRep([(r, s * z, d) for (r, z, d) in cfg.rep.factors])
-    return GaudinConfig(rep, cfg.chi)

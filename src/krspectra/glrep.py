@@ -75,6 +75,19 @@ class MatrixRep:
             parts.setdefault(w, []).append(i)
         return Blocks(parts.values(), parts)
 
+    def coset_chains(self, a, b) -> Blocks:
+        """The basis grouped by weight up to multiples of e_a - e_b, a != b:
+        each block is a chain of weight spaces that Delta(E_ab), Delta(E_ba)
+        and every weight-keeping matrix map to itself.  A chain's label is the
+        weight with its b entry added to its a entry and set to 0."""
+        parts = {}
+        for i, w in enumerate(self.weight_basis):
+            key = list(w)
+            key[a - 1] += key[b - 1]
+            key[b - 1] = 0
+            parts.setdefault(tuple(key), []).append(i)
+        return Blocks(parts.values(), parts)
+
     def adjoint(self, m: Mat) -> Mat:
         """Adjoint with respect to the invariant Hermitian form (Gram matrix)."""
         if self.gram_inverse is None:
@@ -265,6 +278,7 @@ class TensorRep:
     # per-class method patching (perfbench/tracer.py) reaches both
     gram_inverse = MatrixRep.gram_inverse
     weight_blocks = MatrixRep.weight_blocks
+    coset_chains = MatrixRep.coset_chains
     adjoint = MatrixRep.adjoint
 
 

@@ -1,11 +1,14 @@
 """End-to-end comparison: KR tensor crystals against wall-family spectra.
 
-For each of the n walls of the base alcove, the evaluated Bethe family at
-that wall's torus element (`bethe.wall_bethe_family`) is extended by the
-wall coroot, and the h-strings inside its eigenspaces are compared with the
-combinatorial string statistics of the matching residue class.  Evaluation
-points are d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the
-normality condition demands.  Every configuration, of `compare`, of the
+For each of the n walls of the base alcove, the evaluated Bethe family B(C)
+at that wall's torus element (`bethe.standard_torus(n, j)`) is diagonalized,
+and its h-strings, read on the coset chains of the wall pair with h taken
+from the lines' weights, are compared with the combinatorial string
+statistics of the matching residue class.  The families hold only the tau
+members: every member keeps each weight space, so weights, h and coset
+chains come exactly from the weight blocks.  Evaluation points are
+d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the normality
+condition demands.  Every configuration, of `compare`, of the
 simplicity scan and of the CLI's other commands, is built by
 `located_config` on the reps of `kr_rep`, which are built once per process:
 every slot and configuration on one factor shares one read-only rep, and so
@@ -14,12 +17,13 @@ one quantum-minor table (`bethe.quantum_minors`).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
-from .bethe import bethe_family, standard_torus, wall_bethe_family
+from .bethe import bethe_family, standard_torus, wall_pair
 from .gaudin import GaudinConfig
-from .glrep import build_defining, build_irrep, build_tensor
+from .glrep import RepError, build_defining, build_irrep, build_tensor
 from .promotion import kr_tensor_crystal
 from .scalars import QQi
 from .spectra import (
@@ -73,9 +77,9 @@ def build_spectral_config(n, factors, s):
 
 
 def spectral_wall_statistics(cfg, j):
-    """h-string statistics at wall j, with the family verified exactly first."""
-    *base_members, h = wall_bethe_family(cfg, j).gens
-    return wall_strings(base_members, h, cfg.rep)
+    """h-strings at wall j, with the family verified exactly first."""
+    fam = bethe_family(standard_torus(cfg.n, j), cfg)
+    return wall_strings(fam.gens, cfg.rep, wall_pair(cfg.n, j))
 
 
 # the scales `compare` tries when none are given, in this order
@@ -85,10 +89,8 @@ SCAN_S_GRID = (1, 2, 3)
 
 
 def regular_family(cfg):
-    """The Bethe family at the regular torus element with the n torus deltas."""
-    n = cfg.n
-    fam = bethe_family(standard_torus(n), cfg)
-    return fam.gens + [cfg.rep.delta(a, a) for a in range(1, n + 1)]
+    """The members of the Bethe family at the regular torus element."""
+    return bethe_family(standard_torus(cfg.n), cfg).gens
 
 
 def scan_simple_spectrum(n, factors, s_grid):
@@ -96,9 +98,11 @@ def scan_simple_spectrum(n, factors, s_grid):
 
     Reports the per-s verdicts and the first s of the grid whose spectrum is
     simple, and keeps that s's JointSpectrum under "spectrum" (None if no s
-    is simple; it is not JSON).  "min_gap" is None for a spectrum of fewer
-    than two lines, which has no gap.  A finer scan is a second call with a
-    finer grid.
+    is simple; it is not JSON).  "min_gap" is the least gap between two
+    lines of one weight block, and None when no block holds two lines.  A
+    configuration that `SpectraError` or `glrep.RepError` refuses is a row
+    that is not simple, with the error; any other error ends the scan.  A
+    finer scan is a second call with a finer grid.
     """
     rows = []
     threshold = first_spec = None
@@ -106,9 +110,9 @@ def scan_simple_spectrum(n, factors, s_grid):
         try:
             cfg = build_spectral_config(n, factors, s)
             spec = joint_diagonalize(regular_family(cfg), cfg.rep)
-            gap = float(spec.min_separation) if spec.dim > 1 else None
+            gap = spec.min_separation if math.isfinite(spec.min_separation) else None
             rows.append({"s": str(s), "simple": bool(spec.is_simple()), "min_gap": gap})
-        except ValueError as err:  # a SpectraError, or a refused configuration
+        except (SpectraError, RepError) as err:
             rows.append({"s": str(s), "simple": False, "error": str(err)})
         if threshold is None and rows[-1]["simple"]:
             threshold, first_spec = str(s), spec
@@ -122,7 +126,8 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
     compares the per-wall statistics with the combinatorial tensor crystal.
     Only the given factor order is built: the string statistics of a KR
     tensor product do not depend on the order of its factors.  Each s given
-    up is reported under "rejected_s" with its `SpectraError` text.
+    up is reported under "rejected_s" with its error text: a `SpectraError`,
+    or a `glrep.RepError` refusing the configuration.
     """
     comb = kr_tensor_crystal(n, factors)
 
@@ -149,7 +154,7 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
             )
             report["rejected_s"] = rejected
             return report
-        except SpectraError as err:
+        except (SpectraError, RepError) as err:
             rejected[str(s)] = str(err)
     last_error = next(reversed(rejected.values()), None)
     return {

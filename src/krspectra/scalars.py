@@ -1549,21 +1549,3 @@ def column_minors(grid):
 def cdet(entries):
     """Column determinant sum_s sgn(s) M_{s(1)1} ... M_{s(n)n} of a square grid."""
     return column_minors(entries)[tuple(range(len(entries)))]
-
-
-def sgn(sigma) -> int:
-    """Sign of a permutation of range(len(sigma)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign

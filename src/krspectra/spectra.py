@@ -14,7 +14,11 @@ one batched product.  In a block larger than
 1x1 the Hermitian and anti-Hermitian parts are diagonalized simultaneously
 by recursive refinement; a 1x1 block's line is its basis vector, and its
 values are the members' exact diagonal entries.  A line's weight is its
-block's weight, so no weight is rounded.
+block's weight, so no weight is rounded, and two lines of different weights
+are told apart by their weights: simplicity is decided inside each weight
+block.  At a wall (i, j), a line's h is w_i - w_j of its weight, an exact
+int, and its coset chain along e_i - e_j (`rep.coset_chains`) is that of its
+block.
 """
 
 from __future__ import annotations
@@ -97,6 +101,8 @@ class JointSpectrum:
     The lines come block by block: `blocks[k]` lists the basis indices of
     weight block k, and the columns of `vectors[k]` (in those coordinates,
     orthonormal in standard coordinates) are its lines, in order.
+    `min_separation` is the least max-over-members gap between two lines of
+    one weight block, and inf when no block holds two lines.
     """
 
     def __init__(self, blocks, vectors, values, weights, min_separation, scale):
@@ -155,6 +161,7 @@ def _joint_diagonalize_once(views, blocks, scale) -> JointSpectrum:
     first = np.cumsum([0] + [len(p) for p in blocks.parts])
     values = np.empty((count, len(blocks.of)), dtype=np.complex128)
     vectors = [None] * len(blocks.parts)
+    min_sep = np.inf
     for b, a in views.items():
         if b == 1:
             vecs = np.ones((len(a), 1, 1), dtype=np.complex128)
@@ -163,24 +170,23 @@ def _joint_diagonalize_once(views, blocks, scale) -> JointSpectrum:
             start = np.eye(b, dtype=np.complex128)
             vecs = np.stack([_refine(start, list(h[keep]), tol) for h in herm[b]])
             vals = np.einsum("gil,gtil->gtl", vecs.conj(), a @ vecs[:, None])
+            # the gaps over the pairs i < j of lines of one block
+            i, j = np.triu_indices(b, 1)
+            gaps = np.abs(vals[:, :, i] - vals[:, :, j]).max(axis=1)
+            min_sep = min(min_sep, float(gaps.min()))
         group = blocks.groups[b]
         values[:, first[group][:, None] + np.arange(b)] = vals.transpose(1, 0, 2)
         for k, v in zip(group, vecs):
             vectors[k] = v
     weights = [w for w, part in zip(blocks.labels, blocks.parts) for _ in part]
-    # the distances are symmetric, so the least off the diagonal is the
-    # least over the pairs of lines
-    dist = _pairwise_distance(values)
-    np.fill_diagonal(dist, np.inf)
-    min_sep = dist.min()
-    return JointSpectrum(blocks.parts, vectors, values, weights, float(min_sep), scale)
+    return JointSpectrum(blocks.parts, vectors, values, weights, min_sep, scale)
 
 
 class SpectralStrings:
-    """h-strings inside the eigenspaces of a wall family."""
+    """h-strings of a wall family."""
 
     def __init__(self, strings, diagnostics):
-        self.strings = strings  # list of dicts: length, h_values, source_weight
+        self.strings = strings  # list of dicts: lines, length, h_values, source_weight
         self.diagnostics = diagnostics
 
     def statistics(self) -> Counter:
@@ -192,48 +198,53 @@ class SpectralStrings:
         return self.diagnostics["passed"]
 
 
-def wall_strings(family_members, h_member, rep):
-    """Decompose eigenspaces of the family and read off h-strings.
+def wall_strings(members, rep, pair):
+    """The h-strings of a wall family, h = E_ii - E_jj for pair = (i, j).
 
-    family_members must not contain h; h refines each family eigenspace into
-    a string of one-dimensional h-eigenlines with eigenvalues m, m-2, ..., -m.
+    The family must be simple on every weight block.  The wall's sl_2
+    commutes with it and maps each coset chain along e_i - e_j to itself, so
+    a string is the lines of one chain whose member values agree within
+    cluster_tol.  A line's h is w_i - w_j of its weight, an exact int; a
+    string's lines, by decreasing h, must have h = m, m - 2, ..., -m.
     """
-    spec = joint_diagonalize(list(family_members) + [h_member], rep)
+    spec = joint_diagonalize(list(members), rep)
     if not spec.is_simple():
         raise SpectraError(
-            f"wall family plus h is not simple (gap {spec.min_separation:.3e})"
+            f"wall family is not simple on a weight space (gap {spec.min_separation:.3e})"
         )
-    nfam = len(family_members)
+    i, j = pair
+    h = [w[i - 1] - w[j - 1] for w in spec.weights]
+    # a line lies in its weight block, and the block in one chain
+    chain_of = rep.coset_chains(i, j).of
+    lines_of = {}
+    first = 0
+    for part in spec.blocks:
+        lines_of.setdefault(chain_of[part[0]], []).extend(range(first, first + len(part)))
+        first += len(part)
     cluster_tol = max(spec.scale, 1.0) * 1e-6
-    # group eigenlines by the family eigenvalue tuple (excluding h): each
-    # unassigned line takes every unassigned line within cluster_tol of it
-    near = _pairwise_distance(spec.values[:nfam]) < cluster_tol
-    groups = []
-    free = np.ones(spec.dim, dtype=bool)
-    for i in range(spec.dim):
-        if free[i]:
-            block = np.flatnonzero(near[i] & free)
-            free[block] = False
-            groups.append(block.tolist())
     strings = []
     failures = []
     tops = []
-    for block in groups:
-        hvals = [spec.values[nfam, j].real for j in block]
-        order = np.argsort(hvals)[::-1]
-        block = [block[k] for k in order]
-        hvals = [hvals[k] for k in order]
-        ints = [int(round(v)) for v in hvals]
-        if any(abs(v - i) > 1e-5 * max(spec.scale, 1.0) for v, i in zip(hvals, ints)):
-            failures.append({"kind": "non-integer h", "values": hvals})
-        m = len(block) - 1
-        expected = list(range(m, -m - 1, -2))
-        if ints != expected:
-            failures.append(
-                {"kind": "broken string", "values": ints, "expected": expected}
-            )
-        tops.append(spec.weights[block[0]])
-        strings.append({"length": len(block), "h_values": ints})
+    for lines in lines_of.values():
+        # each unassigned line takes every unassigned line of its chain
+        # within cluster_tol of it
+        near = _pairwise_distance(spec.values[:, lines]) < cluster_tol
+        free = np.ones(len(lines), dtype=bool)
+        for k in range(len(lines)):
+            if not free[k]:
+                continue
+            group = np.flatnonzero(near[k] & free)
+            free[group] = False
+            block = sorted((lines[g] for g in group), key=lambda x: -h[x])
+            hvals = [h[x] for x in block]
+            m = len(block) - 1
+            expected = list(range(m, -m - 1, -2))
+            if hvals != expected:
+                failures.append(
+                    {"kind": "broken string", "values": hvals, "expected": expected}
+                )
+            tops.append(spec.weights[block[0]])
+            strings.append({"lines": block, "length": len(block), "h_values": hvals})
     # the source of a string is its top line
     for string, w in zip(strings, canonical_weight(tops).tolist()):
         string["source_weight"] = tuple(w)

@@ -12,12 +12,16 @@ stored entries.
   span equality, scalar parts, the complex rows that the dense float routes
   start from, the first entry of a matrix between two blocks, and the rows
   of an echelon basis;
+- permutations: the sign, from the cycle lengths;
 - Bethe: regularity of a torus element, the literal trace of tau_a in two
   forms (index sum and Kronecker product over (C^n)^a x V), both on the
   full-dimension T-grid, and the quantum-minor table by `cdet` of that grid;
 - exact functions: a pole term and the lift-based derivative;
-- Gaudin: the Lax matrix as a sum of pole terms, and the Manin relations of
-  L(u) - d_u - chi, as operator identities and applied to monomials;
+- Gaudin: the Lax matrix as a sum of pole terms, the Manin relations of
+  L(u) - d_u - chi, as operator identities and applied to monomials, the
+  antisymmetrized-trace identity tr A_n M_1 ... M_n = cdet M, a
+  configuration at scaled points, and the sums Delta(sum_{a in cls} E_aa)
+  over the classes of a torus element or of chi;
 - reps: the gl_n commutation relations, the Casimir and a JSON dump;
 - crystals: the operators e_i and f_i on one tableau and on element ids,
   Schutzenberger's involution by propagation on the graph, tableau
@@ -38,7 +42,8 @@ import numpy as np
 
 from krspectra.alcoves import AffinePoint, AlcoveError, ExtAffineWeylElt, Wall
 from krspectra.bethe import BetheError, TorusElement
-from krspectra.gaudin import GaudinConfig, antisymmetrized_trace, gaudin_operator_matrix
+from krspectra.gaudin import GaudinConfig, coincidence_classes, gaudin_operator_matrix
+from krspectra.glrep import TensorRep
 from krspectra.promotion import restricted_graph
 from krspectra.scalars import (
     Blocks,
@@ -48,7 +53,6 @@ from krspectra.scalars import (
     QQi,
     RatFun,
     cdet,
-    sgn,
     span_rank,
 )
 from krspectra.spectra import TOL, _refine
@@ -194,9 +198,27 @@ def echelon_row(ech: Echelon, p):
 # Bethe: torus elements, the antisymmetrizer and the literal traces
 
 
+def sgn(sigma) -> int:
+    """Sign of a permutation of range(len(sigma)), from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(sigma)
+    for i in range(len(sigma)):
+        if seen[i]:
+            continue
+        j = i
+        clen = 0
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def is_regular(C: TorusElement) -> bool:
     """Whether the entries of C are pairwise distinct."""
-    return len(C.coincidence_classes()) == len(C.entries)
+    return len(coincidence_classes(C.entries)) == len(C.entries)
 
 
 def normalized(C: TorusElement) -> TorusElement:
@@ -375,6 +397,58 @@ def manin_relations_check(cfg: GaudinConfig, monomial_orders=range(4)) -> dict:
                         if not ((a1 - a2) - (b1 - b2)).is_zero():
                             failures.append(("applied", p + 1, l + 1, r + 1, s + 1, m))
     return {"passed": not failures, "failures": failures}
+
+
+def antisymmetrized_trace(grids):
+    """tr A_a M_1 ... M_a computed literally from the tensor-slot expansion.
+
+    grids[m] is the n x n matrix acting in tensor slot m + 1, its entries
+    from any ring with +, - and *; there are a = len(grids) <= n slots.
+    Each product is folded from the right, so a DiffOpPoly entry is always
+    a first-order left factor.
+    """
+    a, n = len(grids), len(grids[0])
+    total = None
+    for sigma in permutations(range(a)):
+        inv = [0] * a
+        for m, v in enumerate(sigma):
+            inv[v] = m
+        sign = sgn(sigma)
+        for j in product(range(n), repeat=a):
+            prod = grids[a - 1][j[a - 1]][j[inv[a - 1]]]
+            for m in range(a - 2, -1, -1):
+                prod = grids[m][j[m]][j[inv[m]]] * prod
+            if sign < 0:
+                prod = -prod
+            total = prod if total is None else total + prod
+    return total * QQi(Fraction(1, factorial(a)))
+
+
+def manin_cdet_trace_identity(cfg: GaudinConfig) -> bool:
+    """tr A_n M_1...M_n = cdet M for M = L(u) - d_u - chi."""
+    entries = gaudin_operator_matrix(cfg)
+    lhs = antisymmetrized_trace([entries] * cfg.n)
+    rhs = cdet(entries)
+    return (lhs - rhs).is_zero()
+
+
+def scaled_config(cfg: GaudinConfig, s) -> GaudinConfig:
+    """Points sz with the same chi (pairs with chi -> s*chi on the other side)."""
+    s = QQi.of(s)
+    rep = TensorRep([(r, s * z, d) for (r, z, d) in cfg.rep.factors])
+    return GaudinConfig(rep, cfg.chi)
+
+
+def center_members(rep, classes):
+    """Tagged sums Delta(sum_{a in cls} E_aa), one per index class."""
+    out = []
+    for cls in classes:
+        m = None
+        for a in cls:
+            d = rep.delta(a, a)
+            m = d if m is None else m + d
+        out.append((("torus", tuple(cls)), m))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +883,10 @@ def reconstruction_residual(members, rep, spec) -> float:
 
 def dense_spectrum(members, rep):
     """(values, weights) by refinement on the whole space, from the standard
-    basis, with weights rounded from the torus readout: the dense route
-    that the block route replaced, as a cross-check of its lines."""
+    basis, by the members and then by the torus Delta(E_aa), with weights
+    rounded from the torus readout: the dense route that the block route
+    replaced, as a cross-check of its lines.  The torus splits what the
+    members leave together across weights, as a wall family's strings."""
     mats = standard_coordinates(members, rep)
     torus = standard_coordinates([rep.delta(a, a) for a in range(1, rep.n + 1)], rep)
     scale = max(np.max(np.abs(m)) for m in mats)
@@ -819,7 +895,7 @@ def dense_spectrum(members, rep):
         for m in mats
         for p in ((m + m.conj().T) / 2, (m - m.conj().T) / (2j))
         if np.max(np.abs(p)) > TOL
-    ]
+    ] + [(t + t.conj().T) / 2 for t in torus]
     vecs = _refine(np.eye(rep.dim, dtype=np.complex128), parts, 10 * TOL * max(scale, 1.0))
 
     def readout(ops):

@@ -25,7 +25,6 @@ from krspectra.gaudin import (
     GaudinConfig,
     gaudin_cdet,
     invariance_check,
-    manin_cdet_trace_identity,
     residue_generators,
     wall_family,
 )
@@ -35,7 +34,7 @@ from krspectra.promotion import build_kr, promote
 from krspectra.scalars import Mat, QQi
 from krspectra.tableaux import build_crystal
 
-from oracles import manin_relations_check, phi_operator
+from oracles import manin_cdet_trace_identity, manin_relations_check, phi_operator
 from test_bethe import tau_from_members
 from test_promotion import GRID, PR_ORBITS_2W2_N4, certificate, frozen_pr_map
 
@@ -224,7 +223,7 @@ def test_criterion_8_degeneration_first_order():
     cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
     chi = [Fraction(1, 3), Fraction(-1, 4)]
     eps_list = [Fraction(1, 2**m) for m in range(3, 9)]
-    report = degeneration_report(GaudinConfig(cfg.rep, chi), chi, eps_list, c=1)
+    report = degeneration_report(GaudinConfig(cfg.rep, chi), eps_list)
     dists = [row["distance"] for row in report["rows"]]
     # pinned bit for bit: the Gaudin targets are `gaudin.residue_members`
     assert dists == [

@@ -23,16 +23,16 @@ from krspectra.bethe import (
     standard_torus,
     tau_members,
     tau_ratfun,
-    wall_bethe_family,
     wall_pair,
 )
-from krspectra.gaudin import GaudinConfig, center_members, residue_generators, wall_family
+from krspectra.gaudin import GaudinConfig, residue_generators, wall_family
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import build_spectral_config, default_shift, kr_rep
 from krspectra.scalars import Mat, QQi, RatFun, unit_circle_point
 
 from oracles import (
     antisymmetrizer,
+    center_members,
     commutator,
     embed_aux,
     is_regular,
@@ -44,6 +44,7 @@ from oracles import (
     pole_term,
     scalar_part,
     scaled,
+    scaled_config,
     spans_equal,
     tau_kron_direct,
     tau_trace_direct,
@@ -92,9 +93,9 @@ class TestTorus:
 
     def test_wall_merges_adjacent(self):
         C = standard_torus(3, wall=1)
-        assert C.coincidence_classes() == [[1, 2], [3]]
+        assert gaudin.coincidence_classes(C.entries) == [[1, 2], [3]]
         C = standard_torus(3, wall=3)
-        assert C.coincidence_classes() == [[1, 3], [2]]
+        assert gaudin.coincidence_classes(C.entries) == [[1, 3], [2]]
 
     # the regular entries of standard_torus(n), and at wall j the index of
     # the regular entry that each slot holds
@@ -223,7 +224,7 @@ class TestQuantumMinors:
         n = 3
         cfg = build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 1)
         for j in range(1, n + 1):
-            wall_bethe_family(cfg, j)
+            bethe_family(standard_torus(n, j), cfg)
         bethe_family(standard_torus(n), cfg)
         # one grid for the two slots of Wedge^2 C^3, none for C^3
         assert len(calls) == 1 and built == [kr_rep(n, 1, 2)]
@@ -493,31 +494,40 @@ class TestFamilies:
         assert fam.verify_commuting() is None
         assert len(fam) >= 3
 
-    def test_wall_family_contains_h_and_commutes(self):
+    def test_wall_family_commutes_with_h(self):
+        # the wall family is B(C) alone; h = Delta(E_11 - E_22) is no member,
+        # and commutes with every member, each of which keeps the weights
         cfg = config_c2_pair()
-        fam = wall_bethe_family(cfg, 1)
-        assert ("h", 1, 2) in fam.tags
+        fam = bethe_family(standard_torus(2, wall=1), cfg)
         assert fam.verify_commuting() is None
+        assert {tag[0] for tag in fam.tags} <= {"tau-res", "tau-inf"}
+        h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
+        for g in fam.gens:
+            assert not commutator(g, h)
 
     @pytest.mark.parametrize("n,factors", [(2, [(1, 1), (1, 1)]), (3, [(1, 1), (1, 2)])])
-    def test_wall_family_ends_with_h_of_the_wall_pair(self, n, factors):
+    def test_wall_strings_read_h_of_the_wall_pair(self, n, factors):
+        from krspectra.pipeline import spectral_wall_statistics
+        from krspectra.spectra import joint_diagonalize
+
         cfg = build_spectral_config(n, factors, 1)
         for j in range(1, n + 1):
-            fam = wall_bethe_family(cfg, j)
             i, k = wall_pair(n, j)
-            assert fam.tags[-1] == ("h", i, k), j
-            assert fam.gens[-1] == cfg.rep.delta(i, i) - cfg.rep.delta(k, k)
-            assert fam.C.entries == standard_torus(n, wall=j).entries
+            spec = joint_diagonalize(bethe_family(standard_torus(n, j), cfg).gens, cfg.rep)
+            strings = spectral_wall_statistics(cfg, j)
+            assert strings.ok(), j
+            for string in strings.strings:
+                weights = [spec.weights[line] for line in string["lines"]]
+                assert string["h_values"] == [w[i - 1] - w[k - 1] for w in weights], j
         # the affine wall's pair is (n, 1), in that order
-        assert fam.tags[-1] == ("h", n, 1)
+        assert (i, k) == (n, 1)
 
     def test_extension_stays_a_bethe_family(self):
         cfg = config_c2_pair()
-        fam = wall_bethe_family(cfg, 1)
-        C0 = fam.C
-        assert isinstance(fam, BetheFamily)
-        assert C0.entries == standard_torus(2, wall=1).entries and fam.kind == "bethe-wall"
-        # Delta(E_12) does not commute with h = Delta(E_11 - E_22)
+        C0 = standard_torus(2, wall=1)
+        fam = bethe_family(C0, cfg)
+        assert isinstance(fam, BetheFamily) and fam.kind == "bethe"
+        # Delta(E_12) moves a weight, and does not commute with the family
         with pytest.raises(BetheError):
             BetheFamily(
                 fam.members() + [(("e", 1, 2), cfg.rep.delta(1, 2))], cfg, C0
@@ -619,7 +629,7 @@ class TestCertificate:
         # package has no other commutativity route
         assert not hasattr(Mat, "commutes")
         cfg = build_spectral_config(3, [(1, 1), (1, 2)], s=1)
-        fam = wall_bethe_family(cfg, 1)
+        fam = bethe_family(standard_torus(3, wall=1), cfg)
         assert fam.normality_report()["passed"]
         gcfg = GaudinConfig(cfg.rep, (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 5)))
         assert residue_generators(gcfg).verify_commuting() is None
@@ -682,7 +692,7 @@ class TestShiftCdet:
         chi = (Fraction(1, 3),)
         cfg1 = GaudinConfig(cfg.rep, chi)
         eps = QQi(Fraction(1, 8))
-        out = shift_residue_generators(eps, 1, chi, cfg1)
+        out = shift_residue_generators(eps, cfg1)
         e11 = cfg.rep.e_slot(0, 1, 1)
         # b_0 = R_0 + R_1 has residue E_11 at the shifted pole
         assert out[(0, 1, 0)] == e11
@@ -713,21 +723,24 @@ class TestShiftCdet:
         chi = (Fraction(1, 3), Fraction(-1, 4))
         cfg1 = GaudinConfig(cfg.rep, chi)
         eps_list = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
-        rep = degeneration_report(cfg1, chi, eps_list)
+        rep = degeneration_report(cfg1, eps_list)
         dists = [row["distance"] for row in rep["rows"]]
         assert dists[0] > dists[1] > dists[2] > 0
         for r in rep["ratios"]:
             assert 0.35 <= r <= 0.65
 
     def test_degeneration_off_diagonal_slice(self):
-        # c != 1: the limit sits at the rescaled points z/c
+        # the slice of slope c = 2 is the diagonal one at the points z/2: c
+        # entered only through z/c, so these are the distances that the
+        # slope c = 2 gave at the points z, bit for bit
         cfg = config_c2_pair(z=(QQi(0, 1), QQi(0, 2)), d=(-2, -2))
         chi = (Fraction(1, 3), Fraction(-1, 4))
-        cfg1 = GaudinConfig(cfg.rep, chi)
+        cfg1 = scaled_config(GaudinConfig(cfg.rep, chi), Fraction(1, 2))
         eps_list = [Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)]
-        rep = degeneration_report(cfg1, chi, eps_list, c=2)
-        dists = [row["distance"] for row in rep["rows"]]
-        assert dists[0] > dists[1] > dists[2] > 0
+        rep = degeneration_report(cfg1, eps_list)
+        assert [row["distance"] for row in rep["rows"]] == [
+            0.2508487481464834, 0.12542879853226258, 0.06271551545927309,
+        ]
         for r in rep["ratios"]:
             assert 0.35 <= r <= 0.65
 
@@ -742,7 +755,7 @@ class TestShiftCdet:
         chi = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))
         cfg1 = GaudinConfig(build_tensor(parts), chi)
         eps_list = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
-        rep = degeneration_report(cfg1, chi, eps_list)
+        rep = degeneration_report(cfg1, eps_list)
         dists = [row["distance"] for row in rep["rows"]]
         assert dists[0] > dists[1] > dists[2] > 0
         for r in rep["ratios"]:
@@ -763,22 +776,20 @@ class TestShiftCdet:
     def test_single_factor_residues_are_pinned(self, n, factor, count, digest):
         chi = (Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5))[:n]
         cfg = build_spectral_config(n, [factor], s=1)
-        out = shift_residue_generators(Fraction(1, 8), 1, chi, GaudinConfig(cfg.rep, chi))
+        out = shift_residue_generators(Fraction(1, 8), GaudinConfig(cfg.rep, chi))
         text = repr([(key, str(mat_rows(out[key]))) for key in sorted(out)])
         assert len(out) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("eps,c", [(0, 1), (Fraction(1, 8), 0)])
-    def test_zero_step_or_slope_is_refused(self, eps, c):
-        cfg = config_single(2)
-        with pytest.raises(BetheError, match="eps and c must be nonzero"):
-            shift_residue_generators(eps, c, (0, 0), cfg)
+    def test_zero_step_is_refused(self):
+        with pytest.raises(BetheError, match="eps must be nonzero"):
+            shift_residue_generators(0, config_single(2))
 
 
 class TestTorusCenter:
     def test_center_members_commute_with_wall_family(self):
         cfg = config_c2_pair()
-        fam = wall_bethe_family(cfg, 1)
-        for tag, g in center_members(cfg.rep, fam.C.coincidence_classes()):
+        fam = bethe_family(standard_torus(2, wall=1), cfg)
+        for tag, g in center_members(cfg.rep, gaudin.coincidence_classes(fam.C.entries)):
             for h in fam.gens:
                 assert not commutator(g, h)

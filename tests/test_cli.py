@@ -176,9 +176,12 @@ class TestGaudinCommand:
         assert doc["config"]["chi"] == "1/3,-1/3"
 
     def test_manin(self, capsys):
-        code, doc = run(capsys, "gaudin", "manin", "--n", "2", "--z", "0",
-                        "--chi", "1/3,-1/5")
-        assert code == 0 and doc["trace_identity"]
+        # the antisymmetrized-trace identity is an oracle of the tests, and
+        # `gaudin manin` is no action
+        with pytest.raises(SystemExit) as stop:
+            main(["gaudin", "manin", "--n", "2", "--z", "0", "--chi", "1/3,-1/5"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'manin'" in capsys.readouterr().err
 
 
 class TestBetheCommand:
@@ -196,7 +199,7 @@ class TestBetheCommand:
     def test_degenerate_ratio_table(self, capsys):
         code, doc = run(
             capsys, "bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1",
-            "--eps", "1/8,1/16", "--c", "1", "--chi", "1/3,-1/4",
+            "--eps", "1/8,1/16", "--chi", "1/3,-1/4",
         )
         assert code == 0
         assert all(0.35 <= r <= 0.65 for r in doc["ratios"])
@@ -228,11 +231,6 @@ class TestBetheCommand:
             ),
             (
                 ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
-                 "--c", "0"],
-                "--c must be nonzero",
-            ),
-            (
-                ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
                  "--chi", "1/3"],
                 "--chi has 1 entries, need n = 2",
             ),
@@ -247,15 +245,11 @@ class TestBetheCommand:
             (
                 ["bethe", "degenerate", "--n", "2", "--factors", "1,1;2,1", "--z", "0,-1/16",
                  "--eps", "1/8,1/16"],
-                "--eps 1/8: two points z_i/(c eps) + d_i coincide",
+                "--eps 1/8: two points z_i/eps + d_i coincide",
             ),
             (
                 ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16"],
                 "bethe commute does not read --eps",
-            ),
-            (
-                ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--c", "1"],
-                "bethe commute does not read --c",
             ),
             (
                 ["bethe", "degenerate", "--n", "2", "--factors", "1,1;1,1", "--eps", "1/8,1/16",
@@ -288,10 +282,10 @@ class TestBetheCommand:
             ),
         ],
         ids=[
-            "no-eps", "one-eps", "zero-eps", "eps-1/0", "zero-c", "degenerate-chi",
+            "no-eps", "one-eps", "zero-eps", "eps-1/0", "degenerate-chi",
             "commute-chi", "gaudin-chi", "gaudin-chi-text", "gaudin-z-text", "bethe-z-1/0",
             "merging-points",
-            "commute-eps", "commute-c", "degenerate-wall", "gaudin-s-with-z", "bethe-s-with-z",
+            "commute-eps", "degenerate-wall", "gaudin-s-with-z", "bethe-s-with-z",
             "gaudin-equal-z", "gaudin-s-zero", "bethe-equal-z", "bethe-s-zero",
         ],
     )
@@ -309,11 +303,6 @@ class TestBetheCommand:
         "doc,message",
         [
             (
-                {"command": "bethe", "action": "commute", "n": 2, "factors": "1,1;1,1",
-                 "c": "1"},
-                "bethe commute does not read --c",
-            ),
-            (
                 {"command": "bethe", "action": "degenerate", "n": 2, "factors": "1,1;1,1",
                  "eps": "1/8,1/16", "wall": 1},
                 "bethe degenerate does not read --wall",
@@ -323,7 +312,7 @@ class TestBetheCommand:
                 "--s scales the default points",
             ),
         ],
-        ids=["commute-c", "degenerate-wall", "gaudin-s-with-z"],
+        ids=["degenerate-wall", "gaudin-s-with-z"],
     )
     def test_unread_flag_in_a_config_file_is_a_usage_error(self, tmp_path, capsys, doc, message):
         path = tmp_path / "cfg.json"
@@ -333,6 +322,14 @@ class TestBetheCommand:
 
 
 class TestCompareCommand:
+    def test_a_refused_scale_is_rejected_and_the_next_runs(self, capsys):
+        # equal factors at s = 0 put both points at -1
+        code, doc = run(
+            capsys, "compare", "--n", "2", "--factors", "1,1;1,1", "--s-grid", "0,1",
+        )
+        assert code == 0 and doc["passed"] and doc["s"] == "1"
+        assert doc["rejected_s"] == {"0": "evaluation points must be distinct"}
+
     def test_n2_match(self, capsys):
         code, doc = run(
             capsys, "compare", "--n", "2", "--factors", "1,1;1,1",
@@ -513,9 +510,7 @@ class TestSpectraScanCsv:
         assert "spectrum" not in doc
         # the same CSV as diagonalizing the first simple s afresh
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(1))
-        fam = bethe_family(standard_torus(2), cfg)
-        members = fam.gens + [cfg.rep.delta(a, a) for a in (1, 2)]
-        spec = joint_diagonalize(members, cfg.rep)
+        spec = joint_diagonalize(bethe_family(standard_torus(2), cfg).gens, cfg.rep)
         assert path.read_text() == eigenvalues_csv(spec)
 
 
@@ -529,6 +524,33 @@ class TestReportsAreJson:
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert [row["min_gap"] for row in doc["rows"]] == [None, None, None]
         assert doc["first_simple_s"] == "1"
+
+    def test_a_scan_with_only_1x1_weight_blocks_reports_no_gap(self, capsys):
+        # every weight space of C^3 is a line: no two lines share a block
+        assert main(["spectra", "scan", "--n", "3", "--factors", "1,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["simple"], row["min_gap"]) for row in doc["rows"]] == [(True, None)] * 3
+
+    def test_a_pair_that_fails_to_commute_ends_the_scan_with_exit_1(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from krspectra import bethe
+        from krspectra.scalars import Mat, QQi
+
+        members = bethe.tau_members
+
+        def perturbed(C, cfg):
+            # basis vectors 1 and 2 of C^2 x C^2 share the weight (1, 1)
+            out = members(C, cfg)
+            tag, g = out[0]
+            out[0] = (tag, g + Mat.unit(g.nr, g.nc, 1, 2, QQi(Fraction(1, 7))))
+            return out
+
+        monkeypatch.setattr(bethe, "tau_members", perturbed)
+        assert main(["spectra", "scan", "--n", "2", "--factors", "1,1;1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed: BetheError: commutativity failed for pair" in captured.err
 
     def test_a_non_finite_float_is_refused_not_printed(self, capsys):
         from krspectra.cli import emit
@@ -679,8 +701,7 @@ OPTIONS = {
     ),
     "bethe": (
         ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1"],
-        {"action", "n", "factors", "z", "chi", "s", "wall", "eps", "c", "json",
-         "dimcap"},
+        {"action", "n", "factors", "z", "chi", "s", "wall", "eps", "json", "dimcap"},
     ),
     "spectra": (
         ["spectra", "scan", "--n", "2", "--factors", "1,1;1,1"],
@@ -703,7 +724,7 @@ class TestOptionSets:
 
     def test_settable_value_count(self):
         # --config plus the per-subcommand options
-        assert 1 + sum(len(options) for _, options in OPTIONS.values()) == 49
+        assert 1 + sum(len(options) for _, options in OPTIONS.values()) == 48
 
     @pytest.mark.parametrize(
         "argv",
@@ -717,6 +738,8 @@ class TestOptionSets:
             ["compare", "--n", "2", "--factors", "1,1;1,1", "--seed", "1"],
             ["compare", "--n", "2", "--factors", "1,1;1,1", "--tol", "1e-6"],
             ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--grid", "9"],
+            ["bethe", "degenerate", "--n", "2", "--eps", "1/8,1/16", "--c", "2"],
+            ["bethe", "commute", "--n", "2", "--factors", "1,1;1,1", "--c", "1"],
         ],
     )
     def test_removed_flag_is_a_usage_error(self, capsys, argv):
@@ -818,10 +841,9 @@ class TestDimensionPreflight:
         [
             ["gaudin", "commute", "--n", "5", "--z", "0,1"],
             ["gaudin", "wall", "--n", "5", "--factors", "1,1;1,1"],
-            ["gaudin", "manin", "--n", "5", "--z", "0"],
             ["bethe", "degenerate", "--n", "5", "--factors", "1,1;1,1", "--eps", "1/8,1/16"],
         ],
-        ids=["gaudin-commute", "gaudin-wall", "gaudin-manin", "bethe-degenerate"],
+        ids=["gaudin-commute", "gaudin-wall", "bethe-degenerate"],
     )
     def test_gaudin_cdet_past_n_4_is_refused_before_any_build(self, monkeypatch, capsys, argv):
         import krspectra.gaudin as gaudin

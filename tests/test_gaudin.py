@@ -8,30 +8,30 @@ from krspectra.gaudin import (
     CommutingFamily,
     GaudinConfig,
     GaudinError,
-    center_members,
     gaudin_cdet,
     gaudin_operator_matrix,
     invariance_check,
     lax_matrix,
-    manin_cdet_trace_identity,
     residue_generators,
     residue_members,
-    scaled_config,
-    _string_blocks,
     wall_family,
 )
 from krspectra.glrep import build_defining, build_irrep, build_tensor
-from krspectra.scalars import Mat, QQi, RatFun, sgn
+from krspectra.scalars import Mat, QQi, RatFun
 
 from oracles import (
     apply,
+    center_members,
     commutator,
     commutes,
     lax_oracle,
     leak,
+    manin_cdet_trace_identity,
     manin_relations_check,
     monomial,
     pole_term,
+    scaled_config,
+    sgn,
     spans_equal,
 )
 
@@ -317,7 +317,7 @@ class TestInvariance:
         # (w_1 + w_2, w_3) and hold 4, 4 and 1 basis vectors
         c3 = build_defining(3)
         rep = build_tensor([(c3, QQi(0), QQi(0)), (c3, QQi(1), QQi(0))])
-        blocks = _string_blocks(rep, 1, 2)
+        blocks = rep.coset_chains(1, 2)
         assert sorted(map(len, blocks.parts)) == [1, 4, 4]
         for part in rep.weight_blocks.parts:
             assert len({blocks.of[i] for i in part}) == 1

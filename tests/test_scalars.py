@@ -653,7 +653,7 @@ class TestCdetAndSpans:
         # the literal sum over permutations, products in column order
         from itertools import permutations
 
-        from krspectra.scalars import sgn
+        from oracles import sgn
 
         rng = random.Random(n)
         entries = [
@@ -709,7 +709,7 @@ def leibniz(rows):
     """The determinant as the literal sum over permutations."""
     from itertools import permutations
 
-    from krspectra.scalars import sgn
+    from oracles import sgn
 
     total = QQi(0)
     for sigma in permutations(range(len(rows))):

@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from krspectra import pipeline, spectra
-from krspectra.bethe import bethe_family, standard_torus
-from krspectra.gaudin import (
-    GaudinConfig,
-    center_members,
-    residue_generators,
-    wall_family,
-)
+from krspectra.bethe import bethe_family, standard_torus, wall_pair
+from krspectra.gaudin import GaudinConfig, residue_generators, wall_family
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import (
     build_spectral_config,
@@ -139,11 +134,14 @@ class TestJointDiagonalize:
         assert json.dumps(a) == json.dumps(b)
 
     def test_non_simple_wall_family_is_one_deterministic_pass(self, monkeypatch):
-        # the subregular family without h is degenerate, the case in which
-        # the eigenvector choice inside an eigenspace is left to the refinement
-        cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
-        members = residue_generators(cfg).gens
-        members += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
+        # the subregular family on the one factor V_{2 w_2} of gl_4 is
+        # degenerate on its weight space (1, 1, 1, 1) of dimension 2, the
+        # case in which the eigenvector choice inside an eigenspace is left
+        # to the refinement; the Gram matrix is not the identity
+        rep = build_tensor([(pipeline.kr_rep(4, 2, 2), QQi(0), QQi(0))])
+        cfg = GaudinConfig(rep, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)))
+        members = wall_family(cfg).gens
+        assert rep.gram != Mat.identity(rep.dim)
         attempts = []
         once = spectra._joint_diagonalize_once
 
@@ -181,23 +179,23 @@ class TestJointDiagonalize:
             for j in cols
         ]
         assert spec.weights == weights
-        # the pairwise distances are the same float operations as the loop's
+        # the gaps between two lines of one weight are the same float
+        # operations as the loop's
         values = spec.values
         min_sep = min(
             np.max(np.abs(values[:, i] - values[:, j]))
             for i in cols
             for j in range(i + 1, spec.dim)
+            if spec.weights[i] == spec.weights[j]
         )
         assert spec.min_separation == min_sep
-        assert not spec.is_simple()
+        assert spec.is_simple()
 
 
 class TestWeightBlocks:
     def wall_families(self, n, factors, s=1):
-        from krspectra.bethe import wall_bethe_family
-
         cfg = build_spectral_config(n, factors, s=s)
-        fams = [wall_bethe_family(cfg, j).gens for j in range(1, n + 1)]
+        fams = [bethe_family(standard_torus(n, j), cfg).gens for j in range(1, n + 1)]
         return cfg, fams + [regular_family(cfg)]
 
     def test_weights_are_the_weight_basis_multiset(self):
@@ -242,37 +240,66 @@ class TestWeightBlocks:
             values, weights = dense_spectrum(members, cfg.rep)
             assert spec.is_simple()
             assert sorted(spec.weights) == sorted(weights)
-            # match each line with the dense line of nearest values
+            # match each line with the dense line of its weight of nearest
+            # values: a wall family gives the lines of one string equal values
             for line in range(spec.dim):
-                gap = np.max(np.abs(values - spec.values[:, [line]]), axis=0)
-                near = int(np.argmin(gap))
-                assert gap[near] <= 1e-9 * max(spec.scale, 1.0)
-                assert weights[near] == spec.weights[line]
+                same = [k for k, w in enumerate(weights) if w == spec.weights[line]]
+                gap = np.max(np.abs(values[:, same] - spec.values[:, [line]]), axis=0)
+                assert gap.min() <= 1e-9 * max(spec.scale, 1.0)
         report = compare_pipeline(2, [(2, 1), (1, 1)], s_grid=(1,))
         assert report["passed"] and report["simple"] and report["all_match"]
+
+    @pytest.mark.parametrize("n,factors", [(2, [(2, 1), (1, 1)]), (3, [(1, 1), (1, 2)])])
+    def test_min_separation_is_that_of_the_dense_lines_of_one_weight(self, n, factors):
+        # V_{2 w_1} carries a Gram matrix other than the identity
+        cfg, families = self.wall_families(n, factors)
+        for members in families:
+            spec = joint_diagonalize(members, cfg.rep)
+            values, weights = dense_spectrum(members, cfg.rep)
+            dense = min(
+                np.max(np.abs(values[:, i] - values[:, j]))
+                for i in range(spec.dim)
+                for j in range(i + 1, spec.dim)
+                if weights[i] == weights[j]
+            )
+            assert abs(spec.min_separation - dense) <= 1e-9 * max(spec.scale, 1.0)
 
 
 class TestWallStrings:
     def test_sl2_homogeneous_gaudin_strings(self):
         cfg = c2_pair_cfg(chi=(0, 0))
-        fam = wall_family(cfg)
-        base = [g for t, g in fam.members() if t[0] != "h"]
-        base += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
-        h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
-        strings = wall_strings(base, h, cfg.rep)
+        base = residue_generators(cfg).gens
+        strings = wall_strings(base, cfg.rep, (1, 2))
         assert strings.ok()
         got = sorted((s["length"], s["h_values"]) for s in strings.strings)
         assert got == [(1, [0]), (3, [2, 0, -2])]
 
     def test_strings_symmetric_about_zero(self):
         cfg = c2_pair_cfg(chi=(0, 0))
-        fam = wall_family(cfg)
-        base = [g for t, g in fam.members() if t[0] != "h"]
-        base += [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
-        h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
-        strings = wall_strings(base, h, cfg.rep)
+        base = residue_generators(cfg).gens
+        strings = wall_strings(base, cfg.rep, (1, 2))
         for s in strings.strings:
             assert s["h_values"] == [-v for v in reversed(s["h_values"])]
+
+    def test_a_family_that_does_not_separate_a_weight_space_is_refused(self):
+        # the identity keeps every weight space and separates none
+        cfg = c2_pair_cfg()
+        with pytest.raises(spectra.SpectraError, match="not simple on a weight space"):
+            wall_strings([Mat.identity(4)], cfg.rep, (1, 2))
+
+    def test_strings_stay_inside_their_coset_chains(self):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], s=1)
+        for j in (1, 2, 3):
+            pair = wall_pair(3, j)
+            members = bethe_family(standard_torus(3, j), cfg).gens
+            spec = joint_diagonalize(members, cfg.rep)
+            strings = wall_strings(members, cfg.rep, pair)
+            chains = cfg.rep.coset_chains(*pair)
+            # the chain of a line is that of its weight block
+            chain_of = [chains.of[part[0]] for part in spec.blocks for _ in part]
+            assert sum(s["length"] for s in strings.strings) == spec.dim
+            for s in strings.strings:
+                assert len({chain_of[line] for line in s["lines"]}) == 1
 
     def test_affine_wall_count_matches_combinatorics(self):
         # string count per (length, source weight) for the affine wall of
@@ -369,34 +396,36 @@ class TestRejectedScales:
         assert report["error"] == "no s in the grid gave clean spectra: patched failure at -1+2*i"
 
 
+def lines_sharing_values(spec):
+    """The pairs of lines whose values agree within the spectrum's tolerance."""
+    tol = spectra.TOL * max(spec.scale, 1.0)
+    return [
+        (i, j)
+        for i in range(spec.dim)
+        for j in range(i + 1, spec.dim)
+        if np.max(np.abs(spec.values[:, i] - spec.values[:, j])) <= tol
+    ]
+
+
 class TestWallRefinement:
     def test_gaudin_wall_family_refines_chi0_eigenspaces(self):
-        # without h the subregular family has a degenerate joint spectrum on
-        # C^2 x C^2; adding Delta(h) makes it simple: strict refinement
+        # the subregular family alone has degenerate joint eigenspaces on
+        # C^2 x C^2, the sl_2 strings; the weights split them, so the family
+        # is simple on each weight space
         cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
-        base = residue_generators(cfg)
-        tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
-        spec_base = joint_diagonalize(base.gens + tc, cfg.rep)
-        assert not spec_base.is_simple()
-        h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
-        spec_full = joint_diagonalize(base.gens + tc + [h], cfg.rep)
-        assert spec_full.is_simple()
+        spec = joint_diagonalize(residue_generators(cfg).gens, cfg.rep)
+        assert spec.is_simple()
+        shared = lines_sharing_values(spec)
+        assert shared
+        assert all(spec.weights[i] != spec.weights[j] for i, j in shared)
 
     def test_bethe_wall_family_refines_tau_only(self):
-        from krspectra.bethe import (
-            standard_torus,
-            wall_bethe_family,
-        )
-
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
-        C0 = standard_torus(2, wall=1)
-        fam = bethe_family(C0, cfg)
-        tc = [g for _, g in center_members(cfg.rep, C0.coincidence_classes())]
-        spec_base = joint_diagonalize(fam.gens + tc, cfg.rep)
-        assert not spec_base.is_simple()
-        full = wall_bethe_family(cfg, 1)
-        spec_full = joint_diagonalize(full.gens, cfg.rep)
-        assert spec_full.is_simple()
+        spec = joint_diagonalize(bethe_family(standard_torus(2, wall=1), cfg).gens, cfg.rep)
+        assert spec.is_simple()
+        shared = lines_sharing_values(spec)
+        assert shared
+        assert all(spec.weights[i] != spec.weights[j] for i, j in shared)
 
 
 class TestGaudinRouteAgreesWithCombinatorics:
@@ -409,10 +438,7 @@ class TestGaudinRouteAgreesWithCombinatorics:
         from krspectra.tensorcrystal import string_statistics, tensor
 
         cfg = c2_pair_cfg(chi=(Fraction(1, 3), Fraction(1, 3)))
-        base = residue_generators(cfg)
-        tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
-        h = cfg.rep.delta(1, 1) - cfg.rep.delta(2, 2)
-        strings = wall_strings(base.gens + tc, h, cfg.rep)
+        strings = wall_strings(residue_generators(cfg).gens, cfg.rep, (1, 2))
         assert strings.ok()
         comb = tensor(build_kr(2, 1, 1), build_kr(2, 1, 1))
         assert strings.statistics() == string_statistics(comb, 1)
@@ -430,10 +456,7 @@ class TestGaudinRouteAgreesWithCombinatorics:
             chi0[j % 3] = chi0[j - 1]  # coincide the wall pair (j, j+1)
             rep = build_tensor([(c3, QQi(0), QQi(0)), (w2, QQi(1), QQi(0))])
             cfg = GaudinConfig(rep, chi0)
-            base = residue_generators(cfg)
-            tc = [g for _, g in center_members(cfg.rep, cfg.chi_classes())]
-            h = cfg.rep.delta(j, j) - cfg.rep.delta(j + 1, j + 1)
-            strings = wall_strings(base.gens + tc, h, cfg.rep)
+            strings = wall_strings(residue_generators(cfg).gens, cfg.rep, (j, j + 1))
             assert strings.ok(), (j, strings.diagnostics)
             assert strings.statistics() == string_statistics(comb, j), j
 
@@ -447,6 +470,24 @@ class TestScan:
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(report["first_simple_s"]))
         spec = joint_diagonalize(regular_family(cfg), cfg.rep)
         assert report["spectrum"].values.tobytes() == spec.values.tobytes()
+
+    def test_a_pair_that_fails_to_commute_ends_the_scan_and_the_comparison(self, monkeypatch):
+        from krspectra import bethe
+
+        members = bethe.tau_members
+
+        def perturbed(C, cfg):
+            # basis vectors 1 and 2 of C^2 x C^2 share the weight (1, 1)
+            out = members(C, cfg)
+            tag, g = out[0]
+            out[0] = (tag, g + Mat.unit(g.nr, g.nc, 1, 2, QQi(Fraction(1, 7))))
+            return out
+
+        monkeypatch.setattr(bethe, "tau_members", perturbed)
+        with pytest.raises(bethe.BetheError, match="commutativity failed for pair"):
+            scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(1), Fraction(2)])
+        with pytest.raises(bethe.BetheError, match="commutativity failed for pair"):
+            compare_pipeline(2, [(1, 1), (1, 1)], s_grid=(1, 2))
 
     def test_scan_coincident_points_reported_not_simple(self):
         report = scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(0)])
