@@ -17,13 +17,17 @@ oracles (`tests/oracles.py`).
 
 The walls of the base alcove are decided here: `wall_pair` gives the
 ordered index pair of wall j, (j, j + 1) for j < n and (n, 1) for the affine
-wall, and `standard_torus(n, j)` merges the entries of that pair.
+wall, and `standard_torus(n, j)` merges the entries of that pair.  The
+affine Dynkin rotation P e_m = e_{m+1} maps wall j to wall j + 1, and
+`rotate_weight` moves a weight by a power of it.
 
-A Bethe family is B(C) and nothing else: it holds every Laurent coefficient
-of each tau_a, so its exact pairwise check proves
-[tau_a(u, C), tau_b(v, C)] = 0 identically.  Every member keeps each weight
-space, so a line's weight, its h at a wall and its coset chain are read
-from the weight block it lies in (`spectra`), not from torus members.
+A Bethe family holds tau members and nothing else.  B(C) holds every
+Laurent coefficient of each tau_a, so its exact pairwise check proves
+[tau_a(u, C), tau_b(v, C)] = 0 identically; the family of some orders holds
+those of the tau_a of those orders only, a subfamily of B(C).  Every member
+keeps each weight space, so a line's weight, its h at a wall and its coset
+chain are read from the weight block it lies in (`spectra`), not from torus
+members.
 
 The degeneration reads the same minor table: the shift operator
 eps^-1 (T(u/eps) S - C) has S^a coefficient det(C) tau_a(u/eps, C^-1) up to
@@ -83,6 +87,21 @@ def wall_pair(n, j):
     if not (1 <= j <= n):
         raise BetheError(f"wall index {j} out of range")
     return (j, j + 1) if j < n else (n, 1)
+
+
+def rotate_weight(w, r):
+    """The weight P^r w, entry m of w moved to m + r (indices mod n).
+
+    P is the affine Dynkin rotation P e_m = e_{m+1}, e_{n+1} = e_1.  It maps
+    wall j to wall j + 1: wall_pair(n, j) = P^(j-1) wall_pair(n, 1), the
+    affine wall included.  Delta(P) B(C) Delta(P)^-1 = B(P C P^-1) member by
+    member, and P C P^-1 is C with its entries rolled by one, so the lines of
+    a wall family at C of weight w go to lines of weight P w at the next
+    wall, with the same h: a wall-1 family carries the strings of every wall.
+    """
+    w = tuple(w)
+    r %= len(w)
+    return w[-r:] + w[:-r]
 
 
 def standard_torus(n, wall=None) -> TorusElement:
@@ -336,8 +355,9 @@ class BetheFamily(CommutingFamily):
         return {"passed": not bad, "failures": bad}
 
 
-def tau_members(C: TorusElement, cfg: GaudinConfig):
-    """The whole partial-fraction expansion of tau_a(u, C), a = 1..n.
+def tau_members(C: TorusElement, cfg: GaudinConfig, orders=None):
+    """The whole partial-fraction expansion of tau_a(u, C), for the orders a
+    of `orders` in that order, or a = 1..n when it is None.
 
     ("tau-res", a, p, l) is res_{u=p} (u - p)^l tau_a, the coefficient of
     1/(u - p)^(l+1), and ("tau-inf", a) the value at infinity.  The functions
@@ -345,7 +365,7 @@ def tau_members(C: TorusElement, cfg: GaudinConfig):
     coefficient commutes exactly when [tau_a(u), tau_b(v)] = 0 identically.
     """
     members = []
-    for a in range(1, cfg.n + 1):
+    for a in range(1, cfg.n + 1) if orders is None else orders:
         f = tau_ratfun(a, C, cfg)
         for p in sorted(f.poles, key=QQi.parts_text):
             for l in range(f.poles[p]):
@@ -358,9 +378,12 @@ def tau_members(C: TorusElement, cfg: GaudinConfig):
     return members
 
 
-def bethe_family(C: TorusElement, cfg: GaudinConfig) -> BetheFamily:
-    """The tau members at C as one verified commuting family."""
-    return BetheFamily(tau_members(C, cfg), cfg, C)
+def bethe_family(C: TorusElement, cfg: GaudinConfig, orders=None, lower=None) -> BetheFamily:
+    """The tau members of `orders` at C (every order, B(C) itself, when it is
+    None) as one verified commuting family.  With `lower`, a family at the
+    same C and configuration, its members come first and are not rebuilt."""
+    members = [] if lower is None else lower.members()
+    return BetheFamily(members + tau_members(C, cfg, orders), cfg, C)
 
 
 # ---------------------------------------------------------------------------

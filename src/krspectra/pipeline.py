@@ -1,12 +1,18 @@
 """End-to-end comparison: KR tensor crystals against wall-family spectra.
 
-For each of the n walls of the base alcove, the evaluated Bethe family B(C)
-at that wall's torus element (`bethe.standard_torus(n, j)`) is diagonalized,
-and its h-strings, read on the coset chains of the wall pair with h taken
-from the lines' weights, are compared with the combinatorial string
-statistics of the matching residue class.  The families hold only the tau
-members: every member keeps each weight space, so weights, h and coset
-chains come exactly from the weight blocks.  Evaluation points are
+At wall 1 of the base alcove, the evaluated Bethe family of the lowest tau
+orders whose strings are clean, at that wall's torus element
+(`bethe.standard_torus(n, 1)`), is diagonalized, and its h-strings, read on
+the coset chains of the wall pair with h taken from the lines' weights, are
+those of B(C).  The affine Dynkin rotation P maps wall 1 to wall j by
+P^(j-1), and conjugation by Delta(P) maps B(C) to B(P C P^-1) member by
+member, so wall j's string statistics are wall 1's with every source weight
+rotated (`bethe.rotate_weight`).  Each wall's statistics are compared with
+the combinatorial string statistics of the matching residue class.  B(C) at
+the regular element is built whole, verified and diagonalized for the
+simplicity and weight verdicts.  The families hold only the tau members:
+every member keeps each weight space, so weights, h and coset chains come
+exactly from the weight blocks.  Evaluation points are
 d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the normality
 condition demands.  Every configuration, of `compare`, of the
 simplicity scan and of the CLI's other commands, is built by
@@ -18,10 +24,11 @@ one quantum-minor table (`bethe.quantum_minors`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .bethe import bethe_family, standard_torus, wall_pair
+from .bethe import bethe_family, rotate_weight, standard_torus, wall_pair
 from .gaudin import GaudinConfig
 from .glrep import RepError, build_defining, build_irrep, build_tensor
 from .promotion import kr_tensor_crystal
@@ -77,9 +84,37 @@ def build_spectral_config(n, factors, s):
 
 
 def spectral_wall_statistics(cfg, j):
-    """h-strings at wall j, with the family verified exactly first."""
-    fam = bethe_family(standard_torus(cfg.n, j), cfg)
-    return wall_strings(fam.gens, cfg.rep, wall_pair(cfg.n, j))
+    """h-strings at wall j, from the family of the lowest tau orders whose
+    strings are clean, each family verified exactly first.
+
+    The tries are the orders (1,), (1, 2), ..., (1, ..., n) at
+    `standard_torus(n, j)`; each adds the next order's members to the last
+    family's.  A try gives up on a `SpectraError` or on broken strings.  A
+    clean try's lines are B(C)'s, by Schur: B(C) commutes with it and it is
+    simple on every weight space, and the wall's sl_2 keeps B(C)'s values
+    constant along a string.  So its strings are those of B(C).  The last try
+    is B(C) itself, whose strings are returned clean or not, and whose
+    `SpectraError` is raised.  The strings' diagnostics name the orders taken
+    ("orders") and each order given up, by its text, with its reason
+    ("given_up").
+    """
+    n = cfg.n
+    C, pair = standard_torus(n, j), wall_pair(n, j)
+    fam, given_up = None, {}
+    for a in range(1, n + 1):
+        fam = bethe_family(C, cfg, (a,), fam)
+        try:
+            strings = wall_strings(fam.gens, cfg.rep, pair)
+            if strings.ok() or a == n:
+                break
+            reason = f"broken strings: {strings.diagnostics['failures']}"
+        except SpectraError as err:
+            if a == n:
+                raise
+            reason = str(err)
+        given_up[str(a)] = reason
+    strings.diagnostics.update(orders=list(range(1, a + 1)), given_up=given_up)
+    return strings
 
 
 # the scales `compare` tries when none are given, in this order
@@ -122,8 +157,11 @@ def scan_simple_spectrum(n, factors, s_grid):
 def compare_pipeline(n, factors, s_grid=S_GRID):
     """Full crystal-vs-spectra comparison for KR factors (l, r).
 
-    Scans s_grid for a scale where every wall family has clean strings, then
-    compares the per-wall statistics with the combinatorial tensor crystal.
+    Scans s_grid for a scale where the wall-1 family has clean strings, reads
+    every wall's statistics off it by the rotation, then compares them with
+    the combinatorial tensor crystal.  "wall_family" reports the wall built,
+    the tau orders its family took, each lower order given up with its
+    reason, and the walls read by rotation.
     Only the given factor order is built: the string statistics of a KR
     tensor product do not depend on the order of its factors.  Each s given
     up is reported under "rejected_s" with its error text: a `SpectraError`,
@@ -135,14 +173,15 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
     for s in s_grid:
         try:
             cfg = build_spectral_config(n, factors, s)
-            stats = {}
-            for j in range(1, n + 1):
-                strings = spectral_wall_statistics(cfg, j)
-                if not strings.ok():
-                    raise SpectraError(
-                        f"wall {j}: {strings.diagnostics['failures']}"
-                    )
-                stats[j % n] = strings.statistics()
+            strings = spectral_wall_statistics(cfg, 1)
+            if not strings.ok():
+                raise SpectraError(f"wall 1: {strings.diagnostics['failures']}")
+            wall1 = strings.statistics()
+            # wall j's strings are wall 1's moved by P^(j-1) (`bethe.rotate_weight`)
+            stats = {
+                j % n: Counter({(ln, rotate_weight(w, j - 1)): c for (ln, w), c in wall1.items()})
+                for j in range(1, n + 1)
+            }
             # global weight multiset via the regular-C family
             regular_spec = joint_diagonalize(regular_family(cfg), cfg.rep)
             report = compare_with_crystal(stats, comb)
@@ -153,6 +192,12 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
                 report["all_match"] and report["weights_match"] and report["simple"]
             )
             report["rejected_s"] = rejected
+            report["wall_family"] = {
+                "wall": 1,
+                "orders": strings.diagnostics["orders"],
+                "given_up": strings.diagnostics["given_up"],
+                "rotated": list(range(2, n + 1)),
+            }
             return report
         except (SpectraError, RepError) as err:
             rejected[str(s)] = str(err)

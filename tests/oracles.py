@@ -31,7 +31,10 @@ stored entries.
   sample point and wall membership;
 - spectra: a joint spectrum's report, and the dense routes that rebuild on
   whole dim x dim arrays what the package computes one weight block at a
-  time.
+  time;
+- walls: the string statistics of every wall from the whole B(C) at that
+  wall's own torus element, the route that one rotated wall family
+  replaced.
 """
 
 from fractions import Fraction
@@ -41,7 +44,7 @@ from math import factorial
 import numpy as np
 
 from krspectra.alcoves import AffinePoint, AlcoveError, ExtAffineWeylElt, Wall
-from krspectra.bethe import BetheError, TorusElement
+from krspectra.bethe import BetheError, TorusElement, bethe_family, standard_torus, wall_pair
 from krspectra.gaudin import GaudinConfig, coincidence_classes, gaudin_operator_matrix
 from krspectra.glrep import TensorRep
 from krspectra.promotion import restricted_graph
@@ -55,7 +58,7 @@ from krspectra.scalars import (
     cdet,
     span_rank,
 )
-from krspectra.spectra import TOL, _refine
+from krspectra.spectra import TOL, SpectraError, _refine, wall_strings
 from krspectra.tableaux import CrystalError, CrystalGraph, Tableau, reading_order
 
 # ---------------------------------------------------------------------------
@@ -903,3 +906,22 @@ def dense_spectrum(members, rep):
 
     weights = np.rint(readout(torus).real).astype(int)
     return readout(mats), [tuple(w) for w in weights.T.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Walls: every wall from its own family
+
+
+def all_walls_statistics(cfg) -> dict:
+    """{j % n: Counter of (length, source weight)} over the walls j = 1..n,
+    each read from the whole B(C) at `standard_torus(n, j)`; a wall whose
+    strings are not clean raises `SpectraError`."""
+    n = cfg.n
+    stats = {}
+    for j in range(1, n + 1):
+        fam = bethe_family(standard_torus(n, j), cfg)
+        strings = wall_strings(fam.gens, cfg.rep, wall_pair(n, j))
+        if not strings.ok():
+            raise SpectraError(f"wall {j}: {strings.diagnostics['failures']}")
+        stats[j % n] = strings.statistics()
+    return stats

@@ -19,6 +19,7 @@ from krspectra.bethe import (
     exp_tail_bound,
     exp_truncated,
     quantum_minors,
+    rotate_weight,
     shift_residue_generators,
     standard_torus,
     tau_members,
@@ -137,6 +138,20 @@ class TestTorus:
                 wall_pair(n, j)
         with pytest.raises(BetheError, match="gl_1 has no alcove walls"):
             standard_torus(1, wall=1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_the_rotation_carries_wall_1_to_every_wall(self, n):
+        def root(pair):
+            i, j = pair
+            return tuple((m == i) - (m == j) for m in range(1, n + 1))
+
+        for j in range(1, n + 1):
+            # wall_pair(n, j) = P^(j-1) wall_pair(n, 1), with P e_m = e_{m+1}
+            assert rotate_weight(root(wall_pair(n, 1)), j - 1) == root(wall_pair(n, j)), j
+        w = tuple(range(10, 10 + n))
+        assert rotate_weight(w, 1) == (w[-1],) + w[:-1]
+        assert rotate_weight(w, n) == rotate_weight(w, 0) == w
+        assert rotate_weight(rotate_weight(w, 1), -1) == w
 
     def test_normalized_class(self):
         C = standard_torus(3)
@@ -548,6 +563,66 @@ class TestFamilies:
         fam2 = bethe_family(TorusElement(aC.entries), cfg)
         ident = Mat.identity(cfg.rep.dim)
         assert spans_equal(fam1.gens + [ident], fam2.gens + [ident])
+
+
+def delta_of_rotation(n, k):
+    """Delta(P) on (C^n)^(x)k: P^(x)k, with P e_m = e_{m+1} (indices mod n)."""
+    P = Mat.zeros(n)
+    for m in range(n):
+        P = P + Mat.unit(n, n, (m + 1) % n, m)
+    D = P
+    for _ in range(k - 1):
+        D = D.kron(P)
+    return D
+
+
+class TestRotatedWallFamily:
+    """B(P C P^-1) = Delta(P) B(C) Delta(P)^-1 member by member, exactly."""
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 3)])
+    def test_the_rolled_wall_1_family_is_the_conjugate_by_delta_p(self, n, k):
+        cfg = build_spectral_config(n, [(1, 1)] * k, 1)
+        C = standard_torus(n, 1)
+        fam = bethe_family(C, cfg)
+        rolled = bethe_family(TorusElement(rotate_weight(C.entries, 1)), cfg)
+        D = delta_of_rotation(n, k)
+        # a permutation matrix: its inverse is its transpose
+        Dinv = D.transpose()
+        assert D * Dinv == Mat.identity(n**k)
+        assert rolled.tags == fam.tags
+        for tag, m, got in zip(fam.tags, fam.gens, rolled.gens):
+            assert got == D * m * Dinv, tag
+        # the other direction is not the rotation of the torus element
+        assert any(got != Dinv * m * D for m, got in zip(fam.gens, rolled.gens))
+
+
+class TestOrders:
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)])
+    def test_members_of_some_orders_are_those_of_b_c_filtered(self, orders):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        for C in (standard_torus(3), standard_torus(3, 2)):
+            every = tau_members(C, cfg)
+            assert tau_members(C, cfg, orders) == [(t, g) for t, g in every if t[1] in orders]
+
+    def test_a_family_built_on_a_lower_one_is_b_c_member_by_member(self, monkeypatch):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        C = standard_torus(3, 1)
+        built = []
+        members = bethe.tau_members
+
+        def recording(C, cfg, orders=None):
+            built.append(orders)
+            return members(C, cfg, orders)
+
+        monkeypatch.setattr(bethe, "tau_members", recording)
+        fam = None
+        for a in (1, 2, 3):
+            fam = bethe_family(C, cfg, (a,), fam)
+        whole = bethe_family(C, cfg)
+        # each order's members are built once, the lower ones are not rebuilt
+        assert built == [(1,), (2,), (3,), None]
+        assert fam.tags == whole.tags and fam.gens == whole.gens
+        assert {t[1] for t in bethe_family(C, cfg, (1,)).tags} == {1}
 
 
 class TestCertificate:

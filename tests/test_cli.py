@@ -539,9 +539,9 @@ class TestReportsAreJson:
 
         members = bethe.tau_members
 
-        def perturbed(C, cfg):
+        def perturbed(C, cfg, orders=None):
             # basis vectors 1 and 2 of C^2 x C^2 share the weight (1, 1)
-            out = members(C, cfg)
+            out = members(C, cfg, orders)
             tag, g = out[0]
             out[0] = (tag, g + Mat.unit(g.nr, g.nc, 1, 2, QQi(Fraction(1, 7))))
             return out

@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from krspectra import pipeline, spectra
-from krspectra.bethe import bethe_family, standard_torus, wall_pair
+from krspectra.bethe import bethe_family, rotate_weight, standard_torus, wall_pair
 from krspectra.gaudin import GaudinConfig, residue_generators, wall_family
 from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import (
@@ -14,13 +15,17 @@ from krspectra.pipeline import (
     regular_family,
     scan_simple_spectrum,
 )
+from krspectra.promotion import kr_tensor_crystal
 from krspectra.scalars import Mat, QQi, QQI_ONE
 from krspectra.spectra import (
+    SpectraError,
+    compare_with_crystal,
     joint_diagonalize,
     wall_strings,
     weight_multiset_matches,
 )
 from oracles import (
+    all_walls_statistics,
     dense_spectrum,
     eigenvector_matrix,
     mat_to_numpy,
@@ -361,6 +366,112 @@ class TestComparePipeline:
         assert weight_multiset_matches(spec, comb)
 
 
+class TestOneWallFamily:
+    """`compare` reads every wall off one wall-1 family of the lowest clean
+    tau orders, rotated by P."""
+
+    ACCEPTANCE = [
+        (2, [(1, 1), (1, 1)]),
+        (2, [(1, 1), (1, 1), (1, 1)]),
+        (2, [(2, 1), (1, 1)]),
+        (3, [(1, 1), (1, 2)]),
+        (3, [(2, 1), (1, 1)]),
+        (3, [(2, 2), (1, 1)]),
+        (3, [(1, 2), (1, 2)]),
+        (4, [(2, 2)]),
+        (4, [(1, 1), (1, 3)]),
+    ]
+
+    @pytest.mark.parametrize("n,factors", ACCEPTANCE)
+    def test_per_wall_is_that_of_every_wall_s_own_family(self, n, factors):
+        report = compare_pipeline(n, factors, s_grid=(1, 2))
+        assert report["passed"], report
+        cfg = build_spectral_config(n, factors, Fraction(report["s"]))
+        oracle = compare_with_crystal(all_walls_statistics(cfg), kr_tensor_crystal(n, factors))
+        assert report["per_wall"] == oracle["per_wall"]
+        assert report["wall_family"]["rotated"] == list(range(2, n + 1))
+
+    def test_rolling_the_other_way_mismatches(self):
+        n, factors = 3, [(1, 1), (1, 2)]
+        cfg = build_spectral_config(n, factors, 1)
+        wall1 = pipeline.spectral_wall_statistics(cfg, 1).statistics()
+        crystal = kr_tensor_crystal(n, factors)
+
+        def rolled(sign):
+            return {
+                j % n: Counter(
+                    {(ln, rotate_weight(w, sign * (j - 1))): c for (ln, w), c in wall1.items()}
+                )
+                for j in range(1, n + 1)
+            }
+
+        assert compare_with_crystal(rolled(1), crystal)["all_match"]
+        assert not compare_with_crystal(rolled(-1), crystal)["all_match"]
+
+    def test_a_wall_whose_tau_1_family_is_not_simple_takes_tau_2(self):
+        report = compare_pipeline(4, [(2, 2)], s_grid=(1,))
+        assert report["passed"], report
+        family = report["wall_family"]
+        assert family["wall"] == 1 and family["orders"] == [1, 2]
+        assert list(family["given_up"]) == ["1"]
+        assert family["given_up"]["1"].startswith("wall family is not simple on a weight space")
+        assert family["rotated"] == [2, 3, 4]
+
+    def test_a_wall_whose_tau_1_family_is_clean_takes_it(self):
+        report = compare_pipeline(3, [(1, 1), (1, 2)], s_grid=(1,))
+        want = {"wall": 1, "orders": [1], "given_up": {}, "rotated": [2, 3]}
+        assert report["wall_family"] == want
+
+    def test_broken_strings_give_up_an_order(self, monkeypatch):
+        real = pipeline.wall_strings
+        sizes = []
+
+        def broken_first(members, rep, pair):
+            strings = real(members, rep, pair)
+            if not sizes:
+                strings.diagnostics.update(passed=False, failures=[{"kind": "patched"}])
+            sizes.append(len(members))
+            return strings
+
+        monkeypatch.setattr(pipeline, "wall_strings", broken_first)
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        strings = pipeline.spectral_wall_statistics(cfg, 1)
+        assert strings.ok() and strings.diagnostics["orders"] == [1, 2]
+        assert strings.diagnostics["given_up"] == {"1": "broken strings: [{'kind': 'patched'}]"}
+        # the second try holds the first try's members and those of tau_2
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+    def test_the_last_try_is_b_c_and_raises_its_own_error(self, monkeypatch):
+        calls = []
+
+        def never_clean(members, rep, pair):
+            calls.append(len(members))
+            raise SpectraError("patched: not simple")
+
+        monkeypatch.setattr(pipeline, "wall_strings", never_clean)
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        with pytest.raises(SpectraError, match="patched: not simple"):
+            pipeline.spectral_wall_statistics(cfg, 1)
+        # three tries, the last of them every member of B(C)
+        assert len(calls) == 3 and calls[-1] == len(bethe_family(standard_torus(3, 1), cfg))
+
+    @pytest.mark.parametrize("n,factors", [(2, [(1, 1), (1, 1)]), (3, [(1, 1), (1, 2)])])
+    def test_a_clean_tau_1_wall_family_makes_two_families_per_scale(
+        self, n, factors, monkeypatch
+    ):
+        built = []
+        family = pipeline.bethe_family
+
+        def recording(C, cfg, orders=None, lower=None):
+            built.append(([str(c) for c in C.entries], orders))
+            return family(C, cfg, orders, lower)
+
+        monkeypatch.setattr(pipeline, "bethe_family", recording)
+        assert compare_pipeline(n, factors, s_grid=(1,))["passed"]
+        wall1, regular = ([str(c) for c in standard_torus(n, j).entries] for j in (1, None))
+        assert built == [(wall1, (1,)), (regular, None)]
+
+
 class TestRejectedScales:
     DIGEST_FIELDS = ("all_match", "weights_match", "simple", "per_wall")
 
@@ -476,9 +587,9 @@ class TestScan:
 
         members = bethe.tau_members
 
-        def perturbed(C, cfg):
+        def perturbed(C, cfg, orders=None):
             # basis vectors 1 and 2 of C^2 x C^2 share the weight (1, 1)
-            out = members(C, cfg)
+            out = members(C, cfg, orders)
             tag, g = out[0]
             out[0] = (tag, g + Mat.unit(g.nr, g.nc, 1, 2, QQi(Fraction(1, 7))))
             return out
@@ -486,7 +597,10 @@ class TestScan:
         monkeypatch.setattr(bethe, "tau_members", perturbed)
         with pytest.raises(bethe.BetheError, match="commutativity failed for pair"):
             scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(1), Fraction(2)])
-        with pytest.raises(bethe.BetheError, match="commutativity failed for pair"):
+        # the comparison stops at wall 1's family of tau_1, whose member 0 is perturbed
+        with pytest.raises(
+            bethe.BetheError, match=r"commutativity failed for pair \(\('tau-res', 1, "
+        ):
             compare_pipeline(2, [(1, 1), (1, 1)], s_grid=(1, 2))
 
     def test_scan_coincident_points_reported_not_simple(self):
