@@ -7,11 +7,14 @@ path expands it over quantum minors weighted by products of C entries.  The
 minors come from the Yangian coproduct: T(u) = T^(1)(u) ... T^(k)(u) slot by
 slot, so each minor is a sum of Kronecker products of minors of the single
 factors, which are column determinants at factor dimension (in closed form
-for the defining rep C^n).  A factor's grid is (u - w) + E, so its minors
-at w are those at any other point w0 shifted by w - w0: one table per
-distinct factor rep, without its zero minors, serves every slot and every
+for the defining rep C^n, and T(u) itself at order 1).  Every K in a
+coproduct sum has the size of I, so the orders never mix: each order's
+table is built on its own, when a family first asks for it, and tau_a reads
+the order-a table only.  A factor's grid is (u - w) + E, so its minors at w
+are those at any other point w0 shifted by w - w0: one table per distinct
+factor rep and order, without its zero minors, serves every slot and every
 configuration built on that rep.  `pipeline.kr_rep` builds each KR factor
-rep once per process, so its table lives for the process.  The literal
+rep once per process, so its tables live for the process.  The literal
 trace (in two forms) and the full-dimension cdet table are the tests'
 oracles (`tests/oracles.py`).
 
@@ -29,7 +32,7 @@ keeps each weight space, so a line's weight, its h at a wall and its coset
 chain are read from the weight block it lies in (`spectra`), not from torus
 members.
 
-The degeneration reads the same minor table: the shift operator
+The degeneration reads the same minor tables: the shift operator
 eps^-1 (T(u/eps) S - C) has S^a coefficient det(C) tau_a(u/eps, C^-1) up to
 sign and eps^-n, so B(C) itself is degenerated, at rescaled points.
 
@@ -123,18 +126,21 @@ def standard_torus(n, wall=None) -> TorusElement:
 # Evaluated T-matrices
 
 
-def ev_t_grid(cfg: GaudinConfig) -> dict:
+def ev_t_grid(cfg: GaudinConfig, orders) -> dict:
     """{rep: grid} of the evaluated T-matrix, for the factor reps whose
-    minors `_factor_minors` sweeps.
+    minors of some order in `orders` `_factor_minors` sweeps.
 
     ev T(u) = T^(1)(u) ... T^(k)(u) with T^(i)(u) = 1 + E^(i)/(u - w_i).
-    A sweep reads the grid of a factor rep at the first slot that meets it,
-    when the rep has no minor table yet and is not C^n, whose table is
-    written in closed form; no other grid is built.
+    A factor's order-1 table is its T(u), read off `rep.e`, and C^n's tables
+    are written in closed form, so a sweep reads the grid of a factor rep
+    that is not C^n and lacks the table of an order above 1 asked for, at
+    the first slot that meets it; no other grid is built.
     """
+    high = [a for a in orders if a > 1]
     grids = {}
     for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
-        if rep not in grids and rep not in _FACTOR_MINORS and not _is_defining(rep):
+        built = _FACTOR_MINORS.get(rep, {})
+        if rep not in grids and any(a not in built for a in high) and not _is_defining(rep):
             grids[rep] = _factor_grid(rep, w)
     return grids
 
@@ -157,60 +163,72 @@ def _factor_grid(rep, w):
 # Quantum minors and tau functions
 
 
-# config -> {I: QM_I}; an entry is dropped when its config is freed
+# config -> {a: {I: QM_I} over |I| = a}; an entry is dropped when its config is freed
 _MINORS = weakref.WeakKeyDictionary()
-# factor rep -> (w0, its minor table at w0); dropped when the rep is freed
+# factor rep -> {a: (w0, its order-a minor table at w0)}; dropped when the rep is freed
 _FACTOR_MINORS = weakref.WeakKeyDictionary()
 
 
-def quantum_minors(cfg: GaudinConfig) -> dict:
-    """{I: QM_I(u)} over the nonempty index subsets I, built once per config.
+def quantum_minors(cfg: GaudinConfig, a) -> dict:
+    """{I: QM_I(u)} over the index subsets I with |I| = a, built on first use
+    and kept per config.
 
     QM_I is the column determinant of T(u) restricted to the rows and columns
     in I, column m taken at u - m.  It does not depend on the torus element,
-    so every family of one configuration shares the table.  It is built by
-    the coproduct from the minors QM_{I,J} of each factor (`_slot_minors`):
-    one table per distinct factor rep, which each slot reaches by a shift.
-    The table of C^n is written down in closed form, every other one comes
-    from one `column_minors` sweep per column set at factor dimension.
+    so every family of one configuration shares the table of each order,
+    and an order that no family asks for is never built: a family of tau_1
+    reads the order-1 table alone.  It is built by the coproduct from the
+    order-a minors QM_{I,J} of each factor (`_slot_minors`): one table per
+    distinct factor rep and order, which each slot reaches by a shift.  A
+    factor's order-1 table is its T(u), read off `rep.e`; the tables of C^n
+    are written down in closed form, and every other one comes from one
+    `column_minors` sweep per column set of size a at factor dimension.
     `_chain_minors` Kronecker-multiplies the slots' tables, skipping the
     zero minors.
     """
-    if cfg not in _MINORS:
-        grids = ev_t_grid(cfg)
-        tables = [
-            _slot_minors(rep, grids.get(rep), w)
-            for (rep, _, _), w in zip(cfg.rep.factors, cfg.points)
-        ]
-        _MINORS[cfg] = _chain_minors(tables, cfg.n)
-    return _MINORS[cfg]
+    return _minor_tables(cfg, (a,))[a]
 
 
-def _same_size_subsets(n):
-    """{I: every subset K with |K| = |I|} over the nonempty subsets I of range(n)."""
-    out = {}
-    for a in range(1, n + 1):
-        block = list(combinations(range(n), a))
-        out.update((I, block) for I in block)
-    return out
+def _minor_tables(cfg, orders) -> dict:
+    """{a: table} of the config, with the `quantum_minors` table of every
+    order in `orders` built: the missing orders share one `ev_t_grid`
+    pass, so a family of several orders builds each factor grid once."""
+    tables = _MINORS.setdefault(cfg, {})
+    missing = [a for a in orders if a not in tables]
+    if missing:
+        grids = ev_t_grid(cfg, missing)
+        for a in missing:
+            slots = [
+                _slot_minors(rep, grids.get(rep), w, a)
+                for (rep, _, _), w in zip(cfg.rep.factors, cfg.points)
+            ]
+            tables[a] = _chain_minors(slots, cfg.n, a)
+    return tables
 
 
-def _slot_minors(rep, grid, w) -> dict:
-    """The minor table of the factor `rep` at the point w of its slot.
+def _slot_minors(rep, grid, w, a) -> dict:
+    """The order-a minor table of the factor `rep` at the point w of its slot.
 
     A factor's grid is (u - w) + E, so QM_{I,J}(u; w) = QM_{I,J}(u - w; 0):
     the table depends on the rep and the point only through u - w.  It is
-    built once per rep, from `grid` at the point w0 of the first slot that
-    meets the rep, and kept beside the rep for as long as the rep lives;
-    every other slot, of this configuration or of another built on the same
-    rep, shifts it by w - w0 at factor dimension.  So the first slot pays
-    for one table and no shift: the `_factor_minors` sweep of its `grid`,
-    or `_defining_minors` for C^n, which `ev_t_grid` gives no grid.
+    built once per rep and order, at the point w0 of the first slot that
+    asks for that order, and kept beside the rep for as long as the rep
+    lives; every other slot, of this configuration or of another built on
+    the same rep, shifts it by w - w0 at factor dimension.  So the first slot
+    pays for one table and no shift: T(u) itself at order 1
+    (`_order_one_minors`), `_defining_minors` for C^n, which `ev_t_grid`
+    gives no grid, or the `_factor_minors` sweep of `grid`.
     """
-    if rep not in _FACTOR_MINORS:
-        table = _defining_minors(rep, w) if grid is None else _factor_minors(grid, w)
-        _FACTOR_MINORS[rep] = (w, table)
-    w0, table = _FACTOR_MINORS[rep]
+    built = _FACTOR_MINORS.setdefault(rep, {})
+    if a not in built:
+        if a == 1:
+            table = _order_one_minors(rep, w)
+        elif grid is None:
+            table = _defining_minors(rep, w, a)
+        else:
+            table = _factor_minors(grid, w, a)
+        built[a] = (w, table)
+    w0, table = built[a]
     if w == w0:
         return table
     return {key: qm.shift_arg(w - w0) for key, qm in table.items()}
@@ -224,8 +242,26 @@ def _is_defining(rep) -> bool:
     )
 
 
-def _defining_minors(rep, w) -> dict:
-    """The `_factor_minors` table of the defining rep C^n at w, in closed form.
+def _order_one_minors(rep, w) -> dict:
+    """The order-1 `_factor_minors` table of the factor `rep` at w: its
+    T(u) itself, QM_{(i),(j)} = delta_ij + E_ij/(u - w), read off `rep.e`
+    with no sweep, and with the zero entries left out."""
+    n, ident = rep.n, Mat.identity(rep.dim)
+    shift, pole = ident * w, {w: 1}
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            e = rep.e(i + 1, j + 1)
+            if i == j:
+                table[(i,), (i,)] = RatFun([e - shift, ident], pole)
+            elif e:
+                table[(i,), (j,)] = RatFun([e], pole)
+    return table
+
+
+def _defining_minors(rep, w, a) -> dict:
+    """The order-a `_factor_minors` table of the defining rep C^n at w, in
+    closed form.
 
     On C^n the Lax matrix is 1 + P/(u - w), P the flip of the auxiliary and
     the quantum copy of C^n, and on the image of the antisymmetrizer the
@@ -242,82 +278,81 @@ def _defining_minors(rep, w) -> dict:
     shift = ident * w
     pole = {w: 1}
     table = {}
-    for a in range(1, n + 1):
-        for I in combinations(range(n), a):
-            diag = sum((rep.e(i + 1, i + 1) for i in I[1:]), rep.e(I[0] + 1, I[0] + 1))
-            table[I, I] = RatFun([diag - shift, ident], pole)
-            for p, i in enumerate(I):
-                rest = I[:p] + I[p + 1 :]
-                for j in range(n):
-                    if j not in I:
-                        J = tuple(sorted(rest + (j,)))
-                        unit = rep.e(i + 1, j + 1)
-                        num = unit if (p + J.index(j)) % 2 == 0 else -unit
-                        table[I, J] = RatFun([num], pole)
+    for I in combinations(range(n), a):
+        diag = sum((rep.e(i + 1, i + 1) for i in I[1:]), rep.e(I[0] + 1, I[0] + 1))
+        table[I, I] = RatFun([diag - shift, ident], pole)
+        for p, i in enumerate(I):
+            rest = I[:p] + I[p + 1 :]
+            for j in range(n):
+                if j not in I:
+                    J = tuple(sorted(rest + (j,)))
+                    unit = rep.e(i + 1, j + 1)
+                    num = unit if (p + J.index(j)) % 2 == 0 else -unit
+                    table[I, J] = RatFun([num], pole)
     return table
 
 
-def _factor_minors(grid, w) -> dict:
-    """{(I, J): QM_{I,J}} over |I| = |J| of one factor T(u) = grid(u) / (u - w).
+def _factor_minors(grid, w, a) -> dict:
+    """{(I, J): QM_{I,J}} over |I| = |J| = a of one factor T(u) = grid(u) / (u - w).
 
-    One `column_minors` sweep per column set J, on the pole-free polynomial
-    entries of those columns with column m at u - m, gives the minors of
-    every row set I.  Each quotient by prod_{m<|J|} (u - w - m) is
-    cancelled here, once per rep, and nowhere else: the removable poles of
-    the minors are born in it.  Zero minors are left out.
+    One `column_minors` sweep per column set J of size a, on the pole-free
+    polynomial entries of those columns with column m at u - m, gives the
+    minors of every row set I.  Each quotient by prod_{m<a} (u - w - m) is
+    cancelled here, once per rep and order, and nowhere else: the removable
+    poles of the minors are born in it.  Zero minors are left out.
     """
-    n = len(grid)
+    poles = {w + m: 1 for m in range(a)}
     table = {}
-    for a in range(1, n + 1):
-        poles = {w + m: 1 for m in range(a)}
-        for J in combinations(range(n), a):
-            cols = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
-            for I, det in column_minors(cols).items():
-                if det.num:
-                    table[I, J] = RatFun(det.num, poles).cancel()
+    for J in combinations(range(len(grid)), a):
+        cols = [[row[c].shift_arg(m) for m, c in enumerate(J)] for row in grid]
+        for I, det in column_minors(cols).items():
+            if det.num:
+                table[I, J] = RatFun(det.num, poles).cancel()
     return table
 
 
-def _chain_minors(tables, n) -> dict:
-    """{I: QM_I} of the product of the factors whose minor tables are given.
+def _chain_minors(tables, n, a) -> dict:
+    """{I: QM_I} over |I| = a of the product of the factors whose order-a
+    minor tables are given.
 
     Entries of different slots commute, so the Yangian coproduct gives
     QM_{I,J}(T' T'') = sum over |K| = |I| of QM_{I,K}(T') (x) QM_{K,J}(T'')
-    (Molev, Yangians and Classical Lie Algebras, ch. 1).  The tables are
-    folded in the order given, the last one for the diagonal I = J only; a
-    table holds no zero minor, so the sum runs over the K where both
-    factors are present.  A diagonal minor tends to the identity at
-    infinity, so it is never zero.
+    (Molev, Yangians and Classical Lie Algebras, ch. 1): the orders never
+    mix.  The tables are folded in the order given, the last one for the
+    diagonal I = J only; a table holds no zero minor, so the sum runs over
+    the K where both factors are present.  A diagonal minor tends to the
+    identity at infinity, so it is never zero.
     """
-    blocks = _same_size_subsets(n)
+    block = list(combinations(range(n), a))
     acc = tables[0]
     for i, table in enumerate(tables[1:], start=2):
-        pairs = [(I, I) for I in blocks] if i == len(tables) else [
-            (I, J) for I in blocks for J in blocks[I]
+        pairs = [(I, I) for I in block] if i == len(tables) else [
+            (I, J) for I in block for J in block
         ]
         folded = {}
         for I, J in pairs:
             total = RatFun.sum([
                 acc[I, K].kron(table[K, J])
-                for K in blocks[I]
+                for K in block
                 if (I, K) in acc and (K, J) in table
             ])
             if total.num:
                 folded[I, J] = total
         acc = folded
-    return {I: acc[I, I] for I in blocks}
+    return {I: acc[I, I] for I in block}
 
 
 def tau_ratfun(a, C: TorusElement, cfg: GaudinConfig) -> RatFun:
     """tau_a(u, C) as one exact matrix-valued rational function of u.
 
     Quantum-minor expansion: the sum over a-subsets I of c_I QM_I(u), where
-    c_I is the product of the entries of C over I.
+    c_I is the product of the entries of C over I; only the order-a table is
+    read.
     """
     n = cfg.n
     if not (1 <= a <= n):
         raise BetheError(f"tau index a={a} out of range")
-    minors = quantum_minors(cfg)
+    minors = quantum_minors(cfg, a)
     terms = []
     for subset in combinations(range(n), a):
         c_i = QQI_ONE
@@ -364,8 +399,10 @@ def tau_members(C: TorusElement, cfg: GaudinConfig, orders=None):
     1 and 1/(u - p)^k are linearly independent, so a family holding every
     coefficient commutes exactly when [tau_a(u), tau_b(v)] = 0 identically.
     """
+    orders = range(1, cfg.n + 1) if orders is None else orders
+    _minor_tables(cfg, orders)
     members = []
-    for a in range(1, cfg.n + 1) if orders is None else orders:
+    for a in orders:
         f = tau_ratfun(a, C, cfg)
         for p in sorted(f.poles, key=QQi.parts_text):
             for l in range(f.poles[p]):
@@ -448,6 +485,7 @@ def shift_residue_generators(eps, cfg: GaudinConfig):
     # weighted[a][i, l] = sum over the poles p of group i of
     # res_{v=p} (v - z_i/eps)^l tau_a(v, C^-1)
     weighted = {}
+    _minor_tables(vcfg, range(1, n + 1))
     for a in range(1, n + 1):
         f = tau_ratfun(a, c_inv, vcfg)
         sums = weighted[a] = {}

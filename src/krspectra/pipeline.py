@@ -10,7 +10,10 @@ member, so wall j's string statistics are wall 1's with every source weight
 rotated (`bethe.rotate_weight`).  Each wall's statistics are compared with
 the combinatorial string statistics of the matching residue class.  B(C) at
 the regular element is built whole, verified and diagonalized for the
-simplicity and weight verdicts.  The families hold only the tau members:
+simplicity and weight verdicts.  `spectra scan` diagonalizes, at the
+regular element of each scale, the family of the lowest tau orders whose
+spectrum is simple, B(C) only when no lower family is; both searches run
+through `lowest_orders`.  The families hold only the tau members:
 every member keeps each weight space, so weights, h and coset chains come
 exactly from the weight blocks.  Evaluation points are
 d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the normality
@@ -18,7 +21,8 @@ condition demands.  Every configuration, of `compare`, of the
 simplicity scan and of the CLI's other commands, is built by
 `located_config` on the reps of `kr_rep`, which are built once per process:
 every slot and configuration on one factor shares one read-only rep, and so
-one quantum-minor table (`bethe.quantum_minors`).
+one quantum-minor table of each order (`bethe.quantum_minors`), built when
+a family first asks for that order.
 """
 
 from __future__ import annotations
@@ -83,37 +87,57 @@ def build_spectral_config(n, factors, s):
     return located_config(n, factors, spectral_points(n, factors, s), (0,) * n)
 
 
-def spectral_wall_statistics(cfg, j):
-    """h-strings at wall j, from the family of the lowest tau orders whose
-    strings are clean, each family verified exactly first.
+def lowest_orders(C, cfg, read):
+    """The family of the lowest tau orders at C that `read` takes, each
+    family verified exactly first.
 
-    The tries are the orders (1,), (1, 2), ..., (1, ..., n) at
-    `standard_torus(n, j)`; each adds the next order's members to the last
-    family's.  A try gives up on a `SpectraError` or on broken strings.  A
-    clean try's lines are B(C)'s, by Schur: B(C) commutes with it and it is
-    simple on every weight space, and the wall's sl_2 keeps B(C)'s values
-    constant along a string.  So its strings are those of B(C).  The last try
-    is B(C) itself, whose strings are returned clean or not, and whose
-    `SpectraError` is raised.  The strings' diagnostics name the orders taken
-    ("orders") and each order given up, by its text, with its reason
-    ("given_up").
+    The tries are the orders (1,), (1, 2), ..., (1, ..., n); each adds the
+    next order's members to the last family's.  `read(family)` returns
+    (value, reason): a reason of None takes the try, a text gives it up,
+    and so does a `SpectraError`, by its text.  The last try is B(C)
+    itself, taken whatever it reads.  Returns (value, orders, given_up,
+    error): the orders of the try taken, each order given up (by its text)
+    with its reason, and the `SpectraError` of B(C) when the last try
+    raised one, with value None.
     """
     n = cfg.n
-    C, pair = standard_torus(n, j), wall_pair(n, j)
     fam, given_up = None, {}
     for a in range(1, n + 1):
         fam = bethe_family(C, cfg, (a,), fam)
         try:
-            strings = wall_strings(fam.gens, cfg.rep, pair)
-            if strings.ok() or a == n:
-                break
-            reason = f"broken strings: {strings.diagnostics['failures']}"
+            value, reason = read(fam)
         except SpectraError as err:
             if a == n:
-                raise
+                return None, list(range(1, n + 1)), given_up, err
             reason = str(err)
+        if reason is None or a == n:
+            return value, list(range(1, a + 1)), given_up, None
         given_up[str(a)] = reason
-    strings.diagnostics.update(orders=list(range(1, a + 1)), given_up=given_up)
+
+
+def spectral_wall_statistics(cfg, j):
+    """h-strings at wall j, from the family of the lowest tau orders whose
+    strings are clean (`lowest_orders` at `standard_torus(n, j)`).
+
+    A try gives up on a `SpectraError` or on broken strings.  A clean try's
+    lines are B(C)'s, by Schur: B(C) commutes with it and it is simple on
+    every weight space, and the wall's sl_2 keeps B(C)'s values constant
+    along a string.  So its strings are those of B(C).  B(C)'s strings are
+    returned clean or not, and its `SpectraError` is raised.  The strings'
+    diagnostics name the orders taken ("orders") and each order given up,
+    by its text, with its reason ("given_up").
+    """
+    pair = wall_pair(cfg.n, j)
+
+    def read(fam):
+        strings = wall_strings(fam.gens, cfg.rep, pair)
+        failures = strings.diagnostics["failures"]
+        return strings, None if strings.ok() else f"broken strings: {failures}"
+
+    strings, orders, given_up, err = lowest_orders(standard_torus(cfg.n, j), cfg, read)
+    if err is not None:
+        raise err
+    strings.diagnostics.update(orders=orders, given_up=given_up)
     return strings
 
 
@@ -129,27 +153,47 @@ def regular_family(cfg):
 
 
 def scan_simple_spectrum(n, factors, s_grid):
-    """Simplicity verdict of the regular family over the scales of s_grid.
+    """Simplicity verdict at the regular element over the scales of s_grid.
 
-    Reports the per-s verdicts and the first s of the grid whose spectrum is
-    simple, and keeps that s's JointSpectrum under "spectrum" (None if no s
-    is simple; it is not JSON).  "min_gap" is the least gap between two
-    lines of one weight block, and None when no block holds two lines.  A
-    configuration that `SpectraError` or `glrep.RepError` refuses is a row
-    that is not simple, with the error; any other error ends the scan.  A
-    finer scan is a second call with a finer grid.
+    At each s the family diagonalized is that of the lowest tau orders whose
+    spectrum is simple (`lowest_orders` at `standard_torus(n)`): a subfamily
+    of B(C) that is simple has B(C)'s lines, and B(C), a superset of its
+    members, separates them too, so the row is simple for B(C) as well.  The
+    last try is B(C) itself.  Each row names the orders of the family taken
+    ("orders") and each lower order given up with its reason ("given_up":
+    "not simple (gap ...)" or a `SpectraError` text); "min_gap" is the
+    least gap of that family between two lines of one weight block, and
+    None when no block holds two lines.  A `SpectraError` of B(C), or a
+    configuration that `glrep.RepError` refuses (no family is built then,
+    and "orders" is empty), is a row that is not simple, with the error;
+    any other error ends the scan.  The report gives the first s of the
+    grid whose spectrum is simple and keeps that s's JointSpectrum under
+    "spectrum" (None if no s is simple; it is not JSON).  A finer scan is a
+    second call with a finer grid.
     """
+
+    def read(fam):
+        spec = joint_diagonalize(fam.gens, fam.config.rep)
+        return spec, None if spec.is_simple() else f"not simple (gap {spec.min_separation:.3e})"
+
     rows = []
     threshold = first_spec = None
     for s in s_grid:
+        row = {"s": str(s)}
         try:
             cfg = build_spectral_config(n, factors, s)
-            spec = joint_diagonalize(regular_family(cfg), cfg.rep)
-            gap = spec.min_separation if math.isfinite(spec.min_separation) else None
-            rows.append({"s": str(s), "simple": bool(spec.is_simple()), "min_gap": gap})
-        except (SpectraError, RepError) as err:
-            rows.append({"s": str(s), "simple": False, "error": str(err)})
-        if threshold is None and rows[-1]["simple"]:
+        except RepError as err:
+            row.update(simple=False, error=str(err), orders=[], given_up={})
+        else:
+            spec, orders, given_up, err = lowest_orders(standard_torus(n), cfg, read)
+            if err is None:
+                gap = spec.min_separation if math.isfinite(spec.min_separation) else None
+                row.update(simple=bool(spec.is_simple()), min_gap=gap)
+            else:
+                row.update(simple=False, error=str(err))
+            row.update(orders=orders, given_up=given_up)
+        rows.append(row)
+        if threshold is None and row["simple"]:
             threshold, first_spec = str(s), spec
     return {"rows": rows, "first_simple_s": threshold, "spectrum": first_spec}
 

@@ -34,7 +34,9 @@ stored entries.
   time;
 - walls: the string statistics of every wall from the whole B(C) at that
   wall's own torus element, the route that one rotated wall family
-  replaced.
+  replaced;
+- scans: the simplicity scan of the whole B(C) at the regular element, the
+  route that the family of the lowest simple tau orders replaced.
 """
 
 from fractions import Fraction
@@ -46,7 +48,8 @@ import numpy as np
 from krspectra.alcoves import AffinePoint, AlcoveError, ExtAffineWeylElt, Wall
 from krspectra.bethe import BetheError, TorusElement, bethe_family, standard_torus, wall_pair
 from krspectra.gaudin import GaudinConfig, coincidence_classes, gaudin_operator_matrix
-from krspectra.glrep import TensorRep
+from krspectra.glrep import RepError, TensorRep
+from krspectra.pipeline import build_spectral_config
 from krspectra.promotion import restricted_graph
 from krspectra.scalars import (
     Blocks,
@@ -58,7 +61,7 @@ from krspectra.scalars import (
     cdet,
     span_rank,
 )
-from krspectra.spectra import TOL, SpectraError, _refine, wall_strings
+from krspectra.spectra import TOL, SpectraError, _refine, joint_diagonalize, wall_strings
 from krspectra.tableaux import CrystalError, CrystalGraph, Tableau, reading_order
 
 # ---------------------------------------------------------------------------
@@ -925,3 +928,23 @@ def all_walls_statistics(cfg) -> dict:
             raise SpectraError(f"wall {j}: {strings.diagnostics['failures']}")
         stats[j % n] = strings.statistics()
     return stats
+
+
+# ---------------------------------------------------------------------------
+# Scans: every order at the regular element
+
+
+def all_orders_scan(n, factors, s_grid) -> dict:
+    """The simplicity scan of B(C), every order, at `standard_torus(n)` over
+    the scales of s_grid: rows of "s", "simple" and, where B(C) or the
+    configuration was refused, "error", and the first simple s."""
+    rows = []
+    for s in s_grid:
+        try:
+            cfg = build_spectral_config(n, factors, s)
+            spec = joint_diagonalize(bethe_family(standard_torus(n), cfg).gens, cfg.rep)
+            rows.append({"s": str(s), "simple": bool(spec.is_simple())})
+        except (SpectraError, RepError) as err:
+            rows.append({"s": str(s), "simple": False, "error": str(err)})
+    first = next((row["s"] for row in rows if row["simple"]), None)
+    return {"rows": rows, "first_simple_s": first}

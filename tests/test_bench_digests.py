@@ -17,13 +17,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # (test id, workload, case kind, text the case key must contain); each pick
 # is the first such case of the workload's pools, negative controls included.
 # The n=3 compare and the dim-27 gaudin commute cases guard the exact
-# kernel's hottest paths; the verify-rectangle digests cover the affine
+# kernel's hottest paths, and the n=3 scan the route of a family that is not
+# B(C) whole; the verify-rectangle digests cover the affine
 # crystal fields views_pass_axioms, view1_normal and view0_isomorphic, and
 # with verify-non-rectangular they pin promotion_order.
 PICKS = [
     ("compare", "compare", "compare", "--n 2 --factors 1,1;1,1 --s-grid 3/2 "),
     ("compare-n3", "compare", "compare", "--n 3 --factors 1,1;1,2 --s-grid 1 "),
     ("scan", "spectra-scan", "scan", "--n 2 --factors 1,1;1,1 "),
+    ("scan-n3", "spectra-scan", "scan", "--n 3 --factors 1,1;1,2 "),
     ("scan-refused", "spectra-scan", "scan-refused", "--n 2 --factors 1,1;1,1 "),
     ("gaudin-commute-dim27", "gaudin", "gaudin-commute", "--factors 2,1;2,1;2,1 "),
     ("gaudin-wall", "gaudin", "gaudin-wall", ""),

@@ -217,18 +217,29 @@ class TestTauHandOracle:
 
 class TestQuantumMinors:
     def test_table_holds_every_nonempty_subset(self):
+        # one table per order, each keyed by the subsets of its size
         n = 3
-        table = quantum_minors(config_single(n))
-        subsets = {s for a in range(1, n + 1) for s in combinations(range(n), a)}
-        assert set(table) == subsets and len(table) == 2**n - 1
+        cfg = config_single(n)
+        tables = {a: quantum_minors(cfg, a) for a in (2, 1, 3)}
+        for a, table in tables.items():
+            assert set(table) == set(combinations(range(n), a))
+        assert sum(map(len, tables.values())) == 2**n - 1
+
+    def test_an_order_is_built_only_when_asked_for(self):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        quantum_minors(cfg, 2)
+        assert set(bethe._MINORS[cfg]) == {2}
+        assert all(set(bethe._FACTOR_MINORS[rep]) == {2} for rep, _, _ in cfg.rep.factors)
+        quantum_minors(cfg, 1)
+        assert set(bethe._MINORS[cfg]) == {1, 2}
 
     def test_one_grid_build_serves_every_family_of_a_config(self, monkeypatch):
         calls, built = [], []
         build, factor_grid = bethe.ev_t_grid, bethe._factor_grid
 
-        def counting(cfg):
-            calls.append(cfg)
-            return build(cfg)
+        def counting(cfg, orders):
+            calls.append(list(orders))
+            return build(cfg, orders)
 
         def recording(rep, w):
             built.append(rep)
@@ -238,19 +249,23 @@ class TestQuantumMinors:
         monkeypatch.setattr(bethe, "_factor_grid", recording)
         n = 3
         cfg = build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 1)
+        # tau_1 reads each factor's T(u) itself: no grid
+        bethe_family(standard_torus(n), cfg, (1,))
+        assert calls == [[1]] and built == []
         for j in range(1, n + 1):
             bethe_family(standard_torus(n, j), cfg)
         bethe_family(standard_torus(n), cfg)
-        # one grid for the two slots of Wedge^2 C^3, none for C^3
-        assert len(calls) == 1 and built == [kr_rep(n, 1, 2)]
-        # a configuration on the same reps finds both tables built
+        # orders 2 and 3 in one pass: one grid for the two slots of
+        # Wedge^2 C^3, none for C^3; the other families build nothing
+        assert calls == [[1], [2, 3]] and built == [kr_rep(n, 1, 2)]
+        # a configuration on the same reps finds every factor table built
         bethe_family(standard_torus(n), build_spectral_config(n, [(1, 1), (1, 2), (1, 2)], 2))
-        assert len(calls) == 2 and len(built) == 1
+        assert calls == [[1], [2, 3], [1, 2, 3]] and len(built) == 1
 
     def test_table_is_freed_with_its_config(self):
         gc.collect()  # only this config may leave the map below
         cfg = config_c2_pair()
-        quantum_minors(cfg)
+        quantum_minors(cfg, 1)
         held = len(bethe._MINORS)
         ref = weakref.ref(cfg)
         del cfg
@@ -266,6 +281,16 @@ def assert_same_table(got, want):
     for I in want:
         g, w = got[I].cancel(), want[I].cancel()
         assert g.num == w.num and g.poles == w.poles, I
+
+
+def of_order(oracle, a):
+    """The entries of an `oracle_minors` table whose index set has size a."""
+    return {I: qm for I, qm in oracle.items() if len(I) == a}
+
+
+def every_order(rep):
+    """The union of the factor tables of every order built for `rep`."""
+    return {key: qm for _, table in bethe._FACTOR_MINORS[rep].values() for key, qm in table.items()}
 
 
 # (n, factors, s); at s = 0 the points of (1,1), (2,1) and (3,1) at n = 3 are
@@ -284,6 +309,8 @@ COPRODUCT_CASES = [
     (3, [(1, 1), (2, 1), (3, 1)], 0),
     # 6 of the 69 minors of V_{w_1} at n = 4 are zero, so the chain skips terms
     (4, [(1, 1), (1, 1)], 1),
+    # no C^n factor: every order above 1 is swept
+    (3, [(1, 2), (1, 2)], 1),
 ]
 
 
@@ -291,7 +318,11 @@ class TestCoproductMinors:
     @pytest.mark.parametrize("n,factors,s", COPRODUCT_CASES)
     def test_table_equals_the_full_dimension_cdet_oracle(self, n, factors, s):
         cfg = build_spectral_config(n, factors, s)
-        assert_same_table(quantum_minors(cfg), oracle_minors(cfg))
+        oracle = oracle_minors(cfg)
+        for a in range(1, n + 1):
+            table = quantum_minors(cfg, a)
+            assert_same_table(table, of_order(oracle, a))
+            assert all(table[I] == oracle[I] for I in table)
 
     def test_zero_scale_cases_overlap_their_poles(self):
         for n, factors, s in COPRODUCT_CASES:
@@ -304,19 +335,23 @@ class TestCoproductMinors:
         # negative control: the Kronecker chain must follow the slot order
         n = 3
         cfg = build_spectral_config(n, [(1, 1), (1, 2)], 1)
-        tables = [
-            bethe._factor_minors(bethe._factor_grid(rep, w), w)
-            for (rep, _, _), w in zip(cfg.rep.factors, cfg.points)
-        ]
         oracle = oracle_minors(cfg)
-        assert_same_table(bethe._chain_minors(tables, n), oracle)
-        reverse = bethe._chain_minors(tables[::-1], n)
-        assert any(reverse[I] != oracle[I] for I in oracle)
+        differs = []
+        for a in range(1, n + 1):
+            tables = [
+                bethe._factor_minors(bethe._factor_grid(rep, w), w, a)
+                for (rep, _, _), w in zip(cfg.rep.factors, cfg.points)
+            ]
+            assert_same_table(bethe._chain_minors(tables, n, a), of_order(oracle, a))
+            reverse = bethe._chain_minors(tables[::-1], n, a)
+            differs += [I for I in reverse if reverse[I] != oracle[I]]
+        assert differs
 
     def test_no_full_dimension_grid_or_cdet(self, monkeypatch):
-        # one column_minors sweep per column set per distinct factor, each at
-        # factor dimension: the three equal slots share one rep and one table.
-        # Wedge^2 C^3, not C^3 itself, whose table is built in closed form
+        # one column_minors sweep per column set of size 2 or more per
+        # distinct factor, each at factor dimension: the three equal slots
+        # share one rep and one table per order.  Wedge^2 C^3, not C^3
+        # itself, whose tables are built in closed form
         cfg = build_spectral_config(3, [(1, 2), (1, 2), (1, 2)], 1)
         n = cfg.n
         grids = []
@@ -335,8 +370,12 @@ class TestCoproductMinors:
         assert not hasattr(bethe, "cdet") and not hasattr(bethe, "_oracle_t_grid")
         monkeypatch.setattr(scalars, "cdet", refused)
         monkeypatch.setattr(gaudin, "cdet", refused)
-        quantum_minors(cfg)
-        column_sets = [J for a in range(1, n + 1) for J in combinations(range(n), a)]
+        # order 1 is each factor's T(u), read off the rep with no sweep
+        quantum_minors(cfg, 1)
+        assert grids == []
+        for a in range(2, n + 1):
+            quantum_minors(cfg, a)
+        column_sets = [J for a in range(2, n + 1) for J in combinations(range(n), a)]
         distinct = {id(rep) for rep, _, _ in cfg.rep.factors}
         assert cfg.k == 3 and len(distinct) == 1
         assert sorted(len(g[0]) for g in grids) == sorted(len(J) for J in column_sets)
@@ -346,7 +385,9 @@ class TestCoproductMinors:
 
     def test_factor_grid_is_the_polynomial_on_the_factor(self):
         cfg = build_spectral_config(3, [(1, 1), (1, 2), (1, 2)], 1)
-        grids = bethe.ev_t_grid(cfg)
+        # order 1 needs no grid
+        assert bethe.ev_t_grid(cfg, (1,)) == {}
+        grids = bethe.ev_t_grid(cfg, range(1, 4))
         # only Wedge^2 C^3 is swept, at its first slot; C^3 takes its closed form
         (_, _, _), (wedge, _, _), _ = cfg.rep.factors
         assert list(grids) == [wedge]
@@ -361,31 +402,46 @@ class TestCoproductMinors:
                     want = rep.e(r + 1, c + 1) + (ident * (u - w) if r == c else Mat.zeros(rep.dim))
                     assert not grid[r][c].poles and grid[r][c].eval(u) == want
 
+    @pytest.mark.parametrize("n,l,r", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 2), (3, 2, 1), (4, 2, 2)])
+    def test_order_one_table_is_the_factor_t_itself(self, n, l, r):
+        # read off rep.e, equal to the sweep's order-1 entries, zeros left out
+        rep = kr_rep(n, l, r)
+        for w in (QQi(0), QQi(Fraction(-3, 2), Fraction(5, 3))):
+            sweep = bethe._factor_minors(bethe._factor_grid(rep, w), w, 1)
+            table = bethe._order_one_minors(rep, w)
+            assert set(table) == set(sweep)
+            assert all(table[key] == sweep[key] for key in sweep)
+            assert_same_table(table, sweep)
+
 
 class TestSharedFactorMinors:
     # the points d_j + i s 4^(k-1-j) have nonzero imaginary parts for s > 0,
     # and the s = 0 cases overlap their poles
     @pytest.mark.parametrize("n,factors,s", COPRODUCT_CASES)
     def test_shifted_tables_equal_the_per_slot_route_and_the_oracle(self, n, factors, s):
-        # a configuration at another scale builds each rep's table first, so
-        # every slot below reaches it by a shift
-        quantum_minors(build_spectral_config(n, factors, s + 1))
+        # a configuration at another scale builds each rep's tables first, so
+        # every slot below reaches them by a shift
+        bethe._minor_tables(build_spectral_config(n, factors, s + 1), range(1, n + 1))
         cfg = build_spectral_config(n, factors, s)
-        assert bethe.ev_t_grid(cfg) == {}
-        for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
-            grid = bethe._factor_grid(rep, w)
-            w0, _ = bethe._FACTOR_MINORS[rep]
-            assert w0 != w
-            assert_same_table(bethe._slot_minors(rep, grid, w), bethe._factor_minors(grid, w))
-        assert_same_table(quantum_minors(cfg), oracle_minors(cfg))
+        assert bethe.ev_t_grid(cfg, range(1, n + 1)) == {}
+        oracle = oracle_minors(cfg)
+        for a in range(1, n + 1):
+            for (rep, _, _), w in zip(cfg.rep.factors, cfg.points):
+                grid = bethe._factor_grid(rep, w)
+                w0, _ = bethe._FACTOR_MINORS[rep][a]
+                assert w0 != w
+                got = bethe._slot_minors(rep, grid, w, a)
+                assert_same_table(got, bethe._factor_minors(grid, w, a))
+            assert_same_table(quantum_minors(cfg, a), of_order(oracle, a))
 
     def test_equal_and_unequal_factors_share_by_rep(self):
         cfg = build_spectral_config(3, [(1, 1), (1, 2), (1, 1)], Fraction(5, 2))
-        quantum_minors(cfg)
+        oracle = oracle_minors(cfg)
+        for a in range(1, 4):
+            assert_same_table(quantum_minors(cfg, a), of_order(oracle, a))
         (a, _, _), (b, _, _), (c, _, _) = cfg.rep.factors
         assert a is c and a is not b
         assert bethe._FACTOR_MINORS[a] is not bethe._FACTOR_MINORS[b]
-        assert_same_table(quantum_minors(cfg), oracle_minors(cfg))
 
     def test_configs_of_one_process_share_the_table(self, monkeypatch):
         sweeps = []
@@ -399,17 +455,21 @@ class TestSharedFactorMinors:
         tables = []
         for s in (1, 2, Fraction(5, 2)):
             cfg = build_spectral_config(3, [(1, 1), (1, 2)], s)
-            tables.append(quantum_minors(cfg))
-            assert_same_table(tables[-1], oracle_minors(cfg))
-        # 7 column sets at n = 3, for V_{w_2} once; V_{w_1} takes no sweep
-        assert len(sweeps) == 7
-        assert tables[0][(0,)].poles != tables[1][(0,)].poles
+            oracle = oracle_minors(cfg)
+            tables.append({a: quantum_minors(cfg, a) for a in (1, 2, 3)})
+            for a, table in tables[-1].items():
+                assert_same_table(table, of_order(oracle, a))
+        # the 4 column sets of sizes 2 and 3 at n = 3, for V_{w_2} once;
+        # order 1 and V_{w_1} take no sweep
+        assert len(sweeps) == 4
+        assert tables[0][1][(0,)].poles != tables[1][1][(0,)].poles
 
     @pytest.mark.parametrize("n,zeros", [(4, 6), (5, 60)])
     def test_shared_table_keeps_no_zero_minor(self, n, zeros):
         cfg = config_single(n)
-        quantum_minors(cfg)
-        _, table = bethe._FACTOR_MINORS[cfg.rep.factors[0][0]]
+        for a in range(1, n + 1):
+            quantum_minors(cfg, a)
+        table = every_order(cfg.rep.factors[0][0])
         pairs = [
             (I, J)
             for a in range(1, n + 1)
@@ -432,8 +492,9 @@ class TestSharedFactorMinors:
         assert bethe._is_defining(rep)
         for w in (QQi(0), QQi(Fraction(-3, 2), Fraction(5, 3))):
             grid = bethe._factor_grid(rep, w)
-            sweep = bethe._factor_minors(grid, w)
-            assert_same_table(bethe._defining_minors(rep, w), sweep)
+            for a in range(1, n + 1):
+                sweep = bethe._factor_minors(grid, w, a)
+                assert_same_table(bethe._defining_minors(rep, w, a), sweep)
 
     def test_only_the_defining_rep_takes_the_closed_form(self, monkeypatch):
         assert not bethe._is_defining(kr_rep(3, 1, 2))
@@ -445,14 +506,16 @@ class TestSharedFactorMinors:
         assert not bethe._is_defining(rep)
         closed = []
         monkeypatch.setattr(bethe, "_defining_minors", lambda *args: closed.append(args))
-        quantum_minors(build_spectral_config(2, [(2, 1), (3, 1)], 1))
+        cfg = build_spectral_config(2, [(2, 1), (3, 1)], 1)
+        for a in (1, 2):
+            quantum_minors(cfg, a)
         assert closed == []
 
     def test_table_is_freed_with_its_rep(self):
         gc.collect()  # only this rep may leave the map below
         # built outside kr_rep, whose reps live for the process
         cfg = config_c2_pair()
-        quantum_minors(cfg)
+        quantum_minors(cfg, 1)
         held = len(bethe._FACTOR_MINORS)
         ref = weakref.ref(cfg.rep.factors[0][0])
         del cfg

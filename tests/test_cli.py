@@ -356,7 +356,8 @@ class TestCompareCommand:
 
 
 class TestOneMinorTablePerFactor:
-    """Every s or eps of one run shares one rep and one minor table per factor."""
+    """Every s or eps of one run shares one rep and one minor table per
+    factor and order."""
 
     def count(self, monkeypatch):
         from krspectra import bethe, glrep
@@ -381,9 +382,10 @@ class TestOneMinorTablePerFactor:
             capsys, "spectra", "scan", "--n", "3", "--factors", "1,1;1,2", "--s-grid", "1,2,3",
         )
         assert code == 0 and [row["s"] for row in doc["rows"]] == ["1", "2", "3"]
-        # 7 column sets at n = 3 for V_{w_2}, once; V_{w_1} takes its closed
-        # form and no sweep; 42 with a swept table per slot and s
-        assert len(sweeps) == 7
+        # every s takes tau_1, whose factor tables are each factor's T(u):
+        # no sweep at all
+        assert [row["orders"] for row in doc["rows"]] == [[1]] * 3
+        assert sweeps == []
         assert defining == [(3,)] and irrep == [(3, 1, 2)]
 
     def test_compare_over_three_s(self, monkeypatch, capsys):
@@ -405,7 +407,10 @@ class TestOneMinorTablePerFactor:
         )
         assert code == 0 and doc["s"] == "3"
         assert doc["rejected_s"] == {"1": "scale below 3 at wall 1", "2": "scale below 3 at wall 1"}
-        assert len(sweeps) == 7
+        # B(C) at the regular element needs every order: the 4 column sets
+        # of sizes 2 and 3 at n = 3 for V_{w_2}, once; order 1 is read off
+        # the rep, and V_{w_1} takes its closed form
+        assert len(sweeps) == 4
         assert defining == [(3,)] and irrep == [(3, 1, 2)]
 
     def test_bethe_degenerate_over_three_eps(self, monkeypatch, capsys):
@@ -415,8 +420,9 @@ class TestOneMinorTablePerFactor:
             "--eps", "1/8,1/16,1/32", "--chi", "1/3,-1/4",
         )
         assert code == 0 and len(doc["rows"]) == 3
-        # 3 column sets at n = 2 for V_{2 w_1}, once; V_{w_1} takes no sweep
-        assert len(sweeps) == 3
+        # the one column set of size 2 at n = 2 for V_{2 w_1}, once; order 1
+        # is read off the rep, and V_{w_1} takes no sweep
+        assert len(sweeps) == 1
         assert defining == [(2,)] and irrep == [(2, 2, 1)]
 
 
@@ -508,10 +514,35 @@ class TestSpectraScanCsv:
         assert built == [Fraction(1), Fraction(2)]
         assert doc["first_simple_s"] == "1"
         assert "spectrum" not in doc
-        # the same CSV as diagonalizing the first simple s afresh
+        # the same CSV as diagonalizing afresh the family that the first
+        # simple s's row names: one re_m and one im_m column per member
+        orders = doc["rows"][0]["orders"]
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(1))
-        spec = joint_diagonalize(bethe_family(standard_torus(2), cfg).gens, cfg.rep)
+        fam = bethe_family(standard_torus(2), cfg, orders)
+        spec = joint_diagonalize(fam.gens, cfg.rep)
         assert path.read_text() == eigenvalues_csv(spec)
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == 2 + 2 * len(fam)
+
+    def test_a_row_names_the_orders_of_the_family_it_diagonalized(self, tmp_path, capsys):
+        from krspectra.bethe import bethe_family
+        from krspectra.pipeline import build_spectral_config, standard_torus
+
+        path = tmp_path / "eig.csv"
+        code, doc = run(
+            capsys, "spectra", "scan", "--n", "4", "--factors", "2,2", "--s-grid", "1",
+            "--csv", str(path),
+        )
+        assert code == 0
+        # tau_1 is Cartan on one factor, and V_{2 w_2} has weight multiplicities
+        (row,) = doc["rows"]
+        assert row["simple"] and row["orders"] == [1, 2]
+        assert list(row["given_up"]) == ["1"] and row["given_up"]["1"].startswith("not simple")
+        cfg = build_spectral_config(4, [(2, 2)], 1)
+        members = len(bethe_family(standard_torus(4), cfg, [1, 2]))
+        assert members < len(bethe_family(standard_torus(4), cfg))
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == 2 + 2 * members
 
 
 class TestReportsAreJson:

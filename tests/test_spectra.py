@@ -25,6 +25,7 @@ from krspectra.spectra import (
     weight_multiset_matches,
 )
 from oracles import (
+    all_orders_scan,
     all_walls_statistics,
     dense_spectrum,
     eigenvector_matrix,
@@ -577,10 +578,77 @@ class TestScan:
         report = scan_simple_spectrum(2, [(1, 1), (1, 1)], [Fraction(1), Fraction(2)])
         assert report["first_simple_s"] is not None
         assert all(r["simple"] for r in report["rows"])
-        # the kept spectrum is that of the regular family at the first simple s
+        # the kept spectrum is that of the family the row names, at the
+        # regular element of the first simple s
+        first = next(r for r in report["rows"] if r["s"] == report["first_simple_s"])
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], Fraction(report["first_simple_s"]))
-        spec = joint_diagonalize(regular_family(cfg), cfg.rep)
+        fam = bethe_family(standard_torus(2), cfg, first["orders"])
+        spec = joint_diagonalize(fam.gens, cfg.rep)
         assert report["spectrum"].values.tobytes() == spec.values.tobytes()
+        assert first["min_gap"] == spec.min_separation
+
+    def test_the_scan_of_a_clean_case_builds_tau_1_alone(self, monkeypatch):
+        from krspectra import bethe
+
+        chained, taus = [], []
+        chain, tau = bethe._chain_minors, bethe.tau_ratfun
+
+        def chain_recording(tables, n, a):
+            chained.append(a)
+            return chain(tables, n, a)
+
+        def tau_recording(a, C, cfg):
+            taus.append(a)
+            return tau(a, C, cfg)
+
+        monkeypatch.setattr(bethe, "_chain_minors", chain_recording)
+        monkeypatch.setattr(bethe, "tau_ratfun", tau_recording)
+        report = scan_simple_spectrum(3, [(1, 1), (1, 2)], [1, 2, 3])
+        assert [(r["simple"], r["orders"], r["given_up"]) for r in report["rows"]] == [
+            (True, [1], {})
+        ] * 3
+        # no table of order above 1, and one tau_ratfun call per s
+        assert chained == [1, 1, 1] and taus == [1, 1, 1]
+
+    def test_a_regular_family_whose_tau_1_is_not_simple_takes_tau_2(self):
+        report = scan_simple_spectrum(4, [(2, 2)], [1])
+        (row,) = report["rows"]
+        assert row["simple"] and row["orders"] == [1, 2] and "error" not in row
+        assert list(row["given_up"]) == ["1"]
+        assert row["given_up"]["1"].startswith("not simple (gap ")
+        assert report["first_simple_s"] == "1"
+
+    def test_a_last_try_that_raises_keeps_the_error_row(self, monkeypatch):
+        sizes = []
+
+        def refused(members, rep):
+            sizes.append(len(members))
+            raise SpectraError(f"patched: {len(members)} members")
+
+        monkeypatch.setattr(pipeline, "joint_diagonalize", refused)
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        report = scan_simple_spectrum(3, [(1, 1), (1, 2)], [1])
+        (row,) = report["rows"]
+        # three tries, the last of them every member of B(C), whose error
+        # is the row's; the lower orders' reasons go under given_up
+        whole = len(bethe_family(standard_torus(3), cfg))
+        assert len(sizes) == 3 and sizes[-1] == whole
+        assert row == {
+            "s": "1",
+            "simple": False,
+            "error": f"patched: {whole} members",
+            "orders": [1, 2, 3],
+            "given_up": {"1": f"patched: {sizes[0]} members", "2": f"patched: {sizes[1]} members"},
+        }
+        assert report["first_simple_s"] is None and report["spectrum"] is None
+
+    @pytest.mark.parametrize("n,factors", TestOneWallFamily.ACCEPTANCE)
+    def test_verdicts_are_those_of_the_all_orders_scan(self, n, factors):
+        grid = [0, Fraction(1, 2), 1, 2]
+        report = scan_simple_spectrum(n, factors, grid)
+        oracle = all_orders_scan(n, factors, grid)
+        assert [r["simple"] for r in report["rows"]] == [r["simple"] for r in oracle["rows"]]
+        assert report["first_simple_s"] == oracle["first_simple_s"]
 
     def test_a_pair_that_fails_to_commute_ends_the_scan_and_the_comparison(self, monkeypatch):
         from krspectra import bethe
@@ -608,3 +676,5 @@ class TestScan:
         assert not report["rows"][0]["simple"]
         assert "error" in report["rows"][0]
         assert report["spectrum"] is None
+        # the configuration is refused before any family is built
+        assert report["rows"][0]["orders"] == [] and report["rows"][0]["given_up"] == {}
