@@ -8,14 +8,14 @@ those of B(C).  The affine Dynkin rotation P maps wall 1 to wall j by
 P^(j-1), and conjugation by Delta(P) maps B(C) to B(P C P^-1) member by
 member, so wall j's string statistics are wall 1's with every source weight
 rotated (`bethe.rotate_weight`).  Each wall's statistics are compared with
-the combinatorial string statistics of the matching residue class.  B(C) at
-the regular element is built whole, verified and diagonalized for the
-simplicity and weight verdicts.  `spectra scan` diagonalizes, at the
-regular element of each scale, the family of the lowest tau orders whose
-spectrum is simple, B(C) only when no lower family is; both searches run
+the combinatorial string statistics of the matching residue class.  At the
+regular element (`bethe.standard_torus(n)`), `compare` and `spectra scan`
+diagonalize the family of the lowest tau orders whose spectrum is simple,
+B(C) only when no lower family is (`regular_spectrum`); every search runs
 through `lowest_orders`.  The families hold only the tau members:
 every member keeps each weight space, so weights, h and coset chains come
-exactly from the weight blocks.  Evaluation points are
+exactly from the weight blocks, and `compare`'s weight verdict reads the
+rep's weight basis, with no spectrum.  Evaluation points are
 d_j + i s y_j with the real shifts d_j = (l_j - r_j - n)/2 the normality
 condition demands.  Every configuration, of `compare`, of the
 simplicity scan and of the CLI's other commands, is built by
@@ -147,19 +147,31 @@ S_GRID = (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
 SCAN_S_GRID = (1, 2, 3)
 
 
-def regular_family(cfg):
-    """The members of the Bethe family at the regular torus element."""
-    return bethe_family(standard_torus(cfg.n), cfg).gens
+def regular_spectrum(cfg):
+    """The joint spectrum of the family of the lowest tau orders whose
+    spectrum is simple at the regular element (`lowest_orders` at
+    `standard_torus(n)`).
+
+    A subfamily of B(C) that is simple has B(C)'s lines, and B(C), a
+    superset of its members, separates them too, so a simple try is simple
+    for B(C) as well.  A try that is not simple is given up as "not simple
+    (gap ...)"; the last try is B(C) itself, taken simple or not.  Returns
+    what `lowest_orders` returns: (spectrum, orders, given_up, error).
+    """
+
+    def read(fam):
+        spec = joint_diagonalize(fam.gens, cfg.rep)
+        return spec, None if spec.is_simple() else f"not simple (gap {spec.min_separation:.3e})"
+
+    return lowest_orders(standard_torus(cfg.n), cfg, read)
 
 
 def scan_simple_spectrum(n, factors, s_grid):
     """Simplicity verdict at the regular element over the scales of s_grid.
 
-    At each s the family diagonalized is that of the lowest tau orders whose
-    spectrum is simple (`lowest_orders` at `standard_torus(n)`): a subfamily
-    of B(C) that is simple has B(C)'s lines, and B(C), a superset of its
-    members, separates them too, so the row is simple for B(C) as well.  The
-    last try is B(C) itself.  Each row names the orders of the family taken
+    At each s the family diagonalized is that of `regular_spectrum`, the
+    lowest tau orders whose spectrum is simple; a row that is simple is
+    simple for B(C) as well.  Each row names the orders of the family taken
     ("orders") and each lower order given up with its reason ("given_up":
     "not simple (gap ...)" or a `SpectraError` text); "min_gap" is the
     least gap of that family between two lines of one weight block, and
@@ -171,11 +183,6 @@ def scan_simple_spectrum(n, factors, s_grid):
     "spectrum" (None if no s is simple; it is not JSON).  A finer scan is a
     second call with a finer grid.
     """
-
-    def read(fam):
-        spec = joint_diagonalize(fam.gens, fam.config.rep)
-        return spec, None if spec.is_simple() else f"not simple (gap {spec.min_separation:.3e})"
-
     rows = []
     threshold = first_spec = None
     for s in s_grid:
@@ -185,7 +192,7 @@ def scan_simple_spectrum(n, factors, s_grid):
         except RepError as err:
             row.update(simple=False, error=str(err), orders=[], given_up={})
         else:
-            spec, orders, given_up, err = lowest_orders(standard_torus(n), cfg, read)
+            spec, orders, given_up, err = regular_spectrum(cfg)
             if err is None:
                 gap = spec.min_separation if math.isfinite(spec.min_separation) else None
                 row.update(simple=bool(spec.is_simple()), min_gap=gap)
@@ -205,11 +212,22 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
     every wall's statistics off it by the rotation, then compares them with
     the combinatorial tensor crystal.  "wall_family" reports the wall built,
     the tau orders its family took, each lower order given up with its
-    reason, and the walls read by rotation.
+    reason, and the walls read by rotation.  "simple" is the verdict of
+    `regular_spectrum` at that s, and "regular_family" reports the tau
+    orders it took and each lower order given up with its reason.
+    "weights_match" compares the weight multiset of the rep's weight basis,
+    which is that of every family's lines, with the crystal's.
     Only the given factor order is built: the string statistics of a KR
     tensor product do not depend on the order of its factors.  Each s given
     up is reported under "rejected_s" with its error text: a `SpectraError`,
-    or a `glrep.RepError` refusing the configuration.
+    that of B(C) when the last try at wall 1 or at the regular element
+    raised one, or a `glrep.RepError` refusing the configuration.
+
+    "passed" rests on the exact commutativity certificate of each family
+    that is diagonalized, the float simplicity and string checks, the
+    character, and the paper's theorem that B(C) commutes at every C, which
+    carries a simple subfamily's lines to B(C).  `bethe commute` checks that
+    commutativity on every order; this comparison does not.
     """
     comb = kr_tensor_crystal(n, factors)
 
@@ -226,11 +244,12 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
                 j % n: Counter({(ln, rotate_weight(w, j - 1)): c for (ln, w), c in wall1.items()})
                 for j in range(1, n + 1)
             }
-            # global weight multiset via the regular-C family
-            regular_spec = joint_diagonalize(regular_family(cfg), cfg.rep)
+            regular_spec, orders, given_up, refused = regular_spectrum(cfg)
+            if refused is not None:
+                raise refused
             report = compare_with_crystal(stats, comb)
             report["s"] = str(s)
-            report["weights_match"] = weight_multiset_matches(regular_spec, comb)
+            report["weights_match"] = weight_multiset_matches(cfg.rep.weight_basis, comb)
             report["simple"] = bool(regular_spec.is_simple())
             report["passed"] = bool(
                 report["all_match"] and report["weights_match"] and report["simple"]
@@ -242,6 +261,7 @@ def compare_pipeline(n, factors, s_grid=S_GRID):
                 "given_up": strings.diagnostics["given_up"],
                 "rotated": list(range(2, n + 1)),
             }
+            report["regular_family"] = {"orders": orders, "given_up": given_up}
             return report
         except (SpectraError, RepError) as err:
             rejected[str(s)] = str(err)

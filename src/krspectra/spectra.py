@@ -280,10 +280,13 @@ def compare_with_crystal(spectral_stats_by_j, crystal) -> dict:
     }
 
 
-def weight_multiset_matches(spec: JointSpectrum, crystal) -> bool:
+def weight_multiset_matches(weights, crystal) -> bool:
+    """Whether the weight list (a rep's `weight_basis`, which is the weights
+    of any family's lines) and the crystal agree as multisets of sl_n weight
+    classes."""
     from .tensorcrystal import weight_multiset
 
-    return row_counts(canonical_weight(spec.weights)) == weight_multiset(crystal)
+    return row_counts(canonical_weight(weights)) == weight_multiset(crystal)
 
 
 def eigenvalues_csv(spec: JointSpectrum) -> str:

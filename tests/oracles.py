@@ -36,9 +36,13 @@ stored entries.
   wall's own torus element, the route that one rotated wall family
   replaced;
 - scans: the simplicity scan of the whole B(C) at the regular element, the
-  route that the family of the lowest simple tau orders replaced.
+  route that the family of the lowest simple tau orders replaced;
+- the regular element: `compare`'s simplicity and weight verdicts from the
+  whole B(C) at the regular element, the route that the family of the
+  lowest simple tau orders and the weight basis replaced.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
@@ -50,7 +54,7 @@ from krspectra.bethe import BetheError, TorusElement, bethe_family, standard_tor
 from krspectra.gaudin import GaudinConfig, coincidence_classes, gaudin_operator_matrix
 from krspectra.glrep import RepError, TensorRep
 from krspectra.pipeline import build_spectral_config
-from krspectra.promotion import restricted_graph
+from krspectra.promotion import kr_tensor_crystal, restricted_graph
 from krspectra.scalars import (
     Blocks,
     DiffOpPoly,
@@ -948,3 +952,26 @@ def all_orders_scan(n, factors, s_grid) -> dict:
             rows.append({"s": str(s), "simple": False, "error": str(err)})
     first = next((row["s"] for row in rows if row["simple"]), None)
     return {"rows": rows, "first_simple_s": first}
+
+
+# ---------------------------------------------------------------------------
+# The regular element: every order
+
+
+def regular_all_orders(n, factors, s) -> dict:
+    """`compare`'s "simple" and "weights_match" at scale s, from B(C), every
+    order, built whole and diagonalized at `standard_torus(n)`: whether its
+    spectrum is simple, and whether its lines' weights and the KR tensor
+    crystal's weights agree as multisets of sl_n classes (each weight less
+    its least entry)."""
+    cfg = build_spectral_config(n, factors, s)
+    spec = joint_diagonalize(bethe_family(standard_torus(n), cfg).gens, cfg.rep)
+
+    def classes(weights):
+        return Counter(tuple(x - min(w) for x in w) for w in weights)
+
+    crystal = kr_tensor_crystal(n, factors)
+    return {
+        "simple": bool(spec.is_simple()),
+        "weights_match": classes(spec.weights) == classes(crystal.wt.tolist()),
+    }

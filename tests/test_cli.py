@@ -330,6 +330,11 @@ class TestCompareCommand:
         assert code == 0 and doc["passed"] and doc["s"] == "1"
         assert doc["rejected_s"] == {"0": "evaluation points must be distinct"}
 
+    def test_the_report_names_the_regular_family(self, capsys):
+        code, doc = run(capsys, "compare", "--n", "3", "--factors", "1,1;1,2")
+        assert code == 0 and doc["passed"]
+        assert doc["regular_family"] == {"orders": [1], "given_up": {}}
+
     def test_n2_match(self, capsys):
         code, doc = run(
             capsys, "compare", "--n", "2", "--factors", "1,1;1,1",
@@ -407,10 +412,10 @@ class TestOneMinorTablePerFactor:
         )
         assert code == 0 and doc["s"] == "3"
         assert doc["rejected_s"] == {"1": "scale below 3 at wall 1", "2": "scale below 3 at wall 1"}
-        # B(C) at the regular element needs every order: the 4 column sets
-        # of sizes 2 and 3 at n = 3 for V_{w_2}, once; order 1 is read off
-        # the rep, and V_{w_1} takes its closed form
-        assert len(sweeps) == 4
+        # the wall family and the regular family both take tau_1, whose
+        # factor tables are each factor's T(u): no sweep at all
+        assert doc["wall_family"]["orders"] == doc["regular_family"]["orders"] == [1]
+        assert sweeps == []
         assert defining == [(3,)] and irrep == [(3, 1, 2)]
 
     def test_bethe_degenerate_over_three_eps(self, monkeypatch, capsys):

@@ -12,7 +12,6 @@ from krspectra.glrep import build_defining, build_tensor
 from krspectra.pipeline import (
     build_spectral_config,
     compare_pipeline,
-    regular_family,
     scan_simple_spectrum,
 )
 from krspectra.promotion import kr_tensor_crystal
@@ -31,6 +30,7 @@ from oracles import (
     eigenvector_matrix,
     mat_to_numpy,
     reconstruction_residual,
+    regular_all_orders,
     spectrum_report,
     trace,
 )
@@ -201,8 +201,9 @@ class TestJointDiagonalize:
 class TestWeightBlocks:
     def wall_families(self, n, factors, s=1):
         cfg = build_spectral_config(n, factors, s=s)
+        # the walls' families and B(C) at the regular element
         fams = [bethe_family(standard_torus(n, j), cfg).gens for j in range(1, n + 1)]
-        return cfg, fams + [regular_family(cfg)]
+        return cfg, fams + [bethe_family(standard_torus(n), cfg).gens]
 
     def test_weights_are_the_weight_basis_multiset(self):
         from collections import Counter
@@ -360,11 +361,18 @@ class TestComparePipeline:
         from krspectra.tensorcrystal import tensor
 
         cfg = build_spectral_config(2, [(1, 1), (1, 1)], s=1)
-        fam = bethe_family(standard_torus(2), cfg)
-        torus = [cfg.rep.delta(a, a) for a in (1, 2)]
-        spec = joint_diagonalize(fam.gens + torus, cfg.rep)
         comb = tensor(build_kr(2, 1, 1), build_kr(2, 1, 1))
-        assert weight_multiset_matches(spec, comb)
+        assert weight_multiset_matches(cfg.rep.weight_basis, comb)
+        # the weights of a family's lines are the weight basis
+        spec = joint_diagonalize(bethe_family(standard_torus(2), cfg).gens, cfg.rep)
+        assert weight_multiset_matches(spec.weights, comb)
+
+    def test_the_weights_of_another_factor_list_of_one_dimension_mismatch(self):
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], s=1)
+        wrong = kr_tensor_crystal(3, [(1, 1), (1, 1)])
+        assert cfg.rep.dim == len(wrong) == 9
+        assert weight_multiset_matches(cfg.rep.weight_basis, kr_tensor_crystal(3, [(1, 1), (1, 2)]))
+        assert not weight_multiset_matches(cfg.rep.weight_basis, wrong)
 
 
 class TestOneWallFamily:
@@ -470,7 +478,47 @@ class TestOneWallFamily:
         monkeypatch.setattr(pipeline, "bethe_family", recording)
         assert compare_pipeline(n, factors, s_grid=(1,))["passed"]
         wall1, regular = ([str(c) for c in standard_torus(n, j).entries] for j in (1, None))
-        assert built == [(wall1, (1,)), (regular, None)]
+        assert built == [(wall1, (1,)), (regular, (1,))]
+
+
+class TestRegularFamily:
+    """`compare`'s "simple" comes from the family of the lowest simple tau
+    orders at the regular element, and "weights_match" from the weight
+    basis."""
+
+    @pytest.mark.parametrize("n,factors", TestOneWallFamily.ACCEPTANCE)
+    def test_verdicts_are_those_of_b_c_of_every_order(self, n, factors):
+        report = compare_pipeline(n, factors, s_grid=(1, 2))
+        assert report["passed"], report
+        oracle = regular_all_orders(n, factors, Fraction(report["s"]))
+        assert report["simple"] == oracle["simple"]
+        assert report["weights_match"] == oracle["weights_match"]
+        family = report["regular_family"]
+        if (n, factors) == (4, [(2, 2)]):
+            # tau_1 is not simple at the regular element: tau_2 is added
+            assert family["orders"] == [1, 2] and list(family["given_up"]) == ["1"]
+            assert family["given_up"]["1"].startswith("not simple (gap ")
+        else:
+            assert family == {"orders": [1], "given_up": {}}
+
+    def test_a_last_try_that_raises_rejects_the_scale(self, monkeypatch):
+        # the wall family is diagonalized inside `wall_strings`, so only the
+        # regular element's tries are refused
+        calls = []
+
+        def refused(members, rep):
+            calls.append(len(members))
+            raise SpectraError(f"patched: {len(members)} members")
+
+        monkeypatch.setattr(pipeline, "joint_diagonalize", refused)
+        report = compare_pipeline(3, [(1, 1), (1, 2)], s_grid=(1,))
+        cfg = build_spectral_config(3, [(1, 1), (1, 2)], 1)
+        whole = len(bethe_family(standard_torus(3), cfg))
+        # three tries at the regular element, the last of them B(C), whose
+        # error rejects the scale
+        assert len(calls) == 3 and calls[-1] == whole
+        assert not report["passed"]
+        assert report["rejected_s"] == {"1": f"patched: {whole} members"}
 
 
 class TestRejectedScales:
